@@ -40,7 +40,13 @@ from movkit.generation import (
     generate as generate_profile,
     ranked_to_approval,
 )
-from movkit.io_formats import ParseError, parse_election, write_election, write_experiment_csv
+from movkit.io_formats import (
+    ParseError,
+    candidate_labels,
+    parse_election,
+    write_election,
+    write_experiment_csv,
+)
 from movkit.oracle import DEFAULT_WORK_LIMIT, WorkLimitError, mov_bounds, mov_brute_force
 
 
@@ -81,14 +87,6 @@ def _load_profile(handle) -> Profile:
     return parse_election(handle.read())
 
 
-def _labels(profile: Profile) -> list[str]:
-    if profile.names is not None:
-        return list(profile.names)
-    if profile.m <= 26:
-        return [chr(ord("a") + c) for c in range(profile.m)]
-    return [str(c) for c in range(profile.m)]
-
-
 def _fmt_number(value) -> str:
     """Integers bare, other rationals as short decimals."""
     frac = Fraction(value)
@@ -119,7 +117,7 @@ def winner(handle, rule_spec):
     profile = _load_profile(handle)
     rule = resolve_rule(rule_spec, profile.m)
     result = winner_set(profile, rule)
-    labels = _labels(profile)
+    labels = candidate_labels(profile)
     names = ", ".join(labels[c] for c in result.winners)
     scores = " ".join(
         f"s({labels[c]})={_fmt_number(result.scores[c])}" for c in range(profile.m)
@@ -146,7 +144,7 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
     """Margin of victory: exact search, sandwich bounds, or sampling estimate."""
     profile = _load_profile(handle)
     rule = resolve_rule(rule_spec, profile.m)
-    labels = _labels(profile)
+    labels = candidate_labels(profile)
     if mode == "exact":
         effective_budget = profile.n if budget is None else budget
         result = mov_brute_force(profile, rule, effective_budget, work_limit=work_limit)

@@ -2,15 +2,18 @@
 
 Candidates are integers ``0..m-1``. Profiles store a multiset of distinct
 ballots with positive multiplicities, canonically sorted so that equal
-multisets compare equal. Scores are exact: integers where possible,
-`fractions.Fraction` otherwise. Whenever a rule needs a single representative
-winner, the canonical tie-break is the lowest candidate index.
+multisets compare equal. Tallies are plain integers: a positional score
+vector is scaled once to integer weights over a common denominator, and
+the totals become exact `fractions.Fraction` scores once per candidate.
+Whenever a rule needs a single representative winner, the canonical
+tie-break is the lowest candidate index.
 
 Six rule families are supported: positional scoring, k-approval, approval,
 Bucklin (strict majority, more than half of the votes), maximin, and
 Copeland with tie parameter alpha.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,6 +234,13 @@ class ScoreVector:
         return cls.k_approval(m, 1)
 
 
+def integer_weights(vector: ScoreVector) -> tuple[tuple[int, ...], int]:
+    """Integer weights and their common denominator ``unit``:
+    ``vector.alphas[i] == Fraction(weights[i], unit)`` for every position."""
+    unit = math.lcm(*(a.denominator for a in vector.alphas))
+    return tuple(a.numerator * (unit // a.denominator) for a in vector.alphas), unit
+
+
 def normalize_score_vector(raw: Sequence) -> ScoreVector:
     """Shift and rescale a score vector to its canonical normalized form.
 
@@ -318,11 +328,21 @@ def positional_scores(profile: RankedProfile, vector: ScoreVector) -> dict[int, 
     _require_ranked(profile)
     if vector.m != profile.m:
         raise InputError(f"score vector has {vector.m} entries for {profile.m} candidates")
-    scores = {c: Fraction(0) for c in range(profile.m)}
-    for ballot, mult in profile.votes:
-        for pos, cand in enumerate(ballot.order):
-            scores[cand] += mult * vector.alphas[pos]
-    return scores
+    weights, unit = integer_weights(vector)
+    raw = positional_tally(profile.votes, weights, profile.m)
+    return {c: Fraction(raw[c], unit) for c in range(profile.m)}
+
+
+def positional_tally(votes, weights: Sequence[int], m: int) -> list[int]:
+    """Integer score of each candidate over (ranking, count) pairs, where
+    position ``i`` earns ``weights[i]``; zero weights cost nothing."""
+    raw = [0] * m
+    live = [(pos, w) for pos, w in enumerate(weights) if w]
+    for ballot, mult in votes:
+        order = ballot.order
+        for pos, w in live:
+            raw[order[pos]] += mult * w
+    return raw
 
 
 def approval_scores(profile: ApprovalProfile) -> dict[int, int]:
@@ -489,8 +509,8 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
         _require_ranked(profile)
         if rule.k > profile.m - 1:
             raise InputError(f"k-approval needs k <= m-1, got k={rule.k}, m={profile.m}")
-        vector = ScoreVector.k_approval(profile.m, rule.k)
-        scores = {c: int(s) for c, s in positional_scores(profile, vector).items()}
+        raw = positional_tally(profile.votes, [1] * rule.k, profile.m)
+        scores = dict(enumerate(raw))
         return WinnerResult(_argmax_set(scores), scores)
     if isinstance(rule, Bucklin):
         scores = bucklin_scores(profile)

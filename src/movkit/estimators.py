@@ -13,9 +13,10 @@ scoring, Bucklin and maximin, and (2K+1)/(2K+3) with K = ceil(log2 m) for
 Copeland). Sample sizes are closed forms in (epsilon, delta) and the number
 of candidates or the approval depth k.
 
-All sampled tallies are exact rationals, so winner selection and tie-breaks
-inside an estimate are exact; only the sample-size and guarantee-annotation
-arithmetic uses floats.
+Sampled tallies are integers (a scoring vector is scaled once to integer
+weights) and rescale by n/ell to exact rationals once per candidate, so
+winner selection and tie-breaks inside an estimate are exact; only the
+sample-size and guarantee-annotation arithmetic uses floats.
 """
 
 import math
@@ -40,6 +41,8 @@ from movkit.core import (
     Rule,
     ScoreVector,
     Scoring,
+    integer_weights,
+    positional_tally,
     top_two,
 )
 from movkit.oracle import copeland_log_factor, relative_margin_generic
@@ -121,7 +124,9 @@ def sample_votes(source: VoteSource, ell: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 # sample sizes and the lower bound
 
-_RULE_KINDS = ("scoring", "kapproval", "approval", "bucklin", "maximin", "copeland")
+# rule kind -> the constant C in the sample-size closed form (C/eps^2) * ln(...)
+_SAMPLE_FACTORS = {"scoring": 12.0, "kapproval": 12.0, "approval": 12.0,
+                   "bucklin": 12.0, "maximin": 24.0, "copeland": 96.0}
 
 
 def _check_unit_interval(name, value):
@@ -143,7 +148,7 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
 
     ``k`` must be given exactly for k-approval, nothing else.
     """
-    if rule_kind not in _RULE_KINDS:
+    if rule_kind not in _SAMPLE_FACTORS:
         raise InputError(f"unknown rule kind {rule_kind!r}")
     eps = _check_unit_interval("epsilon", epsilon)
     dlt = _check_unit_interval("delta", delta)
@@ -154,12 +159,10 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
             raise InputError("k-approval sample size needs k")
         if not isinstance(k, int) or not 1 <= k <= m - 1:
             raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
-        return math.ceil((12.0 / eps**2) * math.log(2.0 * k / dlt))
-    if k is not None:
+    elif k is not None:
         raise InputError(f"k is only meaningful for k-approval, not {rule_kind}")
-    factor = {"scoring": 12.0, "approval": 12.0, "bucklin": 12.0,
-              "maximin": 24.0, "copeland": 96.0}[rule_kind]
-    return math.ceil((factor / eps**2) * math.log(2.0 * m / dlt))
+    log_num = 2.0 * (k if rule_kind == "kapproval" else m)
+    return math.ceil((_SAMPLE_FACTORS[rule_kind] / eps**2) * math.log(log_num / dlt))
 
 
 def lower_bound_samples(c, epsilon, delta) -> float:
@@ -219,12 +222,6 @@ def make_sample_plan(rule: Rule, epsilon, delta, m: int) -> SamplePlan:
     )
 
 
-def _effective_epsilon(factor: float, log_arg_num: float, delta, ell: int) -> Fraction:
-    """Invert the sample-size closed form for an overridden ell."""
-    eps = math.sqrt((factor / ell) * math.log(log_arg_num / float(delta)))
-    return Fraction(eps)
-
-
 # ---------------------------------------------------------------------------
 # estimates
 
@@ -272,10 +269,9 @@ def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
         raise InputError(f"sample count must be positive, got {ell}")
     _check_unit_interval("epsilon", epsilon)
     _check_unit_interval("delta", delta)
-    factor = {"scoring": 12.0, "approval": 12.0, "bucklin": 12.0, "kapproval": 12.0,
-              "maximin": 24.0, "copeland": 96.0}[rule_kind]
     log_num = 2.0 * (k if rule_kind == "kapproval" else m)
-    return ell, _effective_epsilon(factor, log_num, delta, ell)
+    eps = math.sqrt((_SAMPLE_FACTORS[rule_kind] / ell) * math.log(log_num / float(delta)))
+    return ell, Fraction(eps)
 
 
 def estimate_scoring(
@@ -290,8 +286,9 @@ def estimate_scoring(
 
     The vector is normalized internally, so scores and the estimate are in
     normalized score units. Each sampled ballot contributes its positional
-    score; tallies rescale by n/ell. The estimate is the rescaled top-two
-    gap divided by 1.5 times the top score-vector entry.
+    score as integer weights over a common unit; tallies rescale by
+    n/(ell*unit). The estimate is the rescaled top-two gap divided by 1.5
+    times the top score-vector entry.
     """
     _require_kind(source, "ranked")
     vector = vector.normalized()
@@ -299,12 +296,10 @@ def estimate_scoring(
         raise InputError(f"score vector has {vector.m} entries for m={source.m}")
     ell, eps_eff = _resolve_ell("scoring", epsilon, delta, source.m, None, ell)
     counts = source.draw_counts(ell, seed)
-    raw = {x: Fraction(0) for x in range(source.m)}
-    for ballot, cnt in counts.items():
-        for pos, cand in enumerate(ballot.order):
-            raw[cand] += cnt * vector.alphas[pos]
-    scale = Fraction(source.n, ell)
-    sbar = {x: scale * raw[x] for x in range(source.m)}
+    weights, unit = integer_weights(vector)
+    raw = positional_tally(counts.items(), weights, source.m)
+    n = source.n
+    sbar = {x: Fraction(n * raw[x], ell * unit) for x in range(source.m)}
     w, z = top_two(sbar)
     m_bar = (sbar[w] - sbar[z]) / (Fraction(3, 2) * vector.alpha1)
     return MovEstimate(
@@ -328,10 +323,7 @@ def estimate_kapproval(
         raise InputError(f"k must be in [1, m-1], got k={k!r}, m={source.m}")
     ell, eps_eff = _resolve_ell("kapproval", epsilon, delta, source.m, k, ell)
     counts = source.draw_counts(ell, seed)
-    raw = {x: 0 for x in range(source.m)}
-    for ballot, cnt in counts.items():
-        for cand in ballot.order[:k]:
-            raw[cand] += cnt
+    raw = positional_tally(counts.items(), [1] * k, source.m)
     scale = Fraction(source.n, ell)
     sbar = {x: scale * raw[x] for x in range(source.m)}
     w, z = top_two(sbar)
@@ -514,13 +506,15 @@ def estimate_copeland(
         scores[x] = total
     best = max(scores.values())
     w = min(x for x in range(m) if scores[x] == best)
-    gamma = min(
+    # clamped at zero: on a sampled tie at the top, w's raw relative margin
+    # over a co-winner can be negative (same as oracle.copeland_margin)
+    gamma = max(0, min(
         relative_margin_generic(
             lambda u, v: dbar[u][v], m, n, w, x, alpha
         )
         for x in range(m)
         if x != w
-    )
+    ))
     k_log = copeland_log_factor(m)
     m_bar = Fraction(4 * (k_log + 1), 2 * k_log + 3) * gamma
     return MovEstimate(

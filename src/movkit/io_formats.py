@@ -12,6 +12,7 @@ The first significant line must be ``m <int>``. A file holds ranked ballots
 or approval ballots, never both. Candidate tokens are declared names, bare
 0-based integer indices, or (when no names are declared and m <= 26) the
 default letters a, b, c, ... Declared names win over integer literals.
+Counts, indices and ``m`` are written in ASCII digits.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -53,13 +54,30 @@ def _significant_lines(text: str):
         yield number, line
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts '²', which int() rejects."""
+    return text.isascii() and text.isdigit()
+
+
+def _token_table(names: Optional[Sequence[str]], m: int) -> dict[str, int]:
+    """Candidate index of every canonical token, with ``_resolve``'s precedence:
+    declared names, then integer literals, then the default letters."""
+    table = {}
+    if names is None and m <= 26:
+        table.update((letter, c) for c, letter in enumerate(_DEFAULT_NAMES[:m]))
+    table.update((str(c), c) for c in range(m))
+    if names is not None:
+        table.update((name, c) for c, name in enumerate(names))
+    return table
+
+
 def _resolve(token: str, names: Optional[Sequence[str]], m: int, line: int) -> int:
     token = token.strip()
     if not token:
         raise ParseError("empty candidate token", line)
     if names is not None and token in names:
         return names.index(token)
-    if token.isdigit():
+    if _is_number(token):
         index = int(token)
         if index >= m:
             raise ParseError(f"candidate index {index} out of range for m={m}", line)
@@ -77,11 +95,14 @@ def parse_election(text: str) -> Profile:
     except StopIteration:
         raise ParseError("missing 'm <count>' header", 1) from None
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "m" or not parts[1].isdigit() or int(parts[1]) < 1:
+    if len(parts) != 2 or parts[0] != "m" or not _is_number(parts[1]) or int(parts[1]) < 1:
         raise ParseError("first line must be 'm <count>' with a positive count", number)
     m = int(parts[1])
 
     names: Optional[tuple[str, ...]] = None
+    # fast path for ballot tokens; a miss falls back to _resolve for its error
+    table = _token_table(names, m)
+    identity = list(range(m))
     ranked: list[tuple[Ranking, int]] = []
     approval: list[tuple[ApprovalBallot, int]] = []
     for number, line in lines:
@@ -98,12 +119,13 @@ def parse_election(text: str) -> Profile:
                     raise ParseError(f"duplicate candidate name {name!r}", number)
                 seen.add(name)
             names = declared
+            table = _token_table(names, m)
             continue
         count_part, sep, ballot_part = line.partition(":")
         if not sep:
             raise ParseError("expected 'COUNT: ballot'", number)
         count_part = count_part.strip()
-        if not count_part.isdigit() or int(count_part) < 1:
+        if not _is_number(count_part) or int(count_part) < 1:
             raise ParseError(f"count must be a positive integer, got {count_part!r}", number)
         count = int(count_part)
         ballot_part = ballot_part.strip()
@@ -116,7 +138,9 @@ def parse_election(text: str) -> Profile:
             members: set[int] = set()
             if inner:
                 for token in inner.split(","):
-                    cand = _resolve(token, names, m, number)
+                    cand = table.get(token)
+                    if cand is None:
+                        cand = _resolve(token, names, m, number)
                     if cand in members:
                         raise ParseError(f"candidate {token.strip()!r} listed twice", number)
                     members.add(cand)
@@ -127,8 +151,10 @@ def parse_election(text: str) -> Profile:
             tokens = ballot_part.split(">")
             if len(tokens) != m:
                 raise ParseError(f"ranking must list all {m} candidates", number)
-            order = tuple(_resolve(token, names, m, number) for token in tokens)
-            if sorted(order) != list(range(m)):
+            order = tuple(map(table.get, tokens))
+            if None in order:
+                order = tuple(_resolve(token, names, m, number) for token in tokens)
+            if sorted(order) != identity:
                 raise ParseError("ranking repeats a candidate", number)
             ranked.append((Ranking(order), count))
     if not ranked and not approval:
@@ -141,7 +167,9 @@ def parse_election(text: str) -> Profile:
         raise ParseError(str(exc), 1) from exc
 
 
-def _labels(profile: Profile) -> list[str]:
+def candidate_labels(profile: Profile) -> list[str]:
+    """Printed label of each candidate: declared names, else default letters
+    (integer indices once m > 26)."""
     if profile.names is not None:
         return list(profile.names)
     if profile.m <= 26:
@@ -151,7 +179,7 @@ def _labels(profile: Profile) -> list[str]:
 
 def write_election(profile: Profile) -> str:
     """Canonical text form of a profile; see the module grammar."""
-    labels = _labels(profile)
+    labels = candidate_labels(profile)
     out = [f"m {profile.m}"]
     if profile.names is not None:
         out.append("candidates " + ",".join(profile.names))

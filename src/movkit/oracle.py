@@ -39,8 +39,10 @@ from movkit.core import (
     Scoring,
     approval_scores,
     bucklin_scores,
+    integer_weights,
     maximin_scores,
     pairwise_matrix,
+    positional_tally,
     top_k_counts,
     top_two,
     winner_set,
@@ -120,10 +122,7 @@ class _ScoringEngine:
     def __init__(self, profile: RankedProfile, weights: Sequence[int]):
         self.weights = tuple(weights)
         self.m = profile.m
-        self.score = [0] * profile.m
-        for ballot, mult in profile.votes:
-            for pos, cand in enumerate(ballot.order):
-                self.score[cand] += mult * self.weights[pos]
+        self.score = positional_tally(profile.votes, self.weights, profile.m)
 
     def add(self, order, sign: int) -> None:
         for pos, cand in enumerate(order):
@@ -245,11 +244,6 @@ class _CopelandEngine(_PairwiseEngine):
         return self._mask_of_best(scores)
 
 
-def _integer_weights(vector) -> tuple[int, ...]:
-    scale = math.lcm(*(a.denominator for a in vector.alphas))
-    return tuple(int(a * scale) for a in vector.alphas)
-
-
 def _make_engine(profile: Profile, rule: Rule):
     """Engine plus the raw expanded ballots and the replacement universe."""
     if isinstance(rule, Approval):
@@ -270,7 +264,7 @@ def _make_engine(profile: Profile, rule: Rule):
             raise InputError(
                 f"score vector has {rule.vector.m} entries for {profile.m} candidates"
             )
-        engine = _ScoringEngine(profile, _integer_weights(rule.vector))
+        engine = _ScoringEngine(profile, integer_weights(rule.vector)[0])
     elif isinstance(rule, KApproval):
         if rule.k > profile.m - 1:
             raise InputError(f"k-approval needs k <= m-1, got k={rule.k}, m={profile.m}")
@@ -534,9 +528,11 @@ def relative_margin(profile: RankedProfile, x: int, y: int, alpha) -> int:
 def copeland_margin(profile: RankedProfile, alpha) -> int:
     """Smallest relative margin of the canonical Copeland winner over a rival.
 
-    Non-negative; zero exactly when the winner set is tied. With a unique
-    winner this bounds the margin of victory from below, and times
-    2*(ceil(log2 m) + 1) from above.
+    Non-negative; zero exactly when the winner set is tied. On a tie the
+    canonical winner's raw relative margin over a co-winner can fall below
+    zero, so the result is clamped at zero. With a unique winner this bounds
+    the margin of victory from below, and times 2*(ceil(log2 m) + 1) from
+    above.
     """
     if profile.m < 2:
         raise InputError("relative margin needs at least two candidates")
@@ -544,13 +540,13 @@ def copeland_margin(profile: RankedProfile, alpha) -> int:
     result = winner_set(profile, Copeland(alpha))
     w = result.winners[0]
     matrix = pairwise_matrix(profile)
-    return min(
+    return max(0, min(
         relative_margin_generic(
             lambda u, v: matrix.d[u][v], profile.m, profile.n, w, x, alpha
         )
         for x in range(profile.m)
         if x != w
-    )
+    ))
 
 
 def copeland_log_factor(m: int) -> int:

@@ -229,3 +229,12 @@ def test_distinguish_with_one_sample_is_noise(runner):
 def test_rational_option_rejects_garbage(runner):
     result = runner.invoke(main, ["lowerbound", "--epsilon", "abc", "--delta", "0.01"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("text", ["m ²\n1: a>b\n", "m 3\n²: a>b>c\n", "m 3\n1: a>b>²\n"],
+                         ids=["header", "count", "ranked"])
+def test_unicode_digit_parse_error_exits_2(runner, tmp_path, text):
+    path = write_file(tmp_path, "e.txt", text)
+    result = runner.invoke(main, ["winner", "-i", path, "-r", "plurality"])
+    assert result.exit_code == 2
+    assert "line " in result.output

@@ -26,6 +26,7 @@ from movkit.core import (
     positional_scores,
     ranked_profile,
 )
+from movkit.generation import ImpartialCulture, generate
 from movkit.estimators import (
     VoteSource,
     estimate_approval,
@@ -336,3 +337,12 @@ def test_maximin_three_plus_two_expectation():
     mean = total / reps
     # E[m_bar] = (s(w) - s(z))/3 = 2/3; allow generous monte-carlo slack
     assert abs(float(mean - F(2, 3))) < 0.12
+
+
+def test_copeland_estimate_clamps_sampled_top_tie_at_zero():
+    # the sampled Copeland scores tie at the top (1 and 3 both score 2); the
+    # raw relative margin of the canonical winner was -36/7 and raised
+    p = generate(ImpartialCulture(n=2000, m=4, seed=15))
+    est = estimate_copeland(VoteSource.from_profile(p), HALF, F(1, 10), F(1, 20), 15)
+    assert est.estimated_scores[1] == est.estimated_scores[3] == 2
+    assert est.m_bar == 0

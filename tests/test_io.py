@@ -190,3 +190,27 @@ def test_csv_uses_unix_line_endings():
     text = write_experiment_csv([row(), row(trial=2)])
     assert "\r" not in text
     assert text.count("\n") == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    ("m ²\n1: a>b\n", 1),
+    ("m 3\n²: a>b>c\n", 2),
+    ("m 3\n1: a>b>²\n", 2),
+    ("m 3\n1: {a,²}\n", 2),
+], ids=["header", "count", "ranked", "approval"])
+def test_unicode_digits_are_parse_errors(text, line):
+    # '²'.isdigit() is true, but int() rejects it
+    with pytest.raises(ParseError) as err:
+        parse_election(text)
+    assert err.value.line == line
+
+
+def test_non_canonical_tokens_fall_back_to_the_resolver():
+    p = parse_election("m 3\n1: 01 > c>a\n")
+    assert p.votes[0][0].order == (1, 2, 0)
+    q = parse_election("m 3\n1: { a , 02}\n")
+    assert q.votes[0][0].approved == frozenset({0, 2})
+    with pytest.raises(ParseError, match="candidate index 3 out of range"):
+        parse_election("m 3\n1: a>b>3\n")
+    with pytest.raises(ParseError, match="unknown candidate 'd'"):
+        parse_election("m 3\n1: a>b>d\n")

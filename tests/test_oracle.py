@@ -22,6 +22,7 @@ from movkit.core import (
     ranked_profile,
     winner_set,
 )
+from movkit.generation import ImpartialCulture, generate
 from movkit.oracle import (
     TiedWinnersError,
     WorkLimitError,
@@ -316,3 +317,13 @@ def test_brute_force_counts_evaluations_deterministically():
     r2 = mov_brute_force(p, KApproval(1), 3)
     assert r1.evaluations == r2.evaluations
     assert r1.evaluations >= 1
+
+
+@pytest.mark.parametrize("seed", [1, 10, 15, 25, 28, 38, 58])
+def test_copeland_margin_is_zero_on_tied_ic_profiles(seed):
+    # these tied IC profiles gave raw relative margins from -13 to -2
+    p = generate(ImpartialCulture(n=2000, m=4, seed=seed))
+    assert len(winner_set(p, Copeland(HALF)).winners) >= 2
+    assert copeland_margin(p, HALF) == 0
+    bounds = mov_bounds(p, Copeland(HALF))
+    assert (bounds.lower, bounds.upper, bounds.source) == (1, p.n, "tied winners")
