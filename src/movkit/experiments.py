@@ -58,6 +58,7 @@ from movkit.generation import (
 )
 from movkit.io_formats import ExperimentRow
 from movkit.oracle import (
+    DEFAULT_WORK_LIMIT,
     TiedWinnersError,
     mov_approval_closed_form,
     mov_bounds,
@@ -214,7 +215,7 @@ class BruteForcePolicy:
     """Exact reference via exhaustive search; budget=None means n per trial."""
 
     budget: Optional[int] = None
-    work_limit: int = 5_000_000
+    work_limit: int = DEFAULT_WORK_LIMIT
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,8 @@ class ExactMovResult:
 
     ``value`` is the exact margin when found within ``budget`` changed votes,
     else None. ``witness`` realizes the change: (vote index, replacement
-    ballot) pairs, indices into ``profile.expand()``.
+    ballot) pairs, indices into ``profile.expand()``. ``evaluations`` counts
+    the (retraction, insertion) pairs scored, one evaluation each.
     """
 
     value: int | None
@@ -118,10 +119,18 @@ class MovBounds:
 # the inner loop cheap.
 
 
+def _mask_of_best(scores) -> int:
+    best = max(scores)
+    mask = 0
+    for cand, score in enumerate(scores):
+        if score == best:
+            mask |= 1 << cand
+    return mask
+
+
 class _ScoringEngine:
     def __init__(self, profile: RankedProfile, weights: Sequence[int]):
         self.weights = tuple(weights)
-        self.m = profile.m
         self.score = positional_tally(profile.votes, self.weights, profile.m)
 
     def add(self, order, sign: int) -> None:
@@ -129,17 +138,11 @@ class _ScoringEngine:
             self.score[cand] += sign * self.weights[pos]
 
     def winner_mask(self) -> int:
-        best = max(self.score)
-        mask = 0
-        for cand in range(self.m):
-            if self.score[cand] == best:
-                mask |= 1 << cand
-        return mask
+        return _mask_of_best(self.score)
 
 
 class _ApprovalEngine:
     def __init__(self, profile: ApprovalProfile):
-        self.m = profile.m
         self.score = [0] * profile.m
         for ballot, mult in profile.votes:
             for cand in ballot.approved:
@@ -150,12 +153,7 @@ class _ApprovalEngine:
             self.score[cand] += sign
 
     def winner_mask(self) -> int:
-        best = max(self.score)
-        mask = 0
-        for cand in range(self.m):
-            if self.score[cand] == best:
-                mask |= 1 << cand
-        return mask
+        return _mask_of_best(self.score)
 
 
 class _BucklinEngine:
@@ -201,14 +199,6 @@ class _PairwiseEngine:
             for j in range(i + 1, self.m):
                 self.above[order[i]][order[j]] += sign
 
-    def _mask_of_best(self, scores) -> int:
-        best = max(scores)
-        mask = 0
-        for cand in range(self.m):
-            if scores[cand] == best:
-                mask |= 1 << cand
-        return mask
-
 
 class _MaximinEngine(_PairwiseEngine):
     def winner_mask(self) -> int:
@@ -217,7 +207,7 @@ class _MaximinEngine(_PairwiseEngine):
             min(above[x][y] - above[y][x] for y in range(self.m) if y != x)
             for x in range(self.m)
         ]
-        return self._mask_of_best(scores)
+        return _mask_of_best(scores)
 
 
 class _CopelandEngine(_PairwiseEngine):
@@ -241,22 +231,21 @@ class _CopelandEngine(_PairwiseEngine):
                 elif diff == 0:
                     ties += 1
             scores.append(self.tie_den * wins + self.tie_num * ties)
-        return self._mask_of_best(scores)
+        return _mask_of_best(scores)
 
 
 def _make_engine(profile: Profile, rule: Rule):
-    """Engine plus the raw expanded ballots and the replacement universe."""
+    """Engine, raw ballot types, replacement universe and ballot wrapper."""
     if isinstance(rule, Approval):
         if not isinstance(profile, ApprovalProfile):
             raise InputError("approval rule needs an approval profile")
         engine = _ApprovalEngine(profile)
-        raw = [b.approved for b in profile.expand()]
+        raw = [b.approved for b, _ in profile.votes]
         universe = [
             frozenset(c for c in range(profile.m) if mask >> c & 1)
             for mask in range(2 ** profile.m)
         ]
-        wrap = ApprovalBallot
-        return engine, raw, universe, wrap
+        return engine, raw, universe, ApprovalBallot
     if not isinstance(profile, RankedProfile):
         raise InputError("this rule needs a ranked profile")
     if isinstance(rule, Scoring):
@@ -279,10 +268,9 @@ def _make_engine(profile: Profile, rule: Rule):
         engine = _CopelandEngine(profile, rule.alpha)
     else:
         raise InputError(f"unknown rule: {rule!r}")
-    raw = [b.order for b in profile.expand()]
+    raw = [b.order for b, _ in profile.votes]
     universe = list(itertools.permutations(range(profile.m)))
-    wrap = Ranking
-    return engine, raw, universe, wrap
+    return engine, raw, universe, Ranking
 
 
 def mov_brute_force(
@@ -293,16 +281,17 @@ def mov_brute_force(
 ) -> ExactMovResult:
     """Exact margin of victory by iterative deepening, up to ``budget`` changes.
 
-    For t = 1, 2, ..., budget, tries every size-t set of vote indices and
-    every tuple of replacement ballots (all rankings, or all approval sets),
-    skipping replacements identical to the original vote. The first change of
-    the winner set fixes the margin; deepening guarantees minimality, and the
-    witness is the first hit in deterministic enumeration order (index sets
-    lexicographic, replacements in ranking/subset order).
+    For t = 1, 2, ..., budget, retracts every multiset of t ballot types
+    (each at most its multiplicity times) and inserts every multiset of t
+    ballots sharing no type with it (sharing one makes a smaller change, which
+    an earlier level rejected). The first change of the winner set fixes the
+    margin. The witness is the first hit of a search over vote indices: each
+    retracted type's first indices in ``profile.expand()``, paired in order
+    with the inserted ballots in ranking/subset order.
 
     Returns ``value=None`` when no change within the budget flips the winner
-    set. Raises WorkLimitError once more than ``work_limit`` candidate
-    modifications have been scored.
+    set. Raises WorkLimitError once more than ``work_limit`` (retraction,
+    insertion) pairs have been scored.
     """
     if profile.m < 2:
         raise InputError("margin of victory needs at least two candidates")
@@ -310,32 +299,39 @@ def mov_brute_force(
         raise InputError(f"budget must be at least 1, got {budget}")
     engine, raw, universe, wrap = _make_engine(profile, rule)
     base_mask = engine.winner_mask()
-    n = len(raw)
-    options = [[u for u in universe if u != raw[i]] for i in range(n)]
+    mults = [mult for _, mult in profile.votes]
+    starts = list(itertools.accumulate(mults, initial=0))
     evaluations = 0
-    for t in range(1, min(budget, n) + 1):
-        for combo in itertools.combinations(range(n), t):
-            originals = [raw[i] for i in combo]
-            for replacement in itertools.product(*(options[i] for i in combo)):
+    for t in range(1, min(budget, profile.n) + 1):
+        for retracted in itertools.combinations_with_replacement(range(len(raw)), t):
+            # the j-th entry's offset in its type's block must be below its multiplicity
+            if any(j - retracted.index(k) >= mults[k] for j, k in enumerate(retracted)):
+                continue
+            removed = {raw[k] for k in retracted}
+            for k in retracted:
+                engine.add(raw[k], -1)
+            options = [u for u in universe if u not in removed]
+            for inserted in itertools.combinations_with_replacement(options, t):
                 evaluations += 1
                 if evaluations > work_limit:
                     raise WorkLimitError(
                         f"exceeded work limit of {work_limit} evaluations"
                     )
-                for old, new in zip(originals, replacement):
-                    engine.add(old, -1)
+                for new in inserted:
                     engine.add(new, +1)
                 changed = engine.winner_mask() != base_mask
-                for old, new in zip(originals, replacement):
+                for new in inserted:
                     engine.add(new, -1)
-                    engine.add(old, +1)
                 if changed:
                     witness = tuple(
-                        (i, wrap(r)) for i, r in zip(combo, replacement)
+                        (starts[k] + j - retracted.index(k), wrap(new))
+                        for j, (k, new) in enumerate(zip(retracted, inserted))
                     )
                     return ExactMovResult(
                         value=t, budget=budget, witness=witness, evaluations=evaluations
                     )
+            for k in retracted:
+                engine.add(raw[k], +1)
     return ExactMovResult(value=None, budget=budget, witness=None, evaluations=evaluations)
 
 

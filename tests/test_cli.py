@@ -4,6 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from movkit.cli import main
+from movkit.generation import ImpartialCulture, generate
+from movkit.io_formats import write_election
 
 
 @pytest.fixture()
@@ -71,6 +73,13 @@ def test_mov_exact_budget_exceeded(runner, tmp_path):
 def test_mov_work_limit_exits_3(runner, tmp_path):
     path = write_file(tmp_path, "e.txt", "m 3\n6: a>b>c\n")
     result = runner.invoke(main, ["mov", "-i", path, "-r", "plurality", "--work-limit", "3"])
+    assert result.exit_code == 3
+
+
+def test_mov_work_limit_exits_3_on_large_profile(runner, tmp_path):
+    profile = generate(ImpartialCulture(n=2000, m=7, seed=1))
+    path = write_file(tmp_path, "ic.txt", write_election(profile))
+    result = runner.invoke(main, ["mov", "-i", path, "-r", "borda", "--work-limit", "1000"])
     assert result.exit_code == 3
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,20 @@ def test_brute_force_work_limit():
     p = ranked_profile(3, [((0, 1, 2), 6)])
     with pytest.raises(WorkLimitError):
         mov_brute_force(p, KApproval(1), 6, work_limit=3)
+
+
+def test_brute_force_work_limit_on_large_profile_stays_small():
+    # the guard must trip before any per-vote work: a list of the m! - 1 other
+    # rankings for each of the n votes would take about 80 MiB here
+    p = generate(ImpartialCulture(n=2000, m=7, seed=1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkLimitError):
+            mov_brute_force(p, Scoring(ScoreVector.borda(7)), p.n, work_limit=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_brute_force_input_validation():

@@ -1,5 +1,6 @@
 """Property tests: the integer positional tallies against plain Fraction
-references, and candidate-token resolution in the parser."""
+references, the type-level exact search against an index-level one, and
+candidate-token resolution in the parser."""
 
 import itertools
 from fractions import Fraction
@@ -8,16 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movkit.core import (
+    Approval,
+    Bucklin,
+    Copeland,
     KApproval,
+    Maximin,
+    Ranking,
     ScoreVector,
     Scoring,
+    approval_profile,
     positional_scores,
     ranked_profile,
     winner_set,
 )
 from movkit.estimators import VoteSource, estimate_scoring
 from movkit.io_formats import parse_election
-from movkit.oracle import mov_bounds
+from movkit.oracle import _make_engine, mov_bounds, mov_brute_force
 
 F = Fraction
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -118,6 +125,76 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     est = estimate_scoring(source, vector, F(1, 10), F(1, 20), seed, ell=ell)
     assert est.estimated_scores == sbar
     assert est.m_bar == _ref_top_two_gap(sbar) / (F(3, 2) * alphas[0])
+
+
+def _ref_brute_force(profile, rule, budget):
+    """Index-level exact search: every size-t set of indices into
+    ``profile.expand()`` times every tuple of replacements that differ from
+    the votes they replace. Returns (value, witness, evaluations)."""
+    engine, _, universe, wrap = _make_engine(profile, rule)
+    base_mask = engine.winner_mask()
+    raw = [b.order if isinstance(b, Ranking) else b.approved for b in profile.expand()]
+    n = len(raw)
+    options = [[u for u in universe if u != raw[i]] for i in range(n)]
+    evaluations = 0
+    for t in range(1, min(budget, n) + 1):
+        for combo in itertools.combinations(range(n), t):
+            originals = [raw[i] for i in combo]
+            for replacement in itertools.product(*(options[i] for i in combo)):
+                evaluations += 1
+                for old, new in zip(originals, replacement):
+                    engine.add(old, -1)
+                    engine.add(new, +1)
+                changed = engine.winner_mask() != base_mask
+                for old, new in zip(originals, replacement):
+                    engine.add(new, -1)
+                    engine.add(old, +1)
+                if changed:
+                    witness = tuple((i, wrap(r)) for i, r in zip(combo, replacement))
+                    return t, witness, evaluations
+    return None, None, evaluations
+
+
+def _ranked_rules(m):
+    skewed = ScoreVector((F(3),) + (F(1),) * (m - 2) + (F(0),))
+    return [
+        Scoring(ScoreVector.borda(m)), Scoring(skewed), Bucklin(), Maximin(),
+        *(KApproval(k) for k in range(1, m)),
+        *(Copeland(alpha) for alpha in (F(0), F(1, 2), F(1))),
+    ]
+
+
+# vote counts are capped so that the index-level reference stays fast
+MAX_VOTES = {2: 8, 3: 6, 4: 4}
+
+
+@st.composite
+def brute_force_cases(draw):
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 3))
+        universe = [tuple(c for c in range(m) if mask >> c & 1) for mask in range(2**m)]
+        make, rules = approval_profile, [Approval()]
+    else:
+        m = draw(st.integers(2, 4))
+        universe = list(itertools.permutations(range(m)))
+        make, rules = ranked_profile, _ranked_rules(m)
+    types = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3, unique=True))
+    ballots = draw(st.lists(st.sampled_from(types), min_size=1, max_size=MAX_VOTES[m]))
+    profile = make(m, [(b, 1) for b in ballots])
+    return profile, draw(st.sampled_from(rules)), draw(st.integers(1, profile.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_force_cases())
+def test_type_level_search_matches_index_level_search(case):
+    profile, rule, budget = case
+    full = _ref_brute_force(profile, rule, profile.n)
+    mov = full[0]
+    expected = full if budget >= mov else _ref_brute_force(profile, rule, budget)
+    result = mov_brute_force(profile, rule, budget)
+    assert (result.value, result.witness) == expected[:2]
+    assert result.evaluations <= expected[2]
+    assert (result.value is None) == (budget < mov)
 
 
 @PROPERTY_SETTINGS
