@@ -60,7 +60,6 @@ from movkit.oracle import (
 )
 from movkit.estimators import (
     MovEstimate,
-    SamplePlan,
     VoteSource,
     estimate_approval,
     estimate_bucklin,
@@ -70,9 +69,7 @@ from movkit.estimators import (
     estimate_mov,
     estimate_scoring,
     lower_bound_samples,
-    make_sample_plan,
     sample_size,
-    sample_votes,
     split_seed,
 )
 from movkit.generation import (

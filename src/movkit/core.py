@@ -2,17 +2,21 @@
 
 Candidates are integers ``0..m-1``. Profiles store a multiset of distinct
 ballots with positive multiplicities, canonically sorted so that equal
-multisets compare equal. Tallies are plain integers: a positional score
-vector is scaled once to integer weights over a common denominator, and
-the totals become exact `fractions.Fraction` scores once per candidate.
-Whenever a rule needs a single representative winner, the canonical
-tie-break is the lowest candidate index.
+multisets compare equal. Each rule family has one integer tally
+(positional, approval, Bucklin position counts, pairwise ``above`` counts),
+chosen by `rule_tally` and shared by winner determination, the exact search
+and the sampling estimators. A positional score vector is scaled once to
+integer weights over a common denominator, and the totals become exact
+`fractions.Fraction` scores once per candidate. Whenever a rule needs a
+single representative winner, the canonical tie-break is the lowest
+candidate index.
 
 Six rule families are supported: positional scoring, k-approval, approval,
 Bucklin (strict majority, more than half of the votes), maximin, and
 Copeland with tie parameter alpha.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -321,38 +325,232 @@ class Copeland(Rule):
 
 # ---------------------------------------------------------------------------
 # tallies
+#
+# One integer tally per rule family, built from (ballot, count) pairs. A
+# tally takes add(raw, k), where ``raw`` is a ranking's order tuple or an
+# approval ballot's frozenset and a negative k retracts, and reads out the
+# rule's exact scores and its winner set as a bitmask over candidates. The
+# rule is fixed when the tally is built, so add and winner_mask stay plain
+# integer loops: the exact search runs them millions of times.
+
+
+def _best_mask(values) -> int:
+    best = max(values)
+    mask = 0
+    for cand, value in enumerate(values):
+        if value == best:
+            mask |= 1 << cand
+    return mask
+
+
+class PositionalTally:
+    """Scoring and k-approval: position ``i`` earns the integer weight
+    ``weights[i]``, and the scores are ``raw / unit`` (plain integers when
+    ``unit`` is None). Zero weights cost nothing."""
+
+    def __init__(self, votes, weights: Sequence[int], m: int, unit: int | None = None):
+        self.raw = [0] * m
+        self.unit = unit
+        self.live = [(pos, w) for pos, w in enumerate(weights) if w]
+        for ballot, count in votes:
+            self.add(ballot.order, count)
+
+    def add(self, order, k: int) -> None:
+        raw = self.raw
+        for pos, w in self.live:
+            raw[order[pos]] += k * w
+
+    def scores(self) -> dict[int, Fraction | int]:
+        if self.unit is None:
+            return dict(enumerate(self.raw))
+        return {c: Fraction(r, self.unit) for c, r in enumerate(self.raw)}
+
+    def winner_mask(self) -> int:
+        return _best_mask(self.raw)
+
+
+class ApprovalTally(PositionalTally):
+    """Approval: the number of ballots approving each candidate, read out
+    like an integer positional tally."""
+
+    def __init__(self, votes, m: int):
+        super().__init__((), (), m)
+        for ballot, count in votes:
+            self.add(ballot.approved, count)
+
+    def add(self, approved, k: int) -> None:
+        raw = self.raw
+        for cand in approved:
+            raw[cand] += k
+
+
+class BucklinTally:
+    """Bucklin: ``at_pos[x][i]`` of the ``n`` ballots rank x at position i."""
+
+    def __init__(self, votes, m: int):
+        self.m = m
+        self.n = 0
+        self.at_pos = [[0] * m for _ in range(m)]
+        for ballot, count in votes:
+            self.add(ballot.order, count)
+
+    def add(self, order, k: int) -> None:
+        at_pos = self.at_pos
+        for pos, cand in enumerate(order):
+            at_pos[cand][pos] += k
+        self.n += k
+
+    def top_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Row x, entry l-1: the ballots ranking x within their top l positions."""
+        return tuple(tuple(itertools.accumulate(row)) for row in self.at_pos)
+
+    def scores(self) -> dict[int, int]:
+        n = self.n
+        return {
+            x: next(level + 1 for level, count in enumerate(row) if 2 * count > n)
+            for x, row in enumerate(self.top_counts())
+        }
+
+    def winner_mask(self) -> int:
+        m, n, at_pos = self.m, self.n, self.at_pos
+        cum = [0] * m
+        for level in range(m):
+            mask = 0
+            for cand in range(m):
+                cum[cand] += at_pos[cand][level]
+                if 2 * cum[cand] > n:
+                    mask |= 1 << cand
+            if mask:
+                return mask
+        raise AssertionError("every candidate reaches a majority by the last level")
+
+    def level_gap(self) -> int | None:
+        """Smallest lead n_l(w) - n_l(x) of the canonical winner w over a
+        rival x, over the levels l in 1..m-1 at which w holds a strict
+        majority and x does not; None when no level qualifies."""
+        mask = self.winner_mask()
+        w = (mask & -mask).bit_length() - 1
+        rows, n = self.top_counts(), self.n
+        leads = [
+            rows[w][level] - row[level]
+            for level in range(self.m - 1) if 2 * rows[w][level] > n
+            for x, row in enumerate(rows) if x != w and 2 * row[level] <= n
+        ]
+        return min(leads, default=None)
+
+
+class PairwiseTally:
+    """Pairwise family: ``above[x][y]`` ballots rank x above y."""
+
+    def __init__(self, votes, m: int):
+        self.m = m
+        self.above = [[0] * m for _ in range(m)]
+        self.rivals = [[y for y in range(m) if y != x] for x in range(m)]
+        for ballot, count in votes:
+            self.add(ballot.order, count)
+
+    def add(self, order, k: int) -> None:
+        above = self.above
+        for i, x in enumerate(order):
+            row = above[x]
+            for y in order[i + 1:]:
+                row[y] += k
+
+    def net(self) -> tuple[tuple[int, ...], ...]:
+        """Pairwise margins: ``above[x][y] - above[y][x]``."""
+        above, m = self.above, self.m
+        return tuple(tuple(above[x][y] - above[y][x] for y in range(m)) for x in range(m))
+
+
+class MaximinTally(PairwiseTally):
+    """Maximin: each candidate's worst pairwise margin (0 without rivals)."""
+
+    def _worst(self) -> list[int]:
+        above = self.above
+        return [
+            min([above[x][y] - above[y][x] for y in rivals], default=0)
+            for x, rivals in enumerate(self.rivals)
+        ]
+
+    def scores(self) -> dict[int, int]:
+        return dict(enumerate(self._worst()))
+
+    def winner_mask(self) -> int:
+        return _best_mask(self._worst())
+
+
+class CopelandTally(PairwiseTally):
+    """Copeland: pairwise wins plus ``alpha`` per pairwise tie."""
+
+    def __init__(self, votes, m: int, alpha: Fraction):
+        super().__init__(votes, m)
+        self.alpha = alpha
+
+    def _points(self) -> list[int]:
+        # q*wins + p*ties is an integer proxy for wins + (p/q)*ties
+        p, q = self.alpha.numerator, self.alpha.denominator
+        above = self.above
+        points = []
+        for x, rivals in enumerate(self.rivals):
+            row = above[x]
+            total = 0
+            for y in rivals:
+                diff = row[y] - above[y][x]
+                if diff > 0:
+                    total += q
+                elif diff == 0:
+                    total += p
+            points.append(total)
+        return points
+
+    def scores(self) -> dict[int, Fraction]:
+        q = self.alpha.denominator
+        return {x: Fraction(total, q) for x, total in enumerate(self._points())}
+
+    def winner_mask(self) -> int:
+        return _best_mask(self._points())
+
+
+def rule_tally(rule: Rule, m: int, votes, ranked: bool):
+    """The integer tally of ``rule`` over (ballot, count) pairs of
+    ``m``-candidate ballots, which are rankings when ``ranked`` and approval
+    ballots otherwise. Raises InputError when the rule does not fit them."""
+    if isinstance(rule, Approval):
+        if ranked:
+            raise InputError("this operation needs an approval profile")
+        return ApprovalTally(votes, m)
+    if not isinstance(rule, (Scoring, KApproval, Bucklin, Maximin, Copeland)):
+        raise InputError(f"unknown rule: {rule!r}")
+    if not ranked:
+        raise InputError("this operation needs a ranked profile")
+    if isinstance(rule, Scoring):
+        if rule.vector.m != m:
+            raise InputError(f"score vector has {rule.vector.m} entries for {m} candidates")
+        weights, unit = integer_weights(rule.vector)
+        return PositionalTally(votes, weights, m, unit)
+    if isinstance(rule, KApproval):
+        if rule.k > m - 1:
+            raise InputError(f"k-approval needs k <= m-1, got k={rule.k}, m={m}")
+        return PositionalTally(votes, [1] * rule.k, m)
+    if isinstance(rule, Bucklin):
+        return BucklinTally(votes, m)
+    if isinstance(rule, Maximin):
+        return MaximinTally(votes, m)
+    return CopelandTally(votes, m, rule.alpha)
+
+
+def _profile_tally(profile: Profile, rule: Rule):
+    return rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
 
 
 def positional_scores(profile: RankedProfile, vector: ScoreVector) -> dict[int, Fraction]:
     """Total positional score of every candidate under the given vector."""
-    _require_ranked(profile)
-    if vector.m != profile.m:
-        raise InputError(f"score vector has {vector.m} entries for {profile.m} candidates")
-    weights, unit = integer_weights(vector)
-    raw = positional_tally(profile.votes, weights, profile.m)
-    return {c: Fraction(raw[c], unit) for c in range(profile.m)}
-
-
-def positional_tally(votes, weights: Sequence[int], m: int) -> list[int]:
-    """Integer score of each candidate over (ranking, count) pairs, where
-    position ``i`` earns ``weights[i]``; zero weights cost nothing."""
-    raw = [0] * m
-    live = [(pos, w) for pos, w in enumerate(weights) if w]
-    for ballot, mult in votes:
-        order = ballot.order
-        for pos, w in live:
-            raw[order[pos]] += mult * w
-    return raw
+    return _profile_tally(profile, Scoring(vector)).scores()
 
 
 def approval_scores(profile: ApprovalProfile) -> dict[int, int]:
     """Number of ballots approving each candidate."""
-    _require_approval(profile)
-    scores = {c: 0 for c in range(profile.m)}
-    for ballot, mult in profile.votes:
-        for cand in ballot.approved:
-            scores[cand] += mult
-    return scores
+    return _profile_tally(profile, Approval()).scores()
 
 
 def top_k_counts(profile: RankedProfile) -> tuple[tuple[int, ...], ...]:
@@ -363,20 +561,7 @@ def top_k_counts(profile: RankedProfile) -> tuple[tuple[int, ...], ...]:
     ``k`` positions, for k = 1..m. Rows are non-decreasing and end at n.
     """
     _require_ranked(profile)
-    m = profile.m
-    at_pos = [[0] * m for _ in range(m)]
-    for ballot, mult in profile.votes:
-        for pos, cand in enumerate(ballot.order):
-            at_pos[cand][pos] += mult
-    rows = []
-    for x in range(m):
-        running = 0
-        row = []
-        for pos in range(m):
-            running += at_pos[x][pos]
-            row.append(running)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return BucklinTally(profile.votes, profile.m).top_counts()
 
 
 @dataclass(frozen=True)
@@ -415,17 +600,7 @@ class PairwiseMatrix:
 def pairwise_matrix(profile: RankedProfile) -> PairwiseMatrix:
     """Pairwise margin matrix of a ranked profile."""
     _require_ranked(profile)
-    m = profile.m
-    above = [[0] * m for _ in range(m)]
-    for ballot, mult in profile.votes:
-        order = ballot.order
-        for i in range(m):
-            for j in range(i + 1, m):
-                above[order[i]][order[j]] += mult
-    d = tuple(
-        tuple(above[x][y] - above[y][x] for y in range(m)) for x in range(m)
-    )
-    return PairwiseMatrix(d=d, n=profile.n)
+    return PairwiseMatrix(d=PairwiseTally(profile.votes, profile.m).net(), n=profile.n)
 
 
 def bucklin_scores(profile: RankedProfile) -> dict[int, int]:
@@ -433,38 +608,18 @@ def bucklin_scores(profile: RankedProfile) -> dict[int, int]:
     by strictly more than half of the votes. Always exists since every
     candidate appears within the top m positions of every vote.
     """
-    counts = top_k_counts(profile)
-    n = profile.n
-    scores = {}
-    for x in range(profile.m):
-        scores[x] = next(k + 1 for k in range(profile.m) if 2 * counts[x][k] > n)
-    return scores
+    return _profile_tally(profile, Bucklin()).scores()
 
 
 def maximin_scores(profile: RankedProfile) -> dict[int, int]:
     """Worst pairwise margin of each candidate against any rival."""
-    _require_ranked(profile)
-    if profile.m == 1:
-        return {0: 0}
-    d = pairwise_matrix(profile).d
-    return {
-        x: min(d[x][y] for y in range(profile.m) if y != x) for x in range(profile.m)
-    }
+    return _profile_tally(profile, Maximin()).scores()
 
 
 def copeland_scores(profile: RankedProfile, alpha: Fraction) -> dict[int, Fraction]:
     """Pairwise wins plus alpha credit per pairwise tie, for each candidate."""
     _require_ranked(profile)
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError(f"copeland alpha must lie in [0, 1], got {alpha}")
-    d = pairwise_matrix(profile).d
-    scores = {}
-    for x in range(profile.m):
-        wins = sum(1 for y in range(profile.m) if y != x and d[x][y] > 0)
-        ties = sum(1 for y in range(profile.m) if y != x and d[x][y] == 0)
-        scores[x] = wins + alpha * ties
-    return scores
+    return _profile_tally(profile, Copeland(alpha)).scores()
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +632,6 @@ class WinnerResult:
 
     winners: tuple[int, ...]
     scores: Mapping[int, Fraction | int]
-
-
-def _argmax_set(scores: Mapping[int, Fraction | int]) -> tuple[int, ...]:
-    best = max(scores.values())
-    return tuple(c for c in sorted(scores) if scores[c] == best)
 
 
 def top_two(scores: Mapping[int, Fraction | int]) -> tuple[int, int]:
@@ -499,41 +649,14 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     Approval rules require approval profiles and vice versa; every other
     rule requires a ranked profile. The winner set is never empty.
     """
-    if isinstance(rule, Approval):
-        scores = approval_scores(profile)
-        return WinnerResult(_argmax_set(scores), scores)
-    if isinstance(rule, Scoring):
-        scores = positional_scores(profile, rule.vector)
-        return WinnerResult(_argmax_set(scores), scores)
-    if isinstance(rule, KApproval):
-        _require_ranked(profile)
-        if rule.k > profile.m - 1:
-            raise InputError(f"k-approval needs k <= m-1, got k={rule.k}, m={profile.m}")
-        raw = positional_tally(profile.votes, [1] * rule.k, profile.m)
-        scores = dict(enumerate(raw))
-        return WinnerResult(_argmax_set(scores), scores)
-    if isinstance(rule, Bucklin):
-        scores = bucklin_scores(profile)
-        best = min(scores.values())
-        winners = tuple(c for c in sorted(scores) if scores[c] == best)
-        return WinnerResult(winners, scores)
-    if isinstance(rule, Maximin):
-        scores = maximin_scores(profile)
-        return WinnerResult(_argmax_set(scores), scores)
-    if isinstance(rule, Copeland):
-        scores = copeland_scores(profile, rule.alpha)
-        return WinnerResult(_argmax_set(scores), scores)
-    raise InputError(f"unknown rule: {rule!r}")
+    tally = _profile_tally(profile, rule)
+    mask = tally.winner_mask()
+    return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
 
 
 def _require_ranked(profile) -> None:
     if not isinstance(profile, RankedProfile):
         raise InputError("this operation needs a ranked profile")
-
-
-def _require_approval(profile) -> None:
-    if not isinstance(profile, ApprovalProfile):
-        raise InputError("this operation needs an approval profile")
 
 
 def ranked_profile(m: int, votes: Iterable[tuple[Sequence[int], int]], names=None) -> RankedProfile:

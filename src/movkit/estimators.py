@@ -13,10 +13,12 @@ scoring, Bucklin and maximin, and (2K+1)/(2K+3) with K = ceil(log2 m) for
 Copeland). Sample sizes are closed forms in (epsilon, delta) and the number
 of candidates or the approval depth k.
 
-Sampled tallies are integers (a scoring vector is scaled once to integer
-weights) and rescale by n/ell to exact rationals once per candidate, so
-winner selection and tie-breaks inside an estimate are exact; only the
-sample-size and guarantee-annotation arithmetic uses floats.
+The sampled counts feed the same integer tally per rule family that
+winner determination and the exact search use (`movkit.core.rule_tally`;
+a scoring vector is scaled once to integer weights), and the tally's
+read-outs rescale by n/ell to exact rationals once, so winner selection and
+tie-breaks inside an estimate are exact; only the sample-size and
+guarantee-annotation arithmetic uses floats.
 """
 
 import math
@@ -24,12 +26,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional
 
 from movkit.core import (
     Approval,
-    ApprovalBallot,
-    ApprovalProfile,
     Bucklin,
     Copeland,
     InputError,
@@ -37,12 +37,10 @@ from movkit.core import (
     Maximin,
     Profile,
     RankedProfile,
-    Ranking,
     Rule,
     ScoreVector,
     Scoring,
-    integer_weights,
-    positional_tally,
+    rule_tally,
     top_two,
 )
 from movkit.oracle import copeland_log_factor, relative_margin_generic
@@ -106,19 +104,22 @@ class VoteSource:
 
     def draw(self, count: int, seed: int) -> list:
         """``count`` i.i.d. uniform draws (with replacement); deterministic per seed."""
-        if count < 1:
-            raise InputError(f"draw count must be at least 1, got {count}")
-        rng = random.Random(seed)
-        return rng.choices(self.ballots, weights=self.weights, k=count)
+        return self._choices(self.ballots, count, seed)
 
     def draw_counts(self, count: int, seed: int) -> Counter:
-        """Multiplicity view of ``draw``; same draws, same seed."""
-        return Counter(self.draw(count, seed))
+        """Multiplicity view of ``draw``; same draws, same seed. Drawn
+        indices are counted, so each distinct ballot is hashed once."""
+        # a list, not a range: the draws then share its int objects instead
+        # of each allocating a new one
+        drawn = Counter(self._choices(list(range(len(self.ballots))), count, seed))
+        return Counter({self.ballots[i]: c for i, c in drawn.items()})
 
-
-def sample_votes(source: VoteSource, ell: int, seed: int) -> list:
-    """ell uniform-with-replacement ballot draws from the population."""
-    return source.draw(ell, seed)
+    def _choices(self, population, count: int, seed: int) -> list:
+        # choices only indexes the population, so ballots and their indices
+        # are drawn by the same random stream
+        if count < 1:
+            raise InputError(f"draw count must be at least 1, got {count}")
+        return random.Random(seed).choices(population, weights=self.weights, k=count)
 
 
 # ---------------------------------------------------------------------------
@@ -194,34 +195,6 @@ def guarantee_constant(rule: Rule, m: int) -> Fraction:
     raise InputError(f"unknown rule: {rule!r}")
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """How many votes to sample for a rule, and the guarantee it buys."""
-
-    rule_kind: str
-    c: Fraction
-    epsilon: Fraction
-    delta: Fraction
-    ell: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise InputError(f"sample count must be positive, got {self.ell}")
-
-
-def make_sample_plan(rule: Rule, epsilon, delta, m: int) -> SamplePlan:
-    """Bundle the rule's sample size and guarantee constant for (epsilon, delta)."""
-    k = rule.k if isinstance(rule, KApproval) else None
-    ell = sample_size(rule.kind, epsilon, delta, m, k)
-    return SamplePlan(
-        rule_kind=rule.kind,
-        c=guarantee_constant(rule, m),
-        epsilon=Fraction(epsilon),
-        delta=Fraction(delta),
-        ell=ell,
-    )
-
-
 # ---------------------------------------------------------------------------
 # estimates
 
@@ -274,6 +247,23 @@ def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     return ell, Fraction(eps)
 
 
+def _sampled_tally(source: VoteSource, rule: Rule, ell: int, seed: int):
+    """The rule's integer tally over ``ell`` seeded draws from the source."""
+    counts = source.draw_counts(ell, seed)
+    return rule_tally(rule, source.m, counts.items(), source.kind == "ranked")
+
+
+def _rescale(scores: Mapping[int, object], n: int, ell: int) -> dict[int, Fraction]:
+    scale = Fraction(n, ell)
+    return {x: scale * s for x, s in scores.items()}
+
+
+def _pair_margins(tally, n: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Sampled pairwise margins rescaled by n/ell; exactly antisymmetric."""
+    scale = Fraction(n, ell)
+    return tuple(tuple(scale * d for d in row) for row in tally.net())
+
+
 def estimate_scoring(
     source: VoteSource,
     vector: ScoreVector,
@@ -286,20 +276,17 @@ def estimate_scoring(
 
     The vector is normalized internally, so scores and the estimate are in
     normalized score units. Each sampled ballot contributes its positional
-    score as integer weights over a common unit; tallies rescale by
-    n/(ell*unit). The estimate is the rescaled top-two gap divided by 1.5
-    times the top score-vector entry.
+    score as integer weights over a common unit; scores rescale by n/ell.
+    The estimate is the rescaled top-two gap divided by 1.5 times the top
+    score-vector entry.
     """
     _require_kind(source, "ranked")
     vector = vector.normalized()
     if vector.m != source.m:
         raise InputError(f"score vector has {vector.m} entries for m={source.m}")
     ell, eps_eff = _resolve_ell("scoring", epsilon, delta, source.m, None, ell)
-    counts = source.draw_counts(ell, seed)
-    weights, unit = integer_weights(vector)
-    raw = positional_tally(counts.items(), weights, source.m)
-    n = source.n
-    sbar = {x: Fraction(n * raw[x], ell * unit) for x in range(source.m)}
+    tally = _sampled_tally(source, Scoring(vector), ell, seed)
+    sbar = _rescale(tally.scores(), source.n, ell)
     w, z = top_two(sbar)
     m_bar = (sbar[w] - sbar[z]) / (Fraction(3, 2) * vector.alpha1)
     return MovEstimate(
@@ -322,10 +309,8 @@ def estimate_kapproval(
     if not isinstance(k, int) or not 1 <= k <= source.m - 1:
         raise InputError(f"k must be in [1, m-1], got k={k!r}, m={source.m}")
     ell, eps_eff = _resolve_ell("kapproval", epsilon, delta, source.m, k, ell)
-    counts = source.draw_counts(ell, seed)
-    raw = positional_tally(counts.items(), [1] * k, source.m)
-    scale = Fraction(source.n, ell)
-    sbar = {x: scale * raw[x] for x in range(source.m)}
+    tally = _sampled_tally(source, KApproval(k), ell, seed)
+    sbar = _rescale(tally.scores(), source.n, ell)
     w, z = top_two(sbar)
     m_bar = (sbar[w] - sbar[z]) / 2
     return MovEstimate(
@@ -347,13 +332,8 @@ def estimate_approval(
     if source.m < 2:
         raise InputError("margin estimation needs at least two candidates")
     ell, eps_eff = _resolve_ell("approval", epsilon, delta, source.m, None, ell)
-    counts = source.draw_counts(ell, seed)
-    raw = {x: 0 for x in range(source.m)}
-    for ballot, cnt in counts.items():
-        for cand in ballot.approved:
-            raw[cand] += cnt
-    scale = Fraction(source.n, ell)
-    sbar = {x: scale * raw[x] for x in range(source.m)}
+    tally = _sampled_tally(source, Approval(), ell, seed)
+    sbar = _rescale(tally.scores(), source.n, ell)
     w, z = top_two(sbar)
     m_bar = (sbar[w] - sbar[z]) / 2
     return MovEstimate(
@@ -381,59 +361,23 @@ def estimate_bucklin(
     _require_kind(source, "ranked")
     if source.m < 2:
         raise InputError("margin estimation needs at least two candidates")
-    m, n = source.m, source.n
-    ell, eps_eff = _resolve_ell("bucklin", epsilon, delta, m, None, ell)
-    counts = source.draw_counts(ell, seed)
-    at_pos = [[0] * m for _ in range(m)]
-    for ballot, cnt in counts.items():
-        for pos, cand in enumerate(ballot.order):
-            at_pos[cand][pos] += cnt
+    n = source.n
+    ell, eps_eff = _resolve_ell("bucklin", epsilon, delta, source.m, None, ell)
+    tally = _sampled_tally(source, Bucklin(), ell, seed)
     scale = Fraction(n, ell)
-    nbar: dict[int, tuple[Fraction, ...]] = {}
-    for x in range(m):
-        running = 0
-        levels = []
-        for pos in range(m):
-            running += at_pos[x][pos]
-            levels.append(scale * running)
-        nbar[x] = tuple(levels)
-    half = Fraction(n, 2)
-    level_of = {
-        x: next(lv + 1 for lv in range(m) if nbar[x][lv] > half) for x in range(m)
-    }
-    best_level = min(level_of.values())
-    w = min(x for x in range(m) if level_of[x] == best_level)
-    gap: Union[Fraction, None] = None
-    for lv in range(1, m):
-        if nbar[w][lv - 1] > half:
-            for x in range(m):
-                if x != w and nbar[x][lv - 1] <= half:
-                    candidate = nbar[w][lv - 1] - nbar[x][lv - 1] + 1
-                    if gap is None or candidate < gap:
-                        gap = candidate
+    nbar = {x: tuple(scale * c for c in row) for x, row in enumerate(tally.top_counts())}
+    # a rescaled majority (n/ell)*count > n/2 is 2*count > ell, the tally's
+    # own majority, so its winner and level gap are the rescaled ones
+    gap = tally.level_gap()
     if gap is None:
         m_bar, feasible = Fraction(n), False
     else:
-        m_bar, feasible = gap / Fraction(3, 2), True
+        m_bar, feasible = (scale * gap + 1) / Fraction(3, 2), True
     return MovEstimate(
         m_bar=m_bar, ell=ell, seed=seed, c=Fraction(1, 3),
         epsilon=eps_eff, delta=Fraction(delta), rule_kind="bucklin",
         estimated_scores=nbar, feasible=feasible,
     )
-
-
-def _pair_margin_matrix(source: VoteSource, counts: Counter, ell: int):
-    """Rescaled pairwise margins from sampled rankings; exactly antisymmetric."""
-    m = source.m
-    net = [[0] * m for _ in range(m)]
-    for ballot, cnt in counts.items():
-        order = ballot.order
-        for i in range(m):
-            for j in range(i + 1, m):
-                net[order[i]][order[j]] += cnt
-                net[order[j]][order[i]] -= cnt
-    scale = Fraction(source.n, ell)
-    return tuple(tuple(scale * net[x][y] for y in range(m)) for x in range(m))
 
 
 def estimate_maximin(
@@ -452,13 +396,10 @@ def estimate_maximin(
     _require_kind(source, "ranked")
     if source.m < 2:
         raise InputError("margin estimation needs at least two candidates")
-    m = source.m
-    ell, eps_eff = _resolve_ell("maximin", epsilon, delta, m, None, ell)
-    counts = source.draw_counts(ell, seed)
-    dbar = _pair_margin_matrix(source, counts, ell)
-    sbar = {
-        x: min(dbar[x][y] for y in range(m) if y != x) for x in range(m)
-    }
+    ell, eps_eff = _resolve_ell("maximin", epsilon, delta, source.m, None, ell)
+    tally = _sampled_tally(source, Maximin(), ell, seed)
+    dbar = _pair_margins(tally, source.n, ell)
+    sbar = _rescale(tally.scores(), source.n, ell)
     w, z = top_two(sbar)
     m_bar = (sbar[w] - sbar[z]) / 3
     return MovEstimate(
@@ -486,31 +427,20 @@ def estimate_copeland(
     _require_kind(source, "ranked")
     if source.m < 2:
         raise InputError("margin estimation needs at least two candidates")
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError(f"copeland alpha must lie in [0, 1], got {alpha}")
+    rule = Copeland(alpha)
     m, n = source.m, source.n
     ell, eps_eff = _resolve_ell("copeland", epsilon, delta, m, None, ell)
-    counts = source.draw_counts(ell, seed)
-    dbar = _pair_margin_matrix(source, counts, ell)
-    scores: dict[int, Fraction] = {}
-    for x in range(m):
-        total = Fraction(0)
-        for y in range(m):
-            if y == x:
-                continue
-            if dbar[x][y] > 0:
-                total += 1
-            elif dbar[x][y] == 0:
-                total += alpha
-        scores[x] = total
-    best = max(scores.values())
-    w = min(x for x in range(m) if scores[x] == best)
+    tally = _sampled_tally(source, rule, ell, seed)
+    dbar = _pair_margins(tally, n, ell)
+    # wins and ties depend only on the signs of the margins, which rescaling
+    # keeps, so the tally's scores are the sampled Copeland scores
+    scores = tally.scores()
+    w = top_two(scores)[0]
     # clamped at zero: on a sampled tie at the top, w's raw relative margin
     # over a co-winner can be negative (same as oracle.copeland_margin)
     gamma = max(0, min(
         relative_margin_generic(
-            lambda u, v: dbar[u][v], m, n, w, x, alpha
+            lambda u, v: dbar[u][v], m, n, w, x, rule.alpha
         )
         for x in range(m)
         if x != w

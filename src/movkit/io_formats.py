@@ -33,6 +33,7 @@ from movkit.core import (
     Profile,
     RankedProfile,
     Ranking,
+    _validate_names,
 )
 
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -108,17 +109,10 @@ def parse_election(text: str) -> Profile:
     for number, line in lines:
         if names is None and not ranked and not approval and line.startswith("candidates"):
             rest = line[len("candidates"):].strip()
-            declared = tuple(tok.strip() for tok in rest.split(","))
-            if len(declared) != m:
-                raise ParseError(f"expected {m} candidate names, got {len(declared)}", number)
-            seen = set()
-            for name in declared:
-                if not name or not all(ch.isalnum() or ch in "_.-" for ch in name):
-                    raise ParseError(f"bad candidate name {name!r}", number)
-                if name in seen:
-                    raise ParseError(f"duplicate candidate name {name!r}", number)
-                seen.add(name)
-            names = declared
+            try:
+                names = _validate_names((tok.strip() for tok in rest.split(",")), m)
+            except InputError as exc:
+                raise ParseError(str(exc), number) from exc
             table = _token_table(names, m)
             continue
         count_part, sep, ballot_part = line.partition(":")

@@ -8,7 +8,9 @@ is enough.
 Three layers live here:
 
 * an exhaustive brute-force oracle (iterative deepening over how many votes
-  change), the trusted ground truth at small scale;
+  change), the trusted ground truth at small scale; it retracts and inserts
+  ballots in the rule's integer tally from `movkit.core.rule_tally` and
+  compares winner sets as bitmasks;
 * polynomial-time structural quantities: score gaps, the Bucklin level gap
   and change floor, and the pairwise relative margin;
 * sandwich bounds built from those quantities, valid at any profile size.
@@ -31,18 +33,14 @@ from movkit.core import (
     InputError,
     KApproval,
     Maximin,
-    PairwiseMatrix,
     Profile,
     RankedProfile,
     Ranking,
     Rule,
     Scoring,
-    approval_scores,
     bucklin_scores,
-    integer_weights,
-    maximin_scores,
     pairwise_matrix,
-    positional_tally,
+    rule_tally,
     top_k_counts,
     top_two,
     winner_set,
@@ -111,166 +109,27 @@ class MovBounds:
 
 
 # ---------------------------------------------------------------------------
-# incremental tally engines for the brute force
-#
-# Each engine holds integer tallies for one (profile, rule) pair, supports
-# add(ballot, sign) to retract or insert one ballot, and reports the current
-# winner set as a bitmask. Raw ballot forms (order tuples, frozensets) keep
-# the inner loop cheap.
-
-
-def _mask_of_best(scores) -> int:
-    best = max(scores)
-    mask = 0
-    for cand, score in enumerate(scores):
-        if score == best:
-            mask |= 1 << cand
-    return mask
-
-
-class _ScoringEngine:
-    def __init__(self, profile: RankedProfile, weights: Sequence[int]):
-        self.weights = tuple(weights)
-        self.score = positional_tally(profile.votes, self.weights, profile.m)
-
-    def add(self, order, sign: int) -> None:
-        for pos, cand in enumerate(order):
-            self.score[cand] += sign * self.weights[pos]
-
-    def winner_mask(self) -> int:
-        return _mask_of_best(self.score)
-
-
-class _ApprovalEngine:
-    def __init__(self, profile: ApprovalProfile):
-        self.score = [0] * profile.m
-        for ballot, mult in profile.votes:
-            for cand in ballot.approved:
-                self.score[cand] += mult
-
-    def add(self, approved, sign: int) -> None:
-        for cand in approved:
-            self.score[cand] += sign
-
-    def winner_mask(self) -> int:
-        return _mask_of_best(self.score)
-
-
-class _BucklinEngine:
-    def __init__(self, profile: RankedProfile):
-        self.m = profile.m
-        self.n = profile.n
-        self.at_pos = [[0] * profile.m for _ in range(profile.m)]
-        for ballot, mult in profile.votes:
-            for pos, cand in enumerate(ballot.order):
-                self.at_pos[cand][pos] += mult
-
-    def add(self, order, sign: int) -> None:
-        for pos, cand in enumerate(order):
-            self.at_pos[cand][pos] += sign
-
-    def winner_mask(self) -> int:
-        cum = [0] * self.m
-        for level in range(self.m):
-            mask = 0
-            for cand in range(self.m):
-                cum[cand] += self.at_pos[cand][level]
-                if 2 * cum[cand] > self.n:
-                    mask |= 1 << cand
-            if mask:
-                return mask
-        raise AssertionError("every candidate reaches a majority by the last level")
-
-
-class _PairwiseEngine:
-    """Shared base for rules scored off the pairwise comparison matrix."""
-
-    def __init__(self, profile: RankedProfile):
-        self.m = profile.m
-        self.above = [[0] * profile.m for _ in range(profile.m)]
-        for ballot, mult in profile.votes:
-            order = ballot.order
-            for i in range(profile.m):
-                for j in range(i + 1, profile.m):
-                    self.above[order[i]][order[j]] += mult
-
-    def add(self, order, sign: int) -> None:
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                self.above[order[i]][order[j]] += sign
-
-
-class _MaximinEngine(_PairwiseEngine):
-    def winner_mask(self) -> int:
-        above = self.above
-        scores = [
-            min(above[x][y] - above[y][x] for y in range(self.m) if y != x)
-            for x in range(self.m)
-        ]
-        return _mask_of_best(scores)
-
-
-class _CopelandEngine(_PairwiseEngine):
-    def __init__(self, profile: RankedProfile, alpha: Fraction):
-        super().__init__(profile)
-        # score q*wins + p*ties is an integer proxy for wins + (p/q)*ties
-        self.tie_num = alpha.numerator
-        self.tie_den = alpha.denominator
-
-    def winner_mask(self) -> int:
-        above = self.above
-        scores = []
-        for x in range(self.m):
-            wins = ties = 0
-            for y in range(self.m):
-                if y == x:
-                    continue
-                diff = above[x][y] - above[y][x]
-                if diff > 0:
-                    wins += 1
-                elif diff == 0:
-                    ties += 1
-            scores.append(self.tie_den * wins + self.tie_num * ties)
-        return _mask_of_best(scores)
+# exact search
 
 
 def _make_engine(profile: Profile, rule: Rule):
-    """Engine, raw ballot types, replacement universe and ballot wrapper."""
+    """The rule's tally, raw ballot types, replacement universe and ballot
+    wrapper. The search applies raw ballots (order tuples, frozensets) to
+    the tally with add(raw, -1 or +1) and compares its winner_mask."""
     if isinstance(rule, Approval):
         if not isinstance(profile, ApprovalProfile):
             raise InputError("approval rule needs an approval profile")
-        engine = _ApprovalEngine(profile)
-        raw = [b.approved for b, _ in profile.votes]
         universe = [
             frozenset(c for c in range(profile.m) if mask >> c & 1)
             for mask in range(2 ** profile.m)
         ]
-        return engine, raw, universe, ApprovalBallot
+        tally = rule_tally(rule, profile.m, profile.votes, ranked=False)
+        return tally, [b.approved for b, _ in profile.votes], universe, ApprovalBallot
     if not isinstance(profile, RankedProfile):
         raise InputError("this rule needs a ranked profile")
-    if isinstance(rule, Scoring):
-        if rule.vector.m != profile.m:
-            raise InputError(
-                f"score vector has {rule.vector.m} entries for {profile.m} candidates"
-            )
-        engine = _ScoringEngine(profile, integer_weights(rule.vector)[0])
-    elif isinstance(rule, KApproval):
-        if rule.k > profile.m - 1:
-            raise InputError(f"k-approval needs k <= m-1, got k={rule.k}, m={profile.m}")
-        engine = _ScoringEngine(
-            profile, [1] * rule.k + [0] * (profile.m - rule.k)
-        )
-    elif isinstance(rule, Bucklin):
-        engine = _BucklinEngine(profile)
-    elif isinstance(rule, Maximin):
-        engine = _MaximinEngine(profile)
-    elif isinstance(rule, Copeland):
-        engine = _CopelandEngine(profile, rule.alpha)
-    else:
-        raise InputError(f"unknown rule: {rule!r}")
-    raw = [b.order for b, _ in profile.votes]
+    tally = rule_tally(rule, profile.m, profile.votes, ranked=True)
     universe = list(itertools.permutations(range(profile.m)))
-    return engine, raw, universe, Ranking
+    return tally, [b.order for b, _ in profile.votes], universe, Ranking
 
 
 def mov_brute_force(
@@ -297,8 +156,8 @@ def mov_brute_force(
         raise InputError("margin of victory needs at least two candidates")
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
-    engine, raw, universe, wrap = _make_engine(profile, rule)
-    base_mask = engine.winner_mask()
+    tally, raw, universe, wrap = _make_engine(profile, rule)
+    base_mask = tally.winner_mask()
     mults = [mult for _, mult in profile.votes]
     starts = list(itertools.accumulate(mults, initial=0))
     evaluations = 0
@@ -309,7 +168,7 @@ def mov_brute_force(
                 continue
             removed = {raw[k] for k in retracted}
             for k in retracted:
-                engine.add(raw[k], -1)
+                tally.add(raw[k], -1)
             options = [u for u in universe if u not in removed]
             for inserted in itertools.combinations_with_replacement(options, t):
                 evaluations += 1
@@ -318,10 +177,10 @@ def mov_brute_force(
                         f"exceeded work limit of {work_limit} evaluations"
                     )
                 for new in inserted:
-                    engine.add(new, +1)
-                changed = engine.winner_mask() != base_mask
+                    tally.add(new, +1)
+                changed = tally.winner_mask() != base_mask
                 for new in inserted:
-                    engine.add(new, -1)
+                    tally.add(new, -1)
                 if changed:
                     witness = tuple(
                         (starts[k] + j - retracted.index(k), wrap(new))
@@ -331,7 +190,7 @@ def mov_brute_force(
                         value=t, budget=budget, witness=witness, evaluations=evaluations
                     )
             for k in retracted:
-                engine.add(raw[k], +1)
+                tally.add(raw[k], +1)
     return ExactMovResult(value=None, budget=budget, witness=None, evaluations=evaluations)
 
 
@@ -409,18 +268,9 @@ def bucklin_gap(profile: RankedProfile) -> Union[int, float]:
     majority, so the value bounds the margin from above. Returns ``math.inf``
     when no level qualifies (then this argument gives no finite bound).
     """
-    counts = top_k_counts(profile)
-    scores = bucklin_scores(profile)
-    best_level = min(scores.values())
-    w = min(c for c, s in scores.items() if s == best_level)
-    n = profile.n
-    best: Union[int, float] = math.inf
-    for level in range(1, profile.m):
-        if 2 * counts[w][level - 1] > n:
-            for x in range(profile.m):
-                if x != w and 2 * counts[x][level - 1] <= n:
-                    best = min(best, counts[w][level - 1] - counts[x][level - 1] + 1)
-    return best
+    ranked = isinstance(profile, RankedProfile)
+    gap = rule_tally(Bucklin(), profile.m, profile.votes, ranked).level_gap()
+    return math.inf if gap is None else gap + 1
 
 
 def bucklin_change_floor(profile: RankedProfile) -> Union[int, float]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,9 +39,7 @@ from movkit.estimators import (
     estimate_scoring,
     guarantee_constant,
     lower_bound_samples,
-    make_sample_plan,
     sample_size,
-    sample_votes,
     split_seed,
 )
 
@@ -115,30 +114,23 @@ def test_guarantee_constants():
     assert guarantee_constant(Copeland(HALF), 2) == F(3, 5)
 
 
-def test_make_sample_plan():
-    plan = make_sample_plan(KApproval(1), EPS, DELTA, 5)
-    assert plan.ell == 6358 and plan.c == 0
-    plan = make_sample_plan(Copeland(HALF), EPS, DELTA, 5)
-    assert plan.ell == 66315 and plan.c == F(7, 9)
-
-
 # --- the vote source ------------------------------------------------------
 
 def test_vote_source_draws_are_deterministic():
     p = ranked_profile(2, [((0, 1), 3), ((1, 0), 1)])
     src = VoteSource.from_profile(p)
     assert src.n == 4
-    a = sample_votes(src, 10, 7)
-    b = sample_votes(src, 10, 7)
+    a = src.draw(10, 7)
+    b = src.draw(10, 7)
     assert a == b
-    c = sample_votes(src, 10, 8)
+    c = src.draw(10, 8)
     assert a != c
 
 
 def test_vote_source_single_ballot():
     p = ranked_profile(2, [((0, 1), 1)])
     src = VoteSource.from_profile(p)
-    draws = sample_votes(src, 5, 0)
+    draws = src.draw(5, 0)
     assert len(draws) == 5
     assert all(b.order == (0, 1) for b in draws)
 
@@ -147,9 +139,18 @@ def test_vote_source_frequency():
     # multiplicities (3, 1): the majority ballot should appear ~75% of the time
     p = ranked_profile(2, [((0, 1), 3), ((1, 0), 1)])
     src = VoteSource.from_profile(p)
-    draws = sample_votes(src, 1_000_000, 123)
+    draws = src.draw(1_000_000, 123)
     top = sum(1 for b in draws if b.order == (0, 1)) / len(draws)
     assert abs(top - 0.75) < 0.01
+
+
+def test_draw_counts_count_the_same_draws():
+    p = ranked_profile(3, [((0, 1, 2), 5), ((1, 2, 0), 1), ((2, 0, 1), 3), ((2, 1, 0), 2)])
+    src = VoteSource.from_profile(p)
+    for seed in (0, 1, 7, 2**40 + 3):
+        counts = src.draw_counts(50, seed)
+        assert counts == Counter(src.draw(50, seed))
+        assert list(counts) == list(Counter(src.draw(50, seed)))
 
 
 def test_split_seed_is_stable():

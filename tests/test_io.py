@@ -83,12 +83,16 @@ def test_candidate_names_resolve_and_roundtrip():
 
 
 def test_candidate_header_validation():
-    with pytest.raises(ParseError):
-        parse_election("m 3\ncandidates a,b\n1: a>b")
-    with pytest.raises(ParseError):
-        parse_election("m 2\ncandidates a,a\n1: a>a")
-    with pytest.raises(ParseError):
-        parse_election("m 2\ncandidates a,b c\n1: a>b")
+    cases = [
+        ("m 3\ncandidates a,b\n1: a>b", "expected 3 candidate names, got 2"),
+        ("m 2\ncandidates a,a\n1: a>a", "duplicate candidate name 'a'"),
+        ("m 2\ncandidates a,b c\n1: a>b", "bad candidate name 'b c'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_election(text)
+        assert info.value.line == 2
+        assert str(info.value) == f"line 2: {message}"
 
 
 def test_bare_indices_accepted():

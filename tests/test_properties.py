@@ -1,8 +1,9 @@
-"""Property tests: the integer positional tallies against plain Fraction
-references, the type-level exact search against an index-level one, and
-candidate-token resolution in the parser."""
+"""Property tests: the integer tallies and the estimators built on them
+against plain references, the type-level exact search against an
+index-level one, and candidate-token resolution in the parser."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -17,14 +18,24 @@ from movkit.core import (
     Ranking,
     ScoreVector,
     Scoring,
+    WinnerResult,
     approval_profile,
+    pairwise_matrix,
     positional_scores,
     ranked_profile,
+    top_k_counts,
     winner_set,
 )
-from movkit.estimators import VoteSource, estimate_scoring
+from movkit.estimators import VoteSource, estimate_mov, estimate_scoring
 from movkit.io_formats import parse_election
-from movkit.oracle import _make_engine, mov_bounds, mov_brute_force
+from movkit.oracle import (
+    _make_engine,
+    bucklin_gap,
+    copeland_log_factor,
+    mov_bounds,
+    mov_brute_force,
+    relative_margin_generic,
+)
 
 F = Fraction
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -125,6 +136,173 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     est = estimate_scoring(source, vector, F(1, 10), F(1, 20), seed, ell=ell)
     assert est.estimated_scores == sbar
     assert est.m_bar == _ref_top_two_gap(sbar) / (F(3, 2) * alphas[0])
+
+
+# References for the approval, Bucklin and pairwise families: the score
+# functions and estimator bodies as they were before one integer tally per
+# family replaced them, over plain dicts and Fractions.
+
+
+@st.composite
+def approval_profiles(draw, m):
+    ballots = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=8))
+    mults = draw(st.lists(st.integers(1, 6), min_size=len(ballots), max_size=len(ballots)))
+    return approval_profile(m, zip(ballots, mults))
+
+
+def both_kinds():
+    return st.integers(2, 5).flatmap(lambda m: st.tuples(profiles(m), approval_profiles(m)))
+
+
+ALPHAS = (F(0), F(1, 2), F(1))
+
+
+def _ref_approval_scores(votes, m):
+    scores = {c: 0 for c in range(m)}
+    for ballot, mult in votes:
+        for cand in ballot.approved:
+            scores[cand] += mult
+    return scores
+
+
+def _ref_top_k_counts(votes, m):
+    at_pos = [[0] * m for _ in range(m)]
+    for ballot, mult in votes:
+        for pos, cand in enumerate(ballot.order):
+            at_pos[cand][pos] += mult
+    return tuple(tuple(itertools.accumulate(at_pos[x])) for x in range(m))
+
+
+def _ref_bucklin_scores(votes, m, n):
+    counts = _ref_top_k_counts(votes, m)
+    return {x: next(k + 1 for k in range(m) if 2 * counts[x][k] > n) for x in range(m)}
+
+
+def _ref_pairwise(votes, m):
+    above = [[0] * m for _ in range(m)]
+    for ballot, mult in votes:
+        order = ballot.order
+        for i in range(m):
+            for j in range(i + 1, m):
+                above[order[i]][order[j]] += mult
+    return tuple(tuple(above[x][y] - above[y][x] for y in range(m)) for x in range(m))
+
+
+def _ref_maximin_scores(votes, m):
+    d = _ref_pairwise(votes, m)
+    return {x: min(d[x][y] for y in range(m) if y != x) for x in range(m)}
+
+
+def _ref_copeland_scores(d, m, alpha):
+    scores = {}
+    for x in range(m):
+        wins = sum(1 for y in range(m) if y != x and d[x][y] > 0)
+        ties = sum(1 for y in range(m) if y != x and d[x][y] == 0)
+        scores[x] = wins + alpha * ties
+    return scores
+
+
+def _ref_winner_set(profile, rule):
+    votes, m = profile.votes, profile.m
+    if isinstance(rule, Approval):
+        scores = _ref_approval_scores(votes, m)
+    elif isinstance(rule, Bucklin):
+        scores = _ref_bucklin_scores(votes, m, profile.n)
+        best = min(scores.values())
+        return WinnerResult(tuple(c for c in sorted(scores) if scores[c] == best), scores)
+    elif isinstance(rule, Maximin):
+        scores = _ref_maximin_scores(votes, m)
+    else:
+        scores = _ref_copeland_scores(_ref_pairwise(votes, m), m, rule.alpha)
+    return WinnerResult(_ref_winners(scores), scores)
+
+
+def _ref_estimate(source, rule, seed, ell):
+    """(m_bar, estimated_scores, pair_margins, feasible) of the estimator."""
+    counts = Counter(source.draw(ell, seed))
+    m, n = source.m, source.n
+    scale = F(n, ell)
+    if isinstance(rule, Approval):
+        raw = _ref_approval_scores(counts.items(), m)
+        sbar = {x: scale * raw[x] for x in range(m)}
+        return _ref_top_two_gap(sbar) / 2, sbar, None, True
+    if isinstance(rule, Bucklin):
+        rows = _ref_top_k_counts(counts.items(), m)
+        nbar = {x: tuple(scale * c for c in rows[x]) for x in range(m)}
+        half = F(n, 2)
+        level_of = {x: next(lv + 1 for lv in range(m) if nbar[x][lv] > half) for x in range(m)}
+        best_level = min(level_of.values())
+        w = min(x for x in range(m) if level_of[x] == best_level)
+        gap = None
+        for lv in range(1, m):
+            if nbar[w][lv - 1] > half:
+                for x in range(m):
+                    if x != w and nbar[x][lv - 1] <= half:
+                        candidate = nbar[w][lv - 1] - nbar[x][lv - 1] + 1
+                        if gap is None or candidate < gap:
+                            gap = candidate
+        if gap is None:
+            return F(n), nbar, None, False
+        return gap / F(3, 2), nbar, None, True
+    dbar = tuple(tuple(scale * d for d in row) for row in _ref_pairwise(counts.items(), m))
+    if isinstance(rule, Maximin):
+        sbar = {x: min(dbar[x][y] for y in range(m) if y != x) for x in range(m)}
+        return _ref_top_two_gap(sbar) / 3, sbar, dbar, True
+    scores = {}
+    for x in range(m):
+        total = F(0)
+        for y in range(m):
+            if y != x:
+                if dbar[x][y] > 0:
+                    total += 1
+                elif dbar[x][y] == 0:
+                    total += rule.alpha
+        scores[x] = total
+    best = max(scores.values())
+    w = min(x for x in range(m) if scores[x] == best)
+    gamma = max(0, min(
+        relative_margin_generic(lambda u, v: dbar[u][v], m, n, w, x, rule.alpha)
+        for x in range(m) if x != w
+    ))
+    k_log = copeland_log_factor(m)
+    return F(4 * (k_log + 1), 2 * k_log + 3) * gamma, scores, dbar, True
+
+
+def _typed(scores):
+    return {c: (type(s), s) for c, s in scores.items()}
+
+
+@PROPERTY_SETTINGS
+@given(both_kinds(), st.sampled_from(ALPHAS))
+@example((ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]), approval_profile(2, [((), 2)])), F(1, 2))
+def test_family_tallies_match_reference(case, alpha):
+    ranked, approval = case
+    m = ranked.m
+    for profile, rule in ((approval, Approval()), (ranked, Bucklin()),
+                          (ranked, Maximin()), (ranked, Copeland(alpha))):
+        result, expected = winner_set(profile, rule), _ref_winner_set(profile, rule)
+        assert result == expected
+        assert _typed(result.scores) == _typed(expected.scores)
+    assert top_k_counts(ranked) == _ref_top_k_counts(ranked.votes, m)
+    assert pairwise_matrix(ranked).d == _ref_pairwise(ranked.votes, m)
+    counts, n = _ref_top_k_counts(ranked.votes, m), ranked.n
+    w = _ref_winner_set(ranked, Bucklin()).winners[0]
+    leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1) if 2 * counts[w][lv] > n
+             for x in range(m) if x != w and 2 * counts[x][lv] <= n]
+    assert bucklin_gap(ranked) == min(leads, default=float("inf"))
+
+
+@PROPERTY_SETTINGS
+@given(both_kinds(), st.sampled_from(ALPHAS), st.integers(0, 2**32), st.integers(1, 60))
+def test_family_estimates_match_reference(case, alpha, seed, ell):
+    ranked, approval = case
+    for profile, rule in ((approval, Approval()), (ranked, Bucklin()),
+                          (ranked, Maximin()), (ranked, Copeland(alpha))):
+        source = VoteSource.from_profile(profile)
+        est = estimate_mov(source, rule, F(1, 10), F(1, 20), seed, ell=ell)
+        m_bar, scores, pair_margins, feasible = _ref_estimate(source, rule, seed, ell)
+        assert (est.m_bar, est.pair_margins, est.feasible) == (m_bar, pair_margins, feasible)
+        assert _typed(est.estimated_scores) == _typed(scores)
 
 
 def _ref_brute_force(profile, rule, budget):
