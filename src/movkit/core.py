@@ -212,14 +212,6 @@ class ScoreVector:
     def alpha1(self) -> Fraction:
         return self.alphas[0]
 
-    @property
-    def is_normalized(self) -> bool:
-        """Last entry zero, and a unit step down to the trailing zero block."""
-        if self.alphas[-1] != 0:
-            return False
-        j = max(i for i, a in enumerate(self.alphas) if a > 0)
-        return self.alphas[j] == 1
-
     def normalized(self) -> "ScoreVector":
         return normalize_score_vector(self.alphas)
 
@@ -424,20 +416,6 @@ class BucklinTally:
                 return mask
         raise AssertionError("every candidate reaches a majority by the last level")
 
-    def level_gap(self) -> int | None:
-        """Smallest lead n_l(w) - n_l(x) of the canonical winner w over a
-        rival x, over the levels l in 1..m-1 at which w holds a strict
-        majority and x does not; None when no level qualifies."""
-        mask = self.winner_mask()
-        w = (mask & -mask).bit_length() - 1
-        rows, n = self.top_counts(), self.n
-        leads = [
-            rows[w][level] - row[level]
-            for level in range(self.m - 1) if 2 * rows[w][level] > n
-            for x, row in enumerate(rows) if x != w and 2 * row[level] <= n
-        ]
-        return min(leads, default=None)
-
 
 class PairwiseTally:
     """Pairwise family: ``above[x][y]`` ballots rank x above y."""
@@ -560,8 +538,7 @@ def top_k_counts(profile: RankedProfile) -> tuple[tuple[int, ...], ...]:
     ``counts[x][k-1]`` = number of votes ranking ``x`` within its first
     ``k`` positions, for k = 1..m. Rows are non-decreasing and end at n.
     """
-    _require_ranked(profile)
-    return BucklinTally(profile.votes, profile.m).top_counts()
+    return _profile_tally(profile, Bucklin()).top_counts()
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ scoring, Bucklin and maximin, and (2K+1)/(2K+3) with K = ceil(log2 m) for
 Copeland). Sample sizes are closed forms in (epsilon, delta) and the number
 of candidates or the approval depth k.
 
-The sampled counts feed the same integer tally per rule family that
-winner determination and the exact search use (`movkit.core.rule_tally`;
-a scoring vector is scaled once to integer weights), and the tally's
-read-outs rescale by n/ell to exact rationals once, so winner selection and
-tie-breaks inside an estimate are exact; only the sample-size and
-guarantee-annotation arithmetic uses floats.
+`estimate_mov` is the one estimator body, which the six `estimate_*`
+functions call after checking their own arguments. It tallies the sample in
+the rule's integer tally (`movkit.core.rule_tally`) and reads from it, with
+every count rescaled by n/ell to an exact rational, the margin statistic that
+`movkit.oracle.mov_bounds` reads on the full profile. Winner selection and
+tie-breaks are exact; only sample-size and guarantee arithmetic uses floats.
 """
 
 import math
@@ -41,9 +41,8 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     rule_tally,
-    top_two,
 )
-from movkit.oracle import copeland_log_factor, relative_margin_generic
+from movkit.oracle import _margin_statistic, copeland_log_factor
 
 _MASK64 = (1 << 64) - 1
 
@@ -158,12 +157,16 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
     if rule_kind == "kapproval":
         if k is None:
             raise InputError("k-approval sample size needs k")
-        if not isinstance(k, int) or not 1 <= k <= m - 1:
-            raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
+        _check_k(k, m)
     elif k is not None:
         raise InputError(f"k is only meaningful for k-approval, not {rule_kind}")
     log_num = 2.0 * (k if rule_kind == "kapproval" else m)
     return math.ceil((_SAMPLE_FACTORS[rule_kind] / eps**2) * math.log(log_num / dlt))
+
+
+def _check_k(k, m: int) -> None:
+    if not isinstance(k, int) or not 1 <= k <= m - 1:
+        raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
 
 
 def lower_bound_samples(c, epsilon, delta) -> float:
@@ -229,9 +232,11 @@ class MovEstimate:
             raise InputError(f"sample count must be positive, got {self.ell}")
 
 
-def _require_kind(source: VoteSource, kind: str) -> None:
+def _require_kind(source: VoteSource, kind: str, two_candidates: bool = False) -> None:
     if source.kind != kind:
         raise InputError(f"this estimator needs {kind} ballots, got {source.kind}")
+    if two_candidates and source.m < 2:
+        raise InputError("margin estimation needs at least two candidates")
 
 
 def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
@@ -247,21 +252,54 @@ def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     return ell, Fraction(eps)
 
 
-def _sampled_tally(source: VoteSource, rule: Rule, ell: int, seed: int):
-    """The rule's integer tally over ``ell`` seeded draws from the source."""
+def estimate_mov(
+    source: VoteSource,
+    rule: Rule,
+    epsilon,
+    delta,
+    seed: int,
+    ell: Optional[int] = None,
+) -> MovEstimate:
+    """Margin estimate for any rule, from one draw of ``ell`` votes.
+
+    Reads the rule's margin statistic from the tally of the sample, rescaled
+    by n/ell, and returns (1 - c) times the upper end of the rule's sandwich
+    bound on it (`movkit.oracle.mov_bounds` for a unique winner, without the
+    scoring +1 or the k-approval rounding), c from `guarantee_constant`.
+    When no Bucklin level gap exists in the sample, the estimate saturates
+    at n and ``feasible`` is False.
+    """
+    if not isinstance(rule, (Scoring, KApproval, Approval, Bucklin, Maximin, Copeland)):
+        raise InputError(f"unknown rule: {rule!r}")
+    m, n = source.m, source.n
+    # scoring and k-approval reject m < 2 through their own checks
+    _require_kind(source, "approval" if isinstance(rule, Approval) else "ranked",
+                  two_candidates=not isinstance(rule, (Scoring, KApproval)))
+    if isinstance(rule, Scoring):
+        rule = Scoring(rule.vector.normalized())
+        if rule.vector.m != m:
+            raise InputError(f"score vector has {rule.vector.m} entries for m={m}")
+    elif isinstance(rule, KApproval):
+        _check_k(rule.k, m)
+    k = rule.k if isinstance(rule, KApproval) else None
+    ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
     counts = source.draw_counts(ell, seed)
-    return rule_tally(rule, source.m, counts.items(), source.kind == "ranked")
-
-
-def _rescale(scores: Mapping[int, object], n: int, ell: int) -> dict[int, Fraction]:
-    scale = Fraction(n, ell)
-    return {x: scale * s for x, s in scores.items()}
-
-
-def _pair_margins(tally, n: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Sampled pairwise margins rescaled by n/ell; exactly antisymmetric."""
-    scale = Fraction(n, ell)
-    return tuple(tuple(scale * d for d in row) for row in tally.net())
+    tally = rule_tally(rule, m, counts.items(), source.kind == "ranked")
+    stat, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
+    c = guarantee_constant(rule, m)
+    if stat == math.inf:
+        m_bar = Fraction(n)
+    elif isinstance(rule, (KApproval, Approval, Maximin)):
+        m_bar = (1 - c) * stat / 2
+    elif isinstance(rule, Copeland):
+        m_bar = (1 - c) * 2 * (copeland_log_factor(m) + 1) * stat
+    else:
+        m_bar = (1 - c) * stat
+    return MovEstimate(
+        m_bar=m_bar, ell=ell, seed=seed, c=c,
+        epsilon=eps_eff, delta=Fraction(delta), rule_kind=rule.kind,
+        estimated_scores=scores, feasible=stat != math.inf, pair_margins=margins,
+    )
 
 
 def estimate_scoring(
@@ -280,20 +318,7 @@ def estimate_scoring(
     The estimate is the rescaled top-two gap divided by 1.5 times the top
     score-vector entry.
     """
-    _require_kind(source, "ranked")
-    vector = vector.normalized()
-    if vector.m != source.m:
-        raise InputError(f"score vector has {vector.m} entries for m={source.m}")
-    ell, eps_eff = _resolve_ell("scoring", epsilon, delta, source.m, None, ell)
-    tally = _sampled_tally(source, Scoring(vector), ell, seed)
-    sbar = _rescale(tally.scores(), source.n, ell)
-    w, z = top_two(sbar)
-    m_bar = (sbar[w] - sbar[z]) / (Fraction(3, 2) * vector.alpha1)
-    return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed, c=Fraction(1, 3),
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind="scoring",
-        estimated_scores=sbar,
-    )
+    return estimate_mov(source, Scoring(vector), epsilon, delta, seed, ell)
 
 
 def estimate_kapproval(
@@ -306,18 +331,8 @@ def estimate_kapproval(
 ) -> MovEstimate:
     """Margin estimate for k-approval (c = 0): half the rescaled top-two gap."""
     _require_kind(source, "ranked")
-    if not isinstance(k, int) or not 1 <= k <= source.m - 1:
-        raise InputError(f"k must be in [1, m-1], got k={k!r}, m={source.m}")
-    ell, eps_eff = _resolve_ell("kapproval", epsilon, delta, source.m, k, ell)
-    tally = _sampled_tally(source, KApproval(k), ell, seed)
-    sbar = _rescale(tally.scores(), source.n, ell)
-    w, z = top_two(sbar)
-    m_bar = (sbar[w] - sbar[z]) / 2
-    return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed, c=Fraction(0),
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind="kapproval",
-        estimated_scores=sbar,
-    )
+    _check_k(k, source.m)
+    return estimate_mov(source, KApproval(k), epsilon, delta, seed, ell)
 
 
 def estimate_approval(
@@ -328,19 +343,7 @@ def estimate_approval(
     ell: Optional[int] = None,
 ) -> MovEstimate:
     """Margin estimate for the approval rule (c = 0)."""
-    _require_kind(source, "approval")
-    if source.m < 2:
-        raise InputError("margin estimation needs at least two candidates")
-    ell, eps_eff = _resolve_ell("approval", epsilon, delta, source.m, None, ell)
-    tally = _sampled_tally(source, Approval(), ell, seed)
-    sbar = _rescale(tally.scores(), source.n, ell)
-    w, z = top_two(sbar)
-    m_bar = (sbar[w] - sbar[z]) / 2
-    return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed, c=Fraction(0),
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind="approval",
-        estimated_scores=sbar,
-    )
+    return estimate_mov(source, Approval(), epsilon, delta, seed, ell)
 
 
 def estimate_bucklin(
@@ -358,26 +361,7 @@ def estimate_bucklin(
     by 1.5. When no level at or below m-1 separates the winner from a rival,
     the estimate saturates at n and ``feasible`` is False.
     """
-    _require_kind(source, "ranked")
-    if source.m < 2:
-        raise InputError("margin estimation needs at least two candidates")
-    n = source.n
-    ell, eps_eff = _resolve_ell("bucklin", epsilon, delta, source.m, None, ell)
-    tally = _sampled_tally(source, Bucklin(), ell, seed)
-    scale = Fraction(n, ell)
-    nbar = {x: tuple(scale * c for c in row) for x, row in enumerate(tally.top_counts())}
-    # a rescaled majority (n/ell)*count > n/2 is 2*count > ell, the tally's
-    # own majority, so its winner and level gap are the rescaled ones
-    gap = tally.level_gap()
-    if gap is None:
-        m_bar, feasible = Fraction(n), False
-    else:
-        m_bar, feasible = (scale * gap + 1) / Fraction(3, 2), True
-    return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed, c=Fraction(1, 3),
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind="bucklin",
-        estimated_scores=nbar, feasible=feasible,
-    )
+    return estimate_mov(source, Bucklin(), epsilon, delta, seed, ell)
 
 
 def estimate_maximin(
@@ -393,20 +377,7 @@ def estimate_maximin(
     rescaled margins give each candidate's worst-case score, and the
     estimate is a third of the top-two score gap.
     """
-    _require_kind(source, "ranked")
-    if source.m < 2:
-        raise InputError("margin estimation needs at least two candidates")
-    ell, eps_eff = _resolve_ell("maximin", epsilon, delta, source.m, None, ell)
-    tally = _sampled_tally(source, Maximin(), ell, seed)
-    dbar = _pair_margins(tally, source.n, ell)
-    sbar = _rescale(tally.scores(), source.n, ell)
-    w, z = top_two(sbar)
-    m_bar = (sbar[w] - sbar[z]) / 3
-    return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed, c=Fraction(1, 3),
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind="maximin",
-        estimated_scores=sbar, pair_margins=dbar,
-    )
+    return estimate_mov(source, Maximin(), epsilon, delta, seed, ell)
 
 
 def estimate_copeland(
@@ -424,56 +395,5 @@ def estimate_copeland(
     sides of the comparison), and scales that by 4(K+1)/(2K+3) with
     K = ceil(log2 m). The guarantee constant is c = (2K+1)/(2K+3).
     """
-    _require_kind(source, "ranked")
-    if source.m < 2:
-        raise InputError("margin estimation needs at least two candidates")
-    rule = Copeland(alpha)
-    m, n = source.m, source.n
-    ell, eps_eff = _resolve_ell("copeland", epsilon, delta, m, None, ell)
-    tally = _sampled_tally(source, rule, ell, seed)
-    dbar = _pair_margins(tally, n, ell)
-    # wins and ties depend only on the signs of the margins, which rescaling
-    # keeps, so the tally's scores are the sampled Copeland scores
-    scores = tally.scores()
-    w = top_two(scores)[0]
-    # clamped at zero: on a sampled tie at the top, w's raw relative margin
-    # over a co-winner can be negative (same as oracle.copeland_margin)
-    gamma = max(0, min(
-        relative_margin_generic(
-            lambda u, v: dbar[u][v], m, n, w, x, rule.alpha
-        )
-        for x in range(m)
-        if x != w
-    ))
-    k_log = copeland_log_factor(m)
-    m_bar = Fraction(4 * (k_log + 1), 2 * k_log + 3) * gamma
-    return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed,
-        c=Fraction(2 * k_log + 1, 2 * k_log + 3),
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind="copeland",
-        estimated_scores=scores, pair_margins=dbar,
-    )
-
-
-def estimate_mov(
-    source: VoteSource,
-    rule: Rule,
-    epsilon,
-    delta,
-    seed: int,
-    ell: Optional[int] = None,
-) -> MovEstimate:
-    """Dispatch to the rule's estimator."""
-    if isinstance(rule, Scoring):
-        return estimate_scoring(source, rule.vector, epsilon, delta, seed, ell)
-    if isinstance(rule, KApproval):
-        return estimate_kapproval(source, rule.k, epsilon, delta, seed, ell)
-    if isinstance(rule, Approval):
-        return estimate_approval(source, epsilon, delta, seed, ell)
-    if isinstance(rule, Bucklin):
-        return estimate_bucklin(source, epsilon, delta, seed, ell)
-    if isinstance(rule, Maximin):
-        return estimate_maximin(source, epsilon, delta, seed, ell)
-    if isinstance(rule, Copeland):
-        return estimate_copeland(source, rule.alpha, epsilon, delta, seed, ell)
-    raise InputError(f"unknown rule: {rule!r}")
+    _require_kind(source, "ranked", two_candidates=True)
+    return estimate_mov(source, Copeland(alpha), epsilon, delta, seed, ell)

@@ -114,12 +114,8 @@ def rule_to_spec(rule: Rule) -> str:
         return "scoring:" + ",".join(str(a) for a in rule.vector.alphas)
     if isinstance(rule, KApproval):
         return f"kapproval:{rule.k}"
-    if isinstance(rule, Approval):
-        return "approval"
-    if isinstance(rule, Bucklin):
-        return "bucklin"
-    if isinstance(rule, Maximin):
-        return "maximin"
+    if isinstance(rule, (Approval, Bucklin, Maximin)):
+        return rule.kind
     if isinstance(rule, Copeland):
         return f"copeland:{rule.alpha}"
     raise InputError(f"unknown rule: {rule!r}")

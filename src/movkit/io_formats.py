@@ -103,7 +103,6 @@ def parse_election(text: str) -> Profile:
     names: Optional[tuple[str, ...]] = None
     # fast path for ballot tokens; a miss falls back to _resolve for its error
     table = _token_table(names, m)
-    identity = list(range(m))
     ranked: list[tuple[Ranking, int]] = []
     approval: list[tuple[ApprovalBallot, int]] = []
     for number, line in lines:
@@ -148,9 +147,11 @@ def parse_election(text: str) -> Profile:
             order = tuple(map(table.get, tokens))
             if None in order:
                 order = tuple(_resolve(token, names, m, number) for token in tokens)
-            if sorted(order) != identity:
-                raise ParseError("ranking repeats a candidate", number)
-            ranked.append((Ranking(order), count))
+            # all m indices lie in 0..m-1, so Ranking rejects exactly the repeats
+            try:
+                ranked.append((Ranking(order), count))
+            except InputError:
+                raise ParseError("ranking repeats a candidate", number) from None
     if not ranked and not approval:
         raise ParseError("no ballot lines", number)
     try:

@@ -11,8 +11,10 @@ Three layers live here:
   change), the trusted ground truth at small scale; it retracts and inserts
   ballots in the rule's integer tally from `movkit.core.rule_tally` and
   compares winner sets as bitmasks;
-* polynomial-time structural quantities: score gaps, the Bucklin level gap
-  and change floor, and the pairwise relative margin;
+* polynomial-time structural quantities: each rule's margin statistic (score
+  gap, Bucklin level gap, Copeland relative margin), read from one tally by
+  `_margin_statistic` and shared with `movkit.estimators`, and the Bucklin
+  change floor;
 * sandwich bounds built from those quantities, valid at any profile size.
 
 Infinite quantities use the ``math.inf`` sentinel.
@@ -38,12 +40,11 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
-    bucklin_scores,
+    _profile_tally,
     pairwise_matrix,
     rule_tally,
-    top_k_counts,
     top_two,
-    winner_set,
+    winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
 
 DEFAULT_WORK_LIMIT = 5_000_000
@@ -230,9 +231,8 @@ def apply_changes(
 # closed forms and structural quantities
 
 
-def _gap_closed_form(scores) -> int:
-    w, z = top_two(scores)
-    gap = scores[w] - scores[z]
+def _gap_closed_form(profile: Profile, rule: Rule) -> int:
+    gap = _margin_statistic(rule, _profile_tally(profile, rule), profile.n)[0]
     if gap == 0:
         raise TiedWinnersError(
             "closed form applies only to a unique winner; use brute force"
@@ -246,8 +246,7 @@ def mov_kapproval_closed_form(profile: RankedProfile, k: int) -> int:
     The margin M satisfies 2(M - 1) < gap <= 2M, so ceil(gap / 2) is the only
     integer candidate. Raises TiedWinnersError when the top score is shared.
     """
-    result = winner_set(profile, KApproval(k))
-    return _gap_closed_form(result.scores)
+    return _gap_closed_form(profile, KApproval(k))
 
 
 def mov_approval_closed_form(profile: ApprovalProfile) -> int:
@@ -255,8 +254,7 @@ def mov_approval_closed_form(profile: ApprovalProfile) -> int:
 
     Same two-sided argument as k-approval, applied to approval scores.
     """
-    result = winner_set(profile, Approval())
-    return _gap_closed_form(result.scores)
+    return _gap_closed_form(profile, Approval())
 
 
 def bucklin_gap(profile: RankedProfile) -> Union[int, float]:
@@ -268,9 +266,7 @@ def bucklin_gap(profile: RankedProfile) -> Union[int, float]:
     majority, so the value bounds the margin from above. Returns ``math.inf``
     when no level qualifies (then this argument gives no finite bound).
     """
-    ranked = isinstance(profile, RankedProfile)
-    gap = rule_tally(Bucklin(), profile.m, profile.votes, ranked).level_gap()
-    return math.inf if gap is None else gap + 1
+    return _margin_statistic(Bucklin(), _profile_tally(profile, Bucklin()), profile.n)[0]
 
 
 def bucklin_change_floor(profile: RankedProfile) -> Union[int, float]:
@@ -284,21 +280,25 @@ def bucklin_change_floor(profile: RankedProfile) -> Union[int, float]:
     the cheapest of these events. Returns ``math.inf`` when no event is
     feasible (single-candidate profiles only).
     """
-    counts = top_k_counts(profile)
-    scores = bucklin_scores(profile)
+    return _change_floor(_profile_tally(profile, Bucklin()))
+
+
+def _change_floor(tally) -> Union[int, float]:
+    """`bucklin_change_floor` read from a Bucklin tally."""
+    counts = tally.top_counts()
+    scores = tally.scores()
     best_level = min(scores.values())
     winners = {c for c, s in scores.items() if s == best_level}
-    n = profile.n
-    half = n // 2
+    half = tally.n // 2
     costs: list[int] = []
-    if best_level <= profile.m - 1:
+    if best_level <= tally.m - 1:
         for w in winners:
             costs.append(counts[w][best_level - 1] - half)
-        for x in range(profile.m):
+        for x in range(tally.m):
             if x not in winners:
                 costs.append(half + 1 - counts[x][best_level - 1])
     for level in range(1, best_level):
-        for y in range(profile.m):
+        for y in range(tally.m):
             if y not in winners or len(winners) >= 2:
                 costs.append(half + 1 - counts[y][level - 1])
     return min(costs) if costs else math.inf
@@ -382,17 +382,8 @@ def copeland_margin(profile: RankedProfile, alpha) -> int:
     """
     if profile.m < 2:
         raise InputError("relative margin needs at least two candidates")
-    alpha = Fraction(alpha)
-    result = winner_set(profile, Copeland(alpha))
-    w = result.winners[0]
-    matrix = pairwise_matrix(profile)
-    return max(0, min(
-        relative_margin_generic(
-            lambda u, v: matrix.d[u][v], profile.m, profile.n, w, x, alpha
-        )
-        for x in range(profile.m)
-        if x != w
-    ))
+    rule = Copeland(Fraction(alpha))
+    return _margin_statistic(rule, _profile_tally(profile, rule), profile.n)[0]
 
 
 def copeland_log_factor(m: int) -> int:
@@ -404,7 +395,48 @@ def copeland_log_factor(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sandwich bounds
+# the margin statistic and the sandwich bounds
+
+
+def _margin_statistic(rule: Rule, tally, n: int, scale=1):
+    """(statistic, scores, pair margins) read from the rule's tally over n
+    votes, every count scaled by ``scale``: 1 for the full profile, n/ell
+    for a sample of ell votes. The statistic is the top-two score gap (for
+    scoring, over a1 - am), Bucklin's level gap plus one (``math.inf`` if
+    none, with the top-l count rows as scores), or the Copeland winner's
+    smallest relative margin (with unscaled Copeland scores). Pair margins
+    are None outside maximin and Copeland.
+    """
+    if isinstance(rule, Bucklin):
+        # a scaled majority scale*count > n/2 is the tally's own 2*count > ell
+        mask, rows = tally.winner_mask(), tally.top_counts()
+        w = (mask & -mask).bit_length() - 1
+        leads = [
+            rows[w][level] - row[level]
+            for level in range(tally.m - 1) if 2 * rows[w][level] > tally.n
+            for x, row in enumerate(rows) if x != w and 2 * row[level] <= tally.n
+        ]
+        gap = scale * min(leads) + 1 if leads else math.inf
+        return gap, {x: tuple(scale * c for c in row) for x, row in enumerate(rows)}, None
+    margins = None
+    if isinstance(rule, (Maximin, Copeland)):
+        margins = tuple(tuple(scale * d for d in row) for row in tally.net())
+    if isinstance(rule, Copeland):
+        scores = tally.scores()
+        w = top_two(scores)[0]
+        # clamped at zero: on a tie w's relative margin over a co-winner can be negative
+        gamma = max(0, min(
+            relative_margin_generic(lambda u, v: margins[u][v], tally.m, n, w, x, rule.alpha)
+            for x in range(tally.m)
+            if x != w
+        ))
+        return gamma, scores, margins
+    scores = {x: scale * s for x, s in tally.scores().items()}
+    w, z = top_two(scores)
+    gap = scores[w] - scores[z]
+    if isinstance(rule, Scoring):
+        gap /= rule.vector.alpha1 - rule.vector.alphas[-1]
+    return gap, scores, margins
 
 
 def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
@@ -423,51 +455,21 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     """
     if profile.m < 2:
         raise InputError("margin of victory needs at least two candidates")
+    tally = _profile_tally(profile, rule)
+    gap = _margin_statistic(rule, tally, profile.n)[0]
     if isinstance(rule, Scoring):
-        vector = rule.vector.normalized()
-        result = winner_set(profile, Scoring(vector))
-        w, z = top_two(result.scores)
-        gap = result.scores[w] - result.scores[z]
-        return MovBounds(
-            lower=gap / (2 * vector.alpha1),
-            upper=gap / vector.alpha1 + 1,
-            source="positional score gap",
-        )
-    if isinstance(rule, (KApproval, Approval)):
-        result = winner_set(profile, rule)
-        w, z = top_two(result.scores)
-        gap = result.scores[w] - result.scores[z]
-        label = "top-k score gap" if isinstance(rule, KApproval) else "approval score gap"
-        if gap == 0:
-            return MovBounds(lower=Fraction(1), upper=Fraction(1), source="tied winners")
-        return MovBounds(
-            lower=Fraction(gap, 2), upper=Fraction((gap + 1) // 2), source=label
-        )
-    if isinstance(rule, Bucklin):
-        lower = bucklin_change_floor(profile)
-        upper = bucklin_gap(profile)
-        return MovBounds(
-            lower=Fraction(lower), upper=upper, source="majority level analysis"
-        )
-    if isinstance(rule, Maximin):
-        result = winner_set(profile, rule)
-        w, z = top_two(result.scores)
-        gap = result.scores[w] - result.scores[z]
-        if gap == 0:
-            return MovBounds(lower=Fraction(1), upper=Fraction(1), source="tied winners")
-        return MovBounds(
-            lower=Fraction(gap, 4), upper=Fraction(gap, 2), source="pairwise score gap"
-        )
-    if isinstance(rule, Copeland):
-        gamma = copeland_margin(profile, rule.alpha)
-        if gamma < 1:
-            return MovBounds(
-                lower=Fraction(1), upper=Fraction(profile.n), source="tied winners"
-            )
+        lower, upper, source = gap / 2, gap + 1, "positional score gap"
+    elif isinstance(rule, Bucklin):
+        lower, upper, source = _change_floor(tally), gap, "majority level analysis"
+    elif gap == 0:
+        lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1
+        source = "tied winners"
+    elif isinstance(rule, Maximin):
+        lower, upper, source = Fraction(gap, 4), Fraction(gap, 2), "pairwise score gap"
+    elif isinstance(rule, Copeland):
         factor = 2 * (copeland_log_factor(profile.m) + 1)
-        return MovBounds(
-            lower=Fraction(gamma),
-            upper=Fraction(factor * gamma),
-            source="relative margin",
-        )
-    raise InputError(f"unknown rule: {rule!r}")
+        lower, upper, source = gap, factor * gap, "relative margin"
+    else:
+        lower, upper = Fraction(gap, 2), (gap + 1) // 2
+        source = "top-k score gap" if isinstance(rule, KApproval) else "approval score gap"
+    return MovBounds(lower=lower, upper=upper, source=source)

@@ -1,5 +1,6 @@
 """Experiment harness: rule specs, generator specs, policies, summaries."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,11 +16,13 @@ from movkit.core import (
     Scoring,
     ranked_profile,
 )
+from movkit.estimators import VoteSource, estimate_mov
 from movkit.experiments import (
     BoundsOnlyPolicy,
     BruteForcePolicy,
     ClosedFormPolicy,
     ExperimentConfig,
+    _judge,
     parse_generator,
     pass_threshold,
     resolve_rule,
@@ -27,6 +30,7 @@ from movkit.experiments import (
     run_distinguisher,
     run_experiment,
 )
+from movkit.oracle import mov_bounds
 
 F = Fraction
 
@@ -148,6 +152,29 @@ def test_run_experiment_bounds_policy_populates_interval():
         assert r.mov_exact is None
         assert r.mov_lower is not None and r.mov_upper is not None
         assert r.within_guarantee is not None
+
+
+def test_judge_bounds_only_bucklin_trial_with_infinite_upper():
+    # tied at every level below m, so there is no level gap: upper = inf
+    profile = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    bounds = mov_bounds(profile, Bucklin())
+    assert (bounds.lower, bounds.upper) == (1, math.inf)
+    est = estimate_mov(VoteSource.from_profile(profile), Bucklin(), F(1, 10), F(1, 20), 3)
+    assert est.m_bar < bounds.lower
+    err, within = _judge(est, profile.n, None, bounds.lower, bounds.upper)
+    assert (err, within) == (bounds.lower - est.m_bar, True)
+    assert type(err) is Fraction
+    # no finite estimate lies above an infinite upper end
+    high = dataclasses.replace(est, m_bar=F(10**9))
+    err, within = _judge(high, profile.n, None, bounds.lower, bounds.upper)
+    assert (err, within) == (0, True) and type(err) is Fraction
+    config = ExperimentConfig(
+        rule_spec="bucklin", epsilon=F(1, 10), delta=F(1, 20), trials=3,
+        base_seed=1, policy=BoundsOnlyPolicy(), profile=profile,
+    )
+    result = run_experiment(config)
+    assert all(r.mov_upper == math.inf and r.within_guarantee for r in result.rows)
+    assert (result.summary.usable, result.summary.violations) == (3, 0)
 
 
 def test_run_experiment_fixed_profile():

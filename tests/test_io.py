@@ -39,6 +39,12 @@ def test_parse_errors_carry_line_numbers():
         parse_election("m 3\n1: a>a>b")
     assert err.value.line == 2
     assert "line 2" in str(err.value)
+    assert "ranking repeats a candidate" in str(err.value)
+
+    # the index token 2 and the letter c name the same candidate
+    with pytest.raises(ParseError, match="ranking repeats a candidate") as err:
+        parse_election("m 3\n2: a>b>c\n1: 2>c>a")
+    assert err.value.line == 3
 
     with pytest.raises(ParseError) as err:
         parse_election("m 2\n1: a>b\n1: {a}")

@@ -222,8 +222,11 @@ def _ref_estimate(source, rule, seed, ell):
     counts = Counter(source.draw(ell, seed))
     m, n = source.m, source.n
     scale = F(n, ell)
-    if isinstance(rule, Approval):
-        raw = _ref_approval_scores(counts.items(), m)
+    if isinstance(rule, (Approval, KApproval)):
+        if isinstance(rule, Approval):
+            raw = _ref_approval_scores(counts.items(), m)
+        else:
+            raw = _ref_scores(counts.items(), [1] * rule.k + [0] * (m - rule.k))
         sbar = {x: scale * raw[x] for x in range(m)}
         return _ref_top_two_gap(sbar) / 2, sbar, None, True
     if isinstance(rule, Bucklin):
@@ -293,16 +296,101 @@ def test_family_tallies_match_reference(case, alpha):
 
 
 @PROPERTY_SETTINGS
-@given(both_kinds(), st.sampled_from(ALPHAS), st.integers(0, 2**32), st.integers(1, 60))
-def test_family_estimates_match_reference(case, alpha, seed, ell):
+@given(both_kinds(), st.sampled_from(ALPHAS), st.integers(1, 4), st.integers(0, 2**32),
+       st.integers(1, 60))
+def test_family_estimates_match_reference(case, alpha, k, seed, ell):
     ranked, approval = case
-    for profile, rule in ((approval, Approval()), (ranked, Bucklin()),
+    k = 1 + (k - 1) % (ranked.m - 1)
+    for profile, rule in ((ranked, KApproval(k)), (approval, Approval()), (ranked, Bucklin()),
                           (ranked, Maximin()), (ranked, Copeland(alpha))):
         source = VoteSource.from_profile(profile)
         est = estimate_mov(source, rule, F(1, 10), F(1, 20), seed, ell=ell)
         m_bar, scores, pair_margins, feasible = _ref_estimate(source, rule, seed, ell)
         assert (est.m_bar, est.pair_margins, est.feasible) == (m_bar, pair_margins, feasible)
         assert _typed(est.estimated_scores) == _typed(scores)
+
+
+def _ref_bucklin_floor(votes, m, n):
+    """Cheapest single event that can change a Bucklin winner set: a winner
+    losing its majority at the winning level, a non-winner gaining one
+    there, or a candidate (other than a unique winner) gaining one earlier."""
+    counts, half = _ref_top_k_counts(votes, m), n // 2
+    levels = _ref_bucklin_scores(votes, m, n)
+    best = min(levels.values())
+    winners = [x for x in range(m) if levels[x] == best]
+    costs = []
+    if best < m:
+        costs += [counts[w][best - 1] - half for w in winners]
+        costs += [half + 1 - counts[x][best - 1] for x in range(m) if x not in winners]
+    costs += [half + 1 - counts[y][lv] for lv in range(best - 1) for y in range(m)
+              if y not in winners or len(winners) > 1]
+    return min(costs)
+
+
+def _ref_relative_margin(d, m, n, x, y, alpha):
+    """Least integer t, scanned upwards from -(ceil(n/2)+1), at which x's
+    tie-weighted count of rivals u with d[u][x] below -2t does not exceed
+    y's count of rivals u with d[u][y] below 2t."""
+    def below(z, threshold):
+        return sum(1 if d[u][z] < threshold else alpha if d[u][z] == threshold else 0
+                   for u in range(m) if u != z)
+    t = -((n + 1) // 2 + 1)
+    while below(x, -2 * t) > below(y, 2 * t):
+        t += 1
+    return t
+
+
+def _ref_bounds(profile, rule):
+    """(lower, upper, source) of mov_bounds for the non-scoring rules."""
+    votes, m, n = profile.votes, profile.m, profile.n
+    if isinstance(rule, Bucklin):
+        counts = _ref_top_k_counts(votes, m)
+        w = _ref_winner_set(profile, rule).winners[0]
+        leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1)
+                 if 2 * counts[w][lv] > n for x in range(m) if x != w and 2 * counts[x][lv] <= n]
+        return _ref_bucklin_floor(votes, m, n), min(leads, default=float("inf")), \
+            "majority level analysis"
+    if isinstance(rule, Copeland):
+        d = _ref_pairwise(votes, m)
+        w = _ref_winners(_ref_copeland_scores(d, m, rule.alpha))[0]
+        gamma = max(0, min(_ref_relative_margin(d, m, n, w, x, rule.alpha)
+                           for x in range(m) if x != w))
+        if gamma == 0:
+            return 1, n, "tied winners"
+        depth = next(k for k in range(m) if 2**k >= m)
+        return gamma, 2 * (depth + 1) * gamma, "relative margin"
+    if isinstance(rule, KApproval):
+        scores = _ref_scores(votes, [1] * rule.k + [0] * (m - rule.k))
+        source = "top-k score gap"
+    elif isinstance(rule, Approval):
+        scores = _ref_approval_scores(votes, m)
+        source = "approval score gap"
+    else:
+        scores = _ref_maximin_scores(votes, m)
+        source = "pairwise score gap"
+    gap = _ref_top_two_gap(scores)
+    if gap == 0:
+        return 1, 1, "tied winners"
+    if isinstance(rule, Maximin):
+        return F(gap, 4), F(gap, 2), source
+    return F(gap, 2), -(-gap // 2), source
+
+
+TIED_PAIR = (ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]), approval_profile(2, [((), 2)]))
+
+
+@PROPERTY_SETTINGS
+@given(both_kinds(), st.sampled_from(ALPHAS), st.integers(1, 4))
+@example(TIED_PAIR, F(1, 2), 1)
+@example((ranked_profile(3, [((0, 1, 2), 5), ((1, 2, 0), 2), ((2, 1, 0), 2)]),
+          approval_profile(3, [((0,), 3), ((1, 2), 1)])), F(0), 2)
+def test_family_bounds_match_reference(case, alpha, k):
+    ranked, approval = case
+    k = 1 + (k - 1) % (ranked.m - 1)
+    for profile, rule in ((ranked, KApproval(k)), (approval, Approval()), (ranked, Bucklin()),
+                          (ranked, Maximin()), (ranked, Copeland(alpha))):
+        bounds = mov_bounds(profile, rule)
+        assert (bounds.lower, bounds.upper, bounds.source) == _ref_bounds(profile, rule)
 
 
 def _ref_brute_force(profile, rule, budget):
