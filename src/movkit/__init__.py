@@ -33,13 +33,8 @@ from movkit.core import (
     Scoring,
     ScoreVector,
     WinnerResult,
-    approval_scores,
-    bucklin_scores,
-    copeland_scores,
-    maximin_scores,
     normalize_score_vector,
     pairwise_matrix,
-    positional_scores,
     top_k_counts,
     winner_set,
 )
@@ -61,13 +56,8 @@ from movkit.oracle import (
 from movkit.estimators import (
     MovEstimate,
     VoteSource,
-    estimate_approval,
-    estimate_bucklin,
-    estimate_copeland,
     estimate_kapproval,
-    estimate_maximin,
     estimate_mov,
-    estimate_scoring,
     lower_bound_samples,
     sample_size,
     split_seed,

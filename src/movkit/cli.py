@@ -11,7 +11,6 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import click
 
@@ -27,7 +26,7 @@ from movkit.experiments import (
     BoundsOnlyPolicy,
     BruteForcePolicy,
     ClosedFormPolicy,
-    parse_generator,
+    _approval_depth,
     resolve_rule,
     run_distinguisher,
     run_experiment,
@@ -238,7 +237,7 @@ def generate(model, n, m, gap, winner, p, seed, approval_depth, output):
         profile = generate_profile(spec)
         header = f"# realized a-first fraction: {spec.realized_top_fraction}\n"
     if approval_depth is not None:
-        depth = approval_depth if approval_depth == "uniform" else int(approval_depth)
+        depth = _approval_depth(approval_depth)
         profile = ranked_to_approval(profile, depth, split_seed(seed, 1))
     output.write(header + write_election(profile))
 
@@ -246,7 +245,10 @@ def generate(model, n, m, gap, winner, p, seed, approval_depth, output):
 def _parse_policy(text: str):
     head, _, arg = text.strip().lower().partition(":")
     if head == "brute":
-        return BruteForcePolicy(budget=int(arg) if arg else None)
+        try:
+            return BruteForcePolicy(budget=int(arg) if arg else None)
+        except ValueError:
+            raise InputError(f"oracle budget must be an integer, got {arg!r}") from None
     if head == "closed" and not arg:
         return ClosedFormPolicy()
     if head == "bounds" and not arg:

@@ -243,19 +243,11 @@ def normalize_score_vector(raw: Sequence) -> ScoreVector:
     Subtracts the last entry, then divides by the value of the last strictly
     positive entry, so the result ends in zero and steps down by exactly one
     into its trailing zero block. Winner sets are unchanged by this affine
-    rescaling. Constant vectors are rejected.
+    rescaling. Vectors that `ScoreVector` rejects are rejected.
     """
-    values = _fractions(raw)
-    if len(values) < 2:
-        raise InputError("score vector needs at least two positions")
-    if any(a < b for a, b in zip(values, values[1:])):
-        raise InputError(f"score vector must be non-increasing: {values!r}")
-    shift = values[-1]
-    shifted = tuple(v - shift for v in values)
-    positives = [v for v in shifted if v > 0]
-    if not positives:
-        raise InputError("constant score vector does not define a rule")
-    scale = positives[-1]
+    alphas = ScoreVector(raw).alphas
+    shifted = tuple(a - alphas[-1] for a in alphas)
+    scale = [v for v in shifted if v > 0][-1]
     return ScoreVector(tuple(v / scale for v in shifted))
 
 
@@ -397,6 +389,8 @@ class BucklinTally:
         return tuple(tuple(itertools.accumulate(row)) for row in self.at_pos)
 
     def scores(self) -> dict[int, int]:
+        """Each candidate's smallest level l at which more than half of the
+        ballots rank it in their top l; level m always qualifies."""
         n = self.n
         return {
             x: next(level + 1 for level, count in enumerate(row) if 2 * count > n)
@@ -521,16 +515,6 @@ def _profile_tally(profile: Profile, rule: Rule):
     return rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
 
 
-def positional_scores(profile: RankedProfile, vector: ScoreVector) -> dict[int, Fraction]:
-    """Total positional score of every candidate under the given vector."""
-    return _profile_tally(profile, Scoring(vector)).scores()
-
-
-def approval_scores(profile: ApprovalProfile) -> dict[int, int]:
-    """Number of ballots approving each candidate."""
-    return _profile_tally(profile, Approval()).scores()
-
-
 def top_k_counts(profile: RankedProfile) -> tuple[tuple[int, ...], ...]:
     """Counts of votes placing each candidate within the top-k positions.
 
@@ -576,27 +560,7 @@ class PairwiseMatrix:
 
 def pairwise_matrix(profile: RankedProfile) -> PairwiseMatrix:
     """Pairwise margin matrix of a ranked profile."""
-    _require_ranked(profile)
-    return PairwiseMatrix(d=PairwiseTally(profile.votes, profile.m).net(), n=profile.n)
-
-
-def bucklin_scores(profile: RankedProfile) -> dict[int, int]:
-    """Smallest k at which each candidate is ranked in the top k positions
-    by strictly more than half of the votes. Always exists since every
-    candidate appears within the top m positions of every vote.
-    """
-    return _profile_tally(profile, Bucklin()).scores()
-
-
-def maximin_scores(profile: RankedProfile) -> dict[int, int]:
-    """Worst pairwise margin of each candidate against any rival."""
-    return _profile_tally(profile, Maximin()).scores()
-
-
-def copeland_scores(profile: RankedProfile, alpha: Fraction) -> dict[int, Fraction]:
-    """Pairwise wins plus alpha credit per pairwise tie, for each candidate."""
-    _require_ranked(profile)
-    return _profile_tally(profile, Copeland(alpha)).scores()
+    return PairwiseMatrix(d=_profile_tally(profile, Maximin()).net(), n=profile.n)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +593,6 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     tally = _profile_tally(profile, rule)
     mask = tally.winner_mask()
     return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
-
-
-def _require_ranked(profile) -> None:
-    if not isinstance(profile, RankedProfile):
-        raise InputError("this operation needs a ranked profile")
 
 
 def ranked_profile(m: int, votes: Iterable[tuple[Sequence[int], int]], names=None) -> RankedProfile:

@@ -13,12 +13,13 @@ scoring, Bucklin and maximin, and (2K+1)/(2K+3) with K = ceil(log2 m) for
 Copeland). Sample sizes are closed forms in (epsilon, delta) and the number
 of candidates or the approval depth k.
 
-`estimate_mov` is the one estimator body, which the six `estimate_*`
-functions call after checking their own arguments. It tallies the sample in
-the rule's integer tally (`movkit.core.rule_tally`) and reads from it, with
-every count rescaled by n/ell to an exact rational, the margin statistic that
-`movkit.oracle.mov_bounds` reads on the full profile. Winner selection and
-tie-breaks are exact; only sample-size and guarantee arithmetic uses floats.
+`estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
+takes k as an integer, checks it and calls it. It tallies the sample in the
+rule's integer tally (`movkit.core.rule_tally`) and reads from it, with every
+count rescaled by n/ell to an exact rational, the margin statistic that
+`movkit.oracle.mov_bounds` reads on the full profile. Winner selection is
+exact, with ties broken by lowest candidate index; only sample-size and
+guarantee arithmetic uses floats.
 """
 
 import math
@@ -38,7 +39,6 @@ from movkit.core import (
     Profile,
     RankedProfile,
     Rule,
-    ScoreVector,
     Scoring,
     rule_tally,
 )
@@ -265,9 +265,19 @@ def estimate_mov(
     Reads the rule's margin statistic from the tally of the sample, rescaled
     by n/ell, and returns (1 - c) times the upper end of the rule's sandwich
     bound on it (`movkit.oracle.mov_bounds` for a unique winner, without the
-    scoring +1 or the k-approval rounding), c from `guarantee_constant`.
-    When no Bucklin level gap exists in the sample, the estimate saturates
-    at n and ``feasible`` is False.
+    scoring +1 or the k-approval rounding), c from `guarantee_constant`:
+
+    * scoring: the top-two gap over 1.5*a1, the vector normalized first, so
+      scores are in normalized units;
+    * k-approval and approval: half the top-two gap;
+    * Bucklin: (level gap + 1)/1.5, the winner being the first to hold a
+      strict n/2 majority of the rescaled top-l counts. When no level below
+      m separates it from a rival, the estimate saturates at n and
+      ``feasible`` is False;
+    * maximin: a third of the gap between the two best worst-case pairwise
+      margins;
+    * Copeland: 4(K+1)/(2K+3) times the sampled winner's smallest relative
+      margin over a rival, K = ceil(log2 m).
     """
     if not isinstance(rule, (Scoring, KApproval, Approval, Bucklin, Maximin, Copeland)):
         raise InputError(f"unknown rule: {rule!r}")
@@ -302,25 +312,6 @@ def estimate_mov(
     )
 
 
-def estimate_scoring(
-    source: VoteSource,
-    vector: ScoreVector,
-    epsilon,
-    delta,
-    seed: int,
-    ell: Optional[int] = None,
-) -> MovEstimate:
-    """Margin estimate for a positional scoring rule (c = 1/3).
-
-    The vector is normalized internally, so scores and the estimate are in
-    normalized score units. Each sampled ballot contributes its positional
-    score as integer weights over a common unit; scores rescale by n/ell.
-    The estimate is the rescaled top-two gap divided by 1.5 times the top
-    score-vector entry.
-    """
-    return estimate_mov(source, Scoring(vector), epsilon, delta, seed, ell)
-
-
 def estimate_kapproval(
     source: VoteSource,
     k: int,
@@ -333,67 +324,3 @@ def estimate_kapproval(
     _require_kind(source, "ranked")
     _check_k(k, source.m)
     return estimate_mov(source, KApproval(k), epsilon, delta, seed, ell)
-
-
-def estimate_approval(
-    source: VoteSource,
-    epsilon,
-    delta,
-    seed: int,
-    ell: Optional[int] = None,
-) -> MovEstimate:
-    """Margin estimate for the approval rule (c = 0)."""
-    return estimate_mov(source, Approval(), epsilon, delta, seed, ell)
-
-
-def estimate_bucklin(
-    source: VoteSource,
-    epsilon,
-    delta,
-    seed: int,
-    ell: Optional[int] = None,
-) -> MovEstimate:
-    """Margin estimate for the Bucklin rule (c = 1/3).
-
-    Estimates every top-l count, picks the winner those counts imply (strict
-    n/2 majorities, lowest index on ties), and forms the level gap between
-    the winner and the best excluded rival. The estimate is that gap divided
-    by 1.5. When no level at or below m-1 separates the winner from a rival,
-    the estimate saturates at n and ``feasible`` is False.
-    """
-    return estimate_mov(source, Bucklin(), epsilon, delta, seed, ell)
-
-
-def estimate_maximin(
-    source: VoteSource,
-    epsilon,
-    delta,
-    seed: int,
-    ell: Optional[int] = None,
-) -> MovEstimate:
-    """Margin estimate for the maximin rule (c = 1/3).
-
-    Every sampled ballot contributes +1 or -1 to each pairwise margin;
-    rescaled margins give each candidate's worst-case score, and the
-    estimate is a third of the top-two score gap.
-    """
-    return estimate_mov(source, Maximin(), epsilon, delta, seed, ell)
-
-
-def estimate_copeland(
-    source: VoteSource,
-    alpha,
-    epsilon,
-    delta,
-    seed: int,
-    ell: Optional[int] = None,
-) -> MovEstimate:
-    """Margin estimate for Copeland with tie parameter alpha.
-
-    From sampled pairwise margins, computes the sampled Copeland winner,
-    its smallest relative margin over any rival (sampled margins on both
-    sides of the comparison), and scales that by 4(K+1)/(2K+3) with
-    K = ceil(log2 m). The guarantee constant is c = (2K+1)/(2K+3).
-    """
-    _require_kind(source, "ranked", two_candidates=True)
-    return estimate_mov(source, Copeland(alpha), epsilon, delta, seed, ell)

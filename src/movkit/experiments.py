@@ -58,7 +58,6 @@ from movkit.generation import (
 )
 from movkit.io_formats import ExperimentRow
 from movkit.oracle import (
-    DEFAULT_WORK_LIMIT,
     TiedWinnersError,
     mov_approval_closed_form,
     mov_bounds,
@@ -153,8 +152,7 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
     params = _parse_kv(body, head or "generator")
     approval_depth: Union[int, str, None] = None
     if head in ("ic", "plantedgap") and "approval" in params:
-        raw = params.pop("approval")
-        approval_depth = raw if raw == "uniform" else int(raw)
+        approval_depth = _approval_depth(params.pop("approval"))
 
     if head == "ic":
         n = _pop_int(params, "n", "ic")
@@ -170,7 +168,7 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
         n = _pop_int(params, "n", "plantedgap")
         m = _pop_int(params, "m", "plantedgap")
         gap = _pop_int(params, "gap", "plantedgap")
-        winner = int(params.pop("winner", 0))
+        winner = _pop_int(params, "winner", "plantedgap") if "winner" in params else 0
         _reject_extras(params, "plantedgap")
 
         def factory(seed: int) -> Profile:
@@ -191,6 +189,17 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
     raise InputError(f"unknown generator {spec!r}")
 
 
+def _approval_depth(text: str) -> Union[int, str]:
+    """A ranked-to-approval conversion depth from user text: an integer or
+    "uniform" (see `movkit.generation.ranked_to_approval`)."""
+    if text == "uniform":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f'approval depth must be an integer or "uniform", got {text!r}') from None
+
+
 def _reject_extras(params: dict[str, str], what: str) -> None:
     if params:
         raise InputError(f"unknown {what} parameter {sorted(params)[0]!r}")
@@ -208,10 +217,10 @@ def _maybe_approval(profile: RankedProfile, depth, seed: int) -> Profile:
 
 @dataclass(frozen=True)
 class BruteForcePolicy:
-    """Exact reference via exhaustive search; budget=None means n per trial."""
+    """Exact reference via exhaustive search under the default work limit;
+    budget=None means n per trial."""
 
     budget: Optional[int] = None
-    work_limit: int = DEFAULT_WORK_LIMIT
 
 
 @dataclass(frozen=True)
@@ -231,8 +240,8 @@ OraclePolicy = Union[BruteForcePolicy, ClosedFormPolicy, BoundsOnlyPolicy]
 class ExperimentConfig:
     """A coverage experiment: rule, profile source, guarantee parameters.
 
-    Exactly one of ``generator`` (string spec or seed->profile callable) and
-    ``profile`` (a fixed profile, re-sampled every trial) must be given.
+    Exactly one of ``generator`` (a generator string) and ``profile`` (a
+    fixed profile, re-sampled every trial) must be given.
     """
 
     rule_spec: str
@@ -241,7 +250,7 @@ class ExperimentConfig:
     trials: int
     base_seed: int
     policy: OraclePolicy
-    generator: Union[str, Callable[[int], Profile], None] = None
+    generator: Optional[str] = None
     profile: Optional[Profile] = None
 
     def __post_init__(self):
@@ -284,15 +293,14 @@ def _exact_reference(profile: Profile, rule: Rule, policy: OraclePolicy):
     """(mov_exact, lower, upper) per policy; all None when excluded."""
     if isinstance(policy, BruteForcePolicy):
         budget = policy.budget if policy.budget is not None else profile.n
-        result = mov_brute_force(profile, rule, budget, work_limit=policy.work_limit)
+        result = mov_brute_force(profile, rule, budget)
         return result.value, None, None
     if isinstance(policy, ClosedFormPolicy):
+        # ExperimentConfig admits only k-approval and approval rules here
         try:
             if isinstance(rule, Approval):
                 return mov_approval_closed_form(profile), None, None
-            if isinstance(rule, KApproval):
-                return mov_kapproval_closed_form(profile, rule.k), None, None
-            raise InputError("the closed-form oracle applies only to k-approval and approval")
+            return mov_kapproval_closed_form(profile, rule.k), None, None
         except TiedWinnersError:
             return None, None, None
     if isinstance(policy, BoundsOnlyPolicy):
@@ -322,11 +330,7 @@ def _judge(est: MovEstimate, n: int, mov_exact, lower, upper):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the coverage experiment; deterministic given the base seed."""
-    factory: Optional[Callable[[int], Profile]]
-    if isinstance(config.generator, str):
-        factory = parse_generator(config.generator)
-    else:
-        factory = config.generator
+    factory = None if config.generator is None else parse_generator(config.generator)
     rows: list[ExperimentRow] = []
     violations = excluded = 0
     for index in range(config.trials):

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from movkit.core import (
     Approval,
@@ -308,14 +308,14 @@ def _change_floor(tally) -> Union[int, float]:
 # relative margin (pairwise-score family)
 
 
-def _score_shifted(get_margin, m: int, z: int, threshold, alpha: Fraction) -> Fraction:
+def _score_shifted(d, z: int, threshold, alpha: Fraction) -> Fraction:
     """Count of rivals whose margin over z is below ``threshold``, weighting
     exact hits by alpha."""
     total = Fraction(0)
-    for u in range(m):
+    for u in range(len(d)):
         if u == z:
             continue
-        margin = get_margin(u, z)
+        margin = d[u][z]
         if margin < threshold:
             total += 1
         elif margin == threshold:
@@ -324,14 +324,13 @@ def _score_shifted(get_margin, m: int, z: int, threshold, alpha: Fraction) -> Fr
 
 
 def relative_margin_generic(
-    get_margin: Callable[[int, int], Union[int, Fraction]],
-    m: int,
+    d: Sequence[Sequence[Union[int, Fraction]]],
     n: int,
     x: int,
     y: int,
     alpha: Fraction,
 ) -> int:
-    """Relative margin of x over y from an arbitrary margin accessor.
+    """Relative margin of x over y from a pairwise margin matrix ``d``.
 
     Finds the least integer shift t such that x's tie-weighted count of
     dominating rivals at threshold -2t does not exceed y's count at
@@ -341,6 +340,7 @@ def relative_margin_generic(
     satisfies the predicate. Accepts exact rational margins, so it serves
     both true pairwise matrices and sampled estimates scaled to n.
     """
+    m = len(d)
     if x == y:
         raise InputError("relative margin needs two distinct candidates")
     if not (0 <= x < m and 0 <= y < m):
@@ -350,8 +350,8 @@ def relative_margin_generic(
     lo = -hi
 
     def holds(t: int) -> bool:
-        left = _score_shifted(get_margin, m, x, -2 * t, alpha)
-        right = _score_shifted(get_margin, m, y, 2 * t, alpha)
+        left = _score_shifted(d, x, -2 * t, alpha)
+        right = _score_shifted(d, y, 2 * t, alpha)
         return left <= right
 
     while lo < hi:
@@ -365,10 +365,7 @@ def relative_margin_generic(
 
 def relative_margin(profile: RankedProfile, x: int, y: int, alpha) -> int:
     """Relative margin of candidate x over y on a ranked profile."""
-    matrix = pairwise_matrix(profile)
-    return relative_margin_generic(
-        lambda u, v: matrix.d[u][v], profile.m, profile.n, x, y, Fraction(alpha)
-    )
+    return relative_margin_generic(pairwise_matrix(profile).d, profile.n, x, y, Fraction(alpha))
 
 
 def copeland_margin(profile: RankedProfile, alpha) -> int:
@@ -426,7 +423,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale=1):
         w = top_two(scores)[0]
         # clamped at zero: on a tie w's relative margin over a co-winner can be negative
         gamma = max(0, min(
-            relative_margin_generic(lambda u, v: margins[u][v], tally.m, n, w, x, rule.alpha)
+            relative_margin_generic(margins, n, w, x, rule.alpha)
             for x in range(tally.m)
             if x != w
         ))

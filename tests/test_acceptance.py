@@ -24,19 +24,14 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     approval_profile,
-    approval_scores,
-    positional_scores,
     ranked_profile,
     top_two,
+    winner_set,
 )
 from movkit.estimators import (
     VoteSource,
-    estimate_approval,
-    estimate_bucklin,
-    estimate_copeland,
     estimate_kapproval,
-    estimate_maximin,
-    estimate_scoring,
+    estimate_mov,
     sample_size,
     split_seed,
 )
@@ -180,7 +175,7 @@ def test_criterion_3_kapproval_closed_form(capsys, sandwich_suite):
     for profiles, ks in cases:
         for prof in profiles:
             for k in ks:
-                scores = positional_scores(prof, ScoreVector.k_approval(prof.m, k))
+                scores = winner_set(prof, Scoring(ScoreVector.k_approval(prof.m, k))).scores
                 w, z = top_two(scores)
                 if scores[w] == scores[z]:
                     continue  # tie-free instances only
@@ -189,7 +184,7 @@ def test_criterion_3_kapproval_closed_form(capsys, sandwich_suite):
                 if mov_kapproval_closed_form(prof, k) != brute:
                     mismatches += 1
     for prof in approval:
-        scores = approval_scores(prof)
+        scores = winner_set(prof, Approval()).scores
         w, z = top_two(scores)
         if scores[w] == scores[z]:
             continue
@@ -248,7 +243,7 @@ def test_criterion_4_coverage_scoring(capsys):
         prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3, seed=0))
         mov = mov_kapproval_closed_form(prof, 1)
         src = VoteSource.from_profile(prof)
-        est = estimate_scoring(src, ScoreVector.plurality(3), EPS, DELTA, split_seed(4001, i))
+        est = estimate_mov(src, Scoring(ScoreVector.plurality(3)), EPS, DELTA, split_seed(4001, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -280,7 +275,7 @@ def test_criterion_4_coverage_approval(capsys):
         except TiedWinnersError:
             return None
         src = VoteSource.from_profile(prof)
-        est = estimate_approval(src, EPS, DELTA, split_seed(4003, i))
+        est = estimate_mov(src, Approval(), EPS, DELTA, split_seed(4003, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -295,7 +290,7 @@ def test_criterion_4_coverage_bucklin(capsys):
         prof = two_candidate_profile(p, q)
         mov = p - prof.n // 2
         src = VoteSource.from_profile(prof)
-        est = estimate_bucklin(src, EPS, DELTA, split_seed(4004, i))
+        est = estimate_mov(src, Bucklin(), EPS, DELTA, split_seed(4004, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -309,7 +304,7 @@ def test_criterion_4_coverage_maximin(capsys):
         prof = two_candidate_profile(p, q)
         mov = (p - q + 1) // 2
         src = VoteSource.from_profile(prof)
-        est = estimate_maximin(src, EPS, DELTA, split_seed(4005, i))
+        est = estimate_mov(src, Maximin(), EPS, DELTA, split_seed(4005, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -323,7 +318,7 @@ def test_criterion_4_coverage_copeland(capsys):
         prof = two_candidate_profile(p, q)
         mov = (p - q + 1) // 2
         src = VoteSource.from_profile(prof)
-        est = estimate_copeland(src, HALF, EPS, DELTA, split_seed(4006, i))
+        est = estimate_mov(src, Copeland(HALF), EPS, DELTA, split_seed(4006, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -340,7 +335,7 @@ def test_criterion_5_concentration(capsys):
         ((2, 3, 0, 1), 400),
         ((3, 0, 1, 2), 300),
     ])
-    exact = positional_scores(prof, ScoreVector.plurality(4))
+    exact = winner_set(prof, Scoring(ScoreVector.plurality(4))).scores
     src = VoteSource.from_profile(prof)
     ell = sample_size("scoring", EPS, DELTA, 4)
     assert ell == 6091
@@ -348,7 +343,7 @@ def test_criterion_5_concentration(capsys):
     limit = (EPS / 2) * prof.n
     bad = 0
     for i in range(trials):
-        est = estimate_scoring(src, ScoreVector.plurality(4), EPS, DELTA, split_seed(5000, i))
+        est = estimate_mov(src, Scoring(ScoreVector.plurality(4)), EPS, DELTA, split_seed(5000, i))
         if any(abs(est.estimated_scores[x] - exact[x]) > limit for x in range(4)):
             bad += 1
     slack = 2 * math.sqrt(float(DELTA) * (1 - float(DELTA)) / trials)

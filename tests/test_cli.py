@@ -247,3 +247,21 @@ def test_unicode_digit_parse_error_exits_2(runner, tmp_path, text):
     result = runner.invoke(main, ["winner", "-i", path, "-r", "plurality"])
     assert result.exit_code == 2
     assert "line " in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["generate", "--model", "ic", "--n", "5", "--m", "3", "--approval", "abc"],
+     """approval depth must be an integer or "uniform", got 'abc'"""),
+    (["experiment", "-r", "approval", "-g", "ic:n=5,m=3,approval=x", "--trials", "1"],
+     """approval depth must be an integer or "uniform", got 'x'"""),
+    (["experiment", "-r", "plurality", "-g", "plantedgap:n=10,m=3,gap=2,winner=z",
+      "--trials", "1"],
+     "plantedgap parameter winner must be an integer"),
+    (["experiment", "-r", "plurality", "-g", "ic:n=5,m=2", "--trials", "1",
+      "--oracle", "brute:x"],
+     "oracle budget must be an integer, got 'x'"),
+], ids=["generate-approval", "generator-approval", "generator-winner", "oracle-budget"])
+def test_non_integer_generator_and_oracle_parameters_exit_2(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output

@@ -17,13 +17,8 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     approval_profile,
-    approval_scores,
-    bucklin_scores,
-    copeland_scores,
-    maximin_scores,
     normalize_score_vector,
     pairwise_matrix,
-    positional_scores,
     ranked_profile,
     top_k_counts,
     top_two,
@@ -104,24 +99,24 @@ def test_normalize_score_vector():
 
 def test_positional_scores_examples():
     p = ranked_profile(3, [((0, 1, 2), 1), ((1, 0, 2), 1)])
-    s = positional_scores(p, ScoreVector.borda(3))
+    s = winner_set(p, Scoring(ScoreVector.borda(3))).scores
     assert (s[0], s[1], s[2]) == (3, 3, 0)
     p2 = ranked_profile(2, [((0, 1), 4)])
-    s2 = positional_scores(p2, ScoreVector.plurality(2))
+    s2 = winner_set(p2, Scoring(ScoreVector.plurality(2))).scores
     assert (s2[0], s2[1]) == (4, 0)
     p3 = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    s3 = positional_scores(p3, ScoreVector.plurality(3))
+    s3 = winner_set(p3, Scoring(ScoreVector.plurality(3))).scores
     assert (s3[0], s3[1], s3[2]) == (3, 2, 0)
 
 
 def test_approval_scores_examples():
     p = approval_profile(3, [((0,), 2), ((1,), 1)])
-    s = approval_scores(p)
+    s = winner_set(p, Approval()).scores
     assert (s[0], s[1], s[2]) == (2, 1, 0)
     empty = approval_profile(3, [((), 5)])
-    assert all(v == 0 for v in approval_scores(empty).values())
+    assert all(v == 0 for v in winner_set(empty, Approval()).scores.values())
     p2 = approval_profile(3, [((0, 1), 2), ((1, 2), 1)])
-    s2 = approval_scores(p2)
+    s2 = winner_set(p2, Approval()).scores
     assert (s2[0], s2[1], s2[2]) == (2, 3, 1)
 
 
@@ -158,27 +153,27 @@ def test_pairwise_matrix_validation():
 
 def test_bucklin_scores_strict_majority():
     p = ranked_profile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
-    s = bucklin_scores(p)
+    s = winner_set(p, Bucklin()).scores
     assert s[0] == 1 and s[1] == 2 and s[2] == 3
     # even n, exact half does not count as a majority
     even = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    assert bucklin_scores(even) == {0: 2, 1: 2}
+    assert winner_set(even, Bucklin()).scores == {0: 2, 1: 2}
 
 
 def test_maximin_scores_example():
     p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    s = maximin_scores(p)
+    s = winner_set(p, Maximin()).scores
     assert (s[0], s[1], s[2]) == (1, -1, -5)
 
 
 def test_copeland_scores_and_alpha():
     p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
-    s = copeland_scores(p, HALF)
+    s = winner_set(p, Copeland(HALF)).scores
     assert (s[0], s[1], s[2]) == (2, 1, 0)
     tied = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    assert copeland_scores(tied, HALF) == {0: HALF, 1: HALF}
-    assert copeland_scores(tied, F(0)) == {0: 0, 1: 0}
-    assert copeland_scores(tied, F(1)) == {0: 1, 1: 1}
+    assert winner_set(tied, Copeland(HALF)).scores == {0: HALF, 1: HALF}
+    assert winner_set(tied, Copeland(F(0))).scores == {0: 0, 1: 0}
+    assert winner_set(tied, Copeland(F(1))).scores == {0: 1, 1: 1}
 
 
 def test_copeland_half_scores_sum_to_pair_count():
@@ -195,7 +190,7 @@ def test_copeland_half_scores_sum_to_pair_count():
             b = rng.choice(perms)
             votes[b] = votes.get(b, 0) + 1
         p = ranked_profile(m, list(votes.items()))
-        total = sum(copeland_scores(p, HALF).values())
+        total = sum(winner_set(p, Copeland(HALF)).scores.values())
         assert total == F(m * (m - 1), 2)
 
 

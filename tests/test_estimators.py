@@ -14,6 +14,7 @@ from mpmath import pi as mppi
 from mpmath import sqrt as mpsqrt
 
 from movkit.core import (
+    Approval,
     Bucklin,
     Copeland,
     InputError,
@@ -22,21 +23,15 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     approval_profile,
-    maximin_scores,
     pairwise_matrix,
-    positional_scores,
     ranked_profile,
+    winner_set,
 )
 from movkit.generation import ImpartialCulture, generate
 from movkit.estimators import (
     VoteSource,
-    estimate_approval,
-    estimate_bucklin,
-    estimate_copeland,
     estimate_kapproval,
-    estimate_maximin,
     estimate_mov,
-    estimate_scoring,
     guarantee_constant,
     lower_bound_samples,
     sample_size,
@@ -164,7 +159,7 @@ def test_split_seed_is_stable():
 def test_scoring_estimate_unanimous():
     p = ranked_profile(2, [((0, 1), 4)])
     src = VoteSource.from_profile(p)
-    est = estimate_scoring(src, ScoreVector.plurality(2), EPS, DELTA, 0)
+    est = estimate_mov(src, Scoring(ScoreVector.plurality(2)), EPS, DELTA, 0)
     assert est.m_bar == F(8, 3)
     assert est.estimated_scores == {0: F(4), 1: F(0)}
     assert est.c == F(1, 3)
@@ -174,8 +169,8 @@ def test_scoring_estimate_unanimous():
 def test_scoring_estimate_invariant_under_affine_vector_change():
     p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     src = VoteSource.from_profile(p)
-    a = estimate_scoring(src, ScoreVector((F(2), F(1), F(0))), EPS, DELTA, 5)
-    b = estimate_scoring(src, ScoreVector((F(7), F(4), F(1))), EPS, DELTA, 5)
+    a = estimate_mov(src, Scoring(ScoreVector((F(2), F(1), F(0)))), EPS, DELTA, 5)
+    b = estimate_mov(src, Scoring(ScoreVector((F(7), F(4), F(1)))), EPS, DELTA, 5)
     assert a.m_bar == b.m_bar
 
 
@@ -188,16 +183,16 @@ def test_kapproval_estimate_unanimous():
 
 def test_approval_estimate_unanimous_and_tied():
     single = approval_profile(2, [((0,), 4)])
-    est = estimate_approval(VoteSource.from_profile(single), EPS, DELTA, 0)
+    est = estimate_mov(VoteSource.from_profile(single), Approval(), EPS, DELTA, 0)
     assert est.m_bar == 2
     both = approval_profile(2, [((0, 1), 4)])
-    est = estimate_approval(VoteSource.from_profile(both), EPS, DELTA, 0)
+    est = estimate_mov(VoteSource.from_profile(both), Approval(), EPS, DELTA, 0)
     assert est.m_bar == 0
 
 
 def test_bucklin_estimate_unanimous():
     p = ranked_profile(2, [((0, 1), 4)])
-    est = estimate_bucklin(VoteSource.from_profile(p), EPS, DELTA, 0)
+    est = estimate_mov(VoteSource.from_profile(p), Bucklin(), EPS, DELTA, 0)
     assert est.m_bar == F(10, 3)
     assert est.feasible
 
@@ -207,14 +202,14 @@ def test_bucklin_estimate_sentinel():
     # seed 1 happens to produce that split
     p = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
     src = VoteSource.from_profile(p)
-    est = estimate_bucklin(src, EPS, DELTA, 1, ell=2)
+    est = estimate_mov(src, Bucklin(), EPS, DELTA, 1, ell=2)
     assert not est.feasible
     assert est.m_bar == src.n == 2
 
 
 def test_maximin_estimate_unanimous():
     p = ranked_profile(3, [((0, 1, 2), 4)])
-    est = estimate_maximin(VoteSource.from_profile(p), EPS, DELTA, 0)
+    est = estimate_mov(VoteSource.from_profile(p), Maximin(), EPS, DELTA, 0)
     assert est.m_bar == F(8, 3)
     assert est.pair_margins is not None
     assert est.pair_margins[0][1] == 4
@@ -222,7 +217,7 @@ def test_maximin_estimate_unanimous():
 
 def test_copeland_estimate_unanimous_two_candidates():
     p = ranked_profile(2, [((0, 1), 4)])
-    est = estimate_copeland(VoteSource.from_profile(p), HALF, EPS, DELTA, 0)
+    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), EPS, DELTA, 0)
     # zero-variance draws make the sampled relative margin exact: 2 at n=4
     assert est.m_bar == F(8, 5) * 2
     assert est.c == F(3, 5)
@@ -230,14 +225,14 @@ def test_copeland_estimate_unanimous_two_candidates():
 
 def test_copeland_estimate_exact_on_three_candidate_example():
     p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
-    est = estimate_copeland(VoteSource.from_profile(p), HALF, EPS, DELTA, 0)
+    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), EPS, DELTA, 0)
     assert est.m_bar == F(12, 7)
     assert est.c == F(5, 7)
 
 
 def test_copeland_tied_profile_estimates_zero():
     p = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    est = estimate_copeland(VoteSource.from_profile(p), HALF, EPS, DELTA, 3)
+    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), EPS, DELTA, 3)
     # sampled pairwise margins may wobble, but the tied profile at even ell
     # frequently yields 0; at minimum it is a valid non-negative estimate
     assert est.m_bar >= 0
@@ -257,9 +252,9 @@ def test_score_estimates_are_unbiased():
     """Sample means converge to the exact scores on a fixed profile."""
     p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     src = VoteSource.from_profile(p)
-    exact = positional_scores(p, ScoreVector.borda(3))
+    exact = winner_set(p, Scoring(ScoreVector.borda(3))).scores
     ell = 60_000
-    est = estimate_scoring(src, ScoreVector.borda(3), EPS, DELTA, 99, ell=ell)
+    est = estimate_mov(src, Scoring(ScoreVector.borda(3)), EPS, DELTA, 99, ell=ell)
     n = p.n
     for x in range(3):
         # a borda draw changes the score by at most alpha1 * n per sample
@@ -271,7 +266,7 @@ def test_pair_margin_estimates_are_unbiased_and_antisymmetric():
     p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     src = VoteSource.from_profile(p)
     d = pairwise_matrix(p)
-    est = estimate_maximin(src, EPS, DELTA, 17, ell=60_000)
+    est = estimate_mov(src, Maximin(), EPS, DELTA, 17, ell=60_000)
     for x in range(3):
         for y in range(3):
             if x == y:
@@ -287,12 +282,12 @@ def test_seed_determinism_across_all_estimators():
     ap = approval_profile(3, [((0,), 2), ((0, 1), 2), ((2,), 1)])
     asrc = VoteSource.from_profile(ap)
     runs = [
-        lambda s: estimate_scoring(src, ScoreVector.borda(3), EPS, DELTA, s),
+        lambda s: estimate_mov(src, Scoring(ScoreVector.borda(3)), EPS, DELTA, s),
         lambda s: estimate_kapproval(src, 1, EPS, DELTA, s),
-        lambda s: estimate_approval(asrc, EPS, DELTA, s),
-        lambda s: estimate_bucklin(src, EPS, DELTA, s),
-        lambda s: estimate_maximin(src, EPS, DELTA, s),
-        lambda s: estimate_copeland(src, HALF, EPS, DELTA, s),
+        lambda s: estimate_mov(asrc, Approval(), EPS, DELTA, s),
+        lambda s: estimate_mov(src, Bucklin(), EPS, DELTA, s),
+        lambda s: estimate_mov(src, Maximin(), EPS, DELTA, s),
+        lambda s: estimate_mov(src, Copeland(HALF), EPS, DELTA, s),
     ]
     for run in runs:
         assert run(11) == run(11)
@@ -318,9 +313,9 @@ def test_estimators_reject_bad_parameters():
     with pytest.raises(InputError):
         estimate_kapproval(src, 2, EPS, DELTA, 0)
     with pytest.raises(InputError):
-        estimate_scoring(src, ScoreVector.plurality(2), F(0), DELTA, 0)
+        estimate_mov(src, Scoring(ScoreVector.plurality(2)), F(0), DELTA, 0)
     with pytest.raises(InputError):
-        estimate_copeland(src, F(2), EPS, DELTA, 0)
+        estimate_mov(src, Copeland(F(2)), EPS, DELTA, 0)
     with pytest.raises(InputError):
         estimate_kapproval(src, 1, EPS, DELTA, 0, ell=0)
 
@@ -328,13 +323,13 @@ def test_estimators_reject_bad_parameters():
 def test_maximin_three_plus_two_expectation():
     """E-level margin estimate on the 3+2 profile is 2/3 of the exact scores."""
     p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    exact = maximin_scores(p)
+    exact = winner_set(p, Maximin()).scores
     assert (exact[0], exact[1], exact[2]) == (1, -1, -5)
     src = VoteSource.from_profile(p)
     total = F(0)
     reps = 200
     for i in range(reps):
-        total += estimate_maximin(src, EPS, DELTA, split_seed(400, i), ell=4000).m_bar
+        total += estimate_mov(src, Maximin(), EPS, DELTA, split_seed(400, i), ell=4000).m_bar
     mean = total / reps
     # E[m_bar] = (s(w) - s(z))/3 = 2/3; allow generous monte-carlo slack
     assert abs(float(mean - F(2, 3))) < 0.12
@@ -344,6 +339,6 @@ def test_copeland_estimate_clamps_sampled_top_tie_at_zero():
     # the sampled Copeland scores tie at the top (1 and 3 both score 2); the
     # raw relative margin of the canonical winner was -36/7 and raised
     p = generate(ImpartialCulture(n=2000, m=4, seed=15))
-    est = estimate_copeland(VoteSource.from_profile(p), HALF, F(1, 10), F(1, 20), 15)
+    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), F(1, 10), F(1, 20), 15)
     assert est.estimated_scores[1] == est.estimated_scores[3] == 2
     assert est.m_bar == 0

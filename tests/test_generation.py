@@ -10,7 +10,7 @@ from movkit.core import (
     InputError,
     KApproval,
     ScoreVector,
-    positional_scores,
+    Scoring,
     winner_set,
 )
 from movkit.generation import (
@@ -26,7 +26,7 @@ F = Fraction
 
 
 def plurality_counts(profile):
-    scores = positional_scores(profile, ScoreVector.plurality(profile.m))
+    scores = winner_set(profile, Scoring(ScoreVector.plurality(profile.m))).scores
     return {x: int(scores[x]) for x in range(profile.m)}
 
 

@@ -21,12 +21,11 @@ from movkit.core import (
     WinnerResult,
     approval_profile,
     pairwise_matrix,
-    positional_scores,
     ranked_profile,
     top_k_counts,
     winner_set,
 )
-from movkit.estimators import VoteSource, estimate_mov, estimate_scoring
+from movkit.estimators import VoteSource, estimate_mov
 from movkit.io_formats import parse_election
 from movkit.oracle import (
     _make_engine,
@@ -94,7 +93,7 @@ FRACTIONAL = (
 def test_positional_scores_and_winners_match_fraction_reference(case):
     profile, vector = case
     expected = _ref_scores(profile.votes, vector.alphas)
-    assert positional_scores(profile, vector) == expected
+    assert winner_set(profile, Scoring(vector)).scores == expected
     result = winner_set(profile, Scoring(vector))
     assert result.scores == expected
     assert result.winners == _ref_winners(expected)
@@ -133,7 +132,7 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     alphas = _ref_normalized(vector.alphas)
     raw = _ref_scores(source.draw_counts(ell, seed).items(), alphas)
     sbar = {c: F(profile.n, ell) * s for c, s in raw.items()}
-    est = estimate_scoring(source, vector, F(1, 10), F(1, 20), seed, ell=ell)
+    est = estimate_mov(source, Scoring(vector), F(1, 10), F(1, 20), seed, ell=ell)
     assert est.estimated_scores == sbar
     assert est.m_bar == _ref_top_two_gap(sbar) / (F(3, 2) * alphas[0])
 
@@ -264,7 +263,7 @@ def _ref_estimate(source, rule, seed, ell):
     best = max(scores.values())
     w = min(x for x in range(m) if scores[x] == best)
     gamma = max(0, min(
-        relative_margin_generic(lambda u, v: dbar[u][v], m, n, w, x, rule.alpha)
+        relative_margin_generic(dbar, n, w, x, rule.alpha)
         for x in range(m) if x != w
     ))
     k_log = copeland_log_factor(m)
