@@ -41,6 +41,7 @@ from movkit.generation import (
 )
 from movkit.io_formats import (
     ParseError,
+    _format_ballot,
     candidate_labels,
     parse_election,
     write_election,
@@ -92,12 +93,6 @@ def _fmt_number(value) -> str:
     if frac.denominator == 1:
         return str(frac.numerator)
     return format(float(frac), ".6g")
-
-
-def _fmt_ballot(ballot, labels) -> str:
-    if hasattr(ballot, "order"):
-        return ">".join(labels[c] for c in ballot.order)
-    return "{" + ",".join(labels[c] for c in sorted(ballot.approved)) + "}"
 
 
 @click.group()
@@ -154,8 +149,8 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
         originals = profile.expand()
         for index, ballot in result.witness:
             click.echo(
-                f"  change vote {index}: {_fmt_ballot(originals[index], labels)}"
-                f" -> {_fmt_ballot(ballot, labels)}"
+                f"  change vote {index}: {_format_ballot(originals[index], labels)}"
+                f" -> {_format_ballot(ballot, labels)}"
             )
     elif mode == "bounds":
         bounds = mov_bounds(profile, rule)
@@ -229,11 +224,11 @@ def generate(model, n, m, gap, winner, p, seed, approval_depth, output):
     elif model == "plantedgap":
         if m is None or gap is None:
             raise InputError("plantedgap needs --m and --gap")
-        profile = generate_profile(PlantedGap(winner=winner, gap=gap, n=n, m=m, seed=seed))
+        profile = generate_profile(PlantedGap(winner=winner, gap=gap, n=n, m=m))
     else:
         if p is None:
             raise InputError("twocandidate needs --p")
-        spec = TwoCandidate(p=p, n=n, seed=seed)
+        spec = TwoCandidate(p=p, n=n)
         profile = generate_profile(spec)
         header = f"# realized a-first fraction: {spec.realized_top_fraction}\n"
     if approval_depth is not None:

@@ -1,15 +1,17 @@
 """Ballots, profiles, voting rules, and winner determination.
 
-Candidates are integers ``0..m-1``. Profiles store a multiset of distinct
-ballots with positive multiplicities, canonically sorted so that equal
-multisets compare equal. Each rule family has one integer tally
-(positional, approval, Bucklin position counts, pairwise ``above`` counts),
-chosen by `rule_tally` and shared by winner determination, the exact search
-and the sampling estimators. A positional score vector is scaled once to
-integer weights over a common denominator, and the totals become exact
-`fractions.Fraction` scores once per candidate. Whenever a rule needs a
-single representative winner, the canonical tie-break is the lowest
-candidate index.
+Candidates are integers ``0..m-1``. One `Profile` base stores a multiset of
+distinct ballots with positive multiplicities; `RankedProfile` and
+`ApprovalProfile` only check a ballot and give its sort key (the order, or
+the ascending approved candidates). Votes are merged and sorted on those
+plain tuples, so equal multisets compare equal. Each rule family has one
+integer tally (positional, approval, Bucklin position counts, pairwise
+``above`` counts), chosen by `rule_tally` and shared by winner
+determination, the exact search and the sampling estimators. A positional
+score vector is scaled once to integer weights over a common denominator,
+and the totals become exact `fractions.Fraction` scores once per candidate.
+Whenever a rule needs a single representative winner, the canonical
+tie-break is the lowest candidate index.
 
 Six rule families are supported: positional scoring, k-approval, approval,
 Bucklin (strict majority, more than half of the votes), maximin, and
@@ -18,10 +20,9 @@ Copeland with tie parameter alpha.
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -68,12 +69,6 @@ class ApprovalBallot:
         if any(not isinstance(c, int) or c < 0 for c in approved):
             raise InputError(f"approval ballot must contain candidate indices: {approved!r}")
 
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.approved))
-
-
-Ballot = Union[Ranking, ApprovalBallot]
-
 
 def _validate_names(names, m):
     if names is None:
@@ -92,85 +87,74 @@ def _validate_names(names, m):
 
 
 @dataclass(frozen=True)
-class RankedProfile:
-    """A multiset of rankings over m candidates.
+class Profile:
+    """A multiset of ballots over m candidates; `RankedProfile` or
+    `ApprovalProfile`.
 
-    ``votes`` is canonicalised on construction: duplicates merged, entries
-    sorted by ballot order. ``names`` optionally labels candidates for I/O.
+    ``votes`` is canonicalised on construction: each ballot is checked once,
+    duplicates are merged and entries sorted by the ballot's sort key.
+    ``names`` optionally labels candidates for I/O.
     """
 
     m: int
-    votes: tuple[tuple[Ranking, int], ...]
+    votes: tuple[tuple[Ranking | ApprovalBallot, int], ...]
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise InputError("profile needs at least one candidate")
-        merged: Counter[Ranking] = Counter()
+        counts: dict[tuple, int] = {}
+        ballots: dict[tuple, Ranking | ApprovalBallot] = {}
         for ballot, mult in self.votes:
-            if not isinstance(ballot, Ranking):
-                ballot = Ranking(tuple(ballot))
-            if ballot.m != self.m:
-                raise InputError(f"ballot {ballot.order!r} does not rank all {self.m} candidates")
+            ballot, key = self._check_ballot(ballot)
             if not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
-            merged[ballot] += mult
-        if not merged:
+            counts[key] = counts.get(key, 0) + mult
+            ballots.setdefault(key, ballot)
+        if not counts:
             raise InputError("profile must contain at least one vote")
-        canonical = tuple(sorted(merged.items(), key=lambda kv: kv[0].order))
+        canonical = tuple((ballots[key], counts[key]) for key in sorted(counts))
         object.__setattr__(self, "votes", canonical)
         object.__setattr__(self, "names", _validate_names(self.names, self.m))
+
+    def _check_ballot(self, ballot) -> tuple[Ranking | ApprovalBallot, tuple]:
+        """The ballot, coerced and checked against m, and its sort key."""
+        raise NotImplementedError
 
     @property
     def n(self) -> int:
         return sum(mult for _, mult in self.votes)
 
-    def expand(self) -> list[Ranking]:
+    def expand(self) -> list:
         """All n ballots individually, in canonical order (stable indexing)."""
-        out: list[Ranking] = []
+        out = []
         for ballot, mult in self.votes:
             out.extend([ballot] * mult)
         return out
 
 
-@dataclass(frozen=True)
-class ApprovalProfile:
-    """A multiset of approval ballots over m candidates."""
+class RankedProfile(Profile):
+    """A multiset of rankings, sorted by ballot order."""
 
-    m: int
-    votes: tuple[tuple[ApprovalBallot, int], ...]
-    names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InputError("profile needs at least one candidate")
-        merged: Counter[ApprovalBallot] = Counter()
-        for ballot, mult in self.votes:
-            if not isinstance(ballot, ApprovalBallot):
-                ballot = ApprovalBallot(frozenset(ballot))
-            if any(c >= self.m for c in ballot.approved):
-                raise InputError(f"ballot approves unknown candidate: {sorted(ballot.approved)!r}")
-            if not isinstance(mult, int) or mult < 1:
-                raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
-            merged[ballot] += mult
-        if not merged:
-            raise InputError("profile must contain at least one vote")
-        canonical = tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
-        object.__setattr__(self, "votes", canonical)
-        object.__setattr__(self, "names", _validate_names(self.names, self.m))
-
-    @property
-    def n(self) -> int:
-        return sum(mult for _, mult in self.votes)
-
-    def expand(self) -> list[ApprovalBallot]:
-        out: list[ApprovalBallot] = []
-        for ballot, mult in self.votes:
-            out.extend([ballot] * mult)
-        return out
+    def _check_ballot(self, ballot):
+        if not isinstance(ballot, Ranking):
+            ballot = Ranking(tuple(ballot))
+        order = ballot.order
+        if len(order) != self.m:
+            raise InputError(f"ballot {order!r} does not rank all {self.m} candidates")
+        return ballot, order
 
 
-Profile = Union[RankedProfile, ApprovalProfile]
+class ApprovalProfile(Profile):
+    """A multiset of approval ballots, sorted by their ascending members."""
+
+    def _check_ballot(self, ballot):
+        if not isinstance(ballot, ApprovalBallot):
+            ballot = ApprovalBallot(frozenset(ballot))
+        key = tuple(sorted(ballot.approved))
+        if key and key[-1] >= self.m:
+            raise InputError(f"ballot approves unknown candidate: {list(key)!r}")
+        return ballot, key
 
 
 # ---------------------------------------------------------------------------

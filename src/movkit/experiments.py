@@ -172,7 +172,7 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
         _reject_extras(params, "plantedgap")
 
         def factory(seed: int) -> Profile:
-            profile = generate(PlantedGap(winner=winner, gap=gap, n=n, m=m, seed=seed))
+            profile = generate(PlantedGap(winner=winner, gap=gap, n=n, m=m))
             return _maybe_approval(profile, approval_depth, seed)
 
         return factory
@@ -185,7 +185,7 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
         except (ValueError, ZeroDivisionError):
             raise InputError("twocandidate parameter p must be rational") from None
         _reject_extras(params, "twocandidate")
-        return lambda seed: generate(TwoCandidate(p=p, n=n, seed=seed))
+        return lambda seed: generate(TwoCandidate(p=p, n=n))
     raise InputError(f"unknown generator {spec!r}")
 
 

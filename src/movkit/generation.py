@@ -9,24 +9,21 @@ Three models:
 * TwoCandidate: m = 2 with a prescribed fraction of a-first votes, the
   population family behind the sampling lower bound and the distinguisher.
 
-Generation is deterministic given the model's seed. Ballot positions below
-the top are filled in a fixed canonical order (ascending candidate index,
-skipping the top candidate), which keeps generated profiles reproducible and
-easy to analyze by hand.
+Only ImpartialCulture is random, and it is deterministic given its seed.
+Generators count ballots before building a profile, so each distinct
+ballot is built once. PlantedGap and TwoCandidate fill ballot positions
+below the top in a fixed canonical order (ascending candidate index,
+skipping the top candidate), which keeps their profiles easy to analyze by
+hand.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from movkit.core import (
-    ApprovalBallot,
-    ApprovalProfile,
-    InputError,
-    RankedProfile,
-    Ranking,
-)
+from movkit.core import ApprovalProfile, InputError, RankedProfile, Ranking
 
 
 def _canonical_order(top: int, m: int) -> tuple[int, ...]:
@@ -52,15 +49,13 @@ class PlantedGap:
 
     The planted winner gets ``gap`` more first places than the runner-up
     (the lowest-indexed other candidate); everyone else gets at most the
-    runner-up's count. The construction is deterministic; ``seed`` is
-    accepted for interface uniformity and ignored.
+    runner-up's count. The construction is deterministic.
     """
 
     winner: int
     gap: int
     n: int
     m: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 2:
@@ -81,7 +76,6 @@ class TwoCandidate:
 
     p: Fraction
     n: int
-    seed: int = 0
 
     def __post_init__(self):
         p = Fraction(self.p)
@@ -135,11 +129,8 @@ def generate(spec: GenSpec) -> RankedProfile:
     """Build the ranked profile a generation model describes."""
     if isinstance(spec, ImpartialCulture):
         rng = random.Random(spec.seed)
-        votes = tuple(
-            (Ranking(tuple(rng.sample(range(spec.m), spec.m))), 1)
-            for _ in range(spec.n)
-        )
-        return RankedProfile(m=spec.m, votes=votes)
+        orders = Counter(tuple(rng.sample(range(spec.m), spec.m)) for _ in range(spec.n))
+        return RankedProfile(m=spec.m, votes=tuple(orders.items()))
     if isinstance(spec, PlantedGap):
         counts = _planted_counts(spec)
         votes = tuple(
@@ -175,13 +166,11 @@ def ranked_to_approval(
         if k != "uniform":
             raise InputError(f'k must be an integer or "uniform", got {k!r}')
         rng = random.Random(seed)
-        depths = [rng.randint(0, m) for _ in range(profile.n)]
+        prefixes = Counter(ballot.prefix(rng.randint(0, m)) for ballot in profile.expand())
     else:
         if not 0 <= k <= m:
             raise InputError(f"k must lie in [0, m], got k={k}, m={m}")
-        depths = [k] * profile.n
-    votes = tuple(
-        (ApprovalBallot(ballot.prefix(depth)), 1)
-        for ballot, depth in zip(profile.expand(), depths)
-    )
-    return ApprovalProfile(m=m, votes=votes, names=profile.names)
+        prefixes = Counter()
+        for ballot, mult in profile.votes:
+            prefixes[ballot.prefix(k)] += mult
+    return ApprovalProfile(m=m, votes=tuple(prefixes.items()), names=profile.names)

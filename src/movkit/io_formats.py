@@ -172,18 +172,20 @@ def candidate_labels(profile: Profile) -> list[str]:
     return [str(c) for c in range(profile.m)]
 
 
+def _format_ballot(ballot: Union[Ranking, ApprovalBallot], labels: Sequence[str]) -> str:
+    """A ballot's text in the module grammar, without its count."""
+    if isinstance(ballot, Ranking):
+        return ">".join(labels[c] for c in ballot.order)
+    return "{" + ",".join(labels[c] for c in sorted(ballot.approved)) + "}"
+
+
 def write_election(profile: Profile) -> str:
     """Canonical text form of a profile; see the module grammar."""
     labels = candidate_labels(profile)
     out = [f"m {profile.m}"]
     if profile.names is not None:
         out.append("candidates " + ",".join(profile.names))
-    for ballot, mult in profile.votes:
-        if isinstance(ballot, Ranking):
-            body = ">".join(labels[c] for c in ballot.order)
-        else:
-            body = "{" + ",".join(labels[c] for c in sorted(ballot.approved)) + "}"
-        out.append(f"{mult}: {body}")
+    out.extend(f"{mult}: {_format_ballot(ballot, labels)}" for ballot, mult in profile.votes)
     return "\n".join(out) + "\n"
 
 

@@ -221,10 +221,7 @@ def apply_changes(
             if any(c >= profile.m for c in ballot.approved):
                 raise InputError(f"replacement approves unknown candidate: {ballot!r}")
         expanded[index] = ballot
-    votes = tuple((b, 1) for b in expanded)
-    if isinstance(profile, RankedProfile):
-        return RankedProfile(m=profile.m, votes=votes, names=profile.names)
-    return ApprovalProfile(m=profile.m, votes=votes, names=profile.names)
+    return type(profile)(m=profile.m, votes=tuple((b, 1) for b in expanded), names=profile.names)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def run_family(estimate_one):
 def test_criterion_4_coverage_scoring(capsys):
     def one(i):
         gap = PLANTED_GAPS[i % len(PLANTED_GAPS)]
-        prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3, seed=0))
+        prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3))
         mov = mov_kapproval_closed_form(prof, 1)
         src = VoteSource.from_profile(prof)
         est = estimate_mov(src, Scoring(ScoreVector.plurality(3)), EPS, DELTA, split_seed(4001, i))
@@ -254,7 +254,7 @@ def test_criterion_4_coverage_scoring(capsys):
 def test_criterion_4_coverage_kapproval(capsys):
     def one(i):
         gap = PLANTED_GAPS[i % len(PLANTED_GAPS)]
-        prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3, seed=0))
+        prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3))
         mov = mov_kapproval_closed_form(prof, 2)
         src = VoteSource.from_profile(prof)
         est = estimate_kapproval(src, 2, EPS, DELTA, split_seed(4002, i))
@@ -268,7 +268,7 @@ def test_criterion_4_coverage_kapproval(capsys):
 def test_criterion_4_coverage_approval(capsys):
     def one(i):
         gap = PLANTED_GAPS[i % len(PLANTED_GAPS)]
-        ranked = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3, seed=0))
+        ranked = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3))
         prof = ranked_to_approval(ranked, "uniform", split_seed(4103, i))
         try:
             mov = mov_approval_closed_form(prof)

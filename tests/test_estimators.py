@@ -1,7 +1,6 @@
 """Sampling estimators, sample-size formulas, and the lower-bound formula."""
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 

@@ -31,14 +31,14 @@ def plurality_counts(profile):
 
 
 def test_two_candidate_exact_tie():
-    p = generate(TwoCandidate(p=F(1, 2), n=10, seed=0))
+    p = generate(TwoCandidate(p=F(1, 2), n=10))
     counts = plurality_counts(p)
     assert counts == {0: 5, 1: 5}
     assert winner_set(p, KApproval(1)).winners == (0, 1)
 
 
 def test_two_candidate_rounds_down_and_reports_realized_fraction():
-    spec = TwoCandidate(p=F(2, 3), n=10, seed=0)
+    spec = TwoCandidate(p=F(2, 3), n=10)
     assert spec.top_count == 6  # floor(20/3)
     assert spec.realized_top_fraction == F(6, 10)
     p = generate(spec)
@@ -47,13 +47,13 @@ def test_two_candidate_rounds_down_and_reports_realized_fraction():
 
 def test_two_candidate_validation():
     with pytest.raises(InputError):
-        TwoCandidate(p=F(3, 2), n=10, seed=0)
+        TwoCandidate(p=F(3, 2), n=10)
     with pytest.raises(InputError):
-        TwoCandidate(p=F(1, 2), n=0, seed=0)
+        TwoCandidate(p=F(1, 2), n=0)
 
 
 def test_planted_gap_two_candidates():
-    p = generate(PlantedGap(winner=0, gap=4, n=10, m=2, seed=0))
+    p = generate(PlantedGap(winner=0, gap=4, n=10, m=2))
     assert plurality_counts(p) == {0: 7, 1: 3}
     assert mov_kapproval_closed_form(p, 1) == 2
     assert mov_brute_force(p, KApproval(1), 10).value == 2
@@ -61,7 +61,7 @@ def test_planted_gap_two_candidates():
 
 def test_planted_gap_exactness_across_sizes():
     for m, n, gap in [(2, 10, 2), (2, 11, 3), (3, 12, 3), (3, 30, 7), (4, 21, 5), (5, 40, 1)]:
-        p = generate(PlantedGap(winner=0, gap=gap, n=n, m=m, seed=0))
+        p = generate(PlantedGap(winner=0, gap=gap, n=n, m=m))
         counts = plurality_counts(p)
         assert sum(counts.values()) == n
         top = counts[0]
@@ -71,7 +71,7 @@ def test_planted_gap_exactness_across_sizes():
 
 
 def test_planted_gap_respects_requested_winner():
-    p = generate(PlantedGap(winner=2, gap=3, n=12, m=3, seed=0))
+    p = generate(PlantedGap(winner=2, gap=3, n=12, m=3))
     assert winner_set(p, KApproval(1)).winners == (2,)
     counts = plurality_counts(p)
     assert counts[2] - max(counts[0], counts[1]) == 3
@@ -79,25 +79,25 @@ def test_planted_gap_respects_requested_winner():
 
 def test_planted_gap_relabeling_moves_the_plant():
     """Planting a different winner permutes the target but keeps count shape."""
-    base = generate(PlantedGap(winner=0, gap=2, n=9, m=3, seed=0))
-    moved = generate(PlantedGap(winner=1, gap=2, n=9, m=3, seed=0))
+    base = generate(PlantedGap(winner=0, gap=2, n=9, m=3))
+    moved = generate(PlantedGap(winner=1, gap=2, n=9, m=3))
     assert sorted(plurality_counts(base).values()) == sorted(plurality_counts(moved).values())
     assert winner_set(moved, KApproval(1)).winners == (1,)
 
 
 def test_planted_gap_validation():
     with pytest.raises(InputError):
-        PlantedGap(winner=0, gap=0, n=10, m=2, seed=0)
+        PlantedGap(winner=0, gap=0, n=10, m=2)
     with pytest.raises(InputError):
-        PlantedGap(winner=0, gap=11, n=10, m=2, seed=0)
+        PlantedGap(winner=0, gap=11, n=10, m=2)
     with pytest.raises(InputError):
-        PlantedGap(winner=2, gap=1, n=10, m=2, seed=0)
+        PlantedGap(winner=2, gap=1, n=10, m=2)
     # two-candidate plants need n + gap even, otherwise no exact split exists
     with pytest.raises(InputError):
-        generate(PlantedGap(winner=0, gap=1, n=10, m=2, seed=0))
+        generate(PlantedGap(winner=0, gap=1, n=10, m=2))
     # gap = n - 1 with three candidates leaves no room for the others
     with pytest.raises(InputError):
-        generate(PlantedGap(winner=0, gap=9, n=10, m=3, seed=0))
+        generate(PlantedGap(winner=0, gap=9, n=10, m=3))
 
 
 def test_impartial_culture_determinism_and_shape():

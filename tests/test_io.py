@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from movkit.core import ApprovalProfile, RankedProfile, ranked_profile, approval_profile
+from movkit.core import ApprovalProfile, RankedProfile, ranked_profile
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import (
     CSV_COLUMNS,

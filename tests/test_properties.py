@@ -1,20 +1,28 @@
 """Property tests: the integer tallies and the estimators built on them
 against plain references, the type-level exact search against an
-index-level one, and candidate-token resolution in the parser."""
+index-level one, candidate-token resolution in the parser, and profile
+construction (counted generation, the constructor's merge and errors, and
+the parse/write round trip)."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movkit.core import (
     Approval,
+    ApprovalBallot,
+    ApprovalProfile,
     Bucklin,
     Copeland,
+    InputError,
     KApproval,
     Maximin,
+    RankedProfile,
     Ranking,
     ScoreVector,
     Scoring,
@@ -26,7 +34,8 @@ from movkit.core import (
     winner_set,
 )
 from movkit.estimators import VoteSource, estimate_mov
-from movkit.io_formats import parse_election
+from movkit.generation import ImpartialCulture, generate, ranked_to_approval
+from movkit.io_formats import parse_election, write_election
 from movkit.oracle import (
     _make_engine,
     bucklin_gap,
@@ -475,3 +484,121 @@ def test_declared_names_take_precedence_over_integer_literals(case):
     profile = parse_election(text)
     # e.g. with names 1,0,2 the token "0" is candidate 1, not candidate 0
     assert profile.votes[0][0].order == tuple(order)
+
+
+# Profile construction. The generators count ballots before they build a
+# profile; the references below are their per-vote forms, one ballot object
+# per vote, merged by the constructor.
+
+
+def _ref_impartial_culture(n, m, seed):
+    rng = random.Random(seed)
+    votes = tuple((Ranking(tuple(rng.sample(range(m), m))), 1) for _ in range(n))
+    return RankedProfile(m=m, votes=votes)
+
+
+def _ref_ranked_to_approval(profile, k, seed):
+    m = profile.m
+    if k == "uniform":
+        rng = random.Random(seed)
+        depths = [rng.randint(0, m) for _ in range(profile.n)]
+    else:
+        depths = [k] * profile.n
+    votes = tuple(
+        (ApprovalBallot(ballot.prefix(depth)), 1)
+        for ballot, depth in zip(profile.expand(), depths)
+    )
+    return ApprovalProfile(m=m, votes=votes, names=profile.names)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2**64))
+@example(1, 1, 0)
+def test_counted_generation_keeps_the_seeded_streams(n, m, seed):
+    ranked = generate(ImpartialCulture(n=n, m=m, seed=seed))
+    reference = _ref_impartial_culture(n, m, seed)
+    assert ranked == reference and repr(ranked) == repr(reference)
+    for k in ["uniform", *range(m + 1)]:
+        approval = ranked_to_approval(ranked, k, seed)
+        reference = _ref_ranked_to_approval(ranked, k, seed)
+        assert approval == reference and repr(approval) == repr(reference)
+
+
+@st.composite
+def raw_and_wrapped_votes(draw):
+    """(kind, m, votes, expected): votes shuffled, with repeated ballots
+    given raw or wrapped, and the Counter + sorted merge of their keys."""
+    m = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        kind, wrap = RankedProfile, Ranking
+        types = st.permutations(range(m)).map(tuple)
+        forms = [tuple, list, Ranking]
+    else:
+        kind, wrap = ApprovalProfile, ApprovalBallot
+        types = st.frozensets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
+        forms = [frozenset, set, lambda key: key[::-1], ApprovalBallot]
+    keys = draw(st.lists(types, min_size=1, max_size=4, unique=True))
+    votes, merged = [], Counter()
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=12)):
+        mult = draw(st.integers(1, 10**12))
+        votes.append((draw(st.sampled_from(forms))(key), mult))
+        merged[key] += mult
+    expected = tuple((wrap(key), mult) for key, mult in sorted(merged.items()))
+    return kind, m, draw(st.permutations(votes)), expected
+
+
+@PROPERTY_SETTINGS
+@given(raw_and_wrapped_votes())
+def test_profile_constructor_matches_counter_merge(case):
+    kind, m, votes, expected = case
+    profile = kind(m=m, votes=tuple(votes))
+    assert profile.votes == expected and repr(profile.votes) == repr(expected)
+    assert profile.n == sum(mult for _, mult in votes)
+    assert kind(m=m, votes=profile.votes) == profile
+
+
+@pytest.mark.parametrize("kind, m, votes, names, message", [
+    (RankedProfile, 0, (((0,), 1),), None, "profile needs at least one candidate"),
+    (ApprovalProfile, 0, (), ["x"], "profile needs at least one candidate"),
+    (RankedProfile, 2, (((0, 1), 1), ((0, 1, 2), 0)), None,
+     "ballot (0, 1, 2) does not rank all 2 candidates"),
+    (ApprovalProfile, 2, (({0}, 1), ({3, 1}, 0)), None,
+     "ballot approves unknown candidate: [1, 3]"),
+    (RankedProfile, 2, (((1, 0), 0), ((0,), 1)), None,
+     "multiplicity must be a positive integer, got 0"),
+    (ApprovalProfile, 2, (({1}, True), ({0}, 2.0)), None,
+     "multiplicity must be a positive integer, got 2.0"),
+    (RankedProfile, 2, (), ["a", "a", "b"], "profile must contain at least one vote"),
+    (ApprovalProfile, 3, (), None, "profile must contain at least one vote"),
+    (RankedProfile, 2, (((1, 0), 1),), ["a", "a"], "duplicate candidate name 'a'"),
+])
+def test_profile_constructor_errors_in_order(kind, m, votes, names, message):
+    with pytest.raises(InputError) as info:
+        kind(m=m, votes=votes, names=names)
+    assert str(info.value) == message
+
+
+@st.composite
+def named_profiles(draw):
+    m = draw(st.sampled_from([1, 2, 3, 5, 26, 27, 30]))
+    names = draw(st.none() | st.lists(
+        st.text("abxyz019_.-", min_size=1, max_size=4), min_size=m, max_size=m, unique=True,
+    ))
+    if draw(st.booleans()):
+        ballots = st.permutations(range(m)).map(tuple)
+        make = ranked_profile
+    else:
+        ballots = st.frozensets(st.integers(0, m - 1))
+        make = approval_profile
+    votes = draw(st.lists(st.tuples(ballots, st.integers(1, 10**12)), min_size=1, max_size=5))
+    return make(m, votes, names)
+
+
+@PROPERTY_SETTINGS
+@given(named_profiles())
+@example(ranked_profile(1, [((0,), 1)]))
+@example(approval_profile(2, [((), 1)], ["b", "a"]))
+@example(approval_profile(27, [((), 3), ((26, 0), 1)]))
+@example(ranked_profile(28, [(tuple(range(27, -1, -1)), 1)], [f"c{c}" for c in range(28)]))
+def test_parse_inverts_write(profile):
+    assert parse_election(write_election(profile)) == profile
