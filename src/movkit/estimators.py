@@ -2,9 +2,10 @@
 
 Each estimator draws ballots uniformly at random with replacement from a
 finite vote population, scales the sampled tallies back to population size,
-and converts the resulting score gap into a margin estimate. The estimate
-comes with a two-parameter additive guarantee: with probability at least
-1 - delta,
+and converts the resulting score gap into a margin estimate. The sample is
+drawn as counts per distinct ballot, one multinomial draw, not vote by
+vote. The estimate comes with a two-parameter additive guarantee: with
+probability at least 1 - delta,
 
     |estimate - MoV| <= c * MoV + epsilon * n,
 
@@ -64,6 +65,72 @@ def split_seed(base_seed: int, index: int) -> int:
 # vote population
 
 
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) variate, for n >= 1 and 0 < p < 1.
+
+    A line-for-line port of CPython 3.12's ``random.binomialvariate``, which
+    calls ``rng.random()`` in the same order, so one seed gives the same
+    variate on either: Devroye's geometric method below n*p = 10, above it
+    Hoermann's BTRS ("The generation of binomial random variates", 1993).
+    """
+    random_ = rng.random
+
+    # Fast path for a common case
+    if n == 1:
+        return int(random_() < p)
+
+    # Exploit symmetry to establish:  p <= 0.5
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+
+    if n * p < 10.0:
+        # BG: Geometric method by Devroye with running time of O(np).
+        x = y = 0
+        c = math.log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += math.floor(math.log2(random_()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    # BTRS: Transformed rejection with squeeze method by Wolfgang Hoermann
+    setup_complete = False
+
+    spq = math.sqrt(n * p * (1.0 - p))  # Standard deviation of the distribution
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+
+    while True:
+
+        u = random_()
+        u -= 0.5
+        us = 0.5 - math.fabs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+
+        # The early-out "squeeze" test substantially reduces
+        # the number of acceptance condition evaluations.
+        v = random_()
+        if us >= 0.07 and v <= vr:
+            return k
+
+        # Acceptance-rejection test.
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)         # Mode of the distribution
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+            setup_complete = True               # Only needs to be done once
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 @dataclass(frozen=True)
 class VoteSource:
     """A finite ballot population supporting seeded uniform sampling.
@@ -84,8 +151,9 @@ class VoteSource:
             raise InputError(f"unknown ballot kind {self.kind!r}")
         if len(self.ballots) != len(self.weights) or not self.ballots:
             raise InputError("ballots and weights must be parallel and non-empty")
-        if any(w < 1 for w in self.weights):
-            raise InputError("weights must be positive")
+        for w in self.weights:
+            if not isinstance(w, int) or w < 1:
+                raise InputError(f"weights must be positive integers, got {w!r}")
 
     @classmethod
     def from_profile(cls, profile: Profile) -> "VoteSource":
@@ -102,23 +170,35 @@ class VoteSource:
         return sum(self.weights)
 
     def draw(self, count: int, seed: int) -> list:
-        """``count`` i.i.d. uniform draws (with replacement); deterministic per seed."""
-        return self._choices(self.ballots, count, seed)
+        """The ``count`` votes of ``draw_counts(count, seed)`` as a list:
+        each drawn ballot repeated by its count, grouped in profile order."""
+        return list(self.draw_counts(count, seed).elements())
 
     def draw_counts(self, count: int, seed: int) -> Counter:
-        """Multiplicity view of ``draw``; same draws, same seed. Drawn
-        indices are counted, so each distinct ballot is hashed once."""
-        # a list, not a range: the draws then share its int objects instead
-        # of each allocating a new one
-        drawn = Counter(self._choices(list(range(len(self.ballots))), count, seed))
-        return Counter({self.ballots[i]: c for i, c in drawn.items()})
+        """How often each ballot occurs among ``count`` i.i.d. uniform draws
+        (with replacement) of the n votes; deterministic per seed.
 
-    def _choices(self, population, count: int, seed: int) -> list:
-        # choices only indexes the population, so ballots and their indices
-        # are drawn by the same random stream
+        The counts are one multinomial draw, taken as conditional binomials
+        along the ballots in profile order: a ballot of weight w, with
+        ``left`` draws and weight W still to share out, gets
+        Binomial(left, w/W) of them, and the last ballot gets what is left.
+        Only ballots drawn at least once are keys, in profile order. Cost:
+        O(d) binomials for d distinct ballots, never more than O(d + count).
+        """
         if count < 1:
             raise InputError(f"draw count must be at least 1, got {count}")
-        return random.Random(seed).choices(population, weights=self.weights, k=count)
+        rng = random.Random(seed)
+        counts = Counter()
+        left, weight_left = count, self.n
+        for ballot, w in zip(self.ballots, self.weights):
+            k = left if w == weight_left else _binomial(rng, left, w / weight_left)
+            if k:
+                counts[ballot] = k
+                left -= k
+                if not left:
+                    break
+            weight_left -= w
+        return counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Sampling estimators, sample-size formulas, and the lower-bound formula."""
 
 import math
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from movkit.core import (
 from movkit.generation import ImpartialCulture, generate
 from movkit.estimators import (
     VoteSource,
+    _binomial,
     estimate_kapproval,
     estimate_mov,
     guarantee_constant,
@@ -147,6 +150,55 @@ def test_draw_counts_count_the_same_draws():
         assert list(counts) == list(Counter(src.draw(50, seed)))
 
 
+def test_vote_source_rejects_non_integer_weights():
+    ballots = tuple(b for b, _ in ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]).votes)
+    for weights in ((F(3, 2), 1), (1.5, 1), (1.0, 1), (0, 1)):
+        with pytest.raises(InputError, match="positive integers"):
+            VoteSource("ranked", 2, ballots, weights)
+
+
+def test_draw_counts_moments():
+    """Pre-registered: per-ballot mean within 4 standard errors of ell*p and
+    variance within 5% of ell*p*(1-p) over 20,000 seeds. ell = 50 reaches
+    the geometric branch; ell = 5,000 reaches BTRS and the p > 0.5 symmetry
+    (the third ballot is drawn with p = 3/5 of what is left)."""
+    weights = (5, 1, 3, 2)
+    p = ranked_profile(3, zip([(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)], weights))
+    src = VoteSource.from_profile(p)
+    trials = 20_000
+    for ell in (50, 5_000):
+        samples = [src.draw_counts(ell, seed) for seed in range(trials)]
+        for (ballot, _), w in zip(p.votes, weights):
+            xs = [c[ballot] for c in samples]
+            q = w / src.n
+            expected_var = ell * q * (1 - q)
+            mean = sum(xs) / trials
+            var = sum((x - mean) ** 2 for x in xs) / (trials - 1)
+            assert abs(mean - ell * q) < 4 * math.sqrt(expected_var / trials)
+            assert 0.95 <= var / expected_var <= 1.05
+
+
+# every branch: n == 1, p > 0.5, the geometric method (also with log2(1 - p)
+# rounding to 0), BTRS with and without its squeeze
+BINOMIAL_GRID = [(n, q) for n in (1, 2, 7, 40, 1_000, 10**6)
+                 for q in (1e-17, 0.001, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999)]
+
+
+def test_binomial_stays_in_range():
+    for n, q in BINOMIAL_GRID:
+        for seed in range(20):
+            assert 0 <= _binomial(random.Random(seed), n, q) <= n
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="random.binomialvariate is new in 3.12")
+def test_binomial_matches_binomialvariate():
+    for n, q in BINOMIAL_GRID:
+        for seed in range(50):
+            a, b = random.Random(seed), random.Random(seed)
+            assert _binomial(a, n, q) == b.binomialvariate(n, q)
+            assert a.random() == b.random()
+
+
 def test_split_seed_is_stable():
     assert split_seed(0, 1) == 16294208416658607535
     assert split_seed(42, 7) == 4028864712777624925
@@ -198,10 +250,11 @@ def test_bucklin_estimate_unanimous():
 
 def test_bucklin_estimate_sentinel():
     # with only two sampled votes a perfect split leaves no separating level;
-    # seed 1 happens to produce that split
+    # the first seed whose two draws split 1-1 produces it
     p = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
     src = VoteSource.from_profile(p)
-    est = estimate_mov(src, Bucklin(), EPS, DELTA, 1, ell=2)
+    seed = next(s for s in range(100) if list(src.draw_counts(2, s).values()) == [1, 1])
+    est = estimate_mov(src, Bucklin(), EPS, DELTA, seed, ell=2)
     assert not est.feasible
     assert est.m_bar == src.n == 2
 
@@ -335,9 +388,12 @@ def test_maximin_three_plus_two_expectation():
 
 
 def test_copeland_estimate_clamps_sampled_top_tie_at_zero():
-    # the sampled Copeland scores tie at the top (1 and 3 both score 2); the
-    # raw relative margin of the canonical winner was -36/7 and raised
+    # the first seed whose sampled Copeland scores tie at the top (1 and 3
+    # both score 2); the raw relative margin of the canonical winner over
+    # the other is negative and raised
     p = generate(ImpartialCulture(n=2000, m=4, seed=15))
-    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), F(1, 10), F(1, 20), 15)
+    src = VoteSource.from_profile(p)
+    estimates = (estimate_mov(src, Copeland(HALF), F(1, 10), F(1, 20), s) for s in range(100))
+    est = next(e for e in estimates if e.estimated_scores[1] == e.estimated_scores[3] == 2)
     assert est.estimated_scores[1] == est.estimated_scores[3] == 2
     assert est.m_bar == 0

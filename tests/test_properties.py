@@ -146,6 +146,34 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     assert est.m_bar == _ref_top_two_gap(sbar) / (F(3, 2) * alphas[0])
 
 
+@st.composite
+def vote_sources(draw):
+    """Sources of either kind, with small weights or weights up to 10**18,
+    where w/W can round to 1.0 before the last ballot."""
+    m = draw(st.integers(2, 4))
+    profile = draw(st.one_of(profiles(m), approval_profiles(m)))
+    ballots = tuple(b for b, _ in profile.votes)
+    weights = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10**18)),
+                            min_size=len(ballots), max_size=len(ballots)))
+    kind = "ranked" if isinstance(profile, RankedProfile) else "approval"
+    return VoteSource(kind, m, ballots, tuple(weights))
+
+
+@PROPERTY_SETTINGS
+@given(vote_sources(), st.integers(0, 2**64), st.integers(1, 10**6))
+@example(VoteSource("ranked", 2, (Ranking((0, 1)), Ranking((1, 0))), (10**18, 1)), 0, 10**6)
+def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell):
+    counts = source.draw_counts(ell, seed)
+    assert sum(counts.values()) == ell
+    positions = [source.ballots.index(b) for b in counts]
+    assert positions == sorted(positions)
+    assert all(1 <= c <= ell for c in counts.values())
+    assert source.draw_counts(ell, seed) == counts
+    if ell <= 1000:
+        drawn = source.draw(ell, seed)
+        assert Counter(drawn) == counts and list(Counter(drawn)) == list(counts)
+
+
 # References for the approval, Bucklin and pairwise families: the score
 # functions and estimator bodies as they were before one integer tally per
 # family replaced them, over plain dicts and Fractions.
