@@ -127,7 +127,7 @@ def winner(handle, rule_spec):
 @click.option("--budget", type=int, default=None,
               help="Max changed votes for exact mode (default: all n).")
 @click.option("--work-limit", type=int, default=DEFAULT_WORK_LIMIT, show_default=True,
-              help="Evaluation cap for the exact search.")
+              help="Cap on replacement ballots plus search nodes for the exact search.")
 @click.option("--epsilon", type=RATIONAL, default=Fraction(1, 10), show_default="0.1")
 @click.option("--delta", type=RATIONAL, default=Fraction(1, 20), show_default="0.05")
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -8,9 +8,11 @@ is enough.
 Three layers live here:
 
 * an exhaustive brute-force oracle (iterative deepening over how many votes
-  change), the trusted ground truth at small scale; it retracts and inserts
-  ballots in the rule's integer tally from `movkit.core.rule_tally` and
-  compares winner sets as bitmasks;
+  change), the trusted ground truth at small scale; a depth-first search
+  retracts and inserts ballots in the rule's integer tally from
+  `movkit.core.rule_tally`, compares winner sets as bitmasks, and prunes
+  every subtree in which a per-rule test certifies that the remaining
+  changes cannot move a unique winner;
 * polynomial-time structural quantities: each rule's margin statistic (score
   gap, Bucklin level gap, Copeland relative margin), read from one tally by
   `_margin_statistic` and shared with `movkit.estimators`, and the Bucklin
@@ -41,6 +43,7 @@ from movkit.core import (
     Rule,
     Scoring,
     _profile_tally,
+    integer_weights,
     pairwise_matrix,
     rule_tally,
     top_two,
@@ -51,8 +54,9 @@ DEFAULT_WORK_LIMIT = 5_000_000
 
 
 class WorkLimitError(RuntimeError):
-    """Brute-force search exceeded its evaluation budget (a resource guard,
-    not a statement about the margin itself)."""
+    """Brute-force search exceeded its work budget: replacement ballots plus
+    visited search nodes (a resource guard, not a statement about the margin
+    itself)."""
 
 
 class TiedWinnersError(ValueError):
@@ -70,7 +74,8 @@ class ExactMovResult:
     ``value`` is the exact margin when found within ``budget`` changed votes,
     else None. ``witness`` realizes the change: (vote index, replacement
     ballot) pairs, indices into ``profile.expand()``. ``evaluations`` counts
-    the (retraction, insertion) pairs scored, one evaluation each.
+    the complete (retraction, insertion) pairs scored, one evaluation each;
+    pairs in pruned subtrees are not scored and not counted.
     """
 
     value: int | None
@@ -113,6 +118,22 @@ class MovBounds:
 # exact search
 
 
+class _Universe:
+    """Every replacement ballot as a raw tally key: the m! order tuples of a
+    ranked profile or the 2**m approval frozensets. ``size`` is known before
+    any ballot is built, so the search charges it to the work limit first."""
+
+    def __init__(self, m: int, ranked: bool):
+        self.m, self.ranked = m, ranked
+        self.size = math.factorial(m) if ranked else 2 ** m
+
+    def __iter__(self):
+        m = self.m
+        if self.ranked:
+            return itertools.permutations(range(m))
+        return (frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2 ** m))
+
+
 def _make_engine(profile: Profile, rule: Rule):
     """The rule's tally, raw ballot types, replacement universe and ballot
     wrapper. The search applies raw ballots (order tuples, frozensets) to
@@ -120,17 +141,84 @@ def _make_engine(profile: Profile, rule: Rule):
     if isinstance(rule, Approval):
         if not isinstance(profile, ApprovalProfile):
             raise InputError("approval rule needs an approval profile")
-        universe = [
-            frozenset(c for c in range(profile.m) if mask >> c & 1)
-            for mask in range(2 ** profile.m)
-        ]
         tally = rule_tally(rule, profile.m, profile.votes, ranked=False)
-        return tally, [b.approved for b, _ in profile.votes], universe, ApprovalBallot
+        raw = [b.approved for b, _ in profile.votes]
+        return tally, raw, _Universe(profile.m, ranked=False), ApprovalBallot
     if not isinstance(profile, RankedProfile):
         raise InputError("this rule needs a ranked profile")
     tally = rule_tally(rule, profile.m, profile.votes, ranked=True)
-    universe = list(itertools.permutations(range(profile.m)))
-    return tally, [b.order for b, _ in profile.votes], universe, Ranking
+    return tally, [b.order for b, _ in profile.votes], _Universe(profile.m, ranked=True), Ranking
+
+
+def _settled_test(rule: Rule, tally, m: int, n: int):
+    """A test certifying that the winner set cannot change any more, or None
+    when the tally's winner set is tied (tied sets are never pruned).
+
+    The test reads the tally part way through the search and takes the r
+    retractions and s insertions still to come. One retraction lowers, and
+    one insertion raises, each top-l count, approval count and pairwise count
+    by at most one, so a pairwise net moves by at most one per change and a
+    positional score by at most a1 - am. The test returns True only when every
+    completion leaves the base winner w the unique winner of the final ``n``
+    votes.
+    """
+    mask = tally.winner_mask()
+    if mask & (mask - 1):
+        return None
+    w = mask.bit_length() - 1
+    rivals = [x for x in range(m) if x != w]
+    if isinstance(rule, Bucklin):
+        level = tally.scores()[w]
+        at_pos = tally.at_pos
+
+        def settled(r: int, s: int) -> bool:
+            # the events of `_change_floor`: w keeps its majority at the
+            # winning level, and no rival reaches one there or earlier
+            if 2 * (sum(at_pos[w][:level]) - r) <= n:
+                return False
+            return all(2 * (sum(at_pos[x][:level]) + s) <= n for x in rivals)
+
+        return settled
+    if isinstance(rule, Copeland):
+        above, win = tally.above, rule.alpha.denominator
+        pairs = list(itertools.combinations(range(m), 2))
+
+        def settled(r: int, s: int) -> bool:
+            # a pair with |net| > r + s is decided; an undecided one may still
+            # end as a win (the most points) or a loss (the fewest) either way
+            slack = r + s
+            low, high = [0] * m, [0] * m
+            for x, y in pairs:
+                net = above[x][y] - above[y][x]
+                if net > slack:
+                    low[x] += win
+                    high[x] += win
+                elif net < -slack:
+                    low[y] += win
+                    high[y] += win
+                else:
+                    high[x] += win
+                    high[y] += win
+            return all(high[x] < low[w] for x in rivals)
+
+        return settled
+    if isinstance(rule, Maximin):
+        # w's worst net can fall by one per change while x's rises by one
+        read, spread = tally._worst, 2
+    else:
+        read = lambda: tally.raw  # noqa: E731
+        if isinstance(rule, Scoring):
+            weights = integer_weights(rule.vector)[0]
+            spread = weights[0] - weights[-1]
+        else:
+            spread = 1
+
+    def settled(r: int, s: int) -> bool:
+        scores = read()
+        floor = scores[w] - spread * (r + s)
+        return all(scores[x] < floor for x in rivals)
+
+    return settled
 
 
 def mov_brute_force(
@@ -141,57 +229,113 @@ def mov_brute_force(
 ) -> ExactMovResult:
     """Exact margin of victory by iterative deepening, up to ``budget`` changes.
 
-    For t = 1, 2, ..., budget, retracts every multiset of t ballot types
-    (each at most its multiplicity times) and inserts every multiset of t
-    ballots sharing no type with it (sharing one makes a smaller change, which
-    an earlier level rejected). The first change of the winner set fixes the
-    margin. The witness is the first hit of a search over vote indices: each
-    retracted type's first indices in ``profile.expand()``, paired in order
-    with the inserted ballots in ranking/subset order.
+    For t = 1, 2, ..., budget, one depth-first search retracts a multiset of
+    t ballot types (each at most its multiplicity times) and then inserts a
+    multiset of t ballots sharing no type with it (sharing one makes a
+    smaller change, which an earlier level rejected). It visits both in the
+    lexicographic order of ``itertools.combinations_with_replacement`` and
+    applies one ballot to the tally per node, so a prefix is applied once for
+    all the changes that share it. The first change of the winner set fixes
+    the margin. The witness is the first hit of a search over vote indices:
+    each retracted type's first indices in ``profile.expand()``, paired in
+    order with the inserted ballots in ranking/subset order.
+
+    With a unique base winner, every node whose remaining changes provably
+    cannot alter the winner set is pruned with its subtree (see
+    `_settled_test`). Pruning skips no hit, so ``(value, witness)`` is that of
+    the unpruned search and ``evaluations`` never exceeds its count.
 
     Returns ``value=None`` when no change within the budget flips the winner
-    set. Raises WorkLimitError once more than ``work_limit`` (retraction,
-    insertion) pairs have been scored.
+    set. Raises WorkLimitError once the size of the replacement universe plus
+    the search nodes visited (pruned nodes and leaves included) exceed
+    ``work_limit``; the universe is charged before it is built.
     """
     if profile.m < 2:
         raise InputError("margin of victory needs at least two candidates")
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
     tally, raw, universe, wrap = _make_engine(profile, rule)
-    base_mask = tally.winner_mask()
+    limit_error = WorkLimitError(
+        f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
+    )
+    work = universe.size
+    if work > work_limit:
+        raise limit_error
+    universe = list(universe)
+    add, winner_mask = tally.add, tally.winner_mask
+    base_mask = winner_mask()
+    settled = _settled_test(rule, tally, profile.m, profile.n)
     mults = [mult for _, mult in profile.votes]
     starts = list(itertools.accumulate(mults, initial=0))
+    types = len(raw)
     evaluations = 0
     for t in range(1, min(budget, profile.n) + 1):
-        for retracted in itertools.combinations_with_replacement(range(len(raw)), t):
-            # the j-th entry's offset in its type's block must be below its multiplicity
-            if any(j - retracted.index(k) >= mults[k] for j, k in enumerate(retracted)):
-                continue
-            removed = {raw[k] for k in retracted}
-            for k in retracted:
-                tally.add(raw[k], -1)
-            options = [u for u in universe if u not in removed]
-            for inserted in itertools.combinations_with_replacement(options, t):
-                evaluations += 1
-                if evaluations > work_limit:
-                    raise WorkLimitError(
-                        f"exceeded work limit of {work_limit} evaluations"
-                    )
-                for new in inserted:
-                    tally.add(new, +1)
-                changed = tally.winner_mask() != base_mask
-                for new in inserted:
-                    tally.add(new, -1)
-                if changed:
-                    witness = tuple(
-                        (starts[k] + j - retracted.index(k), wrap(new))
-                        for j, (k, new) in enumerate(zip(retracted, inserted))
-                    )
-                    return ExactMovResult(
-                        value=t, budget=budget, witness=witness, evaluations=evaluations
-                    )
-            for k in retracted:
-                tally.add(raw[k], +1)
+        work += 1
+        if work > work_limit:
+            raise limit_error
+        if settled and settled(t, t):
+            continue
+        # path[:t] are retracted type indices, path[t:] indices into options;
+        # choice is the next child to try below the node that path reaches
+        path: list[int] = []
+        taken = [0] * types
+        options: list = []
+        choice = 0
+        while True:
+            depth = len(path)
+            if depth < 2 * t - 1:
+                if depth < t:
+                    while choice < types and taken[choice] == mults[choice]:
+                        choice += 1
+                    if choice < types:
+                        add(raw[choice], -1)
+                        taken[choice] += 1
+                        path.append(choice)
+                elif choice < len(options):
+                    add(options[choice], +1)
+                    path.append(choice)
+                if len(path) > depth:
+                    work += 1
+                    if work > work_limit:
+                        raise limit_error
+                    depth += 1
+                    if not (settled and settled(max(t - depth, 0), min(2 * t - depth, t))):
+                        if depth == t:
+                            removed = {raw[k] for k in path}
+                            options = [u for u in universe if u not in removed]
+                            choice = 0
+                        continue
+                    # pruned: step back from the child just entered
+            else:
+                for i in range(choice, len(options)):
+                    work += 1
+                    evaluations += 1
+                    if work > work_limit:
+                        raise limit_error
+                    new = options[i]
+                    add(new, +1)
+                    changed = winner_mask() != base_mask
+                    add(new, -1)
+                    if changed:
+                        retracted = path[:t]
+                        inserted = [options[j] for j in path[t:]] + [new]
+                        witness = tuple(
+                            (starts[k] + j - retracted.index(k), wrap(ballot))
+                            for j, (k, ballot) in enumerate(zip(retracted, inserted))
+                        )
+                        return ExactMovResult(
+                            value=t, budget=budget, witness=witness, evaluations=evaluations
+                        )
+            # every child tried, or the node pruned: go on to its next sibling
+            if not path:
+                break
+            last = path.pop()
+            if len(path) < t:
+                taken[last] -= 1
+                add(raw[last], +1)
+            else:
+                add(options[last], -1)
+            choice = last + 1
     return ExactMovResult(value=None, budget=budget, witness=None, evaluations=evaluations)
 
 

@@ -118,6 +118,41 @@ def test_brute_force_work_limit_on_large_profile_stays_small():
     assert peak < 8 * 2**20
 
 
+def test_brute_force_work_limit_charges_the_universe_before_building_it():
+    # the 9! = 362,880 replacement rankings alone exceed the limit, so none is
+    # built: the whole list would peak at about 64 MB
+    p = generate(ImpartialCulture(n=20, m=9, seed=1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkLimitError):
+            mov_brute_force(p, Scoring(ScoreVector.borda(9)), p.n, work_limit=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_brute_force_work_limit_counts_pruned_nodes():
+    # levels 1..19 are pruned at their roots and level 20 scores one change,
+    # so only the visited nodes can trip a limit this small
+    p = ranked_profile(3, [((0, 1, 2), 40)])
+    r = mov_brute_force(p, KApproval(1), p.n)
+    assert (r.value, r.evaluations) == (20, 1)
+    with pytest.raises(WorkLimitError):
+        mov_brute_force(p, KApproval(1), p.n, work_limit=30)
+
+
+@pytest.mark.parametrize("rule, mov", [
+    (KApproval(1), 3), (Maximin(), 4), (Copeland(HALF), 4),
+])
+def test_brute_force_solves_ic_n30_under_the_default_limit(rule, mov):
+    # unpruned, maximin and Copeland need 6.5M evaluations here
+    p = generate(ImpartialCulture(n=30, m=4, seed=13))
+    r = mov_brute_force(p, rule, p.n)
+    assert r.value == mov and len(r.witness) == mov
+    assert winner_set(apply_changes(p, r.witness), rule).winners != winner_set(p, rule).winners
+
+
 def test_brute_force_input_validation():
     p = ranked_profile(2, [((0, 1), 2)])
     with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 """Property tests: the integer tallies and the estimators built on them
 against plain references, the type-level exact search against an
-index-level one, candidate-token resolution in the parser, and profile
+index-level one and the pruned search against the unpruned one,
+candidate-token resolution in the parser, and profile
 construction (counted generation, the constructor's merge and errors, and
 the parse/write round trip)."""
 
@@ -457,6 +458,43 @@ def _ref_brute_force(profile, rule, budget):
     return None, None, evaluations
 
 
+def _ref_type_level_search(profile, rule, budget):
+    """The type-level exact search without pruning: for each t, every
+    retraction multiset in `combinations_with_replacement` order times every
+    insertion multiset sharing no type with it, each applied afresh. Returns
+    (value, witness, evaluations)."""
+    tally, raw, universe, wrap = _make_engine(profile, rule)
+    base_mask = tally.winner_mask()
+    mults = [mult for _, mult in profile.votes]
+    starts = list(itertools.accumulate(mults, initial=0))
+    evaluations = 0
+    for t in range(1, min(budget, profile.n) + 1):
+        for retracted in itertools.combinations_with_replacement(range(len(raw)), t):
+            # the j-th entry's offset in its type's block must be below its multiplicity
+            if any(j - retracted.index(k) >= mults[k] for j, k in enumerate(retracted)):
+                continue
+            removed = {raw[k] for k in retracted}
+            for k in retracted:
+                tally.add(raw[k], -1)
+            options = [u for u in universe if u not in removed]
+            for inserted in itertools.combinations_with_replacement(options, t):
+                evaluations += 1
+                for new in inserted:
+                    tally.add(new, +1)
+                changed = tally.winner_mask() != base_mask
+                for new in inserted:
+                    tally.add(new, -1)
+                if changed:
+                    witness = tuple(
+                        (starts[k] + j - retracted.index(k), wrap(new))
+                        for j, (k, new) in enumerate(zip(retracted, inserted))
+                    )
+                    return t, witness, evaluations
+            for k in retracted:
+                tally.add(raw[k], +1)
+    return None, None, evaluations
+
+
 def _ranked_rules(m):
     skewed = ScoreVector((F(3),) + (F(1),) * (m - 2) + (F(0),))
     return [
@@ -497,6 +535,36 @@ def test_type_level_search_matches_index_level_search(case):
     assert (result.value, result.witness) == expected[:2]
     assert result.evaluations <= expected[2]
     assert (result.value is None) == (budget < mov)
+
+
+@st.composite
+def pruning_cases(draw):
+    """Few ballot types with multiplicities up to 12, so that the margin is
+    often larger than the budget and the search prunes."""
+    m = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        universe = [tuple(c for c in range(m) if mask >> c & 1) for mask in range(2**m)]
+        make, rules = approval_profile, [Approval()]
+    else:
+        universe = list(itertools.permutations(range(m)))
+        make, rules = ranked_profile, _ranked_rules(m)
+    types = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4, unique=True))
+    mults = draw(st.lists(st.integers(1, 12), min_size=len(types), max_size=len(types)))
+    return make(m, zip(types, mults)), draw(st.sampled_from(rules)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pruning_cases())
+# one change lifts candidate 2 to a level-2 majority beside the Bucklin winner 1
+@example((ranked_profile(3, [((0, 1, 2), 4), ((2, 1, 0), 4)]), Bucklin(), 1))
+# two changes let candidate 3 tie the Copeland winner 2 on points
+@example((ranked_profile(4, [((2, 3, 0, 1), 5), ((3, 0, 2, 1), 2)]), Copeland(F(1)), 2))
+def test_pruned_search_matches_unpruned_type_level_search(case):
+    profile, rule, budget = case
+    value, witness, evaluations = _ref_type_level_search(profile, rule, budget)
+    result = mov_brute_force(profile, rule, budget)
+    assert (result.value, result.witness) == (value, witness)
+    assert result.evaluations <= evaluations
 
 
 @PROPERTY_SETTINGS
