@@ -7,7 +7,9 @@ fractions ("0.1", "1/3"). Exit codes: 0 success, 2 input or usage error,
 byte-for-byte.
 """
 
+import bisect
 import functools
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -146,10 +148,12 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
             click.echo(f"MoV exceeds budget {effective_budget}")
             return
         click.echo(f"MoV = {result.value}")
-        originals = profile.expand()
+        # the original of each vote index, found without expanding all n votes
+        ends = list(itertools.accumulate(mult for _, mult in profile.votes))
         for index, ballot in result.witness:
+            original = profile.votes[bisect.bisect_right(ends, index)][0]
             click.echo(
-                f"  change vote {index}: {_format_ballot(originals[index], labels)}"
+                f"  change vote {index}: {_format_ballot(original, labels)}"
                 f" -> {_format_ballot(ballot, labels)}"
             )
     elif mode == "bounds":

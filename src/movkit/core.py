@@ -20,6 +20,7 @@ Copeland with tie parameter alpha.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -33,6 +34,15 @@ class InputError(ValueError):
 # ballots
 
 
+def _indices(entries) -> tuple[int, ...]:
+    """A ballot's entries as plain ints (bools become 0 and 1); anything that
+    is not an iterable of integers is an InputError."""
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise InputError(f"ballot entries must be integer candidate indices: {entries!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Ranking:
     """A strict total order over candidates, most preferred first."""
@@ -40,7 +50,7 @@ class Ranking:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(self.order)
+        order = _indices(self.order)
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
             raise InputError(f"not a permutation of 0..{len(order) - 1}: {order!r}")
@@ -64,9 +74,9 @@ class ApprovalBallot:
     approved: frozenset[int]
 
     def __post_init__(self):
-        approved = frozenset(self.approved)
+        approved = frozenset(_indices(self.approved))
         object.__setattr__(self, "approved", approved)
-        if any(not isinstance(c, int) or c < 0 for c in approved):
+        if any(c < 0 for c in approved):
             raise InputError(f"approval ballot must contain candidate indices: {approved!r}")
 
 
@@ -118,7 +128,9 @@ class Profile:
         object.__setattr__(self, "names", _validate_names(self.names, self.m))
 
     def _check_ballot(self, ballot) -> tuple[Ranking | ApprovalBallot, tuple]:
-        """The ballot, coerced and checked against m, and its sort key."""
+        """The ballot, coerced and checked against m, and its sort key. This
+        is the one check that a ballot belongs to the profile: anything else,
+        another kind's ballot included, is an InputError."""
         raise NotImplementedError
 
     @property
@@ -138,7 +150,7 @@ class RankedProfile(Profile):
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, Ranking):
-            ballot = Ranking(tuple(ballot))
+            ballot = Ranking(ballot)
         order = ballot.order
         if len(order) != self.m:
             raise InputError(f"ballot {order!r} does not rank all {self.m} candidates")
@@ -150,7 +162,7 @@ class ApprovalProfile(Profile):
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, ApprovalBallot):
-            ballot = ApprovalBallot(frozenset(ballot))
+            ballot = ApprovalBallot(ballot)
         key = tuple(sorted(ballot.approved))
         if key and key[-1] >= self.m:
             raise InputError(f"ballot approves unknown candidate: {list(key)!r}")
@@ -166,6 +178,12 @@ def _fractions(values) -> tuple[Fraction, ...]:
         return tuple(Fraction(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"score entries must be rationals: {values!r}") from exc
+
+
+def _check_k(k, m: int) -> None:
+    """The one range check on an approval depth k for m candidates."""
+    if not isinstance(k, int) or not 1 <= k <= m - 1:
+        raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +223,7 @@ class ScoreVector:
 
     @classmethod
     def k_approval(cls, m: int, k: int) -> "ScoreVector":
-        if not 1 <= k <= m - 1:
-            raise InputError(f"k must be in [1, m-1], got k={k}, m={m}")
+        _check_k(k, m)
         return cls(tuple(Fraction(1) if i < k else Fraction(0) for i in range(m)))
 
     @classmethod
@@ -470,7 +487,9 @@ class CopelandTally(PairwiseTally):
 def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     """The integer tally of ``rule`` over (ballot, count) pairs of
     ``m``-candidate ballots, which are rankings when ``ranked`` and approval
-    ballots otherwise. Raises InputError when the rule does not fit them."""
+    ballots otherwise. Raises InputError when the rule does not fit them:
+    this is the one check of a rule against an election, behind winner sets,
+    bounds, the exact search and the estimators."""
     if isinstance(rule, Approval):
         if ranked:
             raise InputError("this operation needs an approval profile")
@@ -485,8 +504,7 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
         weights, unit = integer_weights(rule.vector)
         return PositionalTally(votes, weights, m, unit)
     if isinstance(rule, KApproval):
-        if rule.k > m - 1:
-            raise InputError(f"k-approval needs k <= m-1, got k={rule.k}, m={m}")
+        _check_k(rule.k, m)
         return PositionalTally(votes, [1] * rule.k, m)
     if isinstance(rule, Bucklin):
         return BucklinTally(votes, m)

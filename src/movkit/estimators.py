@@ -15,12 +15,12 @@ Copeland). Sample sizes are closed forms in (epsilon, delta) and the number
 of candidates or the approval depth k.
 
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
-takes k as an integer, checks it and calls it. It tallies the sample in the
-rule's integer tally (`movkit.core.rule_tally`) and reads from it, with every
-count rescaled by n/ell to an exact rational, the margin statistic that
-`movkit.oracle.mov_bounds` reads on the full profile. Winner selection is
-exact, with ties broken by lowest candidate index; only sample-size and
-guarantee arithmetic uses floats.
+only calls it with ``KApproval(k)``. It tallies the sample in the rule's
+integer tally (`movkit.core.rule_tally`, the one check that the rule fits
+the ballots) and reads from it, with every count rescaled by n/ell to an
+exact rational, the margin statistic that `movkit.oracle.mov_bounds` reads
+on the full profile. Winner selection is exact, with ties broken by lowest
+candidate index; only sample-size and guarantee arithmetic uses floats.
 """
 
 import math
@@ -41,9 +41,9 @@ from movkit.core import (
     RankedProfile,
     Rule,
     Scoring,
-    rule_tally,
+    _check_k,
 )
-from movkit.oracle import _margin_statistic, copeland_log_factor
+from movkit.oracle import _margin_statistic, _mov_tally, copeland_log_factor
 
 _MASK64 = (1 << 64) - 1
 
@@ -244,11 +244,6 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
     return math.ceil((_SAMPLE_FACTORS[rule_kind] / eps**2) * math.log(log_num / dlt))
 
 
-def _check_k(k, m: int) -> None:
-    if not isinstance(k, int) or not 1 <= k <= m - 1:
-        raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
-
-
 def lower_bound_samples(c, epsilon, delta) -> float:
     """Information-theoretic floor on the samples any estimator needs.
 
@@ -312,13 +307,6 @@ class MovEstimate:
             raise InputError(f"sample count must be positive, got {self.ell}")
 
 
-def _require_kind(source: VoteSource, kind: str, two_candidates: bool = False) -> None:
-    if source.kind != kind:
-        raise InputError(f"this estimator needs {kind} ballots, got {source.kind}")
-    if two_candidates and source.m < 2:
-        raise InputError("margin estimation needs at least two candidates")
-
-
 def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     """Default ell from the closed form; invert it for explicit overrides."""
     if ell is None:
@@ -358,23 +346,19 @@ def estimate_mov(
       margins;
     * Copeland: 4(K+1)/(2K+3) times the sampled winner's smallest relative
       margin over a rival, K = ceil(log2 m).
+
+    The rule is checked against the ballots by `movkit.core.rule_tally`, with
+    the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
+    delta are read or any vote is drawn.
     """
-    if not isinstance(rule, (Scoring, KApproval, Approval, Bucklin, Maximin, Copeland)):
-        raise InputError(f"unknown rule: {rule!r}")
     m, n = source.m, source.n
-    # scoring and k-approval reject m < 2 through their own checks
-    _require_kind(source, "approval" if isinstance(rule, Approval) else "ranked",
-                  two_candidates=not isinstance(rule, (Scoring, KApproval)))
     if isinstance(rule, Scoring):
         rule = Scoring(rule.vector.normalized())
-        if rule.vector.m != m:
-            raise InputError(f"score vector has {rule.vector.m} entries for m={m}")
-    elif isinstance(rule, KApproval):
-        _check_k(rule.k, m)
+    tally = _mov_tally(rule, m, (), source.kind == "ranked")
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
-    counts = source.draw_counts(ell, seed)
-    tally = rule_tally(rule, m, counts.items(), source.kind == "ranked")
+    for ballot, count in source.draw_counts(ell, seed).items():
+        tally.add(ballot.order if source.kind == "ranked" else ballot.approved, count)
     stat, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
     c = guarantee_constant(rule, m)
     if stat == math.inf:
@@ -401,6 +385,4 @@ def estimate_kapproval(
     ell: Optional[int] = None,
 ) -> MovEstimate:
     """Margin estimate for k-approval (c = 0): half the rescaled top-two gap."""
-    _require_kind(source, "ranked")
-    _check_k(k, source.m)
     return estimate_mov(source, KApproval(k), epsilon, delta, seed, ell)

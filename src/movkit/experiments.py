@@ -102,7 +102,7 @@ def resolve_rule(spec: str, m: int) -> Rule:
         except (ValueError, ZeroDivisionError):
             raise InputError(f"scoring needs comma-separated rationals, got {spec!r}") from None
         if len(alphas) != m:
-            raise InputError(f"scoring vector has {len(alphas)} entries for m={m}")
+            raise InputError(f"score vector has {len(alphas)} entries for {m} candidates")
         return Scoring(ScoreVector(alphas))
     raise InputError(f"unknown rule {spec!r}")
 

@@ -22,7 +22,7 @@ write(parse(text)) is idempotent and parse(write(profile)) == profile.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -61,8 +61,8 @@ def _is_number(text: str) -> bool:
 
 
 def _token_table(names: Optional[Sequence[str]], m: int) -> dict[str, int]:
-    """Candidate index of every canonical token, with ``_resolve``'s precedence:
-    declared names, then integer literals, then the default letters."""
+    """Candidate index of every canonical token. Declared names win over
+    integer literals, which win over the default letters."""
     table = {}
     if names is None and m <= 26:
         table.update((letter, c) for c, letter in enumerate(_DEFAULT_NAMES[:m]))
@@ -72,19 +72,19 @@ def _token_table(names: Optional[Sequence[str]], m: int) -> dict[str, int]:
     return table
 
 
-def _resolve(token: str, names: Optional[Sequence[str]], m: int, line: int) -> int:
+def _resolve(token: str, table: dict[str, int], m: int, line: int) -> int:
+    """A token `_token_table` misses as given: padded, empty, written with
+    non-canonical digits such as ``01``, out of range, or unknown."""
     token = token.strip()
     if not token:
         raise ParseError("empty candidate token", line)
-    if names is not None and token in names:
-        return names.index(token)
+    if token in table:
+        return table[token]
     if _is_number(token):
         index = int(token)
         if index >= m:
             raise ParseError(f"candidate index {index} out of range for m={m}", line)
         return index
-    if names is None and m <= 26 and len(token) == 1 and token in _DEFAULT_NAMES[:m]:
-        return _DEFAULT_NAMES.index(token)
     raise ParseError(f"unknown candidate {token!r}", line)
 
 
@@ -133,7 +133,7 @@ def parse_election(text: str) -> Profile:
                 for token in inner.split(","):
                     cand = table.get(token)
                     if cand is None:
-                        cand = _resolve(token, names, m, number)
+                        cand = _resolve(token, table, m, number)
                     if cand in members:
                         raise ParseError(f"candidate {token.strip()!r} listed twice", number)
                     members.add(cand)
@@ -146,7 +146,7 @@ def parse_election(text: str) -> Profile:
                 raise ParseError(f"ranking must list all {m} candidates", number)
             order = tuple(map(table.get, tokens))
             if None in order:
-                order = tuple(_resolve(token, names, m, number) for token in tokens)
+                order = tuple(_resolve(token, table, m, number) for token in tokens)
             # all m indices lie in 0..m-1, so Ranking rejects exactly the repeats
             try:
                 ranked.append((Ranking(order), count))
@@ -193,13 +193,6 @@ def write_election(profile: Profile) -> str:
 # experiment CSV
 
 
-CSV_COLUMNS = (
-    "trial", "seed", "rule", "n", "m", "epsilon", "delta", "ell",
-    "mov_exact", "mov_lower", "mov_upper", "estimate", "abs_error",
-    "within_guarantee",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentRow:
     """One estimation trial, ready for CSV serialization.
@@ -226,14 +219,22 @@ class ExperimentRow:
     within_guarantee: Optional[bool]
 
 
-def _decimal(value: Optional[Union[Fraction, float]], padded: bool) -> str:
-    """Decimal cell with 10 significant digits; '#' keeps trailing zeros."""
+CSV_COLUMNS = tuple(field.name for field in fields(ExperimentRow))
+
+
+def _cell(name: str, value):
+    """The CSV cell of one field: None empty, booleans in lower case,
+    rationals as decimals with 10 significant digits (padded with trailing
+    zeros, except epsilon and delta), anything else as it is."""
     if value is None:
         return ""
-    value = float(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if not isinstance(value, (Fraction, float)):
+        return value
     if math.isinf(value):
         return "inf"
-    return format(value, "#.10g" if padded else ".10g")
+    return format(float(value), ".10g" if name in ("epsilon", "delta") else "#.10g")
 
 
 def write_experiment_csv(rows: Iterable[ExperimentRow]) -> str:
@@ -242,20 +243,5 @@ def write_experiment_csv(rows: Iterable[ExperimentRow]) -> str:
     writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            row.trial,
-            row.seed,
-            row.rule,
-            row.n,
-            row.m,
-            _decimal(row.epsilon, padded=False),
-            _decimal(row.delta, padded=False),
-            row.ell,
-            "" if row.mov_exact is None else row.mov_exact,
-            _decimal(row.mov_lower, padded=True),
-            _decimal(row.mov_upper, padded=True),
-            _decimal(row.estimate, padded=True),
-            _decimal(row.abs_error, padded=True),
-            "" if row.within_guarantee is None else str(row.within_guarantee).lower(),
-        ])
+        writer.writerow([_cell(name, getattr(row, name)) for name in CSV_COLUMNS])
     return buffer.getvalue()

@@ -22,8 +22,10 @@ Three layers live here:
 Infinite quantities use the ``math.inf`` sentinel.
 """
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -134,20 +136,22 @@ class _Universe:
         return (frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2 ** m))
 
 
+def _mov_tally(rule: Rule, m: int, votes, ranked: bool):
+    """`movkit.core.rule_tally` for a margin of victory, which needs a second
+    candidate to change the winner set."""
+    if m < 2:
+        raise InputError("margin of victory needs at least two candidates")
+    return rule_tally(rule, m, votes, ranked)
+
+
 def _make_engine(profile: Profile, rule: Rule):
     """The rule's tally, raw ballot types, replacement universe and ballot
     wrapper. The search applies raw ballots (order tuples, frozensets) to
     the tally with add(raw, -1 or +1) and compares its winner_mask."""
-    if isinstance(rule, Approval):
-        if not isinstance(profile, ApprovalProfile):
-            raise InputError("approval rule needs an approval profile")
-        tally = rule_tally(rule, profile.m, profile.votes, ranked=False)
-        raw = [b.approved for b, _ in profile.votes]
-        return tally, raw, _Universe(profile.m, ranked=False), ApprovalBallot
-    if not isinstance(profile, RankedProfile):
-        raise InputError("this rule needs a ranked profile")
-    tally = rule_tally(rule, profile.m, profile.votes, ranked=True)
-    return tally, [b.order for b, _ in profile.votes], _Universe(profile.m, ranked=True), Ranking
+    ranked = isinstance(profile, RankedProfile)
+    tally = _mov_tally(rule, profile.m, profile.votes, ranked)
+    raw = [b.order if ranked else b.approved for b, _ in profile.votes]
+    return tally, raw, _Universe(profile.m, ranked), Ranking if ranked else ApprovalBallot
 
 
 def _settled_test(rule: Rule, tally, m: int, n: int):
@@ -250,11 +254,9 @@ def mov_brute_force(
     the search nodes visited (pruned nodes and leaves included) exceed
     ``work_limit``; the universe is charged before it is built.
     """
-    if profile.m < 2:
-        raise InputError("margin of victory needs at least two candidates")
+    tally, raw, universe, wrap = _make_engine(profile, rule)
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
-    tally, raw, universe, wrap = _make_engine(profile, rule)
     limit_error = WorkLimitError(
         f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     )
@@ -346,26 +348,26 @@ def apply_changes(
     """Replace the votes at the given expanded indices, returning a new profile.
 
     Indices refer to ``profile.expand()`` order and must be distinct; this is
-    the format of ``ExactMovResult.witness``.
+    the format of ``ExactMovResult.witness``. Each index is found among the
+    cumulative multiplicities and only counts change, so the cost does not
+    grow with n. The new profile's constructor checks every replacement, so
+    a raw tuple or set is accepted as in any profile constructor.
     """
-    expanded = profile.expand()
+    ends = list(itertools.accumulate(mult for _, mult in profile.votes))
+    counts = [mult for _, mult in profile.votes]
     seen: set[int] = set()
+    inserted = []
     for index, ballot in changes:
-        if not 0 <= index < len(expanded):
-            raise InputError(f"vote index {index} out of range 0..{len(expanded) - 1}")
+        index = operator.index(index)  # TypeError for a non-integer, as for a list index
+        if not 0 <= index < ends[-1]:
+            raise InputError(f"vote index {index} out of range 0..{ends[-1] - 1}")
         if index in seen:
             raise InputError(f"vote index {index} changed twice")
         seen.add(index)
-        if isinstance(profile, RankedProfile):
-            if not isinstance(ballot, Ranking) or ballot.m != profile.m:
-                raise InputError(f"replacement {ballot!r} is not a ranking of {profile.m}")
-        else:
-            if not isinstance(ballot, ApprovalBallot):
-                raise InputError(f"replacement {ballot!r} is not an approval ballot")
-            if any(c >= profile.m for c in ballot.approved):
-                raise InputError(f"replacement approves unknown candidate: {ballot!r}")
-        expanded[index] = ballot
-    return type(profile)(m=profile.m, votes=tuple((b, 1) for b in expanded), names=profile.names)
+        counts[bisect.bisect_right(ends, index)] -= 1
+        inserted.append((ballot, 1))
+    kept = [(ballot, count) for (ballot, _), count in zip(profile.votes, counts) if count]
+    return type(profile)(m=profile.m, votes=(*kept, *inserted), names=profile.names)
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +593,7 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     * Copeland: [1, n] on a tie, else [G, 2*(ceil(log2 m)+1)*G] with G the
       winner's smallest relative margin.
     """
-    if profile.m < 2:
-        raise InputError("margin of victory needs at least two candidates")
-    tally = _profile_tally(profile, rule)
+    tally = _mov_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
     gap = _margin_statistic(rule, tally, profile.n)[0]
     if isinstance(rule, Scoring):
         lower, upper, source = gap / 2, gap + 1, "positional score gap"

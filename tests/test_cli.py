@@ -1,5 +1,7 @@
 """Command-line interface behaviour and output stability."""
 
+import tracemalloc
+
 import pytest
 from click.testing import CliRunner
 
@@ -265,3 +267,16 @@ def test_non_integer_generator_and_oracle_parameters_exit_2(runner, args, messag
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+def test_exact_witness_does_not_expand_the_votes(runner, tmp_path):
+    # printing the witness needs only the original of each changed vote
+    path = write_file(tmp_path, "e.txt", "m 2\n2000000: a>b\n2000000: b>a\n")
+    tracemalloc.start()
+    try:
+        result = invoke(runner, ["mov", "-i", path, "-r", "plurality", "--mode", "exact"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.output == "MoV = 1\n  change vote 0: a>b -> b>a\n"
+    assert peak < 5 * 2**20

@@ -180,6 +180,35 @@ def test_apply_changes_validates_indices_and_ballots():
         apply_changes(p, [(0, Ranking((1, 0))), (0, Ranking((0, 1)))])
     with pytest.raises(InputError):
         apply_changes(p, [(0, Ranking((1, 0, 2)))])
+    with pytest.raises(TypeError):
+        apply_changes(p, [(0.0, Ranking((1, 0)))])
+
+
+def test_apply_changes_takes_raw_ballots_and_matches_a_rebuilt_profile():
+    p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 3), ((2, 0, 1), 1)])
+    changes = [(4, Ranking((2, 1, 0))), (0, (2, 1, 0)), (5, [0, 2, 1])]
+    expanded = p.expand()
+    for index, ballot in changes:
+        expanded[index] = ballot
+    rebuilt = ranked_profile(3, [(tuple(getattr(b, "order", b)), 1) for b in expanded])
+    changed = apply_changes(p, changes)
+    assert changed == rebuilt and repr(changed) == repr(rebuilt)
+    a = approval_profile(2, [((0,), 1), ((), 2)])
+    assert apply_changes(a, [(1, {0, 1})]) == approval_profile(2, [((0,), 1), ((), 1), ((0, 1), 1)])
+
+
+def test_apply_changes_does_not_expand_the_votes():
+    # 4,000,000 votes would take hundreds of MB as a list of ballots
+    p = ranked_profile(2, [((0, 1), 2_000_000), ((1, 0), 2_000_000)])
+    witness = mov_brute_force(p, KApproval(1), p.n).witness
+    tracemalloc.start()
+    try:
+        changed = apply_changes(p, witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert changed == ranked_profile(2, [((0, 1), 1_999_999), ((1, 0), 2_000_001)])
 
 
 def test_kapproval_closed_form_examples():
