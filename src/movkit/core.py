@@ -4,7 +4,8 @@ Candidates are integers ``0..m-1``. One `Profile` base stores a multiset of
 distinct ballots with positive multiplicities; `RankedProfile` and
 `ApprovalProfile` only check a ballot and give its sort key (the order, or
 the ascending approved candidates). Votes are merged and sorted on those
-plain tuples, so equal multisets compare equal. Each rule family has one
+plain tuples, and each ballot is built back from its key, so equal multisets
+compare equal and have equal reprs. Each rule family has one
 integer tally (positional, approval, Bucklin position counts, pairwise
 ``above`` counts), chosen by `rule_tally` and shared by winner
 determination, the exact search and the sampling estimators. A positional
@@ -114,22 +115,35 @@ class Profile:
         if self.m < 1:
             raise InputError("profile needs at least one candidate")
         counts: dict[tuple, int] = {}
-        ballots: dict[tuple, Ranking | ApprovalBallot] = {}
         for ballot, mult in self.votes:
-            ballot, key = self._check_ballot(ballot)
+            key = self._check_ballot(ballot)
             if not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
             counts[key] = counts.get(key, 0) + mult
-            ballots.setdefault(key, ballot)
         if not counts:
             raise InputError("profile must contain at least one vote")
-        canonical = tuple((ballots[key], counts[key]) for key in sorted(counts))
-        object.__setattr__(self, "votes", canonical)
-        object.__setattr__(self, "names", _validate_names(self.names, self.m))
+        self._set_votes(counts, _validate_names(self.names, self.m))
 
-    def _check_ballot(self, ballot) -> tuple[Ranking | ApprovalBallot, tuple]:
-        """The ballot, coerced and checked against m, and its sort key. This
-        is the one check that a ballot belongs to the profile: anything else,
+    @classmethod
+    def _from_canonical(cls, m: int, counts: Mapping[tuple, int], names) -> "Profile":
+        """The profile of checked ballot sort keys and their merged positive
+        counts, with validated ``names`` or None: what the constructor's
+        checks and merge end in, without repeating them."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "m", m)
+        profile._set_votes(counts, names)
+        return profile
+
+    def _set_votes(self, counts: Mapping[tuple, int], names) -> None:
+        """The one body of every profile: the subclass's `_ballot` of each
+        key, in key order."""
+        ballot = self._ballot
+        object.__setattr__(self, "votes", tuple((ballot(key), counts[key]) for key in sorted(counts)))
+        object.__setattr__(self, "names", names)
+
+    def _check_ballot(self, ballot) -> tuple:
+        """The sort key of a ballot, coerced and checked against m. This is
+        the one check that a ballot belongs to the profile: anything else,
         another kind's ballot included, is an InputError."""
         raise NotImplementedError
 
@@ -148,17 +162,29 @@ class Profile:
 class RankedProfile(Profile):
     """A multiset of rankings, sorted by ballot order."""
 
+    @staticmethod
+    def _ballot(key):
+        ballot = object.__new__(Ranking)  # skips Ranking's checks
+        object.__setattr__(ballot, "order", key)
+        return ballot
+
     def _check_ballot(self, ballot):
         if not isinstance(ballot, Ranking):
             ballot = Ranking(ballot)
         order = ballot.order
         if len(order) != self.m:
             raise InputError(f"ballot {order!r} does not rank all {self.m} candidates")
-        return ballot, order
+        return order
 
 
 class ApprovalProfile(Profile):
     """A multiset of approval ballots, sorted by their ascending members."""
+
+    @staticmethod
+    def _ballot(key):
+        ballot = object.__new__(ApprovalBallot)  # skips ApprovalBallot's checks
+        object.__setattr__(ballot, "approved", frozenset(key))
+        return ballot
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, ApprovalBallot):
@@ -166,7 +192,7 @@ class ApprovalProfile(Profile):
         key = tuple(sorted(ballot.approved))
         if key and key[-1] >= self.m:
             raise InputError(f"ballot approves unknown candidate: {list(key)!r}")
-        return ballot, key
+        return key
 
 
 # ---------------------------------------------------------------------------

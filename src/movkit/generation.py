@@ -129,8 +129,9 @@ def generate(spec: GenSpec) -> RankedProfile:
     """Build the ranked profile a generation model describes."""
     if isinstance(spec, ImpartialCulture):
         rng = random.Random(spec.seed)
+        # every order is a permutation of range(m), so the counts are checked keys
         orders = Counter(tuple(rng.sample(range(spec.m), spec.m)) for _ in range(spec.n))
-        return RankedProfile(m=spec.m, votes=tuple(orders.items()))
+        return RankedProfile._from_canonical(spec.m, orders, None)
     if isinstance(spec, PlantedGap):
         counts = _planted_counts(spec)
         votes = tuple(

@@ -12,7 +12,12 @@ The first significant line must be ``m <int>``. A file holds ranked ballots
 or approval ballots, never both. Candidate tokens are declared names, bare
 0-based integer indices, or (when no names are declared and m <= 26) the
 default letters a, b, c, ... Declared names win over integer literals.
-Counts, indices and ``m`` are written in ASCII digits.
+Counts, indices and ``m`` are written in ASCII digits. Lines with the same
+ballot merge, their counts summed.
+
+The parser is the one check of a file's ballots: it resolves, checks and
+merges each line once, and hands the merged ballots to the profile without
+the constructor checking them again.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -47,84 +52,84 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _significant_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield number, line
-
-
-def _is_number(text: str) -> bool:
-    """ASCII digits only: ``str.isdigit`` also accepts '²', which int() rejects."""
-    return text.isascii() and text.isdigit()
-
-
 def _token_table(names: Optional[Sequence[str]], m: int) -> dict[str, int]:
-    """Candidate index of every canonical token. Declared names win over
-    integer literals, which win over the default letters."""
-    table = {}
-    if names is None and m <= 26:
-        table.update((letter, c) for c, letter in enumerate(_DEFAULT_NAMES[:m]))
-    table.update((str(c), c) for c in range(m))
+    """Candidate index of the declared names, or else (m <= 26) of the
+    default letters. Integer tokens enter on first use, through `_resolve`,
+    so declared names win over integer literals, which win over letters."""
     if names is not None:
-        table.update((name, c) for c, name in enumerate(names))
-    return table
+        return {name: c for c, name in enumerate(names)}
+    return {letter: c for c, letter in enumerate(_DEFAULT_NAMES[:m])} if m <= 26 else {}
 
 
 def _resolve(token: str, table: dict[str, int], m: int, line: int) -> int:
-    """A token `_token_table` misses as given: padded, empty, written with
-    non-canonical digits such as ``01``, out of range, or unknown."""
-    token = token.strip()
-    if not token:
+    """The candidate of a token `_token_table` misses as given (padded,
+    empty, an integer, written with non-canonical digits such as ``01``, out
+    of range, or unknown), remembered in the table under the token."""
+    name = token.strip()
+    if not name:
         raise ParseError("empty candidate token", line)
-    if token in table:
-        return table[token]
-    if _is_number(token):
-        index = int(token)
-        if index >= m:
-            raise ParseError(f"candidate index {index} out of range for m={m}", line)
-        return index
-    raise ParseError(f"unknown candidate {token!r}", line)
+    index = table.get(name)
+    if index is None:
+        # ASCII digits only: str.isdigit also accepts '²', which int() rejects
+        if not (name.isascii() and name.isdigit()):
+            raise ParseError(f"unknown candidate {name!r}", line)
+        digits = name.lstrip("0") or "0"
+        # more digits than m has is out of range, and may be more than int() reads
+        if len(digits) > len(str(m)) or int(digits) >= m:
+            raise ParseError(f"candidate index {digits} out of range for m={m}", line)
+        index = int(digits)
+    table[token] = index
+    return index
+
+
+def _positive(text: str) -> int:
+    """The value of a string of ASCII digits, or 0 if it is anything else or
+    has more digits than int() reads (sys.get_int_max_str_digits)."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:
+        return 0
 
 
 def parse_election(text: str) -> Profile:
     """Parse election text into a ranked or approval profile."""
-    lines = _significant_lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise ParseError("missing 'm <count>' header", 1) from None
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "m" or not _is_number(parts[1]) or int(parts[1]) < 1:
-        raise ParseError("first line must be 'm <count>' with a positive count", number)
-    m = int(parts[1])
-
+    m = 0
     names: Optional[tuple[str, ...]] = None
-    # fast path for ballot tokens; a miss falls back to _resolve for its error
-    table = _token_table(names, m)
-    ranked: list[tuple[Ranking, int]] = []
-    approval: list[tuple[ApprovalBallot, int]] = []
-    for number, line in lines:
-        if names is None and not ranked and not approval and line.startswith("candidates"):
+    kind: Optional[type[Profile]] = None  # set by the first ballot line
+    counts: dict[tuple[int, ...], int] = {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if not m:
+            parts = line.split()
+            m = _positive(parts[1]) if len(parts) == 2 and parts[0] == "m" else 0
+            if m < 1:
+                raise ParseError("first line must be 'm <count>' with a positive count", number)
+            last_header = number
+            # fast path for ballot tokens; a miss falls back to _resolve
+            table = _token_table(names, m)
+            continue
+        if kind is None and names is None and line.startswith("candidates"):
             rest = line[len("candidates"):].strip()
             try:
                 names = _validate_names((tok.strip() for tok in rest.split(",")), m)
             except InputError as exc:
                 raise ParseError(str(exc), number) from exc
-            table = _token_table(names, m)
+            table, last_header = _token_table(names, m), number
             continue
         count_part, sep, ballot_part = line.partition(":")
         if not sep:
             raise ParseError("expected 'COUNT: ballot'", number)
         count_part = count_part.strip()
-        if not _is_number(count_part) or int(count_part) < 1:
+        count = _positive(count_part)
+        if count < 1:
             raise ParseError(f"count must be a positive integer, got {count_part!r}", number)
-        count = int(count_part)
         ballot_part = ballot_part.strip()
         if ballot_part.startswith("{"):
-            if ranked:
+            if kind is RankedProfile:
                 raise ParseError("approval ballot in a ranked file", number)
+            kind = ApprovalProfile
             if not ballot_part.endswith("}"):
                 raise ParseError("unterminated approval set", number)
             inner = ballot_part[1:-1].strip()
@@ -137,29 +142,26 @@ def parse_election(text: str) -> Profile:
                     if cand in members:
                         raise ParseError(f"candidate {token.strip()!r} listed twice", number)
                     members.add(cand)
-            approval.append((ApprovalBallot(frozenset(members)), count))
+            key = tuple(sorted(members))
         else:
-            if approval:
+            if kind is ApprovalProfile:
                 raise ParseError("ranked ballot in an approval file", number)
+            kind = RankedProfile
             tokens = ballot_part.split(">")
             if len(tokens) != m:
                 raise ParseError(f"ranking must list all {m} candidates", number)
-            order = tuple(map(table.get, tokens))
-            if None in order:
-                order = tuple(_resolve(token, table, m, number) for token in tokens)
-            # all m indices lie in 0..m-1, so Ranking rejects exactly the repeats
-            try:
-                ranked.append((Ranking(order), count))
-            except InputError:
-                raise ParseError("ranking repeats a candidate", number) from None
-    if not ranked and not approval:
-        raise ParseError("no ballot lines", number)
-    try:
-        if ranked:
-            return RankedProfile(m=m, votes=tuple(ranked), names=names)
-        return ApprovalProfile(m=m, votes=tuple(approval), names=names)
-    except InputError as exc:
-        raise ParseError(str(exc), 1) from exc
+            key = tuple(map(table.get, tokens))
+            if None in key:
+                key = tuple(_resolve(token, table, m, number) for token in tokens)
+            # all m indices lie in 0..m-1, so a repeat is the only fault left
+            if len(set(key)) != m:
+                raise ParseError("ranking repeats a candidate", number)
+        counts[key] = counts.get(key, 0) + count
+    if not m:
+        raise ParseError("missing 'm <count>' header", 1)
+    if kind is None:
+        raise ParseError("no ballot lines", last_header)
+    return kind._from_canonical(m, counts, names)
 
 
 def candidate_labels(profile: Profile) -> list[str]:

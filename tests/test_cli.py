@@ -1,5 +1,6 @@
 """Command-line interface behaviour and output stability."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -56,6 +57,16 @@ def test_parse_error_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["winner", "-i", path, "-r", "plurality"])
     assert result.exit_code == 2
     assert "line 2" in result.output
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no integer string conversion limit")
+def test_count_longer_than_int_reads_exits_2(runner, tmp_path):
+    count = "9" * (sys.get_int_max_str_digits() + 700)
+    path = write_file(tmp_path, "e.txt", f"m 2\n{count}: a>b\n")
+    result = runner.invoke(main, ["winner", "-i", path, "-r", "plurality"])
+    assert result.exit_code == 2, result.output
+    assert f"Error: line 2: count must be a positive integer, got '{count}'" in result.output
 
 
 def test_mov_exact_with_witness(runner, tmp_path):

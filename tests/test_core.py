@@ -7,12 +7,14 @@ import pytest
 from movkit.core import (
     ApprovalBallot,
     Approval,
+    ApprovalProfile,
     Bucklin,
     Copeland,
     InputError,
     KApproval,
     Maximin,
     PairwiseMatrix,
+    RankedProfile,
     Ranking,
     ScoreVector,
     Scoring,
@@ -54,6 +56,27 @@ def test_profile_merges_duplicate_ballots():
     assert p.votes == ((Ranking((0, 1)), 3), (Ranking((1, 0)), 1))
     assert p.n == 4
     assert len(p.expand()) == 4
+
+
+def test_canonical_builder_matches_the_checked_constructor():
+    # the builder trusts its keys, so its ballots must be indistinguishable
+    # from checked ones
+    ranked = {(2, 0, 1): 10**12, (0, 1, 2): 1}
+    p = RankedProfile._from_canonical(3, ranked, ("x", "y", "z"))
+    for ballot, _ in p.votes:
+        assert type(ballot) is Ranking
+        assert ballot == Ranking(ballot.order) and hash(ballot) == hash(Ranking(ballot.order))
+    assert p == RankedProfile(m=3, votes=tuple(ranked.items()), names=("x", "y", "z"))
+    assert [ballot.order for ballot, _ in p.votes] == sorted(ranked)
+
+    approval = {(1, 9, 20): 2, (): 1, (0,): 3}
+    q = ApprovalProfile._from_canonical(27, approval, None)
+    for (ballot, count), key in zip(q.votes, sorted(approval)):
+        assert type(ballot) is ApprovalBallot and count == approval[key]
+        assert ballot == ApprovalBallot(frozenset(key))
+        assert hash(ballot) == hash(ApprovalBallot(frozenset(key)))
+    checked = ApprovalProfile(m=27, votes=tuple((set(key), c) for key, c in approval.items()))
+    assert q == checked and repr(q) == repr(checked)
 
 
 def test_profile_rejects_bad_multiplicity_and_mismatched_m():

@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from movkit.core import ApprovalProfile, RankedProfile, ranked_profile
+from movkit.core import ApprovalBallot, ApprovalProfile, RankedProfile, ranked_profile
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import (
     CSV_COLUMNS,
@@ -143,6 +145,60 @@ def test_large_m_uses_index_labels():
     text = write_election(p)
     assert "0>1>2" in text
     assert parse_election(text) == p
+
+
+def test_default_letters_stop_at_m_26():
+    assert parse_election("m 26\n1: {a,z}\n").votes[0][0].approved == frozenset({0, 25})
+    with pytest.raises(ParseError, match="line 2: unknown candidate 'a'"):
+        parse_election("m 27\n1: {a}\n")
+
+
+def test_duplicate_lines_merge_and_sum_exactly():
+    text = "m 2\n# x\n1000000000000: a>b\n1: b>a\n999999999999: 0 > 1\n1000000000001: a>b\n"
+    assert parse_election(text).votes == ranked_profile(
+        2, [((0, 1), 3 * 10**12), ((1, 0), 1)]).votes
+    approval = parse_election("m 3\n10000000000000: {c,a}\n10000000000000: { 02 ,0}\n")
+    assert approval.votes == ((ApprovalBallot(frozenset({0, 2})), 2 * 10**13),)
+
+
+def test_integer_tokens_resolve_on_first_use():
+    # a miss is resolved once and remembered under the token as written
+    p = parse_election("m 3\n1: 2>0>1\n1: 2>0>1\n1: 02>0 > 1\n1: 02>0 > 1\n")
+    assert p.votes == ranked_profile(3, [((2, 0, 1), 4)]).votes
+    # the memo never lets an integer shadow a declared name
+    p = parse_election("m 3\ncandidates 2,0,1\n1: 2>0>1\n1: 02>01>00\n")
+    assert p.votes == ranked_profile(3, [((0, 1, 2), 1), ((2, 1, 0), 1)]).votes
+
+
+def test_integer_tokens_need_no_table_of_all_m():
+    text = "m 1000000\n1: {}\n"
+    tracemalloc.start()
+    try:
+        profile = parse_election(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.m == 10**6 and profile.n == 1
+    assert peak < 2**20
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no integer string conversion limit")
+@pytest.mark.parametrize("text, message", [
+    ("m 2\n{n}: a>b\n", "line 2: count must be a positive integer, got '{n}'"),
+    ("m {n}\n1: {{}}\n", "line 1: first line must be 'm <count>' with a positive count"),
+    ("m 2\n1: a>{n}\n", "line 2: candidate index {n} out of range for m=2"),
+], ids=["count", "m", "index"])
+def test_numbers_longer_than_int_reads_are_parse_errors(text, message):
+    n = "9" * (sys.get_int_max_str_digits() + 700)
+    with pytest.raises(ParseError) as info:
+        parse_election(text.format(n=n))
+    assert str(info.value) == message.format(n=n)
+
+
+def test_leading_zeros_do_not_count_toward_an_index():
+    p = parse_election("m 2\n1: " + "0" * 5000 + "1>a\n")
+    assert p.votes[0][0].order == (1, 0)
 
 
 def row(**overrides):

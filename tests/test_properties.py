@@ -2,8 +2,8 @@
 against plain references, the type-level exact search against an
 index-level one and the pruned search against the unpruned one,
 candidate-token resolution in the parser, and profile
-construction (counted generation, the constructor's merge and errors, and
-the parse/write round trip)."""
+construction (counted generation, the constructor's merge and errors, the
+parse/write round trip, and the parser's own merge of scrambled text)."""
 
 import itertools
 import random
@@ -698,3 +698,59 @@ def named_profiles(draw):
 @example(ranked_profile(28, [(tuple(range(27, -1, -1)), 1)], [f"c{c}" for c in range(28)]))
 def test_parse_inverts_write(profile):
     assert parse_election(write_election(profile)) == profile
+
+
+@st.composite
+def scrambled_elections(draw):
+    """(text, expected): a profile from the checked constructor, and a text
+    of it with shuffled lines, ballots split over several count lines,
+    comments and blank lines, padded and non-canonical tokens, and maybe
+    declared names."""
+    m = draw(st.sampled_from([1, 2, 3, 5, 9, 26, 27, 30]))
+    names = draw(st.none() | st.lists(
+        st.text("abxyz019_.-", min_size=1, max_size=3), min_size=m, max_size=m, unique=True,
+    ))
+    ranked = draw(st.booleans())
+    if ranked:
+        keys = st.permutations(range(m)).map(tuple)
+    else:
+        keys = st.frozensets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
+    counts = draw(st.dictionaries(keys, st.integers(1, 10**12), min_size=1, max_size=5))
+    make = ranked_profile if ranked else approval_profile
+    expected = make(m, counts.items(), names)
+
+    def token(c):
+        forms = [names[c] if names else chr(97 + c) if m <= 26 else str(c)]
+        padded = "0" * draw(st.integers(0, 2)) + str(c)
+        if not names or padded not in names:  # declared names win over integers
+            forms.append(padded)
+        return draw(st.sampled_from(["", " ", "  "])) + draw(st.sampled_from(forms)) + \
+            draw(st.sampled_from(["", " "]))
+
+    lines = []
+    for key, count in counts.items():
+        cuts = sorted(draw(st.sets(st.integers(1, count - 1), max_size=2)) if count > 1 else [])
+        for part in (b - a for a, b in zip([0, *cuts], [*cuts, count])):
+            order = list(key) if ranked else draw(st.permutations(key))
+            ballot = ">".join(map(token, order)) if ranked else "{" + ",".join(map(token, order)) + "}"
+            lines.append(draw(st.sampled_from(["", "0", " "])) + f"{part}:" + ballot)
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# c>a", "#"])))
+    header = [draw(st.sampled_from(["", "# election"])), f"m {m}"]
+    if names is not None:
+        header.append("candidates " + " , ".join(names))
+    return "\n".join(header + lines) + "\n", expected
+
+
+@PROPERTY_SETTINGS
+@given(scrambled_elections())
+@example(("m 3\n2: a>b>c\n# x\n\n1: 00>01 > 2\n", ranked_profile(3, [((0, 1, 2), 3)])))
+@example(("m 30\n1: {20,010}\n2: { 5,21,20 , 10}\n3: {10, 20 }\n",
+          approval_profile(30, [({10, 20}, 4), ({5, 10, 20, 21}, 2)])))
+def test_parse_merges_scrambled_text_like_the_constructor(case):
+    text, expected = case
+    profile = parse_election(text)
+    assert profile == expected and repr(profile) == repr(expected)
+    assert [tuple(map(type, vote)) for vote in profile.votes] == \
+        [tuple(map(type, vote)) for vote in expected.votes]
