@@ -26,16 +26,12 @@ from movkit.core import (
     InputError,
     KApproval,
     Maximin,
-    PairwiseMatrix,
     RankedProfile,
     Ranking,
     Rule,
     Scoring,
     ScoreVector,
     WinnerResult,
-    normalize_score_vector,
-    pairwise_matrix,
-    top_k_counts,
     winner_set,
 )
 from movkit.oracle import (
@@ -44,14 +40,10 @@ from movkit.oracle import (
     TiedWinnersError,
     WorkLimitError,
     apply_changes,
-    bucklin_change_floor,
-    bucklin_gap,
-    copeland_margin,
     mov_approval_closed_form,
     mov_bounds,
     mov_brute_force,
     mov_kapproval_closed_form,
-    relative_margin,
 )
 from movkit.estimators import (
     MovEstimate,

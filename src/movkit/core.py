@@ -241,7 +241,16 @@ class ScoreVector:
         return self.alphas[0]
 
     def normalized(self) -> "ScoreVector":
-        return normalize_score_vector(self.alphas)
+        """This vector shifted and rescaled to its canonical normalized form.
+
+        Subtracts the last entry, then divides by the value of the last
+        strictly positive entry, so the result ends in zero and steps down by
+        exactly one into its trailing zero block. Winner sets are unchanged by
+        this affine rescaling.
+        """
+        shifted = tuple(a - self.alphas[-1] for a in self.alphas)
+        scale = [v for v in shifted if v > 0][-1]
+        return ScoreVector(tuple(v / scale for v in shifted))
 
     @classmethod
     def borda(cls, m: int) -> "ScoreVector":
@@ -262,20 +271,6 @@ def integer_weights(vector: ScoreVector) -> tuple[tuple[int, ...], int]:
     ``vector.alphas[i] == Fraction(weights[i], unit)`` for every position."""
     unit = math.lcm(*(a.denominator for a in vector.alphas))
     return tuple(a.numerator * (unit // a.denominator) for a in vector.alphas), unit
-
-
-def normalize_score_vector(raw: Sequence) -> ScoreVector:
-    """Shift and rescale a score vector to its canonical normalized form.
-
-    Subtracts the last entry, then divides by the value of the last strictly
-    positive entry, so the result ends in zero and steps down by exactly one
-    into its trailing zero block. Winner sets are unchanged by this affine
-    rescaling. Vectors that `ScoreVector` rejects are rejected.
-    """
-    alphas = ScoreVector(raw).alphas
-    shifted = tuple(a - alphas[-1] for a in alphas)
-    scale = [v for v in shifted if v > 0][-1]
-    return ScoreVector(tuple(v / scale for v in shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -541,54 +536,6 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
 
 def _profile_tally(profile: Profile, rule: Rule):
     return rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
-
-
-def top_k_counts(profile: RankedProfile) -> tuple[tuple[int, ...], ...]:
-    """Counts of votes placing each candidate within the top-k positions.
-
-    Returns a tuple of rows, one per candidate; row ``x`` has entry
-    ``counts[x][k-1]`` = number of votes ranking ``x`` within its first
-    ``k`` positions, for k = 1..m. Rows are non-decreasing and end at n.
-    """
-    return _profile_tally(profile, Bucklin()).top_counts()
-
-
-@dataclass(frozen=True)
-class PairwiseMatrix:
-    """Antisymmetric pairwise margins: d[x][y] = #(x above y) - #(y above x)."""
-
-    d: tuple[tuple[int, ...], ...]
-    n: int
-
-    def __post_init__(self):
-        d = tuple(tuple(row) for row in self.d)
-        object.__setattr__(self, "d", d)
-        m = len(d)
-        if any(len(row) != m for row in d):
-            raise InputError("pairwise matrix must be square")
-        for x in range(m):
-            if d[x][x] != 0:
-                raise InputError("pairwise diagonal must be zero")
-            for y in range(m):
-                if d[x][y] != -d[y][x]:
-                    raise InputError("pairwise matrix must be antisymmetric")
-                if x != y and (abs(d[x][y]) > self.n or (d[x][y] - self.n) % 2 != 0):
-                    raise InputError(
-                        f"pairwise entry {d[x][y]} impossible with n={self.n} votes"
-                    )
-
-    @property
-    def m(self) -> int:
-        return len(self.d)
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        x, y = pair
-        return self.d[x][y]
-
-
-def pairwise_matrix(profile: RankedProfile) -> PairwiseMatrix:
-    """Pairwise margin matrix of a ranked profile."""
-    return PairwiseMatrix(d=_profile_tally(profile, Maximin()).net(), n=profile.n)
 
 
 # ---------------------------------------------------------------------------

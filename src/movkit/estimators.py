@@ -232,6 +232,8 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
         raise InputError(f"unknown rule kind {rule_kind!r}")
     eps = _check_unit_interval("epsilon", epsilon)
     dlt = _check_unit_interval("delta", delta)
+    if rule_kind == "kapproval" and k is not None:
+        KApproval(k)  # the one check that k is a positive integer, before m is read
     if not isinstance(m, int) or m < 2:
         raise InputError(f"m must be an integer >= 2, got {m!r}")
     if rule_kind == "kapproval":

@@ -46,7 +46,6 @@ from movkit.core import (
     Scoring,
     _profile_tally,
     integer_weights,
-    pairwise_matrix,
     rule_tally,
     top_two,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
@@ -400,20 +399,8 @@ def mov_approval_closed_form(profile: ApprovalProfile) -> int:
     return _gap_closed_form(profile, Approval())
 
 
-def bucklin_gap(profile: RankedProfile) -> Union[int, float]:
-    """Upper-bound quantity for the Bucklin margin.
-
-    Minimum of n_l(w) - n_l(x) + 1 over levels l in 1..m-1 where the
-    canonical winner w holds a strict majority and some x != w does not.
-    Changing that many votes (moving x up, w down) hands x a strictly earlier
-    majority, so the value bounds the margin from above. Returns ``math.inf``
-    when no level qualifies (then this argument gives no finite bound).
-    """
-    return _margin_statistic(Bucklin(), _profile_tally(profile, Bucklin()), profile.n)[0]
-
-
-def bucklin_change_floor(profile: RankedProfile) -> Union[int, float]:
-    """Lower-bound quantity for the Bucklin margin.
+def _change_floor(tally) -> Union[int, float]:
+    """Lower-bound quantity for the Bucklin margin, read from a Bucklin tally.
 
     Any change of the winner set must (a) cost some winner its majority at
     the winning level, (b) lift a non-winner to a majority at the winning
@@ -421,13 +408,8 @@ def bucklin_change_floor(profile: RankedProfile) -> Union[int, float]:
     level (which only matters if it isn't already the unique winner). One
     changed vote moves each count by at most one, so the margin is at least
     the cheapest of these events. Returns ``math.inf`` when no event is
-    feasible (single-candidate profiles only).
+    feasible (single-candidate tallies only).
     """
-    return _change_floor(_profile_tally(profile, Bucklin()))
-
-
-def _change_floor(tally) -> Union[int, float]:
-    """`bucklin_change_floor` read from a Bucklin tally."""
     counts = tally.top_counts()
     scores = tally.scores()
     best_level = min(scores.values())
@@ -506,26 +488,6 @@ def relative_margin_generic(
     return lo
 
 
-def relative_margin(profile: RankedProfile, x: int, y: int, alpha) -> int:
-    """Relative margin of candidate x over y on a ranked profile."""
-    return relative_margin_generic(pairwise_matrix(profile).d, profile.n, x, y, Fraction(alpha))
-
-
-def copeland_margin(profile: RankedProfile, alpha) -> int:
-    """Smallest relative margin of the canonical Copeland winner over a rival.
-
-    Non-negative; zero exactly when the winner set is tied. On a tie the
-    canonical winner's raw relative margin over a co-winner can fall below
-    zero, so the result is clamped at zero. With a unique winner this bounds
-    the margin of victory from below, and times 2*(ceil(log2 m) + 1) from
-    above.
-    """
-    if profile.m < 2:
-        raise InputError("relative margin needs at least two candidates")
-    rule = Copeland(Fraction(alpha))
-    return _margin_statistic(rule, _profile_tally(profile, rule), profile.n)[0]
-
-
 def copeland_log_factor(m: int) -> int:
     """ceil(log2 m): the pairwise-elimination depth used by the Copeland
     upper bound."""
@@ -588,7 +550,12 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     * positional scoring (normalized vector): [gap/(2*a1), gap/a1 + 1];
     * k-approval and approval: [1, 1] on a tie (one change always creates or
       breaks one), else [gap/2, ceil(gap/2)];
-    * Bucklin: [change floor, level gap] (upper may be ``math.inf``);
+    * Bucklin: [change floor, level gap] (see `_change_floor` for the
+      lower end). The level gap is the least n_l(w) - n_l(x) + 1 over levels
+      l in 1..m-1 where the canonical winner w holds a strict majority and
+      some x != w does not. Changing that many votes (moving x up, w down)
+      hands x a strictly earlier majority, so it bounds the margin from
+      above; it is ``math.inf`` when no level qualifies;
     * maximin: [1, 1] on a tie, else [gap/4, gap/2];
     * Copeland: [1, n] on a tie, else [G, 2*(ceil(log2 m)+1)*G] with G the
       winner's smallest relative margin.

@@ -13,16 +13,13 @@ from movkit.core import (
     InputError,
     KApproval,
     Maximin,
-    PairwiseMatrix,
     RankedProfile,
     Ranking,
     ScoreVector,
     Scoring,
     approval_profile,
-    normalize_score_vector,
-    pairwise_matrix,
     ranked_profile,
-    top_k_counts,
+    rule_tally,
     top_two,
     winner_set,
 )
@@ -113,11 +110,11 @@ def test_score_vector_shapes():
 
 def test_normalize_score_vector():
     # contract: shift by the last entry, divide by the last positive entry
-    assert normalize_score_vector((2, 1, 0)).alphas == (F(2), F(1), F(0))
-    assert normalize_score_vector((5, 5, 3, 3)).alphas == (F(1), F(1), F(0), F(0))
-    assert normalize_score_vector((7, 4, 1)).alphas == (F(2), F(1), F(0))
+    assert ScoreVector((2, 1, 0)).normalized().alphas == (F(2), F(1), F(0))
+    assert ScoreVector((5, 5, 3, 3)).normalized().alphas == (F(1), F(1), F(0), F(0))
+    assert ScoreVector((7, 4, 1)).normalized().alphas == (F(2), F(1), F(0))
     with pytest.raises(InputError):
-        normalize_score_vector((3, 3, 3))
+        ScoreVector((3, 3, 3)).normalized()
 
 
 def test_positional_scores_examples():
@@ -143,35 +140,34 @@ def test_approval_scores_examples():
     assert (s2[0], s2[1], s2[2]) == (2, 3, 1)
 
 
+def _top_counts(p):
+    return rule_tally(Bucklin(), p.m, p.votes, True).top_counts()
+
+
+def _net(p):
+    return rule_tally(Maximin(), p.m, p.votes, True).net()
+
+
 def test_top_k_counts_example():
     p = ranked_profile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
-    counts = top_k_counts(p)
+    counts = _top_counts(p)
     assert [counts[x][0] for x in range(3)] == [2, 1, 0]
     assert [counts[x][1] for x in range(3)] == [3, 2, 1]
     assert [counts[x][2] for x in range(3)] == [3, 3, 3]
-    single = top_k_counts(ranked_profile(2, [((0, 1), 1)]))
+    single = _top_counts(ranked_profile(2, [((0, 1), 1)]))
     assert single[0][0] == 1 and single[1][0] == 0
     assert single[0][1] == 1 and single[1][1] == 1
 
 
 def test_pairwise_matrix_examples():
     p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    d = pairwise_matrix(p)
-    assert d[0, 1] == 1 and d[0, 2] == 1 and d[1, 2] == 5
-    assert d[1, 0] == -1 and d[0, 0] == 0
-    single = pairwise_matrix(ranked_profile(3, [((0, 1, 2), 1)]))
-    assert single[0, 1] == single[0, 2] == single[1, 2] == 1
-    tied = pairwise_matrix(ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]))
-    assert tied[0, 1] == 0
-
-
-def test_pairwise_matrix_validation():
-    with pytest.raises(InputError):
-        PairwiseMatrix(((0, 1), (1, 0)), n=1)  # not antisymmetric
-    with pytest.raises(InputError):
-        PairwiseMatrix(((0, 2), (-2, 0)), n=3)  # parity mismatch with n
-    # odd diagonal-zero matrices are fine: parity applies off the diagonal
-    PairwiseMatrix(((0, 1), (-1, 0)), n=1)
+    d = _net(p)
+    assert d[0][1] == 1 and d[0][2] == 1 and d[1][2] == 5
+    assert d[1][0] == -1 and d[0][0] == 0
+    single = _net(ranked_profile(3, [((0, 1, 2), 1)]))
+    assert single[0][1] == single[0][2] == single[1][2] == 1
+    tied = _net(ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]))
+    assert tied[0][1] == 0
 
 
 def test_bucklin_scores_strict_majority():

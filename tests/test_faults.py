@@ -28,7 +28,7 @@ from movkit.core import (
     ranked_profile,
     winner_set,
 )
-from movkit.estimators import VoteSource, estimate_kapproval, estimate_mov
+from movkit.estimators import VoteSource, estimate_kapproval, estimate_mov, sample_size
 from movkit.io_formats import write_election
 from movkit.oracle import apply_changes, mov_bounds, mov_brute_force
 
@@ -104,6 +104,36 @@ def test_rule_fault_has_one_text_on_the_command_line(fault, command, tmp_path):
         return
     assert result.exit_code == 2, result.output
     assert result.output.endswith(f"Error: {message}\n"), result.output
+
+
+K_POSITIVE = "k must be a positive integer, got 0"
+
+
+def test_k_below_one_has_one_text_in_the_library():
+    source = VoteSource.from_profile(RANKED)
+    calls = {
+        "KApproval": lambda: KApproval(0),
+        "estimate_kapproval": lambda: estimate_kapproval(source, 0, EPS, DELTA, 0),
+        "sample_size": lambda: sample_size("kapproval", EPS, DELTA, 5, 0),
+        # m = 1 is itself invalid: k is checked first
+        "sample_size-before-m": lambda: sample_size("kapproval", EPS, DELTA, 1, 0),
+    }
+    seen = {}
+    for name, call in calls.items():
+        with pytest.raises(InputError) as info:
+            call()
+        seen[name] = str(info.value)
+    assert set(seen.values()) == {K_POSITIVE}, seen
+
+
+@pytest.mark.parametrize("args", [
+    ["samplesize", "--rule", "kapproval", "--k", "0"],
+    ["samplesize", "--rule", "kapproval", "--k", "0", "--m", "5"],
+], ids=["k-only", "k-and-m"])
+def test_k_below_one_has_one_text_on_the_command_line(args):
+    result = CliRunner().invoke(main, args + ["--epsilon", "0.1", "--delta", "0.1"])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Error: {K_POSITIVE}\n"), result.output
 
 
 ENTRIES = "ballot entries must be integer candidate indices: "

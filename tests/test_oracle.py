@@ -19,8 +19,8 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     approval_profile,
-    pairwise_matrix,
     ranked_profile,
+    rule_tally,
     winner_set,
 )
 from movkit.generation import ImpartialCulture, generate
@@ -28,15 +28,12 @@ from movkit.oracle import (
     TiedWinnersError,
     WorkLimitError,
     apply_changes,
-    bucklin_change_floor,
-    bucklin_gap,
     copeland_log_factor,
-    copeland_margin,
     mov_approval_closed_form,
     mov_bounds,
     mov_brute_force,
     mov_kapproval_closed_form,
-    relative_margin,
+    relative_margin_generic,
 )
 
 F = Fraction
@@ -50,6 +47,14 @@ ALL_RULES_M3 = [
     Maximin(),
     Copeland(HALF),
 ]
+
+
+def _pair_margins(p):
+    return rule_tally(Maximin(), p.m, p.votes, True).net()
+
+
+def _relative_margin(p, x, y, alpha):
+    return relative_margin_generic(_pair_margins(p), p.n, x, y, alpha)
 
 
 def random_ranked(rng, m, n):
@@ -229,29 +234,29 @@ def test_approval_closed_form_examples():
 
 def test_bucklin_gap_examples():
     p = ranked_profile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
-    assert bucklin_gap(p) == 2
+    assert mov_bounds(p, Bucklin()).upper == 2
     assert mov_brute_force(p, Bucklin(), 3).value == 1
 
     unanimous = ranked_profile(2, [((0, 1), 4)])
-    assert bucklin_gap(unanimous) == 5
+    assert mov_bounds(unanimous, Bucklin()).upper == 5
 
     tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    assert bucklin_gap(tie) == math.inf
+    assert mov_bounds(tie, Bucklin()).upper == math.inf
 
 
 def test_bucklin_change_floor_is_a_true_lower_bound():
     # the two-vote unanimous profile shows why the floor cannot be gap/2:
     # gap is 3 there but one replacement already creates a tie
     p = ranked_profile(2, [((0, 1), 2)])
-    assert bucklin_gap(p) == 3
-    assert bucklin_change_floor(p) == 1
+    assert mov_bounds(p, Bucklin()).upper == 3
+    assert mov_bounds(p, Bucklin()).lower == 1
     assert mov_brute_force(p, Bucklin(), 2).value == 1
 
     rng = random.Random(4)
     for _ in range(120):
         prof = random_ranked(rng, rng.choice([2, 3]), rng.randint(1, 5))
-        floor = bucklin_change_floor(prof)
-        gap = bucklin_gap(prof)
+        bounds = mov_bounds(prof, Bucklin())
+        floor, gap = bounds.lower, bounds.upper
         exact = mov_brute_force(prof, Bucklin(), prof.n).value
         assert floor <= exact
         assert exact <= gap
@@ -260,24 +265,24 @@ def test_bucklin_change_floor_is_a_true_lower_bound():
 
 def test_relative_margin_examples():
     p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
-    assert relative_margin(p, 0, 1, HALF) == 1
-    assert relative_margin(p, 0, 2, HALF) == 1
+    assert _relative_margin(p, 0, 1, HALF) == 1
+    assert _relative_margin(p, 0, 2, HALF) == 1
     tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    assert relative_margin(tie, 0, 1, HALF) == 0
+    assert _relative_margin(tie, 0, 1, HALF) == 0
     with pytest.raises(InputError):
-        relative_margin(p, 1, 1, HALF)
+        _relative_margin(p, 1, 1, HALF)
 
 
 def test_relative_margin_agrees_with_direct_scan():
     """The binary search must match a linear scan of the defining predicate."""
 
     def scan(profile, x, y, alpha):
-        d = pairwise_matrix(profile)
+        d = _pair_margins(profile)
         n = profile.n
 
         def shifted(z, t):
-            below = sum(1 for u in range(profile.m) if u != z and d[u, z] < 2 * t)
-            equal = sum(1 for u in range(profile.m) if u != z and d[u, z] == 2 * t)
+            below = sum(1 for u in range(profile.m) if u != z and d[u][z] < 2 * t)
+            equal = sum(1 for u in range(profile.m) if u != z and d[u][z] == 2 * t)
             return below + alpha * equal
 
         for t in range(-(n + 2), n + 3):
@@ -294,21 +299,22 @@ def test_relative_margin_agrees_with_direct_scan():
         for x in range(m):
             for y in range(m):
                 if x != y:
-                    assert relative_margin(p, x, y, a) == scan(p, x, y, a)
+                    assert _relative_margin(p, x, y, a) == scan(p, x, y, a)
 
 
 def test_copeland_margin_examples():
     p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
-    assert copeland_margin(p, HALF) == 1
+    assert mov_bounds(p, Copeland(HALF)).lower == 1
 
     # unanimous two-candidate profile at n=4: the direct scan settles it at 2
     unanimous = ranked_profile(2, [((0, 1), 4)])
     for alpha in [F(0), HALF, F(1)]:
-        assert copeland_margin(unanimous, alpha) == 2
+        assert mov_bounds(unanimous, Copeland(alpha)).lower == 2
     assert mov_brute_force(unanimous, Copeland(HALF), 4).value == 2
 
+    # a margin of zero is a tie, which the bounds report as such
     tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    assert copeland_margin(tie, HALF) == 0
+    assert mov_bounds(tie, Copeland(HALF)).source == "tied winners"
 
 
 def test_copeland_log_factor():
@@ -403,6 +409,7 @@ def test_copeland_margin_is_zero_on_tied_ic_profiles(seed):
     # these tied IC profiles gave raw relative margins from -13 to -2
     p = generate(ImpartialCulture(n=2000, m=4, seed=seed))
     assert len(winner_set(p, Copeland(HALF)).winners) >= 2
-    assert copeland_margin(p, HALF) == 0
+    w = winner_set(p, Copeland(HALF)).winners[0]
+    assert min(_relative_margin(p, w, x, HALF) for x in range(p.m) if x != w) < 0
     bounds = mov_bounds(p, Copeland(HALF))
     assert (bounds.lower, bounds.upper, bounds.source) == (1, p.n, "tied winners")

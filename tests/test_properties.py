@@ -29,9 +29,8 @@ from movkit.core import (
     Scoring,
     WinnerResult,
     approval_profile,
-    pairwise_matrix,
     ranked_profile,
-    top_k_counts,
+    rule_tally,
     winner_set,
 )
 from movkit.estimators import VoteSource, estimate_mov
@@ -39,7 +38,6 @@ from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import parse_election, write_election
 from movkit.oracle import (
     _make_engine,
-    bucklin_gap,
     copeland_log_factor,
     mov_bounds,
     mov_brute_force,
@@ -323,13 +321,14 @@ def test_family_tallies_match_reference(case, alpha):
         result, expected = winner_set(profile, rule), _ref_winner_set(profile, rule)
         assert result == expected
         assert _typed(result.scores) == _typed(expected.scores)
-    assert top_k_counts(ranked) == _ref_top_k_counts(ranked.votes, m)
-    assert pairwise_matrix(ranked).d == _ref_pairwise(ranked.votes, m)
+    assert rule_tally(Bucklin(), m, ranked.votes, True).top_counts() == \
+        _ref_top_k_counts(ranked.votes, m)
+    assert rule_tally(Maximin(), m, ranked.votes, True).net() == _ref_pairwise(ranked.votes, m)
     counts, n = _ref_top_k_counts(ranked.votes, m), ranked.n
     w = _ref_winner_set(ranked, Bucklin()).winners[0]
     leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1) if 2 * counts[w][lv] > n
              for x in range(m) if x != w and 2 * counts[x][lv] <= n]
-    assert bucklin_gap(ranked) == min(leads, default=float("inf"))
+    assert mov_bounds(ranked, Bucklin()).upper == min(leads, default=float("inf"))
 
 
 @PROPERTY_SETTINGS

@@ -3,8 +3,12 @@
 The tied profiles list every ranking of three candidates once (n = 6), or
 every approval ballot over three candidates once (n = 8), so every rule
 ties all three and one changed vote breaks the tie: the margin of victory
-is 1. The huge profiles are the same with every count 10^12. Counts, sums
-and margins must stay exact integers or rationals at that size.
+is 1. The huge profiles are the same with every count 10^12. There one
+changed vote still breaks the tie under every rule but Bucklin, whose
+margin is 10^12: each candidate keeps its level-2 majority until 10^12
+votes change, and a level-1 majority takes 10^12 + 1 (a strict xfail
+below). Counts, sums and margins must stay exact integers or rationals at
+that size.
 """
 
 import itertools
