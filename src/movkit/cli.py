@@ -158,17 +158,14 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
             )
     elif mode == "bounds":
         bounds = mov_bounds(profile, rule)
-        upper = "inf" if bounds.upper == math.inf else _fmt_number(bounds.upper)
-        click.echo(f"MoV in [{_fmt_number(bounds.lower)}, {upper}] ({bounds.source})")
-        tight_upper = "inf" if bounds.upper == math.inf else str(math.floor(bounds.upper))
-        click.echo(f"integer range [{math.ceil(bounds.lower)}, {tight_upper}]")
+        lower, upper = bounds.lower, bounds.upper
+        click.echo(f"MoV in [{_fmt_number(lower)}, {_fmt_number(upper)}] ({bounds.source})")
+        click.echo(f"integer range [{math.ceil(lower)}, {math.floor(upper)}]")
     else:
         source = VoteSource.from_profile(profile)
         est = estimate_mov(source, rule, epsilon, delta, seed, ell=samples)
         click.echo(f"estimate = {format(float(est.m_bar), '.10g')} (exact {est.m_bar})")
         click.echo(f"samples = {est.ell}, seed = {est.seed}")
-        if not est.feasible:
-            click.echo("note: no separating level in the sample; estimate saturated at n")
         click.echo(
             "guarantee: P[ |estimate - MoV| <= "
             f"{est.c}*MoV + {format(float(est.epsilon), '.6g')}*n ] >= "

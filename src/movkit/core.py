@@ -534,10 +534,6 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     return CopelandTally(votes, m, rule.alpha)
 
 
-def _profile_tally(profile: Profile, rule: Rule):
-    return rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
-
-
 # ---------------------------------------------------------------------------
 # winners
 
@@ -565,7 +561,7 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     Approval rules require approval profiles and vice versa; every other
     rule requires a ranked profile. The winner set is never empty.
     """
-    tally = _profile_tally(profile, rule)
+    tally = rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
     mask = tally.winner_mask()
     return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
 

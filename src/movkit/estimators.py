@@ -208,11 +208,19 @@ class VoteSource:
 _SAMPLE_FACTORS = {"scoring": 12.0, "kapproval": 12.0, "approval": 12.0,
                    "bucklin": 12.0, "maximin": 24.0, "copeland": 96.0}
 
+# the least epsilon and delta whose closed forms stay finite floats for any m
+# or k up to 2**53: 96/eps^2 <= 2**1007 and 2m/delta <= 2**1014, so ln(2m/delta)
+# < 2**10 and every sample size or floor stays below 2**1024
+_FLOORS = {"epsilon": 2.0 ** -500, "delta": 2.0 ** -960}
+
 
 def _check_unit_interval(name, value):
+    """``value`` as a float in (0, 1), at or above its floor in ``_FLOORS``."""
     value = float(value)
     if not 0.0 < value < 1.0:
         raise InputError(f"{name} must lie strictly between 0 and 1, got {value}")
+    if value < _FLOORS[name]:
+        raise InputError(f"{name} must be at least {_FLOORS[name]:.6g}, got {value:.6g}")
     return value
 
 
@@ -283,12 +291,10 @@ def guarantee_constant(rule: Rule, m: int) -> Fraction:
 class MovEstimate:
     """A sampled margin-of-victory estimate plus its guarantee annotation.
 
-    ``m_bar`` is the point estimate (exact rational). ``estimated_scores``
-    is the rule's rescaled tally payload: per-candidate scores, or per-level
-    top-rank counts for Bucklin. Pairwise rules also carry the full
-    antisymmetric ``pair_margins`` matrix. ``feasible`` is False only for
-    the Bucklin sentinel case, where no level gap exists in the sample and
-    m_bar saturates at n.
+    ``m_bar`` is the point estimate (exact rational, in [1, n]).
+    ``estimated_scores`` is the rule's rescaled tally payload: per-candidate
+    scores, or per-level top-rank counts for Bucklin. Pairwise rules also
+    carry the full antisymmetric ``pair_margins`` matrix.
     """
 
     m_bar: Fraction
@@ -299,7 +305,6 @@ class MovEstimate:
     delta: Fraction
     rule_kind: str
     estimated_scores: Mapping[int, object]
-    feasible: bool = True
     pair_margins: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     def __post_init__(self):
@@ -332,22 +337,12 @@ def estimate_mov(
 ) -> MovEstimate:
     """Margin estimate for any rule, from one draw of ``ell`` votes.
 
-    Reads the rule's margin statistic from the tally of the sample, rescaled
-    by n/ell, and returns (1 - c) times the upper end of the rule's sandwich
-    bound on it (`movkit.oracle.mov_bounds` for a unique winner, without the
-    scoring +1 or the k-approval rounding), c from `guarantee_constant`:
-
-    * scoring: the top-two gap over 1.5*a1, the vector normalized first, so
-      scores are in normalized units;
-    * k-approval and approval: half the top-two gap;
-    * Bucklin: (level gap + 1)/1.5, the winner being the first to hold a
-      strict n/2 majority of the rescaled top-l counts. When no level below
-      m separates it from a rival, the estimate saturates at n and
-      ``feasible`` is False;
-    * maximin: a third of the gap between the two best worst-case pairwise
-      margins;
-    * Copeland: 4(K+1)/(2K+3) times the sampled winner's smallest relative
-      margin over a rival, K = ceil(log2 m).
+    Reads from the tally of the sample, rescaled by n/ell, the upper end U
+    of the rule's sandwich bound (`movkit.oracle._margin_statistic` lists it
+    per rule; a scoring vector is normalized first, so scores are in
+    normalized units). The paper's estimator is (1 - c) * U, c from
+    `guarantee_constant`; the estimate is its projection onto [1, n], where
+    the margin always lies, so the projection never increases its error.
 
     The rule is checked against the ballots by `movkit.core.rule_tally`, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
@@ -361,20 +356,12 @@ def estimate_mov(
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
     for ballot, count in source.draw_counts(ell, seed).items():
         tally.add(ballot.order if source.kind == "ranked" else ballot.approved, count)
-    stat, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
+    upper, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
     c = guarantee_constant(rule, m)
-    if stat == math.inf:
-        m_bar = Fraction(n)
-    elif isinstance(rule, (KApproval, Approval, Maximin)):
-        m_bar = (1 - c) * stat / 2
-    elif isinstance(rule, Copeland):
-        m_bar = (1 - c) * 2 * (copeland_log_factor(m) + 1) * stat
-    else:
-        m_bar = (1 - c) * stat
     return MovEstimate(
-        m_bar=m_bar, ell=ell, seed=seed, c=c,
+        m_bar=Fraction(min(max((1 - c) * upper, 1), n)), ell=ell, seed=seed, c=c,
         epsilon=eps_eff, delta=Fraction(delta), rule_kind=rule.kind,
-        estimated_scores=scores, feasible=stat != math.inf, pair_margins=margins,
+        estimated_scores=scores, pair_margins=margins,
     )
 
 

@@ -26,7 +26,6 @@ write(parse(text)) is idempotent and parse(write(profile)) == profile.
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -215,7 +214,7 @@ class ExperimentRow:
     ell: int
     mov_exact: Optional[int]
     mov_lower: Optional[Fraction]
-    mov_upper: Optional[Union[Fraction, float]]
+    mov_upper: Optional[Fraction]
     estimate: Fraction
     abs_error: Optional[Fraction]
     within_guarantee: Optional[bool]
@@ -232,10 +231,8 @@ def _cell(name: str, value):
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if not isinstance(value, (Fraction, float)):
+    if not isinstance(value, Fraction):
         return value
-    if math.isinf(value):
-        return "inf"
     return format(float(value), ".10g" if name in ("epsilon", "delta") else "#.10g")
 
 

@@ -18,8 +18,6 @@ Three layers live here:
   `_margin_statistic` and shared with `movkit.estimators`, and the Bucklin
   change floor;
 * sandwich bounds built from those quantities, valid at any profile size.
-
-Infinite quantities use the ``math.inf`` sentinel.
 """
 
 import bisect
@@ -44,7 +42,6 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
-    _profile_tally,
     integer_weights,
     rule_tally,
     top_two,
@@ -91,25 +88,21 @@ class ExactMovResult:
 
 @dataclass(frozen=True)
 class MovBounds:
-    """A validated sandwich lower <= MoV <= upper.
-
-    ``upper`` may be ``math.inf`` (Bucklin profiles where no vote change can
-    dislodge the winner through the level-gap argument). ``source`` names the
+    """A validated sandwich lower <= MoV <= upper. ``source`` names the
     argument that produced the bounds.
     """
 
     lower: Fraction
-    upper: Union[Fraction, float]
+    upper: Fraction
     source: str
 
     def __post_init__(self):
-        lower = Fraction(self.lower)
-        upper = self.upper if self.upper == math.inf else Fraction(self.upper)
+        lower, upper = Fraction(self.lower), Fraction(self.upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if lower < 0:
             raise InputError(f"lower bound must be non-negative, got {lower}")
-        if not upper > 0:
+        if upper <= 0:
             raise InputError(f"upper bound must be positive, got {upper}")
         if lower > upper:
             raise InputError(f"bounds out of order: {lower} > {upper}")
@@ -374,12 +367,10 @@ def apply_changes(
 
 
 def _gap_closed_form(profile: Profile, rule: Rule) -> int:
-    gap = _margin_statistic(rule, _profile_tally(profile, rule), profile.n)[0]
-    if gap == 0:
-        raise TiedWinnersError(
-            "closed form applies only to a unique winner; use brute force"
-        )
-    return (gap + 1) // 2
+    bounds = mov_bounds(profile, rule)
+    if bounds.source == "tied winners":
+        raise TiedWinnersError("closed form applies only to a unique winner; use brute force")
+    return int(bounds.upper)
 
 
 def mov_kapproval_closed_form(profile: RankedProfile, k: int) -> int:
@@ -399,7 +390,7 @@ def mov_approval_closed_form(profile: ApprovalProfile) -> int:
     return _gap_closed_form(profile, Approval())
 
 
-def _change_floor(tally) -> Union[int, float]:
+def _change_floor(tally) -> int:
     """Lower-bound quantity for the Bucklin margin, read from a Bucklin tally.
 
     Any change of the winner set must (a) cost some winner its majority at
@@ -407,8 +398,7 @@ def _change_floor(tally) -> Union[int, float]:
     level, or (c) lift some candidate to a majority at a strictly earlier
     level (which only matters if it isn't already the unique winner). One
     changed vote moves each count by at most one, so the margin is at least
-    the cheapest of these events. Returns ``math.inf`` when no event is
-    feasible (single-candidate tallies only).
+    the cheapest of these events; with m >= 2 one of them always exists.
     """
     counts = tally.top_counts()
     scores = tally.scores()
@@ -426,7 +416,7 @@ def _change_floor(tally) -> Union[int, float]:
         for y in range(tally.m):
             if y not in winners or len(winners) >= 2:
                 costs.append(half + 1 - counts[y][level - 1])
-    return min(costs) if costs else math.inf
+    return min(costs)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +491,23 @@ def copeland_log_factor(m: int) -> int:
 
 
 def _margin_statistic(rule: Rule, tally, n: int, scale=1):
-    """(statistic, scores, pair margins) read from the rule's tally over n
-    votes, every count scaled by ``scale``: 1 for the full profile, n/ell
-    for a sample of ell votes. The statistic is the top-two score gap (for
-    scoring, over a1 - am), Bucklin's level gap plus one (``math.inf`` if
-    none, with the top-l count rows as scores), or the Copeland winner's
-    smallest relative margin (with unscaled Copeland scores). Pair margins
-    are None outside maximin and Copeland.
+    """(U, scores, pair margins) read from the rule's tally over n votes,
+    every count scaled by ``scale``: 1 for the full profile, n/ell for a
+    sample of ell votes. U is the un-rounded upper end of the rule's
+    sandwich on the margin (`mov_bounds` for a unique winner, without the
+    scoring +1 or the k-approval rounding), and 0 on a tied winner set:
+
+    * scoring: the top-two gap over a1 - am;
+    * k-approval and approval: half the top-two gap;
+    * Bucklin: the level gap, the least n_l(w) - n_l(x) + 1 over levels l in
+      1..m-1 where the canonical winner w holds a strict n/2 majority of the
+      top-l counts and some x != w does not (the top-l count rows are the
+      scores). No level separates them exactly on a full tie;
+    * maximin: half the gap between the two best worst-case pairwise margins;
+    * Copeland: 2(K+1) times the winner's smallest relative margin over a
+      rival, K = ceil(log2 m), with unscaled Copeland scores.
+
+    Pair margins are None outside maximin and Copeland.
     """
     if isinstance(rule, Bucklin):
         # a scaled majority scale*count > n/2 is the tally's own 2*count > ell
@@ -518,7 +518,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale=1):
             for level in range(tally.m - 1) if 2 * rows[w][level] > tally.n
             for x, row in enumerate(rows) if x != w and 2 * row[level] <= tally.n
         ]
-        gap = scale * min(leads) + 1 if leads else math.inf
+        gap = scale * min(leads) + 1 if leads else 0
         return gap, {x: tuple(scale * c for c in row) for x, row in enumerate(rows)}, None
     margins = None
     if isinstance(rule, (Maximin, Copeland)):
@@ -532,49 +532,51 @@ def _margin_statistic(rule: Rule, tally, n: int, scale=1):
             for x in range(tally.m)
             if x != w
         ))
-        return gamma, scores, margins
+        return 2 * (copeland_log_factor(tally.m) + 1) * gamma, scores, margins
     scores = {x: scale * s for x, s in tally.scores().items()}
     w, z = top_two(scores)
     gap = scores[w] - scores[z]
     if isinstance(rule, Scoring):
-        gap /= rule.vector.alpha1 - rule.vector.alphas[-1]
-    return gap, scores, margins
+        return gap / (rule.vector.alpha1 - rule.vector.alphas[-1]), scores, margins
+    return Fraction(gap, 2), scores, margins
 
 
 def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     """Scale-free sandwich bounds on the margin of victory.
 
     Every bound holds under winner-set semantics, tied winner sets included,
-    where the tie special cases below apply:
+    where the tie special cases below apply. U is the upper end that
+    `_margin_statistic` reads:
 
-    * positional scoring (normalized vector): [gap/(2*a1), gap/a1 + 1];
+    * positional scoring (normalized vector): [U/2, U + 1];
     * k-approval and approval: [1, 1] on a tie (one change always creates or
-      breaks one), else [gap/2, ceil(gap/2)];
-    * Bucklin: [change floor, level gap] (see `_change_floor` for the
-      lower end). The level gap is the least n_l(w) - n_l(x) + 1 over levels
-      l in 1..m-1 where the canonical winner w holds a strict majority and
-      some x != w does not. Changing that many votes (moving x up, w down)
-      hands x a strictly earlier majority, so it bounds the margin from
-      above; it is ``math.inf`` when no level qualifies;
-    * maximin: [1, 1] on a tie, else [gap/4, gap/2];
-    * Copeland: [1, n] on a tie, else [G, 2*(ceil(log2 m)+1)*G] with G the
+      breaks one), else [U, ceil(U)];
+    * Bucklin: [change floor, U] (see `_change_floor` for the lower end).
+      Changing U votes (moving x up, w down) hands x a strictly earlier
+      majority, so the level gap bounds the margin from above; with no
+      separating level (a full tie) the upper end is n;
+    * maximin: [1, 1] on a tie, else [U/2, U];
+    * Copeland: [1, n] on a tie, else [G, U] with G = U/(2(K+1)) the
       winner's smallest relative margin.
+
+    Under winner-set semantics with m >= 2 the margin lies in [1, n]: one
+    change is always needed, and replacing all n votes reaches any profile.
+    So the upper end is capped at n.
     """
     tally = _mov_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
-    gap = _margin_statistic(rule, tally, profile.n)[0]
+    upper = _margin_statistic(rule, tally, profile.n)[0]
     if isinstance(rule, Scoring):
-        lower, upper, source = gap / 2, gap + 1, "positional score gap"
+        lower, upper, source = upper / 2, upper + 1, "positional score gap"
     elif isinstance(rule, Bucklin):
-        lower, upper, source = _change_floor(tally), gap, "majority level analysis"
-    elif gap == 0:
+        lower, upper, source = _change_floor(tally), upper or profile.n, "majority level analysis"
+    elif upper == 0:
         lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1
         source = "tied winners"
     elif isinstance(rule, Maximin):
-        lower, upper, source = Fraction(gap, 4), Fraction(gap, 2), "pairwise score gap"
+        lower, source = upper / 2, "pairwise score gap"
     elif isinstance(rule, Copeland):
-        factor = 2 * (copeland_log_factor(profile.m) + 1)
-        lower, upper, source = gap, factor * gap, "relative margin"
+        lower, source = Fraction(upper, 2 * (copeland_log_factor(profile.m) + 1)), "relative margin"
     else:
-        lower, upper = Fraction(gap, 2), (gap + 1) // 2
+        lower, upper = upper, math.ceil(upper)
         source = "top-k score gap" if isinstance(rule, KApproval) else "approval score gap"
-    return MovBounds(lower=lower, upper=upper, source=source)
+    return MovBounds(lower=lower, upper=min(upper, profile.n), source=source)

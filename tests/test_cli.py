@@ -104,10 +104,11 @@ def test_mov_bounds_maximin_integer_tightening(runner, tmp_path):
     assert lines[1] == "integer range [1, 1]"
 
 
-def test_mov_bounds_infinite_upper(runner, tmp_path):
+def test_mov_bounds_full_tie_upper_is_n(runner, tmp_path):
+    # no level separates a full Bucklin tie, so the upper end is n
     path = write_file(tmp_path, "e.txt", "m 2\n1: a>b\n1: b>a\n")
     result = invoke(runner, ["mov", "-i", path, "-r", "bucklin", "--mode", "bounds"])
-    assert "inf" in result.output
+    assert result.output == "MoV in [1, 2] (majority level analysis)\ninteger range [1, 2]\n"
 
 
 def test_mov_estimate_reports_guarantee(runner, tmp_path):

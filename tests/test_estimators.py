@@ -26,6 +26,7 @@ from movkit.core import (
     approval_profile,
     ranked_profile,
     rule_tally,
+    top_two,
     winner_set,
 )
 from movkit.generation import ImpartialCulture, generate
@@ -238,25 +239,26 @@ def test_approval_estimate_unanimous_and_tied():
     assert est.m_bar == 2
     both = approval_profile(2, [((0, 1), 4)])
     est = estimate_mov(VoteSource.from_profile(both), Approval(), EPS, DELTA, 0)
-    assert est.m_bar == 0
+    # the sampled gap is 0; the margin of a tie is at least 1
+    assert est.m_bar == 1
 
 
 def test_bucklin_estimate_unanimous():
     p = ranked_profile(2, [((0, 1), 4)])
     est = estimate_mov(VoteSource.from_profile(p), Bucklin(), EPS, DELTA, 0)
     assert est.m_bar == F(10, 3)
-    assert est.feasible
 
 
-def test_bucklin_estimate_sentinel():
-    # with only two sampled votes a perfect split leaves no separating level;
-    # the first seed whose two draws split 1-1 produces it
+def test_bucklin_estimate_of_a_sampled_full_tie():
+    # with only two sampled votes a perfect split leaves no separating level,
+    # a level gap of 0, so the estimate is 1, the margin of a tie; the first
+    # seed whose two draws split 1-1 produces it
     p = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
     src = VoteSource.from_profile(p)
     seed = next(s for s in range(100) if list(src.draw_counts(2, s).values()) == [1, 1])
     est = estimate_mov(src, Bucklin(), EPS, DELTA, seed, ell=2)
-    assert not est.feasible
-    assert est.m_bar == src.n == 2
+    assert est.estimated_scores == {0: (1, 2), 1: (1, 2)}
+    assert est.m_bar == 1
 
 
 def test_maximin_estimate_unanimous():
@@ -381,9 +383,12 @@ def test_maximin_three_plus_two_expectation():
     total = F(0)
     reps = 200
     for i in range(reps):
-        total += estimate_mov(src, Maximin(), EPS, DELTA, split_seed(400, i), ell=4000).m_bar
+        est = estimate_mov(src, Maximin(), EPS, DELTA, split_seed(400, i), ell=4000)
+        w, z = top_two(est.estimated_scores)
+        # the paper's statistic, before the projection onto [1, n]
+        total += (1 - est.c) * (est.estimated_scores[w] - est.estimated_scores[z]) / 2
     mean = total / reps
-    # E[m_bar] = (s(w) - s(z))/3 = 2/3; allow generous monte-carlo slack
+    # E[(1 - c) * gap / 2] = (s(w) - s(z))/3 = 2/3; allow generous monte-carlo slack
     assert abs(float(mean - F(2, 3))) < 0.12
 
 
@@ -396,4 +401,4 @@ def test_copeland_estimate_clamps_sampled_top_tie_at_zero():
     estimates = (estimate_mov(src, Copeland(HALF), F(1, 10), F(1, 20), s) for s in range(100))
     est = next(e for e in estimates if e.estimated_scores[1] == e.estimated_scores[3] == 2)
     assert est.estimated_scores[1] == est.estimated_scores[3] == 2
-    assert est.m_bar == 0
+    assert est.m_bar == 1

@@ -154,26 +154,28 @@ def test_run_experiment_bounds_policy_populates_interval():
         assert r.within_guarantee is not None
 
 
-def test_judge_bounds_only_bucklin_trial_with_infinite_upper():
-    # tied at every level below m, so there is no level gap: upper = inf
+def test_judge_bounds_only_bucklin_full_tie():
+    # tied at every level below m, so there is no level gap: upper = n
     profile = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
     bounds = mov_bounds(profile, Bucklin())
-    assert (bounds.lower, bounds.upper) == (1, math.inf)
+    assert (bounds.lower, bounds.upper) == (1, 2)
     est = estimate_mov(VoteSource.from_profile(profile), Bucklin(), F(1, 10), F(1, 20), 3)
-    assert est.m_bar < bounds.lower
+    assert bounds.lower <= est.m_bar <= bounds.upper
     err, within = _judge(est, profile.n, None, bounds.lower, bounds.upper)
-    assert (err, within) == (bounds.lower - est.m_bar, True)
-    assert type(err) is Fraction
-    # no finite estimate lies above an infinite upper end
+    assert (err, within) == (0, True) and type(err) is Fraction
+    # outside the sandwich the error is the distance to its nearer end
+    low = dataclasses.replace(est, m_bar=F(1, 2))
+    err, within = _judge(low, profile.n, None, bounds.lower, bounds.upper)
+    assert (err, within) == (F(1, 2), True) and type(err) is Fraction
     high = dataclasses.replace(est, m_bar=F(10**9))
     err, within = _judge(high, profile.n, None, bounds.lower, bounds.upper)
-    assert (err, within) == (0, True) and type(err) is Fraction
+    assert (err, within) == (10**9 - 2, False) and type(err) is Fraction
     config = ExperimentConfig(
         rule_spec="bucklin", epsilon=F(1, 10), delta=F(1, 20), trials=3,
         base_seed=1, policy=BoundsOnlyPolicy(), profile=profile,
     )
     result = run_experiment(config)
-    assert all(r.mov_upper == math.inf and r.within_guarantee for r in result.rows)
+    assert all(r.mov_upper == 2 and r.within_guarantee for r in result.rows)
     assert (result.summary.usable, result.summary.violations) == (3, 0)
 
 

@@ -28,9 +28,22 @@ from movkit.core import (
     ranked_profile,
     winner_set,
 )
-from movkit.estimators import VoteSource, estimate_kapproval, estimate_mov, sample_size
+from movkit.estimators import (
+    VoteSource,
+    estimate_kapproval,
+    estimate_mov,
+    lower_bound_samples,
+    sample_size,
+)
+from movkit.experiments import run_distinguisher
 from movkit.io_formats import write_election
-from movkit.oracle import apply_changes, mov_bounds, mov_brute_force
+from movkit.oracle import (
+    apply_changes,
+    mov_approval_closed_form,
+    mov_bounds,
+    mov_brute_force,
+    mov_kapproval_closed_form,
+)
 
 EPS, DELTA = F(1, 10), F(1, 20)
 RANKED = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
@@ -75,6 +88,10 @@ def test_rule_fault_has_one_text_in_the_library(fault):
     }
     if k is not None:
         calls["estimate_kapproval"] = lambda: estimate_kapproval(source, k, EPS, DELTA, 0)
+    if isinstance(rule, KApproval):
+        calls["mov_kapproval_closed_form"] = lambda: mov_kapproval_closed_form(profile, rule.k)
+    if isinstance(rule, Approval):
+        calls["mov_approval_closed_form"] = lambda: mov_approval_closed_form(profile)
     seen = {}
     for name, call in calls.items():
         with pytest.raises(InputError) as info:
@@ -134,6 +151,53 @@ def test_k_below_one_has_one_text_on_the_command_line(args):
     result = CliRunner().invoke(main, args + ["--epsilon", "0.1", "--delta", "0.1"])
     assert result.exit_code == 2, result.output
     assert result.output.endswith(f"Error: {K_POSITIVE}\n"), result.output
+
+
+# an epsilon or delta so small that a sample-size closed form would leave the
+# float range: (--epsilon, --delta, message)
+TINY = {
+    "epsilon": ("1e-200", "0.05", "epsilon must be at least 3.05494e-151, got 1e-200"),
+    "delta": ("0.05", "1e-320", "delta must be at least 1.02613e-289, got 9.99989e-321"),
+}
+
+
+@pytest.mark.parametrize("param", TINY)
+def test_tiny_epsilon_or_delta_has_one_text_in_the_library(param):
+    epsilon, delta, message = TINY[param]
+    epsilon, delta = F(epsilon), F(delta)
+    source = VoteSource.from_profile(RANKED)
+    calls = {
+        "sample_size": lambda: sample_size("scoring", epsilon, delta, 3),
+        "lower_bound_samples": lambda: lower_bound_samples(0, epsilon, delta),
+        "estimate_mov": lambda: estimate_mov(source, Bucklin(), epsilon, delta, 0),
+        "estimate_mov-with-ell": lambda: estimate_mov(source, Bucklin(), epsilon, delta, 0, ell=5),
+        "run_distinguisher": lambda: run_distinguisher(epsilon, delta, 1, 0),
+    }
+    seen = {}
+    for name, call in calls.items():
+        with pytest.raises(InputError) as info:
+            call()
+        seen[name] = str(info.value)
+    assert set(seen.values()) == {message}, seen
+
+
+@pytest.mark.parametrize("param", TINY)
+@pytest.mark.parametrize("command", [
+    ["samplesize", "-r", "scoring", "--m", "3"],
+    ["lowerbound"],
+    ["mov", "--mode", "estimate"],
+    ["mov", "--mode", "estimate", "--samples", "5"],
+    ["distinguish", "--trials", "1"],
+], ids=["samplesize", "lowerbound", "estimate", "estimate-with-samples", "distinguish"])
+def test_tiny_epsilon_or_delta_has_one_text_on_the_command_line(param, command, tmp_path):
+    epsilon, delta, message = TINY[param]
+    if command[0] == "mov":
+        path = tmp_path / "e.txt"
+        path.write_text(write_election(RANKED))
+        command = command + ["-i", str(path), "-r", "bucklin"]
+    result = CliRunner().invoke(main, command + ["--epsilon", epsilon, "--delta", delta])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Error: {message}\n"), result.output
 
 
 ENTRIES = "ballot entries must be integer candidate indices: "

@@ -1,6 +1,5 @@
 """Election file grammar and experiment CSV output."""
 
-import math
 import random
 import sys
 import tracemalloc
@@ -237,12 +236,12 @@ def test_csv_formats_decimals_with_enough_digits():
 
 def test_csv_bounds_only_rows():
     text = write_experiment_csv([
-        row(mov_exact=None, mov_lower=F(1), mov_upper=math.inf, within_guarantee=False)
+        row(mov_exact=None, mov_lower=F(1), mov_upper=F(5, 2), within_guarantee=False)
     ])
     fields = text.splitlines()[1].split(",")
     assert fields[8] == ""
     assert fields[9] == "1.000000000"
-    assert fields[10] == "inf"
+    assert fields[10] == "2.500000000"
     assert fields[13] == "false"
 
 

@@ -1,7 +1,6 @@
 """Exact margin search, structural quantities, and sandwich bounds."""
 
 import itertools
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -237,18 +236,21 @@ def test_bucklin_gap_examples():
     assert mov_bounds(p, Bucklin()).upper == 2
     assert mov_brute_force(p, Bucklin(), 3).value == 1
 
+    # the level gap is 5, capped at n = 4
     unanimous = ranked_profile(2, [((0, 1), 4)])
-    assert mov_bounds(unanimous, Bucklin()).upper == 5
+    assert mov_bounds(unanimous, Bucklin()).upper == 4
 
+    # no level separates a full tie, and the upper end is capped at n
     tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    assert mov_bounds(tie, Bucklin()).upper == math.inf
+    assert mov_bounds(tie, Bucklin()).upper == 2
 
 
 def test_bucklin_change_floor_is_a_true_lower_bound():
     # the two-vote unanimous profile shows why the floor cannot be gap/2:
-    # gap is 3 there but one replacement already creates a tie
+    # the level gap is 3 there (capped at n = 2 as the upper end) but one
+    # replacement already creates a tie
     p = ranked_profile(2, [((0, 1), 2)])
-    assert mov_bounds(p, Bucklin()).upper == 3
+    assert mov_bounds(p, Bucklin()).upper == 2
     assert mov_bounds(p, Bucklin()).lower == 1
     assert mov_brute_force(p, Bucklin(), 2).value == 1
 
@@ -343,8 +345,8 @@ def test_bounds_examples():
     cp_tie = mov_bounds(tie, Copeland(HALF))
     assert cp_tie.lower == 1 and cp_tie.upper == tie.n
 
-    inf_case = mov_bounds(tie, Bucklin())
-    assert inf_case.upper == math.inf and inf_case.lower >= 1
+    bucklin_tie = mov_bounds(tie, Bucklin())
+    assert bucklin_tie.lower == 1 and bucklin_tie.upper == tie.n
 
 
 def test_bounds_sources_are_labeled():

@@ -128,7 +128,7 @@ def test_scoring_bounds_match_fraction_reference(case):
     gap = _ref_top_two_gap(_ref_scores(profile.votes, alphas))
     bounds = mov_bounds(profile, Scoring(vector))
     assert bounds.lower == gap / (2 * alphas[0])
-    assert bounds.upper == gap / alphas[0] + 1
+    assert bounds.upper == min(gap / alphas[0] + 1, profile.n)
 
 
 @PROPERTY_SETTINGS
@@ -142,7 +142,7 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     sbar = {c: F(profile.n, ell) * s for c, s in raw.items()}
     est = estimate_mov(source, Scoring(vector), F(1, 10), F(1, 20), seed, ell=ell)
     assert est.estimated_scores == sbar
-    assert est.m_bar == _ref_top_two_gap(sbar) / (F(3, 2) * alphas[0])
+    assert est.m_bar == _ref_project(_ref_top_two_gap(sbar) / (F(3, 2) * alphas[0]), profile.n)
 
 
 @st.composite
@@ -252,8 +252,13 @@ def _ref_winner_set(profile, rule):
     return WinnerResult(_ref_winners(scores), scores)
 
 
+def _ref_project(value, n):
+    """The nearest point of [1, n], where every margin lies, to ``value``."""
+    return min(max(value, 1), n)
+
+
 def _ref_estimate(source, rule, seed, ell):
-    """(m_bar, estimated_scores, pair_margins, feasible) of the estimator."""
+    """(m_bar, estimated_scores, pair_margins) of the estimator."""
     counts = Counter(source.draw(ell, seed))
     m, n = source.m, source.n
     scale = F(n, ell)
@@ -263,7 +268,7 @@ def _ref_estimate(source, rule, seed, ell):
         else:
             raw = _ref_scores(counts.items(), [1] * rule.k + [0] * (m - rule.k))
         sbar = {x: scale * raw[x] for x in range(m)}
-        return _ref_top_two_gap(sbar) / 2, sbar, None, True
+        return _ref_project(_ref_top_two_gap(sbar) / 2, n), sbar, None
     if isinstance(rule, Bucklin):
         rows = _ref_top_k_counts(counts.items(), m)
         nbar = {x: tuple(scale * c for c in rows[x]) for x in range(m)}
@@ -279,13 +284,12 @@ def _ref_estimate(source, rule, seed, ell):
                         candidate = nbar[w][lv - 1] - nbar[x][lv - 1] + 1
                         if gap is None or candidate < gap:
                             gap = candidate
-        if gap is None:
-            return F(n), nbar, None, False
-        return gap / F(3, 2), nbar, None, True
+        # no separating level (a sampled full tie) reads as a gap of 0
+        return _ref_project((gap or 0) / F(3, 2), n), nbar, None
     dbar = tuple(tuple(scale * d for d in row) for row in _ref_pairwise(counts.items(), m))
     if isinstance(rule, Maximin):
         sbar = {x: min(dbar[x][y] for y in range(m) if y != x) for x in range(m)}
-        return _ref_top_two_gap(sbar) / 3, sbar, dbar, True
+        return _ref_project(_ref_top_two_gap(sbar) / 3, n), sbar, dbar
     scores = {}
     for x in range(m):
         total = F(0)
@@ -303,7 +307,7 @@ def _ref_estimate(source, rule, seed, ell):
         for x in range(m) if x != w
     ))
     k_log = copeland_log_factor(m)
-    return F(4 * (k_log + 1), 2 * k_log + 3) * gamma, scores, dbar, True
+    return _ref_project(F(4 * (k_log + 1), 2 * k_log + 3) * gamma, n), scores, dbar
 
 
 def _typed(scores):
@@ -328,7 +332,7 @@ def test_family_tallies_match_reference(case, alpha):
     w = _ref_winner_set(ranked, Bucklin()).winners[0]
     leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1) if 2 * counts[w][lv] > n
              for x in range(m) if x != w and 2 * counts[x][lv] <= n]
-    assert mov_bounds(ranked, Bucklin()).upper == min(leads, default=float("inf"))
+    assert mov_bounds(ranked, Bucklin()).upper == min([*leads, n])
 
 
 @PROPERTY_SETTINGS
@@ -341,9 +345,10 @@ def test_family_estimates_match_reference(case, alpha, k, seed, ell):
                           (ranked, Maximin()), (ranked, Copeland(alpha))):
         source = VoteSource.from_profile(profile)
         est = estimate_mov(source, rule, F(1, 10), F(1, 20), seed, ell=ell)
-        m_bar, scores, pair_margins, feasible = _ref_estimate(source, rule, seed, ell)
-        assert (est.m_bar, est.pair_margins, est.feasible) == (m_bar, pair_margins, feasible)
+        m_bar, scores, pair_margins = _ref_estimate(source, rule, seed, ell)
+        assert (est.m_bar, est.pair_margins) == (m_bar, pair_margins)
         assert _typed(est.estimated_scores) == _typed(scores)
+        assert isinstance(est.m_bar, F) and 1 <= est.m_bar <= source.n
 
 
 def _ref_bucklin_floor(votes, m, n):
@@ -377,15 +382,15 @@ def _ref_relative_margin(d, m, n, x, y, alpha):
 
 
 def _ref_bounds(profile, rule):
-    """(lower, upper, source) of mov_bounds for the non-scoring rules."""
+    """(lower, upper, source) of mov_bounds for the non-scoring rules,
+    before the upper end is capped at n."""
     votes, m, n = profile.votes, profile.m, profile.n
     if isinstance(rule, Bucklin):
         counts = _ref_top_k_counts(votes, m)
         w = _ref_winner_set(profile, rule).winners[0]
         leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1)
                  if 2 * counts[w][lv] > n for x in range(m) if x != w and 2 * counts[x][lv] <= n]
-        return _ref_bucklin_floor(votes, m, n), min(leads, default=float("inf")), \
-            "majority level analysis"
+        return _ref_bucklin_floor(votes, m, n), min(leads, default=n), "majority level analysis"
     if isinstance(rule, Copeland):
         d = _ref_pairwise(votes, m)
         w = _ref_winners(_ref_copeland_scores(d, m, rule.alpha))[0]
@@ -426,7 +431,9 @@ def test_family_bounds_match_reference(case, alpha, k):
     for profile, rule in ((ranked, KApproval(k)), (approval, Approval()), (ranked, Bucklin()),
                           (ranked, Maximin()), (ranked, Copeland(alpha))):
         bounds = mov_bounds(profile, rule)
-        assert (bounds.lower, bounds.upper, bounds.source) == _ref_bounds(profile, rule)
+        lower, upper, source = _ref_bounds(profile, rule)
+        assert (bounds.lower, bounds.upper, bounds.source) == (lower, min(upper, profile.n), source)
+        assert bounds.upper <= profile.n
 
 
 def _ref_brute_force(profile, rule, budget):

@@ -63,17 +63,10 @@ def tied(spec: str, count: int):
 SIZES = {"count-1": 1, "count-10^12": HUGE}
 CASES = [(spec, size) for spec in RULES for size in SIZES]
 
-# Findings, kept as strict expected failures (see CHANGES.md and ROADMAP item 3).
+# A finding, kept as a strict expected failure (see CHANGES.md and ROADMAP item 2).
 BUCKLIN_HUGE_MARGIN = pytest.mark.xfail(strict=True, reason=(
     "FOUND: Bucklin's margin on the 10^12 tie is 10^12 (its change floor), out of "
     "reach of the exact search, which starts at one change"))
-BUCKLIN_SATURATES = pytest.mark.xfail(strict=True, reason=(
-    "FOUND: Bucklin's estimate saturates at n = 6 (feasible is False) while MoV = 1"))
-TIE_READS_ZERO = pytest.mark.xfail(strict=True, reason=(
-    "FOUND: the estimate reads about 0 on a full tie while MoV = 1, and "
-    "c + eps*n < 1 at n = 6 or 8"))
-GUARANTEE_MARKS = {"bucklin": BUCKLIN_SATURATES, "copeland:0": (), "copeland:1/2": (),
-                   "copeland:1": ()}
 
 
 def marked(cases, marks):
@@ -140,8 +133,7 @@ def test_cli_modes_run_at_10_12(spec, mode, tmp_path):
         assert result.output.startswith("MoV = 1\n")
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(spec, marks=GUARANTEE_MARKS.get(spec, TIE_READS_ZERO)) for spec in RULES])
+@pytest.mark.parametrize("spec", RULES)
 def test_guarantee_holds_on_the_small_full_tie(spec):
     profile, rule = tied(spec, 1), RULES[spec]
     mov = mov_brute_force(profile, rule, profile.n).value
