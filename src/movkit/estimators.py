@@ -27,6 +27,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -42,6 +43,7 @@ from movkit.core import (
     Rule,
     Scoring,
     _check_k,
+    _multinomial,
 )
 from movkit.oracle import _margin_statistic, _mov_tally, copeland_log_factor
 
@@ -63,72 +65,6 @@ def split_seed(base_seed: int, index: int) -> int:
 
 # ---------------------------------------------------------------------------
 # vote population
-
-
-def _binomial(rng: random.Random, n: int, p: float) -> int:
-    """One Binomial(n, p) variate, for n >= 1 and 0 < p < 1.
-
-    A line-for-line port of CPython 3.12's ``random.binomialvariate``, which
-    calls ``rng.random()`` in the same order, so one seed gives the same
-    variate on either: Devroye's geometric method below n*p = 10, above it
-    Hoermann's BTRS ("The generation of binomial random variates", 1993).
-    """
-    random_ = rng.random
-
-    # Fast path for a common case
-    if n == 1:
-        return int(random_() < p)
-
-    # Exploit symmetry to establish:  p <= 0.5
-    if p > 0.5:
-        return n - _binomial(rng, n, 1.0 - p)
-
-    if n * p < 10.0:
-        # BG: Geometric method by Devroye with running time of O(np).
-        x = y = 0
-        c = math.log2(1.0 - p)
-        if not c:
-            return x
-        while True:
-            y += math.floor(math.log2(random_()) / c) + 1
-            if y > n:
-                return x
-            x += 1
-
-    # BTRS: Transformed rejection with squeeze method by Wolfgang Hoermann
-    setup_complete = False
-
-    spq = math.sqrt(n * p * (1.0 - p))  # Standard deviation of the distribution
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = n * p + 0.5
-    vr = 0.92 - 4.2 / b
-
-    while True:
-
-        u = random_()
-        u -= 0.5
-        us = 0.5 - math.fabs(u)
-        k = math.floor((2.0 * a / us + b) * u + c)
-        if k < 0 or k > n:
-            continue
-
-        # The early-out "squeeze" test substantially reduces
-        # the number of acceptance condition evaluations.
-        v = random_()
-        if us >= 0.07 and v <= vr:
-            return k
-
-        # Acceptance-rejection test.
-        if not setup_complete:
-            alpha = (2.83 + 5.1 / b) * spq
-            lpq = math.log(p / (1.0 - p))
-            m = math.floor((n + 1) * p)         # Mode of the distribution
-            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
-            setup_complete = True               # Only needs to be done once
-        v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
-            return k
 
 
 @dataclass(frozen=True)
@@ -178,27 +114,16 @@ class VoteSource:
         """How often each ballot occurs among ``count`` i.i.d. uniform draws
         (with replacement) of the n votes; deterministic per seed.
 
-        The counts are one multinomial draw, taken as conditional binomials
-        along the ballots in profile order: a ballot of weight w, with
-        ``left`` draws and weight W still to share out, gets
-        Binomial(left, w/W) of them, and the last ballot gets what is left.
-        Only ballots drawn at least once are keys, in profile order. Cost:
-        O(d) binomials for d distinct ballots, never more than O(d + count).
+        The counts are one `movkit.core._multinomial` draw over the weights in
+        profile order: conditional binomials, the last ballot taking what is
+        left. Only ballots drawn at least once are keys, in profile order.
+        Cost: O(d) binomials for d distinct ballots, never more than
+        O(d + count).
         """
         if count < 1:
             raise InputError(f"draw count must be at least 1, got {count}")
-        rng = random.Random(seed)
-        counts = Counter()
-        left, weight_left = count, self.n
-        for ballot, w in zip(self.ballots, self.weights):
-            k = left if w == weight_left else _binomial(rng, left, w / weight_left)
-            if k:
-                counts[ballot] = k
-                left -= k
-                if not left:
-                    break
-            weight_left -= w
-        return counts
+        drawn = _multinomial(random.Random(seed), count, self.weights)
+        return Counter({ballot: k for ballot, k in zip(self.ballots, drawn) if k})
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +140,18 @@ _FLOORS = {"epsilon": 2.0 ** -500, "delta": 2.0 ** -960}
 
 
 def _check_unit_interval(name, value):
-    """``value`` as a float in (0, 1), at or above its floor in ``_FLOORS``."""
-    value = float(value)
-    if not 0.0 < value < 1.0:
+    """``value`` as a float in (0, 1), at or above its floor in ``_FLOORS``.
+
+    The exact value is checked before it is rounded to a float, so a rational
+    just inside (0, 1) is never refused as 0.0 or 1.0.
+    """
+    if not 0 < value < 1:
         raise InputError(f"{name} must lie strictly between 0 and 1, got {value}")
     if value < _FLOORS[name]:
-        raise InputError(f"{name} must be at least {_FLOORS[name]:.6g}, got {value:.6g}")
-    return value
+        # a positive rational below the float range is shown exactly, not as 0
+        shown = float(value) or Decimal(value.numerator) / value.denominator
+        raise InputError(f"{name} must be at least {_FLOORS[name]:.6g}, got {shown:.6g}")
+    return float(value)
 
 
 def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None) -> int:

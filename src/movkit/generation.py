@@ -10,20 +10,25 @@ Three models:
   population family behind the sampling lower bound and the distinguisher.
 
 Only ImpartialCulture is random, and it is deterministic given its seed.
-Generators count ballots before building a profile, so each distinct
-ballot is built once. PlantedGap and TwoCandidate fill ballot positions
-below the top in a fixed canonical order (ascending candidate index,
-skipping the top candidate), which keeps their profiles easy to analyze by
-hand.
+It and the uniform depths of `ranked_to_approval` draw counts, not votes:
+c votes with k equally likely outcomes (the orders of the candidates still
+to rank, or the m + 1 depths of one distinct ballot) are drawn one by one
+when c < k; otherwise c is split by one multinomial
+(`movkit.core._multinomial`) and each part is drawn the same way.
+Generators count ballots before building a profile, so each distinct ballot
+is built once. PlantedGap and TwoCandidate fill ballot positions below the
+top in a fixed canonical order (ascending candidate index, skipping the top
+candidate), which keeps their profiles easy to analyze by hand.
 """
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from movkit.core import ApprovalProfile, InputError, RankedProfile, Ranking
+from movkit.core import ApprovalProfile, InputError, RankedProfile, Ranking, _multinomial
 
 
 def _canonical_order(top: int, m: int) -> tuple[int, ...]:
@@ -125,12 +130,34 @@ def _planted_counts(spec: PlantedGap) -> list[int]:
     return counts
 
 
+def _impartial_orders(rng: random.Random, prefix: tuple, rest: tuple, count: int,
+                      orders: Counter) -> None:
+    """Add to ``orders`` ``count`` uniform orders that start with ``prefix``
+    and rank the candidates ``rest`` after it.
+
+    With c = ``count`` and k = len(``rest``): below k! suffixes, each order
+    draws its suffix with ``rng.sample`` (the per-vote stream); otherwise c
+    is split over the k next candidates by one equal-weight multinomial and
+    each group recurses. Both are exactly uniform, and the cost is
+    O(min(n, m!) * m) draws for n orders of m candidates.
+    """
+    k = len(rest)
+    if k < 2:
+        orders[prefix + rest] += count
+    elif count < math.factorial(k):
+        orders.update(prefix + tuple(rng.sample(rest, k)) for _ in range(count))
+    else:
+        for i, c in enumerate(_multinomial(rng, count, [1] * k)):
+            if c:
+                _impartial_orders(rng, prefix + rest[i:i + 1], rest[:i] + rest[i + 1:], c, orders)
+
+
 def generate(spec: GenSpec) -> RankedProfile:
     """Build the ranked profile a generation model describes."""
     if isinstance(spec, ImpartialCulture):
-        rng = random.Random(spec.seed)
+        orders = Counter()
+        _impartial_orders(random.Random(spec.seed), (), tuple(range(spec.m)), spec.n, orders)
         # every order is a permutation of range(m), so the counts are checked keys
-        orders = Counter(tuple(rng.sample(range(spec.m), spec.m)) for _ in range(spec.n))
         return RankedProfile._from_canonical(spec.m, orders, None)
     if isinstance(spec, PlantedGap):
         counts = _planted_counts(spec)
@@ -158,20 +185,33 @@ def ranked_to_approval(
 ) -> ApprovalProfile:
     """Approval profile from a ranked one by approving top-k prefixes.
 
-    ``k`` is either a fixed depth in [0, m] or "uniform", which draws an
-    independent depth uniformly from 0..m for every ballot (deterministic
-    per seed, iterating ballots in canonical profile order).
+    ``k`` is either a fixed depth in [0, m] or "uniform", which gives every
+    vote an independent depth uniform over 0..m (deterministic per seed).
+    Uniform depths are drawn per distinct ballot, in canonical profile
+    order: a ballot of multiplicity w < m + 1 draws its w depths one by one,
+    a heavier one draws how many of its votes take each depth as one
+    Multinomial(w; m + 1 equal cells), so the cost is O(d * m) draws for d
+    distinct ballots, not one per vote.
     """
     m = profile.m
+    prefixes = Counter()
     if isinstance(k, str):
         if k != "uniform":
             raise InputError(f'k must be an integer or "uniform", got {k!r}')
         rng = random.Random(seed)
-        prefixes = Counter(ballot.prefix(rng.randint(0, m)) for ballot in profile.expand())
+        for ballot, mult in profile.votes:
+            order = ballot.order
+            if mult < m + 1:
+                for _ in range(mult):
+                    prefixes[tuple(sorted(order[:rng.randint(0, m)]))] += 1
+            else:
+                for depth, c in enumerate(_multinomial(rng, mult, [1] * (m + 1))):
+                    if c:
+                        prefixes[tuple(sorted(order[:depth]))] += c
     else:
         if not 0 <= k <= m:
             raise InputError(f"k must lie in [0, m], got k={k}, m={m}")
-        prefixes = Counter()
         for ballot, mult in profile.votes:
-            prefixes[ballot.prefix(k)] += mult
-    return ApprovalProfile(m=m, votes=tuple(prefixes.items()), names=profile.names)
+            prefixes[tuple(sorted(ballot.order[:k]))] += mult
+    # every key is a sorted set of candidates of a checked ranking
+    return ApprovalProfile._from_canonical(m, prefixes, profile.names)

@@ -23,16 +23,15 @@ from movkit.core import (
     Maximin,
     ScoreVector,
     Scoring,
+    _binomial,
     approval_profile,
     ranked_profile,
     rule_tally,
     top_two,
     winner_set,
 )
-from movkit.generation import ImpartialCulture, generate
 from movkit.estimators import (
     VoteSource,
-    _binomial,
     estimate_kapproval,
     estimate_mov,
     guarantee_constant,
@@ -40,6 +39,8 @@ from movkit.estimators import (
     sample_size,
     split_seed,
 )
+
+from generation_reference import ref_impartial_culture
 
 F = Fraction
 HALF = F(1, 2)
@@ -396,7 +397,7 @@ def test_copeland_estimate_clamps_sampled_top_tie_at_zero():
     # the first seed whose sampled Copeland scores tie at the top (1 and 3
     # both score 2); the raw relative margin of the canonical winner over
     # the other is negative and raised
-    p = generate(ImpartialCulture(n=2000, m=4, seed=15))
+    p = ref_impartial_culture(2000, 4, 15)
     src = VoteSource.from_profile(p)
     estimates = (estimate_mov(src, Copeland(HALF), F(1, 10), F(1, 20), s) for s in range(100))
     est = next(e for e in estimates if e.estimated_scores[1] == e.estimated_scores[3] == 2)

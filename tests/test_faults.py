@@ -200,6 +200,25 @@ def test_tiny_epsilon_or_delta_has_one_text_on_the_command_line(param, command, 
     assert result.output.endswith(f"Error: {message}\n"), result.output
 
 
+# epsilon and delta are checked exactly, before they are rounded to floats:
+# 1e-400 rounds to 0.0 but is a positive value below the floor, and
+# 1 - 1e-19 rounds to 1.0 but lies inside (0, 1), where (12/0.01) * ln(6/1)
+# rounds up to 2151. (--delta, exit code, the end of the output)
+ROUNDED = {
+    "below-the-float-range": ("1e-400", 2, "Error: delta must be at least 1.02613e-289, got 1e-400\n"),
+    "just-below-one": ("0.9999999999999999999", 0, "2151\n"),
+}
+
+
+@pytest.mark.parametrize("case", ROUNDED)
+def test_delta_is_checked_before_it_is_rounded_to_a_float(case):
+    delta, code, tail = ROUNDED[case]
+    result = CliRunner().invoke(
+        main, ["samplesize", "-r", "scoring", "--m", "3", "--epsilon", "0.1", "--delta", delta])
+    assert result.exit_code == code, result.output
+    assert result.output.endswith(tail), result.output
+
+
 ENTRIES = "ballot entries must be integer candidate indices: "
 
 

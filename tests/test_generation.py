@@ -1,16 +1,19 @@
 """Synthetic profile generators."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from mpmath import gammainc, mpf
 
 from movkit.core import (
     InputError,
     KApproval,
     ScoreVector,
     Scoring,
+    ranked_profile,
     winner_set,
 )
 from movkit.generation import (
@@ -20,6 +23,7 @@ from movkit.generation import (
     generate,
     ranked_to_approval,
 )
+from movkit.estimators import split_seed
 from movkit.oracle import mov_brute_force, mov_kapproval_closed_form
 
 F = Fraction
@@ -132,13 +136,19 @@ def test_ranked_to_approval_prefix_property():
     ranked = generate(ImpartialCulture(n=40, m=4, seed=5))
     approval = ranked_to_approval(ranked, "uniform", seed=9)
     assert approval.n == 40 and approval.m == 4
-    expanded_ranked = ranked.expand()
-    expanded_approval = approval.expand()
-    # conversion happens ballot-by-ballot in canonical order
     again = ranked_to_approval(ranked, "uniform", seed=9)
     assert approval == again
-    for rb, ab in zip(expanded_ranked, sorted(expanded_approval, key=lambda b: (len(b.approved), sorted(b.approved)))):
-        assert len(ab.approved) <= 4
+    # every vote approves a prefix of its own ranking, whether its ballot's
+    # depths are drawn one by one (weight 4 < m + 1) or as one multinomial
+    # (weight 40); no proper nonempty suffix of either ranking is a prefix
+    # of either, so approving any other part of a ranking shows
+    orders = [(0, 1, 2, 3), (1, 0, 2, 3)]
+    ranked = ranked_profile(4, [(orders[0], 40), (orders[1], 4)])
+    prefixes = {frozenset(order[:depth]) for order in orders for depth in range(5)}
+    for seed in range(20):
+        approval = ranked_to_approval(ranked, "uniform", seed=seed)
+        assert approval.n == 44
+        assert all(ballot.approved in prefixes for ballot, _ in approval.votes)
 
 
 def test_ranked_to_approval_fixed_depth():
@@ -167,3 +177,67 @@ def test_ranked_to_approval_depth_validation():
 def test_generated_profiles_keep_names_out():
     p = generate(ImpartialCulture(n=5, m=3, seed=0))
     assert p.names is None
+
+
+# Pre-registered chi-square tests of the count-drawing generators. The
+# points, seeds, repeat counts and critical values below were fixed before
+# the first run; a failure is a finding to report, not a reason to re-seed.
+# Each point (n, m, repeats) pools `repeats` IC profiles, profile r drawn
+# with seed split_seed(CHI_SQUARE_SEED, r) and its uniform-depth approval
+# version with split_seed(that seed, 1). Under IC the pooled order counts
+# are Multinomial(repeats * n; m! equal cells) and the pooled approval depths
+# Multinomial(repeats * n; m + 1 equal cells), exactly. The points sit on
+# both sides of n = m!, where IC switches from per-vote draws to the tree
+# of multinomials. Pearson's statistic must lie between the CHI_SQUARE_TAIL
+# and 1 - CHI_SQUARE_TAIL quantiles of the chi-square law with cells - 1
+# degrees of freedom: above, the frequencies are wrong; below, the counts
+# are split more evenly than a multinomial splits them.
+CHI_SQUARE_SEED = 20151505
+CHI_SQUARE_TAIL = 1e-6
+CHI_SQUARE_POINTS = [
+    (5, 3, 400), (6, 3, 400), (7, 3, 400),
+    (23, 4, 400), (24, 4, 400), (25, 4, 400),
+    (2000, 4, 20), (100_000, 3, 2),
+]
+
+
+def chi_square_quantile(df, q):
+    """The q-quantile of the chi-square law with df degrees of freedom, by
+    bisection on its regularized incomplete gamma CDF (mpmath)."""
+    lo, hi = mpf(0), mpf(df + 50 * math.sqrt(df) + 100)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if gammainc(mpf(df) / 2, 0, mid / 2, regularized=True) < q:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def assert_uniform_multinomial(counts, cells):
+    """Pearson's statistic of ``counts`` over ``cells`` equally likely cells
+    lies inside the two CHI_SQUARE_TAIL quantiles."""
+    assert set(counts) <= set(cells)
+    total = sum(counts.values())
+    expected = total / len(cells)
+    statistic = sum((counts[c] - expected) ** 2 for c in cells) / expected
+    df = len(cells) - 1
+    low = chi_square_quantile(df, CHI_SQUARE_TAIL)
+    high = chi_square_quantile(df, 1 - CHI_SQUARE_TAIL)
+    assert low < statistic < high, (statistic, low, high)
+
+
+@pytest.mark.parametrize("n, m, repeats", CHI_SQUARE_POINTS)
+def test_generated_counts_pass_the_pre_registered_chi_square(n, m, repeats):
+    orders, depths = Counter(), Counter()
+    for r in range(repeats):
+        seed = split_seed(CHI_SQUARE_SEED, r)
+        ranked = generate(ImpartialCulture(n=n, m=m, seed=seed))
+        approval = ranked_to_approval(ranked, "uniform", split_seed(seed, 1))
+        assert ranked.n == approval.n == n
+        for ballot, mult in ranked.votes:
+            orders[ballot.order] += mult
+        for ballot, mult in approval.votes:
+            depths[len(ballot.approved)] += mult
+    assert_uniform_multinomial(orders, list(itertools.permutations(range(m))))
+    assert_uniform_multinomial(depths, list(range(m + 1)))

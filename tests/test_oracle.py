@@ -35,6 +35,8 @@ from movkit.oracle import (
     relative_margin_generic,
 )
 
+from generation_reference import ref_impartial_culture
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -151,7 +153,7 @@ def test_brute_force_work_limit_counts_pruned_nodes():
 ])
 def test_brute_force_solves_ic_n30_under_the_default_limit(rule, mov):
     # unpruned, maximin and Copeland need 6.5M evaluations here
-    p = generate(ImpartialCulture(n=30, m=4, seed=13))
+    p = ref_impartial_culture(30, 4, 13)
     r = mov_brute_force(p, rule, p.n)
     assert r.value == mov and len(r.witness) == mov
     assert winner_set(apply_changes(p, r.witness), rule).winners != winner_set(p, rule).winners
@@ -409,7 +411,7 @@ def test_brute_force_counts_evaluations_deterministically():
 @pytest.mark.parametrize("seed", [1, 10, 15, 25, 28, 38, 58])
 def test_copeland_margin_is_zero_on_tied_ic_profiles(seed):
     # these tied IC profiles gave raw relative margins from -13 to -2
-    p = generate(ImpartialCulture(n=2000, m=4, seed=seed))
+    p = ref_impartial_culture(2000, 4, seed)
     assert len(winner_set(p, Copeland(HALF)).winners) >= 2
     w = winner_set(p, Copeland(HALF)).winners[0]
     assert min(_relative_margin(p, w, x, HALF) for x in range(p.m) if x != w) < 0
