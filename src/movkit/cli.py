@@ -162,14 +162,13 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
         click.echo(f"MoV in [{_fmt_number(lower)}, {_fmt_number(upper)}] ({bounds.source})")
         click.echo(f"integer range [{math.ceil(lower)}, {math.floor(upper)}]")
     else:
-        source = VoteSource.from_profile(profile)
-        est = estimate_mov(source, rule, epsilon, delta, seed, ell=samples)
+        est = estimate_mov(VoteSource(profile), rule, epsilon, delta, seed, ell=samples)
         click.echo(f"estimate = {format(float(est.m_bar), '.10g')} (exact {est.m_bar})")
         click.echo(f"samples = {est.ell}, seed = {est.seed}")
         click.echo(
             "guarantee: P[ |estimate - MoV| <= "
             f"{est.c}*MoV + {format(float(est.epsilon), '.6g')}*n ] >= "
-            f"{format(1.0 - float(est.delta), '.6g')}, n = {source.n}"
+            f"{format(1.0 - float(est.delta), '.6g')}, n = {profile.n}"
         )
 
 

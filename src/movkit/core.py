@@ -27,7 +27,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -62,13 +62,6 @@ class Ranking:
     @property
     def m(self) -> int:
         return len(self.order)
-
-    def position(self, candidate: int) -> int:
-        """1-based position of a candidate in this ranking."""
-        return self.order.index(candidate) + 1
-
-    def prefix(self, k: int) -> frozenset[int]:
-        return frozenset(self.order[:k])
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,15 +251,6 @@ class ScoreVector:
     @classmethod
     def borda(cls, m: int) -> "ScoreVector":
         return cls(tuple(Fraction(m - 1 - i) for i in range(m)))
-
-    @classmethod
-    def k_approval(cls, m: int, k: int) -> "ScoreVector":
-        _check_k(k, m)
-        return cls(tuple(Fraction(1) if i < k else Fraction(0) for i in range(m)))
-
-    @classmethod
-    def plurality(cls, m: int) -> "ScoreVector":
-        return cls.k_approval(m, 1)
 
 
 def integer_weights(vector: ScoreVector) -> tuple[tuple[int, ...], int]:
@@ -567,20 +551,6 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     tally = rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
     mask = tally.winner_mask()
     return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
-
-
-def ranked_profile(m: int, votes: Iterable[tuple[Sequence[int], int]], names=None) -> RankedProfile:
-    """Convenience constructor accepting plain tuples as ballots."""
-    return RankedProfile(
-        m=m, votes=tuple((Ranking(tuple(b)), mult) for b, mult in votes), names=names
-    )
-
-
-def approval_profile(m: int, votes: Iterable[tuple[Iterable[int], int]], names=None) -> ApprovalProfile:
-    """Convenience constructor accepting plain iterables as ballots."""
-    return ApprovalProfile(
-        m=m, votes=tuple((ApprovalBallot(frozenset(b)), mult) for b, mult in votes), names=names
-    )
 
 
 # ---------------------------------------------------------------------------

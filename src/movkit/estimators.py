@@ -1,11 +1,12 @@
 """Sampling-based margin-of-victory estimation.
 
-Each estimator draws ballots uniformly at random with replacement from a
-finite vote population, scales the sampled tallies back to population size,
-and converts the resulting score gap into a margin estimate. The sample is
-drawn as counts per distinct ballot, one multinomial draw, not vote by
-vote. The estimate comes with a two-parameter additive guarantee: with
-probability at least 1 - delta,
+Each estimator draws ballots uniformly at random with replacement from the
+n votes of a profile (a `VoteSource` holds the checked profile and nothing
+else), scales the sampled tallies back to population size, and converts the
+resulting score gap into a margin estimate. The sample is drawn as counts
+per distinct ballot, one multinomial draw, not vote by vote. The estimate
+comes with a two-parameter additive guarantee: with probability at least
+1 - delta,
 
     |estimate - MoV| <= c * MoV + epsilon * n,
 
@@ -69,61 +70,29 @@ def split_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class VoteSource:
-    """A finite ballot population supporting seeded uniform sampling.
+    """A profile's n votes, sampled uniformly with replacement.
 
-    ``ballots`` are the distinct ballots, ``weights`` their multiplicities;
-    draws are i.i.d. uniform over the n underlying votes, with replacement.
-    The population size n must be known to the estimators (they rescale
-    sampled tallies by n/ell and compare against n/2 thresholds).
+    The profile constructor is the one check of the ballots and their
+    multiplicities; the estimators read m, n and the ballot kind from it.
     """
 
-    kind: str  # "ranked" | "approval"
-    m: int
-    ballots: tuple
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("ranked", "approval"):
-            raise InputError(f"unknown ballot kind {self.kind!r}")
-        if len(self.ballots) != len(self.weights) or not self.ballots:
-            raise InputError("ballots and weights must be parallel and non-empty")
-        for w in self.weights:
-            if not isinstance(w, int) or w < 1:
-                raise InputError(f"weights must be positive integers, got {w!r}")
-
-    @classmethod
-    def from_profile(cls, profile: Profile) -> "VoteSource":
-        kind = "ranked" if isinstance(profile, RankedProfile) else "approval"
-        return cls(
-            kind=kind,
-            m=profile.m,
-            ballots=tuple(b for b, _ in profile.votes),
-            weights=tuple(w for _, w in profile.votes),
-        )
-
-    @property
-    def n(self) -> int:
-        return sum(self.weights)
-
-    def draw(self, count: int, seed: int) -> list:
-        """The ``count`` votes of ``draw_counts(count, seed)`` as a list:
-        each drawn ballot repeated by its count, grouped in profile order."""
-        return list(self.draw_counts(count, seed).elements())
+    profile: Profile
 
     def draw_counts(self, count: int, seed: int) -> Counter:
         """How often each ballot occurs among ``count`` i.i.d. uniform draws
         (with replacement) of the n votes; deterministic per seed.
 
-        The counts are one `movkit.core._multinomial` draw over the weights in
-        profile order: conditional binomials, the last ballot taking what is
-        left. Only ballots drawn at least once are keys, in profile order.
-        Cost: O(d) binomials for d distinct ballots, never more than
-        O(d + count).
+        The counts are one `movkit.core._multinomial` draw over the
+        multiplicities in profile order: conditional binomials, the last
+        ballot taking what is left. Only ballots drawn at least once are keys,
+        in profile order. Cost: O(d) binomials for d distinct ballots, never
+        more than O(d + count).
         """
         if count < 1:
             raise InputError(f"draw count must be at least 1, got {count}")
-        drawn = _multinomial(random.Random(seed), count, self.weights)
-        return Counter({ballot: k for ballot, k in zip(self.ballots, drawn) if k})
+        votes = self.profile.votes
+        drawn = _multinomial(random.Random(seed), count, [w for _, w in votes])
+        return Counter({ballot: k for (ballot, _), k in zip(votes, drawn) if k})
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +202,6 @@ class MovEstimate:
     c: Fraction
     epsilon: Fraction
     delta: Fraction
-    rule_kind: str
     estimated_scores: Mapping[int, object]
     pair_margins: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
@@ -248,8 +216,8 @@ def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     """Default ell from the closed form; invert it for explicit overrides."""
     if ell is None:
         return sample_size(rule_kind, epsilon, delta, m, k), Fraction(epsilon)
-    if ell < 1:
-        raise InputError(f"sample count must be positive, got {ell}")
+    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
+        raise InputError(f"sample count must be positive, got {ell!r}")
     _check_unit_interval("epsilon", epsilon)
     _check_unit_interval("delta", delta)
     log_num = 2.0 * (k if rule_kind == "kapproval" else m)
@@ -278,20 +246,20 @@ def estimate_mov(
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
     delta are read or any vote is drawn.
     """
-    m, n = source.m, source.n
+    profile = source.profile
+    m, n, ranked = profile.m, profile.n, isinstance(profile, RankedProfile)
     if isinstance(rule, Scoring):
         rule = Scoring(rule.vector.normalized())
-    tally = _mov_tally(rule, m, (), source.kind == "ranked")
+    tally = _mov_tally(rule, m, (), ranked)
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
     for ballot, count in source.draw_counts(ell, seed).items():
-        tally.add(ballot.order if source.kind == "ranked" else ballot.approved, count)
+        tally.add(ballot.order if ranked else ballot.approved, count)
     upper, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
     c = guarantee_constant(rule, m)
     return MovEstimate(
         m_bar=Fraction(min(max((1 - c) * upper, 1), n)), ell=ell, seed=seed, c=c,
-        epsilon=eps_eff, delta=Fraction(delta), rule_kind=rule.kind,
-        estimated_scores=scores, pair_margins=margins,
+        epsilon=eps_eff, delta=Fraction(delta), estimated_scores=scores, pair_margins=margins,
     )
 
 

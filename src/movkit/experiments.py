@@ -341,9 +341,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if isinstance(rule, Approval) and isinstance(profile, RankedProfile):
             profile = ranked_to_approval(profile, "uniform", split_seed(gen_seed, 1))
         mov_exact, lower, upper = _exact_reference(profile, rule, config.policy)
-        est = estimate_mov(
-            VoteSource.from_profile(profile), rule, config.epsilon, config.delta, est_seed
-        )
+        est = estimate_mov(VoteSource(profile), rule, config.epsilon, config.delta, est_seed)
         abs_error, within = _judge(est, profile.n, mov_exact, lower, upper)
         if within is None:
             excluded += 1
@@ -432,10 +430,8 @@ def run_distinguisher(
         )
     if budget is None:
         budget = sample_size("kapproval", epsilon, delta_f, m=2, k=1)
-    x_profile = generate(TwoCandidate(p=p_x, n=n))
-    y_profile = generate(TwoCandidate(p=Fraction(1, 2), n=n))
-    x_source = VoteSource.from_profile(x_profile)
-    y_source = VoteSource.from_profile(y_profile)
+    x_source = VoteSource(generate(TwoCandidate(p=p_x, n=n)))
+    y_source = VoteSource(generate(TwoCandidate(p=Fraction(1, 2), n=n)))
     threshold = c + Fraction(3, 2) * epsilon * n
     errors_x = errors_y = 0
     for index in range(trials):

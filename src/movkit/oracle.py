@@ -244,11 +244,14 @@ def mov_brute_force(
     Returns ``value=None`` when no change within the budget flips the winner
     set. Raises WorkLimitError once the size of the replacement universe plus
     the search nodes visited (pruned nodes and leaves included) exceed
-    ``work_limit``; the universe is charged before it is built.
+    ``work_limit``; the universe is charged before it is built. A
+    ``work_limit`` below 1 is an InputError, raised before any search.
     """
     tally, raw, universe, wrap = _make_engine(profile, rule)
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
+    if work_limit < 1:
+        raise InputError(f"work limit must be at least 1, got {work_limit}")
     limit_error = WorkLimitError(
         f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     )

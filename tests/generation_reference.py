@@ -27,7 +27,7 @@ def ref_ranked_to_approval(profile, k, seed):
     else:
         depths = [k] * profile.n
     votes = tuple(
-        (ApprovalBallot(ballot.prefix(depth)), 1)
+        (ApprovalBallot(frozenset(ballot.order[:depth])), 1)
         for ballot, depth in zip(profile.expand(), depths)
     )
     return ApprovalProfile(m=m, votes=votes, names=profile.names)

@@ -17,14 +17,14 @@ from mpmath import log as mplog
 from movkit.cli import main as cli_main
 from movkit.core import (
     Approval,
+    ApprovalProfile,
     Bucklin,
     Copeland,
     KApproval,
     Maximin,
+    RankedProfile,
     ScoreVector,
     Scoring,
-    approval_profile,
-    ranked_profile,
     top_two,
     winner_set,
 )
@@ -121,13 +121,13 @@ def sandwich_suite():
         for i in range(150)
     ]
     edges = [
-        ranked_profile(2, [((0, 1), 1)]),
-        ranked_profile(2, [((0, 1), 4)]),
-        ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]),
-        ranked_profile(2, [((0, 1), 3), ((1, 0), 3)]),
-        ranked_profile(2, [((0, 1), 2), ((1, 0), 1)]),
+        RankedProfile(2, [((0, 1), 1)]),
+        RankedProfile(2, [((0, 1), 4)]),
+        RankedProfile(2, [((0, 1), 1), ((1, 0), 1)]),
+        RankedProfile(2, [((0, 1), 3), ((1, 0), 3)]),
+        RankedProfile(2, [((0, 1), 2), ((1, 0), 1)]),
     ]
-    m3.append(ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 2), ((2, 0, 1), 2)]))
+    m3.append(RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 2), ((2, 0, 1), 2)]))
     approval = [
         ranked_to_approval(
             generate(ImpartialCulture(n=1 + split_seed(55, i) % 6, m=3, seed=split_seed(66, i))),
@@ -137,10 +137,10 @@ def sandwich_suite():
         for i in range(500)
     ]
     approval_edges = [
-        approval_profile(2, [((0,), 3)]),
-        approval_profile(2, [((0, 1), 2)]),
-        approval_profile(3, [((), 4)]),
-        approval_profile(2, [((0,), 2), ((1,), 2)]),
+        ApprovalProfile(2, [((0,), 3)]),
+        ApprovalProfile(2, [((0, 1), 2)]),
+        ApprovalProfile(3, [((), 4)]),
+        ApprovalProfile(2, [((0,), 2), ((1,), 2)]),
     ]
     return m3, m2 + edges, approval + approval_edges
 
@@ -175,7 +175,7 @@ def test_criterion_3_kapproval_closed_form(capsys, sandwich_suite):
     for profiles, ks in cases:
         for prof in profiles:
             for k in ks:
-                scores = winner_set(prof, Scoring(ScoreVector.k_approval(prof.m, k))).scores
+                scores = winner_set(prof, Scoring(ScoreVector((1,) * k + (0,) * (prof.m - k)))).scores
                 w, z = top_two(scores)
                 if scores[w] == scores[z]:
                     continue  # tie-free instances only
@@ -204,7 +204,7 @@ TRIALS = 200
 
 
 def two_candidate_profile(p, q):
-    return ranked_profile(2, [((0, 1), p), ((1, 0), q)])
+    return RankedProfile(2, [((0, 1), p), ((1, 0), q)])
 
 
 def test_two_candidate_closed_forms_match_brute_force():
@@ -242,8 +242,8 @@ def test_criterion_4_coverage_scoring(capsys):
         gap = PLANTED_GAPS[i % len(PLANTED_GAPS)]
         prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3))
         mov = mov_kapproval_closed_form(prof, 1)
-        src = VoteSource.from_profile(prof)
-        est = estimate_mov(src, Scoring(ScoreVector.plurality(3)), EPS, DELTA, split_seed(4001, i))
+        src = VoteSource(prof)
+        est = estimate_mov(src, Scoring(ScoreVector((1, 0, 0))), EPS, DELTA, split_seed(4001, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -256,7 +256,7 @@ def test_criterion_4_coverage_kapproval(capsys):
         gap = PLANTED_GAPS[i % len(PLANTED_GAPS)]
         prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3))
         mov = mov_kapproval_closed_form(prof, 2)
-        src = VoteSource.from_profile(prof)
+        src = VoteSource(prof)
         est = estimate_kapproval(src, 2, EPS, DELTA, split_seed(4002, i))
         return est.m_bar, mov, est.c
 
@@ -274,7 +274,7 @@ def test_criterion_4_coverage_approval(capsys):
             mov = mov_approval_closed_form(prof)
         except TiedWinnersError:
             return None
-        src = VoteSource.from_profile(prof)
+        src = VoteSource(prof)
         est = estimate_mov(src, Approval(), EPS, DELTA, split_seed(4003, i))
         return est.m_bar, mov, est.c
 
@@ -289,7 +289,7 @@ def test_criterion_4_coverage_bucklin(capsys):
         p, q = TWO_CANDIDATE_PAIRS[i % len(TWO_CANDIDATE_PAIRS)]
         prof = two_candidate_profile(p, q)
         mov = p - prof.n // 2
-        src = VoteSource.from_profile(prof)
+        src = VoteSource(prof)
         est = estimate_mov(src, Bucklin(), EPS, DELTA, split_seed(4004, i))
         return est.m_bar, mov, est.c
 
@@ -303,7 +303,7 @@ def test_criterion_4_coverage_maximin(capsys):
         p, q = TWO_CANDIDATE_PAIRS[i % len(TWO_CANDIDATE_PAIRS)]
         prof = two_candidate_profile(p, q)
         mov = (p - q + 1) // 2
-        src = VoteSource.from_profile(prof)
+        src = VoteSource(prof)
         est = estimate_mov(src, Maximin(), EPS, DELTA, split_seed(4005, i))
         return est.m_bar, mov, est.c
 
@@ -317,7 +317,7 @@ def test_criterion_4_coverage_copeland(capsys):
         p, q = TWO_CANDIDATE_PAIRS[i % len(TWO_CANDIDATE_PAIRS)]
         prof = two_candidate_profile(p, q)
         mov = (p - q + 1) // 2
-        src = VoteSource.from_profile(prof)
+        src = VoteSource(prof)
         est = estimate_mov(src, Copeland(HALF), EPS, DELTA, split_seed(4006, i))
         return est.m_bar, mov, est.c
 
@@ -329,21 +329,21 @@ def test_criterion_4_coverage_copeland(capsys):
 # --- criterion 5: score concentration ---------------------------------------
 
 def test_criterion_5_concentration(capsys):
-    prof = ranked_profile(4, [
+    prof = RankedProfile(4, [
         ((0, 1, 2, 3), 700),
         ((1, 2, 3, 0), 600),
         ((2, 3, 0, 1), 400),
         ((3, 0, 1, 2), 300),
     ])
-    exact = winner_set(prof, Scoring(ScoreVector.plurality(4))).scores
-    src = VoteSource.from_profile(prof)
+    exact = winner_set(prof, Scoring(ScoreVector((1, 0, 0, 0)))).scores
+    src = VoteSource(prof)
     ell = sample_size("scoring", EPS, DELTA, 4)
     assert ell == 6091
     trials = 400
     limit = (EPS / 2) * prof.n
     bad = 0
     for i in range(trials):
-        est = estimate_mov(src, Scoring(ScoreVector.plurality(4)), EPS, DELTA, split_seed(5000, i))
+        est = estimate_mov(src, Scoring(ScoreVector((1, 0, 0, 0))), EPS, DELTA, split_seed(5000, i))
         if any(abs(est.estimated_scores[x] - exact[x]) > limit for x in range(4)):
             bad += 1
     slack = 2 * math.sqrt(float(DELTA) * (1 - float(DELTA)) / trials)

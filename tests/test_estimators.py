@@ -16,16 +16,18 @@ from mpmath import sqrt as mpsqrt
 
 from movkit.core import (
     Approval,
+    ApprovalBallot,
+    ApprovalProfile,
     Bucklin,
     Copeland,
     InputError,
     KApproval,
     Maximin,
+    RankedProfile,
+    Ranking,
     ScoreVector,
     Scoring,
     _binomial,
-    approval_profile,
-    ranked_profile,
     rule_tally,
     top_two,
     winner_set,
@@ -116,47 +118,51 @@ def test_guarantee_constants():
 # --- the vote source ------------------------------------------------------
 
 def test_vote_source_draws_are_deterministic():
-    p = ranked_profile(2, [((0, 1), 3), ((1, 0), 1)])
-    src = VoteSource.from_profile(p)
-    assert src.n == 4
-    a = src.draw(10, 7)
-    b = src.draw(10, 7)
-    assert a == b
-    c = src.draw(10, 8)
-    assert a != c
+    p = RankedProfile(2, [((0, 1), 3), ((1, 0), 1)])
+    src = VoteSource(p)
+    a = src.draw_counts(10, 7)
+    assert a == src.draw_counts(10, 7)
+    assert a != src.draw_counts(10, 8)
 
 
 def test_vote_source_single_ballot():
-    p = ranked_profile(2, [((0, 1), 1)])
-    src = VoteSource.from_profile(p)
-    draws = src.draw(5, 0)
-    assert len(draws) == 5
-    assert all(b.order == (0, 1) for b in draws)
+    p = RankedProfile(2, [((0, 1), 1)])
+    assert VoteSource(p).draw_counts(5, 0) == Counter({Ranking((0, 1)): 5})
 
 
 def test_vote_source_frequency():
     # multiplicities (3, 1): the majority ballot should appear ~75% of the time
-    p = ranked_profile(2, [((0, 1), 3), ((1, 0), 1)])
-    src = VoteSource.from_profile(p)
-    draws = src.draw(1_000_000, 123)
-    top = sum(1 for b in draws if b.order == (0, 1)) / len(draws)
+    p = RankedProfile(2, [((0, 1), 3), ((1, 0), 1)])
+    top = VoteSource(p).draw_counts(1_000_000, 123)[Ranking((0, 1))] / 1_000_000
     assert abs(top - 0.75) < 0.01
 
 
-def test_draw_counts_count_the_same_draws():
-    p = ranked_profile(3, [((0, 1, 2), 5), ((1, 2, 0), 1), ((2, 0, 1), 3), ((2, 1, 0), 2)])
-    src = VoteSource.from_profile(p)
-    for seed in (0, 1, 7, 2**40 + 3):
-        counts = src.draw_counts(50, seed)
-        assert counts == Counter(src.draw(50, seed))
-        assert list(counts) == list(Counter(src.draw(50, seed)))
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_vote_source_draws_exactly_ell_from_repeated_entries(seed):
+    # repeated entries are merged by the constructor, so no draw is lost to
+    # two keys for one ballot
+    repeated = [((0, 1), 5), ((0, 1), 5), ((1, 0), 2), ((0, 1), 1)]
+    p = RankedProfile(2, repeated)
+    assert p.votes == ((Ranking((0, 1)), 11), (Ranking((1, 0)), 2))
+    counts = VoteSource(p).draw_counts(100, seed)
+    assert sum(counts.values()) == 100
+    # each sampled vote adds n/ell to one 1-approval score, so they sum to n
+    est = estimate_mov(VoteSource(p), KApproval(1), EPS, DELTA, seed, ell=100)
+    assert sum(est.estimated_scores.values()) == p.n
+    approval = ApprovalProfile(3, [({0}, 4), ((0,), 4)])
+    assert VoteSource(approval).draw_counts(100, seed) == Counter({approval.votes[0][0]: 100})
 
 
-def test_vote_source_rejects_non_integer_weights():
-    ballots = tuple(b for b, _ in ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]).votes)
-    for weights in ((F(3, 2), 1), (1.5, 1), (1.0, 1), (0, 1)):
-        with pytest.raises(InputError, match="positive integers"):
-            VoteSource("ranked", 2, ballots, weights)
+@pytest.mark.parametrize("kind, votes, message", [
+    (RankedProfile, [((0, 1), 1)], "ballot (0, 1) does not rank all 3 candidates"),
+    (RankedProfile, [(ApprovalBallot(frozenset({0})), 1)],
+     "ballot entries must be integer candidate indices: ApprovalBallot(approved=frozenset({0}))"),
+    (ApprovalProfile, [({0, 3}, 1)], "ballot approves unknown candidate: [0, 3]"),
+])
+def test_vote_source_cannot_hold_a_ballot_its_profile_refuses(kind, votes, message):
+    with pytest.raises(InputError) as info:
+        VoteSource(kind(3, votes))
+    assert str(info.value) == message
 
 
 def test_draw_counts_moments():
@@ -165,14 +171,14 @@ def test_draw_counts_moments():
     the geometric branch; ell = 5,000 reaches BTRS and the p > 0.5 symmetry
     (the third ballot is drawn with p = 3/5 of what is left)."""
     weights = (5, 1, 3, 2)
-    p = ranked_profile(3, zip([(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)], weights))
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(3, zip([(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)], weights))
+    src = VoteSource(p)
     trials = 20_000
     for ell in (50, 5_000):
         samples = [src.draw_counts(ell, seed) for seed in range(trials)]
         for (ballot, _), w in zip(p.votes, weights):
             xs = [c[ballot] for c in samples]
-            q = w / src.n
+            q = w / p.n
             expected_var = ell * q * (1 - q)
             mean = sum(xs) / trials
             var = sum((x - mean) ** 2 for x in xs) / (trials - 1)
@@ -210,9 +216,9 @@ def test_split_seed_is_stable():
 # --- zero-variance estimator checks --------------------------------------
 
 def test_scoring_estimate_unanimous():
-    p = ranked_profile(2, [((0, 1), 4)])
-    src = VoteSource.from_profile(p)
-    est = estimate_mov(src, Scoring(ScoreVector.plurality(2)), EPS, DELTA, 0)
+    p = RankedProfile(2, [((0, 1), 4)])
+    src = VoteSource(p)
+    est = estimate_mov(src, Scoring(ScoreVector((1, 0))), EPS, DELTA, 0)
     assert est.m_bar == F(8, 3)
     assert est.estimated_scores == {0: F(4), 1: F(0)}
     assert est.c == F(1, 3)
@@ -220,33 +226,33 @@ def test_scoring_estimate_unanimous():
 
 
 def test_scoring_estimate_invariant_under_affine_vector_change():
-    p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
+    src = VoteSource(p)
     a = estimate_mov(src, Scoring(ScoreVector((F(2), F(1), F(0)))), EPS, DELTA, 5)
     b = estimate_mov(src, Scoring(ScoreVector((F(7), F(4), F(1)))), EPS, DELTA, 5)
     assert a.m_bar == b.m_bar
 
 
 def test_kapproval_estimate_unanimous():
-    p = ranked_profile(2, [((0, 1), 4)])
-    est = estimate_kapproval(VoteSource.from_profile(p), 1, EPS, DELTA, 0)
+    p = RankedProfile(2, [((0, 1), 4)])
+    est = estimate_kapproval(VoteSource(p), 1, EPS, DELTA, 0)
     assert est.m_bar == 2
     assert est.c == 0
 
 
 def test_approval_estimate_unanimous_and_tied():
-    single = approval_profile(2, [((0,), 4)])
-    est = estimate_mov(VoteSource.from_profile(single), Approval(), EPS, DELTA, 0)
+    single = ApprovalProfile(2, [((0,), 4)])
+    est = estimate_mov(VoteSource(single), Approval(), EPS, DELTA, 0)
     assert est.m_bar == 2
-    both = approval_profile(2, [((0, 1), 4)])
-    est = estimate_mov(VoteSource.from_profile(both), Approval(), EPS, DELTA, 0)
+    both = ApprovalProfile(2, [((0, 1), 4)])
+    est = estimate_mov(VoteSource(both), Approval(), EPS, DELTA, 0)
     # the sampled gap is 0; the margin of a tie is at least 1
     assert est.m_bar == 1
 
 
 def test_bucklin_estimate_unanimous():
-    p = ranked_profile(2, [((0, 1), 4)])
-    est = estimate_mov(VoteSource.from_profile(p), Bucklin(), EPS, DELTA, 0)
+    p = RankedProfile(2, [((0, 1), 4)])
+    est = estimate_mov(VoteSource(p), Bucklin(), EPS, DELTA, 0)
     assert est.m_bar == F(10, 3)
 
 
@@ -254,8 +260,8 @@ def test_bucklin_estimate_of_a_sampled_full_tie():
     # with only two sampled votes a perfect split leaves no separating level,
     # a level gap of 0, so the estimate is 1, the margin of a tie; the first
     # seed whose two draws split 1-1 produces it
-    p = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
+    src = VoteSource(p)
     seed = next(s for s in range(100) if list(src.draw_counts(2, s).values()) == [1, 1])
     est = estimate_mov(src, Bucklin(), EPS, DELTA, seed, ell=2)
     assert est.estimated_scores == {0: (1, 2), 1: (1, 2)}
@@ -263,50 +269,50 @@ def test_bucklin_estimate_of_a_sampled_full_tie():
 
 
 def test_maximin_estimate_unanimous():
-    p = ranked_profile(3, [((0, 1, 2), 4)])
-    est = estimate_mov(VoteSource.from_profile(p), Maximin(), EPS, DELTA, 0)
+    p = RankedProfile(3, [((0, 1, 2), 4)])
+    est = estimate_mov(VoteSource(p), Maximin(), EPS, DELTA, 0)
     assert est.m_bar == F(8, 3)
     assert est.pair_margins is not None
     assert est.pair_margins[0][1] == 4
 
 
 def test_copeland_estimate_unanimous_two_candidates():
-    p = ranked_profile(2, [((0, 1), 4)])
-    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), EPS, DELTA, 0)
+    p = RankedProfile(2, [((0, 1), 4)])
+    est = estimate_mov(VoteSource(p), Copeland(HALF), EPS, DELTA, 0)
     # zero-variance draws make the sampled relative margin exact: 2 at n=4
     assert est.m_bar == F(8, 5) * 2
     assert est.c == F(3, 5)
 
 
 def test_copeland_estimate_exact_on_three_candidate_example():
-    p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
-    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), EPS, DELTA, 0)
+    p = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
+    est = estimate_mov(VoteSource(p), Copeland(HALF), EPS, DELTA, 0)
     assert est.m_bar == F(12, 7)
     assert est.c == F(5, 7)
 
 
 def test_copeland_tied_profile_estimates_zero():
-    p = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
-    est = estimate_mov(VoteSource.from_profile(p), Copeland(HALF), EPS, DELTA, 3)
+    p = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
+    est = estimate_mov(VoteSource(p), Copeland(HALF), EPS, DELTA, 3)
     # sampled pairwise margins may wobble, but the tied profile at even ell
     # frequently yields 0; at minimum it is a valid non-negative estimate
     assert est.m_bar >= 0
 
 
 def test_estimate_mov_dispatch():
-    p = ranked_profile(2, [((0, 1), 4)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(2, [((0, 1), 4)])
+    src = VoteSource(p)
     assert estimate_mov(src, KApproval(1), EPS, DELTA, 0).m_bar == 2
     assert estimate_mov(src, Bucklin(), EPS, DELTA, 0).m_bar == F(10, 3)
-    assert estimate_mov(src, Scoring(ScoreVector.plurality(2)), EPS, DELTA, 0).m_bar == F(8, 3)
+    assert estimate_mov(src, Scoring(ScoreVector((1, 0))), EPS, DELTA, 0).m_bar == F(8, 3)
 
 
 # --- statistical behaviour ------------------------------------------------
 
 def test_score_estimates_are_unbiased():
     """Sample means converge to the exact scores on a fixed profile."""
-    p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
+    src = VoteSource(p)
     exact = winner_set(p, Scoring(ScoreVector.borda(3))).scores
     ell = 60_000
     est = estimate_mov(src, Scoring(ScoreVector.borda(3)), EPS, DELTA, 99, ell=ell)
@@ -318,8 +324,8 @@ def test_score_estimates_are_unbiased():
 
 
 def test_pair_margin_estimates_are_unbiased_and_antisymmetric():
-    p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
+    src = VoteSource(p)
     d = rule_tally(Maximin(), p.m, p.votes, True).net()
     est = estimate_mov(src, Maximin(), EPS, DELTA, 17, ell=60_000)
     for x in range(3):
@@ -332,10 +338,10 @@ def test_pair_margin_estimates_are_unbiased_and_antisymmetric():
 
 
 def test_seed_determinism_across_all_estimators():
-    p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    src = VoteSource.from_profile(p)
-    ap = approval_profile(3, [((0,), 2), ((0, 1), 2), ((2,), 1)])
-    asrc = VoteSource.from_profile(ap)
+    p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
+    src = VoteSource(p)
+    ap = ApprovalProfile(3, [((0,), 2), ((0, 1), 2), ((2,), 1)])
+    asrc = VoteSource(ap)
     runs = [
         lambda s: estimate_mov(src, Scoring(ScoreVector.borda(3)), EPS, DELTA, s),
         lambda s: estimate_kapproval(src, 1, EPS, DELTA, s),
@@ -350,8 +356,8 @@ def test_seed_determinism_across_all_estimators():
 
 
 def test_ell_override_recomputes_the_guarantee():
-    p = ranked_profile(2, [((0, 1), 3), ((1, 0), 1)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(2, [((0, 1), 3), ((1, 0), 1)])
+    src = VoteSource(p)
     est = estimate_kapproval(src, 1, EPS, DELTA, 0, ell=100)
     assert est.ell == 100
     # inverting ceil((12/e^2) ln(2k/delta)) at ell=100 gives e ~ 0.797
@@ -363,12 +369,12 @@ def test_ell_override_recomputes_the_guarantee():
 
 
 def test_estimators_reject_bad_parameters():
-    p = ranked_profile(2, [((0, 1), 2)])
-    src = VoteSource.from_profile(p)
+    p = RankedProfile(2, [((0, 1), 2)])
+    src = VoteSource(p)
     with pytest.raises(InputError):
         estimate_kapproval(src, 2, EPS, DELTA, 0)
     with pytest.raises(InputError):
-        estimate_mov(src, Scoring(ScoreVector.plurality(2)), F(0), DELTA, 0)
+        estimate_mov(src, Scoring(ScoreVector((1, 0))), F(0), DELTA, 0)
     with pytest.raises(InputError):
         estimate_mov(src, Copeland(F(2)), EPS, DELTA, 0)
     with pytest.raises(InputError):
@@ -377,10 +383,10 @@ def test_estimators_reject_bad_parameters():
 
 def test_maximin_three_plus_two_expectation():
     """E-level margin estimate on the 3+2 profile is 2/3 of the exact scores."""
-    p = ranked_profile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
+    p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     exact = winner_set(p, Maximin()).scores
     assert (exact[0], exact[1], exact[2]) == (1, -1, -5)
-    src = VoteSource.from_profile(p)
+    src = VoteSource(p)
     total = F(0)
     reps = 200
     for i in range(reps):
@@ -398,7 +404,7 @@ def test_copeland_estimate_clamps_sampled_top_tie_at_zero():
     # both score 2); the raw relative margin of the canonical winner over
     # the other is negative and raised
     p = ref_impartial_culture(2000, 4, 15)
-    src = VoteSource.from_profile(p)
+    src = VoteSource(p)
     estimates = (estimate_mov(src, Copeland(HALF), F(1, 10), F(1, 20), s) for s in range(100))
     est = next(e for e in estimates if e.estimated_scores[1] == e.estimated_scores[3] == 2)
     assert est.estimated_scores[1] == est.estimated_scores[3] == 2

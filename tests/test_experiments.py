@@ -13,8 +13,8 @@ from movkit.core import (
     InputError,
     KApproval,
     Maximin,
+    RankedProfile,
     Scoring,
-    ranked_profile,
 )
 from movkit.estimators import VoteSource, estimate_mov
 from movkit.experiments import (
@@ -156,10 +156,10 @@ def test_run_experiment_bounds_policy_populates_interval():
 
 def test_judge_bounds_only_bucklin_full_tie():
     # tied at every level below m, so there is no level gap: upper = n
-    profile = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    profile = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     bounds = mov_bounds(profile, Bucklin())
     assert (bounds.lower, bounds.upper) == (1, 2)
-    est = estimate_mov(VoteSource.from_profile(profile), Bucklin(), F(1, 10), F(1, 20), 3)
+    est = estimate_mov(VoteSource(profile), Bucklin(), F(1, 10), F(1, 20), 3)
     assert bounds.lower <= est.m_bar <= bounds.upper
     err, within = _judge(est, profile.n, None, bounds.lower, bounds.upper)
     assert (err, within) == (0, True) and type(err) is Fraction
@@ -180,7 +180,7 @@ def test_judge_bounds_only_bucklin_full_tie():
 
 
 def test_run_experiment_fixed_profile():
-    profile = ranked_profile(2, [((0, 1), 30), ((1, 0), 10)])
+    profile = RankedProfile(2, [((0, 1), 30), ((1, 0), 10)])
     config = ExperimentConfig(
         rule_spec="plurality", epsilon=F(1, 10), delta=F(1, 20), trials=3,
         base_seed=2, policy=ClosedFormPolicy(), profile=profile,

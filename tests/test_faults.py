@@ -24,8 +24,6 @@ from movkit.core import (
     Ranking,
     ScoreVector,
     Scoring,
-    approval_profile,
-    ranked_profile,
     winner_set,
 )
 from movkit.estimators import (
@@ -46,10 +44,10 @@ from movkit.oracle import (
 )
 
 EPS, DELTA = F(1, 10), F(1, 20)
-RANKED = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
-APPROVAL = approval_profile(3, [((0,), 2), ((1, 2), 1)])
-RANKED_1 = ranked_profile(1, [((0,), 3)])
-APPROVAL_1 = approval_profile(1, [((0,), 3)])
+RANKED = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
+APPROVAL = ApprovalProfile(3, [((0,), 2), ((1, 2), 1)])
+RANKED_1 = RankedProfile(1, [((0,), 3)])
+APPROVAL_1 = ApprovalProfile(1, [((0,), 3)])
 
 NEEDS_APPROVAL = "this operation needs an approval profile"
 NEEDS_RANKED = "this operation needs a ranked profile"
@@ -78,7 +76,7 @@ RULE_FAULTS = {
 @pytest.mark.parametrize("fault", RULE_FAULTS)
 def test_rule_fault_has_one_text_in_the_library(fault):
     profile, rule, _, k, message, winner_message = RULE_FAULTS[fault]
-    source = VoteSource.from_profile(profile)
+    source = VoteSource(profile)
     calls = {
         "mov_bounds": lambda: mov_bounds(profile, rule),
         "mov_brute_force": lambda: mov_brute_force(profile, rule, 2),
@@ -127,7 +125,7 @@ K_POSITIVE = "k must be a positive integer, got 0"
 
 
 def test_k_below_one_has_one_text_in_the_library():
-    source = VoteSource.from_profile(RANKED)
+    source = VoteSource(RANKED)
     calls = {
         "KApproval": lambda: KApproval(0),
         "estimate_kapproval": lambda: estimate_kapproval(source, 0, EPS, DELTA, 0),
@@ -165,7 +163,7 @@ TINY = {
 def test_tiny_epsilon_or_delta_has_one_text_in_the_library(param):
     epsilon, delta, message = TINY[param]
     epsilon, delta = F(epsilon), F(delta)
-    source = VoteSource.from_profile(RANKED)
+    source = VoteSource(RANKED)
     calls = {
         "sample_size": lambda: sample_size("scoring", epsilon, delta, 3),
         "lower_bound_samples": lambda: lower_bound_samples(0, epsilon, delta),
@@ -250,7 +248,7 @@ def test_ballot_fault_has_one_text_in_constructors_and_apply_changes(kind, ballo
 
 def test_ballot_entries_are_plain_ints():
     # bools are normalized to 0 and 1, so every later step sees plain ints
-    profile = ranked_profile(2, [((True, False), 1)])
+    profile = RankedProfile(2, [((True, False), 1)])
     assert repr(profile.votes) == "((Ranking(order=(1, 0)), 1),)"
     assert ApprovalBallot(frozenset({True})) == ApprovalBallot(frozenset({1}))
     assert all(type(c) is int for c in ApprovalBallot(frozenset({True, 0})).approved)
@@ -259,3 +257,33 @@ def test_ballot_entries_are_plain_ints():
         Ranking((0.0, 1.0))
     with pytest.raises(InputError):
         ApprovalBallot(frozenset({1.0}))
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_work_limit_below_one_is_an_input_error(limit, tmp_path):
+    message = f"work limit must be at least 1, got {limit}"
+    with pytest.raises(InputError) as info:
+        mov_brute_force(RANKED, Bucklin(), 2, work_limit=limit)
+    assert str(info.value) == message
+    path = tmp_path / "e.txt"
+    path.write_text(write_election(RANKED))
+    result = CliRunner().invoke(
+        main, ["mov", "-i", str(path), "-r", "borda", "--work-limit", str(limit)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Error: {message}\n"), result.output
+
+
+@pytest.mark.parametrize("ell", [2.5, True, F(3), 0, -1])
+def test_sample_count_must_be_a_positive_integer(ell):
+    with pytest.raises(InputError) as info:
+        estimate_mov(VoteSource(RANKED), Bucklin(), EPS, DELTA, 0, ell=ell)
+    assert str(info.value) == f"sample count must be positive, got {ell!r}"
+
+
+def test_zero_samples_on_the_command_line(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text(write_election(RANKED))
+    result = CliRunner().invoke(
+        main, ["mov", "--mode", "estimate", "--samples", "0", "-i", str(path), "-r", "bucklin"])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith("Error: sample count must be positive, got 0\n"), result.output

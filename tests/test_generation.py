@@ -11,9 +11,9 @@ from mpmath import gammainc, mpf
 from movkit.core import (
     InputError,
     KApproval,
+    RankedProfile,
     ScoreVector,
     Scoring,
-    ranked_profile,
     winner_set,
 )
 from movkit.generation import (
@@ -30,7 +30,7 @@ F = Fraction
 
 
 def plurality_counts(profile):
-    scores = winner_set(profile, Scoring(ScoreVector.plurality(profile.m))).scores
+    scores = winner_set(profile, Scoring(ScoreVector((1,) + (0,) * (profile.m - 1)))).scores
     return {x: int(scores[x]) for x in range(profile.m)}
 
 
@@ -143,7 +143,7 @@ def test_ranked_to_approval_prefix_property():
     # (weight 40); no proper nonempty suffix of either ranking is a prefix
     # of either, so approving any other part of a ranking shows
     orders = [(0, 1, 2, 3), (1, 0, 2, 3)]
-    ranked = ranked_profile(4, [(orders[0], 40), (orders[1], 4)])
+    ranked = RankedProfile(4, [(orders[0], 40), (orders[1], 4)])
     prefixes = {frozenset(order[:depth]) for order in orders for depth in range(5)}
     for seed in range(20):
         approval = ranked_to_approval(ranked, "uniform", seed=seed)

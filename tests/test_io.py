@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from movkit.core import ApprovalBallot, ApprovalProfile, RankedProfile, ranked_profile
+from movkit.core import ApprovalBallot, ApprovalProfile, RankedProfile
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import (
     CSV_COLUMNS,
@@ -117,7 +117,7 @@ def test_write_merges_duplicates():
 
 
 def test_write_election_is_canonical_and_idempotent():
-    p = ranked_profile(3, [((2, 1, 0), 2), ((0, 1, 2), 1)])
+    p = RankedProfile(3, [((2, 1, 0), 2), ((0, 1, 2), 1)])
     text = write_election(p)
     assert text == write_election(parse_election(text))
     lines = text.strip().splitlines()
@@ -140,7 +140,7 @@ def test_roundtrip_on_random_profiles():
 
 def test_large_m_uses_index_labels():
     votes = [(tuple(range(30)), 1)]
-    p = ranked_profile(30, votes)
+    p = RankedProfile(30, votes)
     text = write_election(p)
     assert "0>1>2" in text
     assert parse_election(text) == p
@@ -154,7 +154,7 @@ def test_default_letters_stop_at_m_26():
 
 def test_duplicate_lines_merge_and_sum_exactly():
     text = "m 2\n# x\n1000000000000: a>b\n1: b>a\n999999999999: 0 > 1\n1000000000001: a>b\n"
-    assert parse_election(text).votes == ranked_profile(
+    assert parse_election(text).votes == RankedProfile(
         2, [((0, 1), 3 * 10**12), ((1, 0), 1)]).votes
     approval = parse_election("m 3\n10000000000000: {c,a}\n10000000000000: { 02 ,0}\n")
     assert approval.votes == ((ApprovalBallot(frozenset({0, 2})), 2 * 10**13),)
@@ -163,10 +163,10 @@ def test_duplicate_lines_merge_and_sum_exactly():
 def test_integer_tokens_resolve_on_first_use():
     # a miss is resolved once and remembered under the token as written
     p = parse_election("m 3\n1: 2>0>1\n1: 2>0>1\n1: 02>0 > 1\n1: 02>0 > 1\n")
-    assert p.votes == ranked_profile(3, [((2, 0, 1), 4)]).votes
+    assert p.votes == RankedProfile(3, [((2, 0, 1), 4)]).votes
     # the memo never lets an integer shadow a declared name
     p = parse_election("m 3\ncandidates 2,0,1\n1: 2>0>1\n1: 02>01>00\n")
-    assert p.votes == ranked_profile(3, [((0, 1, 2), 1), ((2, 1, 0), 1)]).votes
+    assert p.votes == RankedProfile(3, [((0, 1, 2), 1), ((2, 1, 0), 1)]).votes
 
 
 def test_integer_tokens_need_no_table_of_all_m():

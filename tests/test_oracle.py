@@ -9,16 +9,16 @@ import pytest
 
 from movkit.core import (
     Approval,
+    ApprovalProfile,
     Bucklin,
     Copeland,
     InputError,
     KApproval,
     Maximin,
+    RankedProfile,
     Ranking,
     ScoreVector,
     Scoring,
-    approval_profile,
-    ranked_profile,
     rule_tally,
     winner_set,
 )
@@ -64,7 +64,7 @@ def random_ranked(rng, m, n):
     for _ in range(n):
         b = rng.choice(perms)
         votes[b] = votes.get(b, 0) + 1
-    return ranked_profile(m, list(votes.items()))
+    return RankedProfile(m, list(votes.items()))
 
 
 def random_approval(rng, m, n):
@@ -72,40 +72,40 @@ def random_approval(rng, m, n):
     for _ in range(n):
         b = frozenset(c for c in range(m) if rng.random() < 0.5)
         votes[tuple(sorted(b))] = votes.get(tuple(sorted(b)), 0) + 1
-    return approval_profile(m, list(votes.items()))
+    return ApprovalProfile(m, list(votes.items()))
 
 
 def test_brute_force_two_candidate_basics():
-    p = ranked_profile(2, [((0, 1), 2), ((1, 0), 1)])
+    p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     r = mov_brute_force(p, KApproval(1), 3)
     assert r.value == 1
     assert r.witness == ((0, Ranking((1, 0))),)
 
-    p4 = ranked_profile(2, [((0, 1), 4)])
+    p4 = RankedProfile(2, [((0, 1), 4)])
     r4 = mov_brute_force(p4, KApproval(1), 4)
     assert r4.value == 2
     assert r4.witness == ((0, Ranking((1, 0))), (1, Ranking((1, 0))))
 
 
 def test_brute_force_copeland_example():
-    p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
+    p = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
     r = mov_brute_force(p, Copeland(HALF), 3)
     assert r.value == 1
     assert r.witness == ((0, Ranking((1, 0, 2))),)
 
 
 def test_brute_force_budget_exhaustion_and_mov_floor():
-    p = ranked_profile(2, [((0, 1), 4)])
+    p = RankedProfile(2, [((0, 1), 4)])
     r = mov_brute_force(p, KApproval(1), 1)
     assert r.value is None and not r.is_exact
     assert r.budget == 1
     # a tied winner set still needs one replacement to change
-    tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     assert mov_brute_force(tie, KApproval(1), 2).value == 1
 
 
 def test_brute_force_work_limit():
-    p = ranked_profile(3, [((0, 1, 2), 6)])
+    p = RankedProfile(3, [((0, 1, 2), 6)])
     with pytest.raises(WorkLimitError):
         mov_brute_force(p, KApproval(1), 6, work_limit=3)
 
@@ -141,7 +141,7 @@ def test_brute_force_work_limit_charges_the_universe_before_building_it():
 def test_brute_force_work_limit_counts_pruned_nodes():
     # levels 1..19 are pruned at their roots and level 20 scores one change,
     # so only the visited nodes can trip a limit this small
-    p = ranked_profile(3, [((0, 1, 2), 40)])
+    p = RankedProfile(3, [((0, 1, 2), 40)])
     r = mov_brute_force(p, KApproval(1), p.n)
     assert (r.value, r.evaluations) == (20, 1)
     with pytest.raises(WorkLimitError):
@@ -160,7 +160,7 @@ def test_brute_force_solves_ic_n30_under_the_default_limit(rule, mov):
 
 
 def test_brute_force_input_validation():
-    p = ranked_profile(2, [((0, 1), 2)])
+    p = RankedProfile(2, [((0, 1), 2)])
     with pytest.raises(InputError):
         mov_brute_force(p, KApproval(1), 0)
 
@@ -179,7 +179,7 @@ def test_witness_replay_changes_the_winner_set():
 
 
 def test_apply_changes_validates_indices_and_ballots():
-    p = ranked_profile(2, [((0, 1), 2)])
+    p = RankedProfile(2, [((0, 1), 2)])
     with pytest.raises(InputError):
         apply_changes(p, [(5, Ranking((1, 0)))])
     with pytest.raises(InputError):
@@ -191,21 +191,21 @@ def test_apply_changes_validates_indices_and_ballots():
 
 
 def test_apply_changes_takes_raw_ballots_and_matches_a_rebuilt_profile():
-    p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 3), ((2, 0, 1), 1)])
+    p = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 3), ((2, 0, 1), 1)])
     changes = [(4, Ranking((2, 1, 0))), (0, (2, 1, 0)), (5, [0, 2, 1])]
     expanded = p.expand()
     for index, ballot in changes:
         expanded[index] = ballot
-    rebuilt = ranked_profile(3, [(tuple(getattr(b, "order", b)), 1) for b in expanded])
+    rebuilt = RankedProfile(3, [(tuple(getattr(b, "order", b)), 1) for b in expanded])
     changed = apply_changes(p, changes)
     assert changed == rebuilt and repr(changed) == repr(rebuilt)
-    a = approval_profile(2, [((0,), 1), ((), 2)])
-    assert apply_changes(a, [(1, {0, 1})]) == approval_profile(2, [((0,), 1), ((), 1), ((0, 1), 1)])
+    a = ApprovalProfile(2, [((0,), 1), ((), 2)])
+    assert apply_changes(a, [(1, {0, 1})]) == ApprovalProfile(2, [((0,), 1), ((), 1), ((0, 1), 1)])
 
 
 def test_apply_changes_does_not_expand_the_votes():
     # 4,000,000 votes would take hundreds of MB as a list of ballots
-    p = ranked_profile(2, [((0, 1), 2_000_000), ((1, 0), 2_000_000)])
+    p = RankedProfile(2, [((0, 1), 2_000_000), ((1, 0), 2_000_000)])
     witness = mov_brute_force(p, KApproval(1), p.n).witness
     tracemalloc.start()
     try:
@@ -214,36 +214,36 @@ def test_apply_changes_does_not_expand_the_votes():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-    assert changed == ranked_profile(2, [((0, 1), 1_999_999), ((1, 0), 2_000_001)])
+    assert changed == RankedProfile(2, [((0, 1), 1_999_999), ((1, 0), 2_000_001)])
 
 
 def test_kapproval_closed_form_examples():
-    assert mov_kapproval_closed_form(ranked_profile(2, [((0, 1), 2), ((1, 0), 1)]), 1) == 1
-    assert mov_kapproval_closed_form(ranked_profile(2, [((0, 1), 7), ((1, 0), 3)]), 1) == 2
-    assert mov_kapproval_closed_form(ranked_profile(2, [((0, 1), 3), ((1, 0), 1)]), 1) == 1
+    assert mov_kapproval_closed_form(RankedProfile(2, [((0, 1), 2), ((1, 0), 1)]), 1) == 1
+    assert mov_kapproval_closed_form(RankedProfile(2, [((0, 1), 7), ((1, 0), 3)]), 1) == 2
+    assert mov_kapproval_closed_form(RankedProfile(2, [((0, 1), 3), ((1, 0), 1)]), 1) == 1
     with pytest.raises(TiedWinnersError):
-        mov_kapproval_closed_form(ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]), 1)
+        mov_kapproval_closed_form(RankedProfile(2, [((0, 1), 1), ((1, 0), 1)]), 1)
 
 
 def test_approval_closed_form_examples():
-    p = approval_profile(2, [((0,), 3), ((1,), 1)])
+    p = ApprovalProfile(2, [((0,), 3), ((1,), 1)])
     assert mov_approval_closed_form(p) == 1
     assert mov_brute_force(p, Approval(), 4).value == 1
     with pytest.raises(TiedWinnersError):
-        mov_approval_closed_form(approval_profile(2, [((0, 1), 2)]))
+        mov_approval_closed_form(ApprovalProfile(2, [((0, 1), 2)]))
 
 
 def test_bucklin_gap_examples():
-    p = ranked_profile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
+    p = RankedProfile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
     assert mov_bounds(p, Bucklin()).upper == 2
     assert mov_brute_force(p, Bucklin(), 3).value == 1
 
     # the level gap is 5, capped at n = 4
-    unanimous = ranked_profile(2, [((0, 1), 4)])
+    unanimous = RankedProfile(2, [((0, 1), 4)])
     assert mov_bounds(unanimous, Bucklin()).upper == 4
 
     # no level separates a full tie, and the upper end is capped at n
-    tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     assert mov_bounds(tie, Bucklin()).upper == 2
 
 
@@ -251,7 +251,7 @@ def test_bucklin_change_floor_is_a_true_lower_bound():
     # the two-vote unanimous profile shows why the floor cannot be gap/2:
     # the level gap is 3 there (capped at n = 2 as the upper end) but one
     # replacement already creates a tie
-    p = ranked_profile(2, [((0, 1), 2)])
+    p = RankedProfile(2, [((0, 1), 2)])
     assert mov_bounds(p, Bucklin()).upper == 2
     assert mov_bounds(p, Bucklin()).lower == 1
     assert mov_brute_force(p, Bucklin(), 2).value == 1
@@ -268,10 +268,10 @@ def test_bucklin_change_floor_is_a_true_lower_bound():
 
 
 def test_relative_margin_examples():
-    p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
+    p = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
     assert _relative_margin(p, 0, 1, HALF) == 1
     assert _relative_margin(p, 0, 2, HALF) == 1
-    tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     assert _relative_margin(tie, 0, 1, HALF) == 0
     with pytest.raises(InputError):
         _relative_margin(p, 1, 1, HALF)
@@ -307,17 +307,17 @@ def test_relative_margin_agrees_with_direct_scan():
 
 
 def test_copeland_margin_examples():
-    p = ranked_profile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
+    p = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
     assert mov_bounds(p, Copeland(HALF)).lower == 1
 
     # unanimous two-candidate profile at n=4: the direct scan settles it at 2
-    unanimous = ranked_profile(2, [((0, 1), 4)])
+    unanimous = RankedProfile(2, [((0, 1), 4)])
     for alpha in [F(0), HALF, F(1)]:
         assert mov_bounds(unanimous, Copeland(alpha)).lower == 2
     assert mov_brute_force(unanimous, Copeland(HALF), 4).value == 2
 
     # a margin of zero is a tie, which the bounds report as such
-    tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     assert mov_bounds(tie, Copeland(HALF)).source == "tied winners"
 
 
@@ -331,11 +331,11 @@ def test_copeland_log_factor():
 
 
 def test_bounds_examples():
-    bu = ranked_profile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
+    bu = RankedProfile(3, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
     b = mov_bounds(bu, Bucklin())
     assert b.lower == 1 and b.upper == 2
 
-    tie = ranked_profile(2, [((0, 1), 1), ((1, 0), 1)])
+    tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     for rule in [KApproval(1), Maximin()]:
         tb = mov_bounds(tie, rule)
         assert tb.lower == 1 and tb.upper == 1
@@ -352,13 +352,13 @@ def test_bounds_examples():
 
 
 def test_bounds_sources_are_labeled():
-    p = ranked_profile(2, [((0, 1), 2), ((1, 0), 1)])
+    p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     assert mov_bounds(p, KApproval(1)).source == "top-k score gap"
     assert mov_bounds(p, Scoring(ScoreVector.borda(2))).source == "positional score gap"
     assert mov_bounds(p, Maximin()).source == "pairwise score gap"
     assert mov_bounds(p, Copeland(HALF)).source == "relative margin"
     assert mov_bounds(p, Bucklin()).source == "majority level analysis"
-    ap = approval_profile(2, [((0,), 2), ((1,), 1)])
+    ap = ApprovalProfile(2, [((0,), 2), ((1,), 1)])
     assert mov_bounds(ap, Approval()).source == "approval score gap"
 
 
@@ -378,30 +378,30 @@ def test_bounds_contain_exact_value_on_random_profiles():
 
 
 def test_scoring_bounds_shape():
-    p = ranked_profile(2, [((0, 1), 2), ((1, 0), 1)])
+    p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     b = mov_bounds(p, Scoring(ScoreVector.borda(2)))
     # gap 1 under borda m=2, alpha1 = 1: [g/2, g + 1]
     assert b.lower == HALF and b.upper == 2
 
 
 def test_maximin_bounds_shape():
-    p = ranked_profile(2, [((0, 1), 2), ((1, 0), 1)])
+    p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     b = mov_bounds(p, Maximin())
     # pairwise gap 2: [g/4, g/2]
     assert b.lower == HALF and b.upper == 1
 
 
 def test_kapproval_bounds_shape():
-    p = ranked_profile(2, [((0, 1), 7), ((1, 0), 3)])
+    p = RankedProfile(2, [((0, 1), 7), ((1, 0), 3)])
     b = mov_bounds(p, KApproval(1))
     assert b.lower == 2 and b.upper == 2
-    odd = ranked_profile(2, [((0, 1), 2), ((1, 0), 1)])
+    odd = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     bo = mov_bounds(odd, KApproval(1))
     assert bo.lower == HALF and bo.upper == 1
 
 
 def test_brute_force_counts_evaluations_deterministically():
-    p = ranked_profile(2, [((0, 1), 2), ((1, 0), 1)])
+    p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     r1 = mov_brute_force(p, KApproval(1), 3)
     r2 = mov_brute_force(p, KApproval(1), 3)
     assert r1.evaluations == r2.evaluations

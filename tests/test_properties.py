@@ -28,8 +28,6 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     WinnerResult,
-    approval_profile,
-    ranked_profile,
     rule_tally,
     winner_set,
 )
@@ -55,7 +53,7 @@ def profiles(draw, m):
     orders = list(itertools.permutations(range(m)))
     ballots = draw(st.lists(st.sampled_from(orders), min_size=1, max_size=8))
     mults = draw(st.lists(st.integers(1, 6), min_size=len(ballots), max_size=len(ballots)))
-    return ranked_profile(m, zip(ballots, mults))
+    return RankedProfile(m, zip(ballots, mults))
 
 
 @st.composite
@@ -92,7 +90,7 @@ def _ref_top_two_gap(scores):
 
 
 FRACTIONAL = (
-    ranked_profile(3, [((0, 1, 2), 2), ((2, 1, 0), 3), ((1, 0, 2), 1)]),
+    RankedProfile(3, [((0, 1, 2), 2), ((2, 1, 0), 3), ((1, 0, 2), 1)]),
     ScoreVector((F(3, 2), F(1, 3), F(0))),
 )
 
@@ -138,7 +136,7 @@ def test_scoring_bounds_match_fraction_reference(case):
 @example(FRACTIONAL, 7, 11)
 def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     profile, vector = case
-    source = VoteSource.from_profile(profile)
+    source = VoteSource(profile)
     alphas = _ref_normalized(vector.alphas)
     raw = _ref_scores(source.draw_counts(ell, seed).items(), alphas)
     sbar = {c: F(profile.n, ell) * s for c, s in raw.items()}
@@ -153,26 +151,24 @@ def vote_sources(draw):
     where w/W can round to 1.0 before the last ballot."""
     m = draw(st.integers(2, 4))
     profile = draw(st.one_of(profiles(m), approval_profiles(m)))
-    ballots = tuple(b for b, _ in profile.votes)
+    ballots = [b for b, _ in profile.votes]
     weights = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10**18)),
                             min_size=len(ballots), max_size=len(ballots)))
-    kind = "ranked" if isinstance(profile, RankedProfile) else "approval"
-    return VoteSource(kind, m, ballots, tuple(weights))
+    return VoteSource(type(profile)(m, zip(ballots, weights)))
 
 
 @PROPERTY_SETTINGS
 @given(vote_sources(), st.integers(0, 2**64), st.integers(1, 10**6))
-@example(VoteSource("ranked", 2, (Ranking((0, 1)), Ranking((1, 0))), (10**18, 1)), 0, 10**6)
+@example(VoteSource(RankedProfile(2, [((0, 1), 10**18), ((1, 0), 1)])), 0, 10**6)
+@example(VoteSource(ApprovalProfile(2, [((), 1), ((1,), 10**18), ((0, 1), 1)])), 0, 10**6)
 def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell):
     counts = source.draw_counts(ell, seed)
     assert sum(counts.values()) == ell
-    positions = [source.ballots.index(b) for b in counts]
+    ballots = [b for b, _ in source.profile.votes]
+    positions = [ballots.index(b) for b in counts]
     assert positions == sorted(positions)
     assert all(1 <= c <= ell for c in counts.values())
     assert source.draw_counts(ell, seed) == counts
-    if ell <= 1000:
-        drawn = source.draw(ell, seed)
-        assert Counter(drawn) == counts and list(Counter(drawn)) == list(counts)
 
 
 # References for the approval, Bucklin and pairwise families: the score
@@ -184,7 +180,7 @@ def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell)
 def approval_profiles(draw, m):
     ballots = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=8))
     mults = draw(st.lists(st.integers(1, 6), min_size=len(ballots), max_size=len(ballots)))
-    return approval_profile(m, zip(ballots, mults))
+    return ApprovalProfile(m, zip(ballots, mults))
 
 
 def both_kinds():
@@ -261,8 +257,8 @@ def _ref_project(value, n):
 
 def _ref_estimate(source, rule, seed, ell):
     """(m_bar, estimated_scores, pair_margins) of the estimator."""
-    counts = Counter(source.draw(ell, seed))
-    m, n = source.m, source.n
+    counts = source.draw_counts(ell, seed)
+    m, n = source.profile.m, source.profile.n
     scale = F(n, ell)
     if isinstance(rule, (Approval, KApproval)):
         if isinstance(rule, Approval):
@@ -318,7 +314,7 @@ def _typed(scores):
 
 @PROPERTY_SETTINGS
 @given(both_kinds(), st.sampled_from(ALPHAS))
-@example((ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]), approval_profile(2, [((), 2)])), F(1, 2))
+@example((RankedProfile(2, [((0, 1), 1), ((1, 0), 1)]), ApprovalProfile(2, [((), 2)])), F(1, 2))
 def test_family_tallies_match_reference(case, alpha):
     ranked, approval = case
     m = ranked.m
@@ -345,12 +341,12 @@ def test_family_estimates_match_reference(case, alpha, k, seed, ell):
     k = 1 + (k - 1) % (ranked.m - 1)
     for profile, rule in ((ranked, KApproval(k)), (approval, Approval()), (ranked, Bucklin()),
                           (ranked, Maximin()), (ranked, Copeland(alpha))):
-        source = VoteSource.from_profile(profile)
+        source = VoteSource(profile)
         est = estimate_mov(source, rule, F(1, 10), F(1, 20), seed, ell=ell)
         m_bar, scores, pair_margins = _ref_estimate(source, rule, seed, ell)
         assert (est.m_bar, est.pair_margins) == (m_bar, pair_margins)
         assert _typed(est.estimated_scores) == _typed(scores)
-        assert isinstance(est.m_bar, F) and 1 <= est.m_bar <= source.n
+        assert isinstance(est.m_bar, F) and 1 <= est.m_bar <= profile.n
 
 
 def _ref_bucklin_floor(votes, m, n):
@@ -419,14 +415,14 @@ def _ref_bounds(profile, rule):
     return F(gap, 2), -(-gap // 2), source
 
 
-TIED_PAIR = (ranked_profile(2, [((0, 1), 1), ((1, 0), 1)]), approval_profile(2, [((), 2)]))
+TIED_PAIR = (RankedProfile(2, [((0, 1), 1), ((1, 0), 1)]), ApprovalProfile(2, [((), 2)]))
 
 
 @PROPERTY_SETTINGS
 @given(both_kinds(), st.sampled_from(ALPHAS), st.integers(1, 4))
 @example(TIED_PAIR, F(1, 2), 1)
-@example((ranked_profile(3, [((0, 1, 2), 5), ((1, 2, 0), 2), ((2, 1, 0), 2)]),
-          approval_profile(3, [((0,), 3), ((1, 2), 1)])), F(0), 2)
+@example((RankedProfile(3, [((0, 1, 2), 5), ((1, 2, 0), 2), ((2, 1, 0), 2)]),
+          ApprovalProfile(3, [((0,), 3), ((1, 2), 1)])), F(0), 2)
 def test_family_bounds_match_reference(case, alpha, k):
     ranked, approval = case
     k = 1 + (k - 1) % (ranked.m - 1)
@@ -521,11 +517,11 @@ def brute_force_cases(draw):
     if draw(st.booleans()):
         m = draw(st.integers(2, 3))
         universe = [tuple(c for c in range(m) if mask >> c & 1) for mask in range(2**m)]
-        make, rules = approval_profile, [Approval()]
+        make, rules = ApprovalProfile, [Approval()]
     else:
         m = draw(st.integers(2, 4))
         universe = list(itertools.permutations(range(m)))
-        make, rules = ranked_profile, _ranked_rules(m)
+        make, rules = RankedProfile, _ranked_rules(m)
     types = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3, unique=True))
     ballots = draw(st.lists(st.sampled_from(types), min_size=1, max_size=MAX_VOTES[m]))
     profile = make(m, [(b, 1) for b in ballots])
@@ -552,10 +548,10 @@ def pruning_cases(draw):
     m = draw(st.integers(2, 4))
     if draw(st.booleans()):
         universe = [tuple(c for c in range(m) if mask >> c & 1) for mask in range(2**m)]
-        make, rules = approval_profile, [Approval()]
+        make, rules = ApprovalProfile, [Approval()]
     else:
         universe = list(itertools.permutations(range(m)))
-        make, rules = ranked_profile, _ranked_rules(m)
+        make, rules = RankedProfile, _ranked_rules(m)
     types = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4, unique=True))
     mults = draw(st.lists(st.integers(1, 12), min_size=len(types), max_size=len(types)))
     return make(m, zip(types, mults)), draw(st.sampled_from(rules)), draw(st.integers(1, 3))
@@ -564,9 +560,9 @@ def pruning_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(pruning_cases())
 # one change lifts candidate 2 to a level-2 majority beside the Bucklin winner 1
-@example((ranked_profile(3, [((0, 1, 2), 4), ((2, 1, 0), 4)]), Bucklin(), 1))
+@example((RankedProfile(3, [((0, 1, 2), 4), ((2, 1, 0), 4)]), Bucklin(), 1))
 # two changes let candidate 3 tie the Copeland winner 2 on points
-@example((ranked_profile(4, [((2, 3, 0, 1), 5), ((3, 0, 2, 1), 2)]), Copeland(F(1)), 2))
+@example((RankedProfile(4, [((2, 3, 0, 1), 5), ((3, 0, 2, 1), 2)]), Copeland(F(1)), 2))
 def test_pruned_search_matches_unpruned_type_level_search(case):
     profile, rule, budget = case
     value, witness, evaluations = _ref_type_level_search(profile, rule, budget)
@@ -661,6 +657,10 @@ def test_profile_constructor_matches_counter_merge(case):
     (RankedProfile, 2, (), ["a", "a", "b"], "profile must contain at least one vote"),
     (ApprovalProfile, 3, (), None, "profile must contain at least one vote"),
     (RankedProfile, 2, (((1, 0), 1),), ["a", "a"], "duplicate candidate name 'a'"),
+    (RankedProfile, 2, (((1, 0), F(3, 2)),), None,
+     "multiplicity must be a positive integer, got Fraction(3, 2)"),
+    (ApprovalProfile, 2, (({1}, 1.5),), None, "multiplicity must be a positive integer, got 1.5"),
+    (RankedProfile, 2, (((0, 1), 1.0),), None, "multiplicity must be a positive integer, got 1.0"),
 ])
 def test_profile_constructor_errors_in_order(kind, m, votes, names, message):
     with pytest.raises(InputError) as info:
@@ -676,20 +676,20 @@ def named_profiles(draw):
     ))
     if draw(st.booleans()):
         ballots = st.permutations(range(m)).map(tuple)
-        make = ranked_profile
+        make = RankedProfile
     else:
         ballots = st.frozensets(st.integers(0, m - 1))
-        make = approval_profile
+        make = ApprovalProfile
     votes = draw(st.lists(st.tuples(ballots, st.integers(1, 10**12)), min_size=1, max_size=5))
     return make(m, votes, names)
 
 
 @PROPERTY_SETTINGS
 @given(named_profiles())
-@example(ranked_profile(1, [((0,), 1)]))
-@example(approval_profile(2, [((), 1)], ["b", "a"]))
-@example(approval_profile(27, [((), 3), ((26, 0), 1)]))
-@example(ranked_profile(28, [(tuple(range(27, -1, -1)), 1)], [f"c{c}" for c in range(28)]))
+@example(RankedProfile(1, [((0,), 1)]))
+@example(ApprovalProfile(2, [((), 1)], ["b", "a"]))
+@example(ApprovalProfile(27, [((), 3), ((26, 0), 1)]))
+@example(RankedProfile(28, [(tuple(range(27, -1, -1)), 1)], [f"c{c}" for c in range(28)]))
 def test_parse_inverts_write(profile):
     assert parse_election(write_election(profile)) == profile
 
@@ -710,7 +710,7 @@ def scrambled_elections(draw):
     else:
         keys = st.frozensets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
     counts = draw(st.dictionaries(keys, st.integers(1, 10**12), min_size=1, max_size=5))
-    make = ranked_profile if ranked else approval_profile
+    make = RankedProfile if ranked else ApprovalProfile
     expected = make(m, counts.items(), names)
 
     def token(c):
@@ -739,9 +739,9 @@ def scrambled_elections(draw):
 
 @PROPERTY_SETTINGS
 @given(scrambled_elections())
-@example(("m 3\n2: a>b>c\n# x\n\n1: 00>01 > 2\n", ranked_profile(3, [((0, 1, 2), 3)])))
+@example(("m 3\n2: a>b>c\n# x\n\n1: 00>01 > 2\n", RankedProfile(3, [((0, 1, 2), 3)])))
 @example(("m 30\n1: {20,010}\n2: { 5,21,20 , 10}\n3: {10, 20 }\n",
-          approval_profile(30, [({10, 20}, 4), ({5, 10, 20, 21}, 2)])))
+          ApprovalProfile(30, [({10, 20}, 4), ({5, 10, 20, 21}, 2)])))
 def test_parse_merges_scrambled_text_like_the_constructor(case):
     text, expected = case
     profile = parse_election(text)

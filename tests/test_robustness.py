@@ -20,14 +20,14 @@ from click.testing import CliRunner
 from movkit.cli import main
 from movkit.core import (
     Approval,
+    ApprovalProfile,
     Bucklin,
     Copeland,
     KApproval,
     Maximin,
+    RankedProfile,
     ScoreVector,
     Scoring,
-    approval_profile,
-    ranked_profile,
     winner_set,
 )
 from movkit.estimators import VoteSource, estimate_mov
@@ -56,8 +56,8 @@ RULES = {
 
 def tied(spec: str, count: int):
     if spec == "approval":
-        return approval_profile(3, [(subset, count) for subset in SUBSETS])
-    return ranked_profile(3, [(order, count) for order in ORDERS])
+        return ApprovalProfile(3, [(subset, count) for subset in SUBSETS])
+    return RankedProfile(3, [(order, count) for order in ORDERS])
 
 
 SIZES = {"count-1": 1, "count-10^12": HUGE}
@@ -95,8 +95,8 @@ def test_bounds_contain_the_exact_margin_of_a_full_tie(spec, size):
 @pytest.mark.parametrize("spec, size", CASES)
 def test_estimates_of_a_full_tie_keep_exact_sums(spec, size):
     profile, rule = tied(spec, SIZES[size]), RULES[spec]
-    source = VoteSource.from_profile(profile)
-    n = source.n
+    source = VoteSource(profile)
+    n = profile.n
     assert n == len(profile.votes) * SIZES[size]
     est = estimate_mov(source, rule, EPS, DELTA, SEED)
     counts = source.draw_counts(est.ell, SEED)
@@ -137,5 +137,5 @@ def test_cli_modes_run_at_10_12(spec, mode, tmp_path):
 def test_guarantee_holds_on_the_small_full_tie(spec):
     profile, rule = tied(spec, 1), RULES[spec]
     mov = mov_brute_force(profile, rule, profile.n).value
-    est = estimate_mov(VoteSource.from_profile(profile), rule, EPS, DELTA, SEED)
+    est = estimate_mov(VoteSource(profile), rule, EPS, DELTA, SEED)
     assert abs(est.m_bar - mov) <= est.c * mov + est.epsilon * profile.n
