@@ -74,9 +74,14 @@ class VoteSource:
 
     The profile constructor is the one check of the ballots and their
     multiplicities; the estimators read m, n and the ballot kind from it.
+    Anything but a `RankedProfile` or `ApprovalProfile` is an InputError.
     """
 
     profile: Profile
+
+    def __post_init__(self):
+        if not isinstance(self.profile, Profile):
+            raise InputError(f"vote source needs a profile, got {type(self.profile).__name__}")
 
     def draw_counts(self, count: int, seed: int) -> Counter:
         """How often each ballot occurs among ``count`` i.i.d. uniform draws

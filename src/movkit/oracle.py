@@ -426,19 +426,34 @@ def _change_floor(tally) -> int:
 # relative margin (pairwise-score family)
 
 
-def _score_shifted(d, z: int, threshold, alpha: Fraction) -> Fraction:
-    """Count of rivals whose margin over z is below ``threshold``, weighting
-    exact hits by alpha."""
-    total = Fraction(0)
-    for u in range(len(d)):
-        if u == z:
-            continue
-        margin = d[u][z]
-        if margin < threshold:
-            total += 1
-        elif margin == threshold:
-            total += alpha
-    return total
+def _relative_margin(net, scale, n: int, x: int, y: int, alpha: Fraction) -> int:
+    """Relative margin of x over y where u's margin over z is
+    ``scale * net[u][z]``, ``net`` integer and ``scale`` positive rational.
+
+    A margin is below the threshold 2t exactly when
+    num * net[u][z] < 2t * den, scale = num/den. A rival counts q when
+    below and p when equal, alpha = p/q: q times alpha's tie-weighted count,
+    as in `movkit.core.CopelandTally`. So the search builds no Fraction.
+    """
+    num, den = scale.numerator, scale.denominator
+    p, q = alpha.numerator, alpha.denominator
+    column_x, column_y = (
+        sorted(num * net[u][z] for u in range(len(net)) if u != z) for z in (x, y)
+    )
+
+    def weight(column, threshold: int) -> int:
+        below = bisect.bisect_left(column, threshold)
+        return q * below + p * (bisect.bisect_right(column, threshold) - below)
+
+    hi = (n + 1) // 2 + 1
+    lo = -hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if weight(column_x, -2 * mid * den) <= weight(column_y, 2 * mid * den):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def relative_margin_generic(
@@ -457,28 +472,21 @@ def relative_margin_generic(
     t in [-(ceil(n/2)+1), ceil(n/2)+1] is exact; the upper endpoint always
     satisfies the predicate. Accepts exact rational margins, so it serves
     both true pairwise matrices and sampled estimates scaled to n.
+
+    The search runs in integer units: ``d`` is written once as integers
+    over the common denominator D of its entries, margins are compared with
+    2t * D, and a tie weighs p against q per win for alpha = p/q.
+    `_margin_statistic` runs the same search on a tally's integer margins
+    with its scale in place of 1/D.
     """
     m = len(d)
     if x == y:
         raise InputError("relative margin needs two distinct candidates")
     if not (0 <= x < m and 0 <= y < m):
         raise InputError(f"candidate out of range for m={m}")
-    alpha = Fraction(alpha)
-    hi = (n + 1) // 2 + 1
-    lo = -hi
-
-    def holds(t: int) -> bool:
-        left = _score_shifted(d, x, -2 * t, alpha)
-        right = _score_shifted(d, y, 2 * t, alpha)
-        return left <= right
-
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    den = math.lcm(*(Fraction(v).denominator for row in d for v in row))
+    net = [[int(Fraction(v) * den) for v in row] for row in d]
+    return _relative_margin(net, Fraction(1, den), n, x, y, Fraction(alpha))
 
 
 def copeland_log_factor(m: int) -> int:
@@ -508,7 +516,11 @@ def _margin_statistic(rule: Rule, tally, n: int, scale=1):
       scores). No level separates them exactly on a full tie;
     * maximin: half the gap between the two best worst-case pairwise margins;
     * Copeland: 2(K+1) times the winner's smallest relative margin over a
-      rival, K = ceil(log2 m), with unscaled Copeland scores.
+      rival, K = ceil(log2 m), with unscaled Copeland scores. The relative
+      margin is computed in integer tally units: a scaled margin
+      scale * net is below 2t exactly when num * net < 2t * den for
+      scale = num/den, and a tied rival weighs p against q per win for
+      alpha = p/q; only the returned pair margins are scaled.
 
     Pair margins are None outside maximin and Copeland.
     """
@@ -525,13 +537,14 @@ def _margin_statistic(rule: Rule, tally, n: int, scale=1):
         return gap, {x: tuple(scale * c for c in row) for x, row in enumerate(rows)}, None
     margins = None
     if isinstance(rule, (Maximin, Copeland)):
-        margins = tuple(tuple(scale * d for d in row) for row in tally.net())
+        net = tally.net()
+        margins = tuple(tuple(scale * d for d in row) for row in net)
     if isinstance(rule, Copeland):
         scores = tally.scores()
         w = top_two(scores)[0]
         # clamped at zero: on a tie w's relative margin over a co-winner can be negative
         gamma = max(0, min(
-            relative_margin_generic(margins, n, w, x, rule.alpha)
+            _relative_margin(net, scale, n, w, x, rule.alpha)
             for x in range(tally.m)
             if x != w
         ))

@@ -287,3 +287,11 @@ def test_zero_samples_on_the_command_line(tmp_path):
         main, ["mov", "--mode", "estimate", "--samples", "0", "-i", str(path), "-r", "bucklin"])
     assert result.exit_code == 2, result.output
     assert result.output.endswith("Error: sample count must be positive, got 0\n"), result.output
+
+
+@pytest.mark.parametrize("raw", [[((0, 1), 3)], ((Ranking((0, 1)), 3),), None])
+def test_vote_source_needs_a_profile(raw):
+    # raw votes are an InputError, not an AttributeError once a rule reads m
+    with pytest.raises(InputError) as info:
+        estimate_mov(VoteSource(raw), Bucklin(), EPS, DELTA, 0)
+    assert str(info.value) == f"vote source needs a profile, got {type(raw).__name__}"

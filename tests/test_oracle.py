@@ -277,33 +277,49 @@ def test_relative_margin_examples():
         _relative_margin(p, 1, 1, HALF)
 
 
+def _scan_relative_margin(d, n, x, y, alpha):
+    """The least t in [-(n+2), n+2] at which x's tie-weighted count of rivals
+    u with d[u][x] below -2t does not exceed y's count below 2t."""
+
+    def shifted(z, t):
+        below = sum(1 for u in range(len(d)) if u != z and d[u][z] < 2 * t)
+        equal = sum(1 for u in range(len(d)) if u != z and d[u][z] == 2 * t)
+        return below + alpha * equal
+
+    for t in range(-(n + 2), n + 3):
+        if shifted(x, -t) <= shifted(y, t):
+            return t
+    raise AssertionError("predicate never satisfied")
+
+
 def test_relative_margin_agrees_with_direct_scan():
-    """The binary search must match a linear scan of the defining predicate."""
-
-    def scan(profile, x, y, alpha):
-        d = _pair_margins(profile)
-        n = profile.n
-
-        def shifted(z, t):
-            below = sum(1 for u in range(profile.m) if u != z and d[u][z] < 2 * t)
-            equal = sum(1 for u in range(profile.m) if u != z and d[u][z] == 2 * t)
-            return below + alpha * equal
-
-        for t in range(-(n + 2), n + 3):
-            if shifted(x, -t) <= shifted(y, t):
-                return t
-        raise AssertionError("predicate never satisfied")
-
+    """The binary search must match a linear scan of the defining predicate,
+    on a profile's integer margins and on a sample's margins scaled by n/ell,
+    which the estimator feeds it."""
     rng = random.Random(7)
     alphas = [F(0), HALF, F(1), F(1, 3)]
     for _ in range(150):
         m = rng.choice([2, 3, 4])
         p = random_ranked(rng, m, rng.randint(1, 5))
         a = rng.choice(alphas)
-        for x in range(m):
-            for y in range(m):
-                if x != y:
-                    assert _relative_margin(p, x, y, a) == scan(p, x, y, a)
+        d = _pair_margins(p)
+        for x, y in itertools.permutations(range(m), 2):
+            assert relative_margin_generic(d, p.n, x, y, a) == \
+                _scan_relative_margin(d, p.n, x, y, a)
+    # a multiple of ell for n makes the scale an integer, so many scaled
+    # margins land exactly on a threshold 2t, where alpha weighs the tie
+    on_threshold = 0
+    for _ in range(200):
+        m, ell = rng.randint(2, 6), rng.randint(1, 12)
+        n = ell * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(1, 30)
+        d = [[F(n, ell) * v for v in row] for row in _pair_margins(random_ranked(rng, m, ell))]
+        a = rng.choice(alphas)
+        for x, y in itertools.permutations(range(m), 2):
+            t = relative_margin_generic(d, n, x, y, a)
+            assert t == _scan_relative_margin(d, n, x, y, a)
+            on_threshold += any(u != x and d[u][x] == -2 * t or u != y and d[u][y] == 2 * t
+                                for u in range(m))
+    assert on_threshold > 100
 
 
 def test_copeland_margin_examples():

@@ -39,7 +39,6 @@ from movkit.oracle import (
     copeland_log_factor,
     mov_bounds,
     mov_brute_force,
-    relative_margin_generic,
 )
 
 from generation_reference import ref_impartial_culture, ref_ranked_to_approval
@@ -301,7 +300,7 @@ def _ref_estimate(source, rule, seed, ell):
     best = max(scores.values())
     w = min(x for x in range(m) if scores[x] == best)
     gamma = max(0, min(
-        relative_margin_generic(dbar, n, w, x, rule.alpha)
+        _ref_relative_margin(dbar, m, n, w, x, rule.alpha)
         for x in range(m) if x != w
     ))
     k_log = copeland_log_factor(m)
