@@ -21,6 +21,7 @@ Bucklin (strict majority, more than half of the votes), maximin, and
 Copeland with tie parameter alpha.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -143,8 +144,10 @@ class Profile:
         another kind's ballot included, is an InputError."""
         raise NotImplementedError
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
+        """The number of votes, summed once per profile (the cache is not a
+        field, so equality, repr and hash ignore it)."""
         return sum(mult for _, mult in self.votes)
 
     def expand(self) -> list:

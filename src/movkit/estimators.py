@@ -18,10 +18,12 @@ of candidates or the approval depth k.
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
 integer tally (`movkit.core.rule_tally`, the one check that the rule fits
-the ballots) and reads from it, with every count rescaled by n/ell to an
-exact rational, the margin statistic that `movkit.oracle.mov_bounds` reads
-on the full profile. Winner selection is exact, with ties broken by lowest
-candidate index; only sample-size and guarantee arithmetic uses floats.
+the ballots) and reads from it, with every count rescaled by n/ell, the
+margin statistic that `movkit.oracle.mov_bounds` reads on the full
+profile; the statistic stays in the tally's integers and builds exact
+rationals only for the values it returns. Winner selection is exact, with
+ties broken by lowest candidate index; only sample-size and guarantee
+arithmetic uses floats.
 """
 
 import math
@@ -110,7 +112,7 @@ _SAMPLE_FACTORS = {"scoring": 12.0, "kapproval": 12.0, "approval": 12.0,
 # the least epsilon and delta whose closed forms stay finite floats for any m
 # or k up to 2**53: 96/eps^2 <= 2**1007 and 2m/delta <= 2**1014, so ln(2m/delta)
 # < 2**10 and every sample size or floor stays below 2**1024
-_FLOORS = {"epsilon": 2.0 ** -500, "delta": 2.0 ** -960}
+_FLOORS = {"epsilon": Fraction(1, 2**500), "delta": Fraction(1, 2**960)}
 
 
 def _check_unit_interval(name, value):
@@ -124,7 +126,7 @@ def _check_unit_interval(name, value):
     if value < _FLOORS[name]:
         # a positive rational below the float range is shown exactly, not as 0
         shown = float(value) or Decimal(value.numerator) / value.denominator
-        raise InputError(f"{name} must be at least {_FLOORS[name]:.6g}, got {shown:.6g}")
+        raise InputError(f"{name} must be at least {float(_FLOORS[name]):.6g}, got {shown:.6g}")
     return float(value)
 
 
@@ -242,8 +244,10 @@ def estimate_mov(
 
     Reads from the tally of the sample, rescaled by n/ell, the upper end U
     of the rule's sandwich bound (`movkit.oracle._margin_statistic` lists it
-    per rule; a scoring vector is normalized first, so scores are in
-    normalized units). The paper's estimator is (1 - c) * U, c from
+    per rule). The statistic works on the tally's integers and builds a
+    Fraction only for U, the estimated scores and the pair margins; a
+    scoring vector is normalized there, in its integer weights, so scores
+    are in normalized units. The paper's estimator is (1 - c) * U, c from
     `guarantee_constant`; the estimate is its projection onto [1, n], where
     the margin always lies, so the projection never increases its error.
 
@@ -253,8 +257,6 @@ def estimate_mov(
     """
     profile = source.profile
     m, n, ranked = profile.m, profile.n, isinstance(profile, RankedProfile)
-    if isinstance(rule, Scoring):
-        rule = Scoring(rule.vector.normalized())
     tally = _mov_tally(rule, m, (), ranked)
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)

@@ -44,7 +44,6 @@ from movkit.core import (
     Scoring,
     integer_weights,
     rule_tally,
-    top_two,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
 
@@ -426,16 +425,15 @@ def _change_floor(tally) -> int:
 # relative margin (pairwise-score family)
 
 
-def _relative_margin(net, scale, n: int, x: int, y: int, alpha: Fraction) -> int:
+def _relative_margin(net, num: int, den: int, n: int, x: int, y: int, alpha: Fraction) -> int:
     """Relative margin of x over y where u's margin over z is
-    ``scale * net[u][z]``, ``net`` integer and ``scale`` positive rational.
+    ``num * net[u][z] / den``, with ``net`` integer and num, den positive.
 
     A margin is below the threshold 2t exactly when
-    num * net[u][z] < 2t * den, scale = num/den. A rival counts q when
-    below and p when equal, alpha = p/q: q times alpha's tie-weighted count,
-    as in `movkit.core.CopelandTally`. So the search builds no Fraction.
+    num * net[u][z] < 2t * den. A rival counts q when below and p when
+    equal, alpha = p/q: q times alpha's tie-weighted count, as in
+    `movkit.core.CopelandTally`. So the search builds no Fraction.
     """
-    num, den = scale.numerator, scale.denominator
     p, q = alpha.numerator, alpha.denominator
     column_x, column_y = (
         sorted(num * net[u][z] for u in range(len(net)) if u != z) for z in (x, y)
@@ -477,7 +475,7 @@ def relative_margin_generic(
     over the common denominator D of its entries, margins are compared with
     2t * D, and a tie weighs p against q per win for alpha = p/q.
     `_margin_statistic` runs the same search on a tally's integer margins
-    with its scale in place of 1/D.
+    with its scale num/den in place of 1/D.
     """
     m = len(d)
     if x == y:
@@ -486,7 +484,7 @@ def relative_margin_generic(
         raise InputError(f"candidate out of range for m={m}")
     den = math.lcm(*(Fraction(v).denominator for row in d for v in row))
     net = [[int(Fraction(v) * den) for v in row] for row in d]
-    return _relative_margin(net, Fraction(1, den), n, x, y, Fraction(alpha))
+    return _relative_margin(net, 1, den, n, x, y, Fraction(alpha))
 
 
 def copeland_log_factor(m: int) -> int:
@@ -501,14 +499,26 @@ def copeland_log_factor(m: int) -> int:
 # the margin statistic and the sandwich bounds
 
 
-def _margin_statistic(rule: Rule, tally, n: int, scale=1):
-    """(U, scores, pair margins) read from the rule's tally over n votes,
-    every count scaled by ``scale``: 1 for the full profile, n/ell for a
-    sample of ell votes. U is the un-rounded upper end of the rule's
-    sandwich on the margin (`mov_bounds` for a unique winner, without the
-    scoring +1 or the k-approval rounding), and 0 on a tied winner set:
+def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
+    """(U, scores, pair margins) read from the integers of the rule's tally
+    over n votes. U is the un-rounded upper end of the rule's sandwich on
+    the margin (`mov_bounds` for a unique winner, without the scoring +1 or
+    the k-approval rounding), and 0 on a tied winner set.
 
-    * scoring: the top-two gap over a1 - am;
+    ``scale`` is n/ell for a sample of ell votes: every count is read as
+    scale times itself, and the scores and pair margins are returned for
+    the estimate. Without a scale (the full profile, as `mov_bounds` reads
+    it) counts are read as they are, and scores and pair margins are None.
+    The winner (lowest index first on ties, as in `movkit.core.top_two`)
+    and the gaps are read on the tally's integers. With scale = num/den,
+    each returned value is built once, as Fraction(num * v, den * d) of
+    integers v and d: only U, the scores and the pair margins are rationals.
+
+    * scoring: the top-two gap over a1 - am. A scoring vector is normalized
+      here, in its integer weights w_i: with sigma the last positive
+      w_i - w_m, a score is (scale * raw - w_m * n) / sigma in normalized
+      units, and U = scale * (raw_w - raw_z) / (w_1 - w_m) is the same in
+      either unit;
     * k-approval and approval: half the top-two gap;
     * Bucklin: the level gap, the least n_l(w) - n_l(x) + 1 over levels l in
       1..m-1 where the canonical winner w holds a strict n/2 majority of the
@@ -517,44 +527,53 @@ def _margin_statistic(rule: Rule, tally, n: int, scale=1):
     * maximin: half the gap between the two best worst-case pairwise margins;
     * Copeland: 2(K+1) times the winner's smallest relative margin over a
       rival, K = ceil(log2 m), with unscaled Copeland scores. The relative
-      margin is computed in integer tally units: a scaled margin
-      scale * net is below 2t exactly when num * net < 2t * den for
-      scale = num/den, and a tied rival weighs p against q per win for
-      alpha = p/q; only the returned pair margins are scaled.
+      margin is searched on the integer margins (`_relative_margin`).
 
     Pair margins are None outside maximin and Copeland.
     """
+    num, den = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+    sampled = scale is not None
+    scores = margins = None
     if isinstance(rule, Bucklin):
         # a scaled majority scale*count > n/2 is the tally's own 2*count > ell
         mask, rows = tally.winner_mask(), tally.top_counts()
         w = (mask & -mask).bit_length() - 1
-        leads = [
+        lead = min((
             rows[w][level] - row[level]
             for level in range(tally.m - 1) if 2 * rows[w][level] > tally.n
             for x, row in enumerate(rows) if x != w and 2 * row[level] <= tally.n
-        ]
-        gap = scale * min(leads) + 1 if leads else 0
-        return gap, {x: tuple(scale * c for c in row) for x, row in enumerate(rows)}, None
-    margins = None
+        ), default=None)
+        if sampled:
+            scores = {x: tuple(Fraction(num * c, den) for c in row) for x, row in enumerate(rows)}
+        return 0 if lead is None else Fraction(num * lead + den, den), scores, None
     if isinstance(rule, (Maximin, Copeland)):
         net = tally.net()
-        margins = tuple(tuple(scale * d for d in row) for row in net)
+        if sampled:
+            margins = tuple(tuple(Fraction(num * d, den) for d in row) for row in net)
     if isinstance(rule, Copeland):
-        scores = tally.scores()
-        w = top_two(scores)[0]
+        points = tally._points()
+        w = points.index(max(points))
         # clamped at zero: on a tie w's relative margin over a co-winner can be negative
         gamma = max(0, min(
-            _relative_margin(net, scale, n, w, x, rule.alpha)
+            _relative_margin(net, num, den, n, w, x, rule.alpha)
             for x in range(tally.m)
             if x != w
         ))
+        if sampled:
+            scores = tally.scores()
         return 2 * (copeland_log_factor(tally.m) + 1) * gamma, scores, margins
-    scores = {x: scale * s for x, s in tally.scores().items()}
-    w, z = top_two(scores)
-    gap = scores[w] - scores[z]
+    values = tally._worst() if isinstance(rule, Maximin) else tally.raw
+    # a score is (num * v - shift) / (den * unit), U is num * gap / (den * spread)
+    shift, unit, spread = 0, 1, 2
     if isinstance(rule, Scoring):
-        return gap / (rule.vector.alpha1 - rule.vector.alphas[-1]), scores, margins
-    return Fraction(gap, 2), scores, margins
+        weights = integer_weights(rule.vector)[0]
+        low = weights[-1]
+        shift, unit = den * low * n, [v - low for v in weights if v > low][-1]
+        spread = weights[0] - low
+    second, best = sorted(values)[-2:]
+    if sampled:
+        scores = {x: Fraction(num * v - shift, den * unit) for x, v in enumerate(values)}
+    return Fraction(num * (best - second), den * spread), scores, margins
 
 
 def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:

@@ -71,6 +71,17 @@ def test_canonical_builder_matches_the_checked_constructor():
     assert q == checked and repr(q) == repr(checked)
 
 
+def test_profile_n_is_summed_once_and_not_a_field():
+    checked = RankedProfile(3, [((2, 0, 1), 10**12), ((0, 1, 2), 1)])
+    built = RankedProfile._from_canonical(3, {(2, 0, 1): 10**12, (0, 1, 2): 1}, None)
+    before = (repr(checked), hash(checked))
+    assert checked.n == built.n == 10**12 + 1
+    assert checked.__dict__["n"] == built.__dict__["n"] == 10**12 + 1  # cached on first read
+    assert (repr(checked), hash(checked)) == before and "n=" not in before[0]
+    assert checked == built and hash(checked) == hash(built)
+    assert checked == RankedProfile(3, [((0, 1, 2), 1), ((2, 0, 1), 10**12)])  # n not read yet
+
+
 def test_profile_rejects_bad_multiplicity_and_mismatched_m():
     with pytest.raises(InputError):
         RankedProfile(2, [((0, 1), 0)])

@@ -1,0 +1,145 @@
+"""Seeded command-line text pinned for every rule family.
+
+`mov --mode estimate` (the default sample size, and ell = n) and
+`experiment --oracle bounds` run on one small election per ballot kind with
+one seed, so any change to an estimate, a bound, a sample size or a seeded
+stream shows here as a text difference.
+"""
+
+import pytest
+from click.testing import CliRunner
+
+from movkit.cli import main
+
+RANKED = "m 4\n8: d>c>b>a\n12: d>c>a>b\n2: c>d>a>b\n10: d>a>c>b\n7: b>a>d>c\n5: c>b>d>a\n"
+APPROVAL = "m 4\n9: {a, b}\n4: {c}\n3: {b, c, d}\n1: {}\n6: {a, d}\n"
+
+PINNED = {
+    'scoring:3/2,1/3,0,-1/2': (
+        'estimate = 10.6851639 (exact 195250/18273)\n'
+        'samples = 6091, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 10.22222222 (exact 92/9)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 1.17649*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,"scoring:3/2,1/3,0,-1/2",44,4,0.1,0.05,6091,,8.000000000,17.00000000,10.72770390,0.000000000,true\n'
+        '2,11307387092600937729,"scoring:3/2,1/3,0,-1/2",44,4,0.1,0.05,6091,,8.000000000,17.00000000,10.70442730,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'borda': (
+        'estimate = 7.756726682 (exact 425216/54819)\n'
+        'samples = 6091, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 7.555555556 (exact 68/9)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 1.17649*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,"scoring:3,2,1,0",44,4,0.1,0.05,6091,,5.833333333,12.66666667,7.849833087,0.000000000,true\n'
+        '2,11307387092600937729,"scoring:3,2,1,0",44,4,0.1,0.05,6091,,5.833333333,12.66666667,7.759937248,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'kapproval:2': (
+        'estimate = 2.463966534 (exact 12958/5259)\n'
+        'samples = 5259, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 3 (exact 3)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 1.09321*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,kapproval:2,44,4,0.1,0.05,5259,,2.500000000,3.000000000,2.635482031,0.000000000,true\n'
+        '2,11307387092600937729,kapproval:2,44,4,0.1,0.05,5259,,2.500000000,3.000000000,2.413766876,0.08623312417,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'approval': (
+        'estimate = 1.567066163 (exact 9545/6091)\n'
+        'samples = 6091, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 0.1*n ] >= 0.95, n = 23\n'
+        'estimate = 2 (exact 2)\n'
+        'samples = 23, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 1.62724*n ] >= 0.95, n = 23\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,approval,23,4,0.1,0.05,6091,,1.500000000,2.000000000,1.472664587,0.02733541290,true\n'
+        '2,11307387092600937729,approval,23,4,0.1,0.05,6091,,1.500000000,2.000000000,1.591610573,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'bucklin': (
+        'estimate = 10.99184589 (exact 200854/18273)\n'
+        'samples = 6091, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 8.666666667 (exact 26/3)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 1.17649*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,bucklin,44,4,0.1,0.05,6091,,8.000000000,16.00000000,10.58731462,0.000000000,true\n'
+        '2,11307387092600937729,bucklin,44,4,0.1,0.05,6091,,8.000000000,16.00000000,11.03037268,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'maximin': (
+        'estimate = 16.75812057 (exact 612392/36543)\n'
+        'samples = 12181, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 15.33333333 (exact 46/3)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 1.66381*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,maximin,44,4,0.1,0.05,12181,,12.50000000,25.00000000,16.70755001,0.000000000,true\n'
+        '2,11307387092600937729,maximin,44,4,0.1,0.05,12181,,12.50000000,25.00000000,16.77497742,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'copeland:0': (
+        'estimate = 18.85714286 (exact 132/7)\n'
+        'samples = 48722, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 5/7*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 15.42857143 (exact 108/7)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 5/7*MoV + 3.32763*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,copeland:0,44,4,0.1,0.05,48722,,10.00000000,44.00000000,18.85714286,0.000000000,true\n'
+        '2,11307387092600937729,copeland:0,44,4,0.1,0.05,48722,,10.00000000,44.00000000,18.85714286,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'copeland:1/2': (
+        'estimate = 18.85714286 (exact 132/7)\n'
+        'samples = 48722, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 5/7*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 17.14285714 (exact 120/7)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 5/7*MoV + 3.32763*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,copeland:1/2,44,4,0.1,0.05,48722,,11.00000000,44.00000000,18.85714286,0.000000000,true\n'
+        '2,11307387092600937729,copeland:1/2,44,4,0.1,0.05,48722,,11.00000000,44.00000000,18.85714286,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+    'copeland:1': (
+        'estimate = 18.85714286 (exact 132/7)\n'
+        'samples = 48722, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 5/7*MoV + 0.1*n ] >= 0.95, n = 44\n'
+        'estimate = 17.14285714 (exact 120/7)\n'
+        'samples = 44, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 5/7*MoV + 3.32763*n ] >= 0.95, n = 44\n'
+        'trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,abs_error,within_guarantee\n'
+        '1,2092789425003139053,copeland:1,44,4,0.1,0.05,48722,,11.00000000,44.00000000,18.85714286,0.000000000,true\n'
+        '2,11307387092600937729,copeland:1,44,4,0.1,0.05,48722,,11.00000000,44.00000000,18.85714286,0.000000000,true\n'
+        'trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", PINNED)
+def test_seeded_estimate_and_bounds_text(rule, tmp_path):
+    path, rows = tmp_path / "e.txt", tmp_path / "rows.csv"
+    path.write_text(APPROVAL if rule == "approval" else RANKED, encoding="utf-8")
+    n = "23" if rule == "approval" else "44"
+    runner, output = CliRunner(), ""
+    for extra in ([], ["--samples", n]):
+        result = runner.invoke(main, ["mov", "-i", str(path), "-r", rule, "--mode", "estimate",
+                                      "--seed", "3", *extra], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        output += result.output
+    result = runner.invoke(main, ["experiment", "-i", str(path), "-r", rule, "--oracle", "bounds",
+                                  "--trials", "2", "--seed", "3", "-o", str(rows)],
+                           catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    output += rows.read_text(encoding="utf-8") + result.output
+    assert output == PINNED[rule]

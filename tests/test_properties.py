@@ -59,7 +59,7 @@ def profiles(draw, m):
 def profiles_with_vectors(draw):
     m = draw(st.integers(2, 5))
     entries = draw(st.lists(
-        st.fractions(min_value=0, max_value=5, max_denominator=7), min_size=m, max_size=m,
+        st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=m, max_size=m,
     ).map(lambda xs: sorted(xs, reverse=True)).filter(lambda xs: xs[0] > xs[-1]))
     return draw(profiles(m)), ScoreVector(tuple(entries))
 
@@ -92,6 +92,12 @@ FRACTIONAL = (
     RankedProfile(3, [((0, 1, 2), 2), ((2, 1, 0), 3), ((1, 0, 2), 1)]),
     ScoreVector((F(3, 2), F(1, 3), F(0))),
 )
+# rational entries and a negative last entry, so normalizing shifts every score
+NEGATIVE = (
+    RankedProfile(4, [((0, 1, 2, 3), 3), ((3, 2, 1, 0), 2), ((1, 3, 0, 2), 4)]),
+    ScoreVector((F(5, 2), F(1, 3), F(-1, 6), F(-7, 4))),
+)
+BORDA = (RankedProfile(3, [((0, 1, 2), 4), ((1, 2, 0), 3), ((2, 0, 1), 2)]), ScoreVector.borda(3))
 
 
 @PROPERTY_SETTINGS
@@ -121,6 +127,8 @@ def test_kapproval_winners_match_fraction_reference(case):
 @PROPERTY_SETTINGS
 @given(profiles_with_vectors())
 @example(FRACTIONAL)
+@example(NEGATIVE)
+@example(BORDA)
 def test_scoring_bounds_match_fraction_reference(case):
     profile, vector = case
     alphas = _ref_normalized(vector.alphas)
@@ -133,6 +141,10 @@ def test_scoring_bounds_match_fraction_reference(case):
 @PROPERTY_SETTINGS
 @given(profiles_with_vectors(), st.integers(0, 2**32), st.integers(1, 40))
 @example(FRACTIONAL, 7, 11)
+@example(FRACTIONAL, 7, FRACTIONAL[0].n)
+@example(NEGATIVE, 3, 5)
+@example(NEGATIVE, 3, NEGATIVE[0].n)
+@example(BORDA, 5, BORDA[0].n)
 def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     profile, vector = case
     source = VoteSource(profile)
@@ -140,7 +152,7 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     raw = _ref_scores(source.draw_counts(ell, seed).items(), alphas)
     sbar = {c: F(profile.n, ell) * s for c, s in raw.items()}
     est = estimate_mov(source, Scoring(vector), F(1, 10), F(1, 20), seed, ell=ell)
-    assert est.estimated_scores == sbar
+    assert _typed(est.estimated_scores) == _typed(sbar)
     assert est.m_bar == _ref_project(_ref_top_two_gap(sbar) / (F(3, 2) * alphas[0]), profile.n)
 
 
