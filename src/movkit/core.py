@@ -21,6 +21,7 @@ Bucklin (strict majority, more than half of the votes), maximin, and
 Copeland with tie parameter alpha.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -78,6 +79,15 @@ class ApprovalBallot:
             raise InputError(f"approval ballot must contain candidate indices: {approved!r}")
 
 
+def _bare(field, values: Sequence) -> list:
+    """Ballots of the field's class, built in bulk with ``field`` (the slot
+    descriptor of a frozen ballot class) set to each value, skipping the
+    class's checks: one object per value, made and filled by C-level maps."""
+    ballots = list(map(object.__new__, itertools.repeat(field.__objclass__, len(values))))
+    collections.deque(map(field.__set__, ballots, values), maxlen=0)
+    return ballots
+
+
 def _validate_names(names, m):
     if names is None:
         return None
@@ -132,10 +142,11 @@ class Profile:
         return profile
 
     def _set_votes(self, counts: Mapping[tuple, int], names) -> None:
-        """The one body of every profile: the subclass's `_ballot` of each
-        key, in key order."""
-        ballot = self._ballot
-        object.__setattr__(self, "votes", tuple((ballot(key), counts[key]) for key in sorted(counts)))
+        """The one body of every profile: the subclass's `_ballots` of the
+        keys, in key order."""
+        keys = sorted(counts)
+        votes = tuple(zip(self._ballots(keys), map(counts.__getitem__, keys)))
+        object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "names", names)
 
     def _check_ballot(self, ballot) -> tuple:
@@ -162,10 +173,8 @@ class RankedProfile(Profile):
     """A multiset of rankings, sorted by ballot order."""
 
     @staticmethod
-    def _ballot(key):
-        ballot = object.__new__(Ranking)  # skips Ranking's checks
-        object.__setattr__(ballot, "order", key)
-        return ballot
+    def _ballots(keys):
+        return _bare(Ranking.order, keys)
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, Ranking):
@@ -180,10 +189,8 @@ class ApprovalProfile(Profile):
     """A multiset of approval ballots, sorted by their ascending members."""
 
     @staticmethod
-    def _ballot(key):
-        ballot = object.__new__(ApprovalBallot)  # skips ApprovalBallot's checks
-        object.__setattr__(ballot, "approved", frozenset(key))
-        return ballot
+    def _ballots(keys):
+        return _bare(ApprovalBallot.approved, list(map(frozenset, keys)))
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, ApprovalBallot):

@@ -15,9 +15,13 @@ default letters a, b, c, ... Declared names win over integer literals.
 Counts, indices and ``m`` are written in ASCII digits. Lines with the same
 ballot merge, their counts summed.
 
-The parser is the one check of a file's ballots: it resolves, checks and
-merges each line once, and hands the merged ballots to the profile without
-the constructor checking them again.
+The parser is the one check of a file's ballots, and hands the merged
+ballots to the profile without the constructor checking them again.
+Well-formed text is parsed in a few whole-file passes of C-level maps
+(counts, keys and the merge), and each distinct token outside the token
+table is resolved once. Any fault sends the text to the line loop, which
+only locates the first fault and names its line: it is the one reader of
+faulty text and the reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -28,6 +32,8 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain, filterfalse, repeat
+from operator import itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence, Union
 
 from movkit.core import (
@@ -91,7 +97,96 @@ def _positive(text: str) -> int:
 
 
 def parse_election(text: str) -> Profile:
-    """Parse election text into a ranked or approval profile."""
+    """Parse election text into a ranked or approval profile.
+
+    Well-formed text is parsed in whole-file passes (`_parse_bulk`). On any
+    fault the line loop (`_parse_lines`) parses the text again and raises
+    the first fault with its line number."""
+    return _parse_bulk(text) or _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> Optional[Profile]:
+    """The profile of well-formed text, or None on any fault, read in a few
+    passes of C-level maps over all ballot lines instead of one Python
+    iteration per line. The passes stream: no line's token list outlives
+    its key."""
+    lines = filter(None, map(str.strip, text.splitlines()))
+    if "#" in text:
+        lines = filterfalse(methodcaller("startswith", "#"), lines)
+    try:
+        head = next(lines, "").split()
+        m = _positive(head[1]) if len(head) == 2 and head[0] == "m" else 0
+        if m < 1:
+            return None
+        names, first = None, next(lines, "")
+        if first.startswith("candidates"):
+            rest = first[len("candidates"):].strip()
+            names = _validate_names((tok.strip() for tok in rest.split(",")), m)
+            first = next(lines, "")
+        # A line without ':' (first is "" when no ballot line follows) leaves
+        # an empty ballot, which neither kind of key pass accepts.
+        counts, _, ballots = zip(*map(str.partition, chain((first,), lines), repeat(":")))
+        counts = list(map(str.strip, counts))
+        digits = "".join(counts)
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        # int() of an empty count, or of more digits than it reads, is a ValueError
+        counts = list(map(int, counts))
+        if 0 in counts:
+            return None
+        kind, keys = _bulk_keys(ballots, _Resolving(names, m), m)
+    except ValueError:  # so are a ParseError and an InputError
+        return None
+    del ballots  # the line text is not needed to build the profile
+    merged = dict(zip(keys, counts))
+    if len(merged) < len(keys):
+        merged = {}
+        for key, count in zip(keys, counts):
+            merged[key] = merged.get(key, 0) + count
+    return kind._from_canonical(m, merged, names)
+
+
+class _Resolving(dict):
+    """`_token_table` of the names, whose misses `_resolve` resolves and
+    remembers, so each distinct token is resolved once. An unresolvable
+    token is a ParseError without its line, which the line loop names."""
+
+    def __init__(self, names: Optional[Sequence[str]], m: int):
+        super().__init__(_token_table(names, m))
+        self.m = m
+
+    def __missing__(self, token: str) -> int:
+        return _resolve(token, self, self.m, 0)
+
+
+def _bulk_keys(ballots: Sequence[str], table: _Resolving, m: int):
+    """(kind, keys): the profile class the first ballot names and the sort
+    key of each ballot (the text after its count). A ballot of the other
+    kind, or malformed, is a ValueError; an unknown token is the table's
+    ParseError."""
+    get = table.__getitem__
+    if ballots[0].strip().startswith("{"):
+        ballots = list(map(str.strip, ballots))
+        if not (all(map(str.startswith, ballots, repeat("{")))
+                and all(map(str.endswith, ballots, repeat("}")))):
+            raise ValueError("unterminated approval set, or a ranked ballot")
+        inners = map(str.strip, map(itemgetter(slice(1, -1)), ballots))
+        keys = [tuple(sorted(map(get, inner.split(",")))) if inner else () for inner in inners]
+        if sum(map(len, map(set, keys))) != sum(map(len, keys)):
+            raise ValueError("approval ballot lists a candidate twice")
+        return ApprovalProfile, keys
+    # '{' is in no candidate token, so an approval ballot fails the ranked key
+    # pass. A first token's leading blank is resolved once, like any miss.
+    keys = list(map(tuple, map(map, repeat(get), map(str.split, ballots, repeat(">")))))
+    # every index lies in 0..m-1, so m distinct indices make a ranking
+    if set(map(len, keys)) != {m} or min(map(len, map(set, keys))) != m:
+        raise ValueError("ranking of the wrong length or with a repeat")
+    return RankedProfile, keys
+
+
+def _parse_lines(text: str) -> Profile:
+    """Parse election text line by line: the one reader that names the
+    first faulty line, and the reference the whole-file passes match."""
     m = 0
     names: Optional[tuple[str, ...]] = None
     kind: Optional[type[Profile]] = None  # set by the first ballot line

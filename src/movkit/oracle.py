@@ -392,8 +392,9 @@ def mov_approval_closed_form(profile: ApprovalProfile) -> int:
     return _gap_closed_form(profile, Approval())
 
 
-def _change_floor(tally) -> int:
-    """Lower-bound quantity for the Bucklin margin, read from a Bucklin tally.
+def _change_floor(rows, n: int) -> int:
+    """Lower-bound quantity for the Bucklin margin, read from the top-l count
+    rows of a Bucklin tally over n votes (`_margin_statistic` builds them).
 
     Any change of the winner set must (a) cost some winner its majority at
     the winning level, (b) lift a non-winner to a majority at the winning
@@ -402,22 +403,18 @@ def _change_floor(tally) -> int:
     changed vote moves each count by at most one, so the margin is at least
     the cheapest of these events; with m >= 2 one of them always exists.
     """
-    counts = tally.top_counts()
-    scores = tally.scores()
-    best_level = min(scores.values())
-    winners = {c for c, s in scores.items() if s == best_level}
-    half = tally.n // 2
-    costs: list[int] = []
-    if best_level <= tally.m - 1:
-        for w in winners:
-            costs.append(counts[w][best_level - 1] - half)
-        for x in range(tally.m):
-            if x not in winners:
-                costs.append(half + 1 - counts[x][best_level - 1])
-    for level in range(1, best_level):
-        for y in range(tally.m):
-            if y not in winners or len(winners) >= 2:
-                costs.append(half + 1 - counts[y][level - 1])
+    m, half = len(rows), n // 2
+    # a row is nondecreasing, so its first majority (count > half) is a bisection
+    levels = list(map(bisect.bisect_right, rows, itertools.repeat(half)))
+    best = min(levels)  # the winning level, 0-based
+    winners = {c for c, level in enumerate(levels) if level == best}
+    costs = [  # (c): an earlier majority
+        half + 1 - rows[y][level]
+        for level in range(best) for y in range(m) if y not in winners or len(winners) >= 2
+    ]
+    if best < m - 1:  # (a) and (b) at the winning level
+        costs += [rows[w][best] - half for w in winners]
+        costs += [half + 1 - rows[x][best] for x in range(m) if x not in winners]
     return min(costs)
 
 
@@ -508,7 +505,8 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
     ``scale`` is n/ell for a sample of ell votes: every count is read as
     scale times itself, and the scores and pair margins are returned for
     the estimate. Without a scale (the full profile, as `mov_bounds` reads
-    it) counts are read as they are, and scores and pair margins are None.
+    it) counts are read as they are, and pair margins and scores are None,
+    except Bucklin's scores: its unscaled top-l count rows.
     The winner (lowest index first on ties, as in `movkit.core.top_two`)
     and the gaps are read on the tally's integers. With scale = num/den,
     each returned value is built once, as Fraction(num * v, den * d) of
@@ -543,6 +541,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
             for level in range(tally.m - 1) if 2 * rows[w][level] > tally.n
             for x, row in enumerate(rows) if x != w and 2 * row[level] <= tally.n
         ), default=None)
+        scores = rows  # read by `_change_floor`
         if sampled:
             scores = {x: tuple(Fraction(num * c, den) for c in row) for x, row in enumerate(rows)}
         return 0 if lead is None else Fraction(num * lead + den, den), scores, None
@@ -599,11 +598,12 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     So the upper end is capped at n.
     """
     tally = _mov_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
-    upper = _margin_statistic(rule, tally, profile.n)[0]
+    upper, scores, _ = _margin_statistic(rule, tally, profile.n)
     if isinstance(rule, Scoring):
         lower, upper, source = upper / 2, upper + 1, "positional score gap"
     elif isinstance(rule, Bucklin):
-        lower, upper, source = _change_floor(tally), upper or profile.n, "majority level analysis"
+        lower, upper = _change_floor(scores, profile.n), upper or profile.n
+        source = "majority level analysis"
     elif upper == 0:
         lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1
         source = "tied winners"

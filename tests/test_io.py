@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from movkit import io_formats
 from movkit.core import ApprovalBallot, ApprovalProfile, RankedProfile
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import (
@@ -279,3 +280,24 @@ def test_non_canonical_tokens_fall_back_to_the_resolver():
         parse_election("m 3\n1: a>b>3\n")
     with pytest.raises(ParseError, match="unknown candidate 'd'"):
         parse_election("m 3\n1: a>b>d\n")
+
+
+def _written_profiles():
+    """Written files of every label form: default letters, declared names,
+    and index labels at m = 27 and 30, ranked and approval."""
+    for m, names in [(3, None), (8, None), (26, None), (4, ["west", "n-1", "s.2", "_e"]),
+                     (3, ["2", "0", "1"]), (27, None), (30, None)]:
+        ranked = generate(ImpartialCulture(n=60, m=m, seed=m))
+        ranked = RankedProfile(m, ranked.votes, names)
+        yield ranked
+        yield ranked_to_approval(ranked, "uniform", seed=m)
+        yield ApprovalProfile(m, [((), 2), (tuple(range(m)), 1)], names)
+
+
+def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
+    def no_loop(text):
+        raise AssertionError("the line loop parsed a written file")
+
+    monkeypatch.setattr(io_formats, "_parse_lines", no_loop)
+    for profile in _written_profiles():
+        assert parse_election(write_election(profile)) == profile

@@ -3,7 +3,8 @@ against plain references, the type-level exact search against an
 index-level one and the pruned search against the unpruned one,
 candidate-token resolution in the parser, and profile
 construction (counted generation, the constructor's merge and errors, the
-parse/write round trip, and the parser's own merge of scrambled text)."""
+parse/write round trip, the parser's own merge of scrambled text, and its
+whole-file passes against its line loop on scrambled and faulty text)."""
 
 import itertools
 import math
@@ -33,7 +34,7 @@ from movkit.core import (
 )
 from movkit.estimators import VoteSource, estimate_mov
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
-from movkit.io_formats import parse_election, write_election
+from movkit.io_formats import ParseError, _parse_lines, parse_election, write_election
 from movkit.oracle import (
     _make_engine,
     copeland_log_factor,
@@ -759,3 +760,97 @@ def test_parse_merges_scrambled_text_like_the_constructor(case):
     assert profile == expected and repr(profile) == repr(expected)
     assert [tuple(map(type, vote)) for vote in profile.votes] == \
         [tuple(map(type, vote)) for vote in expected.votes]
+
+
+def _outcome(parse, text):
+    """What a parser makes of a text: the profile with its repr and vote
+    types, or the ParseError's text and line."""
+    try:
+        profile = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return profile, repr(profile), [tuple(map(type, vote)) for vote in profile.votes]
+
+
+# near-misses first: hypothesis draws the first entries most often
+MUTATIONS = (
+    "repeated token", "wrong length", "out-of-range token", "other kind", "unknown token",
+    "unterminated set", "second candidates line", "second m line", "unicode token",
+    "unicode count", "unicode header", "zero count", "long count", "missing colon",
+)
+
+
+@st.composite
+def mutated_elections(draw):
+    """A scrambled election text with one or two faults (or near-faults)
+    put in: each a mutation of one ballot line or of the header."""
+    lines = draw(scrambled_elections())[0].split("\n")
+    m_line = next(k for k, line in enumerate(lines) if line.startswith("m "))
+    m = int(lines[m_line][2:])
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2)):
+        body = [i for i, line in enumerate(lines) if ":" in line]
+        if not body:  # an earlier mutation took the last separator
+            body = [len(lines)]
+            lines.append("1:")
+        i = draw(st.sampled_from(body))
+        count, _, ballot = lines[i].partition(":")
+        approval = ballot.strip().startswith("{")
+        tokens = ballot.strip()[1:-1].split(",") if approval else ballot.split(">")
+        j = draw(st.integers(0, len(tokens) - 1))
+        join = (lambda ts: "{" + ",".join(ts) + "}") if approval else ">".join
+        if mutation == "zero count":
+            lines[i] = "0:" + ballot
+        elif mutation == "missing colon":
+            lines[i] = count + ballot
+        elif mutation == "long count":
+            lines[i] = "9" * 5000 + ":" + ballot
+        elif mutation == "unicode count":
+            lines[i] = draw(st.sampled_from(["²", "1²", "３", "1٣"])) + ":" + ballot
+        elif mutation == "unicode header":
+            lines[m_line] = draw(st.sampled_from(["m ²", f"m {m}²", "m ３"]))
+        elif mutation in ("unicode token", "unknown token", "out-of-range token", "repeated token"):
+            zeros = draw(st.sampled_from(["", "0", "00"]))
+            tokens[j] = {
+                "unicode token": draw(st.sampled_from(["²", "３"])),
+                "unknown token": "Q",
+                "out-of-range token": zeros + str(m + draw(st.integers(0, 3))),
+                "repeated token": tokens[(j + 1) % len(tokens)],
+            }[mutation]
+            lines[i] = count + ":" + join(tokens)
+        elif mutation == "wrong length":
+            tokens = tokens[1:] if draw(st.booleans()) else tokens + tokens[:1]
+            lines[i] = count + ":" + join(tokens)
+        elif mutation == "other kind":
+            other = ">".join(tokens) if approval else "{" + ",".join(tokens) + "}"
+            lines.insert(draw(st.integers(m_line + 1, len(lines))), "1:" + other)
+        elif mutation == "unterminated set":
+            lines[i] = count + ":" + (ballot.rstrip()[:-1] if approval else "{" + ballot)
+        elif mutation == "second m line":
+            lines.insert(draw(st.integers(m_line + 1, len(lines))), f"m {m}")
+        else:
+            names = draw(st.sampled_from(["a,b", ",".join(map(str, range(m))), "x"]))
+            lines.insert(draw(st.integers(m_line + 1, len(lines))), "candidates " + names)
+    return "\n".join(lines)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(scrambled_elections().map(lambda case: case[0]), mutated_elections()))
+@example("m 3\n1: {}\n2: {a, c}\n1: {}\n")
+@example("m 2\n1: a>b>a\n")
+@example("m 2\n1: a>a\n")
+@example("m 3\n1: {a,c, a}\n")
+@example("m 2\n1: {\n")
+@example("m 2\n1: {a}\n1: ab}\n")
+@example("m 3\n1: {a\n")
+@example("m 2\n1: a>b\n0: b>a\n")
+@example("m 2\n٣: a>b\n")
+@example("m 2\n1\n")
+@example("m 3\n1: a>b>c\n1: {a}\n")
+@example("m 2\n1: {a}\n1: a>b\n")
+@example("m 2\n1: a>b\n" + "9" * 5000 + ": b>a\n")
+@example("m 3\n1: a>b>²\n")
+@example("m 2\ncandidates x,y\ncandidates x,y\n1: x>y\n")
+@example("m 2\n1: a>b\nm 2\n")
+@example("m 30\n1: {0,29,00}\n")
+def test_whole_file_parse_matches_the_line_loop(text):
+    assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
