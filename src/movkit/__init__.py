@@ -12,9 +12,12 @@ The package is organised around a small exact core:
 - :mod:`movkit.experiments` and :mod:`movkit.cli` wire everything into a
   Monte-Carlo harness.
 
-All scores and estimates are exact rationals (`fractions.Fraction`); ties are
-broken canonically by lowest candidate index wherever a single representative
-is needed.
+All numbers are exact. Winner-set scores are ints for k-approval, approval,
+Bucklin (the winning level) and maximin (the worst pairwise margin), and
+`fractions.Fraction` for positional scoring and Copeland. Sandwich bounds,
+estimates and estimated scores are Fractions, and exact margins are ints.
+Ties are broken canonically by lowest candidate index wherever a single
+representative is needed.
 """
 
 from movkit.core import (

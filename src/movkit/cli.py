@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import click
 
-from movkit.core import InputError, Profile, winner_set
+from movkit.core import InputError, winner_set
 from movkit.estimators import (
     VoteSource,
     estimate_mov,
@@ -85,10 +85,6 @@ def _friendly(fn):
     return wrapper
 
 
-def _load_profile(handle) -> Profile:
-    return parse_election(handle.read())
-
-
 def _fmt_number(value) -> str:
     """Integers bare, other rationals as short decimals."""
     frac = Fraction(value)
@@ -110,7 +106,7 @@ def main():
 @_friendly
 def winner(handle, rule_spec):
     """Print the winner set and per-candidate scores."""
-    profile = _load_profile(handle)
+    profile = parse_election(handle.read())
     rule = resolve_rule(rule_spec, profile.m)
     result = winner_set(profile, rule)
     labels = candidate_labels(profile)
@@ -138,14 +134,13 @@ def winner(handle, rule_spec):
 @_friendly
 def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, samples):
     """Margin of victory: exact search, sandwich bounds, or sampling estimate."""
-    profile = _load_profile(handle)
+    profile = parse_election(handle.read())
     rule = resolve_rule(rule_spec, profile.m)
     labels = candidate_labels(profile)
     if mode == "exact":
-        effective_budget = profile.n if budget is None else budget
-        result = mov_brute_force(profile, rule, effective_budget, work_limit=work_limit)
+        result = mov_brute_force(profile, rule, budget, work_limit=work_limit)
         if not result.is_exact:
-            click.echo(f"MoV exceeds budget {effective_budget}")
+            click.echo(f"MoV exceeds budget {result.budget}")
             return
         click.echo(f"MoV = {result.value}")
         # the original of each vote index, found without expanding all n votes
@@ -278,7 +273,7 @@ def experiment(rule_spec, generator_spec, handle, epsilon, delta, trials, seed, 
         base_seed=seed,
         policy=_parse_policy(oracle),
         generator=generator_spec,
-        profile=_load_profile(handle) if handle is not None else None,
+        profile=parse_election(handle.read()) if handle is not None else None,
     )
     result = run_experiment(config)
     csv_text = write_experiment_csv(result.rows)

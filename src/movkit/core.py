@@ -61,10 +61,6 @@ class Ranking:
         if sorted(order) != list(range(len(order))):
             raise InputError(f"not a permutation of 0..{len(order) - 1}: {order!r}")
 
-    @property
-    def m(self) -> int:
-        return len(self.order)
-
 
 @dataclass(frozen=True, slots=True)
 class ApprovalBallot:
@@ -241,22 +237,6 @@ class ScoreVector:
     @property
     def m(self) -> int:
         return len(self.alphas)
-
-    @property
-    def alpha1(self) -> Fraction:
-        return self.alphas[0]
-
-    def normalized(self) -> "ScoreVector":
-        """This vector shifted and rescaled to its canonical normalized form.
-
-        Subtracts the last entry, then divides by the value of the last
-        strictly positive entry, so the result ends in zero and steps down by
-        exactly one into its trailing zero block. Winner sets are unchanged by
-        this affine rescaling.
-        """
-        shifted = tuple(a - self.alphas[-1] for a in self.alphas)
-        scale = [v for v in shifted if v > 0][-1]
-        return ScoreVector(tuple(v / scale for v in shifted))
 
     @classmethod
     def borda(cls, m: int) -> "ScoreVector":
@@ -541,15 +521,6 @@ class WinnerResult:
 
     winners: tuple[int, ...]
     scores: Mapping[int, Fraction | int]
-
-
-def top_two(scores: Mapping[int, Fraction | int]) -> tuple[int, int]:
-    """Highest and second-highest scoring candidates, ties broken by lowest
-    index. Requires at least two candidates."""
-    if len(scores) < 2:
-        raise InputError("need at least two candidates to pick a top two")
-    ordered = sorted(scores, key=lambda c: (-scores[c], c))
-    return ordered[0], ordered[1]
 
 
 def winner_set(profile: Profile, rule: Rule) -> WinnerResult:

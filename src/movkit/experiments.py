@@ -57,13 +57,7 @@ from movkit.generation import (
     ranked_to_approval,
 )
 from movkit.io_formats import ExperimentRow
-from movkit.oracle import (
-    TiedWinnersError,
-    mov_approval_closed_form,
-    mov_bounds,
-    mov_brute_force,
-    mov_kapproval_closed_form,
-)
+from movkit.oracle import TiedWinnersError, _gap_closed_form, mov_bounds, mov_brute_force
 
 # ---------------------------------------------------------------------------
 # rule and generator descriptions
@@ -292,15 +286,11 @@ def pass_threshold(delta, usable: int) -> float:
 def _exact_reference(profile: Profile, rule: Rule, policy: OraclePolicy):
     """(mov_exact, lower, upper) per policy; all None when excluded."""
     if isinstance(policy, BruteForcePolicy):
-        budget = policy.budget if policy.budget is not None else profile.n
-        result = mov_brute_force(profile, rule, budget)
-        return result.value, None, None
+        return mov_brute_force(profile, rule, policy.budget).value, None, None
     if isinstance(policy, ClosedFormPolicy):
         # ExperimentConfig admits only k-approval and approval rules here
         try:
-            if isinstance(rule, Approval):
-                return mov_approval_closed_form(profile), None, None
-            return mov_kapproval_closed_form(profile, rule.k), None, None
+            return _gap_closed_form(profile, rule), None, None
         except TiedWinnersError:
             return None, None, None
     if isinstance(policy, BoundsOnlyPolicy):

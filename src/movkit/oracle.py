@@ -111,22 +111,6 @@ class MovBounds:
 # exact search
 
 
-class _Universe:
-    """Every replacement ballot as a raw tally key: the m! order tuples of a
-    ranked profile or the 2**m approval frozensets. ``size`` is known before
-    any ballot is built, so the search charges it to the work limit first."""
-
-    def __init__(self, m: int, ranked: bool):
-        self.m, self.ranked = m, ranked
-        self.size = math.factorial(m) if ranked else 2 ** m
-
-    def __iter__(self):
-        m = self.m
-        if self.ranked:
-            return itertools.permutations(range(m))
-        return (frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2 ** m))
-
-
 def _mov_tally(rule: Rule, m: int, votes, ranked: bool):
     """`movkit.core.rule_tally` for a margin of victory, which needs a second
     candidate to change the winner set."""
@@ -138,11 +122,20 @@ def _mov_tally(rule: Rule, m: int, votes, ranked: bool):
 def _make_engine(profile: Profile, rule: Rule):
     """The rule's tally, raw ballot types, replacement universe and ballot
     wrapper. The search applies raw ballots (order tuples, frozensets) to
-    the tally with add(raw, -1 or +1) and compares its winner_mask."""
-    ranked = isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, profile.m, profile.votes, ranked)
+    the tally with add(raw, -1 or +1) and compares its winner_mask.
+
+    The universe is every replacement ballot as a raw tally key, the m!
+    order tuples of a ranked profile or the 2**m approval frozensets, given
+    as (size, lazy iterable): the search charges the size to the work limit
+    before it builds any ballot."""
+    m, ranked = profile.m, isinstance(profile, RankedProfile)
+    tally = _mov_tally(rule, m, profile.votes, ranked)
     raw = [b.order if ranked else b.approved for b, _ in profile.votes]
-    return tally, raw, _Universe(profile.m, ranked), Ranking if ranked else ApprovalBallot
+    if ranked:
+        universe = math.factorial(m), itertools.permutations(range(m))
+    else:
+        universe = 2 ** m, (frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2 ** m))
+    return tally, raw, universe, Ranking if ranked else ApprovalBallot
 
 
 def _settled_test(rule: Rule, tally, m: int, n: int):
@@ -219,10 +212,11 @@ def _settled_test(rule: Rule, tally, m: int, n: int):
 def mov_brute_force(
     profile: Profile,
     rule: Rule,
-    budget: int,
+    budget: int | None = None,
     work_limit: int = DEFAULT_WORK_LIMIT,
 ) -> ExactMovResult:
-    """Exact margin of victory by iterative deepening, up to ``budget`` changes.
+    """Exact margin of victory by iterative deepening, up to ``budget`` changes
+    (None: all n votes).
 
     For t = 1, 2, ..., budget, one depth-first search retracts a multiset of
     t ballot types (each at most its multiplicity times) and then inserts a
@@ -246,7 +240,10 @@ def mov_brute_force(
     ``work_limit``; the universe is charged before it is built. A
     ``work_limit`` below 1 is an InputError, raised before any search.
     """
-    tally, raw, universe, wrap = _make_engine(profile, rule)
+    # the work count starts at the universe's size, charged before it is built
+    tally, raw, (work, universe), wrap = _make_engine(profile, rule)
+    if budget is None:
+        budget = profile.n
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
     if work_limit < 1:
@@ -254,7 +251,6 @@ def mov_brute_force(
     limit_error = WorkLimitError(
         f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     )
-    work = universe.size
     if work > work_limit:
         raise limit_error
     universe = list(universe)
@@ -424,7 +420,15 @@ def _change_floor(rows, n: int) -> int:
 
 def _relative_margin(net, num: int, den: int, n: int, x: int, y: int, alpha: Fraction) -> int:
     """Relative margin of x over y where u's margin over z is
-    ``num * net[u][z] / den``, with ``net`` integer and num, den positive.
+    ``num * net[u][z] / den``, with ``net`` integer and num, den positive:
+    1/1 for a profile's pairwise margins, n/ell for a sample's.
+
+    It is the least integer shift t such that x's tie-weighted count of
+    dominating rivals at threshold -2t does not exceed y's count at
+    threshold +2t. The predicate is monotone in t (one side only loses
+    members, the other only gains), so binary search over
+    t in [-(ceil(n/2)+1), ceil(n/2)+1] is exact; the upper endpoint always
+    satisfies the predicate.
 
     A margin is below the threshold 2t exactly when
     num * net[u][z] < 2t * den. A rival counts q when below and p when
@@ -451,39 +455,6 @@ def _relative_margin(net, num: int, den: int, n: int, x: int, y: int, alpha: Fra
     return lo
 
 
-def relative_margin_generic(
-    d: Sequence[Sequence[Union[int, Fraction]]],
-    n: int,
-    x: int,
-    y: int,
-    alpha: Fraction,
-) -> int:
-    """Relative margin of x over y from a pairwise margin matrix ``d``.
-
-    Finds the least integer shift t such that x's tie-weighted count of
-    dominating rivals at threshold -2t does not exceed y's count at
-    threshold +2t. The predicate is monotone in t (one side only loses
-    members, the other only gains), so binary search over
-    t in [-(ceil(n/2)+1), ceil(n/2)+1] is exact; the upper endpoint always
-    satisfies the predicate. Accepts exact rational margins, so it serves
-    both true pairwise matrices and sampled estimates scaled to n.
-
-    The search runs in integer units: ``d`` is written once as integers
-    over the common denominator D of its entries, margins are compared with
-    2t * D, and a tie weighs p against q per win for alpha = p/q.
-    `_margin_statistic` runs the same search on a tally's integer margins
-    with its scale num/den in place of 1/D.
-    """
-    m = len(d)
-    if x == y:
-        raise InputError("relative margin needs two distinct candidates")
-    if not (0 <= x < m and 0 <= y < m):
-        raise InputError(f"candidate out of range for m={m}")
-    den = math.lcm(*(Fraction(v).denominator for row in d for v in row))
-    net = [[int(Fraction(v) * den) for v in row] for row in d]
-    return _relative_margin(net, 1, den, n, x, y, Fraction(alpha))
-
-
 def copeland_log_factor(m: int) -> int:
     """ceil(log2 m): the pairwise-elimination depth used by the Copeland
     upper bound."""
@@ -507,10 +478,10 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
     the estimate. Without a scale (the full profile, as `mov_bounds` reads
     it) counts are read as they are, and pair margins and scores are None,
     except Bucklin's scores: its unscaled top-l count rows.
-    The winner (lowest index first on ties, as in `movkit.core.top_two`)
-    and the gaps are read on the tally's integers. With scale = num/den,
-    each returned value is built once, as Fraction(num * v, den * d) of
-    integers v and d: only U, the scores and the pair margins are rationals.
+    The winner (the lowest index of the winner set on ties) and the gaps
+    are read on the tally's integers. With scale = num/den, each returned
+    value is built once, as Fraction(num * v, den * d) of integers v and d:
+    only U, the scores and the pair margins are rationals.
 
     * scoring: the top-two gap over a1 - am. A scoring vector is normalized
       here, in its integer weights w_i: with sigma the last positive

@@ -18,7 +18,6 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     rule_tally,
-    top_two,
     winner_set,
 )
 
@@ -28,7 +27,7 @@ HALF = F(1, 2)
 
 def test_ranking_is_a_permutation():
     r = Ranking((2, 0, 1))
-    assert r.m == 3
+    assert len(r.order) == 3
     assert r.order == (2, 0, 1)
 
 
@@ -103,22 +102,13 @@ def test_profile_names_validated():
 def test_score_vector_shapes():
     borda = ScoreVector.borda(3)
     assert borda.alphas == (F(2), F(1), F(0))
-    assert borda.alpha1 == 2
+    assert borda.alphas[0] == 2
     with pytest.raises(InputError):
         ScoreVector((F(1), F(2)))
     with pytest.raises(InputError):
         ScoreVector((F(1),))
     with pytest.raises(InputError):
         ScoreVector((F(1), F(1)))
-
-
-def test_normalize_score_vector():
-    # contract: shift by the last entry, divide by the last positive entry
-    assert ScoreVector((2, 1, 0)).normalized().alphas == (F(2), F(1), F(0))
-    assert ScoreVector((5, 5, 3, 3)).normalized().alphas == (F(1), F(1), F(0), F(0))
-    assert ScoreVector((7, 4, 1)).normalized().alphas == (F(2), F(1), F(0))
-    with pytest.raises(InputError):
-        ScoreVector((3, 3, 3)).normalized()
 
 
 def test_positional_scores_examples():
@@ -297,14 +287,6 @@ def test_relabeling_equivariance():
         orig = winner_set(p, rule)
         new = winner_set(relabeled, rule)
         assert tuple(sorted(perm[w] for w in orig.winners)) == new.winners
-
-
-def test_top_two_breaks_ties_by_lowest_index():
-    scores = {0: F(3), 1: F(3), 2: F(1)}
-    w, z = top_two(scores)
-    assert (w, z) == (0, 1)
-    w, z = top_two({0: F(1), 1: F(2), 2: F(2)})
-    assert (w, z) == (1, 2)
 
 
 def test_copeland_alpha_bounds():

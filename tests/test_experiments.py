@@ -8,6 +8,7 @@ import pytest
 
 from movkit.core import (
     Approval,
+    ApprovalProfile,
     Bucklin,
     Copeland,
     InputError,
@@ -30,7 +31,8 @@ from movkit.experiments import (
     run_distinguisher,
     run_experiment,
 )
-from movkit.oracle import mov_bounds
+from movkit.io_formats import CSV_COLUMNS, write_experiment_csv
+from movkit.oracle import mov_bounds, mov_brute_force
 
 F = Fraction
 
@@ -188,6 +190,44 @@ def test_run_experiment_fixed_profile():
     result = run_experiment(config)
     assert all(r.mov_exact == 10 for r in result.rows)
     assert result.summary.passed
+
+
+def test_closed_form_policy_approval_matches_the_exact_search():
+    # approval scores 9, 5, 2: a unique winner, so the closed form answers
+    profile = ApprovalProfile(3, [((0, 1), 4), ((0,), 5), ((1, 2), 1), ((2,), 1)])
+    config = ExperimentConfig(
+        rule_spec="approval", epsilon=F(1, 10), delta=F(1, 20), trials=3,
+        base_seed=6, policy=ClosedFormPolicy(), profile=profile,
+    )
+    result = run_experiment(config)
+    exact = mov_brute_force(profile, Approval(), profile.n).value
+    assert exact == 2
+    assert all(r.mov_exact == exact and r.within_guarantee is not None for r in result.rows)
+    assert (result.summary.usable, result.summary.excluded) == (3, 0)
+
+
+@pytest.mark.parametrize("spec, profile", [
+    # every candidate is among the top two of two of the three rankings
+    ("kapproval:2", RankedProfile(3, [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1)])),
+    # approval scores 2, 2, 1
+    ("approval", ApprovalProfile(3, [((0, 1), 2), ((2,), 1)])),
+])
+def test_closed_form_policy_excludes_tied_profiles(spec, profile):
+    config = ExperimentConfig(
+        rule_spec=spec, epsilon=F(1, 10), delta=F(1, 20), trials=2,
+        base_seed=3, policy=ClosedFormPolicy(), profile=profile,
+    )
+    result = run_experiment(config)
+    assert all(r.mov_exact is None and r.within_guarantee is None for r in result.rows)
+    lines = write_experiment_csv(result.rows).splitlines()
+    exact_col = CSV_COLUMNS.index("mov_exact")
+    within_col = CSV_COLUMNS.index("within_guarantee")
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[exact_col] == "" and cells[within_col] == ""
+    assert len(lines) == 3
+    s = result.summary
+    assert (s.usable, s.excluded, s.violations, s.passed) == (0, 2, 0, True)
 
 
 def test_run_experiment_approval_rule_converts_ranked_generator():

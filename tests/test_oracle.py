@@ -25,6 +25,7 @@ from movkit.core import (
 from movkit.generation import ImpartialCulture, generate
 from movkit.oracle import (
     TiedWinnersError,
+    _relative_margin as relative_margin,
     WorkLimitError,
     apply_changes,
     copeland_log_factor,
@@ -32,7 +33,6 @@ from movkit.oracle import (
     mov_bounds,
     mov_brute_force,
     mov_kapproval_closed_form,
-    relative_margin_generic,
 )
 
 from generation_reference import ref_impartial_culture
@@ -55,7 +55,12 @@ def _pair_margins(p):
 
 
 def _relative_margin(p, x, y, alpha):
-    return relative_margin_generic(_pair_margins(p), p.n, x, y, alpha)
+    """The profile's relative margin of x over y, as `mov_bounds` reads it
+    (scale 1/1), checked against the linear scan on the same margins."""
+    d = _pair_margins(p)
+    t = relative_margin(d, 1, 1, p.n, x, y, alpha)
+    assert t == _scan_relative_margin(d, p.n, x, y, alpha)
+    return t
 
 
 def random_ranked(rng, m, n):
@@ -163,6 +168,13 @@ def test_brute_force_input_validation():
     p = RankedProfile(2, [((0, 1), 2)])
     with pytest.raises(InputError):
         mov_brute_force(p, KApproval(1), 0)
+
+
+def test_brute_force_budget_defaults_to_n():
+    p = RankedProfile(2, [((0, 1), 7), ((1, 0), 3)])
+    r = mov_brute_force(p, KApproval(1))
+    assert r == mov_brute_force(p, KApproval(1), p.n)
+    assert (r.value, r.budget) == (2, 10)
 
 
 def test_witness_replay_changes_the_winner_set():
@@ -273,8 +285,6 @@ def test_relative_margin_examples():
     assert _relative_margin(p, 0, 2, HALF) == 1
     tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
     assert _relative_margin(tie, 0, 1, HALF) == 0
-    with pytest.raises(InputError):
-        _relative_margin(p, 1, 1, HALF)
 
 
 def _scan_relative_margin(d, n, x, y, alpha):
@@ -304,7 +314,7 @@ def test_relative_margin_agrees_with_direct_scan():
         a = rng.choice(alphas)
         d = _pair_margins(p)
         for x, y in itertools.permutations(range(m), 2):
-            assert relative_margin_generic(d, p.n, x, y, a) == \
+            assert relative_margin(d, 1, 1, p.n, x, y, a) == \
                 _scan_relative_margin(d, p.n, x, y, a)
     # a multiple of ell for n makes the scale an integer, so many scaled
     # margins land exactly on a threshold 2t, where alpha weighs the tie
@@ -312,10 +322,11 @@ def test_relative_margin_agrees_with_direct_scan():
     for _ in range(200):
         m, ell = rng.randint(2, 6), rng.randint(1, 12)
         n = ell * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(1, 30)
-        d = [[F(n, ell) * v for v in row] for row in _pair_margins(random_ranked(rng, m, ell))]
+        net = _pair_margins(random_ranked(rng, m, ell))
+        d = [[F(n, ell) * v for v in row] for row in net]
         a = rng.choice(alphas)
         for x, y in itertools.permutations(range(m), 2):
-            t = relative_margin_generic(d, n, x, y, a)
+            t = relative_margin(net, n, ell, n, x, y, a)
             assert t == _scan_relative_margin(d, n, x, y, a)
             on_threshold += any(u != x and d[u][x] == -2 * t or u != y and d[u][y] == 2 * t
                                 for u in range(m))

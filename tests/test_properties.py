@@ -450,7 +450,8 @@ def _ref_brute_force(profile, rule, budget):
     """Index-level exact search: every size-t set of indices into
     ``profile.expand()`` times every tuple of replacements that differ from
     the votes they replace. Returns (value, witness, evaluations)."""
-    engine, _, universe, wrap = _make_engine(profile, rule)
+    engine, _, (_, universe), wrap = _make_engine(profile, rule)
+    universe = list(universe)  # read once per vote
     base_mask = engine.winner_mask()
     raw = [b.order if isinstance(b, Ranking) else b.approved for b in profile.expand()]
     n = len(raw)
@@ -479,7 +480,8 @@ def _ref_type_level_search(profile, rule, budget):
     retraction multiset in `combinations_with_replacement` order times every
     insertion multiset sharing no type with it, each applied afresh. Returns
     (value, witness, evaluations)."""
-    tally, raw, universe, wrap = _make_engine(profile, rule)
+    tally, raw, (_, universe), wrap = _make_engine(profile, rule)
+    universe = list(universe)  # read once per retraction
     base_mask = tally.winner_mask()
     mults = [mult for _, mult in profile.votes]
     starts = list(itertools.accumulate(mults, initial=0))
