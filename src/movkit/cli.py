@@ -139,7 +139,7 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
     labels = candidate_labels(profile)
     if mode == "exact":
         result = mov_brute_force(profile, rule, budget, work_limit=work_limit)
-        if not result.is_exact:
+        if result.value is None:
             click.echo(f"MoV exceeds budget {result.budget}")
             return
         click.echo(f"MoV = {result.value}")

@@ -7,10 +7,11 @@ the ascending approved candidates). Votes are merged and sorted on those
 plain tuples, and each ballot is built back from its key, so equal multisets
 compare equal and have equal reprs. Each rule family has one
 integer tally (positional, approval, Bucklin position counts, pairwise
-``above`` counts), chosen by `rule_tally` and shared by winner
-determination, the exact search and the sampling estimators. A positional
-score vector is scaled once to integer weights over a common denominator,
-and the totals become exact `fractions.Fraction` scores once per candidate.
+``above`` counts), shared by winner determination, the exact search and
+the sampling estimators; `rule_tally` builds every tally, adding all
+ballots in one loop. A positional score vector is scaled there once to
+integer weights over a common denominator, which the tally keeps, and the
+totals become exact `fractions.Fraction` scores once per candidate.
 Whenever a rule needs a single representative winner, the canonical
 tie-break is the lowest candidate index. `_binomial` and `_multinomial` are
 the one seeded count sampler, shared by profile generation and vote
@@ -243,13 +244,6 @@ class ScoreVector:
         return cls(tuple(Fraction(m - 1 - i) for i in range(m)))
 
 
-def integer_weights(vector: ScoreVector) -> tuple[tuple[int, ...], int]:
-    """Integer weights and their common denominator ``unit``:
-    ``vector.alphas[i] == Fraction(weights[i], unit)`` for every position."""
-    unit = math.lcm(*(a.denominator for a in vector.alphas))
-    return tuple(a.numerator * (unit // a.denominator) for a in vector.alphas), unit
-
-
 # ---------------------------------------------------------------------------
 # rules
 
@@ -309,12 +303,14 @@ class Copeland(Rule):
 # ---------------------------------------------------------------------------
 # tallies
 #
-# One integer tally per rule family, built from (ballot, count) pairs. A
-# tally takes add(raw, k), where ``raw`` is a ranking's order tuple or an
-# approval ballot's frozenset and a negative k retracts, and reads out the
-# rule's exact scores and its winner set as a bitmask over candidates. The
-# rule is fixed when the tally is built, so add and winner_mask stay plain
-# integer loops: the exact search runs them millions of times.
+# One integer tally per rule family. `rule_tally` builds every tally: it
+# checks the rule, makes the empty tally of the rule's own parameters, and
+# adds each (ballot, count) pair in one loop. A tally takes add(raw, k),
+# where ``raw`` is a ranking's order tuple or an approval ballot's frozenset
+# and a negative k retracts, and reads out the rule's exact scores and its
+# winner set as a bitmask over candidates. The rule is fixed when the tally
+# is built, so add and winner_mask stay plain integer loops: the exact
+# search runs them millions of times.
 
 
 def _best_mask(values) -> int:
@@ -331,12 +327,11 @@ class PositionalTally:
     ``weights[i]``, and the scores are ``raw / unit`` (plain integers when
     ``unit`` is None). Zero weights cost nothing."""
 
-    def __init__(self, votes, weights: Sequence[int], m: int, unit: int | None = None):
+    def __init__(self, m: int, weights: Sequence[int], unit: int | None = None):
         self.raw = [0] * m
+        self.weights = weights
         self.unit = unit
         self.live = [(pos, w) for pos, w in enumerate(weights) if w]
-        for ballot, count in votes:
-            self.add(ballot.order, count)
 
     def add(self, order, k: int) -> None:
         raw = self.raw
@@ -356,11 +351,6 @@ class ApprovalTally(PositionalTally):
     """Approval: the number of ballots approving each candidate, read out
     like an integer positional tally."""
 
-    def __init__(self, votes, m: int):
-        super().__init__((), (), m)
-        for ballot, count in votes:
-            self.add(ballot.approved, count)
-
     def add(self, approved, k: int) -> None:
         raw = self.raw
         for cand in approved:
@@ -370,12 +360,10 @@ class ApprovalTally(PositionalTally):
 class BucklinTally:
     """Bucklin: ``at_pos[x][i]`` of the ``n`` ballots rank x at position i."""
 
-    def __init__(self, votes, m: int):
+    def __init__(self, m: int):
         self.m = m
         self.n = 0
         self.at_pos = [[0] * m for _ in range(m)]
-        for ballot, count in votes:
-            self.add(ballot.order, count)
 
     def add(self, order, k: int) -> None:
         at_pos = self.at_pos
@@ -413,12 +401,10 @@ class BucklinTally:
 class PairwiseTally:
     """Pairwise family: ``above[x][y]`` ballots rank x above y."""
 
-    def __init__(self, votes, m: int):
+    def __init__(self, m: int):
         self.m = m
         self.above = [[0] * m for _ in range(m)]
         self.rivals = [[y for y in range(m) if y != x] for x in range(m)]
-        for ballot, count in votes:
-            self.add(ballot.order, count)
 
     def add(self, order, k: int) -> None:
         above = self.above
@@ -453,8 +439,8 @@ class MaximinTally(PairwiseTally):
 class CopelandTally(PairwiseTally):
     """Copeland: pairwise wins plus ``alpha`` per pairwise tie."""
 
-    def __init__(self, votes, m: int, alpha: Fraction):
-        super().__init__(votes, m)
+    def __init__(self, m: int, alpha: Fraction):
+        super().__init__(m)
         self.alpha = alpha
 
     def _points(self) -> list[int]:
@@ -487,28 +473,39 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     ``m``-candidate ballots, which are rankings when ``ranked`` and approval
     ballots otherwise. Raises InputError when the rule does not fit them:
     this is the one check of a rule against an election, behind winner sets,
-    bounds, the exact search and the estimators."""
+    bounds, the exact search and the estimators, and the one place where
+    ballots enter a tally.
+
+    A score vector is scaled here, once, to integer weights over a common
+    denominator ``unit``: ``alphas[i] == Fraction(weights[i], unit)``."""
     if isinstance(rule, Approval):
         if ranked:
             raise InputError("this operation needs an approval profile")
-        return ApprovalTally(votes, m)
-    if not isinstance(rule, (Scoring, KApproval, Bucklin, Maximin, Copeland)):
+        tally = ApprovalTally(m, ())
+    elif not isinstance(rule, (Scoring, KApproval, Bucklin, Maximin, Copeland)):
         raise InputError(f"unknown rule: {rule!r}")
-    if not ranked:
+    elif not ranked:
         raise InputError("this operation needs a ranked profile")
-    if isinstance(rule, Scoring):
+    elif isinstance(rule, Scoring):
         if rule.vector.m != m:
             raise InputError(f"score vector has {rule.vector.m} entries for {m} candidates")
-        weights, unit = integer_weights(rule.vector)
-        return PositionalTally(votes, weights, m, unit)
-    if isinstance(rule, KApproval):
+        alphas = rule.vector.alphas
+        unit = math.lcm(*(a.denominator for a in alphas))
+        weights = tuple(a.numerator * (unit // a.denominator) for a in alphas)
+        tally = PositionalTally(m, weights, unit)
+    elif isinstance(rule, KApproval):
         _check_k(rule.k, m)
-        return PositionalTally(votes, [1] * rule.k, m)
-    if isinstance(rule, Bucklin):
-        return BucklinTally(votes, m)
-    if isinstance(rule, Maximin):
-        return MaximinTally(votes, m)
-    return CopelandTally(votes, m, rule.alpha)
+        tally = PositionalTally(m, [1] * rule.k)
+    elif isinstance(rule, Bucklin):
+        tally = BucklinTally(m)
+    elif isinstance(rule, Maximin):
+        tally = MaximinTally(m)
+    else:
+        tally = CopelandTally(m, rule.alpha)
+    add = tally.add
+    for ballot, count in votes:
+        add(ballot.order if ranked else ballot.approved, count)
+    return tally
 
 
 # ---------------------------------------------------------------------------

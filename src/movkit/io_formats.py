@@ -67,9 +67,10 @@ def _token_table(names: Optional[Sequence[str]], m: int) -> dict[str, int]:
 
 
 def _resolve(token: str, table: dict[str, int], m: int, line: int) -> int:
-    """The candidate of a token `_token_table` misses as given (padded,
-    empty, an integer, written with non-canonical digits such as ``01``, out
-    of range, or unknown), remembered in the table under the token."""
+    """The candidate of a token, remembered in the table under the token as
+    given: a name or letter of the table, padded or not, or an integer
+    index, which may be written with non-canonical digits such as ``01``.
+    An empty, out-of-range or unknown token is a ParseError."""
     name = token.strip()
     if not name:
         raise ParseError("empty candidate token", line)
@@ -201,7 +202,6 @@ def _parse_lines(text: str) -> Profile:
             if m < 1:
                 raise ParseError("first line must be 'm <count>' with a positive count", number)
             last_header = number
-            # fast path for ballot tokens; a miss falls back to _resolve
             table = _token_table(names, m)
             continue
         if kind is None and names is None and line.startswith("candidates"):
@@ -230,9 +230,7 @@ def _parse_lines(text: str) -> Profile:
             members: set[int] = set()
             if inner:
                 for token in inner.split(","):
-                    cand = table.get(token)
-                    if cand is None:
-                        cand = _resolve(token, table, m, number)
+                    cand = _resolve(token, table, m, number)
                     if cand in members:
                         raise ParseError(f"candidate {token.strip()!r} listed twice", number)
                     members.add(cand)
@@ -244,9 +242,7 @@ def _parse_lines(text: str) -> Profile:
             tokens = ballot_part.split(">")
             if len(tokens) != m:
                 raise ParseError(f"ranking must list all {m} candidates", number)
-            key = tuple(map(table.get, tokens))
-            if None in key:
-                key = tuple(_resolve(token, table, m, number) for token in tokens)
+            key = tuple(_resolve(token, table, m, number) for token in tokens)
             # all m indices lie in 0..m-1, so a repeat is the only fault left
             if len(set(key)) != m:
                 raise ParseError("ranking repeats a candidate", number)

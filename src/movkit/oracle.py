@@ -42,7 +42,6 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
-    integer_weights,
     rule_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
@@ -80,10 +79,6 @@ class ExactMovResult:
     witness: tuple[tuple[int, Union[Ranking, ApprovalBallot]], ...] | None
     evaluations: int
 
-    @property
-    def is_exact(self) -> bool:
-        return self.value is not None
-
 
 @dataclass(frozen=True)
 class MovBounds:
@@ -117,25 +112,6 @@ def _mov_tally(rule: Rule, m: int, votes, ranked: bool):
     if m < 2:
         raise InputError("margin of victory needs at least two candidates")
     return rule_tally(rule, m, votes, ranked)
-
-
-def _make_engine(profile: Profile, rule: Rule):
-    """The rule's tally, raw ballot types, replacement universe and ballot
-    wrapper. The search applies raw ballots (order tuples, frozensets) to
-    the tally with add(raw, -1 or +1) and compares its winner_mask.
-
-    The universe is every replacement ballot as a raw tally key, the m!
-    order tuples of a ranked profile or the 2**m approval frozensets, given
-    as (size, lazy iterable): the search charges the size to the work limit
-    before it builds any ballot."""
-    m, ranked = profile.m, isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, m, profile.votes, ranked)
-    raw = [b.order if ranked else b.approved for b, _ in profile.votes]
-    if ranked:
-        universe = math.factorial(m), itertools.permutations(range(m))
-    else:
-        universe = 2 ** m, (frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2 ** m))
-    return tally, raw, universe, Ranking if ranked else ApprovalBallot
 
 
 def _settled_test(rule: Rule, tally, m: int, n: int):
@@ -195,11 +171,7 @@ def _settled_test(rule: Rule, tally, m: int, n: int):
         read, spread = tally._worst, 2
     else:
         read = lambda: tally.raw  # noqa: E731
-        if isinstance(rule, Scoring):
-            weights = integer_weights(rule.vector)[0]
-            spread = weights[0] - weights[-1]
-        else:
-            spread = 1
+        spread = tally.weights[0] - tally.weights[-1] if isinstance(rule, Scoring) else 1
 
     def settled(r: int, s: int) -> bool:
         scores = read()
@@ -217,6 +189,12 @@ def mov_brute_force(
 ) -> ExactMovResult:
     """Exact margin of victory by iterative deepening, up to ``budget`` changes
     (None: all n votes).
+
+    The search applies raw ballots (order tuples, frozensets) to the rule's
+    tally with add(raw, -1 or +1) and compares its winner_mask. Replacements
+    come from the universe of every raw ballot, the m! order tuples of a
+    ranked profile or the 2**m approval frozensets, in the order of
+    ``itertools.permutations`` or of the bitmasks 0..2**m-1.
 
     For t = 1, 2, ..., budget, one depth-first search retracts a multiset of
     t ballot types (each at most its multiplicity times) and then inserts a
@@ -240,8 +218,8 @@ def mov_brute_force(
     ``work_limit``; the universe is charged before it is built. A
     ``work_limit`` below 1 is an InputError, raised before any search.
     """
-    # the work count starts at the universe's size, charged before it is built
-    tally, raw, (work, universe), wrap = _make_engine(profile, rule)
+    m, ranked = profile.m, isinstance(profile, RankedProfile)
+    tally = _mov_tally(rule, m, profile.votes, ranked)
     if budget is None:
         budget = profile.n
     if budget < 1:
@@ -251,12 +229,19 @@ def mov_brute_force(
     limit_error = WorkLimitError(
         f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     )
+    # the work count starts at the universe's size, charged before it is built
+    work = math.factorial(m) if ranked else 2 ** m
     if work > work_limit:
         raise limit_error
-    universe = list(universe)
+    if ranked:
+        universe = list(itertools.permutations(range(m)))
+    else:
+        universe = [frozenset(c for c in range(m) if mask >> c & 1) for mask in range(work)]
+    raw = [b.order if ranked else b.approved for b, _ in profile.votes]
+    wrap = Ranking if ranked else ApprovalBallot
     add, winner_mask = tally.add, tally.winner_mask
     base_mask = winner_mask()
-    settled = _settled_test(rule, tally, profile.m, profile.n)
+    settled = _settled_test(rule, tally, m, profile.n)
     mults = [mult for _, mult in profile.votes]
     starts = list(itertools.accumulate(mults, initial=0))
     types = len(raw)
@@ -390,7 +375,8 @@ def mov_approval_closed_form(profile: ApprovalProfile) -> int:
 
 def _change_floor(rows, n: int) -> int:
     """Lower-bound quantity for the Bucklin margin, read from the top-l count
-    rows of a Bucklin tally over n votes (`_margin_statistic` builds them).
+    rows of a Bucklin tally over n votes (`mov_bounds` reads them from the
+    tally).
 
     Any change of the winner set must (a) cost some winner its majority at
     the winning level, (b) lift a non-winner to a majority at the winning
@@ -476,8 +462,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
     ``scale`` is n/ell for a sample of ell votes: every count is read as
     scale times itself, and the scores and pair margins are returned for
     the estimate. Without a scale (the full profile, as `mov_bounds` reads
-    it) counts are read as they are, and pair margins and scores are None,
-    except Bucklin's scores: its unscaled top-l count rows.
+    it) counts are read as they are, and pair margins and scores are None.
     The winner (the lowest index of the winner set on ties) and the gaps
     are read on the tally's integers. With scale = num/den, each returned
     value is built once, as Fraction(num * v, den * d) of integers v and d:
@@ -491,8 +476,8 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
     * k-approval and approval: half the top-two gap;
     * Bucklin: the level gap, the least n_l(w) - n_l(x) + 1 over levels l in
       1..m-1 where the canonical winner w holds a strict n/2 majority of the
-      top-l counts and some x != w does not (the top-l count rows are the
-      scores). No level separates them exactly on a full tie;
+      top-l counts and some x != w does not (the scaled top-l count rows are
+      the scores). No level separates them exactly on a full tie;
     * maximin: half the gap between the two best worst-case pairwise margins;
     * Copeland: 2(K+1) times the winner's smallest relative margin over a
       rival, K = ceil(log2 m), with unscaled Copeland scores. The relative
@@ -512,7 +497,6 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
             for level in range(tally.m - 1) if 2 * rows[w][level] > tally.n
             for x, row in enumerate(rows) if x != w and 2 * row[level] <= tally.n
         ), default=None)
-        scores = rows  # read by `_change_floor`
         if sampled:
             scores = {x: tuple(Fraction(num * c, den) for c in row) for x, row in enumerate(rows)}
         return 0 if lead is None else Fraction(num * lead + den, den), scores, None
@@ -536,7 +520,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
     # a score is (num * v - shift) / (den * unit), U is num * gap / (den * spread)
     shift, unit, spread = 0, 1, 2
     if isinstance(rule, Scoring):
-        weights = integer_weights(rule.vector)[0]
+        weights = tally.weights
         low = weights[-1]
         shift, unit = den * low * n, [v - low for v in weights if v > low][-1]
         spread = weights[0] - low
@@ -569,11 +553,11 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     So the upper end is capped at n.
     """
     tally = _mov_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
-    upper, scores, _ = _margin_statistic(rule, tally, profile.n)
+    upper = _margin_statistic(rule, tally, profile.n)[0]
     if isinstance(rule, Scoring):
         lower, upper, source = upper / 2, upper + 1, "positional score gap"
     elif isinstance(rule, Bucklin):
-        lower, upper = _change_floor(scores, profile.n), upper or profile.n
+        lower, upper = _change_floor(tally.top_counts(), profile.n), upper or profile.n
         source = "majority level analysis"
     elif upper == 0:
         lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1

@@ -1,11 +1,14 @@
 """Command-line interface behaviour and output stability."""
 
+import dataclasses
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from movkit import experiments
 from movkit.cli import main
 from movkit.generation import ImpartialCulture, generate
 from movkit.io_formats import write_election
@@ -213,6 +216,27 @@ def test_experiment_csv_to_file(runner, tmp_path):
     body = out.read_text()
     assert body.startswith("trial,seed,rule,")
     assert len(body.splitlines()) == 3
+
+
+def test_experiment_fail_verdict_exits_1(runner, monkeypatch):
+    # an estimate of n on planted-gap profiles with margin 3 breaks the
+    # guarantee in every trial
+    real = experiments.estimate_mov
+
+    def inflated(source, *args, **kwargs):
+        est = real(source, *args, **kwargs)
+        return dataclasses.replace(est, m_bar=Fraction(source.profile.n))
+
+    monkeypatch.setattr(experiments, "estimate_mov", inflated)
+    args = ["experiment", "-r", "plurality", "-g", "plantedgap:n=40,m=2,gap=6",
+            "--trials", "3", "--seed", "1"]
+    result = invoke(runner, args, expect_exit=1)
+    assert result.stderr == (
+        "trials=3 usable=3 excluded=0 violations=3 rate=1.000000 threshold=0.90 FAIL\n"
+    )
+    header, *rows = result.stdout.splitlines()
+    column = header.split(",").index("within_guarantee")
+    assert [row.split(",")[column] for row in rows] == ["false"] * 3
 
 
 def test_experiment_rejects_both_generator_and_input(runner, tmp_path):

@@ -262,3 +262,19 @@ def test_run_distinguisher_validation_and_payload():
         run_distinguisher(F(1, 20), F(1, 20), 1, 0, n=101)  # odd population
     with pytest.raises(InputError):
         run_distinguisher(F(1, 5), F(1, 20), 1, 0)  # planted fraction above 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_distinguish_with_one_sample_reads_every_sample_as_planted(seed):
+    # one drawn vote is unanimous, so both populations estimate n/2, above
+    # the threshold: no planted error, every tied sample misread
+    result = run_distinguisher(F(1, 20), F(1, 20), 20, seed, budget=1)
+    assert (result.errors_x, result.errors_y, result.error_rate) == (0, 20, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_distinguish_with_two_samples_misreads_split_planted_samples(seed):
+    # two drawn votes split between a and b estimate a margin of 1, below the
+    # threshold, so some planted samples read as tied
+    result = run_distinguisher(F(1, 20), F(1, 20), 20, seed, budget=2)
+    assert result.errors_x > 0

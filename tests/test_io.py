@@ -103,6 +103,13 @@ def test_candidate_header_validation():
         assert str(info.value) == f"line 2: {message}"
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n"], ids=["empty", "comment"])
+def test_text_without_a_header_names_line_1(text):
+    with pytest.raises(ParseError) as info:
+        parse_election(text)
+    assert str(info.value) == "line 1: missing 'm <count>' header"
+
+
 def test_bare_indices_accepted():
     p = parse_election("m 3\n1: 2>0>1")
     assert p.votes[0][0].order == (2, 0, 1)

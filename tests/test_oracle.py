@@ -102,7 +102,7 @@ def test_brute_force_copeland_example():
 def test_brute_force_budget_exhaustion_and_mov_floor():
     p = RankedProfile(2, [((0, 1), 4)])
     r = mov_brute_force(p, KApproval(1), 1)
-    assert r.value is None and not r.is_exact
+    assert r.value is None
     assert r.budget == 1
     # a tied winner set still needs one replacement to change
     tie = RankedProfile(2, [((0, 1), 1), ((1, 0), 1)])
@@ -151,6 +151,28 @@ def test_brute_force_work_limit_counts_pruned_nodes():
     assert (r.value, r.evaluations) == (20, 1)
     with pytest.raises(WorkLimitError):
         mov_brute_force(p, KApproval(1), p.n, work_limit=30)
+
+
+# (profile, rule, limits that raise, the least limit that does not, value,
+# evaluations). The work count is the universe's size, then one per level,
+# search node and scored leaf: the limits are the last universe, level-step,
+# node and leaf raises before the search returns.
+WORK_LIMIT_PINS = [
+    (RankedProfile(3, [((0, 1, 2), 40)]), KApproval(1), (5, 25, 66), 67, 20, 1),
+    (RankedProfile(3, [((0, 1, 2), 1), ((1, 0, 2), 1)]), KApproval(1), (5, 6, 7, 8, 9), 10, 1, 2),
+    (ApprovalProfile(3, [((0,), 1), ((1,), 1)]), Approval(), (7, 8, 9, 10), 11, 1, 1),
+]
+
+
+@pytest.mark.parametrize("profile, rule, raising, first_ok, value, evaluations",
+                         WORK_LIMIT_PINS, ids=["level-step", "leaf-loop", "approval"])
+def test_brute_force_work_limit_accounting_is_pinned(
+        profile, rule, raising, first_ok, value, evaluations):
+    for limit in raising:
+        with pytest.raises(WorkLimitError):
+            mov_brute_force(profile, rule, work_limit=limit)
+    for r in (mov_brute_force(profile, rule, work_limit=first_ok), mov_brute_force(profile, rule)):
+        assert (r.value, r.evaluations) == (value, evaluations)
 
 
 @pytest.mark.parametrize("rule, mov", [

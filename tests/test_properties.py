@@ -36,7 +36,6 @@ from movkit.estimators import VoteSource, estimate_mov
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import ParseError, _parse_lines, parse_election, write_election
 from movkit.oracle import (
-    _make_engine,
     copeland_log_factor,
     mov_bounds,
     mov_brute_force,
@@ -446,12 +445,24 @@ def test_family_bounds_match_reference(case, alpha, k):
         assert bounds.upper <= profile.n
 
 
+def _ref_engine(profile, rule):
+    """The rule's tally, raw ballot types, replacement universe (every raw
+    ballot, in `mov_brute_force`'s order) and ballot wrapper, built here so
+    that the references share no set-up with the search they check."""
+    m, ranked = profile.m, isinstance(profile, RankedProfile)
+    tally = rule_tally(rule, m, profile.votes, ranked)
+    raw = [b.order if ranked else b.approved for b, _ in profile.votes]
+    if ranked:
+        return tally, raw, list(itertools.permutations(range(m))), Ranking
+    subsets = [frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2**m)]
+    return tally, raw, subsets, ApprovalBallot
+
+
 def _ref_brute_force(profile, rule, budget):
     """Index-level exact search: every size-t set of indices into
     ``profile.expand()`` times every tuple of replacements that differ from
     the votes they replace. Returns (value, witness, evaluations)."""
-    engine, _, (_, universe), wrap = _make_engine(profile, rule)
-    universe = list(universe)  # read once per vote
+    engine, _, universe, wrap = _ref_engine(profile, rule)
     base_mask = engine.winner_mask()
     raw = [b.order if isinstance(b, Ranking) else b.approved for b in profile.expand()]
     n = len(raw)
@@ -480,8 +491,7 @@ def _ref_type_level_search(profile, rule, budget):
     retraction multiset in `combinations_with_replacement` order times every
     insertion multiset sharing no type with it, each applied afresh. Returns
     (value, witness, evaluations)."""
-    tally, raw, (_, universe), wrap = _make_engine(profile, rule)
-    universe = list(universe)  # read once per retraction
+    tally, raw, universe, wrap = _ref_engine(profile, rule)
     base_mask = tally.winner_mask()
     mults = [mult for _, mult in profile.votes]
     starts = list(itertools.accumulate(mults, initial=0))
