@@ -1,10 +1,13 @@
 """Monte-Carlo experiment harness: coverage runs and the distinguisher.
 
-A coverage experiment runs many independent estimation trials, obtains an
-exact margin reference (or sandwich bounds) per trial, and checks the
-fraction of trials violating |estimate - MoV| <= c*MoV + eps*n against
-delta. A one-sided binomial tolerance keeps the PASS/FAIL verdict stable at
-practical trial counts: PASS iff
+A coverage experiment runs many independent estimation trials and judges
+each against an interval [lower, upper] that holds the margin: [MoV, MoV]
+for an exact reference, the sandwich bounds otherwise. A trial violates the
+guarantee when the estimate lies farther than c*upper + eps*n from the
+interval, which for an exact reference is |estimate - MoV| > c*MoV + eps*n.
+The count of violating trials is checked against delta. A one-sided
+binomial tolerance keeps the PASS/FAIL verdict stable at practical trial
+counts: PASS iff
 
     violations <= delta*usable + 2*sqrt(delta*(1-delta)*usable).
 
@@ -151,26 +154,14 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
     if head == "ic":
         n = _pop_int(params, "n", "ic")
         m = _pop_int(params, "m", "ic")
-        _reject_extras(params, "ic")
-
-        def factory(seed: int) -> Profile:
-            profile = generate(ImpartialCulture(n=n, m=m, seed=seed))
-            return _maybe_approval(profile, approval_depth, seed)
-
-        return factory
-    if head == "plantedgap":
+        make = lambda seed: ImpartialCulture(n=n, m=m, seed=seed)
+    elif head == "plantedgap":
         n = _pop_int(params, "n", "plantedgap")
         m = _pop_int(params, "m", "plantedgap")
         gap = _pop_int(params, "gap", "plantedgap")
         winner = _pop_int(params, "winner", "plantedgap") if "winner" in params else 0
-        _reject_extras(params, "plantedgap")
-
-        def factory(seed: int) -> Profile:
-            profile = generate(PlantedGap(winner=winner, gap=gap, n=n, m=m))
-            return _maybe_approval(profile, approval_depth, seed)
-
-        return factory
-    if head == "twocandidate":
+        make = lambda seed: PlantedGap(winner=winner, gap=gap, n=n, m=m)
+    elif head == "twocandidate":
         n = _pop_int(params, "n", "twocandidate")
         if "p" not in params:
             raise InputError("twocandidate needs p=")
@@ -178,9 +169,18 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
             p = Fraction(params.pop("p"))
         except (ValueError, ZeroDivisionError):
             raise InputError("twocandidate parameter p must be rational") from None
-        _reject_extras(params, "twocandidate")
-        return lambda seed: generate(TwoCandidate(p=p, n=n))
-    raise InputError(f"unknown generator {spec!r}")
+        make = lambda seed: TwoCandidate(p=p, n=n)
+    else:
+        raise InputError(f"unknown generator {spec!r}")
+    _reject_extras(params, head)
+
+    def factory(seed: int) -> Profile:
+        profile = generate(make(seed))
+        if approval_depth is None:
+            return profile
+        return ranked_to_approval(profile, approval_depth, split_seed(seed, 1))
+
+    return factory
 
 
 def _approval_depth(text: str) -> Union[int, str]:
@@ -197,12 +197,6 @@ def _approval_depth(text: str) -> Union[int, str]:
 def _reject_extras(params: dict[str, str], what: str) -> None:
     if params:
         raise InputError(f"unknown {what} parameter {sorted(params)[0]!r}")
-
-
-def _maybe_approval(profile: RankedProfile, depth, seed: int) -> Profile:
-    if depth is None:
-        return profile
-    return ranked_to_approval(profile, depth, split_seed(seed, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +294,15 @@ def _exact_reference(profile: Profile, rule: Rule, policy: OraclePolicy):
 
 
 def _judge(est: MovEstimate, n: int, mov_exact, lower, upper):
-    """(abs_error, within_guarantee) for one trial; (None, None) if excluded."""
-    slack = est.c * Fraction(mov_exact) + est.epsilon * n if mov_exact is not None else None
+    """(abs_error, within_guarantee) for one trial; (None, None) if excluded.
+    The error is the distance from the estimate to [lower, upper], which is
+    [mov_exact, mov_exact] for an exact reference."""
     if mov_exact is not None:
-        err = abs(est.m_bar - mov_exact)
-        return err, err <= slack
-    if lower is not None:
-        margin = est.c * upper + est.epsilon * n
-        within = (est.m_bar >= lower - margin) and (est.m_bar <= upper + margin)
-        if est.m_bar < lower:
-            err = lower - est.m_bar
-        elif est.m_bar > upper:
-            err = est.m_bar - upper
-        else:
-            err = Fraction(0)
-        return err, within
-    return None, None
+        lower = upper = mov_exact
+    elif lower is None:
+        return None, None
+    err = max(lower - est.m_bar, est.m_bar - upper, Fraction(0))
+    return err, err <= est.c * upper + est.epsilon * n
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

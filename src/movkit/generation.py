@@ -15,9 +15,10 @@ c votes with k equally likely outcomes (the orders of the candidates still
 to rank, or the m + 1 depths of one distinct ballot) are drawn one by one
 when c < k; otherwise c is split by one multinomial
 (`movkit.core._multinomial`) and each part is drawn the same way.
-Generators count ballots before building a profile, so each distinct ballot
-is built once. PlantedGap and TwoCandidate fill ballot positions below the
-top in a fixed canonical order (ascending candidate index, skipping the top
+Every model counts its orders as {order: count} and hands the counts to the
+profile once, so each distinct ballot is built once and no ballot is checked
+again. PlantedGap and TwoCandidate fill ballot positions below the top in a
+fixed canonical order (ascending candidate index, skipping the top
 candidate), which keeps their profiles easy to analyze by hand.
 """
 
@@ -28,11 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from movkit.core import ApprovalProfile, InputError, RankedProfile, Ranking, _multinomial
-
-
-def _canonical_order(top: int, m: int) -> tuple[int, ...]:
-    return (top,) + tuple(c for c in range(m) if c != top)
+from movkit.core import ApprovalProfile, InputError, RankedProfile, _multinomial
 
 
 @dataclass(frozen=True)
@@ -155,27 +152,20 @@ def _impartial_orders(rng: random.Random, prefix: tuple, rest: tuple, count: int
 def generate(spec: GenSpec) -> RankedProfile:
     """Build the ranked profile a generation model describes."""
     if isinstance(spec, ImpartialCulture):
-        orders = Counter()
-        _impartial_orders(random.Random(spec.seed), (), tuple(range(spec.m)), spec.n, orders)
-        # every order is a permutation of range(m), so the counts are checked keys
-        return RankedProfile._from_canonical(spec.m, orders, None)
-    if isinstance(spec, PlantedGap):
-        counts = _planted_counts(spec)
-        votes = tuple(
-            (Ranking(_canonical_order(c, spec.m)), cnt)
-            for c, cnt in enumerate(counts)
-            if cnt > 0
-        )
-        return RankedProfile(m=spec.m, votes=votes)
-    if isinstance(spec, TwoCandidate):
-        a_count = spec.top_count
-        votes = []
-        if a_count > 0:
-            votes.append((Ranking((0, 1)), a_count))
-        if spec.n - a_count > 0:
-            votes.append((Ranking((1, 0)), spec.n - a_count))
-        return RankedProfile(m=2, votes=tuple(votes))
-    raise InputError(f"unknown generation model: {spec!r}")
+        m, orders = spec.m, Counter()
+        _impartial_orders(random.Random(spec.seed), (), tuple(range(m)), spec.n, orders)
+    elif isinstance(spec, PlantedGap):
+        m = spec.m
+        orders = {(top,) + tuple(c for c in range(m) if c != top): k
+                  for top, k in enumerate(_planted_counts(spec)) if k}
+    elif isinstance(spec, TwoCandidate):
+        m, a = 2, spec.top_count
+        orders = {order: k for order, k in (((0, 1), a), ((1, 0), spec.n - a)) if k}
+    else:
+        raise InputError(f"unknown generation model: {spec!r}")
+    # every order is a permutation of range(m) and every count is positive,
+    # so the counts are checked keys
+    return RankedProfile._from_canonical(m, orders, None)
 
 
 def ranked_to_approval(

@@ -190,6 +190,18 @@ def test_generate_missing_parameter_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["generate", "--model", "ic", "--n", "5"], "ic needs --m"),
+    (["generate", "--model", "twocandidate", "--n", "5"], "twocandidate needs --p"),
+    (["experiment", "-r", "plurality", "-g", "ic:n=5,m=3", "--trials", "1", "--oracle", "foo"],
+     "unknown oracle policy 'foo' (use brute[:BUDGET], closed, bounds)"),
+], ids=["ic-m", "twocandidate-p", "oracle-policy"])
+def test_generator_and_oracle_faults_exit_2(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Error: {message}\n"), result.output
+
+
 def test_generate_to_file(runner, tmp_path):
     out = tmp_path / "gen.txt"
     invoke(runner, ["generate", "--model", "plantedgap", "--n", "10", "--m", "2",

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movkit.core import (
     Approval,
@@ -17,7 +19,7 @@ from movkit.core import (
     RankedProfile,
     Scoring,
 )
-from movkit.estimators import VoteSource, estimate_mov
+from movkit.estimators import MovEstimate, VoteSource, estimate_mov
 from movkit.experiments import (
     BoundsOnlyPolicy,
     BruteForcePolicy,
@@ -93,6 +95,21 @@ def test_parse_generator_rejects_unknown_keys():
             parse_generator(bad)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("ic", "ic needs n="),
+    ("ic:n", "bad ic parameter 'n'"),
+    ("ic:n=1,n=2", "duplicate ic parameter 'n'"),
+    ("twocandidate:n=4", "twocandidate needs p="),
+    ("twocandidate:n=4,p=x", "twocandidate parameter p must be rational"),
+    # only ic and plantedgap read an approval depth
+    ("twocandidate:n=4,p=1/2,approval=1", "unknown twocandidate parameter 'approval'"),
+])
+def test_parse_generator_fault_texts(spec, message):
+    with pytest.raises(InputError) as info:
+        parse_generator(spec)
+    assert str(info.value) == message
+
+
 def test_pass_threshold_formula():
     assert pass_threshold(F(1, 20), 200) == pytest.approx(10 + 2 * math.sqrt(0.05 * 0.95 * 200))
     assert pass_threshold(F(1, 20), 0) == 0
@@ -154,6 +171,68 @@ def test_run_experiment_bounds_policy_populates_interval():
         assert r.mov_exact is None
         assert r.mov_lower is not None and r.mov_upper is not None
         assert r.within_guarantee is not None
+
+
+def test_run_experiment_rejects_an_unknown_policy():
+    policy = object()
+    config = ExperimentConfig(
+        rule_spec="plurality", epsilon=F(1, 10), delta=F(1, 20), trials=1,
+        base_seed=0, policy=policy, generator="ic:n=5,m=3",
+    )
+    with pytest.raises(InputError) as info:
+        run_experiment(config)
+    assert str(info.value) == f"unknown oracle policy: {policy!r}"
+
+
+def two_branch_judge(est, n, mov_exact, lower, upper):
+    """The judgement as an exact test and a separate sandwich test."""
+    if mov_exact is not None:
+        err = abs(est.m_bar - mov_exact)
+        return err, err <= est.c * Fraction(mov_exact) + est.epsilon * n
+    if lower is not None:
+        margin = est.c * upper + est.epsilon * n
+        within = (est.m_bar >= lower - margin) and (est.m_bar <= upper + margin)
+        if est.m_bar < lower:
+            err = lower - est.m_bar
+        elif est.m_bar > upper:
+            err = est.m_bar - upper
+        else:
+            err = Fraction(0)
+        return err, within
+    return None, None
+
+
+@st.composite
+def judge_cases(draw):
+    n = draw(st.integers(1, 60))
+    ends = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2)))
+    kind = draw(st.sampled_from(["exact", "sandwich", "excluded"]))
+    if kind == "exact":
+        reference = (ends[0], None, None)
+    elif kind == "sandwich":
+        reference = (None, ends[0], ends[1])
+    else:
+        reference = (None, None, None)
+    m_bar = draw(st.fractions(min_value=0, max_value=2 * n, max_denominator=12))
+    est = MovEstimate(
+        m_bar=m_bar, ell=1, seed=0,
+        c=draw(st.sampled_from([F(0), F(1, 3), F(5, 7)])),
+        epsilon=draw(st.fractions(min_value=F(1, 100), max_value=F(1, 2), max_denominator=100)),
+        delta=F(1, 20), estimated_scores={},
+    )
+    return est, n, reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(judge_cases())
+def test_judge_matches_the_two_branch_judgement(case):
+    est, n, reference = case
+    expected = two_branch_judge(est, n, *reference)
+    got = _judge(est, n, *reference)
+    assert got == expected
+    assert type(got[1]) is type(expected[1])
+    if reference != (None, None, None):
+        assert type(got[0]) is Fraction
 
 
 def test_judge_bounds_only_bucklin_full_tie():

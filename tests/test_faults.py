@@ -18,6 +18,7 @@ from movkit.core import (
     ApprovalBallot,
     ApprovalProfile,
     Bucklin,
+    Copeland,
     InputError,
     KApproval,
     RankedProfile,
@@ -33,7 +34,7 @@ from movkit.estimators import (
     lower_bound_samples,
     sample_size,
 )
-from movkit.experiments import run_distinguisher
+from movkit.experiments import resolve_rule, run_distinguisher
 from movkit.io_formats import write_election
 from movkit.oracle import (
     apply_changes,
@@ -295,3 +296,23 @@ def test_vote_source_needs_a_profile(raw):
     with pytest.raises(InputError) as info:
         estimate_mov(VoteSource(raw), Bucklin(), EPS, DELTA, 0)
     assert str(info.value) == f"vote source needs a profile, got {type(raw).__name__}"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: resolve_rule("scoring:1,x", 2),
+     "scoring needs comma-separated rationals, got 'scoring:1,x'"),
+    (lambda: Copeland("x"), "copeland alpha must be rational: 'x'"),
+    (lambda: ScoreVector(("x", 0)), "score entries must be rationals: ('x', 0)"),
+    (lambda: ApprovalBallot({-1}),
+     "approval ballot must contain candidate indices: frozenset({-1})"),
+    (lambda: VoteSource(RANKED).draw_counts(0, 1), "draw count must be at least 1, got 0"),
+    (lambda: sample_size("plurality", EPS, DELTA, 3), "unknown rule kind 'plurality'"),
+    (lambda: lower_bound_samples(1, EPS, DELTA), "c must lie in [0, 1), got 1"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, c=1), "c must lie in [0, 1), got 1"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 0, 0), "trials must be positive, got 0"),
+], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
+        "rule-kind", "lower-bound-c", "distinguisher-c", "distinguisher-trials"])
+def test_library_input_fault_texts(make, message):
+    with pytest.raises(InputError) as info:
+        make()
+    assert str(info.value) == message

@@ -20,6 +20,7 @@ from movkit.generation import (
     ImpartialCulture,
     PlantedGap,
     TwoCandidate,
+    _planted_counts,
     generate,
     ranked_to_approval,
 )
@@ -102,6 +103,54 @@ def test_planted_gap_validation():
     # gap = n - 1 with three candidates leaves no room for the others
     with pytest.raises(InputError):
         generate(PlantedGap(winner=0, gap=9, n=10, m=3))
+
+
+def checked_profile(m, counts):
+    """The profile the checked constructor builds from first-place counts,
+    each candidate's ballot ranking the others in ascending order."""
+    votes = [((top,) + tuple(c for c in range(m) if c != top), k)
+             for top, k in enumerate(counts) if k > 0]
+    return RankedProfile(m, votes)
+
+
+def test_planted_gap_equals_the_checked_profile_of_its_counts():
+    for n in range(1, 31):
+        for m in range(2, 6):
+            for gap in range(1, n + 1):
+                for winner in range(m):
+                    spec = PlantedGap(winner=winner, gap=gap, n=n, m=m)
+                    try:
+                        counts = _planted_counts(spec)
+                    except InputError as fault:
+                        with pytest.raises(InputError) as info:
+                            generate(spec)
+                        assert str(info.value) == str(fault)
+                        continue
+                    profile = generate(spec)
+                    expected = checked_profile(m, counts)
+                    assert profile == expected and profile.votes == expected.votes
+                    assert profile.names is None
+
+
+def test_two_candidate_equals_the_checked_profile_of_its_counts():
+    for n in range(1, 31):
+        for p in [F(0), F(1), F(1, 2), F(7, 9)]:
+            spec = TwoCandidate(p=p, n=n)
+            expected = checked_profile(2, [spec.top_count, n - spec.top_count])
+            profile = generate(spec)
+            assert profile == expected and profile.votes == expected.votes
+            assert profile.names is None
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ImpartialCulture(0, 3), "need n >= 1 and m >= 1, got n=0, m=3"),
+    (lambda: PlantedGap(0, 1, 5, 1), "a planted gap needs at least two candidates"),
+    (lambda: generate("x"), "unknown generation model: 'x'"),
+], ids=["ic-size", "planted-one-candidate", "unknown-model"])
+def test_generation_fault_texts(make, message):
+    with pytest.raises(InputError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_impartial_culture_determinism_and_shape():
