@@ -8,8 +8,12 @@ plain tuples, and each ballot is built back from its key, so equal multisets
 compare equal and have equal reprs. Each rule family has one
 integer tally (positional, approval, Bucklin position counts, pairwise
 ``above`` counts), shared by winner determination, the exact search and
-the sampling estimators; `rule_tally` builds every tally, adding all
-ballots in one loop. A positional score vector is scaled there once to
+the sampling estimators. `rule_tally` builds every tally and adds the
+ballots through `_add_votes`, as the estimators add their samples: a long
+list of distinct rankings is counted column-wise, from one bitset per
+candidate and position, and approval ballots, short lists and many
+candidates one ballot at a time; the exact search then steps a tally built
+either way with its add. A positional score vector is scaled once to
 integer weights over a common denominator, which the tally keeps, and the
 totals become exact `fractions.Fraction` scores once per candidate.
 Whenever a rule needs a single representative winner, the canonical
@@ -305,12 +309,80 @@ class Copeland(Rule):
 #
 # One integer tally per rule family. `rule_tally` builds every tally: it
 # checks the rule, makes the empty tally of the rule's own parameters, and
-# adds each (ballot, count) pair in one loop. A tally takes add(raw, k),
-# where ``raw`` is a ranking's order tuple or an approval ballot's frozenset
-# and a negative k retracts, and reads out the rule's exact scores and its
-# winner set as a bitmask over candidates. The rule is fixed when the tally
-# is built, so add and winner_mask stay plain integer loops: the exact
-# search runs them millions of times.
+# hands the (ballot, count) pairs to `_add_votes`, the one place where
+# ballots enter a tally (the estimators' sample enters there too). Where the
+# family's counts_columns admits the number of distinct rankings and m, the
+# range where it measured faster, the rankings are counted column-wise, one
+# block of ballots at a time (`_column_blocks`, read by the tally's
+# add_block). Approval ballots and every other list are added one (ballot,
+# count) pair at a time. A tally takes add(raw, k), where ``raw`` is a
+# ranking's order tuple or an approval ballot's frozenset and a negative k
+# retracts, and reads out the rule's exact scores and its winner set as a
+# bitmask over candidates. The rule is fixed when the tally is built, so add
+# and winner_mask stay plain integer loops: the exact search steps a tally
+# built either way with them, one ballot at a time, millions of times.
+
+# Most ballots in a block of the column-wise count: a pairwise block holds
+# m * m bitsets of up to _BLOCK bits, 4.7 MB at m = 128.
+_BLOCK = 2048
+
+
+def _column_blocks(orders: Sequence[tuple[int, ...]], counts: Sequence[int], m: int):
+    """The column-wise count of rankings over at most 256 candidates (each
+    index fits in a byte), in equal blocks of at most `_BLOCK` ballots: a
+    bitmap index over (candidate, position), as in O'Neil and Quass,
+    "Improved query performance with variant indexes" (SIGMOD 1997). Each
+    block yields (column, weigh, total):
+
+    * ``column(i)[x]`` is the bitset of the block's ballots that rank x at
+      position i. Position i's entries are read into one ``bytes``, which
+      ``bytes.translate`` turns into binary digits, one string per bit of
+      the candidate index, read by ``int(digits, 2)``; ANDing those bitsets
+      or their complements splits the block into the m candidates' bitsets.
+      Only the positions a tally asks for are read.
+    * ``weigh(s)`` is the number of votes of the ballots in bitset s: each
+      bit plane of the counts is a bitset in the same way, and
+      ``int.bit_count`` of s AND a plane is weighted by its power of two.
+    * ``total`` is the block's number of votes.
+    """
+    # digits[b] maps a byte to the binary digit of its bit b; built per call
+    # rather than at import
+    digits = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+    index_digits = digits[:(m - 1).bit_length()][::-1]  # highest bit first
+    size = -(-len(orders) // -(-len(orders) // _BLOCK))  # the least even split
+    for start in range(0, len(orders), size):
+        block, weights = orders[start:start + size], counts[start:start + size]
+        full = (1 << len(block)) - 1
+        top = max(weights).bit_length()
+        width = (top + 7) // 8
+        if width == 1:
+            count_bytes = bytes(weights)
+        else:
+            count_bytes = b"".join(
+                map(int.to_bytes, weights, itertools.repeat(width), itertools.repeat("little")))
+        planes = []
+        for shift in range(top):
+            byte, bit = divmod(shift, 8)
+            plane = int(count_bytes[byte::width].translate(digits[bit]), 2)
+            if plane:
+                planes.append((shift, plane))
+
+        def column(i, block=block, full=full):
+            entries = bytes(map(operator.itemgetter(i), block))
+            cands = [full]
+            for table in index_digits:
+                ones = int(entries.translate(table), 2)
+                halves = (full ^ ones, ones)
+                cands = [c & h for c in cands for h in halves]
+            return cands[:m]
+
+        def weigh(s, planes=planes):
+            total = 0
+            for shift, plane in planes:
+                total += (s & plane).bit_count() << shift
+            return total
+
+        yield column, weigh, sum(weights)
 
 
 def _best_mask(values) -> int:
@@ -327,6 +399,13 @@ class PositionalTally:
     ``weights[i]``, and the scores are ``raw / unit`` (plain integers when
     ``unit`` is None). Zero weights cost nothing."""
 
+    @staticmethod
+    def counts_columns(d: int, m: int) -> bool:
+        """Whether d distinct rankings of m candidates are counted
+        column-wise: where that count measured faster than one add per
+        ballot, about 1.3x at d = 4,700 and m = 8, and no faster at m = 24."""
+        return d >= 512 and m <= 16
+
     def __init__(self, m: int, weights: Sequence[int], unit: int | None = None):
         self.raw = [0] * m
         self.weights = weights
@@ -337,6 +416,12 @@ class PositionalTally:
         raw = self.raw
         for pos, w in self.live:
             raw[order[pos]] += k * w
+
+    def add_block(self, column, weigh, total: int) -> None:
+        raw = self.raw
+        for pos, w in self.live:
+            for cand, ballots in enumerate(column(pos)):
+                raw[cand] += w * weigh(ballots)
 
     def scores(self) -> dict[int, Fraction | int]:
         if self.unit is None:
@@ -360,6 +445,8 @@ class ApprovalTally(PositionalTally):
 class BucklinTally:
     """Bucklin: ``at_pos[x][i]`` of the ``n`` ballots rank x at position i."""
 
+    counts_columns = staticmethod(PositionalTally.counts_columns)
+
     def __init__(self, m: int):
         self.m = m
         self.n = 0
@@ -370,6 +457,13 @@ class BucklinTally:
         for pos, cand in enumerate(order):
             at_pos[cand][pos] += k
         self.n += k
+
+    def add_block(self, column, weigh, total: int) -> None:
+        at_pos = self.at_pos
+        for pos in range(self.m):
+            for cand, ballots in enumerate(column(pos)):
+                at_pos[cand][pos] += weigh(ballots)
+        self.n += total
 
     def top_counts(self) -> tuple[tuple[int, ...], ...]:
         """Row x, entry l-1: the ballots ranking x within their top l positions."""
@@ -401,6 +495,15 @@ class BucklinTally:
 class PairwiseTally:
     """Pairwise family: ``above[x][y]`` ballots rank x above y."""
 
+    @staticmethod
+    def counts_columns(d: int, m: int) -> bool:
+        """Whether d distinct rankings of m candidates are counted
+        column-wise. A block costs about m^3 bitset operations against
+        add's m(m-1)/2 updates per ballot; the column-wise count measured
+        faster from d = 8m (2-5x there), and 5.5x at d = 4,700 and m = 8.
+        Above m = 128 a block's bitsets would pass 5 MB."""
+        return d >= 8 * m and m <= 128
+
     def __init__(self, m: int):
         self.m = m
         self.above = [[0] * m for _ in range(m)]
@@ -412,6 +515,25 @@ class PairwiseTally:
             row = above[x]
             for y in order[i + 1:]:
                 row[y] += k
+
+    def add_block(self, column, weigh, total: int) -> None:
+        # x is above y on the ballots that rank x at some position i and y
+        # after i: the OR over i of column(i)[x] AND (y after i)
+        above, m = self.above, self.m
+        at = [column(pos) for pos in range(m)]
+        for y in range(1, m):
+            after, later = [], 0
+            for pos in range(m - 1, 0, -1):
+                later |= at[pos][y]
+                after.append(later)
+            after.reverse()  # after[i]: y ranked after position i
+            for x in range(y):
+                ballots = 0
+                for pos, later in enumerate(after):
+                    ballots |= at[pos][x] & later
+                k = weigh(ballots)
+                above[x][y] += k
+                above[y][x] += total - k
 
     def net(self) -> tuple[tuple[int, ...], ...]:
         """Pairwise margins: ``above[x][y] - above[y][x]``."""
@@ -473,8 +595,9 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     ``m``-candidate ballots, which are rankings when ``ranked`` and approval
     ballots otherwise. Raises InputError when the rule does not fit them:
     this is the one check of a rule against an election, behind winner sets,
-    bounds, the exact search and the estimators, and the one place where
-    ballots enter a tally.
+    bounds, the exact search and the estimators. The ballots enter through
+    `_add_votes`, column-wise for a long list of rankings and one pair at a
+    time otherwise; the exact search then steps the tally with add.
 
     A score vector is scaled here, once, to integer weights over a common
     denominator ``unit``: ``alphas[i] == Fraction(weights[i], unit)``."""
@@ -502,10 +625,27 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
         tally = MaximinTally(m)
     else:
         tally = CopelandTally(m, rule.alpha)
+    _add_votes(tally, m, votes, ranked)
+    return tally
+
+
+def _add_votes(tally, m: int, votes, ranked: bool) -> None:
+    """Add (ballot, count) pairs, a sized collection of ``m``-candidate
+    rankings when ``ranked`` and approval ballots otherwise, to a tally from
+    `rule_tally`: the one place where ballots enter a tally, for a profile
+    and for a sample alike. The path depends on the input alone: rankings
+    that the tally's counts_columns admits are counted column-wise by
+    `_column_blocks` and the tally's add_block; approval ballots and every
+    other list are added one pair at a time with the tally's add."""
+    if ranked and tally.counts_columns(len(votes), m):
+        orders = [ballot.order for ballot, _ in votes]
+        counts = list(map(operator.itemgetter(1), votes))
+        for column, weigh, total in _column_blocks(orders, counts, m):
+            tally.add_block(column, weigh, total)
+        return
     add = tally.add
     for ballot, count in votes:
         add(ballot.order if ranked else ballot.approved, count)
-    return tally
 
 
 # ---------------------------------------------------------------------------

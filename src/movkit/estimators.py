@@ -18,9 +18,11 @@ of candidates or the approval depth k.
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
 integer tally (`movkit.core.rule_tally`, the one check that the rule fits
-the ballots) and reads from it, with every count rescaled by n/ell, the
-margin statistic that `movkit.oracle.mov_bounds` reads on the full
-profile; the statistic stays in the tally's integers and builds exact
+the ballots), adding the drawn counts through `movkit.core._add_votes` as a
+profile's ballots are added (column-wise when the sample holds many
+distinct rankings). It reads from that tally, with every count rescaled by
+n/ell, the margin statistic that `movkit.oracle.mov_bounds` reads on the
+full profile; the statistic stays in the tally's integers and builds exact
 rationals only for the values it returns. Winner selection is exact, with
 ties broken by lowest candidate index; only sample-size and guarantee
 arithmetic uses floats.
@@ -45,6 +47,7 @@ from movkit.core import (
     RankedProfile,
     Rule,
     Scoring,
+    _add_votes,
     _check_k,
     _multinomial,
 )
@@ -253,15 +256,16 @@ def estimate_mov(
 
     The rule is checked against the ballots by `movkit.core.rule_tally`, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
-    delta are read or any vote is drawn.
+    delta are read or any vote is drawn. The drawn counts enter the tally
+    through `movkit.core._add_votes`, the path a profile's ballots take:
+    column-wise for many distinct rankings, one ballot at a time otherwise.
     """
     profile = source.profile
     m, n, ranked = profile.m, profile.n, isinstance(profile, RankedProfile)
     tally = _mov_tally(rule, m, (), ranked)
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
-    for ballot, count in source.draw_counts(ell, seed).items():
-        tally.add(ballot.order if ranked else ballot.approved, count)
+    _add_votes(tally, m, source.draw_counts(ell, seed).items(), ranked)
     upper, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
     c = guarantee_constant(rule, m)
     return MovEstimate(

@@ -246,6 +246,8 @@ class ExperimentConfig:
             raise InputError(f"trials must be positive, got {self.trials}")
         if (self.generator is None) == (self.profile is None):
             raise InputError("exactly one of generator and profile is required")
+        if not isinstance(self.policy, OraclePolicy):
+            raise InputError(f"unknown oracle policy: {self.policy!r}")
         if isinstance(self.policy, ClosedFormPolicy):
             head = self.rule_spec.strip().split(":")[0].lower()
             if head not in ("kapproval", "approval", "plurality"):
@@ -287,10 +289,9 @@ def _exact_reference(profile: Profile, rule: Rule, policy: OraclePolicy):
             return _gap_closed_form(profile, rule), None, None
         except TiedWinnersError:
             return None, None, None
-    if isinstance(policy, BoundsOnlyPolicy):
-        bounds = mov_bounds(profile, rule)
-        return None, bounds.lower, bounds.upper
-    raise InputError(f"unknown oracle policy: {policy!r}")
+    # BoundsOnlyPolicy, the last of the three that ExperimentConfig admits
+    bounds = mov_bounds(profile, rule)
+    return None, bounds.lower, bounds.upper
 
 
 def _judge(est: MovEstimate, n: int, mov_exact, lower, upper):

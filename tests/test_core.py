@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from movkit import core, estimators
 from movkit.core import (
     Approval,
     ApprovalBallot,
@@ -20,6 +21,9 @@ from movkit.core import (
     rule_tally,
     winner_set,
 )
+from movkit.estimators import VoteSource, estimate_mov
+from movkit.generation import ImpartialCulture, generate
+from movkit.oracle import mov_brute_force
 
 F = Fraction
 HALF = F(1, 2)
@@ -294,3 +298,69 @@ def test_copeland_alpha_bounds():
         Copeland(F(3, 2))
     with pytest.raises(InputError):
         Copeland(F(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# column-wise and per-ballot counts
+#
+# A long list of distinct rankings enters a tally column-wise, and the exact
+# search and the estimators then read or step that tally; each case below
+# runs once as it is and once with every tally filled by this test's own
+# loop, one add per (ballot, count) pair, and must not tell the two apart.
+
+
+def _loop_votes(tally, m, votes, ranked):
+    for ballot, count in votes:
+        tally.add(ballot.order if ranked else ballot.approved, count)
+
+
+@pytest.fixture
+def per_ballot(monkeypatch):
+    """Calls a function with every tally filled one ballot at a time."""
+    def run(function, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_add_votes", _loop_votes)
+            patch.setattr(estimators, "_add_votes", _loop_votes)
+            return function(*args)
+    return run
+
+
+EXACT_CASES = [
+    (ImpartialCulture(n=400, m=5, seed=1), Maximin()),
+    (ImpartialCulture(n=400, m=5, seed=2), Maximin()),
+    (ImpartialCulture(n=400, m=5, seed=1), Copeland()),
+    (ImpartialCulture(n=1000, m=7, seed=1), Scoring(ScoreVector.borda(7))),
+    (ImpartialCulture(n=1000, m=7, seed=2), KApproval(2)),
+]
+
+
+@pytest.mark.parametrize("spec, rule", EXACT_CASES)
+def test_exact_search_steps_a_column_built_tally(spec, rule, per_ballot):
+    profile = generate(spec)
+    tally = rule_tally(rule, profile.m, profile.votes, True)
+    assert tally.counts_columns(len(profile.votes), profile.m)
+    result = mov_brute_force(profile, rule)
+    assert result == per_ballot(mov_brute_force, profile, rule)
+    assert result.value is not None and result.evaluations > 0
+
+
+@pytest.mark.parametrize("rule", [Scoring(ScoreVector.borda(8)), KApproval(3), Bucklin(),
+                                  Maximin(), Copeland(F(1, 3))])
+def test_estimate_counts_a_large_sample_column_wise(rule, per_ballot):
+    source = VoteSource(generate(ImpartialCulture(n=5000, m=8, seed=3)))
+    drawn = source.draw_counts(4000, 11)
+    assert rule_tally(rule, 8, (), True).counts_columns(len(drawn), 8)
+    estimate = estimate_mov(source, rule, F(1, 10), F(1, 20), 11, ell=4000)
+    assert repr(estimate) == repr(per_ballot(estimate_mov, source, rule, F(1, 10), F(1, 20),
+                                             11, 4000))
+
+
+@pytest.mark.parametrize("rule", [Scoring(ScoreVector.borda(300)), Maximin()])
+def test_many_candidates_take_the_per_ballot_loop(rule, per_ballot):
+    # 520 distinct rankings: a column-wise count for every family at m = 16;
+    # candidate 299 does not fit in a byte, so m = 300 must take the loop
+    profile = generate(ImpartialCulture(n=520, m=300, seed=5))
+    assert len(profile.votes) == 520
+    assert not rule_tally(rule, 300, (), True).counts_columns(520, 300)
+    assert winner_set(profile, rule) == per_ballot(winner_set, profile, rule)
+

@@ -175,12 +175,11 @@ def test_run_experiment_bounds_policy_populates_interval():
 
 def test_run_experiment_rejects_an_unknown_policy():
     policy = object()
-    config = ExperimentConfig(
-        rule_spec="plurality", epsilon=F(1, 10), delta=F(1, 20), trials=1,
-        base_seed=0, policy=policy, generator="ic:n=5,m=3",
-    )
     with pytest.raises(InputError) as info:
-        run_experiment(config)
+        ExperimentConfig(
+            rule_spec="plurality", epsilon=F(1, 10), delta=F(1, 20), trials=1,
+            base_seed=0, policy=policy, generator="ic:n=5,m=3",
+        )
     assert str(info.value) == f"unknown oracle policy: {policy!r}"
 
 

@@ -1,5 +1,6 @@
-"""Property tests: the integer tallies and the estimators built on them
-against plain references, the type-level exact search against an
+"""Property tests: the integer tallies, counted ballot by ballot and
+column-wise, and the estimators built on them against plain references,
+the type-level exact search against an
 index-level one and the pruned search against the unpruned one,
 candidate-token resolution in the parser, and profile
 construction (counted generation, the constructor's merge and errors, the
@@ -8,6 +9,7 @@ whole-file passes against its line loop on scrambled and faulty text)."""
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -20,10 +22,13 @@ from movkit.core import (
     ApprovalBallot,
     ApprovalProfile,
     Bucklin,
+    BucklinTally,
     Copeland,
     InputError,
     KApproval,
     Maximin,
+    PairwiseTally,
+    PositionalTally,
     RankedProfile,
     Ranking,
     ScoreVector,
@@ -342,6 +347,69 @@ def test_family_tallies_match_reference(case, alpha):
     leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1) if 2 * counts[w][lv] > n
              for x in range(m) if x != w and 2 * counts[x][lv] <= n]
     assert mov_bounds(ranked, Bucklin()).upper == min([*leads, n])
+
+
+# A tally counts a long list of distinct rankings column-wise and a short one
+# ballot by ballot (`movkit.core._add_votes`): the pairwise family from 8m
+# distinct ballots on, the positional and Bucklin families from 512. These
+# profiles of up to 9 candidates fall on both sides of each switch and
+# exactly at it, with counts up to 10^12, whose bits span five bytes.
+COLUMN_SWITCHES = (512,) + tuple(8 * m for m in range(2, 10))
+
+
+def _ranking(index, m):
+    """The index-th permutation of range(m) in lexicographic order."""
+    rest, order = list(range(m)), []
+    for k in range(m - 1, -1, -1):
+        pos, index = divmod(index, math.factorial(k))
+        order.append(rest.pop(pos))
+    return tuple(order)
+
+
+def _column_profile(m, d, seed, top):
+    """d distinct rankings of m candidates, each counted 1..top times."""
+    rng = random.Random(seed)
+    indices = rng.sample(range(math.factorial(m)), d)
+    return RankedProfile(m, [(_ranking(i, m), rng.randint(1, top)) for i in indices])
+
+
+@st.composite
+def column_cases(draw):
+    m = draw(st.integers(2, 9))
+    d = draw(st.one_of(st.integers(1, 2 * max(COLUMN_SWITCHES)), st.sampled_from(COLUMN_SWITCHES))
+             .filter(lambda d: d <= math.factorial(m)))
+    top = draw(st.sampled_from([1, 3, 255, 256, 10**12]))
+    profile = _column_profile(m, d, draw(st.integers(0, 2**32)), top)
+    entries = draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=m, max_size=m,
+    ).map(lambda xs: sorted(xs, reverse=True)).filter(lambda xs: xs[0] > xs[-1]))
+    return profile, ScoreVector(tuple(entries)), draw(st.integers(1, m - 1))
+
+
+@PROPERTY_SETTINGS
+@given(column_cases())
+@example((_column_profile(9, 512, 1, 10**12), ScoreVector.borda(9), 3))
+@example((_column_profile(9, 511, 2, 3), ScoreVector.borda(9), 1))
+@example((_column_profile(8, 64, 3, 10**12), ScoreVector.borda(8), 7))
+@example((_column_profile(8, 63, 4, 256), ScoreVector.borda(8), 2))
+def test_column_counts_match_reference(case):
+    profile, vector, k = case
+    m, votes, n = profile.m, profile.votes, profile.n
+    bucklin = rule_tally(Bucklin(), m, votes, True)
+    assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
+    net = _ref_pairwise(votes, m)
+    assert rule_tally(Maximin(), m, votes, True).above == [
+        [0 if x == y else (n + net[x][y]) // 2 for y in range(m)] for x in range(m)]
+    assert rule_tally(Scoring(vector), m, votes, True).scores() == _ref_scores(votes, vector.alphas)
+    assert rule_tally(KApproval(k), m, votes, True).scores() == \
+        _ref_scores(votes, [1] * k + [0] * (m - k))
+
+
+def test_column_switches_are_the_tallies_own():
+    for family in (PositionalTally, BucklinTally, PairwiseTally):
+        for m in range(2, 10):
+            first = next(d for d in itertools.count(1) if family.counts_columns(d, m))
+            assert first in COLUMN_SWITCHES
 
 
 @PROPERTY_SETTINGS
