@@ -17,11 +17,15 @@ ballot merge, their counts summed.
 
 The parser is the one check of a file's ballots, and hands the merged
 ballots to the profile without the constructor checking them again.
-Well-formed text is parsed in a few whole-file passes of C-level maps
-(counts, keys and the merge), and each distinct token outside the token
-table is resolved once. Any fault sends the text to the line loop, which
-only locates the first fault and names its line: it is the one reader of
-faulty text and the reference for the passes.
+Well-formed text is parsed in a few whole-text passes: the body lines
+joined by ':' split once into counts and ballots; rankings of
+single-character tokens are joined into one text, whose separators one
+slice comparison checks and whose tokens one translate resolves; longer
+tokens are split one ballot at a time, so no ballot's token list outlives
+its key. Each distinct token is resolved once, through the token table.
+Any fault sends the text to the line loop, which only locates the first
+fault and names its line: it is the one reader of faulty text and the
+reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -33,7 +37,7 @@ import io
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, filterfalse, repeat
-from operator import itemgetter, methodcaller
+from operator import contains, itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence, Union
 
 from movkit.core import (
@@ -108,9 +112,9 @@ def parse_election(text: str) -> Profile:
 
 def _parse_bulk(text: str) -> Optional[Profile]:
     """The profile of well-formed text, or None on any fault, read in a few
-    passes of C-level maps over all ballot lines instead of one Python
-    iteration per line. The passes stream: no line's token list outlives
-    its key."""
+    whole-text passes instead of one Python iteration per line: the body
+    lines joined by ':' split once into counts and ballots, and the ballots
+    read by `_bulk_keys`."""
     lines = filter(None, map(str.strip, text.splitlines()))
     if "#" in text:
         lines = filterfalse(methodcaller("startswith", "#"), lines)
@@ -124,10 +128,17 @@ def _parse_bulk(text: str) -> Optional[Profile]:
             rest = first[len("candidates"):].strip()
             names = _validate_names((tok.strip() for tok in rest.split(",")), m)
             first = next(lines, "")
-        # A line without ':' (first is "" when no ballot line follows) leaves
-        # an empty ballot, which neither kind of key pass accepts.
-        counts, _, ballots = zip(*map(str.partition, chain((first,), lines), repeat(":")))
-        counts = list(map(str.strip, counts))
+        # first is "" when no ballot line follows. A ':' on every line and as
+        # many ':' as lines in all make one per line, so the joined lines
+        # split into count, ballot, count, ballot, ...
+        body = [first, *lines]
+        if not all(map(contains, body, repeat(":"))):
+            return None
+        fields = ":".join(body).split(":")
+        if len(fields) != 2 * len(body):
+            return None
+        counts, ballots = list(map(str.strip, fields[::2])), fields[1::2]
+        del body, fields  # not to hold the line text twice through the key pass
         digits = "".join(counts)
         if not (digits.isascii() and digits.isdigit()):
             return None
@@ -164,7 +175,13 @@ def _bulk_keys(ballots: Sequence[str], table: _Resolving, m: int):
     """(kind, keys): the profile class the first ballot names and the sort
     key of each ballot (the text after its count). A ballot of the other
     kind, or malformed, is a ValueError; an unknown token is the table's
-    ParseError."""
+    ParseError.
+
+    Rankings of single-character tokens are read as one text
+    (`_letter_codes`) and checked for repeats column-wise (`_ranks_all`).
+    Any other ranked text is split into tokens one ballot at a time, so no
+    ballot's token list outlives its key, and each key is checked for
+    repeats with a set."""
     get = table.__getitem__
     if ballots[0].strip().startswith("{"):
         ballots = list(map(str.strip, ballots))
@@ -176,6 +193,11 @@ def _bulk_keys(ballots: Sequence[str], table: _Resolving, m: int):
         if sum(map(len, map(set, keys))) != sum(map(len, keys)):
             raise ValueError("approval ballot lists a candidate twice")
         return ApprovalProfile, keys
+    codes = _letter_codes(ballots, table, m)
+    if codes is not None:
+        if not _ranks_all(codes, m):
+            raise ValueError("ranking with a repeat")
+        return RankedProfile, list(zip(*[iter(codes)] * m))
     # '{' is in no candidate token, so an approval ballot fails the ranked key
     # pass. A first token's leading blank is resolved once, like any miss.
     keys = list(map(tuple, map(map, repeat(get), map(str.split, ballots, repeat(">")))))
@@ -183,6 +205,51 @@ def _bulk_keys(ballots: Sequence[str], table: _Resolving, m: int):
     if set(map(len, keys)) != {m} or min(map(len, map(set, keys))) != m:
         raise ValueError("ranking of the wrong length or with a repeat")
     return RankedProfile, keys
+
+
+def _letter_codes(ballots: Sequence[str], table: _Resolving, m: int) -> Optional[bytes]:
+    """The candidate indices of rankings of m single-character tokens each
+    (default letters, one-digit indices, one-character names), m bytes per
+    ballot; None for any other text, which the token pass reads.
+
+    Without spaces, the ballots joined by ',' (and one after the last) hold
+    a token at every even place and, at every odd place, '>' within a
+    ballot and ',' after it: one slice comparison checks every ballot's
+    length and separators. Each distinct character is resolved once through
+    the table, by `_resolve`'s rules, and one translate resolves them all."""
+    if len(ballots[0].replace(" ", "")) != 2 * m - 1:  # spares longer tokens the join
+        return None
+    text = ",".join(chain(ballots, ("",))).replace(" ", "")
+    if not (len(text) == 2 * m * len(ballots) and text.isascii()
+            and text[1::2] == (">" * (m - 1) + ",") * len(ballots)):
+        return None
+    tokens = text[::2].encode()
+    index = bytearray(256)
+    try:
+        for char in set(tokens):
+            index[char] = table[chr(char)]
+    except ValueError:  # an unknown token, or an index that is no byte
+        return None
+    return tokens.translate(index)
+
+
+def _ranks_all(codes: bytes, m: int) -> bool:
+    """Whether every run of m indices in codes, each below m, lists m
+    distinct candidates, that is each of them. For each eight candidates,
+    one translate turns every index into its presence bit among the eight,
+    and the OR of the m position columns must be a full byte per ballot."""
+    ballots = len(codes) // m
+    for low in range(0, m, 8):
+        bits = bytearray(256)
+        for c in range(low, min(low + 8, m)):
+            bits[c] = 1 << (c - low)
+        present = codes.translate(bits)
+        seen = 0
+        for position in range(m):
+            seen |= int.from_bytes(present[position::m], "big")
+        if seen != int.from_bytes(bytes([sum(bits)]) * ballots, "big"):
+            return False
+    return True
 
 
 def _parse_lines(text: str) -> Profile:

@@ -290,10 +290,11 @@ def test_non_canonical_tokens_fall_back_to_the_resolver():
 
 
 def _written_profiles():
-    """Written files of every label form: default letters, declared names,
-    and index labels at m = 27 and 30, ranked and approval."""
+    """Written files of every label form: default letters, declared names
+    (one-character ones among them), and index labels at m = 27 and 30,
+    ranked and approval."""
     for m, names in [(3, None), (8, None), (26, None), (4, ["west", "n-1", "s.2", "_e"]),
-                     (3, ["2", "0", "1"]), (27, None), (30, None)]:
+                     (3, ["2", "0", "1"]), (3, ["x", "y", "z"]), (27, None), (30, None)]:
         ranked = generate(ImpartialCulture(n=60, m=m, seed=m))
         ranked = RankedProfile(m, ranked.votes, names)
         yield ranked
@@ -308,3 +309,17 @@ def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
     monkeypatch.setattr(io_formats, "_parse_lines", no_loop)
     for profile in _written_profiles():
         assert parse_election(write_election(profile)) == profile
+
+
+def test_multi_character_tokens_are_read_one_ballot_at_a_time():
+    # index labels at m = 30 are split one ballot at a time; a flat list of
+    # every token in the file would peak far above six times the text
+    text = write_election(generate(ImpartialCulture(n=20_000, m=30, seed=1)))
+    tracemalloc.start()
+    try:
+        profile = parse_election(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.m == 30 and profile.n == 20_000
+    assert peak <= 6 * len(text)

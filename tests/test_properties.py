@@ -932,5 +932,17 @@ def mutated_elections(draw):
 @example("m 2\ncandidates x,y\ncandidates x,y\n1: x>y\n")
 @example("m 2\n1: a>b\nm 2\n")
 @example("m 30\n1: {0,29,00}\n")
+@example("m 3\n1: 0>1>2>1\n0: 2>1\n")
+@example("m 3\n1: a>b>c>a\n1: b>c\n")
+@example("m 3\n1: ab>>c\n")
+@example("m 3\n1: a b>c\n")
+@example("m 3\n1:  a > b >c \n")
+@example("m 3\n1: a\t>b>c\n")
+@example("m 3\n1: a>b>c\n2: a:b>c\n")
+@example("m 2\n2: a>b:1\nb>a\n")
+@example("m 2\ncandidates 1,0\n3: 0>1\n1: 1>0\n")
+@example("m 2\ncandidates é,b\n1: é>b\n")
+@example("m 2\n1: a>\x01\n")
+@example("m 11\n1: a>b>c>d>e>f>g>h>i>j>10\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
