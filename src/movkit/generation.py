@@ -102,20 +102,12 @@ GenSpec = Union[ImpartialCulture, PlantedGap, TwoCandidate]
 def _planted_counts(spec: PlantedGap) -> list[int]:
     """First-place counts per candidate realizing the exact plurality gap."""
     n, m, g = spec.n, spec.m, spec.gap
-    if m == 2:
-        if (n + g) % 2 != 0:
-            raise InputError(
-                f"gap {g} is unachievable with n={n} and m=2 (parity)"
-            )
-        top = (n + g) // 2
-        counts = [0, 0]
-        counts[spec.winner] = top
-        counts[1 - spec.winner] = n - top
-        return counts
     base = -((g - n) // m)  # ceil((n - g) / m)
     rest = n - 2 * base - g
+    # at m = 2, rest is -1 exactly when n - g is odd, and 0 otherwise
     if rest < 0 or rest > (m - 2) * base:
-        raise InputError(f"gap {g} is unachievable with n={n} and m={m}")
+        parity = " (parity)" if m == 2 else ""
+        raise InputError(f"gap {g} is unachievable with n={n} and m={m}{parity}")
     others = [c for c in range(m) if c != spec.winner]
     counts = [0] * m
     counts[spec.winner] = base + g
@@ -151,20 +143,20 @@ def _impartial_orders(rng: random.Random, prefix: tuple, rest: tuple, count: int
 
 def generate(spec: GenSpec) -> RankedProfile:
     """Build the ranked profile a generation model describes."""
-    if isinstance(spec, ImpartialCulture):
-        m, orders = spec.m, Counter()
-        _impartial_orders(random.Random(spec.seed), (), tuple(range(m)), spec.n, orders)
-    elif isinstance(spec, PlantedGap):
-        m = spec.m
-        orders = {(top,) + tuple(c for c in range(m) if c != top): k
-                  for top, k in enumerate(_planted_counts(spec)) if k}
-    elif isinstance(spec, TwoCandidate):
-        m, a = 2, spec.top_count
-        orders = {order: k for order, k in (((0, 1), a), ((1, 0), spec.n - a)) if k}
-    else:
-        raise InputError(f"unknown generation model: {spec!r}")
     # every order is a permutation of range(m) and every count is positive,
     # so the counts are checked keys
+    if isinstance(spec, ImpartialCulture):
+        orders = Counter()
+        _impartial_orders(random.Random(spec.seed), (), tuple(range(spec.m)), spec.n, orders)
+        return RankedProfile._from_canonical(spec.m, orders, None)
+    if isinstance(spec, PlantedGap):
+        m, tops = spec.m, _planted_counts(spec)
+    elif isinstance(spec, TwoCandidate):
+        m, tops = 2, [spec.top_count, spec.n - spec.top_count]
+    else:
+        raise InputError(f"unknown generation model: {spec!r}")
+    # each candidate's first places, the rest ranked in ascending order
+    orders = {(top, *(c for c in range(m) if c != top)): k for top, k in enumerate(tops) if k}
     return RankedProfile._from_canonical(m, orders, None)
 
 

@@ -22,10 +22,10 @@ joined by ':' split once into counts and ballots; rankings of
 single-character tokens are joined into one text, whose separators one
 slice comparison checks and whose tokens one translate resolves; longer
 tokens are split one ballot at a time, so no ballot's token list outlives
-its key. Each distinct token is resolved once, through the token table.
-Any fault sends the text to the line loop, which only locates the first
-fault and names its line: it is the one reader of faulty text and the
-reference for the passes.
+its key. Both readers resolve tokens through one token table, which
+resolves each distinct token once. Any fault sends the text to the line
+loop, which only locates the first fault and names its line: it is the one
+reader of faulty text and the reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -61,35 +61,41 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _token_table(names: Optional[Sequence[str]], m: int) -> dict[str, int]:
-    """Candidate index of the declared names, or else (m <= 26) of the
-    default letters. Integer tokens enter on first use, through `_resolve`,
-    so declared names win over integer literals, which win over letters."""
-    if names is not None:
-        return {name: c for c, name in enumerate(names)}
-    return {letter: c for c, letter in enumerate(_DEFAULT_NAMES[:m])} if m <= 26 else {}
+class _TokenTable(dict):
+    """The candidate index of each token, the one token rule of both readers.
 
+    It starts from the declared names, or else (m <= 26) the default
+    letters, so declared names win over integer literals. A miss is
+    resolved on first use and remembered under the token as given: a name
+    or letter of the table, padded or not, or an integer index, which may
+    be written with non-canonical digits such as ``01``. Index labels are
+    not preloaded, so a table holds only the tokens a file uses, whatever
+    m is. An empty, out-of-range or unknown token is a ParseError on the
+    caller's ``line``: 0 in the whole-file passes, which discard it."""
 
-def _resolve(token: str, table: dict[str, int], m: int, line: int) -> int:
-    """The candidate of a token, remembered in the table under the token as
-    given: a name or letter of the table, padded or not, or an integer
-    index, which may be written with non-canonical digits such as ``01``.
-    An empty, out-of-range or unknown token is a ParseError."""
-    name = token.strip()
-    if not name:
-        raise ParseError("empty candidate token", line)
-    index = table.get(name)
-    if index is None:
-        # ASCII digits only: str.isdigit also accepts '²', which int() rejects
-        if not (name.isascii() and name.isdigit()):
-            raise ParseError(f"unknown candidate {name!r}", line)
-        digits = name.lstrip("0") or "0"
-        # more digits than m has is out of range, and may be more than int() reads
-        if len(digits) > len(str(m)) or int(digits) >= m:
-            raise ParseError(f"candidate index {digits} out of range for m={m}", line)
-        index = int(digits)
-    table[token] = index
-    return index
+    def __init__(self, names: Optional[Sequence[str]], m: int):
+        if names is not None:
+            super().__init__(zip(names, range(m)))
+        elif m <= 26:
+            super().__init__(zip(_DEFAULT_NAMES, range(m)))
+        self.m, self.line = m, 0
+
+    def __missing__(self, token: str) -> int:
+        name, m = token.strip(), self.m
+        if not name:
+            raise ParseError("empty candidate token", self.line)
+        index = self.get(name)
+        if index is None:
+            # ASCII digits only: str.isdigit also accepts '²', which int() rejects
+            if not (name.isascii() and name.isdigit()):
+                raise ParseError(f"unknown candidate {name!r}", self.line)
+            digits = name.lstrip("0") or "0"
+            # more digits than m has is out of range, and may be more than int() reads
+            if len(digits) > len(str(m)) or int(digits) >= m:
+                raise ParseError(f"candidate index {digits} out of range for m={m}", self.line)
+            index = int(digits)
+        self[token] = index
+        return index
 
 
 def _positive(text: str) -> int:
@@ -146,7 +152,7 @@ def _parse_bulk(text: str) -> Optional[Profile]:
         counts = list(map(int, counts))
         if 0 in counts:
             return None
-        kind, keys = _bulk_keys(ballots, _Resolving(names, m), m)
+        kind, keys = _bulk_keys(ballots, _TokenTable(names, m), m)
     except ValueError:  # so are a ParseError and an InputError
         return None
     del ballots  # the line text is not needed to build the profile
@@ -158,20 +164,7 @@ def _parse_bulk(text: str) -> Optional[Profile]:
     return kind._from_canonical(m, merged, names)
 
 
-class _Resolving(dict):
-    """`_token_table` of the names, whose misses `_resolve` resolves and
-    remembers, so each distinct token is resolved once. An unresolvable
-    token is a ParseError without its line, which the line loop names."""
-
-    def __init__(self, names: Optional[Sequence[str]], m: int):
-        super().__init__(_token_table(names, m))
-        self.m = m
-
-    def __missing__(self, token: str) -> int:
-        return _resolve(token, self, self.m, 0)
-
-
-def _bulk_keys(ballots: Sequence[str], table: _Resolving, m: int):
+def _bulk_keys(ballots: Sequence[str], table: _TokenTable, m: int):
     """(kind, keys): the profile class the first ballot names and the sort
     key of each ballot (the text after its count). A ballot of the other
     kind, or malformed, is a ValueError; an unknown token is the table's
@@ -207,7 +200,7 @@ def _bulk_keys(ballots: Sequence[str], table: _Resolving, m: int):
     return RankedProfile, keys
 
 
-def _letter_codes(ballots: Sequence[str], table: _Resolving, m: int) -> Optional[bytes]:
+def _letter_codes(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional[bytes]:
     """The candidate indices of rankings of m single-character tokens each
     (default letters, one-digit indices, one-character names), m bytes per
     ballot; None for any other text, which the token pass reads.
@@ -216,7 +209,7 @@ def _letter_codes(ballots: Sequence[str], table: _Resolving, m: int) -> Optional
     a token at every even place and, at every odd place, '>' within a
     ballot and ',' after it: one slice comparison checks every ballot's
     length and separators. Each distinct character is resolved once through
-    the table, by `_resolve`'s rules, and one translate resolves them all."""
+    the table, and one translate resolves them all."""
     if len(ballots[0].replace(" ", "")) != 2 * m - 1:  # spares longer tokens the join
         return None
     text = ",".join(chain(ballots, ("",))).replace(" ", "")
@@ -254,7 +247,8 @@ def _ranks_all(codes: bytes, m: int) -> bool:
 
 def _parse_lines(text: str) -> Profile:
     """Parse election text line by line: the one reader that names the
-    first faulty line, and the reference the whole-file passes match."""
+    first faulty line, and the reference the whole-file passes match. Both
+    resolve tokens through one `_TokenTable`, here told each line's number."""
     m = 0
     names: Optional[tuple[str, ...]] = None
     kind: Optional[type[Profile]] = None  # set by the first ballot line
@@ -269,7 +263,7 @@ def _parse_lines(text: str) -> Profile:
             if m < 1:
                 raise ParseError("first line must be 'm <count>' with a positive count", number)
             last_header = number
-            table = _token_table(names, m)
+            table = _TokenTable(names, m)
             continue
         if kind is None and names is None and line.startswith("candidates"):
             rest = line[len("candidates"):].strip()
@@ -277,7 +271,7 @@ def _parse_lines(text: str) -> Profile:
                 names = _validate_names((tok.strip() for tok in rest.split(",")), m)
             except InputError as exc:
                 raise ParseError(str(exc), number) from exc
-            table, last_header = _token_table(names, m), number
+            table, last_header = _TokenTable(names, m), number
             continue
         count_part, sep, ballot_part = line.partition(":")
         if not sep:
@@ -287,6 +281,7 @@ def _parse_lines(text: str) -> Profile:
         if count < 1:
             raise ParseError(f"count must be a positive integer, got {count_part!r}", number)
         ballot_part = ballot_part.strip()
+        table.line = number
         if ballot_part.startswith("{"):
             if kind is RankedProfile:
                 raise ParseError("approval ballot in a ranked file", number)
@@ -297,7 +292,7 @@ def _parse_lines(text: str) -> Profile:
             members: set[int] = set()
             if inner:
                 for token in inner.split(","):
-                    cand = _resolve(token, table, m, number)
+                    cand = table[token]
                     if cand in members:
                         raise ParseError(f"candidate {token.strip()!r} listed twice", number)
                     members.add(cand)
@@ -309,7 +304,7 @@ def _parse_lines(text: str) -> Profile:
             tokens = ballot_part.split(">")
             if len(tokens) != m:
                 raise ParseError(f"ranking must list all {m} candidates", number)
-            key = tuple(_resolve(token, table, m, number) for token in tokens)
+            key = tuple(map(table.__getitem__, tokens))
             # all m indices lie in 0..m-1, so a repeat is the only fault left
             if len(set(key)) != m:
                 raise ParseError("ranking repeats a candidate", number)

@@ -373,10 +373,9 @@ def mov_approval_closed_form(profile: ApprovalProfile) -> int:
     return _gap_closed_form(profile, Approval())
 
 
-def _change_floor(rows, n: int) -> int:
-    """Lower-bound quantity for the Bucklin margin, read from the top-l count
-    rows of a Bucklin tally over n votes (`mov_bounds` reads them from the
-    tally).
+def _change_floor(tally) -> int:
+    """Lower-bound quantity for the Bucklin margin, read from the majority
+    levels and top-l count rows of a Bucklin tally.
 
     Any change of the winner set must (a) cost some winner its majority at
     the winning level, (b) lift a non-winner to a majority at the winning
@@ -385,9 +384,7 @@ def _change_floor(rows, n: int) -> int:
     changed vote moves each count by at most one, so the margin is at least
     the cheapest of these events; with m >= 2 one of them always exists.
     """
-    m, half = len(rows), n // 2
-    # a row is nondecreasing, so its first majority (count > half) is a bisection
-    levels = list(map(bisect.bisect_right, rows, itertools.repeat(half)))
+    m, half, rows, levels = tally.m, tally.n // 2, tally.top_counts(), tally.levels()
     best = min(levels)  # the winning level, 0-based
     winners = {c for c, level in enumerate(levels) if level == best}
     costs = [  # (c): an earlier majority
@@ -490,12 +487,12 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
     scores = margins = None
     if isinstance(rule, Bucklin):
         # a scaled majority scale*count > n/2 is the tally's own 2*count > ell
-        mask, rows = tally.winner_mask(), tally.top_counts()
-        w = (mask & -mask).bit_length() - 1
+        levels, rows, last = tally.levels(), tally.top_counts(), tally.m - 1
+        w = levels.index(min(levels))
+        # each row's levels before the last where w holds a majority and its candidate not
         lead = min((
             rows[w][level] - row[level]
-            for level in range(tally.m - 1) if 2 * rows[w][level] > tally.n
-            for x, row in enumerate(rows) if x != w and 2 * row[level] <= tally.n
+            for row, first in zip(rows, levels) for level in range(levels[w], min(first, last))
         ), default=None)
         if sampled:
             scores = {x: tuple(Fraction(num * c, den) for c in row) for x, row in enumerate(rows)}
@@ -557,7 +554,7 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     if isinstance(rule, Scoring):
         lower, upper, source = upper / 2, upper + 1, "positional score gap"
     elif isinstance(rule, Bucklin):
-        lower, upper = _change_floor(tally.top_counts(), profile.n), upper or profile.n
+        lower, upper = _change_floor(tally), upper or profile.n
         source = "majority level analysis"
     elif upper == 0:
         lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1

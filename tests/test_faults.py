@@ -23,6 +23,7 @@ from movkit.core import (
     KApproval,
     RankedProfile,
     Ranking,
+    Rule,
     ScoreVector,
     Scoring,
     winner_set,
@@ -31,13 +32,16 @@ from movkit.estimators import (
     VoteSource,
     estimate_kapproval,
     estimate_mov,
+    guarantee_constant,
     lower_bound_samples,
     sample_size,
 )
-from movkit.experiments import resolve_rule, run_distinguisher
-from movkit.io_formats import write_election
+from movkit.experiments import resolve_rule, rule_to_spec, run_distinguisher
+from movkit.generation import PlantedGap, generate, ranked_to_approval
+from movkit.io_formats import ParseError, parse_election, write_election
 from movkit.oracle import (
     apply_changes,
+    copeland_log_factor,
     mov_approval_closed_form,
     mov_bounds,
     mov_brute_force,
@@ -298,6 +302,12 @@ def test_vote_source_needs_a_profile(raw):
     assert str(info.value) == f"vote source needs a profile, got {type(raw).__name__}"
 
 
+# a bare Rule is no rule family; its repr holds its address
+BARE_RULE = Rule()
+UNKNOWN_RULE = f"unknown rule: {BARE_RULE!r}"
+PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: resolve_rule("scoring:1,x", 2),
      "scoring needs comma-separated rationals, got 'scoring:1,x'"),
@@ -310,9 +320,36 @@ def test_vote_source_needs_a_profile(raw):
     (lambda: lower_bound_samples(1, EPS, DELTA), "c must lie in [0, 1), got 1"),
     (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, c=1), "c must lie in [0, 1), got 1"),
     (lambda: run_distinguisher(EPS / 2, DELTA, 0, 0), "trials must be positive, got 0"),
+    (lambda: ranked_to_approval(RANKED, "half"),
+     'k must be an integer or "uniform", got \'half\''),
+    (lambda: winner_set(RANKED, BARE_RULE), UNKNOWN_RULE),
+    (lambda: guarantee_constant(BARE_RULE, 3), UNKNOWN_RULE),
+    (lambda: rule_to_spec(BARE_RULE), UNKNOWN_RULE),
+    (lambda: copeland_log_factor(1), "needs at least two candidates"),
+    (lambda: generate(PlantedGap(winner=0, gap=3, n=10, m=2)), PARITY),
+    (lambda: generate(PlantedGap(winner=0, gap=1, n=2, m=3)),
+     "gap 1 is unachievable with n=2 and m=3"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
-        "rule-kind", "lower-bound-c", "distinguisher-c", "distinguisher-trials"])
+        "rule-kind", "lower-bound-c", "distinguisher-c", "distinguisher-trials",
+        "approval-depth", "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
+        "copeland-one-candidate", "planted-parity", "planted-too-few-votes"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["m 3\n1: a>>c\n", "m 3\n1: {a,,c}\n"],
+                         ids=["ranked", "approval"])
+def test_an_empty_candidate_token_names_its_line(text):
+    with pytest.raises(ParseError) as info:
+        parse_election(text)
+    assert type(info.value) is ParseError
+    assert (str(info.value), info.value.line) == ("line 2: empty candidate token", 2)
+
+
+def test_an_unachievable_planted_gap_on_the_command_line():
+    result = CliRunner().invoke(
+        main, ["generate", "--model", "plantedgap", "--n", "10", "--m", "2", "--gap", "3"])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Error: {PARITY}\n"), result.output
