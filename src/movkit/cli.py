@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import click
 
-from movkit.core import InputError, winner_set
+from movkit.core import InputError, RankedProfile, _entries, winner_set
 from movkit.estimators import (
     VoteSource,
     estimate_mov,
@@ -143,13 +143,17 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
             click.echo(f"MoV exceeds budget {result.budget}")
             return
         click.echo(f"MoV = {result.value}")
-        # the original of each vote index, found without expanding all n votes
-        ends = list(itertools.accumulate(mult for _, mult in profile.votes))
+        # the original of each vote index, read from the store without
+        # expanding all n votes
+        ranked = isinstance(profile, RankedProfile)
+        ends = list(itertools.accumulate(profile.counts))
+        originals = list(_entries(profile.rows, profile.m, ranked))
         for index, ballot in result.witness:
-            original = profile.votes[bisect.bisect_right(ends, index)][0]
+            original = originals[bisect.bisect_right(ends, index)]
+            new = ballot.order if ranked else sorted(ballot.approved)
             click.echo(
-                f"  change vote {index}: {_format_ballot(original, labels)}"
-                f" -> {_format_ballot(ballot, labels)}"
+                f"  change vote {index}: {_format_ballot(original, ranked, labels)}"
+                f" -> {_format_ballot(new, ranked, labels)}"
             )
     elif mode == "bounds":
         bounds = mov_bounds(profile, rule)

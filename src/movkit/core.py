@@ -1,19 +1,23 @@
 """Ballots, profiles, voting rules, and winner determination.
 
-Candidates are integers ``0..m-1``. One `Profile` base stores a multiset of
-distinct ballots with positive multiplicities; `RankedProfile` and
-`ApprovalProfile` only check a ballot and give its sort key (the order, or
-the ascending approved candidates). Votes are merged and sorted on those
-plain tuples, and each ballot is built back from its key, so equal multisets
-compare equal and have equal reprs. Each rule family has one
+Candidates are integers ``0..m-1``. A `Profile` is a packed store of
+distinct ballots with positive multiplicities: its d ballots in canonical
+order as one packed array of d*m candidate indices (rankings) or one m-bit
+mask each (approval ballots), plus a tuple of d counts, built by one
+function, `_store`, from merged keys that sort as the ballots' order
+tuples or ascending members do. `RankedProfile` and `ApprovalProfile` only
+check a ballot and give its key. Equal multisets have equal stores, so they
+compare equal; the (ballot, count) pairs of ``votes`` are a view built on
+first use, and give the repr and the hash. Each rule family has one
 integer tally (positional, approval, Bucklin position counts, pairwise
 ``above`` counts), shared by winner determination, the exact search and
-the sampling estimators. `rule_tally` builds every tally and adds the
-ballots through `_add_votes`, as the estimators add their samples: a long
-list of distinct rankings is counted column-wise, from one bitset per
-candidate and position, and approval ballots, short lists and many
-candidates one ballot at a time; the exact search then steps a tally built
-either way with its add. A positional score vector is scaled once to
+the sampling estimators. A store enters a tally through `_add_votes`, a
+profile's and a sample's alike (a sample weighs the profile's own rows by
+its drawn counts): many distinct rankings are counted column-wise, from one
+bitset per candidate and position read off slices of the packed rows,
+few rankings and many candidates one ballot at a time, and approval masks
+one candidate at a time; the exact search then steps a tally built any of
+these ways with its add. A positional score vector is scaled once to
 integer weights over a common denominator, which the tally keeps, and the
 totals become exact `fractions.Fraction` scores once per candidate.
 Whenever a rule needs a single representative winner, the canonical
@@ -26,6 +30,7 @@ Bucklin (strict majority, more than half of the votes), maximin, and
 Copeland with tie parameter alpha.
 """
 
+import array
 import bisect
 import collections
 import functools
@@ -35,7 +40,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -106,62 +111,116 @@ def _validate_names(names, m):
     return names
 
 
-@dataclass(frozen=True)
+def _row_type(m: int) -> type:
+    """The type of a ranking's key over m candidates, which sorts as the
+    ranking's order tuple does: ``bytes`` while every index fits in a byte
+    (m <= 256), else ``tuple``. A store joins the sorted keys into its rows."""
+    return bytes if m <= 256 else tuple
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The ascending candidates of an approval mask."""
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def _store(m: int, counts: Mapping, ranked: bool) -> tuple:
+    """(rows, counts): the packed store of distinct ballot keys and their
+    counts, in key order. This is the one builder of every store: of each
+    profile, whatever made its keys, and of the ballots `rule_tally` is given.
+
+    A ranking's key is its order as `_row_type` (bytes up to m = 256), and
+    the ranked rows are the keys joined: ``bytes`` up to m = 256, above that
+    an ``array`` of a wider typecode, in which row i is the slice
+    [i*m, (i+1)*m). An approval ballot's key is its ascending members, and
+    its row one int whose bit c is set when it approves candidate c."""
+    keys = sorted(counts)
+    weights = tuple(map(counts.__getitem__, keys))
+    if not ranked:
+        return tuple(sum(1 << c for c in key) for key in keys), weights
+    if m <= 256:
+        return b"".join(keys), weights
+    return array.array("H" if m <= 1 << 16 else "L", itertools.chain.from_iterable(keys)), weights
+
+
+def _entries(rows, m: int, ranked: bool) -> Iterator[tuple[int, ...]]:
+    """Each ballot of a store, in order, as a tally adds it: a ranking's
+    order, read m indices at a time off the packed rows, or an approval
+    ballot's ascending members. Each is made as it is read."""
+    if not ranked:
+        return map(_members, rows)
+    return zip(*[iter(rows)] * m)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Profile:
     """A multiset of ballots over m candidates; `RankedProfile` or
     `ApprovalProfile`.
 
-    ``votes`` is canonicalised on construction: each ballot is checked once,
-    duplicates are merged and entries sorted by the ballot's sort key.
-    ``names`` optionally labels candidates for I/O.
+    A profile is a packed store (see `_store`): ``rows``, its d distinct
+    ballots in canonical order, the order of their sort keys, and
+    ``counts``, their d positive multiplicities. The constructor checks each
+    ballot once and merges duplicates; the parser and the generators, whose
+    keys are checked already, build the store from their merged keys with
+    `_from_canonical`. ``names`` optionally labels candidates for I/O.
+
+    ``votes`` is the public view of the store as (ballot, count) pairs,
+    built on first use and cached; no path of the package reads it. Equal
+    multisets have equal stores, so equality compares the stores, while the
+    repr and the hash are those of (m, votes, names).
     """
 
     m: int
-    votes: tuple[tuple[Ranking | ApprovalBallot, int], ...]
-    names: tuple[str, ...] | None = None
+    rows: bytes | array.array | tuple[int, ...]
+    counts: tuple[int, ...]
+    names: tuple[str, ...] | None
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, votes, names=None):
+        object.__setattr__(self, "m", m)
+        if m < 1:
             raise InputError("profile needs at least one candidate")
-        counts: dict[tuple, int] = {}
-        for ballot, mult in self.votes:
+        counts: dict = {}
+        for ballot, mult in votes:
             key = self._check_ballot(ballot)
             if not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
             counts[key] = counts.get(key, 0) + mult
         if not counts:
             raise InputError("profile must contain at least one vote")
-        self._set_votes(counts, _validate_names(self.names, self.m))
+        self._fill(counts, _validate_names(names, m))
 
     @classmethod
-    def _from_canonical(cls, m: int, counts: Mapping[tuple, int], names) -> "Profile":
-        """The profile of checked ballot sort keys and their merged positive
-        counts, with validated ``names`` or None: what the constructor's
-        checks and merge end in, without repeating them."""
+    def _from_canonical(cls, m: int, counts: Mapping, names) -> "Profile":
+        """The profile of checked ballot keys (see `_store`) and their merged
+        positive counts, with validated ``names`` or None: what the
+        constructor's checks and merge end in, without repeating them."""
         profile = object.__new__(cls)
         object.__setattr__(profile, "m", m)
-        profile._set_votes(counts, names)
+        profile._fill(counts, names)
         return profile
 
-    def _set_votes(self, counts: Mapping[tuple, int], names) -> None:
-        """The one body of every profile: the subclass's `_ballots` of the
-        keys, in key order."""
-        keys = sorted(counts)
-        votes = tuple(zip(self._ballots(keys), map(counts.__getitem__, keys)))
-        object.__setattr__(self, "votes", votes)
+    def _fill(self, counts: Mapping, names) -> None:
+        rows, counts = _store(self.m, counts, isinstance(self, RankedProfile))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "names", names)
 
-    def _check_ballot(self, ballot) -> tuple:
-        """The sort key of a ballot, coerced and checked against m. This is
-        the one check that a ballot belongs to the profile: anything else,
-        another kind's ballot included, is an InputError."""
+    def _check_ballot(self, ballot):
+        """The key of a ballot (see `_store`), coerced and checked against m.
+        This is the one check that a ballot belongs to the profile: anything
+        else, another kind's ballot included, is an InputError."""
         raise NotImplementedError
 
     @functools.cached_property
+    def votes(self) -> tuple[tuple[Ranking | ApprovalBallot, int], ...]:
+        """The (ballot, count) pairs in canonical order, built from the store
+        on first use (the cache is not part of the store)."""
+        return tuple(zip(self._ballots(), self.counts))
+
+    @functools.cached_property
     def n(self) -> int:
-        """The number of votes, summed once per profile (the cache is not a
-        field, so equality, repr and hash ignore it)."""
-        return sum(mult for _, mult in self.votes)
+        """The number of votes, summed once per profile (the cache is not
+        part of the store, so equality, repr and hash ignore it)."""
+        return sum(self.counts)
 
     def expand(self) -> list:
         """All n ballots individually, in canonical order (stable indexing)."""
@@ -170,13 +229,19 @@ class Profile:
             out.extend([ballot] * mult)
         return out
 
+    def __hash__(self):
+        return hash((self.m, self.votes, self.names))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(m={self.m!r}, votes={self.votes!r},"
+                f" names={self.names!r})")
+
 
 class RankedProfile(Profile):
     """A multiset of rankings, sorted by ballot order."""
 
-    @staticmethod
-    def _ballots(keys):
-        return _bare(Ranking.order, keys)
+    def _ballots(self):
+        return _bare(Ranking.order, list(_entries(self.rows, self.m, True)))
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, Ranking):
@@ -184,15 +249,15 @@ class RankedProfile(Profile):
         order = ballot.order
         if len(order) != self.m:
             raise InputError(f"ballot {order!r} does not rank all {self.m} candidates")
-        return order
+        return _row_type(self.m)(order)
 
 
 class ApprovalProfile(Profile):
     """A multiset of approval ballots, sorted by their ascending members."""
 
-    @staticmethod
-    def _ballots(keys):
-        return _bare(ApprovalBallot.approved, list(map(frozenset, keys)))
+    def _ballots(self):
+        members = _entries(self.rows, self.m, False)
+        return _bare(ApprovalBallot.approved, list(map(frozenset, members)))
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, ApprovalBallot):
@@ -308,55 +373,58 @@ class Copeland(Rule):
 # ---------------------------------------------------------------------------
 # tallies
 #
-# One integer tally per rule family. `rule_tally` builds every tally: it
-# checks the rule, makes the empty tally of the rule's own parameters, and
-# hands the (ballot, count) pairs to `_add_votes`, the one place where
-# ballots enter a tally (the estimators' sample enters there too). Where the
+# One integer tally per rule family. `_store_tally` checks the rule, makes
+# the empty tally of the rule's own parameters and hands it a store through
+# `_add_votes`, the one place where ballots enter a tally: a profile's store,
+# a sample's (the profile's rows weighed by the drawn counts) or the store
+# `rule_tally` packs from the (ballot, count) pairs it is given. Where the
 # family's counts_columns admits the number of distinct rankings and m, the
 # range where it measured faster, the rankings are counted column-wise, one
-# block of ballots at a time (`_column_blocks`, read by the tally's
-# add_block). Approval ballots and every other list are added one (ballot,
-# count) pair at a time. A tally takes add(raw, k), where ``raw`` is a
-# ranking's order tuple or an approval ballot's frozenset and a negative k
-# retracts, and reads out the rule's exact scores and its winner set as a
-# bitmask over candidates. The rule is fixed when the tally is built, so add
-# and winner_mask stay plain integer loops: the exact search steps a tally
-# built either way with them, one ballot at a time, millions of times.
+# block of rows at a time (`_column_blocks`, read by the tally's add_block).
+# Approval masks are counted one candidate at a time (the tally's
+# add_masks), and every other store one ballot at a time. A tally takes
+# add(raw, k), where ``raw`` is a ranking's order or an approval ballot's
+# members, each a tuple, and a negative k retracts, and reads out the
+# rule's exact scores and its winner set as a bitmask over candidates. The
+# rule is fixed when the tally is built, so add and winner_mask stay plain
+# integer loops: the exact search steps a tally built any of these ways
+# with them, one ballot at a time, millions of times.
 
 # Most ballots in a block of the column-wise count: a pairwise block holds
 # m * m bitsets of up to _BLOCK bits, 4.7 MB at m = 128.
 _BLOCK = 2048
 
 
-def _column_blocks(orders: Sequence[tuple[int, ...]], counts: Sequence[int], m: int):
-    """The column-wise count of rankings over at most 256 candidates (each
-    index fits in a byte), in equal blocks of at most `_BLOCK` ballots: a
-    bitmap index over (candidate, position), as in O'Neil and Quass,
-    "Improved query performance with variant indexes" (SIGMOD 1997). Each
-    block yields (column, weigh, total):
+def _column_blocks(rows: bytes, counts: Sequence[int], m: int):
+    """The column-wise count of a store's rankings over at most 256
+    candidates (``rows`` is bytes), in equal blocks of at most `_BLOCK`
+    ballots: a bitmap index over (candidate, position), as in O'Neil and
+    Quass, "Improved query performance with variant indexes" (SIGMOD 1997).
+    Each block yields (column, weigh, total):
 
     * ``column(i)[x]`` is the bitset of the block's ballots that rank x at
-      position i. Position i's entries are read into one ``bytes``, which
-      ``bytes.translate`` turns into binary digits, one string per bit of
-      the candidate index, read by ``int(digits, 2)``; ANDing those bitsets
-      or their complements splits the block into the m candidates' bitsets.
-      Only the positions a tally asks for are read.
+      position i. Position i's entries are the slice ``block[i::m]`` of the
+      packed rows, which ``bytes.translate`` turns into binary digits, one
+      string per bit of the candidate index, read by ``int(digits, 2)``;
+      ANDing those bitsets or their complements splits the block into the m
+      candidates' bitsets. Only the positions a tally asks for are read.
     * ``weigh(s)`` is the number of votes of the ballots in bitset s: each
       bit plane of the counts is a bitset in the same way, and
-      ``int.bit_count`` of s AND a plane is weighted by its power of two.
+      ``int.bit_count`` of s AND a plane is weighted by its power of two. A
+      ballot of count 0 is in no plane, so it weighs nothing.
     * ``total`` is the block's number of votes.
     """
     # digits[b] maps a byte to the binary digit of its bit b; built per call
     # rather than at import
     digits = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
     index_digits = digits[:(m - 1).bit_length()][::-1]  # highest bit first
-    size = -(-len(orders) // -(-len(orders) // _BLOCK))  # the least even split
-    for start in range(0, len(orders), size):
-        block, weights = orders[start:start + size], counts[start:start + size]
-        full = (1 << len(block)) - 1
+    size = -(-len(counts) // -(-len(counts) // _BLOCK))  # the least even split
+    for start in range(0, len(counts), size):
+        block, weights = rows[start * m:(start + size) * m], counts[start:start + size]
+        full = (1 << len(weights)) - 1
         top = max(weights).bit_length()
         width = (top + 7) // 8
-        if width == 1:
+        if width <= 1:
             count_bytes = bytes(weights)
         else:
             count_bytes = b"".join(
@@ -369,7 +437,7 @@ def _column_blocks(orders: Sequence[tuple[int, ...]], counts: Sequence[int], m: 
                 planes.append((shift, plane))
 
         def column(i, block=block, full=full):
-            entries = bytes(map(operator.itemgetter(i), block))
+            entries = block[i::m]
             cands = [full]
             for table in index_digits:
                 ones = int(entries.translate(table), 2)
@@ -441,6 +509,14 @@ class ApprovalTally(PositionalTally):
         raw = self.raw
         for cand in approved:
             raw[cand] += k
+
+    def add_masks(self, masks: Sequence[int], counts: Sequence[int]) -> None:
+        """Add approval ballots stored as masks, weighed by ``counts``, one
+        pass per candidate: candidate c gains the counts of the masks with
+        bit c set."""
+        raw = self.raw
+        for cand in range(len(raw)):
+            raw[cand] += sum(itertools.compress(counts, map((1 << cand).__and__, masks)))
 
 
 class BucklinTally:
@@ -602,12 +678,29 @@ class CopelandTally(PairwiseTally):
 
 def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     """The integer tally of ``rule`` over (ballot, count) pairs of
-    ``m``-candidate ballots, which are rankings when ``ranked`` and approval
-    ballots otherwise. Raises InputError when the rule does not fit them:
-    this is the one check of a rule against an election, behind winner sets,
-    bounds, the exact search and the estimators. The ballots enter through
-    `_add_votes`, column-wise for a long list of rankings and one pair at a
-    time otherwise; the exact search then steps the tally with add.
+    ``m``-candidate ballots, which are `Ranking`s when ``ranked`` and
+    `ApprovalBallot`s otherwise. Raises InputError when the rule does not
+    fit them (see `_store_tally`), before the pairs are read. The pairs are
+    packed into a store by `_store` and enter the tally through
+    `_add_votes`, as a profile's store does."""
+    tally = _store_tally(rule, m, (), (), ranked)
+    merged: dict = {}
+    row = _row_type(m)
+    for ballot, count in votes:
+        key = row(ballot.order) if ranked else tuple(sorted(ballot.approved))
+        merged[key] = merged.get(key, 0) + count
+    _add_votes(tally, m, *_store(m, merged, ranked), ranked)
+    return tally
+
+
+def _store_tally(rule: Rule, m: int, rows, counts: Sequence[int], ranked: bool):
+    """The integer tally of ``rule`` over a store of ``m``-candidate ballots
+    (see `_store`), rankings when ``ranked`` and approval ballots otherwise.
+    Raises InputError when the rule does not fit them: this is the one check
+    of a rule against an election, behind winner sets, bounds, the exact
+    search and the estimators, which check on an empty store before they
+    draw. The ballots enter through `_add_votes`; the exact search then
+    steps the tally with add.
 
     A score vector is scaled here, once, to integer weights over a common
     denominator ``unit``: ``alphas[i] == Fraction(weights[i], unit)``."""
@@ -635,27 +728,32 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
         tally = MaximinTally(m)
     else:
         tally = CopelandTally(m, rule.alpha)
-    _add_votes(tally, m, votes, ranked)
+    _add_votes(tally, m, rows, counts, ranked)
     return tally
 
 
-def _add_votes(tally, m: int, votes, ranked: bool) -> None:
-    """Add (ballot, count) pairs, a sized collection of ``m``-candidate
-    rankings when ``ranked`` and approval ballots otherwise, to a tally from
-    `rule_tally`: the one place where ballots enter a tally, for a profile
-    and for a sample alike. The path depends on the input alone: rankings
-    that the tally's counts_columns admits are counted column-wise by
-    `_column_blocks` and the tally's add_block; approval ballots and every
-    other list are added one pair at a time with the tally's add."""
-    if ranked and tally.counts_columns(len(votes), m):
-        orders = [ballot.order for ballot, _ in votes]
-        counts = list(map(operator.itemgetter(1), votes))
-        for column, weigh, total in _column_blocks(orders, counts, m):
+def _add_votes(tally, m: int, rows, counts: Sequence[int], ranked: bool) -> None:
+    """Add a store's ballots (``rows`` of ``m``-candidate rankings when
+    ``ranked``, else approval masks; see `_store`), weighed by ``counts``,
+    to a tally of `_store_tally`: the one place where ballots enter a
+    tally. A profile adds its own counts; a sample adds the profile's rows
+    weighed by its drawn counts, 0 for a ballot not drawn. The path depends
+    on the input alone: approval masks are counted one candidate at a time
+    by the tally's add_masks; where the tally's counts_columns admits the
+    number of rankings of nonzero count, they are counted column-wise by
+    `_column_blocks` and the tally's add_block; otherwise each ranking of
+    nonzero count is added with the tally's add, as its order (`_entries`)."""
+    if not ranked:
+        tally.add_masks(rows, counts)
+        return
+    if tally.counts_columns(len(counts) - counts.count(0), m):
+        for column, weigh, total in _column_blocks(rows, counts, m):
             tally.add_block(column, weigh, total)
         return
     add = tally.add
-    for ballot, count in votes:
-        add(ballot.order if ranked else ballot.approved, count)
+    for order, count in zip(_entries(rows, m, True), counts):
+        if count:
+            add(order, count)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +774,8 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     Approval rules require approval profiles and vice versa; every other
     rule requires a ranked profile. The winner set is never empty.
     """
-    tally = rule_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
+    tally = _store_tally(rule, profile.m, profile.rows, profile.counts,
+                         isinstance(profile, RankedProfile))
     mask = tally.winner_mask()
     return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
 

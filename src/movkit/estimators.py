@@ -17,23 +17,25 @@ of candidates or the approval depth k.
 
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
-integer tally (`movkit.core.rule_tally`, the one check that the rule fits
-the ballots), adding the drawn counts through `movkit.core._add_votes` as a
-profile's ballots are added (column-wise when the sample holds many
-distinct rankings). It reads from that tally, with every count rescaled by
-n/ell, the margin statistic that `movkit.oracle.mov_bounds` reads on the
-full profile; the statistic stays in the tally's integers and builds exact
-rationals only for the values it returns. Winner selection is exact, with
-ties broken by lowest candidate index; only sample-size and guarantee
-arithmetic uses floats.
+integer tally (checked as `movkit.core.rule_tally` checks it, the one check
+that the rule fits the ballots): the sample is the profile's own packed
+rows weighed by the drawn counts, added through `movkit.core._add_votes` as
+a profile's store is (column-wise when the sample holds many distinct
+rankings), so no ballot object is built or hashed for it. It reads from
+that tally, with every count rescaled by n/ell, the margin statistic that
+`movkit.oracle.mov_bounds` reads on the full profile; the statistic stays
+in the tally's integers and builds exact rationals only for the values it
+returns. Winner selection is exact, with ties broken by lowest candidate
+index; only sample-size and guarantee arithmetic uses floats.
 """
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from movkit.core import (
@@ -88,21 +90,21 @@ class VoteSource:
         if not isinstance(self.profile, Profile):
             raise InputError(f"vote source needs a profile, got {type(self.profile).__name__}")
 
-    def draw_counts(self, count: int, seed: int) -> Counter:
+    def draw_counts(self, count: int, seed: int) -> dict[int, int]:
         """How often each ballot occurs among ``count`` i.i.d. uniform draws
         (with replacement) of the n votes; deterministic per seed.
 
         The counts are one `movkit.core._multinomial` draw over the
         multiplicities in profile order: conditional binomials, the last
-        ballot taking what is left. Only ballots drawn at least once are keys,
-        in profile order. Cost: O(d) binomials for d distinct ballots, never
-        more than O(d + count).
+        ballot taking what is left. The result maps the position of each
+        ballot drawn at least once, its index in ``profile.votes``, to its
+        count, in ascending order; no ballot object is built. Cost: O(d)
+        binomials for d distinct ballots, never more than O(d + count).
         """
         if count < 1:
             raise InputError(f"draw count must be at least 1, got {count}")
-        votes = self.profile.votes
-        drawn = _multinomial(random.Random(seed), count, [w for _, w in votes])
-        return Counter({ballot: k for (ballot, _), k in zip(votes, drawn) if k})
+        drawn = _multinomial(random.Random(seed), count, self.profile.counts)
+        return dict(filter(itemgetter(1), enumerate(drawn)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +256,21 @@ def estimate_mov(
     `guarantee_constant`; the estimate is its projection onto [1, n], where
     the margin always lies, so the projection never increases its error.
 
-    The rule is checked against the ballots by `movkit.core.rule_tally`, with
+    The rule is checked against the ballots as `movkit.core.rule_tally` does, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
     delta are read or any vote is drawn. The drawn counts enter the tally
-    through `movkit.core._add_votes`, the path a profile's ballots take:
-    column-wise for many distinct rankings, one ballot at a time otherwise.
+    through `movkit.core._add_votes` as the profile's rows weighed by the
+    drawn count vector, the path a profile's store takes: column-wise for
+    many distinct rankings, one ballot at a time otherwise.
     """
     profile = source.profile
     m, n, ranked = profile.m, profile.n, isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, m, (), ranked)
+    tally = _mov_tally(rule, m, (), (), ranked)
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
-    _add_votes(tally, m, source.draw_counts(ell, seed).items(), ranked)
+    drawn = source.draw_counts(ell, seed)
+    counts = list(map(drawn.get, range(len(profile.counts)), repeat(0)))
+    _add_votes(tally, m, profile.rows, counts, ranked)
     upper, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
     c = guarantee_constant(rule, m)
     return MovEstimate(

@@ -15,10 +15,12 @@ c votes with k equally likely outcomes (the orders of the candidates still
 to rank, or the m + 1 depths of one distinct ballot) are drawn one by one
 when c < k; otherwise c is split by one multinomial
 (`movkit.core._multinomial`) and each part is drawn the same way.
-Every model counts its orders as {order: count} and hands the counts to the
-profile once, so each distinct ballot is built once and no ballot is checked
-again. PlantedGap and TwoCandidate fill ballot positions below the top in a
-fixed canonical order (ascending candidate index, skipping the top
+Every model counts its orders as {ranking key: count}, the key being the
+order's ``bytes`` up to m = 256 (`movkit.core._row_type`), and hands the
+counts to the profile's packed store once, so no ballot object is built and
+no ballot is checked again; `ranked_to_approval` reads the rankings from
+that store. PlantedGap and TwoCandidate fill ballot positions below the top
+in a fixed canonical order (ascending candidate index, skipping the top
 candidate), which keeps their profiles easy to analyze by hand.
 """
 
@@ -29,7 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from movkit.core import ApprovalProfile, InputError, RankedProfile, _multinomial
+from movkit.core import (
+    ApprovalProfile,
+    InputError,
+    RankedProfile,
+    _entries,
+    _multinomial,
+    _row_type,
+)
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,10 @@ def _planted_counts(spec: PlantedGap) -> list[int]:
     return counts
 
 
-def _impartial_orders(rng: random.Random, prefix: tuple, rest: tuple, count: int,
-                      orders: Counter) -> None:
+def _impartial_orders(rng: random.Random, prefix, rest, count: int, orders: Counter) -> None:
     """Add to ``orders`` ``count`` uniform orders that start with ``prefix``
-    and rank the candidates ``rest`` after it.
+    and rank the candidates ``rest`` after it. ``prefix``, ``rest`` and the
+    orders added are ranking keys of one type (`movkit.core._row_type`).
 
     With c = ``count`` and k = len(``rest``): below k! suffixes, each order
     draws its suffix with ``rng.sample`` (the per-vote stream); otherwise c
@@ -130,11 +139,11 @@ def _impartial_orders(rng: random.Random, prefix: tuple, rest: tuple, count: int
     each group recurses. Both are exactly uniform, and the cost is
     O(min(n, m!) * m) draws for n orders of m candidates.
     """
-    k = len(rest)
+    k, key = len(rest), type(rest)
     if k < 2:
         orders[prefix + rest] += count
     elif count < math.factorial(k):
-        orders.update(prefix + tuple(rng.sample(rest, k)) for _ in range(count))
+        orders.update(prefix + key(rng.sample(rest, k)) for _ in range(count))
     else:
         for i, c in enumerate(_multinomial(rng, count, [1] * k)):
             if c:
@@ -146,8 +155,8 @@ def generate(spec: GenSpec) -> RankedProfile:
     # every order is a permutation of range(m) and every count is positive,
     # so the counts are checked keys
     if isinstance(spec, ImpartialCulture):
-        orders = Counter()
-        _impartial_orders(random.Random(spec.seed), (), tuple(range(spec.m)), spec.n, orders)
+        orders, key = Counter(), _row_type(spec.m)
+        _impartial_orders(random.Random(spec.seed), key(), key(range(spec.m)), spec.n, orders)
         return RankedProfile._from_canonical(spec.m, orders, None)
     if isinstance(spec, PlantedGap):
         m, tops = spec.m, _planted_counts(spec)
@@ -156,7 +165,8 @@ def generate(spec: GenSpec) -> RankedProfile:
     else:
         raise InputError(f"unknown generation model: {spec!r}")
     # each candidate's first places, the rest ranked in ascending order
-    orders = {(top, *(c for c in range(m) if c != top)): k for top, k in enumerate(tops) if k}
+    key = _row_type(m)
+    orders = {key((top, *(c for c in range(m) if c != top))): k for top, k in enumerate(tops) if k}
     return RankedProfile._from_canonical(m, orders, None)
 
 
@@ -176,6 +186,7 @@ def ranked_to_approval(
     distinct ballots, not one per vote.
     """
     m = profile.m
+    orders = _entries(profile.rows, m, True)
     prefixes = Counter()
     if isinstance(k, str):
         if k != "uniform":
@@ -186,8 +197,7 @@ def ranked_to_approval(
             # yields one prefix per vote of a light ballot and adds a heavy
             # ballot's counts to prefixes itself, so the draws stay in profile
             # order and one Counter.update counts every light vote
-            for ballot, mult in profile.votes:
-                order = ballot.order
+            for order, mult in zip(orders, profile.counts):
                 if mult < m + 1:
                     for _ in range(mult):
                         yield tuple(sorted(order[:rng.randint(0, m)]))
@@ -200,7 +210,7 @@ def ranked_to_approval(
     else:
         if not 0 <= k <= m:
             raise InputError(f"k must lie in [0, m], got k={k}, m={m}")
-        for ballot, mult in profile.votes:
-            prefixes[tuple(sorted(ballot.order[:k]))] += mult
+        for order, mult in zip(orders, profile.counts):
+            prefixes[tuple(sorted(order[:k]))] += mult
     # every key is a sorted set of candidates of a checked ranking
     return ApprovalProfile._from_canonical(m, prefixes, profile.names)

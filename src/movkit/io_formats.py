@@ -16,16 +16,19 @@ Counts, indices and ``m`` are written in ASCII digits. Lines with the same
 ballot merge, their counts summed.
 
 The parser is the one check of a file's ballots, and hands the merged
-ballots to the profile without the constructor checking them again.
-Well-formed text is parsed in a few whole-text passes: the body lines
-joined by ':' split once into counts and ballots; rankings of
-single-character tokens are joined into one text, whose separators one
-slice comparison checks and whose tokens one translate resolves; longer
-tokens are split one ballot at a time, so no ballot's token list outlives
-its key. Both readers resolve tokens through one token table, which
-resolves each distinct token once. Any fault sends the text to the line
-loop, which only locates the first fault and names its line: it is the one
-reader of faulty text and the reference for the passes.
+ballot keys to the profile's store (`movkit.core._store`) without the
+constructor checking them again. Well-formed text is parsed in a few
+whole-text passes: the body lines joined by ':' split once into counts and
+ballots; rankings of single-character tokens are joined into one text,
+whose separators one slice comparison checks, and which one translate
+(each token to its candidate index) and one split cut into one ``bytes``
+key per ballot: the store joins those into its packed rows, so no tuple or
+ballot object is built per ballot. Longer tokens are split one ballot at a
+time, so no ballot's token list outlives its key. Both readers resolve
+tokens through one token table, which resolves each distinct token once.
+Any fault sends the text to the line loop, which only locates the first
+fault and names its line: it is the one reader of faulty text and the
+reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -38,15 +41,15 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, filterfalse, repeat
 from operator import contains, itemgetter, methodcaller
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from movkit.core import (
-    ApprovalBallot,
     ApprovalProfile,
     InputError,
     Profile,
     RankedProfile,
-    Ranking,
+    _entries,
+    _row_type,
     _validate_names,
 )
 
@@ -165,16 +168,15 @@ def _parse_bulk(text: str) -> Optional[Profile]:
 
 
 def _bulk_keys(ballots: Sequence[str], table: _TokenTable, m: int):
-    """(kind, keys): the profile class the first ballot names and the sort
-    key of each ballot (the text after its count). A ballot of the other
-    kind, or malformed, is a ValueError; an unknown token is the table's
-    ParseError.
+    """(kind, keys): the profile class the first ballot names and the store
+    key of each ballot (the text after its count; see `movkit.core._store`).
+    A ballot of the other kind, or malformed, is a ValueError; an unknown
+    token is the table's ParseError.
 
     Rankings of single-character tokens are read as one text
-    (`_letter_codes`) and checked for repeats column-wise (`_ranks_all`).
-    Any other ranked text is split into tokens one ballot at a time, so no
-    ballot's token list outlives its key, and each key is checked for
-    repeats with a set."""
+    (`_letter_keys`). Any other ranked text is split into tokens one ballot
+    at a time, so no ballot's token list outlives its key, and each key is
+    checked for repeats with a set."""
     get = table.__getitem__
     if ballots[0].strip().startswith("{"):
         ballots = list(map(str.strip, ballots))
@@ -186,60 +188,71 @@ def _bulk_keys(ballots: Sequence[str], table: _TokenTable, m: int):
         if sum(map(len, map(set, keys))) != sum(map(len, keys)):
             raise ValueError("approval ballot lists a candidate twice")
         return ApprovalProfile, keys
-    codes = _letter_codes(ballots, table, m)
-    if codes is not None:
-        if not _ranks_all(codes, m):
-            raise ValueError("ranking with a repeat")
-        return RankedProfile, list(zip(*[iter(codes)] * m))
+    keys = _letter_keys(ballots, table, m)
+    if keys is not None:
+        return RankedProfile, keys
     # '{' is in no candidate token, so an approval ballot fails the ranked key
     # pass. A first token's leading blank is resolved once, like any miss.
-    keys = list(map(tuple, map(map, repeat(get), map(str.split, ballots, repeat(">")))))
+    row = _row_type(m)
+    keys = list(map(row, map(map, repeat(get), map(str.split, ballots, repeat(">")))))
     # every index lies in 0..m-1, so m distinct indices make a ranking
     if set(map(len, keys)) != {m} or min(map(len, map(set, keys))) != m:
         raise ValueError("ranking of the wrong length or with a repeat")
     return RankedProfile, keys
 
 
-def _letter_codes(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional[bytes]:
-    """The candidate indices of rankings of m single-character tokens each
-    (default letters, one-digit indices, one-character names), m bytes per
-    ballot; None for any other text, which the token pass reads.
+def _letter_keys(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional[list]:
+    """The keys of rankings of m single-character tokens each (default
+    letters, one-digit indices, one-character names), each the ``bytes`` of
+    its m candidate indices; None for any other text, which the token pass
+    reads. A ranking with a repeat is a ValueError.
 
     Without spaces, the ballots joined by ',' (and one after the last) hold
     a token at every even place and, at every odd place, '>' within a
     ballot and ',' after it: one slice comparison checks every ballot's
     length and separators. Each distinct character is resolved once through
-    the table, and one translate resolves them all."""
+    the table, and one translate of the joined text deletes each '>', turns
+    each token into its index and each ',' into the byte 255: m indices
+    and one separator per ballot, which `_ranks_all` checks for repeats. A
+    ranking of distinct single characters has m <= 65, so no index is 255,
+    and one split on it cuts out the keys."""
     if len(ballots[0].replace(" ", "")) != 2 * m - 1:  # spares longer tokens the join
         return None
     text = ",".join(chain(ballots, ("",))).replace(" ", "")
     if not (len(text) == 2 * m * len(ballots) and text.isascii()
             and text[1::2] == (">" * (m - 1) + ",") * len(ballots)):
         return None
-    tokens = text[::2].encode()
+    text = text.encode()
     index = bytearray(256)
     try:
-        for char in set(tokens):
+        for char in set(text[::2]):
             index[char] = table[chr(char)]
     except ValueError:  # an unknown token, or an index that is no byte
         return None
-    return tokens.translate(index)
+    index[ord(",")] = 255
+    rows = text.translate(index, b">")
+    if not _ranks_all(rows, m):
+        raise ValueError("ranking with a repeat")
+    keys = rows.split(b"\xff")
+    keys.pop()  # the empty text after the last ','
+    return keys
 
 
-def _ranks_all(codes: bytes, m: int) -> bool:
-    """Whether every run of m indices in codes, each below m, lists m
-    distinct candidates, that is each of them. For each eight candidates,
-    one translate turns every index into its presence bit among the eight,
-    and the OR of the m position columns must be a full byte per ballot."""
-    ballots = len(codes) // m
+def _ranks_all(rows: bytes, m: int) -> bool:
+    """Whether every run of m indices in rows, each below m and followed by
+    one separator byte, lists m distinct candidates, that is each of them.
+    For each eight candidates, one translate turns every index into its
+    presence bit among the eight, and the OR of the m position columns must
+    be a full byte per ballot."""
+    ballots = len(rows) // (m + 1)
     for low in range(0, m, 8):
         bits = bytearray(256)
         for c in range(low, min(low + 8, m)):
             bits[c] = 1 << (c - low)
-        present = codes.translate(bits)
+        present = rows.translate(bits)
         seen = 0
         for position in range(m):
-            seen |= int.from_bytes(present[position::m], "big")
+            seen |= int.from_bytes(present[position::m + 1], "big")
         if seen != int.from_bytes(bytes([sum(bits)]) * ballots, "big"):
             return False
     return True
@@ -252,7 +265,7 @@ def _parse_lines(text: str) -> Profile:
     m = 0
     names: Optional[tuple[str, ...]] = None
     kind: Optional[type[Profile]] = None  # set by the first ballot line
-    counts: dict[tuple[int, ...], int] = {}
+    counts: dict = {}
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line[0] == "#":
@@ -263,7 +276,7 @@ def _parse_lines(text: str) -> Profile:
             if m < 1:
                 raise ParseError("first line must be 'm <count>' with a positive count", number)
             last_header = number
-            table = _TokenTable(names, m)
+            table, row = _TokenTable(names, m), _row_type(m)
             continue
         if kind is None and names is None and line.startswith("candidates"):
             rest = line[len("candidates"):].strip()
@@ -304,7 +317,7 @@ def _parse_lines(text: str) -> Profile:
             tokens = ballot_part.split(">")
             if len(tokens) != m:
                 raise ParseError(f"ranking must list all {m} candidates", number)
-            key = tuple(map(table.__getitem__, tokens))
+            key = row(map(table.__getitem__, tokens))
             # all m indices lie in 0..m-1, so a repeat is the only fault left
             if len(set(key)) != m:
                 raise ParseError("ranking repeats a candidate", number)
@@ -326,20 +339,23 @@ def candidate_labels(profile: Profile) -> list[str]:
     return [str(c) for c in range(profile.m)]
 
 
-def _format_ballot(ballot: Union[Ranking, ApprovalBallot], labels: Sequence[str]) -> str:
-    """A ballot's text in the module grammar, without its count."""
-    if isinstance(ballot, Ranking):
-        return ">".join(labels[c] for c in ballot.order)
-    return "{" + ",".join(labels[c] for c in sorted(ballot.approved)) + "}"
+def _format_ballot(entries: Sequence[int], ranked: bool, labels: Sequence[str]) -> str:
+    """A ballot's text in the module grammar, without its count, from a
+    ranking's order or an approval ballot's ascending members."""
+    tokens = map(labels.__getitem__, entries)
+    return ">".join(tokens) if ranked else "{" + ",".join(tokens) + "}"
 
 
 def write_election(profile: Profile) -> str:
     """Canonical text form of a profile; see the module grammar."""
     labels = candidate_labels(profile)
+    ranked = isinstance(profile, RankedProfile)
     out = [f"m {profile.m}"]
     if profile.names is not None:
         out.append("candidates " + ",".join(profile.names))
-    out.extend(f"{mult}: {_format_ballot(ballot, labels)}" for ballot, mult in profile.votes)
+    entries = _entries(profile.rows, profile.m, ranked)
+    out.extend(f"{mult}: {_format_ballot(entry, ranked, labels)}"
+               for entry, mult in zip(entries, profile.counts))
     return "\n".join(out) + "\n"
 
 

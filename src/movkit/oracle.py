@@ -42,7 +42,8 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
-    rule_tally,
+    _entries,
+    _store_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
 
@@ -106,12 +107,13 @@ class MovBounds:
 # exact search
 
 
-def _mov_tally(rule: Rule, m: int, votes, ranked: bool):
-    """`movkit.core.rule_tally` for a margin of victory, which needs a second
-    candidate to change the winner set."""
+def _mov_tally(rule: Rule, m: int, rows, counts, ranked: bool):
+    """The tally of a store (see `movkit.core._store`), checked as
+    `movkit.core.rule_tally` checks it, for a margin of victory, which
+    needs a second candidate to change the winner set."""
     if m < 2:
         raise InputError("margin of victory needs at least two candidates")
-    return rule_tally(rule, m, votes, ranked)
+    return _store_tally(rule, m, rows, counts, ranked)
 
 
 def _settled_test(rule: Rule, tally, m: int, n: int):
@@ -190,10 +192,12 @@ def mov_brute_force(
     """Exact margin of victory by iterative deepening, up to ``budget`` changes
     (None: all n votes).
 
-    The search applies raw ballots (order tuples, frozensets) to the rule's
-    tally with add(raw, -1 or +1) and compares its winner_mask. Replacements
-    come from the universe of every raw ballot, the m! order tuples of a
-    ranked profile or the 2**m approval frozensets, in the order of
+    The search applies raw ballots, tuples, to the rule's tally with
+    add(raw, -1 or +1) and compares its winner_mask: the profile's ballots
+    as they are read from its store (the order of each ranked row, or the
+    ascending members of each approval mask), and replacements in the same
+    form from the universe of every raw ballot, the m! order tuples of a
+    ranked profile or the 2**m approval member tuples, in the order of
     ``itertools.permutations`` or of the bitmasks 0..2**m-1.
 
     For t = 1, 2, ..., budget, one depth-first search retracts a multiset of
@@ -219,7 +223,7 @@ def mov_brute_force(
     ``work_limit`` below 1 is an InputError, raised before any search.
     """
     m, ranked = profile.m, isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, m, profile.votes, ranked)
+    tally = _mov_tally(rule, m, profile.rows, profile.counts, ranked)
     if budget is None:
         budget = profile.n
     if budget < 1:
@@ -236,13 +240,17 @@ def mov_brute_force(
     if ranked:
         universe = list(itertools.permutations(range(m)))
     else:
-        universe = [frozenset(c for c in range(m) if mask >> c & 1) for mask in range(work)]
-    raw = [b.order if ranked else b.approved for b, _ in profile.votes]
-    wrap = Ranking if ranked else ApprovalBallot
+        # the members of the masks 0..2**m-1: those of mask + 2**c are the
+        # members of mask, below 2**c, and c
+        universe = [()]
+        for c in range(m):
+            universe += [members + (c,) for members in universe]
+    raw = list(_entries(profile.rows, m, ranked))
+    wrap = Ranking if ranked else (lambda members: ApprovalBallot(frozenset(members)))
     add, winner_mask = tally.add, tally.winner_mask
     base_mask = winner_mask()
     settled = _settled_test(rule, tally, m, profile.n)
-    mults = [mult for _, mult in profile.votes]
+    mults = profile.counts
     starts = list(itertools.accumulate(mults, initial=0))
     types = len(raw)
     evaluations = 0
@@ -328,8 +336,8 @@ def apply_changes(
     grow with n. The new profile's constructor checks every replacement, so
     a raw tuple or set is accepted as in any profile constructor.
     """
-    ends = list(itertools.accumulate(mult for _, mult in profile.votes))
-    counts = [mult for _, mult in profile.votes]
+    ends = list(itertools.accumulate(profile.counts))
+    counts = list(profile.counts)
     seen: set[int] = set()
     inserted = []
     for index, ballot in changes:
@@ -341,7 +349,8 @@ def apply_changes(
         seen.add(index)
         counts[bisect.bisect_right(ends, index)] -= 1
         inserted.append((ballot, 1))
-    kept = [(ballot, count) for (ballot, _), count in zip(profile.votes, counts) if count]
+    entries = _entries(profile.rows, profile.m, isinstance(profile, RankedProfile))
+    kept = [(entry, count) for entry, count in zip(entries, counts) if count]
     return type(profile)(m=profile.m, votes=(*kept, *inserted), names=profile.names)
 
 
@@ -549,7 +558,8 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     change is always needed, and replacing all n votes reaches any profile.
     So the upper end is capped at n.
     """
-    tally = _mov_tally(rule, profile.m, profile.votes, isinstance(profile, RankedProfile))
+    tally = _mov_tally(rule, profile.m, profile.rows, profile.counts,
+                       isinstance(profile, RankedProfile))
     upper = _margin_statistic(rule, tally, profile.n)[0]
     if isinstance(rule, Scoring):
         lower, upper, source = upper / 2, upper + 1, "positional score gap"

@@ -1,5 +1,7 @@
 """Core type and winner-determination tests."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from movkit.core import (
 )
 from movkit.estimators import VoteSource, estimate_mov
 from movkit.generation import ImpartialCulture, generate
+from movkit.io_formats import parse_election, write_election
 from movkit.oracle import mov_brute_force
 
 F = Fraction
@@ -55,11 +58,11 @@ def test_profile_merges_duplicate_ballots():
 
 def test_canonical_builder_matches_the_checked_constructor():
     # the builder trusts its keys, so its ballots must be indistinguishable
-    # from checked ones
+    # from checked ones; a ranking's key is the bytes of its order
     ranked = {(2, 0, 1): 10**12, (0, 1, 2): 1}
-    p = RankedProfile._from_canonical(3, ranked, ("x", "y", "z"))
+    p = RankedProfile._from_canonical(3, {bytes(k): c for k, c in ranked.items()}, ("x", "y", "z"))
     for ballot, _ in p.votes:
-        assert type(ballot) is Ranking
+        assert type(ballot) is Ranking and type(ballot.order) is tuple
         assert ballot == Ranking(ballot.order) and hash(ballot) == hash(Ranking(ballot.order))
     assert p == RankedProfile(m=3, votes=tuple(ranked.items()), names=("x", "y", "z"))
     assert [ballot.order for ballot, _ in p.votes] == sorted(ranked)
@@ -76,13 +79,33 @@ def test_canonical_builder_matches_the_checked_constructor():
 
 def test_profile_n_is_summed_once_and_not_a_field():
     checked = RankedProfile(3, [((2, 0, 1), 10**12), ((0, 1, 2), 1)])
-    built = RankedProfile._from_canonical(3, {(2, 0, 1): 10**12, (0, 1, 2): 1}, None)
+    built = RankedProfile._from_canonical(3, {bytes((2, 0, 1)): 10**12, bytes((0, 1, 2)): 1}, None)
     before = (repr(checked), hash(checked))
     assert checked.n == built.n == 10**12 + 1
     assert checked.__dict__["n"] == built.__dict__["n"] == 10**12 + 1  # cached on first read
     assert (repr(checked), hash(checked)) == before and "n=" not in before[0]
     assert checked == built and hash(checked) == hash(built)
     assert checked == RankedProfile(3, [((0, 1, 2), 1), ((2, 0, 1), 10**12)])  # n not read yet
+
+
+@pytest.mark.parametrize("build", ["generated", "parsed"])
+def test_a_profile_keeps_few_bytes_per_distinct_ranking(build):
+    # IC n = 20,000 over 8 candidates has about 15,700 distinct rankings; a
+    # profile that kept an object per ranking took 208 bytes for each
+    spec = ImpartialCulture(n=20_000, m=8, seed=1)
+    text = write_election(generate(spec)) if build == "parsed" else None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profile = generate(spec) if text is None else parse_election(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    distinct = len(profile.votes)
+    assert distinct > 15_000
+    assert retained / distinct <= 42
 
 
 def test_profile_rejects_bad_multiplicity_and_mismatched_m():
@@ -309,9 +332,12 @@ def test_copeland_alpha_bounds():
 # loop, one add per (ballot, count) pair, and must not tell the two apart.
 
 
-def _loop_votes(tally, m, votes, ranked):
-    for ballot, count in votes:
-        tally.add(ballot.order if ranked else ballot.approved, count)
+def _loop_votes(tally, m, rows, counts, ranked):
+    for i, count in enumerate(counts):
+        if count:
+            ballot = tuple(rows[i * m:(i + 1) * m]) if ranked else \
+                tuple(c for c in range(m) if rows[i] >> c & 1)
+            tally.add(ballot, count)
 
 
 @pytest.fixture

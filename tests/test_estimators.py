@@ -3,7 +3,6 @@
 import math
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -126,13 +125,14 @@ def test_vote_source_draws_are_deterministic():
 
 def test_vote_source_single_ballot():
     p = RankedProfile(2, [((0, 1), 1)])
-    assert VoteSource(p).draw_counts(5, 0) == Counter({Ranking((0, 1)): 5})
+    assert VoteSource(p).draw_counts(5, 0) == {0: 5}
 
 
 def test_vote_source_frequency():
     # multiplicities (3, 1): the majority ballot should appear ~75% of the time
     p = RankedProfile(2, [((0, 1), 3), ((1, 0), 1)])
-    top = VoteSource(p).draw_counts(1_000_000, 123)[Ranking((0, 1))] / 1_000_000
+    assert p.votes[0][0] == Ranking((0, 1))
+    top = VoteSource(p).draw_counts(1_000_000, 123)[0] / 1_000_000
     assert abs(top - 0.75) < 0.01
 
 
@@ -149,7 +149,7 @@ def test_vote_source_draws_exactly_ell_from_repeated_entries(seed):
     est = estimate_mov(VoteSource(p), KApproval(1), EPS, DELTA, seed, ell=100)
     assert sum(est.estimated_scores.values()) == p.n
     approval = ApprovalProfile(3, [({0}, 4), ((0,), 4)])
-    assert VoteSource(approval).draw_counts(100, seed) == Counter({approval.votes[0][0]: 100})
+    assert len(approval.votes) == 1 and VoteSource(approval).draw_counts(100, seed) == {0: 100}
 
 
 @pytest.mark.parametrize("kind, votes, message", [
@@ -175,8 +175,8 @@ def test_draw_counts_moments():
     trials = 20_000
     for ell in (50, 5_000):
         samples = [src.draw_counts(ell, seed) for seed in range(trials)]
-        for (ballot, _), w in zip(p.votes, weights):
-            xs = [c[ballot] for c in samples]
+        for position, w in enumerate(weights):
+            xs = [c.get(position, 0) for c in samples]
             q = w / p.n
             expected_var = ell * q * (1 - q)
             mean = sum(xs) / trials

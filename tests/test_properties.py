@@ -4,8 +4,10 @@ the type-level exact search against an
 index-level one and the pruned search against the unpruned one,
 candidate-token resolution in the parser, and profile
 construction (counted generation, the constructor's merge and errors, the
-parse/write round trip, the parser's own merge of scrambled text, and its
-whole-file passes against its line loop on scrambled and faulty text)."""
+parse/write round trip, the parser's own merge of scrambled text, its
+whole-file passes against its line loop on scrambled and faulty text, and
+every path into a profile's packed store against a reference built from
+sorted key tuples)."""
 
 import itertools
 import math
@@ -34,11 +36,19 @@ from movkit.core import (
     ScoreVector,
     Scoring,
     WinnerResult,
+    _multinomial,
     rule_tally,
     winner_set,
 )
 from movkit.estimators import VoteSource, estimate_mov
-from movkit.generation import ImpartialCulture, generate, ranked_to_approval
+from movkit.generation import (
+    ImpartialCulture,
+    PlantedGap,
+    TwoCandidate,
+    _planted_counts,
+    generate,
+    ranked_to_approval,
+)
 from movkit.io_formats import ParseError, _parse_lines, parse_election, write_election
 from movkit.oracle import (
     copeland_log_factor,
@@ -143,6 +153,13 @@ def test_scoring_bounds_match_fraction_reference(case):
     assert bounds.upper == min(gap / alphas[0] + 1, profile.n)
 
 
+def _drawn_votes(source, ell, seed):
+    """The sample as (ballot, count) pairs: the ballot of ``votes`` at each
+    position `draw_counts` draws, with its count."""
+    votes = source.profile.votes
+    return [(votes[i][0], k) for i, k in source.draw_counts(ell, seed).items()]
+
+
 @PROPERTY_SETTINGS
 @given(profiles_with_vectors(), st.integers(0, 2**32), st.integers(1, 40))
 @example(FRACTIONAL, 7, 11)
@@ -154,7 +171,7 @@ def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
     profile, vector = case
     source = VoteSource(profile)
     alphas = _ref_normalized(vector.alphas)
-    raw = _ref_scores(source.draw_counts(ell, seed).items(), alphas)
+    raw = _ref_scores(_drawn_votes(source, ell, seed), alphas)
     sbar = {c: F(profile.n, ell) * s for c, s in raw.items()}
     est = estimate_mov(source, Scoring(vector), F(1, 10), F(1, 20), seed, ell=ell)
     assert _typed(est.estimated_scores) == _typed(sbar)
@@ -180,9 +197,9 @@ def vote_sources(draw):
 def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell):
     counts = source.draw_counts(ell, seed)
     assert sum(counts.values()) == ell
-    ballots = [b for b, _ in source.profile.votes]
-    positions = [ballots.index(b) for b in counts]
+    positions = list(counts)
     assert positions == sorted(positions)
+    assert all(0 <= i < len(source.profile.votes) for i in positions)
     assert all(1 <= c <= ell for c in counts.values())
     assert source.draw_counts(ell, seed) == counts
 
@@ -273,18 +290,18 @@ def _ref_project(value, n):
 
 def _ref_estimate(source, rule, seed, ell):
     """(m_bar, estimated_scores, pair_margins) of the estimator."""
-    counts = source.draw_counts(ell, seed)
+    drawn = _drawn_votes(source, ell, seed)
     m, n = source.profile.m, source.profile.n
     scale = F(n, ell)
     if isinstance(rule, (Approval, KApproval)):
         if isinstance(rule, Approval):
-            raw = _ref_approval_scores(counts.items(), m)
+            raw = _ref_approval_scores(drawn, m)
         else:
-            raw = _ref_scores(counts.items(), [1] * rule.k + [0] * (m - rule.k))
+            raw = _ref_scores(drawn, [1] * rule.k + [0] * (m - rule.k))
         sbar = {x: scale * raw[x] for x in range(m)}
         return _ref_project(_ref_top_two_gap(sbar) / 2, n), sbar, None
     if isinstance(rule, Bucklin):
-        rows = _ref_top_k_counts(counts.items(), m)
+        rows = _ref_top_k_counts(drawn, m)
         nbar = {x: tuple(scale * c for c in rows[x]) for x in range(m)}
         half = F(n, 2)
         level_of = {x: next(lv + 1 for lv in range(m) if nbar[x][lv] > half) for x in range(m)}
@@ -300,7 +317,7 @@ def _ref_estimate(source, rule, seed, ell):
                             gap = candidate
         # no separating level (a sampled full tie) reads as a gap of 0
         return _ref_project((gap or 0) / F(3, 2), n), nbar, None
-    dbar = tuple(tuple(scale * d for d in row) for row in _ref_pairwise(counts.items(), m))
+    dbar = tuple(tuple(scale * d for d in row) for row in _ref_pairwise(drawn, m))
     if isinstance(rule, Maximin):
         sbar = {x: min(dbar[x][y] for y in range(m) if y != x) for x in range(m)}
         return _ref_project(_ref_top_two_gap(sbar) / 3, n), sbar, dbar
@@ -946,3 +963,172 @@ def mutated_elections(draw):
 @example("m 11\n1: a>b>c>d>e>f>g>h>i>j>10\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
+
+
+# ---------------------------------------------------------------------------
+# every way into a profile against one reference
+#
+# A profile is its distinct ballots in the order of their key tuples (a
+# ranking's order, an approval ballot's ascending members) with merged
+# counts. `_reference` builds from such a {key: count} map the votes, repr
+# and hash that a profile must show, whichever path built it: the parser's
+# letter and token passes and its line loop, the constructor, the three
+# generators and the approval conversion.
+
+
+def _approval_ballot(key):
+    """The ballot whose set is built from the ascending key, as a profile's
+    is: a set's repr follows its insertion order where members collide in
+    its hash table, and the checked class builds its set again."""
+    ballot = object.__new__(ApprovalBallot)
+    object.__setattr__(ballot, "approved", frozenset(key))
+    return ballot
+
+
+def _reference(kind, m, merged, names=None):
+    """(votes, repr, hash) of the profile of the keys and counts in merged."""
+    wrap = Ranking if kind is RankedProfile else _approval_ballot
+    votes = tuple((wrap(key), merged[key]) for key in sorted(merged))
+    return votes, f"{kind.__name__}(m={m!r}, votes={votes!r}, names={names!r})", \
+        hash((m, votes, names))
+
+
+def _assert_is_reference(profile, kind, m, merged, names=None):
+    votes, text, digest = _reference(kind, m, merged, names)
+    assert type(profile) is kind and (profile.m, profile.names) == (m, names)
+    assert profile.votes == votes and repr(profile) == text and hash(profile) == digest
+    assert [tuple(map(type, vote)) for vote in profile.votes] == \
+        [tuple(map(type, vote)) for vote in votes]
+    assert profile.n == sum(merged.values())
+    assert profile == kind(m, votes[::-1], names)
+    heavier = dict(merged)
+    heavier[min(merged)] += 1
+    assert profile != kind(m, _reference(kind, m, heavier)[0], names)
+
+
+@st.composite
+def keyed_counts(draw):
+    """(kind, m, {key: count}, names): distinct keys of one ballot kind with
+    counts, over m across the letter, index-label and byte boundaries."""
+    m = draw(st.sampled_from([1, 2, 3, 8, 26, 27, 70, 255, 256, 257]))
+    if draw(st.booleans()):
+        kind, keys = RankedProfile, st.permutations(range(m)).map(tuple)
+    else:
+        kind = ApprovalProfile
+        keys = st.frozensets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
+    counts = st.one_of(st.integers(1, 6), st.integers(1, 10**12))
+    merged = draw(st.dictionaries(keys, counts, min_size=1, max_size=6))
+    names = draw(st.sampled_from([None, tuple(f"c{c}" for c in range(m))]
+                                 + ([tuple("ZYXWVUTSRQPONMLKJIHGFEDCBA"[:m])] if m <= 26 else [])))
+    return kind, m, merged, names
+
+
+def _election_text(draw, kind, m, merged, names):
+    """The keys and counts as election text: with a ``draw``, each count
+    maybe split over two lines, in shuffled order; without one, one line per
+    key in the given order."""
+    labels = names or ("abcdefghijklmnopqrstuvwxyz"[:m] if m <= 26 else list(map(str, range(m))))
+    lines = []
+    for key, count in merged.items():
+        part = draw(st.integers(1, count)) if draw else count
+        text = ">".join(labels[c] for c in key) if kind is RankedProfile else \
+            "{" + ",".join(labels[c] for c in key) + "}"
+        lines += [f"{part}: {text}"] + ([f"{count - part}: {text}"] if part < count else [])
+    header = [f"m {m}"] + ([] if names is None else ["candidates " + ",".join(names)])
+    return "\n".join(header + (draw(st.permutations(lines)) if draw else lines)) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(keyed_counts(), st.data())
+@example((RankedProfile, 1, {(0,): 10**12}, None), None)
+@example((RankedProfile, 8, {(7, 6, 5, 4, 3, 2, 1, 0): 3, (0, 1, 2, 3, 4, 5, 6, 7): 10**12},
+          None), None)
+@example((RankedProfile, 26, {tuple(range(26)): 2, tuple(range(25, -1, -1)): 1}, None), None)
+@example((RankedProfile, 27, {tuple(range(27)): 2, tuple(range(26, -1, -1)): 1}, None), None)
+@example((RankedProfile, 255, {tuple(range(255)): 1, tuple(range(254, -1, -1)): 10**12},
+          None), None)
+@example((RankedProfile, 256, {tuple(range(256)): 1, tuple(range(255, -1, -1)): 2}, None), None)
+@example((RankedProfile, 257, {tuple(range(257)): 1, tuple(range(256, -1, -1)): 2,
+                               (256, *range(256)): 10**12}, None), None)
+@example((ApprovalProfile, 70, {(): 1, (0, 64, 69): 10**12, (63, 64): 2, (1,): 3}, None), None)
+@example((ApprovalProfile, 3, {(): 10**12}, None), None)
+def test_every_path_into_a_profile_gives_the_reference(case, data):
+    # an example has no data to draw from: its text keeps the keys' order
+    kind, m, merged, names = case
+    votes = [(key if kind is RankedProfile else set(key), count)
+             for key, count in merged.items()]
+    _assert_is_reference(kind(m, votes[::-1], names), kind, m, merged, names)
+    text = _election_text(data and data.draw, kind, m, merged, names)
+    for parse in (parse_election, _parse_lines):
+        _assert_is_reference(parse(text), kind, m, merged, names)
+
+
+def _ref_impartial_counts(n, m, seed):
+    """IC's counts as {order tuple: count}, by the generator's own walk over
+    ranking prefixes, counted on tuples."""
+    rng, orders = random.Random(seed), Counter()
+
+    def walk(prefix, rest, count):
+        k = len(rest)
+        if k < 2:
+            orders[prefix + rest] += count
+        elif count < math.factorial(k):
+            orders.update(prefix + tuple(rng.sample(rest, k)) for _ in range(count))
+        else:
+            for i, c in enumerate(_multinomial(rng, count, [1] * k)):
+                if c:
+                    walk(prefix + rest[i:i + 1], rest[:i] + rest[i + 1:], c)
+
+    walk((), tuple(range(m)), n)
+    return dict(orders)
+
+
+def _ref_approval_counts(merged, m, k, seed):
+    """`ranked_to_approval`'s counts as {members tuple: count}: fixed depths,
+    or uniform ones drawn per ballot in key order."""
+    prefixes = Counter()
+    rng = random.Random(seed)
+    for order, mult in sorted(merged.items()):
+        if k != "uniform":
+            prefixes[tuple(sorted(order[:k]))] += mult
+        elif mult < m + 1:
+            for _ in range(mult):
+                prefixes[tuple(sorted(order[:rng.randint(0, m)]))] += 1
+        else:
+            for depth, c in enumerate(_multinomial(rng, mult, [1] * (m + 1))):
+                if c:
+                    prefixes[tuple(sorted(order[:depth]))] += c
+    return dict(prefixes)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 9), st.integers(1, 3000), st.integers(0, 2**32),
+       st.sampled_from(["uniform", 0, 1, 2]))
+@example(1, 5, 0, 0)
+@example(2, 10**12, 3, "uniform")
+@example(26, 30, 1, 2)
+@example(27, 30, 1, "uniform")
+@example(70, 4, 2, 0)
+@example(70, 4, 2, 66)
+@example(255, 2, 3, 1)
+@example(256, 2, 3, 255)
+@example(257, 3, 4, "uniform")
+def test_generators_and_conversion_give_the_reference(m, n, seed, k):
+    merged = _ref_impartial_counts(n, m, seed)
+    ranked = generate(ImpartialCulture(n=n, m=m, seed=seed))
+    _assert_is_reference(ranked, RankedProfile, m, merged)
+    k = k if k == "uniform" else min(k, m)
+    _assert_is_reference(ranked_to_approval(ranked, k, seed), ApprovalProfile, m,
+                         _ref_approval_counts(merged, m, k, seed))
+    if m >= 2:
+        spec = PlantedGap(winner=m - 1, gap=1 + seed % n, n=n, m=m)
+        try:
+            tops = _planted_counts(spec)
+        except InputError:  # a gap of the wrong parity, or too large for n and m
+            tops = []
+        planted = {(top, *(c for c in range(m) if c != top)): c for top, c in enumerate(tops) if c}
+        if planted:
+            _assert_is_reference(generate(spec), RankedProfile, m, planted)
+    two = TwoCandidate(p=min(F(seed % 8, 7), F(1)), n=n)
+    counts = {key: c for key, c in (((0, 1), two.top_count), ((1, 0), n - two.top_count)) if c}
+    _assert_is_reference(generate(two), RankedProfile, 2, counts)

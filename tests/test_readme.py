@@ -84,4 +84,4 @@ def test_readme_library_example():
             checked += 1
         else:
             exec(compile(ast.Module([node], type_ignores=[]), "README", "exec"), namespace)
-    assert checked == 5
+    assert checked == 7

@@ -99,7 +99,7 @@ def test_estimates_of_a_full_tie_keep_exact_sums(spec, size):
     n = profile.n
     assert n == len(profile.votes) * SIZES[size]
     est = estimate_mov(source, rule, EPS, DELTA, SEED)
-    counts = source.draw_counts(est.ell, SEED)
+    counts = {profile.votes[i][0]: k for i, k in source.draw_counts(est.ell, SEED).items()}
     assert sum(counts.values()) == est.ell
     assert isinstance(est.m_bar, F) and 0 <= est.m_bar
     scores = est.estimated_scores
