@@ -21,9 +21,9 @@ these ways with its add. A positional score vector is scaled once to
 integer weights over a common denominator, which the tally keeps, and the
 totals become exact `fractions.Fraction` scores once per candidate.
 Whenever a rule needs a single representative winner, the canonical
-tie-break is the lowest candidate index. `_binomial` and `_multinomial` are
-the one seeded count sampler, shared by profile generation and vote
-sampling.
+tie-break is the lowest candidate index. `_multinomial`, one walk of
+conditional binomials drawn inline, is the one seeded count sampler, shared
+by profile generation and vote sampling.
 
 Six rule families are supported: positional scoring, k-approval, approval,
 Bucklin (strict majority, more than half of the votes), maximin, and
@@ -784,72 +784,6 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
 # seeded counts
 
 
-def _binomial(rng: random.Random, n: int, p: float) -> int:
-    """One Binomial(n, p) variate, for n >= 1 and 0 < p < 1.
-
-    A line-for-line port of CPython 3.12's ``random.binomialvariate``, which
-    calls ``rng.random()`` in the same order, so one seed gives the same
-    variate on either: Devroye's geometric method below n*p = 10, above it
-    Hoermann's BTRS ("The generation of binomial random variates", 1993).
-    """
-    random_ = rng.random
-
-    # Fast path for a common case
-    if n == 1:
-        return int(random_() < p)
-
-    # Exploit symmetry to establish:  p <= 0.5
-    if p > 0.5:
-        return n - _binomial(rng, n, 1.0 - p)
-
-    if n * p < 10.0:
-        # BG: Geometric method by Devroye with running time of O(np).
-        x = y = 0
-        c = math.log2(1.0 - p)
-        if not c:
-            return x
-        while True:
-            y += math.floor(math.log2(random_()) / c) + 1
-            if y > n:
-                return x
-            x += 1
-
-    # BTRS: Transformed rejection with squeeze method by Wolfgang Hoermann
-    setup_complete = False
-
-    spq = math.sqrt(n * p * (1.0 - p))  # Standard deviation of the distribution
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = n * p + 0.5
-    vr = 0.92 - 4.2 / b
-
-    while True:
-
-        u = random_()
-        u -= 0.5
-        us = 0.5 - math.fabs(u)
-        k = math.floor((2.0 * a / us + b) * u + c)
-        if k < 0 or k > n:
-            continue
-
-        # The early-out "squeeze" test substantially reduces
-        # the number of acceptance condition evaluations.
-        v = random_()
-        if us >= 0.07 and v <= vr:
-            return k
-
-        # Acceptance-rejection test.
-        if not setup_complete:
-            alpha = (2.83 + 5.1 / b) * spq
-            lpq = math.log(p / (1.0 - p))
-            m = math.floor((n + 1) * p)         # Mode of the distribution
-            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
-            setup_complete = True               # Only needs to be done once
-        v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
-            return k
-
-
 def _multinomial(rng: random.Random, count: int, weights: Sequence[int]) -> list[int]:
     """One Multinomial(count; weights) draw over positive integer weights, as
     conditional binomials along the cells in order: a cell of weight w, with
@@ -857,11 +791,72 @@ def _multinomial(rng: random.Random, count: int, weights: Sequence[int]) -> list
     of them, and the last cell gets what is left. The walk stops once nothing
     is left, so the stream depends only on the cells it reaches. Cost: one
     binomial per cell reached, never more than O(len(weights) + count).
+
+    Each binomial is drawn inline, with no call per cell, by a line-for-line
+    port of CPython 3.12's ``random.binomialvariate`` for n >= 1 and
+    0 < p < 1, which calls ``rng.random()`` in the same order, so one seed
+    gives the same variates on either and leaves the generator in the same
+    state: Devroye's geometric method below n*p = 10, above it Hoermann's
+    BTRS ("The generation of binomial random variates", 1993).
     """
+    random_, fabs, floor, lgamma, log, log2, sqrt = (
+        rng.random, math.fabs, math.floor, math.lgamma, math.log, math.log2, math.sqrt)
     drawn = [0] * len(weights)
     left, weight_left = count, sum(weights)
     for i, w in enumerate(weights):
-        k = left if w == weight_left else _binomial(rng, left, w / weight_left)
+        if w == weight_left:
+            k = left
+        elif left == 1:  # before the symmetry, as in binomialvariate
+            k = 1 if random_() < w / weight_left else 0
+        else:
+            # Binomial(n, p) by binomialvariate, its p > 0.5 case drawn as
+            # n - Binomial(n, 1 - p)
+            n, p = left, w / weight_left
+            flip = p > 0.5
+            if flip:
+                p = 1.0 - p
+            if n * p < 10.0:
+                # BG: Geometric method by Devroye with running time of O(np).
+                k = y = 0
+                c = log2(1.0 - p)
+                if c:
+                    while True:
+                        y += floor(log2(random_()) / c) + 1
+                        if y > n:
+                            break
+                        k += 1
+            else:
+                # BTRS: Transformed rejection with squeeze method by Wolfgang Hoermann
+                setup_complete = False
+                spq = sqrt(n * p * (1.0 - p))  # Standard deviation of the distribution
+                b = 1.15 + 2.53 * spq
+                a = -0.0873 + 0.0248 * b + 0.01 * p
+                c = n * p + 0.5
+                vr = 0.92 - 4.2 / b
+                while True:
+                    u = random_()
+                    u -= 0.5
+                    us = 0.5 - fabs(u)
+                    k = floor((2.0 * a / us + b) * u + c)
+                    if k < 0 or k > n:
+                        continue
+                    # The early-out "squeeze" test substantially reduces
+                    # the number of acceptance condition evaluations.
+                    v = random_()
+                    if us >= 0.07 and v <= vr:
+                        break
+                    # Acceptance-rejection test.
+                    if not setup_complete:
+                        alpha = (2.83 + 5.1 / b) * spq
+                        lpq = log(p / (1.0 - p))
+                        m = floor((n + 1) * p)          # Mode of the distribution
+                        h = lgamma(m + 1) + lgamma(n - m + 1)
+                        setup_complete = True           # Only needs to be done once
+                    v *= alpha / (a / (us * us) + b)
+                    if log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+                        break
+            if flip:
+                k = n - k
         if k:
             drawn[i] = k
             left -= k

@@ -77,9 +77,10 @@ def resolve_rule(spec: str, m: int) -> Rule:
         return Scoring(ScoreVector.borda(m))
     if head == "kapproval":
         try:
-            return KApproval(int(arg))
+            k = int(arg)
         except ValueError:
             raise InputError(f"kapproval needs an integer k, got {spec!r}") from None
+        return KApproval(k)
     if head == "approval" and not arg:
         return Approval()
     if head == "bucklin" and not arg:
@@ -90,9 +91,10 @@ def resolve_rule(spec: str, m: int) -> Rule:
         if not arg:
             return Copeland(Fraction(1, 2))
         try:
-            return Copeland(Fraction(arg))
+            alpha = Fraction(arg)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"copeland needs a rational alpha, got {spec!r}") from None
+        return Copeland(alpha)
     if head == "scoring":
         try:
             alphas = tuple(Fraction(tok) for tok in arg.split(","))

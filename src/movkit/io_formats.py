@@ -151,10 +151,12 @@ def _parse_bulk(text: str) -> Optional[Profile]:
         digits = "".join(counts)
         if not (digits.isascii() and digits.isdigit()):
             return None
-        # int() of an empty count, or of more digits than it reads, is a ValueError
-        counts = list(map(int, counts))
-        if 0 in counts:
+        # int() of an empty count, or of more digits than it reads, is a
+        # ValueError; each distinct count text is read once
+        value = {count: int(count) for count in set(counts)}
+        if 0 in value.values():
             return None
+        counts = list(map(value.__getitem__, counts))
         kind, keys = _bulk_keys(ballots, _TokenTable(names, m), m)
     except ValueError:  # so are a ParseError and an InputError
         return None
@@ -210,12 +212,13 @@ def _letter_keys(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional
     Without spaces, the ballots joined by ',' (and one after the last) hold
     a token at every even place and, at every odd place, '>' within a
     ballot and ',' after it: one slice comparison checks every ballot's
-    length and separators. Each distinct character is resolved once through
-    the table, and one translate of the joined text deletes each '>', turns
-    each token into its index and each ',' into the byte 255: m indices
-    and one separator per ballot, which `_ranks_all` checks for repeats. A
-    ranking of distinct single characters has m <= 65, so no index is 255,
-    and one split on it cuts out the keys."""
+    length and separators. The table's single-character tokens are entered
+    first, and only the characters left once one translate deletes them are
+    resolved through the table. One translate of the joined text then
+    deletes each '>', turns each token into its index and each ',' into the
+    byte 255: m indices and one separator per ballot, which `_ranks_all`
+    checks for repeats. A ranking of distinct single characters has
+    m <= 65, so no index is 255, and one split on it cuts out the keys."""
     if len(ballots[0].replace(" ", "")) != 2 * m - 1:  # spares longer tokens the join
         return None
     text = ",".join(chain(ballots, ("",))).replace(" ", "")
@@ -223,9 +226,13 @@ def _letter_keys(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional
             and text[1::2] == (">" * (m - 1) + ",") * len(ballots)):
         return None
     text = text.encode()
-    index = bytearray(256)
+    index, known = bytearray(256), bytearray()
+    for token, i in table.items():
+        if len(token) == 1 and token.isascii() and i < 256:
+            index[ord(token)] = i
+            known.append(ord(token))
     try:
-        for char in set(text[::2]):
+        for char in set(text[::2].translate(None, known)):
             index[char] = table[chr(char)]
     except ValueError:  # an unknown token, or an index that is no byte
         return None

@@ -317,6 +317,21 @@ def test_non_integer_generator_and_oracle_parameters_exit_2(runner, args, messag
     assert message in result.output
 
 
+# a rule parameter that converts but lies out of range is named as such, not
+# as a parameter that does not convert
+@pytest.mark.parametrize("rule, message", [
+    ("kapproval:0", "k must be a positive integer, got 0"),
+    ("copeland:2", "copeland alpha must lie in [0, 1], got 2"),
+    ("kapproval:x", "kapproval needs an integer k, got 'kapproval:x'"),
+    ("copeland:1/0", "copeland needs a rational alpha, got 'copeland:1/0'"),
+], ids=["kapproval-range", "copeland-range", "kapproval-type", "copeland-type"])
+def test_rule_parameter_faults_exit_2(runner, tmp_path, rule, message):
+    path = write_file(tmp_path, "e.txt", "m 3\n1: a>b>c\n")
+    result = runner.invoke(main, ["winner", "-i", path, "-r", rule])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Error: {message}\n"), result.output
+
+
 def test_exact_witness_does_not_expand_the_votes(runner, tmp_path):
     # printing the witness needs only the original of each changed vote
     path = write_file(tmp_path, "e.txt", "m 2\n2000000: a>b\n2000000: b>a\n")

@@ -26,7 +26,7 @@ from movkit.core import (
     Ranking,
     ScoreVector,
     Scoring,
-    _binomial,
+    _multinomial,
     rule_tally,
     winner_set,
 )
@@ -191,10 +191,19 @@ BINOMIAL_GRID = [(n, q) for n in (1, 2, 7, 40, 1_000, 10**6)
                  for q in (1e-17, 0.001, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999)]
 
 
+def _binomial_cell(rng, n, q):
+    """A Binomial(n, q) variate, drawn by `_multinomial` as the first of two
+    cells, whose weights are the exact ratio of the float q and its rest."""
+    num, den = q.as_integer_ratio()
+    first, rest = _multinomial(rng, n, [num, den - num])
+    assert first + rest == n
+    return first
+
+
 def test_binomial_stays_in_range():
     for n, q in BINOMIAL_GRID:
         for seed in range(20):
-            assert 0 <= _binomial(random.Random(seed), n, q) <= n
+            assert 0 <= _binomial_cell(random.Random(seed), n, q) <= n
 
 
 @pytest.mark.skipif(sys.version_info < (3, 12), reason="random.binomialvariate is new in 3.12")
@@ -202,7 +211,7 @@ def test_binomial_matches_binomialvariate():
     for n, q in BINOMIAL_GRID:
         for seed in range(50):
             a, b = random.Random(seed), random.Random(seed)
-            assert _binomial(a, n, q) == b.binomialvariate(n, q)
+            assert _binomial_cell(a, n, q) == b.binomialvariate(n, q)
             assert a.random() == b.random()
 
 

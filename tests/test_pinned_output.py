@@ -3,7 +3,11 @@
 `mov --mode estimate` (the default sample size, and ell = n) and
 `experiment --oracle bounds` run on one small election per ballot kind with
 one seed, so any change to an estimate, a bound, a sample size or a seeded
-stream shows here as a text difference.
+stream shows here as a text difference. The ranked rules' estimates are
+also pinned at the scale of an audit: IC n=5000, m=8, seed 3, with 4,712
+distinct rankings. There a sample of 4,427 to 13,844 votes walks the
+binomial sampler's geometric branch at almost every ranking, and
+Copeland's 55,376 votes walk mostly its BTRS branch.
 """
 
 import pytest
@@ -143,3 +147,86 @@ def test_seeded_estimate_and_bounds_text(rule, tmp_path):
     assert result.exit_code == 0, result.output
     output += rows.read_text(encoding="utf-8") + result.output
     assert output == PINNED[rule]
+
+
+AUDIT_PINNED = {
+    'plurality': (
+        'estimate = 22.02394398 (exact 97500/4427)\n'
+        'samples = 4427, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 22.58866049 (exact 100000/4427)\n'
+        'samples = 4427, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+    'borda': (
+        'estimate = 1 (exact 1)\n'
+        'samples = 6922, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 7.567314704 (exact 550000/72681)\n'
+        'samples = 6922, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+    'kapproval:3': (
+        'estimate = 10.44386423 (exact 4000/383)\n'
+        'samples = 5745, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 7.397737163 (exact 8500/1149)\n'
+        'samples = 5745, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 0*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+    'scoring:10,6,4,3,2,1,1,0': (
+        'estimate = 4.334007512 (exact 15000/3461)\n'
+        'samples = 6922, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 16.99894058 (exact 176500/10383)\n'
+        'samples = 6922, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+    'bucklin': (
+        'estimate = 18.9658095 (exact 196922/10383)\n'
+        'samples = 6922, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 23.7813734 (exact 246922/10383)\n'
+        'samples = 6922, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+    'maximin': (
+        'estimate = 8.668015025 (exact 30000/3461)\n'
+        'samples = 13844, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 18.53992102 (exact 192500/10383)\n'
+        'samples = 13844, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 1/3*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+    'copeland': (
+        'estimate = 1 (exact 1)\n'
+        'samples = 55376, seed = 3\n'
+        'guarantee: P[ |estimate - MoV| <= 7/9*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+        'estimate = 8.888888889 (exact 80/9)\n'
+        'samples = 55376, seed = 4\n'
+        'guarantee: P[ |estimate - MoV| <= 7/9*MoV + 0.1*n ] >= 0.95, n = 5000\n'
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def audit_file(tmp_path_factory):
+    result = CliRunner().invoke(main, ["generate", "--model", "ic", "--n", "5000", "--m", "8",
+                                       "--seed", "3"], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    path = tmp_path_factory.mktemp("audit") / "ic.txt"
+    path.write_text(result.output, encoding="utf-8")
+    return path
+
+
+# seed 4 as well as 3: with seed 3, Borda's and Copeland's estimates are
+# projected up onto 1, which a changed draw could leave as it is
+@pytest.mark.parametrize("rule", AUDIT_PINNED)
+def test_seeded_estimate_text_at_audit_scale(rule, audit_file):
+    runner, output = CliRunner(), ""
+    for seed in ("3", "4"):
+        result = runner.invoke(main, ["mov", "-i", str(audit_file), "-r", rule, "--mode", "estimate",
+                                      "--seed", seed], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        output += result.output
+    assert output == AUDIT_PINNED[rule]

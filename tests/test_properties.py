@@ -1,7 +1,8 @@
 """Property tests: the integer tallies, counted ballot by ballot and
 column-wise, and the estimators built on them against plain references,
-the type-level exact search against an
-index-level one and the pruned search against the unpruned one,
+the inlined binomial walk of the seeded count sampler against one call per
+cell, the type-level exact search against an index-level one and the
+pruned search against the unpruned one,
 candidate-token resolution in the parser, and profile
 construction (counted generation, the constructor's merge and errors, the
 parse/write round trip, the parser's own merge of scrambled text, its
@@ -202,6 +203,89 @@ def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell)
     assert all(0 <= i < len(source.profile.votes) for i in positions)
     assert all(1 <= c <= ell for c in counts.values())
     assert source.draw_counts(ell, seed) == counts
+
+
+# The seeded count sampler as it was before `_multinomial` drew its
+# binomials inline: one call of `_ref_binomial`, a line-for-line port of
+# CPython 3.12's ``random.binomialvariate``, per cell.
+
+
+def _ref_binomial(rng, n, p):
+    random_ = rng.random
+    if n == 1:
+        return int(random_() < p)
+    if p > 0.5:
+        return n - _ref_binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        x = y = 0
+        c = math.log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += math.floor(math.log2(random_()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    setup_complete = False
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    while True:
+        u = random_()
+        u -= 0.5
+        us = 0.5 - math.fabs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = random_()
+        if us >= 0.07 and v <= vr:
+            return k
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+            setup_complete = True
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
+def _ref_multinomial(rng, count, weights):
+    drawn = [0] * len(weights)
+    left, weight_left = count, sum(weights)
+    for i, w in enumerate(weights):
+        k = left if w == weight_left else _ref_binomial(rng, left, w / weight_left)
+        if k:
+            drawn[i] = k
+            left -= k
+            if not left:
+                break
+        weight_left -= w
+    return drawn
+
+
+# each example's first cell takes one branch: left == 1, p > 0.5, log2(1 - p)
+# rounding to 0, the geometric method just below n*p = 10, then BTRS at
+# p = 1/2 with seeds whose first variate is a squeeze accept (0), an lgamma
+# accept (1), follows an lgamma reject (2), or follows a k outside 0..n (36)
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10**18)), min_size=1, max_size=12),
+       st.integers(1, 10**7), st.integers(0, 2**64))
+@example([1, 1], 1, 0)
+@example([3, 1], 5, 0)
+@example([1, 10**18], 2, 0)
+@example([1, 99], 999, 0)
+@example([1, 1], 1000, 0)
+@example([1, 1], 1000, 1)
+@example([1, 1], 1000, 2)
+@example([1, 1], 1000, 36)
+def test_multinomial_draws_the_stream_of_the_reference(weights, count, seed):
+    a, b = random.Random(seed), random.Random(seed)
+    assert _multinomial(a, count, weights) == _ref_multinomial(b, count, weights)
+    assert a.random() == b.random()
 
 
 # References for the approval, Bucklin and pairwise families: the score
@@ -961,6 +1045,9 @@ def mutated_elections(draw):
 @example("m 2\ncandidates é,b\n1: é>b\n")
 @example("m 2\n1: a>\x01\n")
 @example("m 11\n1: a>b>c>d>e>f>g>h>i>j>10\n")
+@example("m 3\n1: a>b>d\n")
+@example("m 3\n1: a>1>c\n")
+@example("m 3\ncandidates c,a,1\n1: 1>a>c\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
 
