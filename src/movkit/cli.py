@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import click
 
-from movkit.core import InputError, RankedProfile, _entries, winner_set
+from movkit.core import InputError, RankedProfile, winner_set
 from movkit.estimators import (
     VoteSource,
     estimate_mov,
@@ -143,11 +143,11 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
             click.echo(f"MoV exceeds budget {result.budget}")
             return
         click.echo(f"MoV = {result.value}")
-        # the original of each vote index, read from the store without
-        # expanding all n votes
+        # the original of each vote index, read from the profile's entries
+        # without expanding all n votes
         ranked = isinstance(profile, RankedProfile)
         ends = list(itertools.accumulate(profile.counts))
-        originals = list(_entries(profile.rows, profile.m, ranked))
+        originals = list(profile.entries())
         for index, ballot in result.witness:
             original = originals[bisect.bisect_right(ends, index)]
             new = ballot.order if ranked else sorted(ballot.approved)

@@ -6,18 +6,19 @@ order as one packed array of d*m candidate indices (rankings) or one m-bit
 mask each (approval ballots), plus a tuple of d counts, built by one
 function, `_store`, from merged keys that sort as the ballots' order
 tuples or ascending members do. `RankedProfile` and `ApprovalProfile` only
-check a ballot and give its key. Equal multisets have equal stores, so they
-compare equal; the (ballot, count) pairs of ``votes`` are a view built on
-first use, and give the repr and the hash. Each rule family has one
-integer tally (positional, approval, Bucklin position counts, pairwise
-``above`` counts), shared by winner determination, the exact search and
-the sampling estimators. A store enters a tally through `_add_votes`, a
-profile's and a sample's alike (a sample weighs the profile's own rows by
-its drawn counts): many distinct rankings are counted column-wise, from one
-bitset per candidate and position read off slices of the packed rows,
-few rankings and many candidates one ballot at a time, and approval masks
-one candidate at a time; the exact search then steps a tally built any of
-these ways with its add. A positional score vector is scaled once to
+check a ballot, give its key and read their own rows back as ballot tuples
+(`entries`), so the store's layout is known only to this module. Equal
+multisets have equal stores, so they compare equal; the (ballot, count)
+pairs of ``votes`` are a view built on first use, and give the repr and the
+hash. Each rule family has one integer tally (positional, approval, Bucklin
+position counts, pairwise ``above`` counts), shared by winner
+determination, the exact search and the sampling estimators. A profile
+enters a tally through `_add_votes`, weighed by its own counts or by a
+sample's drawn counts: many distinct rankings are counted column-wise,
+from one bitset per candidate and position read off slices of the packed
+rows, few rankings and many candidates one ballot at a time, and approval
+masks one candidate at a time; the exact search then steps a tally built
+any of these ways with its add. A positional score vector is scaled once to
 integer weights over a common denominator, which the tally keeps, and the
 totals become exact `fractions.Fraction` scores once per candidate.
 Whenever a rule needs a single representative winner, the canonical
@@ -126,7 +127,8 @@ def _members(mask: int) -> tuple[int, ...]:
 def _store(m: int, counts: Mapping, ranked: bool) -> tuple:
     """(rows, counts): the packed store of distinct ballot keys and their
     counts, in key order. This is the one builder of every store: of each
-    profile, whatever made its keys, and of the ballots `rule_tally` is given.
+    profile, whatever made its keys, and so of the ballots `rule_tally` is
+    given. Only the profile (`entries`) and `_add_votes` read the rows back.
 
     A ranking's key is its order as `_row_type` (bytes up to m = 256), and
     the ranked rows are the keys joined: ``bytes`` up to m = 256, above that
@@ -142,15 +144,6 @@ def _store(m: int, counts: Mapping, ranked: bool) -> tuple:
     return array.array("H" if m <= 1 << 16 else "L", itertools.chain.from_iterable(keys)), weights
 
 
-def _entries(rows, m: int, ranked: bool) -> Iterator[tuple[int, ...]]:
-    """Each ballot of a store, in order, as a tally adds it: a ranking's
-    order, read m indices at a time off the packed rows, or an approval
-    ballot's ascending members. Each is made as it is read."""
-    if not ranked:
-        return map(_members, rows)
-    return zip(*[iter(rows)] * m)
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class Profile:
     """A multiset of ballots over m candidates; `RankedProfile` or
@@ -162,6 +155,11 @@ class Profile:
     ballot once and merges duplicates; the parser and the generators, whose
     keys are checked already, build the store from their merged keys with
     `_from_canonical`. ``names`` optionally labels candidates for I/O.
+
+    ``entries()`` reads the rows back as ballot tuples, a ranking's order or
+    an approval ballot's ascending members, in canonical order: every reader
+    of a profile's ballots outside this module takes them from there, and
+    only `_add_votes` also reads the packed rows themselves.
 
     ``votes`` is the public view of the store as (ballot, count) pairs,
     built on first use and cached; no path of the package reads it. Equal
@@ -240,8 +238,13 @@ class Profile:
 class RankedProfile(Profile):
     """A multiset of rankings, sorted by ballot order."""
 
+    def entries(self) -> Iterator[tuple[int, ...]]:
+        """Each ranking's order, in canonical order, read m indices at a time
+        off the packed rows and made as it is read."""
+        return zip(*[iter(self.rows)] * self.m)
+
     def _ballots(self):
-        return _bare(Ranking.order, list(_entries(self.rows, self.m, True)))
+        return _bare(Ranking.order, list(self.entries()))
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, Ranking):
@@ -255,9 +258,13 @@ class RankedProfile(Profile):
 class ApprovalProfile(Profile):
     """A multiset of approval ballots, sorted by their ascending members."""
 
+    def entries(self) -> Iterator[tuple[int, ...]]:
+        """Each ballot's ascending members, in canonical order, read off its
+        mask and made as it is read."""
+        return map(_members, self.rows)
+
     def _ballots(self):
-        members = _entries(self.rows, self.m, False)
-        return _bare(ApprovalBallot.approved, list(map(frozenset, members)))
+        return _bare(ApprovalBallot.approved, list(map(frozenset, self.entries())))
 
     def _check_ballot(self, ballot):
         if not isinstance(ballot, ApprovalBallot):
@@ -374,21 +381,21 @@ class Copeland(Rule):
 # tallies
 #
 # One integer tally per rule family. `_store_tally` checks the rule, makes
-# the empty tally of the rule's own parameters and hands it a store through
-# `_add_votes`, the one place where ballots enter a tally: a profile's store,
-# a sample's (the profile's rows weighed by the drawn counts) or the store
-# `rule_tally` packs from the (ballot, count) pairs it is given. Where the
-# family's counts_columns admits the number of distinct rankings and m, the
-# range where it measured faster, the rankings are counted column-wise, one
-# block of rows at a time (`_column_blocks`, read by the tally's add_block).
-# Approval masks are counted one candidate at a time (the tally's
-# add_masks), and every other store one ballot at a time. A tally takes
-# add(raw, k), where ``raw`` is a ranking's order or an approval ballot's
-# members, each a tuple, and a negative k retracts, and reads out the
-# rule's exact scores and its winner set as a bitmask over candidates. The
-# rule is fixed when the tally is built, so add and winner_mask stay plain
-# integer loops: the exact search steps a tally built any of these ways
-# with them, one ballot at a time, millions of times.
+# the empty tally of the rule's own parameters and hands it a profile and a
+# count per ballot through `_add_votes`, the one place where ballots enter a
+# tally: a profile with its own counts, a sample (the profile with the drawn
+# counts) or the profile `rule_tally` makes of the (ballot, count) pairs it
+# is given. Where the family's counts_columns admits the number of distinct
+# rankings and m, the range where it measured faster, the rankings are
+# counted column-wise, one block of rows at a time (`_column_blocks`, read by
+# the tally's add_block). Approval masks are counted one candidate at a time
+# (the tally's add_masks), and every other profile one ballot at a time. A
+# tally takes add(raw, k), where ``raw`` is a ranking's order or an approval
+# ballot's members, each a tuple, and a negative k retracts, and reads out
+# the rule's exact scores and its winner set as a bitmask over candidates.
+# The rule is fixed when the tally is built, so add and winner_mask stay
+# plain integer loops: the exact search steps a tally built any of these
+# ways with them, one ballot at a time, millions of times.
 
 # Most ballots in a block of the column-wise count: a pairwise block holds
 # m * m bitsets of up to _BLOCK bits, 4.7 MB at m = 128.
@@ -680,30 +687,32 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     """The integer tally of ``rule`` over (ballot, count) pairs of
     ``m``-candidate ballots, which are `Ranking`s when ``ranked`` and
     `ApprovalBallot`s otherwise. Raises InputError when the rule does not
-    fit them (see `_store_tally`), before the pairs are read. The pairs are
-    packed into a store by `_store` and enter the tally through
-    `_add_votes`, as a profile's store does."""
-    tally = _store_tally(rule, m, (), (), ranked)
+    fit them (see `_store_tally`), on a profile of no ballots, before the
+    pairs are read. The merged pairs then make a profile, whose ballots
+    enter the tally through `_add_votes` as any profile's do."""
+    kind = RankedProfile if ranked else ApprovalProfile
+    tally = _store_tally(rule, kind._from_canonical(m, {}, None), ())
     merged: dict = {}
     row = _row_type(m)
     for ballot, count in votes:
         key = row(ballot.order) if ranked else tuple(sorted(ballot.approved))
         merged[key] = merged.get(key, 0) + count
-    _add_votes(tally, m, *_store(m, merged, ranked), ranked)
+    profile = kind._from_canonical(m, merged, None)
+    _add_votes(tally, profile, profile.counts)
     return tally
 
 
-def _store_tally(rule: Rule, m: int, rows, counts: Sequence[int], ranked: bool):
-    """The integer tally of ``rule`` over a store of ``m``-candidate ballots
-    (see `_store`), rankings when ``ranked`` and approval ballots otherwise.
-    Raises InputError when the rule does not fit them: this is the one check
-    of a rule against an election, behind winner sets, bounds, the exact
-    search and the estimators, which check on an empty store before they
-    draw. The ballots enter through `_add_votes`; the exact search then
-    steps the tally with add.
+def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int]):
+    """The integer tally of ``rule`` over a profile's ballots weighed by
+    ``counts`` (see `_add_votes`). Raises InputError when the rule does not
+    fit the profile's m and ballot kind: this is the one check of a rule
+    against an election, behind winner sets, bounds, the exact search and
+    the estimators, which check with no counts before they draw. The exact
+    search then steps the tally with add.
 
     A score vector is scaled here, once, to integer weights over a common
     denominator ``unit``: ``alphas[i] == Fraction(weights[i], unit)``."""
+    m, ranked = profile.m, isinstance(profile, RankedProfile)
     if isinstance(rule, Approval):
         if ranked:
             raise InputError("this operation needs an approval profile")
@@ -728,22 +737,24 @@ def _store_tally(rule: Rule, m: int, rows, counts: Sequence[int], ranked: bool):
         tally = MaximinTally(m)
     else:
         tally = CopelandTally(m, rule.alpha)
-    _add_votes(tally, m, rows, counts, ranked)
+    _add_votes(tally, profile, counts)
     return tally
 
 
-def _add_votes(tally, m: int, rows, counts: Sequence[int], ranked: bool) -> None:
-    """Add a store's ballots (``rows`` of ``m``-candidate rankings when
-    ``ranked``, else approval masks; see `_store`), weighed by ``counts``,
-    to a tally of `_store_tally`: the one place where ballots enter a
-    tally. A profile adds its own counts; a sample adds the profile's rows
-    weighed by its drawn counts, 0 for a ballot not drawn. The path depends
-    on the input alone: approval masks are counted one candidate at a time
-    by the tally's add_masks; where the tally's counts_columns admits the
-    number of rankings of nonzero count, they are counted column-wise by
+def _add_votes(tally, profile: Profile, counts: Sequence[int]) -> None:
+    """Add a profile's ballots, weighed by ``counts``, to a tally of
+    `_store_tally`: the one place where ballots enter a tally, and the one
+    reader of a store's rows outside the profile. A profile adds its own
+    counts; a sample adds the profile's ballots weighed by its drawn counts,
+    0 for a ballot not drawn. The path depends on the input alone: approval
+    masks are counted one candidate at a time by the tally's add_masks;
+    where the tally's counts_columns admits the number of rankings of
+    nonzero count, the packed rows are counted column-wise by
     `_column_blocks` and the tally's add_block; otherwise each ranking of
-    nonzero count is added with the tally's add, as its order (`_entries`)."""
-    if not ranked:
+    nonzero count is added with the tally's add, as its order
+    (`RankedProfile.entries`)."""
+    m, rows = profile.m, profile.rows
+    if not isinstance(profile, RankedProfile):
         tally.add_masks(rows, counts)
         return
     if tally.counts_columns(len(counts) - counts.count(0), m):
@@ -751,7 +762,7 @@ def _add_votes(tally, m: int, rows, counts: Sequence[int], ranked: bool) -> None
             tally.add_block(column, weigh, total)
         return
     add = tally.add
-    for order, count in zip(_entries(rows, m, True), counts):
+    for order, count in zip(profile.entries(), counts):
         if count:
             add(order, count)
 
@@ -774,8 +785,7 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     Approval rules require approval profiles and vice versa; every other
     rule requires a ranked profile. The winner set is never empty.
     """
-    tally = _store_tally(rule, profile.m, profile.rows, profile.counts,
-                         isinstance(profile, RankedProfile))
+    tally = _store_tally(rule, profile, profile.counts)
     mask = tally.winner_mask()
     return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
 

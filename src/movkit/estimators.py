@@ -18,11 +18,11 @@ of candidates or the approval depth k.
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
 integer tally (checked as `movkit.core.rule_tally` checks it, the one check
-that the rule fits the ballots): the sample is the profile's own packed
-rows weighed by the drawn counts, added through `movkit.core._add_votes` as
-a profile's store is (column-wise when the sample holds many distinct
-rankings), so no ballot object is built or hashed for it. It reads from
-that tally, with every count rescaled by n/ell, the margin statistic that
+that the rule fits the ballots): the sample is the profile weighed by the
+drawn counts, added through `movkit.core._add_votes` as a profile is with
+its own counts (column-wise when the sample holds many distinct rankings),
+so no ballot object is built or hashed for it. It reads from that tally,
+with every count rescaled by n/ell, the margin statistic that
 `movkit.oracle.mov_bounds` reads on the full profile; the statistic stays
 in the tally's integers and builds exact rationals only for the values it
 returns. Winner selection is exact, with ties broken by lowest candidate
@@ -46,7 +46,6 @@ from movkit.core import (
     KApproval,
     Maximin,
     Profile,
-    RankedProfile,
     Rule,
     Scoring,
     _add_votes,
@@ -101,6 +100,8 @@ class VoteSource:
         count, in ascending order; no ballot object is built. Cost: O(d)
         binomials for d distinct ballots, never more than O(d + count).
         """
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise InputError(f"draw count must be an integer, got {count!r}")
         if count < 1:
             raise InputError(f"draw count must be at least 1, got {count}")
         drawn = _multinomial(random.Random(seed), count, self.profile.counts)
@@ -258,19 +259,19 @@ def estimate_mov(
 
     The rule is checked against the ballots as `movkit.core.rule_tally` does, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
-    delta are read or any vote is drawn. The drawn counts enter the tally
-    through `movkit.core._add_votes` as the profile's rows weighed by the
-    drawn count vector, the path a profile's store takes: column-wise for
+    delta are read or any vote is drawn. The sample enters the tally through
+    `movkit.core._add_votes` as the profile weighed by the drawn count
+    vector, the path a profile with its own counts takes: column-wise for
     many distinct rankings, one ballot at a time otherwise.
     """
     profile = source.profile
-    m, n, ranked = profile.m, profile.n, isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, m, (), (), ranked)
+    m, n = profile.m, profile.n
+    tally = _mov_tally(rule, profile, ())
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
     drawn = source.draw_counts(ell, seed)
     counts = list(map(drawn.get, range(len(profile.counts)), repeat(0)))
-    _add_votes(tally, m, profile.rows, counts, ranked)
+    _add_votes(tally, profile, counts)
     upper, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
     c = guarantee_constant(rule, m)
     return MovEstimate(

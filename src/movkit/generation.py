@@ -18,10 +18,12 @@ when c < k; otherwise c is split by one multinomial
 Every model counts its orders as {ranking key: count}, the key being the
 order's ``bytes`` up to m = 256 (`movkit.core._row_type`), and hands the
 counts to the profile's packed store once, so no ballot object is built and
-no ballot is checked again; `ranked_to_approval` reads the rankings from
-that store. PlantedGap and TwoCandidate fill ballot positions below the top
-in a fixed canonical order (ascending candidate index, skipping the top
-candidate), which keeps their profiles easy to analyze by hand.
+no ballot is checked again; `ranked_to_approval` reads the rankings back
+with the profile's ``entries()``. PlantedGap and TwoCandidate fill ballot
+positions below the top in a fixed canonical order (ascending candidate
+index, skipping the top candidate), which keeps their profiles easy to
+analyze by hand. Each model refuses a size, gap or winner that is not an
+int before it checks its range.
 """
 
 import math
@@ -35,10 +37,19 @@ from movkit.core import (
     ApprovalProfile,
     InputError,
     RankedProfile,
-    _entries,
     _multinomial,
     _row_type,
 )
+
+
+def _check_ints(spec, *fields: str) -> None:
+    """The type check of a spec's integer fields, before its range checks:
+    each must be an int, as a profile's multiplicities must, so that no
+    float count reaches the profile's store."""
+    for field in fields:
+        value = getattr(spec, field)
+        if not isinstance(value, int):
+            raise InputError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,7 @@ class ImpartialCulture:
     seed: int = 0
 
     def __post_init__(self):
+        _check_ints(self, "n", "m")
         if self.n < 1 or self.m < 1:
             raise InputError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
 
@@ -69,6 +81,7 @@ class PlantedGap:
     m: int
 
     def __post_init__(self):
+        _check_ints(self, "winner", "gap", "n", "m")
         if self.m < 2:
             raise InputError("a planted gap needs at least two candidates")
         if not 0 <= self.winner < self.m:
@@ -89,6 +102,7 @@ class TwoCandidate:
     n: int
 
     def __post_init__(self):
+        _check_ints(self, "n")
         p = Fraction(self.p)
         object.__setattr__(self, "p", p)
         if not 0 <= p <= 1:
@@ -186,7 +200,7 @@ def ranked_to_approval(
     distinct ballots, not one per vote.
     """
     m = profile.m
-    orders = _entries(profile.rows, m, True)
+    orders = profile.entries()
     prefixes = Counter()
     if isinstance(k, str):
         if k != "uniform":

@@ -17,18 +17,20 @@ ballot merge, their counts summed.
 
 The parser is the one check of a file's ballots, and hands the merged
 ballot keys to the profile's store (`movkit.core._store`) without the
-constructor checking them again. Well-formed text is parsed in a few
-whole-text passes: the body lines joined by ':' split once into counts and
-ballots; rankings of single-character tokens are joined into one text,
-whose separators one slice comparison checks, and which one translate
-(each token to its candidate index) and one split cut into one ``bytes``
-key per ballot: the store joins those into its packed rows, so no tuple or
-ballot object is built per ballot. Longer tokens are split one ballot at a
-time, so no ballot's token list outlives its key. Both readers resolve
-tokens through one token table, which resolves each distinct token once.
-Any fault sends the text to the line loop, which only locates the first
-fault and names its line: it is the one reader of faulty text and the
-reference for the passes.
+constructor checking them again. One reader, `_header`, reads the ``m`` and
+``candidates`` lines for both parse paths below, and raises a header fault
+itself, on its line. A well-formed body is parsed in a few whole-text
+passes: the body lines joined by ':' split once into counts and ballots;
+rankings of single-character tokens are joined into one text, whose
+separators one slice comparison checks, and which one translate (each
+token to its candidate index) and one split cut into one ``bytes`` key per
+ballot: the store joins those into its packed rows, so no tuple or ballot
+object is built per ballot. Longer tokens are split one ballot at a time,
+so no ballot's token list outlives its key. Both readers resolve tokens
+through one token table, which resolves each distinct token once. Any
+fault in the body sends the text to the line loop, which only locates the
+first fault and names its line: it is the one reader of a faulty body and
+the reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -39,7 +41,7 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from operator import contains, itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence
 
@@ -48,7 +50,6 @@ from movkit.core import (
     InputError,
     Profile,
     RankedProfile,
-    _entries,
     _row_type,
     _validate_names,
 )
@@ -113,44 +114,68 @@ def _positive(text: str) -> int:
 def parse_election(text: str) -> Profile:
     """Parse election text into a ranked or approval profile.
 
-    Well-formed text is parsed in whole-file passes (`_parse_bulk`). On any
-    fault the line loop (`_parse_lines`) parses the text again and raises
-    the first fault with its line number."""
-    return _parse_bulk(text) or _parse_lines(text)
-
-
-def _parse_bulk(text: str) -> Optional[Profile]:
-    """The profile of well-formed text, or None on any fault, read in a few
-    whole-text passes instead of one Python iteration per line: the body
-    lines joined by ':' split once into counts and ballots, and the ballots
-    read by `_bulk_keys`."""
-    lines = filter(None, map(str.strip, text.splitlines()))
+    The header is read by `_header`, which raises its faults. A well-formed
+    body is parsed in whole-file passes (`_parse_bulk`). On any body fault
+    the line loop (`_parse_lines`) parses the text again and raises the
+    first fault with its line number."""
+    lines = text.splitlines()
+    m, names, start, _ = _header(lines)
+    body = filter(None, map(str.strip, islice(lines, start, None)))
     if "#" in text:
-        lines = filterfalse(methodcaller("startswith", "#"), lines)
+        body = filterfalse(methodcaller("startswith", "#"), body)
+    del lines  # the body's iterator frees the line list once it is read
+    return _parse_bulk(body, m, names) or _parse_lines(text)
+
+
+def _header(lines: Sequence[str]) -> tuple:
+    """(m, names, start, last): the header of an election file's lines, the
+    one reader of it for both parse paths. Blank and '#' lines are skipped;
+    the first other line must be ``m <count>``, and a ``candidates`` line
+    right after it declares the names (None without one). ``start`` is the
+    index in ``lines`` of the first line after the header, and ``last`` the
+    1-based number of the header's last line. A fault is a ParseError on
+    its line."""
+    significant = ((number, line) for number, line in enumerate(map(str.strip, lines), start=1)
+                   if line and line[0] != "#")
+    number, line = next(significant, (0, ""))
+    if not number:
+        raise ParseError("missing 'm <count>' header", 1)
+    parts = line.split()
+    m = _positive(parts[1]) if len(parts) == 2 and parts[0] == "m" else 0
+    if m < 1:
+        raise ParseError("first line must be 'm <count>' with a positive count", number)
+    last = number
+    number, line = next(significant, (len(lines) + 1, ""))
+    if not line.startswith("candidates"):
+        return m, None, number - 1, last
+    rest = line[len("candidates"):].strip()
     try:
-        head = next(lines, "").split()
-        m = _positive(head[1]) if len(head) == 2 and head[0] == "m" else 0
-        if m < 1:
-            return None
-        names, first = None, next(lines, "")
-        if first.startswith("candidates"):
-            rest = first[len("candidates"):].strip()
-            names = _validate_names((tok.strip() for tok in rest.split(",")), m)
-            first = next(lines, "")
-        # first is "" when no ballot line follows. A ':' on every line and as
-        # many ':' as lines in all make one per line, so the joined lines
-        # split into count, ballot, count, ballot, ...
-        body = [first, *lines]
-        if not all(map(contains, body, repeat(":"))):
-            return None
-        fields = ":".join(body).split(":")
-        if len(fields) != 2 * len(body):
-            return None
-        counts, ballots = list(map(str.strip, fields[::2])), fields[1::2]
-        del body, fields  # not to hold the line text twice through the key pass
-        digits = "".join(counts)
-        if not (digits.isascii() and digits.isdigit()):
-            return None
+        names = _validate_names((tok.strip() for tok in rest.split(",")), m)
+    except InputError as exc:
+        raise ParseError(str(exc), number) from exc
+    return m, names, number, number
+
+
+def _parse_bulk(lines: Iterable[str], m: int, names) -> Optional[Profile]:
+    """The profile of well-formed body lines, stripped and without blank or
+    comment lines, of an m-candidate file with the declared ``names``, or
+    None on any fault. It reads them in a few whole-text passes instead of
+    one Python iteration per line: the lines joined by ':' split once into
+    counts and ballots, and the ballots read by `_bulk_keys`."""
+    # A ':' on every line and as many ':' as lines in all make one per line,
+    # so the joined lines split into count, ballot, count, ballot, ...
+    body = list(lines)
+    if not (body and all(map(contains, body, repeat(":")))):
+        return None
+    fields = ":".join(body).split(":")
+    if len(fields) != 2 * len(body):
+        return None
+    counts, ballots = list(map(str.strip, fields[::2])), fields[1::2]
+    del body, fields  # not to hold the line text twice through the key pass
+    digits = "".join(counts)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
         # int() of an empty count, or of more digits than it reads, is a
         # ValueError; each distinct count text is read once
         value = {count: int(count) for count in set(counts)}
@@ -158,7 +183,7 @@ def _parse_bulk(text: str) -> Optional[Profile]:
             return None
         counts = list(map(value.__getitem__, counts))
         kind, keys = _bulk_keys(ballots, _TokenTable(names, m), m)
-    except ValueError:  # so are a ParseError and an InputError
+    except ValueError:  # so is a ParseError
         return None
     del ballots  # the line text is not needed to build the profile
     merged = dict(zip(keys, counts))
@@ -268,30 +293,16 @@ def _ranks_all(rows: bytes, m: int) -> bool:
 def _parse_lines(text: str) -> Profile:
     """Parse election text line by line: the one reader that names the
     first faulty line, and the reference the whole-file passes match. Both
-    resolve tokens through one `_TokenTable`, here told each line's number."""
-    m = 0
-    names: Optional[tuple[str, ...]] = None
+    read the header with `_header` and resolve tokens through one
+    `_TokenTable`, here told each line's number."""
+    lines = text.splitlines()
+    m, names, start, last_header = _header(lines)
+    table, row = _TokenTable(names, m), _row_type(m)
     kind: Optional[type[Profile]] = None  # set by the first ballot line
     counts: dict = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(islice(lines, start, None), start=start + 1):
         line = line.strip()
         if not line or line[0] == "#":
-            continue
-        if not m:
-            parts = line.split()
-            m = _positive(parts[1]) if len(parts) == 2 and parts[0] == "m" else 0
-            if m < 1:
-                raise ParseError("first line must be 'm <count>' with a positive count", number)
-            last_header = number
-            table, row = _TokenTable(names, m), _row_type(m)
-            continue
-        if kind is None and names is None and line.startswith("candidates"):
-            rest = line[len("candidates"):].strip()
-            try:
-                names = _validate_names((tok.strip() for tok in rest.split(",")), m)
-            except InputError as exc:
-                raise ParseError(str(exc), number) from exc
-            table, last_header = _TokenTable(names, m), number
             continue
         count_part, sep, ballot_part = line.partition(":")
         if not sep:
@@ -329,8 +340,6 @@ def _parse_lines(text: str) -> Profile:
             if len(set(key)) != m:
                 raise ParseError("ranking repeats a candidate", number)
         counts[key] = counts.get(key, 0) + count
-    if not m:
-        raise ParseError("missing 'm <count>' header", 1)
     if kind is None:
         raise ParseError("no ballot lines", last_header)
     return kind._from_canonical(m, counts, names)
@@ -360,9 +369,8 @@ def write_election(profile: Profile) -> str:
     out = [f"m {profile.m}"]
     if profile.names is not None:
         out.append("candidates " + ",".join(profile.names))
-    entries = _entries(profile.rows, profile.m, ranked)
     out.extend(f"{mult}: {_format_ballot(entry, ranked, labels)}"
-               for entry, mult in zip(entries, profile.counts))
+               for entry, mult in zip(profile.entries(), profile.counts))
     return "\n".join(out) + "\n"
 
 

@@ -42,7 +42,6 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
-    _entries,
     _store_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
@@ -107,13 +106,14 @@ class MovBounds:
 # exact search
 
 
-def _mov_tally(rule: Rule, m: int, rows, counts, ranked: bool):
-    """The tally of a store (see `movkit.core._store`), checked as
-    `movkit.core.rule_tally` checks it, for a margin of victory, which
-    needs a second candidate to change the winner set."""
-    if m < 2:
+def _mov_tally(rule: Rule, profile: Profile, counts):
+    """The tally of a profile's ballots weighed by ``counts`` (see
+    `movkit.core._store_tally`), checked as `movkit.core.rule_tally` checks
+    it, for a margin of victory, which needs a second candidate to change
+    the winner set."""
+    if profile.m < 2:
         raise InputError("margin of victory needs at least two candidates")
-    return _store_tally(rule, m, rows, counts, ranked)
+    return _store_tally(rule, profile, counts)
 
 
 def _settled_test(rule: Rule, tally, m: int, n: int):
@@ -194,10 +194,10 @@ def mov_brute_force(
 
     The search applies raw ballots, tuples, to the rule's tally with
     add(raw, -1 or +1) and compares its winner_mask: the profile's ballots
-    as they are read from its store (the order of each ranked row, or the
-    ascending members of each approval mask), and replacements in the same
-    form from the universe of every raw ballot, the m! order tuples of a
-    ranked profile or the 2**m approval member tuples, in the order of
+    as its ``entries()`` reads them (each ranking's order, or each approval
+    ballot's ascending members), and replacements in the same form from the
+    universe of every raw ballot, the m! order tuples of a ranked profile
+    or the 2**m approval member tuples, in the order of
     ``itertools.permutations`` or of the bitmasks 0..2**m-1.
 
     For t = 1, 2, ..., budget, one depth-first search retracts a multiset of
@@ -219,13 +219,16 @@ def mov_brute_force(
     Returns ``value=None`` when no change within the budget flips the winner
     set. Raises WorkLimitError once the size of the replacement universe plus
     the search nodes visited (pruned nodes and leaves included) exceed
-    ``work_limit``; the universe is charged before it is built. A
-    ``work_limit`` below 1 is an InputError, raised before any search.
+    ``work_limit``; the universe is charged before it is built. A budget
+    that is not an int (a bool included) or is below 1, and a
+    ``work_limit`` below 1, are InputErrors, raised before any search.
     """
     m, ranked = profile.m, isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, m, profile.rows, profile.counts, ranked)
+    tally = _mov_tally(rule, profile, profile.counts)
     if budget is None:
         budget = profile.n
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise InputError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
     if work_limit < 1:
@@ -245,7 +248,7 @@ def mov_brute_force(
         universe = [()]
         for c in range(m):
             universe += [members + (c,) for members in universe]
-    raw = list(_entries(profile.rows, m, ranked))
+    raw = list(profile.entries())
     wrap = Ranking if ranked else (lambda members: ApprovalBallot(frozenset(members)))
     add, winner_mask = tally.add, tally.winner_mask
     base_mask = winner_mask()
@@ -349,8 +352,7 @@ def apply_changes(
         seen.add(index)
         counts[bisect.bisect_right(ends, index)] -= 1
         inserted.append((ballot, 1))
-    entries = _entries(profile.rows, profile.m, isinstance(profile, RankedProfile))
-    kept = [(entry, count) for entry, count in zip(entries, counts) if count]
+    kept = [(entry, count) for entry, count in zip(profile.entries(), counts) if count]
     return type(profile)(m=profile.m, votes=(*kept, *inserted), names=profile.names)
 
 
@@ -558,8 +560,7 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     change is always needed, and replacing all n votes reaches any profile.
     So the upper end is capped at n.
     """
-    tally = _mov_tally(rule, profile.m, profile.rows, profile.counts,
-                       isinstance(profile, RankedProfile))
+    tally = _mov_tally(rule, profile, profile.counts)
     upper = _margin_statistic(rule, tally, profile.n)[0]
     if isinstance(rule, Scoring):
         lower, upper, source = upper / 2, upper + 1, "positional score gap"

@@ -88,6 +88,19 @@ def test_profile_n_is_summed_once_and_not_a_field():
     assert checked == RankedProfile(3, [((0, 1, 2), 1), ((2, 0, 1), 10**12)])  # n not read yet
 
 
+def test_a_store_above_65536_candidates_takes_the_wide_typecode():
+    # indices above 65,535 fit no "H" entry; no pairwise rule, which would
+    # allocate m * m counts
+    m = 65_537
+    votes = ((tuple(range(m)), 2), ((m - 1, *range(m - 1)), 3),
+             ((m - 1, *range(m - 2, -1, -1)), 1))
+    p = RankedProfile(m, votes[::-1])
+    assert p.rows.typecode == "L"
+    assert p.votes == tuple((Ranking(order), count) for order, count in votes)
+    assert parse_election(write_election(p)) == p
+    assert winner_set(p, KApproval(1)).winners == (m - 1,)
+
+
 @pytest.mark.parametrize("build", ["generated", "parsed"])
 def test_a_profile_keeps_few_bytes_per_distinct_ranking(build):
     # IC n = 20,000 over 8 candidates has about 15,700 distinct rankings; a
@@ -332,7 +345,8 @@ def test_copeland_alpha_bounds():
 # loop, one add per (ballot, count) pair, and must not tell the two apart.
 
 
-def _loop_votes(tally, m, rows, counts, ranked):
+def _loop_votes(tally, profile, counts):
+    m, rows, ranked = profile.m, profile.rows, isinstance(profile, RankedProfile)
     for i, count in enumerate(counts):
         if count:
             ballot = tuple(rows[i * m:(i + 1) * m]) if ranked else \

@@ -316,6 +316,10 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: ApprovalBallot({-1}),
      "approval ballot must contain candidate indices: frozenset({-1})"),
     (lambda: VoteSource(RANKED).draw_counts(0, 1), "draw count must be at least 1, got 0"),
+    (lambda: VoteSource(RANKED).draw_counts(2.5, 0), "draw count must be an integer, got 2.5"),
+    (lambda: VoteSource(RANKED).draw_counts(True, 0), "draw count must be an integer, got True"),
+    (lambda: mov_brute_force(RANKED, Bucklin(), 1.5), "budget must be an integer, got 1.5"),
+    (lambda: mov_brute_force(RANKED, Bucklin(), True), "budget must be an integer, got True"),
     (lambda: sample_size("plurality", EPS, DELTA, 3), "unknown rule kind 'plurality'"),
     (lambda: lower_bound_samples(1, EPS, DELTA), "c must lie in [0, 1), got 1"),
     (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, c=1), "c must lie in [0, 1), got 1"),
@@ -330,7 +334,8 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: generate(PlantedGap(winner=0, gap=1, n=2, m=3)),
      "gap 1 is unachievable with n=2 and m=3"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
-        "rule-kind", "lower-bound-c", "distinguisher-c", "distinguisher-trials",
+        "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
+        "lower-bound-c", "distinguisher-c", "distinguisher-trials",
         "approval-depth", "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
         "copeland-one-candidate", "planted-parity", "planted-too-few-votes"])
 def test_library_input_fault_texts(make, message):

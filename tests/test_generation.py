@@ -146,7 +146,15 @@ def test_two_candidate_equals_the_checked_profile_of_its_counts():
     (lambda: ImpartialCulture(0, 3), "need n >= 1 and m >= 1, got n=0, m=3"),
     (lambda: PlantedGap(0, 1, 5, 1), "a planted gap needs at least two candidates"),
     (lambda: generate("x"), "unknown generation model: 'x'"),
-], ids=["ic-size", "planted-one-candidate", "unknown-model"])
+    (lambda: generate(PlantedGap(winner=0, gap=1, n=3.0, m=2)), "n must be an integer, got 3.0"),
+    (lambda: TwoCandidate(p=F(1, 2), n=2.5), "n must be an integer, got 2.5"),
+    (lambda: PlantedGap(winner=0, gap=1.5, n=4, m=2), "gap must be an integer, got 1.5"),
+    (lambda: ImpartialCulture(n=4.0, m=3), "n must be an integer, got 4.0"),
+    (lambda: ImpartialCulture(n=4, m=3.0), "m must be an integer, got 3.0"),
+    (lambda: PlantedGap(winner=0.0, gap=2, n=4, m=2), "winner must be an integer, got 0.0"),
+], ids=["ic-size", "planted-one-candidate", "unknown-model", "planted-float-n",
+        "two-candidate-float-n", "planted-float-gap", "ic-float-n", "ic-float-m",
+        "planted-float-winner"])
 def test_generation_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()

@@ -1048,6 +1048,12 @@ def mutated_elections(draw):
 @example("m 3\n1: a>b>d\n")
 @example("m 3\n1: a>1>c\n")
 @example("m 3\ncandidates c,a,1\n1: 1>a>c\n")
+@example("# c\n\nm 2\n1: a>b\n")
+@example("\n  m 2  \n# x\ncandidates x,y\n\n1: y>x\n")
+@example("candidates x,y\nm 2\n1: x>y\n")
+@example("m 2\ncandidates x,y\n\n# only a header\n")
+@example("# a\n# b\n")
+@example("m 2\ncandidates x,x\n1: x>y\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
 
