@@ -4,8 +4,9 @@ Candidates are integers ``0..m-1``. A `Profile` is a packed store of
 distinct ballots with positive multiplicities: its d ballots in canonical
 order as one packed array of d*m candidate indices (rankings) or one m-bit
 mask each (approval ballots), plus a tuple of d counts, built by one
-function, `_store`, from merged keys that sort as the ballots' order
-tuples or ascending members do. `RankedProfile` and `ApprovalProfile` only
+function, `_store`, from keys that sort as the ballots' order tuples or
+ascending members do, which it sorts and merges unless they already
+strictly increase. `RankedProfile` and `ApprovalProfile` only
 check a ballot, give its key and read their own rows back as ballot tuples
 (`entries`), so the store's layout is known only to this module. Equal
 multisets have equal stores, so they compare equal; the (ballot, count)
@@ -41,7 +42,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -124,24 +125,38 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
-def _store(m: int, counts: Mapping, ranked: bool) -> tuple:
-    """(rows, counts): the packed store of distinct ballot keys and their
-    counts, in key order. This is the one builder of every store: of each
-    profile, whatever made its keys, and so of the ballots `rule_tally` is
-    given. Only the profile (`entries`) and `_add_votes` read the rows back.
+def _store(m: int, keys: Collection, counts: Iterable[int], ranked: bool) -> tuple:
+    """(rows, counts): the packed store of ballot keys and their counts, in
+    key order. This is the one builder of every store: of each profile,
+    whatever made its keys, and so of the ballots `rule_tally` is given.
+    Only the profile (`entries`) and `_add_votes` read the rows back.
+
+    ``keys`` and ``counts`` are parallel, in any order, and a key may
+    repeat. Where the keys are strictly increasing, as a written file's are,
+    they are the store's order as given, and no sort or merge runs;
+    otherwise the (key, count) pairs are sorted by key and the counts of
+    adjacent equal keys summed. This is the one merge of repeated ballots.
 
     A ranking's key is its order as `_row_type` (bytes up to m = 256), and
     the ranked rows are the keys joined: ``bytes`` up to m = 256, above that
     an ``array`` of a wider typecode, in which row i is the slice
     [i*m, (i+1)*m). An approval ballot's key is its ascending members, and
     its row one int whose bit c is set when it approves candidate c."""
-    keys = sorted(counts)
-    weights = tuple(map(counts.__getitem__, keys))
+    if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+        merged_keys, merged_counts = [], []
+        for key, count in sorted(zip(keys, counts), key=operator.itemgetter(0)):
+            if merged_keys and merged_keys[-1] == key:
+                merged_counts[-1] += count
+            else:
+                merged_keys.append(key)
+                merged_counts.append(count)
+        keys, counts = merged_keys, merged_counts
+    counts = tuple(counts)
     if not ranked:
-        return tuple(sum(1 << c for c in key) for key in keys), weights
+        return tuple(sum(1 << c for c in key) for key in keys), counts
     if m <= 256:
-        return b"".join(keys), weights
-    return array.array("H" if m <= 1 << 16 else "L", itertools.chain.from_iterable(keys)), weights
+        return b"".join(keys), counts
+    return array.array("H" if m <= 1 << 16 else "L", itertools.chain.from_iterable(keys)), counts
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -152,9 +167,9 @@ class Profile:
     A profile is a packed store (see `_store`): ``rows``, its d distinct
     ballots in canonical order, the order of their sort keys, and
     ``counts``, their d positive multiplicities. The constructor checks each
-    ballot once and merges duplicates; the parser and the generators, whose
-    keys are checked already, build the store from their merged keys with
-    `_from_canonical`. ``names`` optionally labels candidates for I/O.
+    ballot once; the parser and the generators, whose keys are checked
+    already, hand theirs to `_from_canonical`. Either way `_store` merges
+    repeated ballots. ``names`` optionally labels candidates for I/O.
 
     ``entries()`` reads the rows back as ballot tuples, a ranking's order or
     an approval ballot's ascending members, in canonical order: every reader
@@ -176,28 +191,29 @@ class Profile:
         object.__setattr__(self, "m", m)
         if m < 1:
             raise InputError("profile needs at least one candidate")
-        counts: dict = {}
+        keys, counts = [], []
         for ballot, mult in votes:
-            key = self._check_ballot(ballot)
+            keys.append(self._check_ballot(ballot))
             if not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
-            counts[key] = counts.get(key, 0) + mult
-        if not counts:
+            counts.append(int(mult))
+        if not keys:
             raise InputError("profile must contain at least one vote")
-        self._fill(counts, _validate_names(names, m))
+        self._fill(keys, counts, _validate_names(names, m))
 
     @classmethod
-    def _from_canonical(cls, m: int, counts: Mapping, names) -> "Profile":
-        """The profile of checked ballot keys (see `_store`) and their merged
-        positive counts, with validated ``names`` or None: what the
-        constructor's checks and merge end in, without repeating them."""
+    def _from_canonical(cls, m: int, keys: Collection, counts: Iterable[int], names) -> "Profile":
+        """The profile of checked ballot keys (see `_store`), in any order
+        and possibly repeated, and their positive counts, with validated
+        ``names`` or None: what the constructor's checks end in, without
+        repeating them."""
         profile = object.__new__(cls)
         object.__setattr__(profile, "m", m)
-        profile._fill(counts, names)
+        profile._fill(keys, counts, names)
         return profile
 
-    def _fill(self, counts: Mapping, names) -> None:
-        rows, counts = _store(self.m, counts, isinstance(self, RankedProfile))
+    def _fill(self, keys: Collection, counts: Iterable[int], names) -> None:
+        rows, counts = _store(self.m, keys, counts, isinstance(self, RankedProfile))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "names", names)
@@ -688,17 +704,16 @@ def rule_tally(rule: Rule, m: int, votes, ranked: bool):
     ``m``-candidate ballots, which are `Ranking`s when ``ranked`` and
     `ApprovalBallot`s otherwise. Raises InputError when the rule does not
     fit them (see `_store_tally`), on a profile of no ballots, before the
-    pairs are read. The merged pairs then make a profile, whose ballots
-    enter the tally through `_add_votes` as any profile's do."""
+    pairs are read. The pairs then make a profile through the checked
+    constructor, which raises a faulty ballot's or count's InputError, and
+    its ballots enter the tally through `_add_votes` as any profile's do.
+    No pairs give the empty tally."""
     kind = RankedProfile if ranked else ApprovalProfile
-    tally = _store_tally(rule, kind._from_canonical(m, {}, None), ())
-    merged: dict = {}
-    row = _row_type(m)
-    for ballot, count in votes:
-        key = row(ballot.order) if ranked else tuple(sorted(ballot.approved))
-        merged[key] = merged.get(key, 0) + count
-    profile = kind._from_canonical(m, merged, None)
-    _add_votes(tally, profile, profile.counts)
+    tally = _store_tally(rule, kind._from_canonical(m, (), (), None), ())
+    votes = tuple(votes)
+    if votes:
+        profile = kind(m, votes)
+        _add_votes(tally, profile, profile.counts)
     return tally
 
 

@@ -171,7 +171,7 @@ def generate(spec: GenSpec) -> RankedProfile:
     if isinstance(spec, ImpartialCulture):
         orders, key = Counter(), _row_type(spec.m)
         _impartial_orders(random.Random(spec.seed), key(), key(range(spec.m)), spec.n, orders)
-        return RankedProfile._from_canonical(spec.m, orders, None)
+        return RankedProfile._from_canonical(spec.m, orders.keys(), orders.values(), None)
     if isinstance(spec, PlantedGap):
         m, tops = spec.m, _planted_counts(spec)
     elif isinstance(spec, TwoCandidate):
@@ -181,7 +181,7 @@ def generate(spec: GenSpec) -> RankedProfile:
     # each candidate's first places, the rest ranked in ascending order
     key = _row_type(m)
     orders = {key((top, *(c for c in range(m) if c != top))): k for top, k in enumerate(tops) if k}
-    return RankedProfile._from_canonical(m, orders, None)
+    return RankedProfile._from_canonical(m, orders.keys(), orders.values(), None)
 
 
 def ranked_to_approval(
@@ -197,8 +197,11 @@ def ranked_to_approval(
     order: a ballot of multiplicity w < m + 1 draws its w depths one by one,
     a heavier one draws how many of its votes take each depth as one
     Multinomial(w; m + 1 equal cells), so the cost is O(d * m) draws for d
-    distinct ballots, not one per vote.
+    distinct ballots, not one per vote. Any other profile than a ranked one
+    is an InputError.
     """
+    if not isinstance(profile, RankedProfile):
+        raise InputError("this operation needs a ranked profile")
     m = profile.m
     orders = profile.entries()
     prefixes = Counter()
@@ -227,4 +230,4 @@ def ranked_to_approval(
         for order, mult in zip(orders, profile.counts):
             prefixes[tuple(sorted(order[:k]))] += mult
     # every key is a sorted set of candidates of a checked ranking
-    return ApprovalProfile._from_canonical(m, prefixes, profile.names)
+    return ApprovalProfile._from_canonical(m, prefixes.keys(), prefixes.values(), profile.names)

@@ -15,22 +15,24 @@ default letters a, b, c, ... Declared names win over integer literals.
 Counts, indices and ``m`` are written in ASCII digits. Lines with the same
 ballot merge, their counts summed.
 
-The parser is the one check of a file's ballots, and hands the merged
-ballot keys to the profile's store (`movkit.core._store`) without the
-constructor checking them again. One reader, `_header`, reads the ``m`` and
-``candidates`` lines for both parse paths below, and raises a header fault
-itself, on its line. A well-formed body is parsed in a few whole-text
-passes: the body lines joined by ':' split once into counts and ballots;
-rankings of single-character tokens are joined into one text, whose
-separators one slice comparison checks, and which one translate (each
-token to its candidate index) and one split cut into one ``bytes`` key per
-ballot: the store joins those into its packed rows, so no tuple or ballot
-object is built per ballot. Longer tokens are split one ballot at a time,
-so no ballot's token list outlives its key. Both readers resolve tokens
-through one token table, which resolves each distinct token once. Any
-fault in the body sends the text to the line loop, which only locates the
-first fault and names its line: it is the one reader of a faulty body and
-the reference for the passes.
+The parser is the one check of a file's ballots, and hands the ballot keys
+and counts, in file order, to the profile's store (`movkit.core._store`)
+without the constructor checking them again; the store merges repeated
+ballots. One reader, `_header`, reads the ``m`` and ``candidates`` lines for
+both parse paths below, reading lines one at a time only as far as the
+header, and raises a header fault itself, on its line. A well-formed body is parsed in
+a few whole-text passes: its UTF-8 is split once at every ':' and line
+break into counts and ballots (a body with comments, blank lines or other
+line breaks than '\\n' is normalised first); rankings of single-character
+tokens are joined into one text, whose separators one slice comparison
+checks, and which one translate (each token to its candidate index) and
+one split cut into one ``bytes`` key per ballot: the store joins those into
+its packed rows, so no tuple or ballot object is built per ballot. Longer
+tokens are split one ballot at a time, so no ballot's token list outlives
+its key. Both readers resolve tokens through one token table, which
+resolves each distinct token once. Any fault in the body sends the text to
+the line loop, which only locates the first fault and names its line: it
+is the one reader of a faulty body and the reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -39,11 +41,12 @@ write(parse(text)) is idempotent and parse(write(profile)) == profile.
 
 import csv
 import io
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, filterfalse, islice, repeat
-from operator import contains, itemgetter, methodcaller
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter, methodcaller
+from typing import Iterable, Iterator, Optional, Sequence
 
 from movkit.core import (
     ApprovalProfile,
@@ -114,30 +117,43 @@ def _positive(text: str) -> int:
 def parse_election(text: str) -> Profile:
     """Parse election text into a ranked or approval profile.
 
-    The header is read by `_header`, which raises its faults. A well-formed
-    body is parsed in whole-file passes (`_parse_bulk`). On any body fault
-    the line loop (`_parse_lines`) parses the text again and raises the
-    first fault with its line number."""
-    lines = text.splitlines()
-    m, names, start, _ = _header(lines)
-    body = filter(None, map(str.strip, islice(lines, start, None)))
-    if "#" in text:
-        body = filterfalse(methodcaller("startswith", "#"), body)
-    del lines  # the body's iterator frees the line list once it is read
-    return _parse_bulk(body, m, names) or _parse_lines(text)
+    The header is read by `_header`, which raises its faults. The body after
+    it is parsed in whole-text passes (`_parse_bulk`), which hand the ballot
+    keys and counts, in file order, to the profile's store: the store skips
+    its sort and merge where the keys are strictly increasing, as a written
+    file's are. On any body fault the line loop (`_parse_lines`) parses the
+    text again and raises the first fault with its line number."""
+    m, names, _, offset = _header(text)
+    return _parse_bulk(text[offset:], m, names) or _parse_lines(text)
 
 
-def _header(lines: Sequence[str]) -> tuple:
-    """(m, names, start, last): the header of an election file's lines, the
-    one reader of it for both parse paths. Blank and '#' lines are skipped;
-    the first other line must be ``m <count>``, and a ``candidates`` line
-    right after it declares the names (None without one). ``start`` is the
-    index in ``lines`` of the first line after the header, and ``last`` the
-    1-based number of the header's last line. A fault is a ParseError on
-    its line."""
-    significant = ((number, line) for number, line in enumerate(map(str.strip, lines), start=1)
-                   if line and line[0] != "#")
-    number, line = next(significant, (0, ""))
+# the line breaks of str.splitlines, '\r\n' first so that it is one break
+_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str) -> Iterator[tuple[str, int]]:
+    """(line, end) for each line of text as str.splitlines cuts it, read one
+    line at a time; ``end`` is the offset just after the line's break."""
+    start = 0
+    for match in _BREAK.finditer(text):
+        yield text[start:match.start()], match.end()
+        start = match.end()
+    if start < len(text):
+        yield text[start:], len(text)
+
+
+def _header(text: str) -> tuple:
+    """(m, names, last, offset): the header of election text, the one
+    reader of it for both parse paths. It reads the lines one at a time, up
+    to the first significant line after ``m``, and no further. Blank and '#'
+    lines are skipped; the first other line must be ``m <count>``, and a
+    ``candidates`` line right after it declares the names (None without
+    one). ``last`` is the 1-based number of the header's last line, and
+    ``offset`` the index in ``text`` just after it, where the body begins.
+    A fault is a ParseError on its line."""
+    lines = ((number, line.strip(), end) for number, (line, end) in enumerate(_lines(text), start=1))
+    significant = (entry for entry in lines if entry[1] and entry[1][0] != "#")
+    number, line, offset = next(significant, (0, "", 0))
     if not number:
         raise ParseError("missing 'm <count>' header", 1)
     parts = line.split()
@@ -145,68 +161,115 @@ def _header(lines: Sequence[str]) -> tuple:
     if m < 1:
         raise ParseError("first line must be 'm <count>' with a positive count", number)
     last = number
-    number, line = next(significant, (len(lines) + 1, ""))
+    number, line, end = next(significant, (0, "", 0))
     if not line.startswith("candidates"):
-        return m, None, number - 1, last
+        return m, None, last, offset
     rest = line[len("candidates"):].strip()
     try:
         names = _validate_names((tok.strip() for tok in rest.split(",")), m)
     except InputError as exc:
         raise ParseError(str(exc), number) from exc
-    return m, names, number, number
+    return m, names, number, end
 
 
-def _parse_bulk(lines: Iterable[str], m: int, names) -> Optional[Profile]:
-    """The profile of well-formed body lines, stripped and without blank or
-    comment lines, of an m-candidate file with the declared ``names``, or
-    None on any fault. It reads them in a few whole-text passes instead of
-    one Python iteration per line: the lines joined by ':' split once into
-    counts and ballots, and the ballots read by `_bulk_keys`."""
-    # A ':' on every line and as many ':' as lines in all make one per line,
-    # so the joined lines split into count, ballot, count, ballot, ...
-    body = list(lines)
-    if not (body and all(map(contains, body, repeat(":")))):
-        return None
-    fields = ":".join(body).split(":")
-    if len(fields) != 2 * len(body):
-        return None
-    counts, ballots = list(map(str.strip, fields[::2])), fields[1::2]
-    del body, fields  # not to hold the line text twice through the key pass
-    digits = "".join(counts)
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        # int() of an empty count, or of more digits than it reads, is a
-        # ValueError; each distinct count text is read once
-        value = {count: int(count) for count in set(counts)}
-        if 0 in value.values():
+# a comment, or a line break that is not '\n', sends a body to be normalised
+_IRREGULAR = ("#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b":\n")
+
+
+def _parse_bulk(body: str, m: int, names) -> Optional[Profile]:
+    """The profile of a well-formed election body, the text after the
+    header of an m-candidate file with the declared ``names``, or None on
+    any fault. It reads the body in a few whole-text passes instead of one
+    Python iteration per line (`_fields`): one split cuts it into counts and
+    ballots, and `_bulk_keys` reads the ballots. The keys and counts go to
+    the store in file order, and the store merges repeated ballots.
+
+    A body with a comment, a blank line or a line break other than '\\n' is
+    normalised first, once, to its stripped lines without blank or comment
+    lines joined by '\\n'. One ``in`` test per comment mark and per line
+    break decides that; a blank line is a line without ':', which fails the
+    split's check of the raw body and so sends it to be normalised too."""
+    fields = None if any(map(body.__contains__, _IRREGULAR)) else _fields(body)
+    if fields is None:
+        lines = filter(None, map(str.strip, body.splitlines()))
+        if "#" in body:
+            lines = filterfalse(methodcaller("startswith", "#"), lines)
+        fields = _fields("\n".join(lines))
+        if fields is None:
             return None
-        counts = list(map(value.__getitem__, counts))
+    counts, ballots = fields[::2], fields[1::2]
+    del fields  # not to hold the body twice through the key pass
+    try:
+        counts = _count_values(counts)
         kind, keys = _bulk_keys(ballots, _TokenTable(names, m), m)
     except ValueError:  # so is a ParseError
         return None
     del ballots  # the line text is not needed to build the profile
-    merged = dict(zip(keys, counts))
-    if len(merged) < len(keys):
-        merged = {}
-        for key, count in zip(keys, counts):
-            merged[key] = merged.get(key, 0) + count
-    return kind._from_canonical(m, merged, names)
+    return kind._from_canonical(m, keys, counts, names)
 
 
-def _bulk_keys(ballots: Sequence[str], table: _TokenTable, m: int):
+_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _count_values(texts: list) -> Iterable[int]:
+    """The value of each count text, or a ValueError unless each is a
+    positive integer in ASCII digits, blanks around it allowed.
+
+    Joined by ',', the texts are one digit each exactly when the join is
+    2n - 1 bytes long with a digit at every even place: an empty text would
+    put two ',' side by side, or one at an end, and so one at an even place.
+    Each of those digits is then its count's value, read by one translate.
+    Any other counts are read with int(), once per distinct text."""
+    joined = b",".join(texts)
+    digits = joined[::2]
+    if len(joined) == 2 * len(texts) - 1 and digits.isdigit():
+        values = digits.translate(_DIGIT_VALUE)
+        if 0 in values:
+            raise ValueError("a count of 0")
+        return values
+    # a blank or ',' inside a count passes this test, and is int()'s
+    # ValueError, as is an empty count or one of more digits than int() reads
+    if not joined.translate(None, b" \t,").isdigit():
+        raise ValueError("a count that is not ASCII digits")
+    value = {text: int(text) for text in set(texts)}
+    if 0 in value.values():
+        raise ValueError("a count of 0")
+    return map(value.__getitem__, texts)
+
+
+def _fields(body: str) -> Optional[list]:
+    """The body's UTF-8 cut at its ':' and '\\n' into count, ballot, count,
+    ballot, ..., or None unless every line of it holds one ':' exactly.
+    Those two bytes never occur inside a character's UTF-8 bytes. The body
+    must be broken by '\\n' only; its last line needs no break."""
+    try:
+        data = body.encode()
+    except UnicodeError:  # a lone surrogate, which no token or count holds
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    separators = data.translate(None, _NOT_SEPARATOR)
+    if not separators or separators != b":\n" * (len(separators) // 2):
+        return None
+    fields = data.replace(b"\n", b":").split(b":")
+    fields.pop()  # the empty text after the last break
+    return fields
+
+
+def _bulk_keys(ballots: Sequence[bytes], table: _TokenTable, m: int):
     """(kind, keys): the profile class the first ballot names and the store
-    key of each ballot (the text after its count; see `movkit.core._store`).
-    A ballot of the other kind, or malformed, is a ValueError; an unknown
-    token is the table's ParseError.
+    key of each ballot (the UTF-8 text after its count; see
+    `movkit.core._store`). A ballot of the other kind, or malformed, is a
+    ValueError; an unknown token is the table's ParseError.
 
     Rankings of single-character tokens are read as one text
-    (`_letter_keys`). Any other ranked text is split into tokens one ballot
-    at a time, so no ballot's token list outlives its key, and each key is
-    checked for repeats with a set."""
+    (`_letter_keys`). Any other ranked text is decoded and split into tokens
+    one ballot at a time, so no ballot's token list outlives its key, and
+    each key is checked for repeats with a set."""
     get = table.__getitem__
-    if ballots[0].strip().startswith("{"):
-        ballots = list(map(str.strip, ballots))
+    if ballots[0].decode().strip().startswith("{"):
+        ballots = list(map(str.strip, map(bytes.decode, ballots)))
         if not (all(map(str.startswith, ballots, repeat("{")))
                 and all(map(str.endswith, ballots, repeat("}")))):
             raise ValueError("unterminated approval set, or a ranked ballot")
@@ -221,14 +284,15 @@ def _bulk_keys(ballots: Sequence[str], table: _TokenTable, m: int):
     # '{' is in no candidate token, so an approval ballot fails the ranked key
     # pass. A first token's leading blank is resolved once, like any miss.
     row = _row_type(m)
-    keys = list(map(row, map(map, repeat(get), map(str.split, ballots, repeat(">")))))
+    tokens = map(str.split, map(bytes.decode, ballots), repeat(">"))
+    keys = list(map(row, map(map, repeat(get), tokens)))
     # every index lies in 0..m-1, so m distinct indices make a ranking
     if set(map(len, keys)) != {m} or min(map(len, map(set, keys))) != m:
         raise ValueError("ranking of the wrong length or with a repeat")
     return RankedProfile, keys
 
 
-def _letter_keys(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional[list]:
+def _letter_keys(ballots: Sequence[bytes], table: _TokenTable, m: int) -> Optional[list]:
     """The keys of rankings of m single-character tokens each (default
     letters, one-digit indices, one-character names), each the ``bytes`` of
     its m candidate indices; None for any other text, which the token pass
@@ -244,13 +308,12 @@ def _letter_keys(ballots: Sequence[str], table: _TokenTable, m: int) -> Optional
     byte 255: m indices and one separator per ballot, which `_ranks_all`
     checks for repeats. A ranking of distinct single characters has
     m <= 65, so no index is 255, and one split on it cuts out the keys."""
-    if len(ballots[0].replace(" ", "")) != 2 * m - 1:  # spares longer tokens the join
+    if len(ballots[0].replace(b" ", b"")) != 2 * m - 1:  # spares longer tokens the join
         return None
-    text = ",".join(chain(ballots, ("",))).replace(" ", "")
+    text = b",".join(chain(ballots, (b"",))).replace(b" ", b"")
     if not (len(text) == 2 * m * len(ballots) and text.isascii()
-            and text[1::2] == (">" * (m - 1) + ",") * len(ballots)):
+            and text[1::2] == (b">" * (m - 1) + b",") * len(ballots)):
         return None
-    text = text.encode()
     index, known = bytearray(256), bytearray()
     for token, i in table.items():
         if len(token) == 1 and token.isascii() and i < 256:
@@ -295,12 +358,12 @@ def _parse_lines(text: str) -> Profile:
     first faulty line, and the reference the whole-file passes match. Both
     read the header with `_header` and resolve tokens through one
     `_TokenTable`, here told each line's number."""
-    lines = text.splitlines()
-    m, names, start, last_header = _header(lines)
+    m, names, last_header, _ = _header(text)
     table, row = _TokenTable(names, m), _row_type(m)
     kind: Optional[type[Profile]] = None  # set by the first ballot line
-    counts: dict = {}
-    for number, line in enumerate(islice(lines, start, None), start=start + 1):
+    keys, counts = [], []
+    for number, line in enumerate(islice(text.splitlines(), last_header, None),
+                                  start=last_header + 1):
         line = line.strip()
         if not line or line[0] == "#":
             continue
@@ -339,10 +402,11 @@ def _parse_lines(text: str) -> Profile:
             # all m indices lie in 0..m-1, so a repeat is the only fault left
             if len(set(key)) != m:
                 raise ParseError("ranking repeats a candidate", number)
-        counts[key] = counts.get(key, 0) + count
+        keys.append(key)
+        counts.append(count)
     if kind is None:
         raise ParseError("no ballot lines", last_header)
-    return kind._from_canonical(m, counts, names)
+    return kind._from_canonical(m, keys, counts, names)
 
 
 def candidate_labels(profile: Profile) -> list[str]:

@@ -60,7 +60,8 @@ def test_canonical_builder_matches_the_checked_constructor():
     # the builder trusts its keys, so its ballots must be indistinguishable
     # from checked ones; a ranking's key is the bytes of its order
     ranked = {(2, 0, 1): 10**12, (0, 1, 2): 1}
-    p = RankedProfile._from_canonical(3, {bytes(k): c for k, c in ranked.items()}, ("x", "y", "z"))
+    p = RankedProfile._from_canonical(3, list(map(bytes, ranked)), list(ranked.values()),
+                                      ("x", "y", "z"))
     for ballot, _ in p.votes:
         assert type(ballot) is Ranking and type(ballot.order) is tuple
         assert ballot == Ranking(ballot.order) and hash(ballot) == hash(Ranking(ballot.order))
@@ -68,7 +69,7 @@ def test_canonical_builder_matches_the_checked_constructor():
     assert [ballot.order for ballot, _ in p.votes] == sorted(ranked)
 
     approval = {(1, 9, 20): 2, (): 1, (0,): 3}
-    q = ApprovalProfile._from_canonical(27, approval, None)
+    q = ApprovalProfile._from_canonical(27, approval.keys(), approval.values(), None)
     for (ballot, count), key in zip(q.votes, sorted(approval)):
         assert type(ballot) is ApprovalBallot and count == approval[key]
         assert ballot == ApprovalBallot(frozenset(key))
@@ -79,7 +80,7 @@ def test_canonical_builder_matches_the_checked_constructor():
 
 def test_profile_n_is_summed_once_and_not_a_field():
     checked = RankedProfile(3, [((2, 0, 1), 10**12), ((0, 1, 2), 1)])
-    built = RankedProfile._from_canonical(3, {bytes((2, 0, 1)): 10**12, bytes((0, 1, 2)): 1}, None)
+    built = RankedProfile._from_canonical(3, [bytes((2, 0, 1)), bytes((0, 1, 2))], [10**12, 1], None)
     before = (repr(checked), hash(checked))
     assert checked.n == built.n == 10**12 + 1
     assert checked.__dict__["n"] == built.__dict__["n"] == 10**12 + 1  # cached on first read

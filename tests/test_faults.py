@@ -21,11 +21,13 @@ from movkit.core import (
     Copeland,
     InputError,
     KApproval,
+    Maximin,
     RankedProfile,
     Ranking,
     Rule,
     ScoreVector,
     Scoring,
+    rule_tally,
     winner_set,
 )
 from movkit.estimators import (
@@ -326,6 +328,13 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: run_distinguisher(EPS / 2, DELTA, 0, 0), "trials must be positive, got 0"),
     (lambda: ranked_to_approval(RANKED, "half"),
      'k must be an integer or "uniform", got \'half\''),
+    (lambda: ranked_to_approval(APPROVAL, 1), NEEDS_RANKED),
+    (lambda: rule_tally(KApproval(1), 2, [(Ranking((0, 1)), 1.5)], True),
+     "multiplicity must be a positive integer, got 1.5"),
+    (lambda: rule_tally(Maximin(), 2, [(Ranking((0, 1)), -3)], True),
+     "multiplicity must be a positive integer, got -3"),
+    (lambda: rule_tally(Maximin(), 3, [(Ranking((0, 1, 2, 3)), 1)], True),
+     "ballot (0, 1, 2, 3) does not rank all 3 candidates"),
     (lambda: winner_set(RANKED, BARE_RULE), UNKNOWN_RULE),
     (lambda: guarantee_constant(BARE_RULE, 3), UNKNOWN_RULE),
     (lambda: rule_to_spec(BARE_RULE), UNKNOWN_RULE),
@@ -336,7 +345,8 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
-        "approval-depth", "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
+        "approval-depth", "approval-of-approval", "tally-count-float", "tally-count-negative",
+        "tally-ballot-length", "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
         "copeland-one-candidate", "planted-parity", "planted-too-few-votes"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:

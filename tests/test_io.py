@@ -302,13 +302,25 @@ def _written_profiles():
         yield ApprovalProfile(m, [((), 2), (tuple(range(m)), 1)], names)
 
 
+def _commented(text):
+    """A written file with a comment line and a blank line put into its
+    body, before its last ballot line."""
+    lines = text.split("\n")
+    lines[-2:-2] = ["# a comment: 1: a>b", ""]
+    return "\n".join(lines)
+
+
 def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
+    # nor do written files with other line breaks, comments or blank lines:
+    # their bodies are normalised for the whole-text passes
     def no_loop(text):
         raise AssertionError("the line loop parsed a written file")
 
     monkeypatch.setattr(io_formats, "_parse_lines", no_loop)
     for profile in _written_profiles():
-        assert parse_election(write_election(profile)) == profile
+        text = write_election(profile)
+        for form in (text, text.replace("\n", "\r\n"), _commented(text)):
+            assert parse_election(form) == profile
 
 
 def test_multi_character_tokens_are_read_one_ballot_at_a_time():

@@ -38,6 +38,8 @@ from movkit.core import (
     Scoring,
     WinnerResult,
     _multinomial,
+    _row_type,
+    _store,
     rule_tally,
     winner_set,
 )
@@ -1054,6 +1056,20 @@ def mutated_elections(draw):
 @example("m 2\ncandidates x,y\n\n# only a header\n")
 @example("# a\n# b\n")
 @example("m 2\ncandidates x,x\n1: x>y\n")
+@example("m 2\n1 2: a>b\n")
+@example("m 3\r\n2: a>b>c\r\n1: c>b>a\r\n")
+@example("m 3\r2: a>b>c\r1: c>b>a\r")
+@example("m 3\n2: a>b>c\x0b1: c>b>a\n")
+@example("m 3\n2: a>b>c\x0c1: c>b>a\n")
+@example("m 3\n2: a>b>c\x1c1: c>b>a\n")
+@example("m 3\n2: a>b>c\u20281: c>b>a\n")
+@example("m 3\n2\x1f: a>b>c\x1f\n1: c>b>a\n")
+@example("m 3\n\xa02: a>b>c\n1:\xa0c>b>a\n")
+@example("m 3\n2: a>b>c\t\n1: c>b>a\n")
+@example("m 3\n2: a>b>c\n\n  \n1: c>b>a\n\n\n")
+@example("m 3\n2: a>b>c\n1: c>b>a")
+@example("m 3\n2: a>b>c\n# 1: a>b>c\n1: c>b>a\n")
+@example("m 3\n1: c>b>a\n2: a>b>c\n3: c>b>a\n1: b>a>c\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
 
@@ -1154,6 +1170,26 @@ def test_every_path_into_a_profile_gives_the_reference(case, data):
     text = _election_text(data and data.draw, kind, m, merged, names)
     for parse in (parse_election, _parse_lines):
         _assert_is_reference(parse(text), kind, m, merged, names)
+
+
+@PROPERTY_SETTINGS
+@given(keyed_counts(), st.data())
+def test_the_store_takes_keys_in_any_order_with_repeats(case, data):
+    # the parser hands its keys to the store in file order, repeats included:
+    # the store must build from them what the constructor builds from the
+    # same pairs, and the profile must be the reference
+    kind, m, merged, names = case
+    ranked = kind is RankedProfile
+    pairs = []
+    for ballot, count in merged.items():
+        part = data.draw(st.integers(1, count))
+        pairs += [(ballot, part)] + ([(ballot, count - part)] if part < count else [])
+    pairs = data.draw(st.permutations(pairs))
+    key = _row_type(m) if ranked else tuple
+    keys, counts = [key(ballot) for ballot, _ in pairs], [count for _, count in pairs]
+    checked = kind(m, [(ballot if ranked else set(ballot), count) for ballot, count in pairs])
+    assert _store(m, keys, counts, ranked) == (checked.rows, checked.counts)
+    _assert_is_reference(kind._from_canonical(m, keys, counts, names), kind, m, merged, names)
 
 
 def _ref_impartial_counts(n, m, seed):
