@@ -132,10 +132,11 @@ def _store(m: int, keys: Collection, counts: Iterable[int], ranked: bool) -> tup
     Only the profile (`entries`) and `_add_votes` read the rows back.
 
     ``keys`` and ``counts`` are parallel, in any order, and a key may
-    repeat. Where the keys are strictly increasing, as a written file's are,
-    they are the store's order as given, and no sort or merge runs;
-    otherwise the (key, count) pairs are sorted by key and the counts of
-    adjacent equal keys summed. This is the one merge of repeated ballots.
+    repeat. Where the keys are strictly increasing, as a written file's are
+    and the generators' sorted keys are, they are the store's order as
+    given, and no merge or sort runs; otherwise the counts are summed per
+    key in a dict, whose keys are then sorted. This is the one merge of
+    repeated ballots.
 
     A ranking's key is its order as `_row_type` (bytes up to m = 256), and
     the ranked rows are the keys joined: ``bytes`` up to m = 256, above that
@@ -143,14 +144,11 @@ def _store(m: int, keys: Collection, counts: Iterable[int], ranked: bool) -> tup
     [i*m, (i+1)*m). An approval ballot's key is its ascending members, and
     its row one int whose bit c is set when it approves candidate c."""
     if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
-        merged_keys, merged_counts = [], []
-        for key, count in sorted(zip(keys, counts), key=operator.itemgetter(0)):
-            if merged_keys and merged_keys[-1] == key:
-                merged_counts[-1] += count
-            else:
-                merged_keys.append(key)
-                merged_counts.append(count)
-        keys, counts = merged_keys, merged_counts
+        merged: dict = {}
+        for key, count in zip(keys, counts):
+            merged[key] = merged.get(key, 0) + count
+        keys = sorted(merged)
+        counts = map(merged.__getitem__, keys)
     counts = tuple(counts)
     if not ranked:
         return tuple(sum(1 << c for c in key) for key in keys), counts

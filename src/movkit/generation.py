@@ -171,14 +171,17 @@ def generate(spec: GenSpec) -> RankedProfile:
     if isinstance(spec, ImpartialCulture):
         orders, key = Counter(), _row_type(spec.m)
         _impartial_orders(random.Random(spec.seed), key(), key(range(spec.m)), spec.n, orders)
-        return RankedProfile._from_canonical(spec.m, orders.keys(), orders.values(), None)
+        # sorted, the distinct orders need no merge in the store
+        keys = sorted(orders)
+        return RankedProfile._from_canonical(spec.m, keys, map(orders.__getitem__, keys), None)
     if isinstance(spec, PlantedGap):
         m, tops = spec.m, _planted_counts(spec)
     elif isinstance(spec, TwoCandidate):
         m, tops = 2, [spec.top_count, spec.n - spec.top_count]
     else:
         raise InputError(f"unknown generation model: {spec!r}")
-    # each candidate's first places, the rest ranked in ascending order
+    # each candidate's first places, the rest ranked in ascending order: in
+    # order of the first candidate, so the keys strictly increase
     key = _row_type(m)
     orders = {key((top, *(c for c in range(m) if c != top))): k for top, k in enumerate(tops) if k}
     return RankedProfile._from_canonical(m, orders.keys(), orders.values(), None)
@@ -229,5 +232,7 @@ def ranked_to_approval(
             raise InputError(f"k must lie in [0, m], got k={k}, m={m}")
         for order, mult in zip(orders, profile.counts):
             prefixes[tuple(sorted(order[:k]))] += mult
-    # every key is a sorted set of candidates of a checked ranking
-    return ApprovalProfile._from_canonical(m, prefixes.keys(), prefixes.values(), profile.names)
+    # every key is a sorted set of candidates of a checked ranking; sorted,
+    # the distinct keys need no merge in the store
+    keys = sorted(prefixes)
+    return ApprovalProfile._from_canonical(m, keys, map(prefixes.__getitem__, keys), profile.names)

@@ -127,8 +127,10 @@ def parse_election(text: str) -> Profile:
     return _parse_bulk(text[offset:], m, names) or _parse_lines(text)
 
 
-# the line breaks of str.splitlines, '\r\n' first so that it is one break
-_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# the line breaks of str.splitlines other than '\n', the one copy of that set
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# every break of str.splitlines, '\r\n' first so that it is one break
+_BREAK = re.compile("\r\n|[\n" + _BREAKS + "]")
 
 
 def _lines(text: str) -> Iterator[tuple[str, int]]:
@@ -173,7 +175,7 @@ def _header(text: str) -> tuple:
 
 
 # a comment, or a line break that is not '\n', sends a body to be normalised
-_IRREGULAR = ("#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_IRREGULAR = ("#", *_BREAKS)
 _NOT_SEPARATOR = bytes(c for c in range(256) if c not in b":\n")
 
 

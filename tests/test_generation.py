@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath import gammainc, mpf
 
+from movkit import core
 from movkit.core import (
     InputError,
     KApproval,
@@ -298,3 +300,22 @@ def test_generated_counts_pass_the_pre_registered_chi_square(n, m, repeats):
             depths[len(ballot.approved)] += mult
     assert_uniform_multinomial(orders, list(itertools.permutations(range(m))))
     assert_uniform_multinomial(depths, list(range(m + 1)))
+
+
+def test_generators_hand_the_store_strictly_increasing_keys(monkeypatch):
+    # distinct keys in order take the store's join path: a merge of
+    # ~400,000 generated orders would hold a second copy of them
+    store = core._store
+
+    def increasing_only(m, keys, counts, ranked):
+        keys = list(keys)
+        assert all(map(operator.lt, keys, keys[1:]))
+        return store(m, keys, counts, ranked)
+
+    monkeypatch.setattr(core, "_store", increasing_only)
+    for m in (3, 300):
+        ranked = generate(ImpartialCulture(n=500, m=m, seed=m))
+        generate(PlantedGap(winner=m - 1, gap=4, n=50, m=m))
+        ranked_to_approval(ranked, "uniform", seed=m)
+        ranked_to_approval(ranked, 1)
+    generate(TwoCandidate(p=Fraction(5, 9), n=9))

@@ -310,6 +310,14 @@ def _commented(text):
     return "\n".join(lines)
 
 
+def test_the_break_set_is_that_of_splitlines():
+    # the header reader and the body's normalisation test cut lines where
+    # str.splitlines does
+    breaks = {chr(c) for c in range(0x10000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == set("\n" + io_formats._BREAKS)
+    assert io_formats._BREAK.findall("a\r\nb\rc\n") == ["\r\n", "\r", "\n"]
+
+
 def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
     # nor do written files with other line breaks, comments or blank lines:
     # their bodies are normalised for the whole-text passes
