@@ -20,19 +20,23 @@ and counts, in file order, to the profile's store (`movkit.core._store`)
 without the constructor checking them again; the store merges repeated
 ballots. One reader, `_header`, reads the ``m`` and ``candidates`` lines for
 both parse paths below, reading lines one at a time only as far as the
-header, and raises a header fault itself, on its line. A well-formed body is parsed in
-a few whole-text passes: its UTF-8 is split once at every ':' and line
-break into counts and ballots (a body with comments, blank lines or other
-line breaks than '\\n' is normalised first); rankings of single-character
-tokens are joined into one text, whose separators one slice comparison
-checks, and which one translate (each token to its candidate index) and
-one split cut into one ``bytes`` key per ballot: the store joins those into
-its packed rows, so no tuple or ballot object is built per ballot. Longer
-tokens are split one ballot at a time, so no ballot's token list outlives
-its key. Both readers resolve tokens through one token table, which
-resolves each distinct token once. Any fault in the body sends the text to
-the line loop, which only locates the first fault and names its line: it
-is the one reader of a faulty body and the reference for the passes.
+header, and raises a header fault itself, on its line. A well-formed body is
+parsed in a few whole-text passes over its UTF-8 (a body with comments,
+blank lines or other line breaks than '\\n' is normalised first). A
+ranking of one-character, non-digit tokens (default letters, one-character
+names) is read straight from the bytes, with no split per line: one
+translate checks every line's shape, one reads the counts and one turns
+the tokens into candidate indices, and one split cuts those into one
+``bytes`` key per ballot, which the store joins into its packed rows; no
+tuple or ballot object is built per ballot. Any other body (approval sets,
+longer tokens, and digit tokens, which a whole-body pass cannot tell from
+counts) is split once at every ':' and line break into counts and ballots,
+and its tokens are split one ballot at a time, so no ballot's token list
+outlives its key. Both readers resolve tokens through one token table,
+which resolves each distinct token once. Any fault in the body sends the
+text to the line loop, which only locates the first fault and names its
+line: it is the one reader of a faulty body and the reference for the
+passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -44,7 +48,7 @@ import io
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain, filterfalse, islice, repeat
+from itertools import filterfalse, islice, repeat
 from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -177,41 +181,139 @@ def _header(text: str) -> tuple:
 # a comment, or a line break that is not '\n', sends a body to be normalised
 _IRREGULAR = ("#", *_BREAKS)
 _NOT_SEPARATOR = bytes(c for c in range(256) if c not in b":\n")
+# the bytes that a letter body's passes delete, or keep (see `_letter_body`)
+_DIGITS_AND_BLANKS = b"0123456789 \t"
+_NOT_COUNT = bytes(c for c in range(256) if c not in b"0123456789:\n")
+_NOT_COUNT_TEXT = bytes(c for c in range(256) if c not in b"0123456789 \t:")
 
 
 def _parse_bulk(body: str, m: int, names) -> Optional[Profile]:
     """The profile of a well-formed election body, the text after the
     header of an m-candidate file with the declared ``names``, or None on
-    any fault. It reads the body in a few whole-text passes instead of one
-    Python iteration per line (`_fields`): one split cuts it into counts and
-    ballots, and `_bulk_keys` reads the ballots. The keys and counts go to
-    the store in file order, and the store merges repeated ballots.
+    any fault. It reads the body's UTF-8 in a few whole-text passes instead
+    of one Python iteration per line (`_read_body`).
 
     A body with a comment, a blank line or a line break other than '\\n' is
     normalised first, once, to its stripped lines without blank or comment
     lines joined by '\\n'. One ``in`` test per comment mark and per line
     break decides that; a blank line is a line without ':', which fails the
-    split's check of the raw body and so sends it to be normalised too."""
-    fields = None if any(map(body.__contains__, _IRREGULAR)) else _fields(body)
-    if fields is None:
-        lines = filter(None, map(str.strip, body.splitlines()))
-        if "#" in body:
-            lines = filterfalse(methodcaller("startswith", "#"), lines)
-        fields = _fields("\n".join(lines))
-        if fields is None:
-            return None
-    counts, ballots = fields[::2], fields[1::2]
-    del fields  # not to hold the body twice through the key pass
+    checks of both of `_read_body`'s passes and so sends the body to be
+    normalised too."""
+    table = _TokenTable(names, m)
+    regular = not any(map(body.__contains__, _IRREGULAR))
     try:
-        counts = _count_values(counts)
-        kind, keys = _bulk_keys(ballots, _TokenTable(names, m), m)
-    except ValueError:  # so is a ParseError
+        profile = _read_body(body if regular else _normalised(body), table, m, names)
+        if profile is None and regular:
+            profile = _read_body(_normalised(body), table, m, names)
+    except ValueError:  # so are a ParseError and a lone surrogate's UnicodeError
         return None
+    return profile
+
+
+def _normalised(body: str) -> str:
+    """The body's stripped lines, without blank or comment lines, joined by
+    '\\n'."""
+    lines = filter(None, map(str.strip, body.splitlines()))
+    if "#" in body:
+        lines = filterfalse(methodcaller("startswith", "#"), lines)
+    return "\n".join(lines)
+
+
+def _read_body(body: str, table: _TokenTable, m: int, names) -> Optional[Profile]:
+    """The profile of a body broken by '\\n' alone, or None when its lines
+    fit neither pass below, as a blank line does; a fault in a body that
+    fits is a ValueError. A ranking of one-character tokens is read
+    straight from the body's bytes (`_letter_body`); any other body is cut
+    into counts and ballots (`_fields`), and `_bulk_keys` reads the
+    ballots. The keys and counts go to the store in file order, and the
+    store merges repeated ballots."""
+    data = body.encode()
+    del body  # a normalised body is held nowhere else
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    letters = _letter_body(data, table, m)
+    fields = _fields(data) if letters is None else None
+    del data  # not to hold the body twice through the key pass and the store
+    if letters is not None:
+        return RankedProfile._from_canonical(m, *letters, names)
+    if fields is None:
+        return None
+    counts, ballots = fields[::2], fields[1::2]
+    del fields
+    counts = _count_values(counts)
+    kind, keys = _bulk_keys(ballots, table, m)
     del ballots  # the line text is not needed to build the profile
     return kind._from_canonical(m, keys, counts, names)
 
 
+def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
+    """(keys, counts) of a ranked body whose candidate tokens are one ASCII
+    character each, not a digit (default letters, one-character names),
+    read from its UTF-8 ``data``, each line broken by '\\n', with no split
+    per line; None for any other text, which `_fields` reads. A fault in a
+    body that fits is a ValueError.
+
+    It runs only when every candidate has such a token in the table, so
+    m <= 55 and every index lies below 255. Blanks are ' ' and '\\t'.
+    (1) Shape: one translate deletes digits and blanks and turns each token
+    into 'T', any other byte but ':', '>' and '\\n' into a zero byte; the
+    text must then be ':T>...>T\\n' (m tokens) once per line. (2) Counts:
+    one translate keeps each line's digits, ':' and '\\n'. Where that is
+    one digit, ':' and '\\n' per line, one translate of its digits gives
+    the counts; otherwise each ':' must be right before its '\\n' (no digit
+    in a ranking), and the counts, read with their blanks (a blank between
+    two digits is a fault), go to `_count_values`. (3) Rows: one translate
+    turns each token into its index and each '\\n' into the byte 255, and
+    deletes the rest: m indices and one separator per ballot, which
+    `_ranks_all` checks for repeats. One split on 255 cuts out the keys.
+
+    Digit tokens (one-digit indices, single-digit names) are left to the
+    token pass: a whole-body pass cannot tell them from counts."""
+    letters = [(ord(token), i) for token, i in table.items()
+               if len(token) == 1 and token.isascii() and not token.isdigit()]
+    if len(letters) != m:
+        return None
+    shape, index = bytearray(256), bytearray(256)
+    for byte, i in letters:
+        shape[byte], index[byte] = ord("T"), i
+    for byte in b":>\n":
+        shape[byte] = byte
+    index[ord("\n")] = 255
+    classes = data.translate(shape, _DIGITS_AND_BLANKS)
+    lines = len(classes) // (2 * m + 1)
+    if classes != (b":" + b"T>" * (m - 1) + b"T\n") * lines:
+        return None
+    del classes
+    digits = data.translate(None, _NOT_COUNT)
+    if len(digits) == 3 * lines and digits[1::3] == b":" * lines \
+            and digits[2::3] == b"\n" * lines:
+        counts = _digit_values(digits[::3])
+    elif digits.count(b":\n") == lines:
+        # each text holds its line's count and the blanks of the ranking
+        # before it; the text after the last ':' holds blanks only
+        texts = data.translate(None, _NOT_COUNT_TEXT).split(b":")
+        texts.pop()
+        counts = _count_values(texts)
+    else:
+        raise ValueError("a digit in a ranking")
+    rows = data.translate(index, _DIGITS_AND_BLANKS + b":>")
+    if not _ranks_all(rows, m):
+        raise ValueError("ranking with a repeat")
+    keys = rows.split(b"\xff")
+    keys.pop()  # the empty text after the last separator
+    return keys, counts
+
+
 _DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _digit_values(digits: bytes) -> bytes:
+    """The values of counts of one ASCII digit each, or a ValueError for a
+    count of 0."""
+    values = digits.translate(_DIGIT_VALUE)
+    if 0 in values:
+        raise ValueError("a count of 0")
+    return values
 
 
 def _count_values(texts: list) -> Iterable[int]:
@@ -226,10 +328,7 @@ def _count_values(texts: list) -> Iterable[int]:
     joined = b",".join(texts)
     digits = joined[::2]
     if len(joined) == 2 * len(texts) - 1 and digits.isdigit():
-        values = digits.translate(_DIGIT_VALUE)
-        if 0 in values:
-            raise ValueError("a count of 0")
-        return values
+        return _digit_values(digits)
     # a blank or ',' inside a count passes this test, and is int()'s
     # ValueError, as is an empty count or one of more digits than int() reads
     if not joined.translate(None, b" \t,").isdigit():
@@ -240,17 +339,11 @@ def _count_values(texts: list) -> Iterable[int]:
     return map(value.__getitem__, texts)
 
 
-def _fields(body: str) -> Optional[list]:
-    """The body's UTF-8 cut at its ':' and '\\n' into count, ballot, count,
-    ballot, ..., or None unless every line of it holds one ':' exactly.
-    Those two bytes never occur inside a character's UTF-8 bytes. The body
-    must be broken by '\\n' only; its last line needs no break."""
-    try:
-        data = body.encode()
-    except UnicodeError:  # a lone surrogate, which no token or count holds
-        return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
+def _fields(data: bytes) -> Optional[list]:
+    """The body's UTF-8 ``data`` cut at its ':' and '\\n' into count,
+    ballot, count, ballot, ..., or None unless every line of it holds one
+    ':' exactly. Those two bytes never occur inside a character's UTF-8
+    bytes. The body must be broken by '\\n' only, its last line too."""
     separators = data.translate(None, _NOT_SEPARATOR)
     if not separators or separators != b":\n" * (len(separators) // 2):
         return None
@@ -265,10 +358,9 @@ def _bulk_keys(ballots: Sequence[bytes], table: _TokenTable, m: int):
     `movkit.core._store`). A ballot of the other kind, or malformed, is a
     ValueError; an unknown token is the table's ParseError.
 
-    Rankings of single-character tokens are read as one text
-    (`_letter_keys`). Any other ranked text is decoded and split into tokens
-    one ballot at a time, so no ballot's token list outlives its key, and
-    each key is checked for repeats with a set."""
+    Ranked text is decoded and split into tokens one ballot at a time, so
+    no ballot's token list outlives its key, and each key is checked for
+    repeats with a set."""
     get = table.__getitem__
     if ballots[0].decode().strip().startswith("{"):
         ballots = list(map(str.strip, map(bytes.decode, ballots)))
@@ -280,9 +372,6 @@ def _bulk_keys(ballots: Sequence[bytes], table: _TokenTable, m: int):
         if sum(map(len, map(set, keys))) != sum(map(len, keys)):
             raise ValueError("approval ballot lists a candidate twice")
         return ApprovalProfile, keys
-    keys = _letter_keys(ballots, table, m)
-    if keys is not None:
-        return RankedProfile, keys
     # '{' is in no candidate token, so an approval ballot fails the ranked key
     # pass. A first token's leading blank is resolved once, like any miss.
     row = _row_type(m)
@@ -294,63 +383,22 @@ def _bulk_keys(ballots: Sequence[bytes], table: _TokenTable, m: int):
     return RankedProfile, keys
 
 
-def _letter_keys(ballots: Sequence[bytes], table: _TokenTable, m: int) -> Optional[list]:
-    """The keys of rankings of m single-character tokens each (default
-    letters, one-digit indices, one-character names), each the ``bytes`` of
-    its m candidate indices; None for any other text, which the token pass
-    reads. A ranking with a repeat is a ValueError.
-
-    Without spaces, the ballots joined by ',' (and one after the last) hold
-    a token at every even place and, at every odd place, '>' within a
-    ballot and ',' after it: one slice comparison checks every ballot's
-    length and separators. The table's single-character tokens are entered
-    first, and only the characters left once one translate deletes them are
-    resolved through the table. One translate of the joined text then
-    deletes each '>', turns each token into its index and each ',' into the
-    byte 255: m indices and one separator per ballot, which `_ranks_all`
-    checks for repeats. A ranking of distinct single characters has
-    m <= 65, so no index is 255, and one split on it cuts out the keys."""
-    if len(ballots[0].replace(b" ", b"")) != 2 * m - 1:  # spares longer tokens the join
-        return None
-    text = b",".join(chain(ballots, (b"",))).replace(b" ", b"")
-    if not (len(text) == 2 * m * len(ballots) and text.isascii()
-            and text[1::2] == (b">" * (m - 1) + b",") * len(ballots)):
-        return None
-    index, known = bytearray(256), bytearray()
-    for token, i in table.items():
-        if len(token) == 1 and token.isascii() and i < 256:
-            index[ord(token)] = i
-            known.append(ord(token))
-    try:
-        for char in set(text[::2].translate(None, known)):
-            index[char] = table[chr(char)]
-    except ValueError:  # an unknown token, or an index that is no byte
-        return None
-    index[ord(",")] = 255
-    rows = text.translate(index, b">")
-    if not _ranks_all(rows, m):
-        raise ValueError("ranking with a repeat")
-    keys = rows.split(b"\xff")
-    keys.pop()  # the empty text after the last ','
-    return keys
-
-
 def _ranks_all(rows: bytes, m: int) -> bool:
     """Whether every run of m indices in rows, each below m and followed by
     one separator byte, lists m distinct candidates, that is each of them.
-    For each eight candidates, one translate turns every index into its
-    presence bit among the eight, and the OR of the m position columns must
-    be a full byte per ballot."""
+    The m position columns are sliced out once; for each eight candidates,
+    one translate per column turns every index into its presence bit among
+    the eight, and the OR of the columns must be a full byte per ballot."""
     ballots = len(rows) // (m + 1)
+    columns = [rows[position::m + 1] for position in range(m)]
     for low in range(0, m, 8):
         bits = bytearray(256)
         for c in range(low, min(low + 8, m)):
             bits[c] = 1 << (c - low)
-        present = rows.translate(bits)
         seen = 0
-        for position in range(m):
-            seen |= int.from_bytes(present[position::m + 1], "big")
-        if seen != int.from_bytes(bytes([sum(bits)]) * ballots, "big"):
+        for column in columns:
+            seen |= int.from_bytes(column.translate(bits), "little")
+        if seen != int.from_bytes(bytes([sum(bits)]) * ballots, "little"):
             return False
     return True
 

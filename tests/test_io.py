@@ -320,15 +320,32 @@ def test_the_break_set_is_that_of_splitlines():
 
 def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
     # nor do written files with other line breaks, comments or blank lines:
-    # their bodies are normalised for the whole-text passes
+    # their bodies are normalised for the whole-text passes; and a ranked
+    # file of default letters or one-character names is read from its bytes,
+    # never cut into counts and ballots
     def no_loop(text):
         raise AssertionError("the line loop parsed a written file")
 
+    letter_file = False
+    fields = io_formats._fields
+
+    def no_fields_for_letters(data):
+        if letter_file:
+            raise AssertionError("a written letter file was cut into fields")
+        return fields(data)
+
     monkeypatch.setattr(io_formats, "_parse_lines", no_loop)
+    monkeypatch.setattr(io_formats, "_fields", no_fields_for_letters)
+    letter_files = 0
     for profile in _written_profiles():
         text = write_election(profile)
+        labels = io_formats.candidate_labels(profile)
+        letter_file = isinstance(profile, RankedProfile) and all(
+            len(label) == 1 and not label.isdigit() for label in labels)
+        letter_files += letter_file
         for form in (text, text.replace("\n", "\r\n"), _commented(text)):
             assert parse_election(form) == profile
+    assert letter_files == 4  # m = 3, 8 and 26 with default letters, and x, y, z
 
 
 def test_multi_character_tokens_are_read_one_ballot_at_a_time():

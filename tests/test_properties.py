@@ -1070,6 +1070,15 @@ def mutated_elections(draw):
 @example("m 3\n2: a>b>c\n1: c>b>a")
 @example("m 3\n2: a>b>c\n# 1: a>b>c\n1: c>b>a\n")
 @example("m 3\n1: c>b>a\n2: a>b>c\n3: c>b>a\n1: b>a>c\n")
+@example("m 3\n: a>b>c\n12: b>a>c\n")
+@example("m 3\n1 2: a>b>c\n10: b>a>c\n")
+@example("m 2\n1: a>\x00\n")
+@example("m 2\n10: a>b\n3: b>a\n")
+@example("m 1\n4: a\n")
+@example("m 3\n1: a1>b>c\n")
+@example("m 2\n1: a>b5\n: b>a\n")
+@example("m 2\n12: a > b\n3: b>a7\n")
+@example("m 2\n1: a>b\n\t10 : b>a\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
 
