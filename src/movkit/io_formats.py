@@ -33,10 +33,12 @@ longer tokens, and digit tokens, which a whole-body pass cannot tell from
 counts) is split once at every ':' and line break into counts and ballots,
 and its tokens are split one ballot at a time, so no ballot's token list
 outlives its key. Both readers resolve tokens through one token table,
-which resolves each distinct token once. Any fault in the body sends the
-text to the line loop, which only locates the first fault and names its
-line: it is the one reader of a faulty body and the reference for the
-passes.
+which resolves each distinct token once, and read each count by the line
+loop's rule, `_positive` on the stripped count text, so a count padded
+with any blank that `str.strip` removes is read in the passes too. Any
+fault in the body sends the text to the line loop, which only locates the
+first fault and names its line: it is the one reader of a faulty body and
+the reference for the passes.
 
 Serialization is canonical: duplicates merged, ballots sorted, names kept
 when present, default letters used otherwise (indices once m > 26), so
@@ -185,6 +187,7 @@ _NOT_SEPARATOR = bytes(c for c in range(256) if c not in b":\n")
 _DIGITS_AND_BLANKS = b"0123456789 \t"
 _NOT_COUNT = bytes(c for c in range(256) if c not in b"0123456789:\n")
 _NOT_COUNT_TEXT = bytes(c for c in range(256) if c not in b"0123456789 \t:")
+_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _parse_bulk(body: str, m: int, names) -> Optional[Profile]:
@@ -260,12 +263,14 @@ def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
     text must then be ':T>...>T\\n' (m tokens) once per line. (2) Counts:
     one translate keeps each line's digits, ':' and '\\n'. Where that is
     one digit, ':' and '\\n' per line, one translate of its digits gives
-    the counts; otherwise each ':' must be right before its '\\n' (no digit
-    in a ranking), and the counts, read with their blanks (a blank between
-    two digits is a fault), go to `_count_values`. (3) Rows: one translate
-    turns each token into its index and each '\\n' into the byte 255, and
-    deletes the rest: m indices and one separator per ballot, which
-    `_ranks_all` checks for repeats. One split on 255 cuts out the keys.
+    the counts, and a 0 among them is a fault: on one ASCII digit this is
+    `_positive`'s rule. Otherwise each ':' must be right before its '\\n'
+    (no digit in a ranking), and the count texts, cut with their blanks,
+    go to `_count_values`, which reads them by that rule. (3) Rows: one
+    translate turns each token into its index and each '\\n' into the byte
+    255, and deletes the rest: m indices and one separator per ballot,
+    which `_ranks_all` checks for repeats. One split on 255 cuts out the
+    keys.
 
     Digit tokens (one-digit indices, single-digit names) are left to the
     token pass: a whole-body pass cannot tell them from counts."""
@@ -287,7 +292,9 @@ def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
     digits = data.translate(None, _NOT_COUNT)
     if len(digits) == 3 * lines and digits[1::3] == b":" * lines \
             and digits[2::3] == b"\n" * lines:
-        counts = _digit_values(digits[::3])
+        counts = digits[::3].translate(_DIGIT_VALUE)
+        if 0 in counts:
+            raise ValueError("a count of 0")
     elif digits.count(b":\n") == lines:
         # each text holds its line's count and the blanks of the ranking
         # before it; the text after the last ':' holds blanks only
@@ -304,38 +311,17 @@ def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
     return keys, counts
 
 
-_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
-def _digit_values(digits: bytes) -> bytes:
-    """The values of counts of one ASCII digit each, or a ValueError for a
-    count of 0."""
-    values = digits.translate(_DIGIT_VALUE)
-    if 0 in values:
-        raise ValueError("a count of 0")
-    return values
-
-
 def _count_values(texts: list) -> Iterable[int]:
-    """The value of each count text, or a ValueError unless each is a
-    positive integer in ASCII digits, blanks around it allowed.
-
-    Joined by ',', the texts are one digit each exactly when the join is
-    2n - 1 bytes long with a digit at every even place: an empty text would
-    put two ',' side by side, or one at an end, and so one at an even place.
-    Each of those digits is then its count's value, read by one translate.
-    Any other counts are read with int(), once per distinct text."""
-    joined = b",".join(texts)
-    digits = joined[::2]
-    if len(joined) == 2 * len(texts) - 1 and digits.isdigit():
-        return _digit_values(digits)
-    # a blank or ',' inside a count passes this test, and is int()'s
-    # ValueError, as is an empty count or one of more digits than int() reads
-    if not joined.translate(None, b" \t,").isdigit():
-        raise ValueError("a count that is not ASCII digits")
-    value = {text: int(text) for text in set(texts)}
+    """The value of each count text, a line's count in UTF-8 with the
+    blanks around it, or a ValueError unless each is a positive integer.
+    Each distinct text is read once by `_positive`, stripped as the line
+    loop strips its count, so the passes and the line loop accept the same
+    counts. A text of `_fields` lies between a '\\n' and a ':', which never
+    occur inside a character's UTF-8 bytes, and one of `_letter_body` is
+    ASCII, so it always decodes."""
+    value = {text: _positive(text.decode().strip()) for text in set(texts)}
     if 0 in value.values():
-        raise ValueError("a count of 0")
+        raise ValueError("a count that is not a positive integer")
     return map(value.__getitem__, texts)
 
 

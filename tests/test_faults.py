@@ -31,6 +31,7 @@ from movkit.core import (
     winner_set,
 )
 from movkit.estimators import (
+    MovEstimate,
     VoteSource,
     estimate_kapproval,
     estimate_mov,
@@ -42,6 +43,7 @@ from movkit.experiments import resolve_rule, rule_to_spec, run_distinguisher
 from movkit.generation import PlantedGap, generate, ranked_to_approval
 from movkit.io_formats import ParseError, parse_election, write_election
 from movkit.oracle import (
+    MovBounds,
     apply_changes,
     copeland_log_factor,
     mov_approval_closed_form,
@@ -342,12 +344,21 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: generate(PlantedGap(winner=0, gap=3, n=10, m=2)), PARITY),
     (lambda: generate(PlantedGap(winner=0, gap=1, n=2, m=3)),
      "gap 1 is unachievable with n=2 and m=3"),
+    (lambda: MovBounds(-1, 1, "test"), "lower bound must be non-negative, got -1"),
+    (lambda: MovBounds(0, 0, "test"), "upper bound must be positive, got 0"),
+    (lambda: MovBounds(2, 1, "test"), "bounds out of order: 2 > 1"),
+    (lambda: MovEstimate(F(-1), 1, 0, F(1), EPS, DELTA, {}),
+     "margin estimate cannot be negative: -1"),
+    (lambda: MovEstimate(F(1), 0, 0, F(1), EPS, DELTA, {}),
+     "sample count must be positive, got 0"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
         "approval-depth", "approval-of-approval", "tally-count-float", "tally-count-negative",
         "tally-ballot-length", "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
-        "copeland-one-candidate", "planted-parity", "planted-too-few-votes"])
+        "copeland-one-candidate", "planted-parity", "planted-too-few-votes",
+        "bounds-lower-negative", "bounds-upper-zero", "bounds-order", "estimate-negative",
+        "estimate-no-samples"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()

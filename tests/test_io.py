@@ -348,6 +348,23 @@ def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
     assert letter_files == 4  # m = 3, 8 and 26 with default letters, and x, y, z
 
 
+def test_padded_counts_are_read_in_the_whole_text_passes(monkeypatch):
+    # a count padded with blanks that str.strip removes, but int() on bytes
+    # does not, is read by the line loop's rule in the passes too
+    def no_loop(text):
+        raise AssertionError("the line loop parsed a file of padded counts")
+
+    monkeypatch.setattr(io_formats, "_parse_lines", no_loop)
+    pads = ["\xa0", "\x1f", "\u3000"]
+    for profile in _written_profiles():
+        lines = write_election(profile).split("\n")
+        for i, line in enumerate(lines):
+            count, sep, ballot = line.partition(":")
+            if sep:
+                lines[i] = f"{pads[i % 3]}{count}{pads[(i + 1) % 3]}:{ballot}"
+        assert parse_election("\n".join(lines)) == profile
+
+
 def test_multi_character_tokens_are_read_one_ballot_at_a_time():
     # index labels at m = 30 are split one ballot at a time; a flat list of
     # every token in the file would peak far above six times the text

@@ -1079,6 +1079,14 @@ def mutated_elections(draw):
 @example("m 2\n1: a>b5\n: b>a\n")
 @example("m 2\n12: a > b\n3: b>a7\n")
 @example("m 2\n1: a>b\n\t10 : b>a\n")
+@example("m 2\n10: a>b\n0: b>a\n")
+@example("m 30\n1: {0}\n0: {1}\n")
+@example("m 30\n1\u3000: {0,29}\n2 : {1}\n")
+@example("m 2\ncandidates xx,yy\n\xa012\x1f: xx>yy\n")
+@example("m 30\n00: {1}\n")
+@example("m 30\n+1: {1}\n")
+@example("m 30\n1_0: {1}\n")
+@example("m 30\n٣: {1}\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
 
