@@ -50,6 +50,7 @@ def own_lines(node: ast.stmt) -> range:
 
 
 def is_docstring(body: list, node: ast.stmt) -> bool:
+    """Whether ``node`` is the docstring that opens ``body``."""
     return node is body[0] and isinstance(node, ast.Expr) \
         and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
 
@@ -136,9 +137,8 @@ def trace_bench(seed: int) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run as perfbench
 
-    tracer, failed = LineTracer(), 0
+    workloads, tracer, failed = perfbench.load_workloads(), LineTracer(), 0
     for name in perfbench.WORKLOAD_NAMES:
-        workloads = perfbench.load_workloads()
         checker = perfbench.Checker()
         with tempfile.TemporaryDirectory() as workdir:
             workload = workloads.WORKLOADS[name]()
