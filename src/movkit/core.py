@@ -34,7 +34,6 @@ Copeland with tie parameter alpha.
 
 import array
 import bisect
-import collections
 import functools
 import itertools
 import math
@@ -88,15 +87,6 @@ class ApprovalBallot:
             raise InputError(f"approval ballot must contain candidate indices: {approved!r}")
 
 
-def _bare(field, values: Sequence) -> list:
-    """Ballots of the field's class, built in bulk with ``field`` (the slot
-    descriptor of a frozen ballot class) set to each value, skipping the
-    class's checks: one object per value, made and filled by C-level maps."""
-    ballots = list(map(object.__new__, itertools.repeat(field.__objclass__, len(values))))
-    collections.deque(map(field.__set__, ballots, values), maxlen=0)
-    return ballots
-
-
 def _validate_names(names, m):
     if names is None:
         return None
@@ -128,8 +118,8 @@ def _members(mask: int) -> tuple[int, ...]:
 def _store(m: int, keys: Collection, counts: Iterable[int], ranked: bool) -> tuple:
     """(rows, counts): the packed store of ballot keys and their counts, in
     key order. This is the one builder of every store: of each profile,
-    whatever made its keys, and so of the ballots `rule_tally` is given.
-    Only the profile (`entries`) and `_add_votes` read the rows back.
+    whatever made its keys. Only the profile (`entries`) and `_add_votes`
+    read the rows back.
 
     ``keys`` and ``counts`` are parallel, in any order, and a key may
     repeat. Where the keys are strictly increasing, as a written file's are
@@ -174,10 +164,11 @@ class Profile:
     of a profile's ballots outside this module takes them from there, and
     only `_add_votes` also reads the packed rows themselves.
 
-    ``votes`` is the public view of the store as (ballot, count) pairs,
-    built on first use and cached; no path of the package reads it. Equal
-    multisets have equal stores, so equality compares the stores, while the
-    repr and the hash are those of (m, votes, names).
+    ``votes`` is the public view of the store as (ballot, count) pairs, each
+    ballot made from its entry by the kind's checked constructor
+    (``_ballot``), built on first use and cached; no path of the package
+    reads it. Equal multisets have equal stores, so equality compares the
+    stores, while the repr and the hash are those of (m, votes, names).
     """
 
     m: int
@@ -191,6 +182,8 @@ class Profile:
             raise InputError("profile needs at least one candidate")
         keys, counts = [], []
         for ballot, mult in votes:
+            if not isinstance(ballot, self._ballot):
+                ballot = self._ballot(ballot)
             keys.append(self._check_ballot(ballot))
             if not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
@@ -217,8 +210,9 @@ class Profile:
         object.__setattr__(self, "names", names)
 
     def _check_ballot(self, ballot):
-        """The key of a ballot (see `_store`), coerced and checked against m.
-        This is the one check that a ballot belongs to the profile: anything
+        """The key (see `_store`) of a ballot of the profile's kind, checked
+        against m. With the constructor's coercion through ``_ballot``, this
+        is the one check that a ballot belongs to the profile: anything
         else, another kind's ballot included, is an InputError."""
         raise NotImplementedError
 
@@ -226,7 +220,7 @@ class Profile:
     def votes(self) -> tuple[tuple[Ranking | ApprovalBallot, int], ...]:
         """The (ballot, count) pairs in canonical order, built from the store
         on first use (the cache is not part of the store)."""
-        return tuple(zip(self._ballots(), self.counts))
+        return tuple(zip(map(self._ballot, self.entries()), self.counts))
 
     @functools.cached_property
     def n(self) -> int:
@@ -252,17 +246,14 @@ class Profile:
 class RankedProfile(Profile):
     """A multiset of rankings, sorted by ballot order."""
 
+    _ballot = Ranking
+
     def entries(self) -> Iterator[tuple[int, ...]]:
         """Each ranking's order, in canonical order, read m indices at a time
         off the packed rows and made as it is read."""
         return zip(*[iter(self.rows)] * self.m)
 
-    def _ballots(self):
-        return _bare(Ranking.order, list(self.entries()))
-
     def _check_ballot(self, ballot):
-        if not isinstance(ballot, Ranking):
-            ballot = Ranking(ballot)
         order = ballot.order
         if len(order) != self.m:
             raise InputError(f"ballot {order!r} does not rank all {self.m} candidates")
@@ -272,17 +263,14 @@ class RankedProfile(Profile):
 class ApprovalProfile(Profile):
     """A multiset of approval ballots, sorted by their ascending members."""
 
+    _ballot = ApprovalBallot
+
     def entries(self) -> Iterator[tuple[int, ...]]:
         """Each ballot's ascending members, in canonical order, read off its
         mask and made as it is read."""
         return map(_members, self.rows)
 
-    def _ballots(self):
-        return _bare(ApprovalBallot.approved, list(map(frozenset, self.entries())))
-
     def _check_ballot(self, ballot):
-        if not isinstance(ballot, ApprovalBallot):
-            ballot = ApprovalBallot(ballot)
         key = tuple(sorted(ballot.approved))
         if key and key[-1] >= self.m:
             raise InputError(f"ballot approves unknown candidate: {list(key)!r}")
@@ -397,16 +385,16 @@ class Copeland(Rule):
 # One integer tally per rule family. `_store_tally` checks the rule, makes
 # the empty tally of the rule's own parameters and hands it a profile and a
 # count per ballot through `_add_votes`, the one place where ballots enter a
-# tally: a profile with its own counts, a sample (the profile with the drawn
-# counts) or the profile `rule_tally` makes of the (ballot, count) pairs it
-# is given. Where the family's counts_columns admits the number of distinct
-# rankings and m, the range where it measured faster, the rankings are
-# counted column-wise, one block of rows at a time (`_column_blocks`, read by
-# the tally's add_block). Approval masks are counted one candidate at a time
-# (the tally's add_masks), and every other profile one ballot at a time. A
-# tally takes add(raw, k), where ``raw`` is a ranking's order or an approval
-# ballot's members, each a tuple, and a negative k retracts, and reads out
-# the rule's exact scores and its winner set as a bitmask over candidates.
+# tally: a profile with its own counts (`rule_tally`) or a sample (the
+# profile with the drawn counts). Where the family's counts_columns admits
+# the number of distinct rankings and m, the range where it measured
+# faster, the rankings are counted column-wise, one block of rows at a
+# time (`_column_blocks`, read by the tally's add_block). Approval masks are
+# counted one candidate at a time (the tally's add_masks), and every other
+# profile one ballot at a time. A tally takes add(raw, k), where ``raw``
+# is a ranking's order or an approval ballot's members, each a tuple, and a
+# negative k retracts, and reads out the rule's exact scores and its winner
+# set as a bitmask over candidates.
 # The rule is fixed when the tally is built, so add and winner_mask stay
 # plain integer loops: the exact search steps a tally built any of these
 # ways with them, one ballot at a time, millions of times.
@@ -697,22 +685,11 @@ class CopelandTally(PairwiseTally):
         return _best_mask(self._points())
 
 
-def rule_tally(rule: Rule, m: int, votes, ranked: bool):
-    """The integer tally of ``rule`` over (ballot, count) pairs of
-    ``m``-candidate ballots, which are `Ranking`s when ``ranked`` and
-    `ApprovalBallot`s otherwise. Raises InputError when the rule does not
-    fit them (see `_store_tally`), on a profile of no ballots, before the
-    pairs are read. The pairs then make a profile through the checked
-    constructor, which raises a faulty ballot's or count's InputError, and
-    its ballots enter the tally through `_add_votes` as any profile's do.
-    No pairs give the empty tally."""
-    kind = RankedProfile if ranked else ApprovalProfile
-    tally = _store_tally(rule, kind._from_canonical(m, (), (), None), ())
-    votes = tuple(votes)
-    if votes:
-        profile = kind(m, votes)
-        _add_votes(tally, profile, profile.counts)
-    return tally
+def rule_tally(profile: Profile, rule: Rule):
+    """The integer tally of ``rule`` over a profile's ballots and counts.
+    Raises InputError when the rule does not fit the profile's m and ballot
+    kind (see `_store_tally`)."""
+    return _store_tally(rule, profile, profile.counts)
 
 
 def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int]):
@@ -798,7 +775,7 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     Approval rules require approval profiles and vice versa; every other
     rule requires a ranked profile. The winner set is never empty.
     """
-    tally = _store_tally(rule, profile, profile.counts)
+    tally = rule_tally(profile, rule)
     mask = tally.winner_mask()
     return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
 

@@ -17,8 +17,8 @@ of candidates or the approval depth k.
 
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
-integer tally (checked as `movkit.core.rule_tally` checks it, the one check
-that the rule fits the ballots): the sample is the profile weighed by the
+integer tally (checked by `movkit.core._store_tally`, the one check that
+the rule fits the ballots): the sample is the profile weighed by the
 drawn counts, added through `movkit.core._add_votes` as a profile is with
 its own counts (column-wise when the sample holds many distinct rankings),
 so no ballot object is built or hashed for it. It reads from that tally,
@@ -52,7 +52,7 @@ from movkit.core import (
     _check_k,
     _multinomial,
 )
-from movkit.oracle import _margin_statistic, _mov_tally, copeland_log_factor
+from movkit.oracle import _check_count, _margin_statistic, _mov_tally, copeland_log_factor
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,14 +96,11 @@ class VoteSource:
         The counts are one `movkit.core._multinomial` draw over the
         multiplicities in profile order: conditional binomials, the last
         ballot taking what is left. The result maps the position of each
-        ballot drawn at least once, its index in ``profile.votes``, to its
+        ballot drawn at least once, its index in ``profile.counts``, to its
         count, in ascending order; no ballot object is built. Cost: O(d)
         binomials for d distinct ballots, never more than O(d + count).
         """
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise InputError(f"draw count must be an integer, got {count!r}")
-        if count < 1:
-            raise InputError(f"draw count must be at least 1, got {count}")
+        _check_count(count, "draw count")
         drawn = _multinomial(random.Random(seed), count, self.profile.counts)
         return dict(filter(itemgetter(1), enumerate(drawn)))
 
@@ -257,7 +254,7 @@ def estimate_mov(
     `guarantee_constant`; the estimate is its projection onto [1, n], where
     the margin always lies, so the projection never increases its error.
 
-    The rule is checked against the ballots as `movkit.core.rule_tally` does, with
+    The rule is checked against the ballots by `movkit.core._store_tally`, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
     delta are read or any vote is drawn. The sample enters the tally through
     `movkit.core._add_votes` as the profile weighed by the drawn count

@@ -60,7 +60,13 @@ from movkit.generation import (
     ranked_to_approval,
 )
 from movkit.io_formats import ExperimentRow
-from movkit.oracle import TiedWinnersError, _gap_closed_form, mov_bounds, mov_brute_force
+from movkit.oracle import (
+    TiedWinnersError,
+    _check_count,
+    _gap_closed_form,
+    mov_bounds,
+    mov_brute_force,
+)
 
 # ---------------------------------------------------------------------------
 # rule and generator descriptions
@@ -244,8 +250,7 @@ class ExperimentConfig:
     profile: Optional[Profile] = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InputError(f"trials must be positive, got {self.trials}")
+        _check_count(self.trials, "trials", "positive")
         if (self.generator is None) == (self.profile is None):
             raise InputError("exactly one of generator and profile is required")
         if not isinstance(self.policy, OraclePolicy):
@@ -399,8 +404,7 @@ def run_distinguisher(
     c = Fraction(c)
     if not 0 <= c < 1:
         raise InputError(f"c must lie in [0, 1), got {c}")
-    if trials < 1:
-        raise InputError(f"trials must be positive, got {trials}")
+    _check_count(trials, "trials", "positive")
     if n < 2 or n % 2 != 0:
         raise InputError(f"n must be even and at least 2, got {n}")
     p_x = Fraction(1, 2) + (6 * epsilon + 2 * c / n) / (1 - c)

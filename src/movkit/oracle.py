@@ -10,7 +10,7 @@ Three layers live here:
 * an exhaustive brute-force oracle (iterative deepening over how many votes
   change), the trusted ground truth at small scale; a depth-first search
   retracts and inserts ballots in the rule's integer tally from
-  `movkit.core.rule_tally`, compares winner sets as bitmasks, and prunes
+  `movkit.core._store_tally`, compares winner sets as bitmasks, and prunes
   every subtree in which a per-rule test certifies that the remaining
   changes cannot move a unique winner;
 * polynomial-time structural quantities: each rule's margin statistic (score
@@ -106,11 +106,21 @@ class MovBounds:
 # exact search
 
 
+def _check_count(value, what: str, floor: str = "at least 1") -> None:
+    """The one check of a count argument (a budget, a work limit, a draw
+    count, a number of trials): an int, not a bool, of at least 1. Anything
+    else is an InputError that names ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise InputError(f"{what} must be {floor}, got {value}")
+
+
 def _mov_tally(rule: Rule, profile: Profile, counts):
     """The tally of a profile's ballots weighed by ``counts`` (see
-    `movkit.core._store_tally`), checked as `movkit.core.rule_tally` checks
-    it, for a margin of victory, which needs a second candidate to change
-    the winner set."""
+    `movkit.core._store_tally`, the one check of a rule against an
+    election), for a margin of victory, which needs a second candidate to
+    change the winner set."""
     if profile.m < 2:
         raise InputError("margin of victory needs at least two candidates")
     return _store_tally(rule, profile, counts)
@@ -219,20 +229,16 @@ def mov_brute_force(
     Returns ``value=None`` when no change within the budget flips the winner
     set. Raises WorkLimitError once the size of the replacement universe plus
     the search nodes visited (pruned nodes and leaves included) exceed
-    ``work_limit``; the universe is charged before it is built. A budget
-    that is not an int (a bool included) or is below 1, and a
-    ``work_limit`` below 1, are InputErrors, raised before any search.
+    ``work_limit``; the universe is charged before it is built. A budget or
+    ``work_limit`` that is not an int (a bool included) or is below 1 is an
+    InputError, raised before any search.
     """
     m, ranked = profile.m, isinstance(profile, RankedProfile)
     tally = _mov_tally(rule, profile, profile.counts)
     if budget is None:
         budget = profile.n
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise InputError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
-    if work_limit < 1:
-        raise InputError(f"work limit must be at least 1, got {work_limit}")
+    _check_count(budget, "budget")
+    _check_count(work_limit, "work limit")
     limit_error = WorkLimitError(
         f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     )
@@ -249,7 +255,7 @@ def mov_brute_force(
         for c in range(m):
             universe += [members + (c,) for members in universe]
     raw = list(profile.entries())
-    wrap = Ranking if ranked else (lambda members: ApprovalBallot(frozenset(members)))
+    wrap = profile._ballot
     add, winner_mask = tally.add, tally.winner_mask
     base_mask = winner_mask()
     settled = _settled_test(rule, tally, m, profile.n)

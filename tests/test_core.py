@@ -176,11 +176,11 @@ def test_approval_scores_examples():
 
 
 def _top_counts(p):
-    return rule_tally(Bucklin(), p.m, p.votes, True).top_counts()
+    return rule_tally(p, Bucklin()).top_counts()
 
 
 def _net(p):
-    return rule_tally(Maximin(), p.m, p.votes, True).net()
+    return rule_tally(p, Maximin()).net()
 
 
 def test_top_k_counts_example():
@@ -378,7 +378,7 @@ EXACT_CASES = [
 @pytest.mark.parametrize("spec, rule", EXACT_CASES)
 def test_exact_search_steps_a_column_built_tally(spec, rule, per_ballot):
     profile = generate(spec)
-    tally = rule_tally(rule, profile.m, profile.votes, True)
+    tally = rule_tally(profile, rule)
     assert tally.counts_columns(len(profile.votes), profile.m)
     result = mov_brute_force(profile, rule)
     assert result == per_ballot(mov_brute_force, profile, rule)
@@ -390,7 +390,7 @@ def test_exact_search_steps_a_column_built_tally(spec, rule, per_ballot):
 def test_estimate_counts_a_large_sample_column_wise(rule, per_ballot):
     source = VoteSource(generate(ImpartialCulture(n=5000, m=8, seed=3)))
     drawn = source.draw_counts(4000, 11)
-    assert rule_tally(rule, 8, (), True).counts_columns(len(drawn), 8)
+    assert rule_tally(source.profile, rule).counts_columns(len(drawn), 8)
     estimate = estimate_mov(source, rule, F(1, 10), F(1, 20), 11, ell=4000)
     assert repr(estimate) == repr(per_ballot(estimate_mov, source, rule, F(1, 10), F(1, 20),
                                              11, 4000))
@@ -402,7 +402,7 @@ def test_many_candidates_take_the_per_ballot_loop(rule, per_ballot):
     # candidate 299 does not fit in a byte, so m = 300 must take the loop
     profile = generate(ImpartialCulture(n=520, m=300, seed=5))
     assert len(profile.votes) == 520
-    tally = rule_tally(rule, 300, (), True)
+    tally = rule_tally(profile, rule)
     assert not tally.counts_columns(520, 300)
     # 520 lies below maximin's 8m = 2,400, so only a long list tests the guard
     assert not tally.counts_columns(10**6, 300)

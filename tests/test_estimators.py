@@ -334,7 +334,7 @@ def test_score_estimates_are_unbiased():
 def test_pair_margin_estimates_are_unbiased_and_antisymmetric():
     p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     src = VoteSource(p)
-    d = rule_tally(Maximin(), p.m, p.votes, True).net()
+    d = rule_tally(p, Maximin()).net()
     est = estimate_mov(src, Maximin(), EPS, DELTA, 17, ell=60_000)
     for x in range(3):
         for y in range(3):

@@ -1,9 +1,10 @@
 """Each rule or ballot fault gives one exception type and one text from
 every library and command-line entry point.
 
-`movkit.core.rule_tally` is the one check of a rule against an election and
-the profile constructors are the one check that a ballot belongs to a
-profile, so the texts below are theirs wherever the fault surfaces.
+`movkit.core._store_tally`, behind `movkit.core.rule_tally`, is the one
+check of a rule against an election and the profile constructors are the
+one check that a ballot belongs to a profile, so the texts below are
+theirs wherever the fault surfaces.
 """
 
 import re
@@ -39,7 +40,13 @@ from movkit.estimators import (
     lower_bound_samples,
     sample_size,
 )
-from movkit.experiments import resolve_rule, rule_to_spec, run_distinguisher
+from movkit.experiments import (
+    BoundsOnlyPolicy,
+    ExperimentConfig,
+    resolve_rule,
+    rule_to_spec,
+    run_distinguisher,
+)
 from movkit.generation import PlantedGap, generate, ranked_to_approval
 from movkit.io_formats import ParseError, parse_election, write_election
 from movkit.oracle import (
@@ -331,12 +338,26 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: ranked_to_approval(RANKED, "half"),
      'k must be an integer or "uniform", got \'half\''),
     (lambda: ranked_to_approval(APPROVAL, 1), NEEDS_RANKED),
-    (lambda: rule_tally(KApproval(1), 2, [(Ranking((0, 1)), 1.5)], True),
+    (lambda: RankedProfile(2, [(Ranking((0, 1)), 1.5)]),
      "multiplicity must be a positive integer, got 1.5"),
-    (lambda: rule_tally(Maximin(), 2, [(Ranking((0, 1)), -3)], True),
+    (lambda: RankedProfile(2, [(Ranking((0, 1)), -3)]),
      "multiplicity must be a positive integer, got -3"),
-    (lambda: rule_tally(Maximin(), 3, [(Ranking((0, 1, 2, 3)), 1)], True),
+    (lambda: RankedProfile(3, [(Ranking((0, 1, 2, 3)), 1)]),
      "ballot (0, 1, 2, 3) does not rank all 3 candidates"),
+    (lambda: rule_tally(APPROVAL, Maximin()), NEEDS_RANKED),
+    (lambda: rule_tally(RANKED, Approval()), "this operation needs an approval profile"),
+    (lambda: mov_brute_force(RANKED, Bucklin(), 2, work_limit=None),
+     "work limit must be an integer, got None"),
+    (lambda: mov_brute_force(RANKED, Bucklin(), 2, work_limit=True),
+     "work limit must be an integer, got True"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 2.5, 0), "trials must be an integer, got 2.5"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, "3", 0), "trials must be an integer, got '3'"),
+    (lambda: ExperimentConfig("borda", EPS, DELTA, True, 0, BoundsOnlyPolicy(),
+                              generator="ic:n=10,m=3"),
+     "trials must be an integer, got True"),
+    (lambda: ExperimentConfig("borda", EPS, DELTA, 2.5, 0, BoundsOnlyPolicy(),
+                              generator="ic:n=10,m=3"),
+     "trials must be an integer, got 2.5"),
     (lambda: winner_set(RANKED, BARE_RULE), UNKNOWN_RULE),
     (lambda: guarantee_constant(BARE_RULE, 3), UNKNOWN_RULE),
     (lambda: rule_to_spec(BARE_RULE), UNKNOWN_RULE),
@@ -355,7 +376,10 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
         "approval-depth", "approval-of-approval", "tally-count-float", "tally-count-negative",
-        "tally-ballot-length", "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
+        "tally-ballot-length", "tally-needs-ranked", "tally-needs-approval",
+        "work-limit-none", "work-limit-bool", "distinguisher-trials-float",
+        "distinguisher-trials-text", "experiment-trials-bool", "experiment-trials-float",
+        "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
         "copeland-one-candidate", "planted-parity", "planted-too-few-votes",
         "bounds-lower-negative", "bounds-upper-zero", "bounds-order", "estimate-negative",
         "estimate-no-samples"])

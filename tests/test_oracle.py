@@ -51,7 +51,7 @@ ALL_RULES_M3 = [
 
 
 def _pair_margins(p):
-    return rule_tally(Maximin(), p.m, p.votes, True).net()
+    return rule_tally(p, Maximin()).net()
 
 
 def _relative_margin(p, x, y, alpha):

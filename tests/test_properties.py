@@ -442,9 +442,9 @@ def test_family_tallies_match_reference(case, alpha):
         result, expected = winner_set(profile, rule), _ref_winner_set(profile, rule)
         assert result == expected
         assert _typed(result.scores) == _typed(expected.scores)
-    assert rule_tally(Bucklin(), m, ranked.votes, True).top_counts() == \
+    assert rule_tally(ranked, Bucklin()).top_counts() == \
         _ref_top_k_counts(ranked.votes, m)
-    assert rule_tally(Maximin(), m, ranked.votes, True).net() == _ref_pairwise(ranked.votes, m)
+    assert rule_tally(ranked, Maximin()).net() == _ref_pairwise(ranked.votes, m)
     counts, n = _ref_top_k_counts(ranked.votes, m), ranked.n
     w = _ref_winner_set(ranked, Bucklin()).winners[0]
     leads = [counts[w][lv] - counts[x][lv] + 1 for lv in range(m - 1) if 2 * counts[w][lv] > n
@@ -498,13 +498,13 @@ def column_cases(draw):
 def test_column_counts_match_reference(case):
     profile, vector, k = case
     m, votes, n = profile.m, profile.votes, profile.n
-    bucklin = rule_tally(Bucklin(), m, votes, True)
+    bucklin = rule_tally(profile, Bucklin())
     assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
     net = _ref_pairwise(votes, m)
-    assert rule_tally(Maximin(), m, votes, True).above == [
+    assert rule_tally(profile, Maximin()).above == [
         [0 if x == y else (n + net[x][y]) // 2 for y in range(m)] for x in range(m)]
-    assert rule_tally(Scoring(vector), m, votes, True).scores() == _ref_scores(votes, vector.alphas)
-    assert rule_tally(KApproval(k), m, votes, True).scores() == \
+    assert rule_tally(profile, Scoring(vector)).scores() == _ref_scores(votes, vector.alphas)
+    assert rule_tally(profile, KApproval(k)).scores() == \
         _ref_scores(votes, [1] * k + [0] * (m - k))
 
 
@@ -621,7 +621,7 @@ def _ref_engine(profile, rule):
     ballot, in `mov_brute_force`'s order) and ballot wrapper, built here so
     that the references share no set-up with the search they check."""
     m, ranked = profile.m, isinstance(profile, RankedProfile)
-    tally = rule_tally(rule, m, profile.votes, ranked)
+    tally = rule_tally(type(profile)(profile.m, profile.votes), rule)
     raw = [b.order if ranked else b.approved for b, _ in profile.votes]
     if ranked:
         return tally, raw, list(itertools.permutations(range(m))), Ranking

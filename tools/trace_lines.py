@@ -20,8 +20,10 @@ and ``finally`` headers are left out. For each module the script prints
 how many function statements never ran, then each with its line, its
 function and its first line of source.
 
-Tracing slows a run several times over (the test suite 3 to 4 times), so the
-script is meant to be run by hand, not in CI.
+Tracing slows a run several times over (the test suite 3 to 4 times), so
+the ``tests`` run is meant to be run by hand; CI prints the ``bench`` run,
+which takes a few seconds. Either run exits non-zero when a test or a
+benchmark check fails.
 """
 
 import argparse
