@@ -12,6 +12,9 @@ The package is organised around a small exact core:
 - :mod:`movkit.experiments` and :mod:`movkit.cli` wire everything into a
   Monte-Carlo harness.
 
+Each name is imported from the module that defines it; the package root
+re-exports nothing.
+
 All numbers are exact. Winner-set scores are ints for k-approval, approval,
 Bucklin (the winning level) and maximin (the worst pairwise margin), and
 `fractions.Fraction` for positional scoring and Copeland. Sandwich bounds,
@@ -19,57 +22,5 @@ estimates and estimated scores are Fractions, and exact margins are ints.
 Ties are broken canonically by lowest candidate index wherever a single
 representative is needed.
 """
-
-from movkit.core import (
-    Approval,
-    ApprovalBallot,
-    ApprovalProfile,
-    Bucklin,
-    Copeland,
-    InputError,
-    KApproval,
-    Maximin,
-    RankedProfile,
-    Ranking,
-    Rule,
-    Scoring,
-    ScoreVector,
-    WinnerResult,
-    winner_set,
-)
-from movkit.oracle import (
-    ExactMovResult,
-    MovBounds,
-    TiedWinnersError,
-    WorkLimitError,
-    apply_changes,
-    mov_approval_closed_form,
-    mov_bounds,
-    mov_brute_force,
-    mov_kapproval_closed_form,
-)
-from movkit.estimators import (
-    MovEstimate,
-    VoteSource,
-    estimate_kapproval,
-    estimate_mov,
-    lower_bound_samples,
-    sample_size,
-    split_seed,
-)
-from movkit.generation import (
-    ImpartialCulture,
-    PlantedGap,
-    TwoCandidate,
-    generate,
-    ranked_to_approval,
-)
-from movkit.io_formats import (
-    ExperimentRow,
-    ParseError,
-    parse_election,
-    write_election,
-    write_experiment_csv,
-)
 
 __version__ = "0.1.0"

@@ -47,6 +47,7 @@ from movkit.core import (
 from movkit.estimators import (
     MovEstimate,
     VoteSource,
+    _check_unit_interval,
     estimate_kapproval,
     estimate_mov,
     sample_size,
@@ -251,6 +252,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_count(self.trials, "trials", "positive")
+        _check_unit_interval("epsilon", self.epsilon)
+        _check_unit_interval("delta", self.delta)
         if (self.generator is None) == (self.profile is None):
             raise InputError("exactly one of generator and profile is required")
         if not isinstance(self.policy, OraclePolicy):

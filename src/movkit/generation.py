@@ -208,9 +208,7 @@ def ranked_to_approval(
     m = profile.m
     orders = profile.entries()
     prefixes = Counter()
-    if isinstance(k, str):
-        if k != "uniform":
-            raise InputError(f'k must be an integer or "uniform", got {k!r}')
+    if k == "uniform":
         rng = random.Random(seed)
 
         def per_vote_prefixes():
@@ -228,6 +226,8 @@ def ranked_to_approval(
 
         prefixes.update(per_vote_prefixes())
     else:
+        if not isinstance(k, int):
+            raise InputError(f'k must be an integer or "uniform", got {k!r}')
         if not 0 <= k <= m:
             raise InputError(f"k must lie in [0, m], got k={k}, m={m}")
         for order, mult in zip(orders, profile.counts):

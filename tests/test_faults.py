@@ -186,6 +186,8 @@ def test_tiny_epsilon_or_delta_has_one_text_in_the_library(param):
         "estimate_mov": lambda: estimate_mov(source, Bucklin(), epsilon, delta, 0),
         "estimate_mov-with-ell": lambda: estimate_mov(source, Bucklin(), epsilon, delta, 0, ell=5),
         "run_distinguisher": lambda: run_distinguisher(epsilon, delta, 1, 0),
+        "ExperimentConfig": lambda: ExperimentConfig("bucklin", epsilon, delta, 1, 0,
+                                                     BoundsOnlyPolicy(), generator="ic:n=20,m=3"),
     }
     seen = {}
     for name, call in calls.items():
@@ -202,7 +204,9 @@ def test_tiny_epsilon_or_delta_has_one_text_in_the_library(param):
     ["mov", "--mode", "estimate"],
     ["mov", "--mode", "estimate", "--samples", "5"],
     ["distinguish", "--trials", "1"],
-], ids=["samplesize", "lowerbound", "estimate", "estimate-with-samples", "distinguish"])
+    ["experiment", "-r", "bucklin", "-g", "ic:n=20,m=3", "--trials", "1"],
+], ids=["samplesize", "lowerbound", "estimate", "estimate-with-samples", "distinguish",
+        "experiment"])
 def test_tiny_epsilon_or_delta_has_one_text_on_the_command_line(param, command, tmp_path):
     epsilon, delta, message = TINY[param]
     if command[0] == "mov":
@@ -337,6 +341,7 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: run_distinguisher(EPS / 2, DELTA, 0, 0), "trials must be positive, got 0"),
     (lambda: ranked_to_approval(RANKED, "half"),
      'k must be an integer or "uniform", got \'half\''),
+    (lambda: ranked_to_approval(RANKED, 2.5), 'k must be an integer or "uniform", got 2.5'),
     (lambda: ranked_to_approval(APPROVAL, 1), NEEDS_RANKED),
     (lambda: RankedProfile(2, [(Ranking((0, 1)), 1.5)]),
      "multiplicity must be a positive integer, got 1.5"),
@@ -375,8 +380,8 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
-        "approval-depth", "approval-of-approval", "tally-count-float", "tally-count-negative",
-        "tally-ballot-length", "tally-needs-ranked", "tally-needs-approval",
+        "approval-depth", "approval-depth-float", "approval-of-approval", "tally-count-float",
+        "tally-count-negative", "tally-ballot-length", "tally-needs-ranked", "tally-needs-approval",
         "work-limit-none", "work-limit-bool", "distinguisher-trials-float",
         "distinguisher-trials-text", "experiment-trials-bool", "experiment-trials-float",
         "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
