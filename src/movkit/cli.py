@@ -8,7 +8,6 @@ byte-for-byte.
 """
 
 import bisect
-import functools
 import itertools
 import math
 import sys
@@ -17,30 +16,19 @@ from fractions import Fraction
 import click
 
 from movkit.core import InputError, RankedProfile, winner_set
-from movkit.estimators import (
-    VoteSource,
-    estimate_mov,
-    lower_bound_samples,
-    sample_size,
-    split_seed,
-)
+from movkit.estimators import VoteSource, estimate_mov, lower_bound_samples, sample_size
 from movkit.experiments import (
     BoundsOnlyPolicy,
     BruteForcePolicy,
     ClosedFormPolicy,
     _approval_depth,
+    _generated,
     resolve_rule,
     run_distinguisher,
     run_experiment,
     ExperimentConfig,
 )
-from movkit.generation import (
-    ImpartialCulture,
-    PlantedGap,
-    TwoCandidate,
-    generate as generate_profile,
-    ranked_to_approval,
-)
+from movkit.generation import ImpartialCulture, PlantedGap, TwoCandidate
 from movkit.io_formats import (
     ParseError,
     _format_ballot,
@@ -69,20 +57,19 @@ class RationalParamType(click.ParamType):
 RATIONAL = RationalParamType()
 
 
-def _friendly(fn):
-    """Map domain errors to the CLI's stable exit codes."""
+class _Command(click.Command):
+    """A command that maps domain errors to the CLI's stable exit codes. An
+    input fault is a usage error of the command itself, so its message comes
+    with that command's usage line."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except WorkLimitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except (InputError, ParseError) as exc:
-            raise click.UsageError(str(exc))
-
-    return wrapper
+            raise click.UsageError(str(exc), ctx)
 
 
 def _fmt_number(value) -> str:
@@ -98,12 +85,14 @@ def main():
     """Election winners, margins of victory, and sampling-based estimates."""
 
 
+main.command_class = _Command
+
+
 @main.command()
 @click.option("--input", "-i", "handle", type=click.File("r"), required=True,
               help="Election file (see README for the format).")
 @click.option("--rule", "-r", "rule_spec", required=True,
               help="plurality | borda | kapproval:K | approval | bucklin | maximin | copeland[:A] | scoring:A1,A2,...")
-@_friendly
 def winner(handle, rule_spec):
     """Print the winner set and per-candidate scores."""
     profile = parse_election(handle.read())
@@ -131,7 +120,6 @@ def winner(handle, rule_spec):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--samples", type=int, default=None,
               help="Override the estimate-mode sample count.")
-@_friendly
 def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, samples):
     """Margin of victory: exact search, sandwich bounds, or sampling estimate."""
     profile = parse_election(handle.read())
@@ -179,7 +167,6 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
 @click.option("--k", "k", type=int, default=None, help="Approval depth (k-approval only).")
 @click.option("--epsilon", type=RATIONAL, required=True)
 @click.option("--delta", type=RATIONAL, required=True)
-@_friendly
 def samplesize(rule_kind, m, k, epsilon, delta):
     """Number of sampled votes the rule's estimator needs."""
     if m is None:
@@ -194,7 +181,6 @@ def samplesize(rule_kind, m, k, epsilon, delta):
               help="Multiplicative term of the target guarantee.")
 @click.option("--epsilon", type=RATIONAL, required=True)
 @click.option("--delta", type=RATIONAL, required=True)
-@_friendly
 def lowerbound(c, epsilon, delta):
     """Samples any (c, epsilon, delta) margin estimator must examine."""
     click.echo(format(lower_bound_samples(c, epsilon, delta), ".10g"))
@@ -212,28 +198,24 @@ def lowerbound(c, epsilon, delta):
               help='Emit approval ballots: top-K prefixes, K an integer or "uniform".')
 @click.option("--output", "-o", type=click.File("w"), default="-",
               help="Output file (default: stdout).")
-@_friendly
 def generate(model, n, m, gap, winner, p, seed, approval_depth, output):
     """Create a synthetic election and write it in the election file format."""
     header = ""
     if model == "ic":
         if m is None:
             raise InputError("ic needs --m")
-        profile = generate_profile(ImpartialCulture(n=n, m=m, seed=seed))
+        spec = ImpartialCulture(n=n, m=m, seed=seed)
     elif model == "plantedgap":
         if m is None or gap is None:
             raise InputError("plantedgap needs --m and --gap")
-        profile = generate_profile(PlantedGap(winner=winner, gap=gap, n=n, m=m))
+        spec = PlantedGap(winner=winner, gap=gap, n=n, m=m)
     else:
         if p is None:
             raise InputError("twocandidate needs --p")
         spec = TwoCandidate(p=p, n=n)
-        profile = generate_profile(spec)
         header = f"# realized a-first fraction: {spec.realized_top_fraction}\n"
-    if approval_depth is not None:
-        depth = _approval_depth(approval_depth)
-        profile = ranked_to_approval(profile, depth, split_seed(seed, 1))
-    output.write(header + write_election(profile))
+    depth = None if approval_depth is None else _approval_depth(approval_depth)
+    output.write(header + write_election(_generated(spec, depth, seed)))
 
 
 def _parse_policy(text: str):
@@ -264,7 +246,6 @@ def _parse_policy(text: str):
               help="Exact-reference policy: brute[:BUDGET] | closed | bounds.")
 @click.option("--output", "-o", "output_path", type=click.Path(dir_okay=False, writable=True),
               default=None, help="CSV destination (default: CSV on stdout, summary on stderr).")
-@_friendly
 def experiment(rule_spec, generator_spec, handle, epsilon, delta, trials, seed, oracle, output_path):
     """Monte-Carlo coverage run: estimate vs exact margin, row per trial."""
     if (generator_spec is None) == (handle is None):
@@ -308,7 +289,6 @@ def experiment(rule_spec, generator_spec, handle, epsilon, delta, trials, seed, 
 @click.option("--c", type=RATIONAL, default=Fraction(0), show_default=True)
 @click.option("--samples", type=int, default=None,
               help="Override the sample budget (e.g. to show failure below the floor).")
-@_friendly
 def distinguish(epsilon, delta, trials, seed, n, c, samples):
     """Separate a planted-margin population from a tied one by sampling."""
     result = run_distinguisher(

@@ -159,6 +159,11 @@ class Profile:
     already, hand theirs to `_from_canonical`. Either way `_store` merges
     repeated ballots. ``names`` optionally labels candidates for I/O.
 
+    Each kind's ``_check_ballot`` returns the key (see `_store`) of a ballot
+    of that kind, checked against m. With the constructor's coercion through
+    ``_ballot``, it is the one check that a ballot belongs to the profile:
+    anything else, another kind's ballot included, is an InputError.
+
     ``entries()`` reads the rows back as ballot tuples, a ranking's order or
     an approval ballot's ascending members, in canonical order: every reader
     of a profile's ballots outside this module takes them from there, and
@@ -208,13 +213,6 @@ class Profile:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "names", names)
-
-    def _check_ballot(self, ballot):
-        """The key (see `_store`) of a ballot of the profile's kind, checked
-        against m. With the constructor's coercion through ``_ballot``, this
-        is the one check that a ballot belongs to the profile: anything
-        else, another kind's ballot included, is an InputError."""
-        raise NotImplementedError
 
     @functools.cached_property
     def votes(self) -> tuple[tuple[Ranking | ApprovalBallot, int], ...]:

@@ -224,12 +224,11 @@ class MovEstimate:
 
 def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     """Default ell from the closed form; invert it for explicit overrides."""
-    if ell is None:
-        return sample_size(rule_kind, epsilon, delta, m, k), Fraction(epsilon)
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
+    if ell is not None and (isinstance(ell, bool) or not isinstance(ell, int) or ell < 1):
         raise InputError(f"sample count must be positive, got {ell!r}")
-    _check_unit_interval("epsilon", epsilon)
-    _check_unit_interval("delta", delta)
+    default = sample_size(rule_kind, epsilon, delta, m, k)  # checks epsilon and delta either way
+    if ell is None:
+        return default, Fraction(epsilon)
     log_num = 2.0 * (k if rule_kind == "kapproval" else m)
     eps = math.sqrt((_SAMPLE_FACTORS[rule_kind] / ell) * math.log(log_num / float(delta)))
     return ell, Fraction(eps)

@@ -54,6 +54,7 @@ from movkit.estimators import (
     split_seed,
 )
 from movkit.generation import (
+    GenSpec,
     ImpartialCulture,
     PlantedGap,
     TwoCandidate,
@@ -181,15 +182,20 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
         make = lambda seed: TwoCandidate(p=p, n=n)
     else:
         raise InputError(f"unknown generator {spec!r}")
-    _reject_extras(params, head)
+    if params:
+        raise InputError(f"unknown {head} parameter {sorted(params)[0]!r}")
+    return lambda seed: _generated(make(seed), approval_depth, seed)
 
-    def factory(seed: int) -> Profile:
-        profile = generate(make(seed))
-        if approval_depth is None:
-            return profile
-        return ranked_to_approval(profile, approval_depth, split_seed(seed, 1))
 
-    return factory
+def _generated(spec: GenSpec, depth: Union[int, str, None], seed: int) -> Profile:
+    """The profile a generation model describes, converted to approval
+    ballots at ``depth`` unless it is None, with the child seed
+    ``split_seed(seed, 1)``: the one pipeline of `parse_generator`'s
+    factories and of ``movkit generate``."""
+    profile = generate(spec)
+    if depth is None:
+        return profile
+    return ranked_to_approval(profile, depth, split_seed(seed, 1))
 
 
 def _approval_depth(text: str) -> Union[int, str]:
@@ -201,11 +207,6 @@ def _approval_depth(text: str) -> Union[int, str]:
         return int(text)
     except ValueError:
         raise InputError(f'approval depth must be an integer or "uniform", got {text!r}') from None
-
-
-def _reject_extras(params: dict[str, str], what: str) -> None:
-    if params:
-        raise InputError(f"unknown {what} parameter {sorted(params)[0]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -210,21 +210,14 @@ def ranked_to_approval(
     prefixes = Counter()
     if k == "uniform":
         rng = random.Random(seed)
-
-        def per_vote_prefixes():
-            # yields one prefix per vote of a light ballot and adds a heavy
-            # ballot's counts to prefixes itself, so the draws stay in profile
-            # order and one Counter.update counts every light vote
-            for order, mult in zip(orders, profile.counts):
-                if mult < m + 1:
-                    for _ in range(mult):
-                        yield tuple(sorted(order[:rng.randint(0, m)]))
-                else:
-                    for depth, c in enumerate(_multinomial(rng, mult, [1] * (m + 1))):
-                        if c:
-                            prefixes[tuple(sorted(order[:depth]))] += c
-
-        prefixes.update(per_vote_prefixes())
+        for order, mult in zip(orders, profile.counts):
+            if mult < m + 1:
+                for _ in range(mult):
+                    prefixes[tuple(sorted(order[:rng.randint(0, m)]))] += 1
+            else:
+                for depth, c in enumerate(_multinomial(rng, mult, [1] * (m + 1))):
+                    if c:
+                        prefixes[tuple(sorted(order[:depth]))] += c
     else:
         if not isinstance(k, int):
             raise InputError(f'k must be an integer or "uniform", got {k!r}')

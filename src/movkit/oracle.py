@@ -42,6 +42,7 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
+    _members,
     _store_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
@@ -249,13 +250,8 @@ def mov_brute_force(
     if ranked:
         universe = list(itertools.permutations(range(m)))
     else:
-        # the members of the masks 0..2**m-1: those of mask + 2**c are the
-        # members of mask, below 2**c, and c
-        universe = [()]
-        for c in range(m):
-            universe += [members + (c,) for members in universe]
+        universe = list(map(_members, range(2 ** m)))
     raw = list(profile.entries())
-    wrap = profile._ballot
     add, winner_mask = tally.add, tally.winner_mask
     base_mask = winner_mask()
     settled = _settled_test(rule, tally, m, profile.n)
@@ -314,7 +310,7 @@ def mov_brute_force(
                         retracted = path[:t]
                         inserted = [options[j] for j in path[t:]] + [new]
                         witness = tuple(
-                            (starts[k] + j - retracted.index(k), wrap(ballot))
+                            (starts[k] + j - retracted.index(k), profile._ballot(ballot))
                             for j, (k, ballot) in enumerate(zip(retracted, inserted))
                         )
                         return ExactMovResult(
