@@ -16,8 +16,9 @@ from fractions import Fraction
 import click
 
 from movkit.core import InputError, RankedProfile, winner_set
-from movkit.estimators import VoteSource, estimate_mov, lower_bound_samples, sample_size
+from movkit.estimators import _SAMPLE_FACTORS, VoteSource, estimate_mov, lower_bound_samples, sample_size
 from movkit.experiments import (
+    _MODELS,
     BoundsOnlyPolicy,
     BruteForcePolicy,
     ClosedFormPolicy,
@@ -28,7 +29,6 @@ from movkit.experiments import (
     run_experiment,
     ExperimentConfig,
 )
-from movkit.generation import ImpartialCulture, PlantedGap, TwoCandidate
 from movkit.io_formats import (
     ParseError,
     _format_ballot,
@@ -160,9 +160,7 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
 
 
 @main.command()
-@click.option("--rule", "-r", "rule_kind",
-              type=click.Choice(["scoring", "kapproval", "approval", "bucklin", "maximin", "copeland"]),
-              required=True)
+@click.option("--rule", "-r", "rule_kind", type=click.Choice(list(_SAMPLE_FACTORS)), required=True)
 @click.option("--m", "m", type=int, default=None, help="Number of candidates.")
 @click.option("--k", "k", type=int, default=None, help="Approval depth (k-approval only).")
 @click.option("--epsilon", type=RATIONAL, required=True)
@@ -187,7 +185,7 @@ def lowerbound(c, epsilon, delta):
 
 
 @main.command()
-@click.option("--model", type=click.Choice(["ic", "plantedgap", "twocandidate"]), required=True)
+@click.option("--model", type=click.Choice(list(_MODELS)), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, default=None)
 @click.option("--gap", type=int, default=None, help="Exact plurality gap (plantedgap).")
@@ -198,21 +196,15 @@ def lowerbound(c, epsilon, delta):
               help='Emit approval ballots: top-K prefixes, K an integer or "uniform".')
 @click.option("--output", "-o", type=click.File("w"), default="-",
               help="Output file (default: stdout).")
-def generate(model, n, m, gap, winner, p, seed, approval_depth, output):
+def generate(model, seed, approval_depth, output, **options):
     """Create a synthetic election and write it in the election file format."""
+    fields, build = _MODELS[model]
+    missing = [f"--{name}" for name, _, _ in fields if options[name] is None]
+    if missing:
+        raise InputError(f"{model} needs {' and '.join(missing)}")
+    spec = build(seed, **{name: options[name] for name, _, _ in fields})
     header = ""
-    if model == "ic":
-        if m is None:
-            raise InputError("ic needs --m")
-        spec = ImpartialCulture(n=n, m=m, seed=seed)
-    elif model == "plantedgap":
-        if m is None or gap is None:
-            raise InputError("plantedgap needs --m and --gap")
-        spec = PlantedGap(winner=winner, gap=gap, n=n, m=m)
-    else:
-        if p is None:
-            raise InputError("twocandidate needs --p")
-        spec = TwoCandidate(p=p, n=n)
+    if model == "twocandidate":
         header = f"# realized a-first fraction: {spec.realized_top_fraction}\n"
     depth = None if approval_depth is None else _approval_depth(approval_depth)
     output.write(header + write_election(_generated(spec, depth, seed)))

@@ -22,7 +22,7 @@ the CLI and config files):
                 | maximin | copeland[:ALPHA] | scoring:A1,A2,...
     generators: ic:n=N,m=M | plantedgap:n=N,m=M,gap=G[,winner=W]
                 | twocandidate:n=N,p=P
-                (ic and plantedgap accept ,approval=uniform|K to emit
+                (every model accepts ,approval=uniform|K to emit
                 approval ballots by top-k prefix)
 """
 
@@ -142,13 +142,18 @@ def _parse_kv(body: str, what: str) -> dict[str, str]:
     return params
 
 
-def _pop_int(params: dict[str, str], key: str, what: str) -> int:
-    if key not in params:
-        raise InputError(f"{what} needs {key}=")
-    try:
-        return int(params.pop(key))
-    except ValueError:
-        raise InputError(f"{what} parameter {key} must be an integer") from None
+# each generation model's parameters in reading order, as (name, type,
+# default) with None for a required one, and the spec their values and a
+# seed describe
+_MODELS = {
+    "ic": ((("n", int, None), ("m", int, None)),
+           lambda seed, **values: ImpartialCulture(seed=seed, **values)),
+    "plantedgap": ((("n", int, None), ("m", int, None), ("gap", int, None), ("winner", int, 0)),
+                   lambda seed, **values: PlantedGap(**values)),
+    "twocandidate": ((("n", int, None), ("p", Fraction, None)),
+                     lambda seed, **values: TwoCandidate(**values)),
+}
+_TYPE_NAMES = {int: "an integer", Fraction: "rational"}
 
 
 def parse_generator(spec: str) -> Callable[[int], Profile]:
@@ -157,34 +162,21 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
     head, _, body = spec.partition(":")
     head = head.lower()
     params = _parse_kv(body, head or "generator")
-    approval_depth: Union[int, str, None] = None
-    if head in ("ic", "plantedgap") and "approval" in params:
-        approval_depth = _approval_depth(params.pop("approval"))
-
-    if head == "ic":
-        n = _pop_int(params, "n", "ic")
-        m = _pop_int(params, "m", "ic")
-        make = lambda seed: ImpartialCulture(n=n, m=m, seed=seed)
-    elif head == "plantedgap":
-        n = _pop_int(params, "n", "plantedgap")
-        m = _pop_int(params, "m", "plantedgap")
-        gap = _pop_int(params, "gap", "plantedgap")
-        winner = _pop_int(params, "winner", "plantedgap") if "winner" in params else 0
-        make = lambda seed: PlantedGap(winner=winner, gap=gap, n=n, m=m)
-    elif head == "twocandidate":
-        n = _pop_int(params, "n", "twocandidate")
-        if "p" not in params:
-            raise InputError("twocandidate needs p=")
-        try:
-            p = Fraction(params.pop("p"))
-        except (ValueError, ZeroDivisionError):
-            raise InputError("twocandidate parameter p must be rational") from None
-        make = lambda seed: TwoCandidate(p=p, n=n)
-    else:
+    if head not in _MODELS:
         raise InputError(f"unknown generator {spec!r}")
+    fields, build = _MODELS[head]
+    depth = _approval_depth(params.pop("approval")) if "approval" in params else None
+    values = {}
+    for name, kind, default in fields:
+        if name not in params and default is None:
+            raise InputError(f"{head} needs {name}=")
+        try:
+            values[name] = kind(params.pop(name)) if name in params else default
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{head} parameter {name} must be {_TYPE_NAMES[kind]}") from None
     if params:
         raise InputError(f"unknown {head} parameter {sorted(params)[0]!r}")
-    return lambda seed: _generated(make(seed), approval_depth, seed)
+    return lambda seed: _generated(build(seed, **values), depth, seed)
 
 
 def _generated(spec: GenSpec, depth: Union[int, str, None], seed: int) -> Profile:

@@ -193,9 +193,12 @@ def test_generate_missing_parameter_exits_2(runner):
 @pytest.mark.parametrize("args, message", [
     (["generate", "--model", "ic", "--n", "5"], "ic needs --m"),
     (["generate", "--model", "twocandidate", "--n", "5"], "twocandidate needs --p"),
+    (["generate", "--model", "plantedgap", "--n", "10"], "plantedgap needs --m and --gap"),
+    # only the options still missing are named
+    (["generate", "--model", "plantedgap", "--n", "10", "--m", "3"], "plantedgap needs --gap"),
     (["experiment", "-r", "plurality", "-g", "ic:n=5,m=3", "--trials", "1", "--oracle", "foo"],
      "unknown oracle policy 'foo' (use brute[:BUDGET], closed, bounds)"),
-], ids=["ic-m", "twocandidate-p", "oracle-policy"])
+], ids=["ic-m", "twocandidate-p", "plantedgap-m-gap", "plantedgap-gap", "oracle-policy"])
 def test_generator_and_oracle_faults_exit_2(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output

@@ -101,8 +101,7 @@ def test_parse_generator_rejects_unknown_keys():
     ("ic:n=1,n=2", "duplicate ic parameter 'n'"),
     ("twocandidate:n=4", "twocandidate needs p="),
     ("twocandidate:n=4,p=x", "twocandidate parameter p must be rational"),
-    # only ic and plantedgap read an approval depth
-    ("twocandidate:n=4,p=1/2,approval=1", "unknown twocandidate parameter 'approval'"),
+    ("twocandidate:n=4,p=1/2,approval=x", 'approval depth must be an integer or "uniform", got \'x\''),
 ])
 def test_parse_generator_fault_texts(spec, message):
     with pytest.raises(InputError) as info:
