@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from movkit.core import InputError, RankedProfile, winner_set
 from movkit.estimators import _SAMPLE_FACTORS, VoteSource, estimate_mov, lower_bound_samples, sample_size
@@ -202,6 +203,11 @@ def generate(model, seed, approval_depth, output, **options):
     missing = [f"--{name}" for name, _, _ in fields if options[name] is None]
     if missing:
         raise InputError(f"{model} needs {' and '.join(missing)}")
+    # an option the model does not read is refused once given, even at its default
+    ctx, read = click.get_current_context(), {name for name, _, _ in fields}
+    for name in options:
+        if name not in read and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise InputError(f"{model} does not take --{name}")
     spec = build(seed, **{name: options[name] for name, _, _ in fields})
     header = ""
     if model == "twocandidate":

@@ -13,7 +13,10 @@ multisets have equal stores, so they compare equal; the (ballot, count)
 pairs of ``votes`` are a view built on first use, and give the repr and the
 hash. Each rule family has one integer tally (positional, approval, Bucklin
 position counts, pairwise ``above`` counts), shared by winner
-determination, the exact search and the sampling estimators. A profile
+determination, the exact search and the sampling estimators. Every ballot
+ranks every pair, so a pairwise tally, which also counts its ``n`` ballots,
+reads the margin of x over y as ``2 * above[x][y] - n``, one entry; its
+diagonal holds ``math.inf``, which no row minimum selects. A profile
 enters a tally through `_add_votes`, weighed by its own counts or by a
 sample's drawn counts: many distinct rankings are counted column-wise,
 from one bitset per candidate and position read off slices of the packed
@@ -586,7 +589,15 @@ class BucklinTally:
 
 
 class PairwiseTally:
-    """Pairwise family: ``above[x][y]`` ballots rank x above y."""
+    """Pairwise family: ``above[x][y]`` of the ``n`` ballots rank x above y.
+
+    Every ballot ranks every pair, so ``above[x][y] + above[y][x] == n`` and
+    the margin of x over y is ``2 * above[x][y] - n``: a reader takes one
+    entry where a difference would take two. ``n`` counts the ballots as
+    add and add_block enter them, as `BucklinTally.n` does, so it follows
+    the exact search's retractions and insertions. The diagonal holds
+    ``math.inf``, which neither add nor add_block writes: no row minimum
+    selects it, and `net` reads it as 0."""
 
     @staticmethod
     def counts_columns(d: int, m: int) -> bool:
@@ -599,8 +610,8 @@ class PairwiseTally:
 
     def __init__(self, m: int):
         self.m = m
-        self.above = [[0] * m for _ in range(m)]
-        self.rivals = [[y for y in range(m) if y != x] for x in range(m)]
+        self.n = 0
+        self.above = [[math.inf if x == y else 0 for y in range(m)] for x in range(m)]
 
     def add(self, order, k: int) -> None:
         above = self.above
@@ -608,6 +619,7 @@ class PairwiseTally:
             row = above[x]
             for y in order[i + 1:]:
                 row[y] += k
+        self.n += k
 
     def add_block(self, column, weigh, total: int) -> None:
         # x is above y on the ballots that rank x at some position i and y
@@ -627,32 +639,39 @@ class PairwiseTally:
                 k = weigh(ballots)
                 above[x][y] += k
                 above[y][x] += total - k
+        self.n += total
 
     def net(self) -> tuple[tuple[int, ...], ...]:
-        """Pairwise margins: ``above[x][y] - above[y][x]``."""
-        above, m = self.above, self.m
-        return tuple(tuple(above[x][y] - above[y][x] for y in range(m)) for x in range(m))
+        """Pairwise margins ``2 * above[x][y] - n``, 0 on the diagonal."""
+        n = self.n
+        return tuple(tuple(0 if x == y else 2 * v - n for y, v in enumerate(row))
+                     for x, row in enumerate(self.above))
 
 
 class MaximinTally(PairwiseTally):
-    """Maximin: each candidate's worst pairwise margin (0 without rivals)."""
+    """Maximin: each candidate's worst pairwise margin, ``2 * min(row) - n``
+    of its row of ``above`` (0 without rivals, where the row is the
+    diagonal alone). The winners hold the largest row minimum."""
+
+    def _minima(self) -> list:
+        """Each row's least entry (the diagonal's inf only without rivals)."""
+        return list(map(min, self.above))
 
     def _worst(self) -> list[int]:
-        above = self.above
-        return [
-            min([above[x][y] - above[y][x] for y in rivals], default=0)
-            for x, rivals in enumerate(self.rivals)
-        ]
+        n = self.n
+        return [2 * low - n for low in self._minima()] if self.m > 1 else [0]
 
     def scores(self) -> dict[int, int]:
         return dict(enumerate(self._worst()))
 
     def winner_mask(self) -> int:
-        return _best_mask(self._worst())
+        return _best_mask(self._minima())
 
 
 class CopelandTally(PairwiseTally):
-    """Copeland: pairwise wins plus ``alpha`` per pairwise tie."""
+    """Copeland: pairwise wins plus ``alpha`` per pairwise tie. x beats y
+    when ``2 * above[x][y] > n`` and ties when the two are equal; the
+    diagonal's ``math.inf`` would read as a win, so each row drops one."""
 
     def __init__(self, m: int, alpha: Fraction):
         super().__init__(m)
@@ -660,17 +679,15 @@ class CopelandTally(PairwiseTally):
 
     def _points(self) -> list[int]:
         # q*wins + p*ties is an integer proxy for wins + (p/q)*ties
-        p, q = self.alpha.numerator, self.alpha.denominator
-        above = self.above
+        p, q, n = self.alpha.numerator, self.alpha.denominator, self.n
         points = []
-        for x, rivals in enumerate(self.rivals):
-            row = above[x]
-            total = 0
-            for y in rivals:
-                diff = row[y] - above[y][x]
-                if diff > 0:
+        for row in self.above:
+            total = -q  # the diagonal's win
+            for v in row:
+                twice = 2 * v
+                if twice > n:
                     total += q
-                elif diff == 0:
+                elif twice == n:
                     total += p
             points.append(total)
         return points

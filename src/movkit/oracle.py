@@ -138,6 +138,11 @@ def _settled_test(rule: Rule, tally, m: int, n: int):
     positional score by at most a1 - am. The test returns True only when every
     completion leaves the base winner w the unique winner of the final ``n``
     votes.
+
+    The pairwise tests read the tally's ``above`` rows at its current count
+    ``tally.n``, where a net is ``2 * above[x][y] - tally.n`` (see
+    `movkit.core.PairwiseTally`): maximin compares the row minima, Copeland
+    counts each row's entries above two thresholds.
     """
     mask = tally.winner_mask()
     if mask & (mask - 1):
@@ -157,31 +162,37 @@ def _settled_test(rule: Rule, tally, m: int, n: int):
 
         return settled
     if isinstance(rule, Copeland):
-        above, win = tally.above, rule.alpha.denominator
-        pairs = list(itertools.combinations(range(m), 2))
+        above = tally.above
 
         def settled(r: int, s: int) -> bool:
-            # a pair with |net| > r + s is decided; an undecided one may still
-            # end as a win (the most points) or a loss (the fewest) either way
-            slack = r + s
-            low, high = [0] * m, [0] * m
-            for x, y in pairs:
-                net = above[x][y] - above[y][x]
-                if net > slack:
-                    low[x] += win
-                    high[x] += win
-                elif net < -slack:
-                    low[y] += win
-                    high[y] += win
-                else:
-                    high[x] += win
-                    high[y] += win
-            return all(high[x] < low[w] for x in rivals)
+            # a pair whose net 2 * above[x][y] - n lies outside
+            # [-(r + s), r + s] is decided; an undecided one may still end as
+            # a win (the most points) or a loss (the fewest) either way, so
+            # w's decided wins must outnumber each rival's decided wins and
+            # undecided pairs together. An entry above ``beats`` is a decided
+            # win of its row's candidate, one above ``holds`` a pair it has
+            # not surely lost; the diagonal's inf is above both, so it counts
+            # once on each side of the comparison.
+            n_now = tally.n
+            beats, holds = (n_now + r + s) // 2, (n_now - r - s - 1) // 2
+            wins = 0
+            for v in above[w]:
+                if v > beats:
+                    wins += 1
+            for x in rivals:
+                high = 0
+                for v in above[x]:
+                    if v > holds:
+                        high += 1
+                if high >= wins:
+                    return False
+            return True
 
         return settled
     if isinstance(rule, Maximin):
-        # w's worst net can fall by one per change while x's rises by one
-        read, spread = tally._worst, 2
+        # one change lowers w's row minimum, or raises a rival's, by at most
+        # one; the worst nets 2 * min(row) - n rank candidates as the minima do
+        read, spread = tally._minima, 1
     else:
         read = lambda: tally.raw  # noqa: E731
         spread = tally.weights[0] - tally.weights[-1] if isinstance(rule, Scoring) else 1

@@ -43,6 +43,15 @@ def test_winner_copeland_named_example(runner, tmp_path):
     assert result.output.startswith("winners: a;")
 
 
+@pytest.mark.parametrize("rule", ["maximin", "copeland"])
+def test_winner_pairwise_without_rivals_scores_zero(runner, tmp_path, rule):
+    # one candidate has no pairwise margin: its score is 0, not the tally's
+    # diagonal
+    path = write_file(tmp_path, "e.txt", "m 1\n3: a\n")
+    result = invoke(runner, ["winner", "-i", path, "-r", rule])
+    assert result.output == "winners: a; s(a)=0\n"
+
+
 def test_winner_multiwinner_tie(runner, tmp_path):
     path = write_file(tmp_path, "e.txt", "m 2\n1: a>b\n1: b>a\n")
     result = invoke(runner, ["winner", "-i", path, "-r", "plurality"])
@@ -196,9 +205,18 @@ def test_generate_missing_parameter_exits_2(runner):
     (["generate", "--model", "plantedgap", "--n", "10"], "plantedgap needs --m and --gap"),
     # only the options still missing are named
     (["generate", "--model", "plantedgap", "--n", "10", "--m", "3"], "plantedgap needs --gap"),
+    # an option the model does not read is refused, the first one given
+    # named, also when it is given at its default
+    (["generate", "--model", "ic", "--n", "3", "--m", "2", "--p", "1/2", "--gap", "9",
+      "--winner", "5"], "ic does not take --p"),
+    (["generate", "--model", "twocandidate", "--n", "3", "--m", "5", "--p", "1/2"],
+     "twocandidate does not take --m"),
+    (["generate", "--model", "ic", "--n", "3", "--m", "2", "--winner", "0"],
+     "ic does not take --winner"),
     (["experiment", "-r", "plurality", "-g", "ic:n=5,m=3", "--trials", "1", "--oracle", "foo"],
      "unknown oracle policy 'foo' (use brute[:BUDGET], closed, bounds)"),
-], ids=["ic-m", "twocandidate-p", "plantedgap-m-gap", "plantedgap-gap", "oracle-policy"])
+], ids=["ic-m", "twocandidate-p", "plantedgap-m-gap", "plantedgap-gap", "ic-p-gap-winner",
+        "twocandidate-m", "ic-winner-default", "oracle-policy"])
 def test_generator_and_oracle_faults_exit_2(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output

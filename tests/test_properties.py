@@ -40,6 +40,7 @@ from movkit.core import (
     _multinomial,
     _row_type,
     _store,
+    _store_tally,
     rule_tally,
     winner_set,
 )
@@ -501,8 +502,10 @@ def test_column_counts_match_reference(case):
     bucklin = rule_tally(profile, Bucklin())
     assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
     net = _ref_pairwise(votes, m)
-    assert rule_tally(profile, Maximin()).above == [
-        [0 if x == y else (n + net[x][y]) // 2 for y in range(m)] for x in range(m)]
+    pairwise = rule_tally(profile, Maximin())
+    assert pairwise.n == n
+    assert [[v for y, v in enumerate(row) if y != x] for x, row in enumerate(pairwise.above)] == [
+        [(n + net[x][y]) // 2 for y in range(m) if y != x] for x in range(m)]
     assert rule_tally(profile, Scoring(vector)).scores() == _ref_scores(votes, vector.alphas)
     assert rule_tally(profile, KApproval(k)).scores() == \
         _ref_scores(votes, [1] * k + [0] * (m - k))
@@ -513,6 +516,57 @@ def test_column_switches_are_the_tallies_own():
         for m in range(2, 10):
             first = next(d for d in itertools.count(1) if family.counts_columns(d, m))
             assert first in COLUMN_SWITCHES
+
+
+@st.composite
+def stepped_cases(draw):
+    """A profile of 1 to 5 candidates and steps as the exact search takes
+    them: (True, i) retracts a ballot of the current multiset, (False, i)
+    inserts a ballot of the universe, i picking which."""
+    m = draw(st.integers(1, 5))
+    steps = st.tuples(st.booleans(), st.integers(0, 10**6))
+    return draw(profiles(m)), draw(st.lists(steps, max_size=16))
+
+
+@PROPERTY_SETTINGS
+@given(stepped_cases(), st.sampled_from(ALPHAS))
+@example((RankedProfile(1, [((0,), 3)]), [(True, 0)] * 3 + [(False, 0)]), F(1, 2))
+@example((RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 2), ((2, 0, 1), 2)]),
+          [(True, 0), (False, 5), (True, 1), (False, 3)]), F(0))
+def test_stepped_pairwise_tallies_match_rebuilt(case, alpha):
+    """Maximin and Copeland tallies stepped by add(order, -1) and add(order,
+    +1) read, after every step, what a tally built afresh over the
+    same multiset reads: the universe's profile weighed by the multiset's
+    counts, 0 for an absent ballot, and the plain references. Retracting
+    every ballot leaves an empty tally."""
+    profile, steps = case
+    m = profile.m
+    universe = list(itertools.permutations(range(m)))
+    everything = RankedProfile(m, [(order, 1) for order in universe])
+    counts = Counter(dict(zip(profile.entries(), profile.counts)))
+    rules = (Maximin(), Copeland(alpha))
+    stepped = [rule_tally(profile, rule) for rule in rules]
+    for retract, pick in steps:
+        present = sorted(order for order, count in counts.items() if count)
+        if retract and not present:
+            continue
+        order, k = (present[pick % len(present)], -1) if retract else (universe[pick % len(universe)], 1)
+        counts[order] += k
+        for tally in stepped:
+            tally.add(order, k)
+        votes = [(Ranking(order), count) for order, count in counts.items() if count]
+        net = _ref_pairwise(votes, m)
+        expected_scores = (
+            {x: min((net[x][y] for y in range(m) if y != x), default=0) for x in range(m)},
+            _ref_copeland_scores(net, m, alpha),
+        )
+        for rule, tally, scores in zip(rules, stepped, expected_scores):
+            rebuilt = _store_tally(rule, everything, [counts[order] for order in everything.entries()])
+            assert tally.n == rebuilt.n == sum(counts.values())
+            assert tally.net() == rebuilt.net() == net
+            assert tally.scores() == rebuilt.scores() == scores
+            assert tally.winner_mask() == rebuilt.winner_mask()
+            assert tally.winner_mask() == sum(1 << x for x in _ref_winners(scores))
 
 
 @PROPERTY_SETTINGS
