@@ -346,7 +346,7 @@ class KApproval(Rule):
     kind = "kapproval"
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise InputError(f"k must be a positive integer, got {self.k!r}")
 
 

@@ -74,40 +74,44 @@ from movkit.oracle import (
 # rule and generator descriptions
 
 
+# the rules a bare head names, each built for an m-candidate election
+_BARE_RULES: dict[str, Callable[[int], Rule]] = {
+    "plurality": lambda m: KApproval(1),
+    "borda": lambda m: Scoring(ScoreVector.borda(m)),
+    "approval": lambda m: Approval(),
+    "bucklin": lambda m: Bucklin(),
+    "maximin": lambda m: Maximin(),
+    "copeland": lambda m: Copeland(Fraction(1, 2)),
+}
+
+
 def resolve_rule(spec: str, m: int) -> Rule:
-    """Rule object from a rule string, bound to an m-candidate election."""
+    """Rule object from a rule string, bound to an m-candidate election.
+
+    A head with no argument is read from `_BARE_RULES`; the argument of
+    ``kapproval``, ``copeland`` and ``scoring`` is parsed by one reader,
+    whose fault names the head. A parsed value's own fault (k below 1,
+    alpha outside [0, 1], a vector of the wrong length) keeps its own
+    message."""
     spec = spec.strip()
     head, _, arg = spec.partition(":")
     head = head.lower()
-    if head == "plurality" and not arg:
-        return KApproval(1)
-    if head == "borda" and not arg:
-        return Scoring(ScoreVector.borda(m))
+    if not arg and head in _BARE_RULES:
+        return _BARE_RULES[head](m)
+
+    def read(parse, what: str):
+        try:
+            return parse(arg)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{head} needs {what}, got {spec!r}") from None
+
     if head == "kapproval":
-        try:
-            k = int(arg)
-        except ValueError:
-            raise InputError(f"kapproval needs an integer k, got {spec!r}") from None
-        return KApproval(k)
-    if head == "approval" and not arg:
-        return Approval()
-    if head == "bucklin" and not arg:
-        return Bucklin()
-    if head == "maximin" and not arg:
-        return Maximin()
+        return KApproval(read(int, "an integer k"))
     if head == "copeland":
-        if not arg:
-            return Copeland(Fraction(1, 2))
-        try:
-            alpha = Fraction(arg)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"copeland needs a rational alpha, got {spec!r}") from None
-        return Copeland(alpha)
+        return Copeland(read(Fraction, "a rational alpha"))
     if head == "scoring":
-        try:
-            alphas = tuple(Fraction(tok) for tok in arg.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"scoring needs comma-separated rationals, got {spec!r}") from None
+        alphas = read(lambda text: tuple(Fraction(tok) for tok in text.split(",")),
+                      "comma-separated rationals")
         if len(alphas) != m:
             raise InputError(f"score vector has {len(alphas)} entries for {m} candidates")
         return Scoring(ScoreVector(alphas))

@@ -47,16 +47,34 @@ def test_resolve_rule_variants():
     assert resolve_rule("maximin", 3) == Maximin()
     assert resolve_rule("copeland", 3) == Copeland(F(1, 2))
     assert resolve_rule("copeland:1/4", 3) == Copeland(F(1, 4))
+    assert resolve_rule(" Copeland: ", 3) == Copeland(F(1, 2))
+    assert resolve_rule("MAXIMIN", 3) == Maximin()
     borda = resolve_rule("borda", 3)
     assert isinstance(borda, Scoring) and borda.vector.alphas == (F(2), F(1), F(0))
     custom = resolve_rule("scoring:3,1,0", 3)
     assert isinstance(custom, Scoring) and custom.vector.alphas == (F(3), F(1), F(0))
 
 
-def test_resolve_rule_rejects_malformed_specs():
-    for bad in ["", "unknown", "kapproval", "kapproval:0", "scoring:1,0", "copeland:2"]:
-        with pytest.raises(InputError):
-            resolve_rule(bad, 3)
+@pytest.mark.parametrize("spec, message", [
+    ("", "unknown rule ''"),
+    ("unknown", "unknown rule 'unknown'"),
+    ("plurality:1", "unknown rule 'plurality:1'"),
+    ("borda:x", "unknown rule 'borda:x'"),
+    ("kapproval", "kapproval needs an integer k, got 'kapproval'"),
+    ("kapproval:x", "kapproval needs an integer k, got 'kapproval:x'"),
+    ("kapproval:0", "k must be a positive integer, got 0"),
+    ("copeland:x", "copeland needs a rational alpha, got 'copeland:x'"),
+    ("copeland:1/0", "copeland needs a rational alpha, got 'copeland:1/0'"),
+    ("copeland:2", "copeland alpha must lie in [0, 1], got 2"),
+    ("scoring:", "scoring needs comma-separated rationals, got 'scoring:'"),
+    ("scoring:1,x", "scoring needs comma-separated rationals, got 'scoring:1,x'"),
+    ("scoring:2,1", "score vector has 2 entries for 3 candidates"),
+    ("scoring:1,0", "score vector has 2 entries for 3 candidates"),
+])
+def test_resolve_rule_rejects_malformed_specs(spec, message):
+    with pytest.raises(InputError) as info:
+        resolve_rule(spec, 3)
+    assert str(info.value) == message
 
 
 def test_rule_to_spec_round_trips():

@@ -336,6 +336,9 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: mov_brute_force(RANKED, Bucklin(), 1.5), "budget must be an integer, got 1.5"),
     (lambda: mov_brute_force(RANKED, Bucklin(), True), "budget must be an integer, got True"),
     (lambda: sample_size("plurality", EPS, DELTA, 3), "unknown rule kind 'plurality'"),
+    (lambda: KApproval(True), "k must be a positive integer, got True"),
+    (lambda: sample_size("kapproval", EPS, DELTA, 3, True),
+     "k must be a positive integer, got True"),
     (lambda: lower_bound_samples(1, EPS, DELTA), "c must lie in [0, 1), got 1"),
     (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, c=1), "c must lie in [0, 1), got 1"),
     (lambda: run_distinguisher(EPS / 2, DELTA, 0, 0), "trials must be positive, got 0"),
@@ -379,6 +382,7 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
      "sample count must be positive, got 0"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
+        "kapproval-bool", "sample-size-kapproval-bool",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
         "approval-depth", "approval-depth-float", "approval-of-approval", "tally-count-float",
         "tally-count-negative", "tally-ballot-length", "tally-needs-ranked", "tally-needs-approval",

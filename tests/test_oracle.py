@@ -161,11 +161,13 @@ WORK_LIMIT_PINS = [
     (RankedProfile(3, [((0, 1, 2), 40)]), KApproval(1), (5, 25, 66), 67, 20, 1),
     (RankedProfile(3, [((0, 1, 2), 1), ((1, 0, 2), 1)]), KApproval(1), (5, 6, 7, 8, 9), 10, 1, 2),
     (ApprovalProfile(3, [((0,), 1), ((1,), 1)]), Approval(), (7, 8, 9, 10), 11, 1, 1),
+    # one unpruned path 3,999 search nodes deep: the search must not recurse per node
+    (RankedProfile(3, [((0, 1, 2), 4000)]), KApproval(1), (5, 2005, 6006), 6007, 2000, 1),
 ]
 
 
 @pytest.mark.parametrize("profile, rule, raising, first_ok, value, evaluations",
-                         WORK_LIMIT_PINS, ids=["level-step", "leaf-loop", "approval"])
+                         WORK_LIMIT_PINS, ids=["level-step", "leaf-loop", "approval", "deep-path"])
 def test_brute_force_work_limit_accounting_is_pinned(
         profile, rule, raising, first_ok, value, evaluations):
     for limit in raising:
