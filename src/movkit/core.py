@@ -614,10 +614,11 @@ class PairwiseTally:
         self.above = [[math.inf if x == y else 0 for y in range(m)] for x in range(m)]
 
     def add(self, order, k: int) -> None:
-        above = self.above
-        for i, x in enumerate(order):
+        above, after = self.above, 0
+        for x in order:
+            after += 1
             row = above[x]
-            for y in order[i + 1:]:
+            for y in order[after:]:
                 row[y] += k
         self.n += k
 

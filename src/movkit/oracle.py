@@ -127,9 +127,10 @@ def _mov_tally(rule: Rule, profile: Profile, counts):
     return _store_tally(rule, profile, counts)
 
 
-def _settled_test(rule: Rule, tally, m: int, n: int):
+def _settled_test(rule: Rule, tally, m: int, n: int, mask: int):
     """A test certifying that the winner set cannot change any more, or None
-    when the tally's winner set is tied (tied sets are never pruned).
+    when the tally's winner set ``mask`` (its `winner_mask` before the
+    search) is tied (tied sets are never pruned).
 
     The test reads the tally part way through the search and takes the r
     retractions and s insertions still to come. One retraction lowers, and
@@ -142,15 +143,17 @@ def _settled_test(rule: Rule, tally, m: int, n: int):
     The pairwise tests read the tally's ``above`` rows at its current count
     ``tally.n``, where a net is ``2 * above[x][y] - tally.n`` (see
     `movkit.core.PairwiseTally`): maximin compares the row minima, Copeland
-    counts each row's entries above two thresholds.
+    counts each row's entries above two thresholds. The positional, approval
+    and maximin tests read the best score and the runner-up from one sort of
+    the scores: w must still hold the unique best, and the runner-up must
+    stay below it by more than the remaining changes can close.
     """
-    mask = tally.winner_mask()
     if mask & (mask - 1):
         return None
     w = mask.bit_length() - 1
     rivals = [x for x in range(m) if x != w]
     if isinstance(rule, Bucklin):
-        level = tally.scores()[w]
+        level = tally.levels()[w] + 1
         at_pos = tally.at_pos
 
         def settled(r: int, s: int) -> bool:
@@ -194,13 +197,14 @@ def _settled_test(rule: Rule, tally, m: int, n: int):
         # one; the worst nets 2 * min(row) - n rank candidates as the minima do
         read, spread = tally._minima, 1
     else:
-        read = lambda: tally.raw  # noqa: E731
+        read = tally.raw.copy
         spread = tally.weights[0] - tally.weights[-1] if isinstance(rule, Scoring) else 1
 
     def settled(r: int, s: int) -> bool:
         scores = read()
-        floor = scores[w] - spread * (r + s)
-        return all(scores[x] < floor for x in rivals)
+        top = scores[w]
+        second, best = sorted(scores)[-2:]
+        return best == top and second < top - spread * (r + s)
 
     return settled
 
@@ -251,13 +255,11 @@ def mov_brute_force(
         budget = profile.n
     _check_count(budget, "budget")
     _check_count(work_limit, "work limit")
-    limit_error = WorkLimitError(
-        f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
-    )
+    limit_message = f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     # the work count starts at the universe's size, charged before it is built
     work = math.factorial(m) if ranked else 2 ** m
     if work > work_limit:
-        raise limit_error
+        raise WorkLimitError(limit_message)
     if ranked:
         universe = list(itertools.permutations(range(m)))
     else:
@@ -265,15 +267,14 @@ def mov_brute_force(
     raw = list(profile.entries())
     add, winner_mask = tally.add, tally.winner_mask
     base_mask = winner_mask()
-    settled = _settled_test(rule, tally, m, profile.n)
+    settled = _settled_test(rule, tally, m, profile.n, base_mask)
     mults = profile.counts
-    starts = list(itertools.accumulate(mults, initial=0))
     types = len(raw)
     evaluations = 0
     for t in range(1, min(budget, profile.n) + 1):
         work += 1
         if work > work_limit:
-            raise limit_error
+            raise WorkLimitError(limit_message)
         if settled and settled(t, t):
             continue
         # path[:t] are retracted type indices, path[t:] indices into options;
@@ -298,12 +299,13 @@ def mov_brute_force(
                 if len(path) > depth:
                     work += 1
                     if work > work_limit:
-                        raise limit_error
+                        raise WorkLimitError(limit_message)
                     depth += 1
-                    if not (settled and settled(max(t - depth, 0), min(2 * t - depth, t))):
+                    if not (settled and settled(t - depth if depth < t else 0,
+                                                2 * t - depth if depth > t else t)):
                         if depth == t:
                             removed = {raw[k] for k in path}
-                            options = [u for u in universe if u not in removed]
+                            options = list(itertools.filterfalse(removed.__contains__, universe))
                             choice = 0
                         continue
                     # pruned: step back from the child just entered
@@ -312,13 +314,14 @@ def mov_brute_force(
                     work += 1
                     evaluations += 1
                     if work > work_limit:
-                        raise limit_error
+                        raise WorkLimitError(limit_message)
                     new = options[i]
                     add(new, +1)
                     changed = winner_mask() != base_mask
                     add(new, -1)
                     if changed:
                         retracted = path[:t]
+                        starts = list(itertools.accumulate(mults, initial=0))
                         inserted = [options[j] for j in path[t:]] + [new]
                         witness = tuple(
                             (starts[k] + j - retracted.index(k), profile._ballot(ballot))

@@ -22,7 +22,7 @@ from movkit.core import (
     rule_tally,
     winner_set,
 )
-from movkit.generation import ImpartialCulture, generate
+from movkit.generation import ImpartialCulture, PlantedGap, generate
 from movkit.oracle import (
     TiedWinnersError,
     _relative_margin as relative_margin,
@@ -157,17 +157,24 @@ def test_brute_force_work_limit_counts_pruned_nodes():
 # evaluations). The work count is the universe's size, then one per level,
 # search node and scored leaf: the limits are the last universe, level-step,
 # node and leaf raises before the search returns.
+PLANTED = generate(PlantedGap(winner=0, gap=4, n=10, m=4))
 WORK_LIMIT_PINS = [
     (RankedProfile(3, [((0, 1, 2), 40)]), KApproval(1), (5, 25, 66), 67, 20, 1),
     (RankedProfile(3, [((0, 1, 2), 1), ((1, 0, 2), 1)]), KApproval(1), (5, 6, 7, 8, 9), 10, 1, 2),
     (ApprovalProfile(3, [((0,), 1), ((1,), 1)]), Approval(), (7, 8, 9, 10), 11, 1, 1),
     # one unpruned path 3,999 search nodes deep: the search must not recurse per node
     (RankedProfile(3, [((0, 1, 2), 4000)]), KApproval(1), (5, 2005, 6006), 6007, 2000, 1),
+    # one planted election under each remaining family's settled test
+    (PLANTED, Scoring(ScoreVector.borda(4)), (40,), 41, 2, 4),
+    (PLANTED, Bucklin(), (31,), 32, 1, 6),
+    (PLANTED, Maximin(), (37,), 38, 3, 1),
+    (PLANTED, Copeland(HALF), (37,), 38, 3, 1),
 ]
 
 
 @pytest.mark.parametrize("profile, rule, raising, first_ok, value, evaluations",
-                         WORK_LIMIT_PINS, ids=["level-step", "leaf-loop", "approval", "deep-path"])
+                         WORK_LIMIT_PINS, ids=["level-step", "leaf-loop", "approval", "deep-path",
+                                               "borda", "bucklin", "maximin", "copeland"])
 def test_brute_force_work_limit_accounting_is_pinned(
         profile, rule, raising, first_ok, value, evaluations):
     for limit in raising:
@@ -177,14 +184,14 @@ def test_brute_force_work_limit_accounting_is_pinned(
         assert (r.value, r.evaluations) == (value, evaluations)
 
 
-@pytest.mark.parametrize("rule, mov", [
-    (KApproval(1), 3), (Maximin(), 4), (Copeland(HALF), 4),
+@pytest.mark.parametrize("rule, mov, evaluations", [
+    (KApproval(1), 3, 1), (Maximin(), 4, 9), (Copeland(HALF), 4, 391),
 ])
-def test_brute_force_solves_ic_n30_under_the_default_limit(rule, mov):
+def test_brute_force_solves_ic_n30_under_the_default_limit(rule, mov, evaluations):
     # unpruned, maximin and Copeland need 6.5M evaluations here
     p = ref_impartial_culture(30, 4, 13)
     r = mov_brute_force(p, rule, p.n)
-    assert r.value == mov and len(r.witness) == mov
+    assert (r.value, r.evaluations) == (mov, evaluations) and len(r.witness) == mov
     assert winner_set(apply_changes(p, r.witness), rule).winners != winner_set(p, rule).winners
 
 

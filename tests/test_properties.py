@@ -477,6 +477,14 @@ def _column_profile(m, d, seed, top):
     return RankedProfile(m, [(_ranking(i, m), rng.randint(1, top)) for i in indices])
 
 
+def _shuffled_profile(m, d, seed, top):
+    """d seeded shuffles of m candidates, each counted 1..top times: rankings
+    of an m too large for `_column_profile` to index every permutation."""
+    rng = random.Random(seed)
+    return RankedProfile(m, [(tuple(rng.sample(range(m), m)), rng.randint(1, top))
+                             for _ in range(d)])
+
+
 @st.composite
 def column_cases(draw):
     m = draw(st.integers(2, 9))
@@ -496,6 +504,9 @@ def column_cases(draw):
 @example((_column_profile(9, 511, 2, 3), ScoreVector.borda(9), 1))
 @example((_column_profile(8, 64, 3, 10**12), ScoreVector.borda(8), 7))
 @example((_column_profile(8, 63, 4, 256), ScoreVector.borda(8), 2))
+# above m = 9 every ballot takes the per-ballot adds, the pairwise one included
+@example((_shuffled_profile(30, 8, 5, 10**12), ScoreVector.borda(30), 4))
+@example((_shuffled_profile(300, 8, 6, 10**12), ScoreVector.borda(300), 17))
 def test_column_counts_match_reference(case):
     profile, vector, k = case
     m, votes, n = profile.m, profile.votes, profile.n
