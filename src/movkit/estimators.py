@@ -24,16 +24,20 @@ its own counts (column-wise when the sample holds many distinct rankings),
 so no ballot object is built or hashed for it. It reads from that tally,
 with every count rescaled by n/ell, the margin statistic that
 `movkit.oracle.mov_bounds` reads on the full profile; the statistic stays
-in the tally's integers and builds exact rationals only for the values it
-returns. Winner selection is exact, with ties broken by lowest candidate
-index; only sample-size and guarantee arithmetic uses floats.
+in the tally's integers and builds an exact rational only for the value it
+returns. The estimate keeps the sample's tally, and its scaled scores and
+pair margins are read from it on first access; they are not part of the
+estimate's repr or equality. Winner selection is exact, with ties broken by
+lowest candidate index; only sample-size and guarantee arithmetic uses
+floats.
 """
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, Optional
@@ -52,7 +56,7 @@ from movkit.core import (
     _check_k,
     _multinomial,
 )
-from movkit.oracle import _check_count, _margin_statistic, _mov_tally, copeland_log_factor
+from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, copeland_log_factor
 
 _MASK64 = (1 << 64) - 1
 
@@ -121,16 +125,26 @@ _FLOORS = {"epsilon": Fraction(1, 2**500), "delta": Fraction(1, 2**960)}
 def _check_unit_interval(name, value):
     """``value`` as a float in (0, 1), at or above its floor in ``_FLOORS``.
 
-    The exact value is checked before it is rounded to a float, so a rational
-    just inside (0, 1) is never refused as 0.0 or 1.0.
+    The exact value is checked as its integer ratio num/den (int, bool,
+    float, Fraction and Decimal all give one) before it is rounded to a
+    float, so a rational just inside (0, 1) is never refused as 0.0 or 1.0.
+    A value with no integer ratio is not a number; NaN and the infinities
+    have none either, and lie outside (0, 1).
     """
-    if not 0 < value < 1:
+    try:
+        num, den = value.as_integer_ratio()
+    except AttributeError:
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+    except (ValueError, OverflowError):
+        num, den = 0, 1
+    if not 0 < num < den:
         raise InputError(f"{name} must lie strictly between 0 and 1, got {value}")
-    if value < _FLOORS[name]:
+    floor = _FLOORS[name]
+    if num * floor.denominator < floor.numerator * den:
         # a positive rational below the float range is shown exactly, not as 0
-        shown = float(value) or Decimal(value.numerator) / value.denominator
-        raise InputError(f"{name} must be at least {float(_FLOORS[name]):.6g}, got {shown:.6g}")
-    return float(value)
+        shown = num / den or Decimal(num) / den
+        raise InputError(f"{name} must be at least {float(floor):.6g}, got {shown:.6g}")
+    return num / den
 
 
 def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None) -> int:
@@ -203,7 +217,11 @@ class MovEstimate:
     ``m_bar`` is the point estimate (exact rational, in [1, n]).
     ``estimated_scores`` is the rule's rescaled tally payload: per-candidate
     scores, or per-level top-rank counts for Bucklin. Pairwise rules also
-    carry the full antisymmetric ``pair_margins`` matrix.
+    carry the full antisymmetric ``pair_margins`` matrix. Both are read on
+    first access from the sample's tally, which `estimate_mov` keeps in
+    ``_sample`` as (rule, tally, n, scale) (`movkit.oracle._sample_payload`),
+    and are not part of the repr or of equality. An estimate built by hand
+    has no sample: its scores read {} and its pair margins None.
     """
 
     m_bar: Fraction
@@ -212,14 +230,25 @@ class MovEstimate:
     c: Fraction
     epsilon: Fraction
     delta: Fraction
-    estimated_scores: Mapping[int, object]
-    pair_margins: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    _sample: Optional[tuple] = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         if self.m_bar < 0:
             raise InputError(f"margin estimate cannot be negative: {self.m_bar}")
         if self.ell < 1:
             raise InputError(f"sample count must be positive, got {self.ell}")
+
+    @cached_property
+    def _payload(self) -> tuple:
+        return ({}, None) if self._sample is None else _sample_payload(*self._sample)
+
+    @cached_property
+    def estimated_scores(self) -> Mapping[int, object]:
+        return self._payload[0]
+
+    @cached_property
+    def pair_margins(self) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+        return self._payload[1]
 
 
 def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
@@ -247,11 +276,12 @@ def estimate_mov(
     Reads from the tally of the sample, rescaled by n/ell, the upper end U
     of the rule's sandwich bound (`movkit.oracle._margin_statistic` lists it
     per rule). The statistic works on the tally's integers and builds a
-    Fraction only for U, the estimated scores and the pair margins; a
-    scoring vector is normalized there, in its integer weights, so scores
-    are in normalized units. The paper's estimator is (1 - c) * U, c from
+    Fraction only for U. The paper's estimator is (1 - c) * U, c from
     `guarantee_constant`; the estimate is its projection onto [1, n], where
-    the margin always lies, so the projection never increases its error.
+    the margin always lies, so the projection never increases its error. It
+    is clamped on the integer ratios of U and c, and one Fraction is built.
+    The estimate keeps the tally: its scores and pair margins are read from
+    it when first asked for.
 
     The rule is checked against the ballots by `movkit.core._store_tally`, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
@@ -268,12 +298,14 @@ def estimate_mov(
     drawn = source.draw_counts(ell, seed)
     counts = list(map(drawn.get, range(len(profile.counts)), repeat(0)))
     _add_votes(tally, profile, counts)
-    upper, scores, margins = _margin_statistic(rule, tally, n, Fraction(n, ell))
+    scale = Fraction(n, ell)
+    u_num, u_den = _margin_statistic(rule, tally, n, scale).as_integer_ratio()
     c = guarantee_constant(rule, m)
-    return MovEstimate(
-        m_bar=Fraction(min(max((1 - c) * upper, 1), n)), ell=ell, seed=seed, c=c,
-        epsilon=eps_eff, delta=Fraction(delta), estimated_scores=scores, pair_margins=margins,
-    )
+    # (1 - c) * U = top / bottom, projected onto [1, n]
+    top, bottom = (c.denominator - c.numerator) * u_num, c.denominator * u_den
+    m_bar = Fraction(min(max(top, bottom), n * bottom), bottom)
+    return MovEstimate(m_bar=m_bar, ell=ell, seed=seed, c=c, epsilon=eps_eff,
+                       delta=Fraction(delta), _sample=(rule, tally, n, scale))
 
 
 def estimate_kapproval(

@@ -15,15 +15,16 @@ c votes with k equally likely outcomes (the orders of the candidates still
 to rank, or the m + 1 depths of one distinct ballot) are drawn one by one
 when c < k; otherwise c is split by one multinomial
 (`movkit.core._multinomial`) and each part is drawn the same way.
-Every model counts its orders as {ranking key: count}, the key being the
-order's ``bytes`` up to m = 256 (`movkit.core._row_type`), and hands the
-counts to the profile's packed store once, so no ballot object is built and
-no ballot is checked again; `ranked_to_approval` reads the rankings back
-with the profile's ``entries()``. PlantedGap and TwoCandidate fill ballot
-positions below the top in a fixed canonical order (ascending candidate
-index, skipping the top candidate), which keeps their profiles easy to
-analyze by hand. Each model refuses a size, gap or winner that is not an
-int before it checks its range.
+Every model counts its orders by ranking key, the key being the order's
+``bytes`` up to m = 256 (`movkit.core._row_type`), and hands the counts to
+the profile's packed store once, so no ballot object is built and no ballot
+is checked again. ImpartialCulture appends its keys and counts in key
+order as it walks, so the store merges nothing; `ranked_to_approval` reads
+the rankings back with the profile's ``entries()``. PlantedGap and
+TwoCandidate fill ballot positions below the top in a fixed canonical order
+(ascending candidate index, skipping the top candidate), which keeps their
+profiles easy to analyze by hand. Each model refuses a size, gap or winner
+that is not an int before it checks its range.
 """
 
 import math
@@ -142,26 +143,36 @@ def _planted_counts(spec: PlantedGap) -> list[int]:
     return counts
 
 
-def _impartial_orders(rng: random.Random, prefix, rest, count: int, orders: Counter) -> None:
-    """Add to ``orders`` ``count`` uniform orders that start with ``prefix``
-    and rank the candidates ``rest`` after it. ``prefix``, ``rest`` and the
-    orders added are ranking keys of one type (`movkit.core._row_type`).
+def _impartial_orders(rng: random.Random, prefix, rest, count: int, keys: list,
+                      counts: list) -> None:
+    """Append to ``keys`` and ``counts`` the distinct orders among ``count``
+    uniform orders that start with ``prefix`` and rank the candidates
+    ``rest`` (in ascending order) after it, and how often each occurs, in
+    ascending key order. ``prefix``, ``rest`` and the orders are ranking
+    keys of one type (`movkit.core._row_type`).
 
     With c = ``count`` and k = len(``rest``): below k! suffixes, each order
-    draws its suffix with ``rng.sample`` (the per-vote stream); otherwise c
-    is split over the k next candidates by one equal-weight multinomial and
-    each group recurses. Both are exactly uniform, and the cost is
-    O(min(n, m!) * m) draws for n orders of m candidates.
+    draws its suffix with ``rng.sample`` (the per-vote stream), and the
+    orders are counted and sorted; otherwise c is split over the k next
+    candidates by one equal-weight multinomial and each group recurses, in
+    ascending candidate order, so the walk appends in key order. Both are
+    exactly uniform, and the cost is O(min(n, m!) * m) draws for n orders of
+    m candidates.
     """
     k, key = len(rest), type(rest)
     if k < 2:
-        orders[prefix + rest] += count
+        keys.append(prefix + rest)
+        counts.append(count)
     elif count < math.factorial(k):
-        orders.update(prefix + key(rng.sample(rest, k)) for _ in range(count))
+        orders = Counter(prefix + key(rng.sample(rest, k)) for _ in range(count))
+        drawn = sorted(orders)
+        keys.extend(drawn)
+        counts.extend(map(orders.__getitem__, drawn))
     else:
         for i, c in enumerate(_multinomial(rng, count, [1] * k)):
             if c:
-                _impartial_orders(rng, prefix + rest[i:i + 1], rest[:i] + rest[i + 1:], c, orders)
+                _impartial_orders(rng, prefix + rest[i:i + 1], rest[:i] + rest[i + 1:], c, keys,
+                                  counts)
 
 
 def generate(spec: GenSpec) -> RankedProfile:
@@ -169,11 +180,10 @@ def generate(spec: GenSpec) -> RankedProfile:
     # every order is a permutation of range(m) and every count is positive,
     # so the counts are checked keys
     if isinstance(spec, ImpartialCulture):
-        orders, key = Counter(), _row_type(spec.m)
-        _impartial_orders(random.Random(spec.seed), key(), key(range(spec.m)), spec.n, orders)
-        # sorted, the distinct orders need no merge in the store
-        keys = sorted(orders)
-        return RankedProfile._from_canonical(spec.m, keys, map(orders.__getitem__, keys), None)
+        keys, counts, key = [], [], _row_type(spec.m)
+        # appended in key order, the distinct orders need no merge in the store
+        _impartial_orders(random.Random(spec.seed), key(), key(range(spec.m)), spec.n, keys, counts)
+        return RankedProfile._from_canonical(spec.m, keys, counts, None)
     if isinstance(spec, PlantedGap):
         m, tops = spec.m, _planted_counts(spec)
     elif isinstance(spec, TwoCandidate):

@@ -15,8 +15,9 @@ Three layers live here:
   changes cannot move a unique winner;
 * polynomial-time structural quantities: each rule's margin statistic (score
   gap, Bucklin level gap, Copeland relative margin), read from one tally by
-  `_margin_statistic` and shared with `movkit.estimators`, and the Bucklin
-  change floor;
+  `_margin_statistic` and shared with `movkit.estimators`, a sample's
+  scores and pair margins (`_sample_payload`), and the Bucklin change
+  floor;
 * sandwich bounds built from those quantities, valid at any profile size.
 """
 
@@ -478,40 +479,33 @@ def copeland_log_factor(m: int) -> int:
 
 
 def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
-    """(U, scores, pair margins) read from the integers of the rule's tally
-    over n votes. U is the un-rounded upper end of the rule's sandwich on
-    the margin (`mov_bounds` for a unique winner, without the scoring +1 or
-    the k-approval rounding), and 0 on a tied winner set.
+    """U read from the integers of the rule's tally over n votes: the
+    un-rounded upper end of the rule's sandwich on the margin (`mov_bounds`
+    for a unique winner, without the scoring +1 or the k-approval
+    rounding), and 0 on a tied winner set.
 
     ``scale`` is n/ell for a sample of ell votes: every count is read as
-    scale times itself, and the scores and pair margins are returned for
-    the estimate. Without a scale (the full profile, as `mov_bounds` reads
-    it) counts are read as they are, and pair margins and scores are None.
-    The winner (the lowest index of the winner set on ties) and the gaps
-    are read on the tally's integers. With scale = num/den, each returned
-    value is built once, as Fraction(num * v, den * d) of integers v and d:
-    only U, the scores and the pair margins are rationals.
+    scale times itself. Without a scale (the full profile, as `mov_bounds`
+    reads it) counts are read as they are. The winner (the lowest index of
+    the winner set on ties) and the gaps are read on the tally's integers;
+    with scale = num/den, U alone is built as a rational, once, as
+    Fraction(num * v, den * d) of integers v and d. `_sample_payload` reads
+    a sample's scores and pair margins from the same tally.
 
-    * scoring: the top-two gap over a1 - am. A scoring vector is normalized
-      here, in its integer weights w_i: with sigma the last positive
-      w_i - w_m, a score is (scale * raw - w_m * n) / sigma in normalized
-      units, and U = scale * (raw_w - raw_z) / (w_1 - w_m) is the same in
-      either unit;
+    * scoring: the top-two gap over a1 - am: with integer weights w_i,
+      U = scale * (raw_w - raw_z) / (w_1 - w_m), the same in raw and in
+      normalized units;
     * k-approval and approval: half the top-two gap;
     * Bucklin: the level gap, the least n_l(w) - n_l(x) + 1 over levels l in
       1..m-1 where the canonical winner w holds a strict n/2 majority of the
-      top-l counts and some x != w does not (the scaled top-l count rows are
-      the scores). No level separates them exactly on a full tie;
+      top-l counts and some x != w does not. No level separates them exactly
+      on a full tie;
     * maximin: half the gap between the two best worst-case pairwise margins;
     * Copeland: 2(K+1) times the winner's smallest relative margin over a
-      rival, K = ceil(log2 m), with unscaled Copeland scores. The relative
-      margin is searched on the integer margins (`_relative_margin`).
-
-    Pair margins are None outside maximin and Copeland.
+      rival, K = ceil(log2 m). The relative margin is searched on the
+      integer margins (`_relative_margin`).
     """
     num, den = (1, 1) if scale is None else (scale.numerator, scale.denominator)
-    sampled = scale is not None
-    scores = margins = None
     if isinstance(rule, Bucklin):
         # a scaled majority scale*count > n/2 is the tally's own 2*count > ell
         levels, rows, last = tally.levels(), tally.top_counts(), tally.m - 1
@@ -521,15 +515,9 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
             rows[w][level] - row[level]
             for row, first in zip(rows, levels) for level in range(levels[w], min(first, last))
         ), default=None)
-        if sampled:
-            scores = {x: tuple(Fraction(num * c, den) for c in row) for x, row in enumerate(rows)}
-        return 0 if lead is None else Fraction(num * lead + den, den), scores, None
-    if isinstance(rule, (Maximin, Copeland)):
-        net = tally.net()
-        if sampled:
-            margins = tuple(tuple(Fraction(num * d, den) for d in row) for row in net)
+        return 0 if lead is None else Fraction(num * lead + den, den)
     if isinstance(rule, Copeland):
-        points = tally._points()
+        net, points = tally.net(), tally._points()
         w = points.index(max(points))
         # clamped at zero: on a tie w's relative margin over a co-winner can be negative
         gamma = max(0, min(
@@ -537,21 +525,48 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
             for x in range(tally.m)
             if x != w
         ))
-        if sampled:
-            scores = tally.scores()
-        return 2 * (copeland_log_factor(tally.m) + 1) * gamma, scores, margins
+        return 2 * (copeland_log_factor(tally.m) + 1) * gamma
     values = tally._worst() if isinstance(rule, Maximin) else tally.raw
-    # a score is (num * v - shift) / (den * unit), U is num * gap / (den * spread)
-    shift, unit, spread = 0, 1, 2
+    spread = 2
     if isinstance(rule, Scoring):
-        weights = tally.weights
-        low = weights[-1]
-        shift, unit = den * low * n, [v - low for v in weights if v > low][-1]
-        spread = weights[0] - low
+        spread = tally.weights[0] - tally.weights[-1]
     second, best = sorted(values)[-2:]
-    if sampled:
-        scores = {x: Fraction(num * v - shift, den * unit) for x, v in enumerate(values)}
-    return Fraction(num * (best - second), den * spread), scores, margins
+    return Fraction(num * (best - second), den * spread)
+
+
+def _sample_payload(rule: Rule, tally, n: int, scale: Fraction):
+    """(scores, pair margins) of a sample's tally over n votes, each count
+    read as ``scale`` = n/ell times itself: the tally `_margin_statistic`
+    reads U from, read again only when an estimate's payload is asked for.
+    With scale = num/den, each rational is built once, as
+    Fraction(num * v, den * d) of integers v and d.
+
+    * scoring: a score is (scale * raw - w_m * n) / sigma in normalized
+      units, sigma the last positive w_i - w_m of the integer weights w_i;
+    * k-approval, approval and maximin: scale times the tally's score (the
+      worst pairwise margin for maximin);
+    * Bucklin: the scaled top-l count rows;
+    * Copeland: the unscaled Copeland scores.
+
+    Pair margins are scale times the integer margins for maximin and
+    Copeland, and None elsewhere.
+    """
+    num, den = scale.numerator, scale.denominator
+    margins = None
+    if isinstance(rule, (Maximin, Copeland)):
+        margins = tuple(tuple(Fraction(num * d, den) for d in row) for row in tally.net())
+    if isinstance(rule, Bucklin):
+        rows = tally.top_counts()
+        return {x: tuple(Fraction(num * c, den) for c in row) for x, row in enumerate(rows)}, None
+    if isinstance(rule, Copeland):
+        return tally.scores(), margins
+    values = tally._worst() if isinstance(rule, Maximin) else tally.raw
+    # a score is (num * v - shift) / (den * unit)
+    shift, unit = 0, 1
+    if isinstance(rule, Scoring):
+        low = tally.weights[-1]
+        shift, unit = den * low * n, [v - low for v in tally.weights if v > low][-1]
+    return {x: Fraction(num * v - shift, den * unit) for x, v in enumerate(values)}, margins
 
 
 def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
@@ -577,7 +592,7 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     So the upper end is capped at n.
     """
     tally = _mov_tally(rule, profile, profile.counts)
-    upper = _margin_statistic(rule, tally, profile.n)[0]
+    upper = _margin_statistic(rule, tally, profile.n)
     if isinstance(rule, Scoring):
         lower, upper, source = upper / 2, upper + 1, "positional score gap"
     elif isinstance(rule, Bucklin):

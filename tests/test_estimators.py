@@ -1,5 +1,6 @@
 """Sampling estimators, sample-size formulas, and the lower-bound formula."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -13,6 +14,7 @@ from mpmath import log as mplog
 from mpmath import pi as mppi
 from mpmath import sqrt as mpsqrt
 
+from movkit import estimators
 from movkit.core import (
     Approval,
     ApprovalBallot,
@@ -31,6 +33,7 @@ from movkit.core import (
     winner_set,
 )
 from movkit.estimators import (
+    MovEstimate,
     VoteSource,
     estimate_kapproval,
     estimate_mov,
@@ -282,6 +285,27 @@ def test_maximin_estimate_unanimous():
     assert est.m_bar == F(8, 3)
     assert est.pair_margins is not None
     assert est.pair_margins[0][1] == 4
+
+
+def test_estimate_payload_is_built_once_from_the_kept_tally(monkeypatch):
+    p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
+    est = estimate_mov(VoteSource(p), Maximin(), EPS, DELTA, 4)
+    calls = []
+    read = estimators._sample_payload
+    monkeypatch.setattr(estimators, "_sample_payload",
+                        lambda *sample: calls.append(sample) or read(*sample))
+    scores, margins = est.estimated_scores, est.pair_margins
+    assert est.estimated_scores is scores and est.pair_margins is margins
+    assert len(calls) == 1 and margins is not None
+    # a copy with a new estimate reads the same payload from the same tally
+    moved = dataclasses.replace(est, m_bar=F(7))
+    assert (moved.estimated_scores, moved.pair_margins) == (scores, margins)
+    assert len(calls) == 2
+    # the payload is neither in the repr nor in equality
+    assert "estimated_scores" not in repr(est) and "_sample" not in repr(est)
+    bare = MovEstimate(est.m_bar, est.ell, est.seed, est.c, est.epsilon, est.delta)
+    assert bare == est and repr(bare) == repr(est)
+    assert (bare.estimated_scores, bare.pair_margins) == ({}, None)
 
 
 def test_copeland_estimate_unanimous_two_candidates():

@@ -234,7 +234,7 @@ def judge_cases(draw):
         m_bar=m_bar, ell=1, seed=0,
         c=draw(st.sampled_from([F(0), F(1, 3), F(5, 7)])),
         epsilon=draw(st.fractions(min_value=F(1, 100), max_value=F(1, 2), max_denominator=100)),
-        delta=F(1, 20), estimated_scores={},
+        delta=F(1, 20),
     )
     return est, n, reference
 

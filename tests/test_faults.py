@@ -8,6 +8,7 @@ theirs wherever the fault surfaces.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -376,10 +377,26 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: MovBounds(-1, 1, "test"), "lower bound must be non-negative, got -1"),
     (lambda: MovBounds(0, 0, "test"), "upper bound must be positive, got 0"),
     (lambda: MovBounds(2, 1, "test"), "bounds out of order: 2 > 1"),
-    (lambda: MovEstimate(F(-1), 1, 0, F(1), EPS, DELTA, {}),
+    (lambda: MovEstimate(F(-1), 1, 0, F(1), EPS, DELTA),
      "margin estimate cannot be negative: -1"),
-    (lambda: MovEstimate(F(1), 0, 0, F(1), EPS, DELTA, {}),
+    (lambda: MovEstimate(F(1), 0, 0, F(1), EPS, DELTA),
      "sample count must be positive, got 0"),
+    # epsilon and delta are read as their integer ratio: one text for a
+    # value without one, for NaN and the infinities, and for a Decimal below
+    # the float range
+    (lambda: sample_size("scoring", "0.1", DELTA, 3), "epsilon must be a number, got '0.1'"),
+    (lambda: lower_bound_samples(0, EPS, None), "delta must be a number, got None"),
+    (lambda: estimate_mov(VoteSource(RANKED), Maximin(), 1j, DELTA, 0),
+     "epsilon must be a number, got 1j"),
+    (lambda: ExperimentConfig("borda", EPS, Decimal("1E-400"), 1, 0, BoundsOnlyPolicy(),
+                              generator="ic:n=10,m=3"),
+     "delta must be at least 1.02613e-289, got 1e-400"),
+    (lambda: sample_size("maximin", Decimal("NaN"), DELTA, 3),
+     "epsilon must lie strictly between 0 and 1, got NaN"),
+    (lambda: estimate_mov(VoteSource(RANKED), Maximin(), float("nan"), DELTA, 0),
+     "epsilon must lie strictly between 0 and 1, got nan"),
+    (lambda: lower_bound_samples(0, EPS, float("inf")),
+     "delta must lie strictly between 0 and 1, got inf"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
@@ -391,7 +408,8 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
         "copeland-one-candidate", "planted-parity", "planted-too-few-votes",
         "bounds-lower-negative", "bounds-upper-zero", "bounds-order", "estimate-negative",
-        "estimate-no-samples"])
+        "estimate-no-samples", "epsilon-text", "delta-none", "epsilon-complex",
+        "delta-decimal-below-float-range", "epsilon-decimal-nan", "epsilon-nan", "delta-inf"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()

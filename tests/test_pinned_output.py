@@ -7,7 +7,10 @@ stream shows here as a text difference. The ranked rules' estimates are
 also pinned at the scale of an audit: IC n=5000, m=8, seed 3, with 4,712
 distinct rankings. There a sample of 4,427 to 13,844 votes walks the
 binomial sampler's geometric branch at almost every ranking, and
-Copeland's 55,376 votes walk mostly its BTRS branch.
+Copeland's 55,376 votes walk mostly its BTRS branch. The Monte Carlo
+shapes, `experiment -g` on generated n=2000 elections and `distinguish`,
+are pinned too: they run impartial culture, the uniform approval depths
+and the estimate of each freshly generated profile.
 """
 
 import pytest
@@ -230,3 +233,69 @@ def test_seeded_estimate_text_at_audit_scale(rule, audit_file):
         assert result.exit_code == 0, result.output
         output += result.output
     assert output == AUDIT_PINNED[rule]
+
+
+IC = "ic:n=2000,m=4"
+HEADER = ("trial,seed,rule,n,m,epsilon,delta,ell,mov_exact,mov_lower,mov_upper,estimate,"
+          "abs_error,within_guarantee\n")
+PASS = "trials=2 usable=2 excluded=0 violations=0 rate=0.000000 threshold=0.72 PASS\n"
+# (rule, generator, oracle policy) -> the text of `experiment --trials 2 --seed 5`
+MONTECARLO_PINNED = {
+    ("borda", IC, "bounds"): (
+        HEADER
+        + '1,7134611160154358618,"scoring:3,2,1,0",2000,4,0.1,0.05,6091,,7.500000000,16.00000000,1.000000000,6.500000000,true\n'
+        + '2,4292726422858613063,"scoring:3,2,1,0",2000,4,0.1,0.05,6091,,8.166666667,17.33333333,4.086174502,4.080492165,true\n'
+        + PASS
+    ),
+    ("bucklin", IC, "bounds"): (
+        HEADER
+        + "1,7134611160154358618,bucklin,2000,4,0.1,0.05,6091,,7.000000000,47.00000000,10.07946150,0.000000000,true\n"
+        + "2,4292726422858613063,bucklin,2000,4,0.1,0.05,6091,,2.000000000,26.00000000,11.39287473,0.000000000,true\n"
+        + PASS
+    ),
+    ("maximin", IC, "bounds"): (
+        HEADER
+        + "1,7134611160154358618,maximin,2000,4,0.1,0.05,12181,,11.00000000,22.00000000,7.771666256,3.228333744,true\n"
+        + "2,4292726422858613063,maximin,2000,4,0.1,0.05,12181,,9.000000000,18.00000000,8.428426785,0.5715732151,true\n"
+        + PASS
+    ),
+    ("copeland", IC, "bounds"): (
+        HEADER
+        + "1,7134611160154358618,copeland:1/2,2000,4,0.1,0.05,48722,,11.00000000,66.00000000,15.42857143,0.000000000,true\n"
+        + "2,4292726422858613063,copeland:1/2,2000,4,0.1,0.05,48722,,9.000000000,54.00000000,5.142857143,3.857142857,true\n"
+        + PASS
+    ),
+    ("approval", IC + ",approval=uniform", "bounds"): (
+        HEADER
+        + "1,7134611160154358618,approval,2000,4,0.1,0.05,6091,,0.5000000000,1.000000000,6.731242817,5.731242817,true\n"
+        + "2,4292726422858613063,approval,2000,4,0.1,0.05,6091,,6.500000000,7.000000000,5.582006239,0.9179937613,true\n"
+        + PASS
+    ),
+    ("plurality", "plantedgap:n=2000,m=3,gap=100", "closed"): (
+        HEADER
+        + "1,7134611160154358618,kapproval:1,2000,3,0.1,0.05,4427,50,,,32.07589790,17.92410210,true\n"
+        + "2,4292726422858613063,kapproval:1,2000,3,0.1,0.05,4427,50,,,59.85995030,9.859950305,true\n"
+        + PASS
+    ),
+}
+
+
+@pytest.mark.parametrize("rule, generator, oracle", MONTECARLO_PINNED)
+def test_seeded_experiment_text_on_generated_elections(rule, generator, oracle):
+    result = CliRunner().invoke(main, ["experiment", "-r", rule, "-g", generator, "--trials", "2",
+                                       "--seed", "5", "--oracle", oracle], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert result.output == MONTECARLO_PINNED[rule, generator, oracle]
+
+
+def test_seeded_distinguisher_text():
+    result = CliRunner().invoke(main, ["distinguish", "--trials", "3", "--seed", "5"],
+                                catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        "samples = 17707\n"
+        "population n = 2000, planted a-first fraction = 4/5\n"
+        "threshold = 150\n"
+        "errors: planted misread as tied 0/3, tied misread as planted 0/3\n"
+        "error rate = 0.000000 (target <= 2*delta = 0.1)\n"
+    )
