@@ -792,8 +792,7 @@ def winner_set(profile: Profile, rule: Rule) -> WinnerResult:
     rule requires a ranked profile. The winner set is never empty.
     """
     tally = rule_tally(profile, rule)
-    mask = tally.winner_mask()
-    return WinnerResult(tuple(c for c in range(profile.m) if mask >> c & 1), tally.scores())
+    return WinnerResult(_members(tally.winner_mask()), tally.scores())
 
 
 # ---------------------------------------------------------------------------

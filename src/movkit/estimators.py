@@ -12,8 +12,11 @@ comes with a two-parameter additive guarantee: with probability at least
 
 where c is a rule-specific constant (0 for k-approval and approval, 1/3 for
 scoring, Bucklin and maximin, and (2K+1)/(2K+3) with K = ceil(log2 m) for
-Copeland). Sample sizes are closed forms in (epsilon, delta) and the number
-of candidates or the approval depth k.
+Copeland), read from the ratio r of the rule's sandwich bounds as
+(r-1)/(r+1) (`guarantee_constant`). Sample sizes are closed forms in
+(epsilon, delta) and the number of candidates or the approval depth k; one
+private form gives both a default sample size and the epsilon of a given
+one.
 
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
@@ -42,21 +45,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from movkit.core import (
-    Approval,
-    Bucklin,
-    Copeland,
-    InputError,
-    KApproval,
-    Maximin,
-    Profile,
-    Rule,
-    Scoring,
-    _add_votes,
-    _check_k,
-    _multinomial,
-)
-from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, copeland_log_factor
+from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_k, _multinomial
+from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
 
 _MASK64 = (1 << 64) - 1
 
@@ -147,6 +137,14 @@ def _check_unit_interval(name, value):
     return num / den
 
 
+def _closed_form(rule_kind, over, delta, m, k) -> float:
+    """(C / over) * ln(2k'/delta), C the rule kind's `_SAMPLE_FACTORS` entry
+    and k' = k for k-approval, m otherwise: the sample size at
+    over = eps^2, and eps^2 at over = ell."""
+    log_num = 2.0 * (k if rule_kind == "kapproval" else m)
+    return (_SAMPLE_FACTORS[rule_kind] / over) * math.log(log_num / delta)
+
+
 def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None) -> int:
     """Number of sampled votes the rule's estimator needs.
 
@@ -173,8 +171,7 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
         _check_k(k, m)
     elif k is not None:
         raise InputError(f"k is only meaningful for k-approval, not {rule_kind}")
-    log_num = 2.0 * (k if rule_kind == "kapproval" else m)
-    return math.ceil((_SAMPLE_FACTORS[rule_kind] / eps**2) * math.log(log_num / dlt))
+    return math.ceil(_closed_form(rule_kind, eps**2, dlt, m, k))
 
 
 def lower_bound_samples(c, epsilon, delta) -> float:
@@ -184,7 +181,10 @@ def lower_bound_samples(c, epsilon, delta) -> float:
     delta >= 1/(8 e sqrt(pi)) makes the logarithm negative. No estimator with
     the (c, epsilon, delta) guarantee can examine fewer votes.
     """
-    c = Fraction(c)
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"c must be a number, got {c!r}") from None
     if not 0 <= c < 1:
         raise InputError(f"c must lie in [0, 1), got {c}")
     eps = _check_unit_interval("epsilon", epsilon)
@@ -195,15 +195,20 @@ def lower_bound_samples(c, epsilon, delta) -> float:
 
 
 def guarantee_constant(rule: Rule, m: int) -> Fraction:
-    """The multiplicative constant c in |estimate - MoV| <= c*MoV + eps*n."""
-    if isinstance(rule, (KApproval, Approval)):
-        return Fraction(0)
-    if isinstance(rule, (Scoring, Bucklin, Maximin)):
-        return Fraction(1, 3)
-    if isinstance(rule, Copeland):
-        k_log = copeland_log_factor(m)
-        return Fraction(2 * k_log + 1, 2 * k_log + 3)
-    raise InputError(f"unknown rule: {rule!r}")
+    """The multiplicative constant c in |estimate - MoV| <= c*MoV + eps*n:
+    (r-1)/(r+1), r = U/L the rule's sandwich ratio
+    (`movkit.oracle._sandwich_ratio`), so 0, 1/3 or (2K+1)/(2K+3).
+
+    Proof: the estimate (1 - c)*U is 2U/(r+1), and MoV lies in [U/r, U].
+    At MoV = U the error is U - 2U/(r+1) = c*U, and at MoV = U/r it is
+    2U/(r+1) - U/r = c*U/r: within c*MoV at both ends, so everywhere
+    between; with a smaller c, no one estimate is within c*MoV at both
+    ends. Bucklin's r = 2 is the paper's claim, not its sandwich's: its
+    lower end is the change floor, and its U can be 8x the margin (ROADMAP
+    item 15).
+    """
+    r = _sandwich_ratio(rule, m)
+    return Fraction(r - 1, r + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +263,7 @@ def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     default = sample_size(rule_kind, epsilon, delta, m, k)  # checks epsilon and delta either way
     if ell is None:
         return default, Fraction(epsilon)
-    log_num = 2.0 * (k if rule_kind == "kapproval" else m)
-    eps = math.sqrt((_SAMPLE_FACTORS[rule_kind] / ell) * math.log(log_num / float(delta)))
-    return ell, Fraction(eps)
+    return ell, Fraction(math.sqrt(_closed_form(rule_kind, ell, float(delta), m, k)))
 
 
 def estimate_mov(

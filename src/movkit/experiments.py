@@ -50,6 +50,7 @@ from movkit.estimators import (
     _check_unit_interval,
     estimate_kapproval,
     estimate_mov,
+    lower_bound_samples,
     sample_size,
     split_seed,
 )
@@ -398,12 +399,12 @@ def run_distinguisher(
     the threshold c + 1.5*eps*n; at the estimator's own sample budget the
     error rate stays within 2*delta. Overriding ``budget`` downward shows
     the signal disappearing below the sample-complexity floor.
+
+    This is the construction behind `lower_bound_samples`, which checks c,
+    epsilon and delta before anything is built.
     """
-    epsilon = Fraction(epsilon)
-    delta_f = Fraction(delta)
-    c = Fraction(c)
-    if not 0 <= c < 1:
-        raise InputError(f"c must lie in [0, 1), got {c}")
+    lower_bound_samples(c, epsilon, delta)
+    epsilon, delta_f, c = Fraction(epsilon), Fraction(delta), Fraction(c)
     _check_count(trials, "trials", "positive")
     if n < 2 or n % 2 != 0:
         raise InputError(f"n must be even and at least 2, got {n}")

@@ -19,6 +19,9 @@ Three layers live here:
   scores and pair margins (`_sample_payload`), and the Bucklin change
   floor;
 * sandwich bounds built from those quantities, valid at any profile size.
+  Each rule's sandwich has one ratio r of its upper to its lower end
+  (`_sandwich_ratio`): it sets the lower ends of `mov_bounds`, Copeland's
+  statistic and the estimators' constant c = (r-1)/(r+1).
 """
 
 import bisect
@@ -478,17 +481,34 @@ def copeland_log_factor(m: int) -> int:
 # the margin statistic and the sandwich bounds
 
 
-def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
+def _sandwich_ratio(rule: Rule, m: int) -> int:
+    """r = U/L, the ratio of the upper to the lower end of the rule's
+    sandwich on the margin for a unique winner over m candidates: 1 for
+    k-approval and approval, 2 for scoring, maximin and Bucklin, and
+    2(K+1) for Copeland, K = ceil(log2 m). `mov_bounds` reads its lower
+    end as U/r and `movkit.estimators.guarantee_constant` its c as
+    (r-1)/(r+1); Copeland's U is r times the winner's relative margin.
+    """
+    if isinstance(rule, (KApproval, Approval)):
+        return 1
+    if isinstance(rule, (Scoring, Maximin, Bucklin)):
+        return 2
+    if isinstance(rule, Copeland):
+        return 2 * (copeland_log_factor(m) + 1)
+    raise InputError(f"unknown rule: {rule!r}")
+
+
+def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction = Fraction(1)):
     """U read from the integers of the rule's tally over n votes: the
     un-rounded upper end of the rule's sandwich on the margin (`mov_bounds`
     for a unique winner, without the scoring +1 or the k-approval
     rounding), and 0 on a tied winner set.
 
     ``scale`` is n/ell for a sample of ell votes: every count is read as
-    scale times itself. Without a scale (the full profile, as `mov_bounds`
-    reads it) counts are read as they are. The winner (the lowest index of
-    the winner set on ties) and the gaps are read on the tally's integers;
-    with scale = num/den, U alone is built as a rational, once, as
+    scale times itself. A profile is read as a sample at scale 1, as
+    `mov_bounds` reads it. The winner (the lowest index of the winner set
+    on ties) and the gaps are read on the tally's integers; with
+    scale = num/den, U alone is built as a rational, once, as
     Fraction(num * v, den * d) of integers v and d. `_sample_payload` reads
     a sample's scores and pair margins from the same tally.
 
@@ -501,11 +521,12 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
       top-l counts and some x != w does not. No level separates them exactly
       on a full tie;
     * maximin: half the gap between the two best worst-case pairwise margins;
-    * Copeland: 2(K+1) times the winner's smallest relative margin over a
-      rival, K = ceil(log2 m). The relative margin is searched on the
-      integer margins (`_relative_margin`).
+    * Copeland: the sandwich ratio 2(K+1) (`_sandwich_ratio`) times the
+      winner's smallest relative margin over a rival, K = ceil(log2 m).
+      The relative margin is searched on the integer margins
+      (`_relative_margin`).
     """
-    num, den = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+    num, den = scale.numerator, scale.denominator
     if isinstance(rule, Bucklin):
         # a scaled majority scale*count > n/2 is the tally's own 2*count > ell
         levels, rows, last = tally.levels(), tally.top_counts(), tally.m - 1
@@ -525,7 +546,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction | None = None):
             for x in range(tally.m)
             if x != w
         ))
-        return 2 * (copeland_log_factor(tally.m) + 1) * gamma
+        return _sandwich_ratio(rule, tally.m) * gamma
     values = tally._worst() if isinstance(rule, Maximin) else tally.raw
     spread = 2
     if isinstance(rule, Scoring):
@@ -574,17 +595,18 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
 
     Every bound holds under winner-set semantics, tied winner sets included,
     where the tie special cases below apply. U is the upper end that
-    `_margin_statistic` reads:
+    `_margin_statistic` reads, and the lower end is U/r, r the rule's
+    `_sandwich_ratio`, except where a case below says otherwise:
 
-    * positional scoring (normalized vector): [U/2, U + 1];
-    * k-approval and approval: [1, 1] on a tie (one change always creates or
-      breaks one), else [U, ceil(U)];
+    * positional scoring (normalized vector), r = 2: [U/2, U + 1];
+    * k-approval and approval, r = 1: [1, 1] on a tie (one change always
+      creates or breaks one), else [U, ceil(U)];
     * Bucklin: [change floor, U] (see `_change_floor` for the lower end).
       Changing U votes (moving x up, w down) hands x a strictly earlier
       majority, so the level gap bounds the margin from above; with no
       separating level (a full tie) the upper end is n;
-    * maximin: [1, 1] on a tie, else [U/2, U];
-    * Copeland: [1, n] on a tie, else [G, U] with G = U/(2(K+1)) the
+    * maximin, r = 2: [1, 1] on a tie, else [U/2, U];
+    * Copeland, r = 2(K+1): [1, n] on a tie, else [G, U] with G = U/r the
       winner's smallest relative margin.
 
     Under winner-set semantics with m >= 2 the margin lies in [1, n]: one
@@ -593,19 +615,18 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     """
     tally = _mov_tally(rule, profile, profile.counts)
     upper = _margin_statistic(rule, tally, profile.n)
+    lower = Fraction(upper, _sandwich_ratio(rule, profile.m))
     if isinstance(rule, Scoring):
-        lower, upper, source = upper / 2, upper + 1, "positional score gap"
+        upper, source = upper + 1, "positional score gap"
     elif isinstance(rule, Bucklin):
         lower, upper = _change_floor(tally), upper or profile.n
         source = "majority level analysis"
     elif upper == 0:
         lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1
         source = "tied winners"
-    elif isinstance(rule, Maximin):
-        lower, source = upper / 2, "pairwise score gap"
-    elif isinstance(rule, Copeland):
-        lower, source = Fraction(upper, 2 * (copeland_log_factor(profile.m) + 1)), "relative margin"
+    elif isinstance(rule, (Maximin, Copeland)):
+        source = "pairwise score gap" if isinstance(rule, Maximin) else "relative margin"
     else:
-        lower, upper = upper, math.ceil(upper)
+        upper = math.ceil(upper)
         source = "top-k score gap" if isinstance(rule, KApproval) else "approval score gap"
     return MovBounds(lower=lower, upper=min(upper, profile.n), source=source)

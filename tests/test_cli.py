@@ -12,6 +12,7 @@ from movkit import experiments
 from movkit.cli import main
 from movkit.generation import ImpartialCulture, generate
 from movkit.io_formats import write_election
+from test_pinned_output import APPROVAL, RANKED
 
 
 @pytest.fixture()
@@ -121,6 +122,40 @@ def test_mov_bounds_full_tie_upper_is_n(runner, tmp_path):
     path = write_file(tmp_path, "e.txt", "m 2\n1: a>b\n1: b>a\n")
     result = invoke(runner, ["mov", "-i", path, "-r", "bucklin", "--mode", "bounds"])
     assert result.output == "MoV in [1, 2] (majority level analysis)\ninteger range [1, 2]\n"
+
+
+# a 3-cycle ties every ranked rule family; {a} and {b}, 2 votes each, tie approval
+CYCLE = "m 3\n1: a>b>c\n1: b>c>a\n1: c>a>b\n"
+APPROVAL_TIE = "m 3\n2: {a}\n2: {b}\n1: {c}\n"
+
+ELECTIONS = {"ranked": RANKED, "approval": APPROVAL, "cycle": CYCLE, "approval-tie": APPROVAL_TIE}
+
+# `mov --mode bounds` on the elections of test_pinned_output.py and on one
+# tie per family, with each bound's source text and integer range
+BOUNDS_PINNED = {
+    ('scoring:3/2,1/3,0,-1/2', 'ranked'): 'MoV in [8, 17] (positional score gap)\ninteger range [8, 17]\n',
+    ('borda', 'ranked'): 'MoV in [5.83333, 12.6667] (positional score gap)\ninteger range [6, 12]\n',
+    ('kapproval:2', 'ranked'): 'MoV in [2.5, 3] (top-k score gap)\ninteger range [3, 3]\n',
+    ('approval', 'approval'): 'MoV in [1.5, 2] (approval score gap)\ninteger range [2, 2]\n',
+    ('bucklin', 'ranked'): 'MoV in [8, 16] (majority level analysis)\ninteger range [8, 16]\n',
+    ('maximin', 'ranked'): 'MoV in [12.5, 25] (pairwise score gap)\ninteger range [13, 25]\n',
+    ('copeland:0', 'ranked'): 'MoV in [10, 44] (relative margin)\ninteger range [10, 44]\n',
+    ('copeland:1/2', 'ranked'): 'MoV in [11, 44] (relative margin)\ninteger range [11, 44]\n',
+    ('copeland:1', 'ranked'): 'MoV in [11, 44] (relative margin)\ninteger range [11, 44]\n',
+    ('borda', 'cycle'): 'MoV in [0, 1] (positional score gap)\ninteger range [0, 1]\n',
+    ('plurality', 'cycle'): 'MoV in [1, 1] (tied winners)\ninteger range [1, 1]\n',
+    ('bucklin', 'cycle'): 'MoV in [1, 3] (majority level analysis)\ninteger range [1, 3]\n',
+    ('maximin', 'cycle'): 'MoV in [1, 1] (tied winners)\ninteger range [1, 1]\n',
+    ('copeland:1/2', 'cycle'): 'MoV in [1, 3] (tied winners)\ninteger range [1, 3]\n',
+    ('approval', 'approval-tie'): 'MoV in [1, 1] (tied winners)\ninteger range [1, 1]\n',
+}
+
+
+@pytest.mark.parametrize("rule, election", BOUNDS_PINNED)
+def test_mov_bounds_text_for_every_rule_family(runner, tmp_path, rule, election):
+    path = write_file(tmp_path, "e.txt", ELECTIONS[election])
+    result = invoke(runner, ["mov", "-i", path, "-r", rule, "--mode", "bounds"])
+    assert result.output == BOUNDS_PINNED[rule, election]
 
 
 def test_mov_estimate_reports_guarantee(runner, tmp_path):

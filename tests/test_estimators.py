@@ -104,6 +104,8 @@ def test_lower_bound_samples():
     assert lower_bound_samples(F(0), EPS, F(25, 1000)) > 0.0
     # multiplicative slack kills the bound as c -> 1
     assert lower_bound_samples(F(99, 100), EPS, DELTA) < value / 100
+    # c is read as a Fraction, so a fraction's text is accepted
+    assert lower_bound_samples("1/3", EPS, DELTA) == lower_bound_samples(F(1, 3), EPS, DELTA)
 
 
 def test_guarantee_constants():

@@ -397,6 +397,15 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
      "epsilon must lie strictly between 0 and 1, got nan"),
     (lambda: lower_bound_samples(0, EPS, float("inf")),
      "delta must lie strictly between 0 and 1, got inf"),
+    # c is read as a Fraction, and run_distinguisher checks c, epsilon and
+    # delta through lower_bound_samples before it builds anything
+    (lambda: lower_bound_samples(None, EPS, DELTA), "c must be a number, got None"),
+    (lambda: lower_bound_samples("x", EPS, DELTA), "c must be a number, got 'x'"),
+    (lambda: lower_bound_samples(float("nan"), EPS, DELTA), "c must be a number, got nan"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, c=None), "c must be a number, got None"),
+    (lambda: run_distinguisher(None, DELTA, 1, 0), "epsilon must be a number, got None"),
+    (lambda: run_distinguisher(EPS / 2, None, 1, 0), "delta must be a number, got None"),
+    (lambda: run_distinguisher("0.05", DELTA, 1, 0), "epsilon must be a number, got '0.05'"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
@@ -409,7 +418,9 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "copeland-one-candidate", "planted-parity", "planted-too-few-votes",
         "bounds-lower-negative", "bounds-upper-zero", "bounds-order", "estimate-negative",
         "estimate-no-samples", "epsilon-text", "delta-none", "epsilon-complex",
-        "delta-decimal-below-float-range", "epsilon-decimal-nan", "epsilon-nan", "delta-inf"])
+        "delta-decimal-below-float-range", "epsilon-decimal-nan", "epsilon-nan", "delta-inf",
+        "lower-bound-c-none", "lower-bound-c-text", "lower-bound-c-nan", "distinguisher-c-none",
+        "distinguisher-epsilon-none", "distinguisher-delta-none", "distinguisher-epsilon-text"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()
