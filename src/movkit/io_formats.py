@@ -15,7 +15,7 @@ default letters a, b, c, ... Declared names win over integer literals.
 Counts, indices and ``m`` are written in ASCII digits. Lines with the same
 ballot merge, their counts summed.
 
-The parser is the one check of a file's ballots, and hands the ballot keys
+The parser is the one check of a file's ballots, and hands the ballots
 and counts, in file order, to the profile's store (`movkit.core._store`)
 without the constructor checking them again; the store merges repeated
 ballots. One reader, `_header`, reads the ``m`` and ``candidates`` lines for
@@ -26,8 +26,8 @@ blank lines or other line breaks than '\\n' is normalised first). A
 ranking of one-character, non-digit tokens (default letters, one-character
 names) is read straight from the bytes, with no split per line: one
 translate checks every line's shape, one reads the counts and one turns
-the tokens into candidate indices, and one split cuts those into one
-``bytes`` key per ballot, which the store joins into its packed rows; no
+the tokens into candidate indices, one packed buffer of rows that the
+store takes whole, with no split into one key per ballot; no key,
 tuple or ballot object is built per ballot. Any other body (approval sets,
 longer tokens, and digit tokens, which a whole-body pass cannot tell from
 counts) is split once at every ':' and line break into counts and ballots,
@@ -124,11 +124,13 @@ def parse_election(text: str) -> Profile:
     """Parse election text into a ranked or approval profile.
 
     The header is read by `_header`, which raises its faults. The body after
-    it is parsed in whole-text passes (`_parse_bulk`), which hand the ballot
-    keys and counts, in file order, to the profile's store: the store skips
-    its sort and merge where the keys are strictly increasing, as a written
-    file's are. On any body fault the line loop (`_parse_lines`) parses the
-    text again and raises the first fault with its line number."""
+    it is parsed in whole-text passes (`_parse_bulk`), which hand the
+    ballots and counts, in file order, to the profile's store, a ranking of
+    one-character tokens as one packed buffer of rows and any other ballot
+    as its key: the store skips its sort and merge where the ballots are
+    strictly increasing, as a written file's are. On any body fault the
+    line loop (`_parse_lines`) parses the text again and raises the first
+    fault with its line number."""
     m, names, _, offset = _header(text)
     return _parse_bulk(text[offset:], m, names) or _parse_lines(text)
 
@@ -228,8 +230,8 @@ def _read_body(body: str, table: _TokenTable, m: int, names) -> Optional[Profile
     fits is a ValueError. A ranking of one-character tokens is read
     straight from the body's bytes (`_letter_body`); any other body is cut
     into counts and ballots (`_fields`), and `_bulk_keys` reads the
-    ballots. The keys and counts go to the store in file order, and the
-    store merges repeated ballots."""
+    ballots' keys. The packed rows or the keys go to the store with the
+    counts in file order, and the store merges repeated ballots."""
     data = body.encode()
     del body  # a normalised body is held nowhere else
     if not data.endswith(b"\n"):
@@ -250,7 +252,7 @@ def _read_body(body: str, table: _TokenTable, m: int, names) -> Optional[Profile
 
 
 def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
-    """(keys, counts) of a ranked body whose candidate tokens are one ASCII
+    """(rows, counts) of a ranked body whose candidate tokens are one ASCII
     character each, not a digit (default letters, one-character names),
     read from its UTF-8 ``data``, each line broken by '\\n', with no split
     per line; None for any other text, which `_fields` reads. A fault in a
@@ -269,8 +271,10 @@ def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
     go to `_count_values`, which reads them by that rule. (3) Rows: one
     translate turns each token into its index and each '\\n' into the byte
     255, and deletes the rest: m indices and one separator per ballot,
-    which `_ranks_all` checks for repeats. One split on 255 cuts out the
-    keys.
+    which `_ranks_all` checks for repeats. These rows go to the store
+    packed as they are (see `movkit.core._store`), with no key cut per
+    ballot: the store tests their order on the whole buffer, deletes the
+    separators, and cuts keys only to merge rows out of order.
 
     Digit tokens (one-digit indices, single-digit names) are left to the
     token pass: a whole-body pass cannot tell them from counts."""
@@ -306,9 +310,7 @@ def _letter_body(data: bytes, table: _TokenTable, m: int) -> Optional[tuple]:
     rows = data.translate(index, _DIGITS_AND_BLANKS + b":>")
     if not _ranks_all(rows, m):
         raise ValueError("ranking with a repeat")
-    keys = rows.split(b"\xff")
-    keys.pop()  # the empty text after the last separator
-    return keys, counts
+    return rows, counts
 
 
 def _count_values(texts: list) -> Iterable[int]:

@@ -488,7 +488,10 @@ def _sandwich_ratio(rule: Rule, m: int) -> int:
     2(K+1) for Copeland, K = ceil(log2 m). `mov_bounds` reads its lower
     end as U/r and `movkit.estimators.guarantee_constant` its c as
     (r-1)/(r+1); Copeland's U is r times the winner's relative margin.
+    No rule has a sandwich below two candidates.
     """
+    if m < 2:
+        raise InputError("needs at least two candidates")
     if isinstance(rule, (KApproval, Approval)):
         return 1
     if isinstance(rule, (Scoring, Maximin, Bucklin)):

@@ -371,6 +371,10 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: guarantee_constant(BARE_RULE, 3), UNKNOWN_RULE),
     (lambda: rule_to_spec(BARE_RULE), UNKNOWN_RULE),
     (lambda: copeland_log_factor(1), "needs at least two candidates"),
+    # every rule's sandwich ratio refuses one candidate, not Copeland's alone
+    (lambda: guarantee_constant(Maximin(), 1), "needs at least two candidates"),
+    (lambda: guarantee_constant(Bucklin(), 1), "needs at least two candidates"),
+    (lambda: guarantee_constant(KApproval(1), 1), "needs at least two candidates"),
     (lambda: generate(PlantedGap(winner=0, gap=3, n=10, m=2)), PARITY),
     (lambda: generate(PlantedGap(winner=0, gap=1, n=2, m=3)),
      "gap 1 is unachievable with n=2 and m=3"),
@@ -415,7 +419,9 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "work-limit-none", "work-limit-bool", "distinguisher-trials-float",
         "distinguisher-trials-text", "experiment-trials-bool", "experiment-trials-float",
         "bare-rule-winner", "bare-rule-guarantee", "bare-rule-spec",
-        "copeland-one-candidate", "planted-parity", "planted-too-few-votes",
+        "copeland-one-candidate", "guarantee-maximin-one-candidate",
+        "guarantee-bucklin-one-candidate", "guarantee-kapproval-one-candidate",
+        "planted-parity", "planted-too-few-votes",
         "bounds-lower-negative", "bounds-upper-zero", "bounds-order", "estimate-negative",
         "estimate-no-samples", "epsilon-text", "delta-none", "epsilon-complex",
         "delta-decimal-below-float-range", "epsilon-decimal-nan", "epsilon-nan", "delta-inf",

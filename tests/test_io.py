@@ -1,5 +1,6 @@
 """Election file grammar and experiment CSV output."""
 
+import operator
 import random
 import sys
 import tracemalloc
@@ -7,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from movkit import io_formats
+from movkit import core, io_formats
 from movkit.core import ApprovalBallot, ApprovalProfile, RankedProfile
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import (
     CSV_COLUMNS,
     ExperimentRow,
     ParseError,
+    _parse_lines,
     parse_election,
     write_election,
     write_experiment_csv,
@@ -346,6 +348,78 @@ def test_written_files_never_fall_back_to_the_line_loop(monkeypatch):
         for form in (text, text.replace("\n", "\r\n"), _commented(text)):
             assert parse_election(form) == profile
     assert letter_files == 4  # m = 3, 8 and 26 with default letters, and x, y, z
+
+
+# 40 one-character names: a letter file past the 26 default letters
+LETTER_NAMES = tuple("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
+
+
+def _letter_profile(m):
+    """An IC profile of m candidates written with one-character tokens:
+    default letters up to m = 26, declared names above."""
+    names = LETTER_NAMES[:m] if m > 26 else None
+    return RankedProfile(m, generate(ImpartialCulture(n=40, m=m, seed=m)).votes, names)
+
+
+def _letter_bodies(profile):
+    """(label, text): a written letter file, and the same file with its
+    first two ballot lines swapped, with a repeat of its first ballot line
+    right after it and at the end, and with its first ballot line alone."""
+    lines = write_election(profile).splitlines()
+    cut = len(lines) - len(profile.counts)
+    head, body = lines[:cut], lines[cut:]
+    swapped = body[1::-1] + body[2:]
+    for label, ballots in [("canonical", body), ("swapped", swapped),
+                           ("adjacent repeat", body[:1] + body),
+                           ("distant repeat", body + body[:1]), ("single", body[:1])]:
+        yield label, "\n".join(head + ballots) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 26, 40])
+def test_letter_rows_reach_the_store_packed_in_order_or_not(monkeypatch, m):
+    # the letter parse hands its rows to the store as one packed buffer,
+    # which builds the line loop's profile whether the rows strictly
+    # increase or hold a swap or a repeat, merged through the keys
+    store, forms = core._store, []
+
+    def recording(m, keys, counts, ranked):
+        forms.append(type(keys))
+        return store(m, keys, counts, ranked)
+
+    for label, text in _letter_bodies(_letter_profile(m)):
+        monkeypatch.setattr(core, "_store", recording)
+        parsed = parse_election(text)
+        monkeypatch.setattr(core, "_store", store)
+        reference = _parse_lines(text)
+        assert forms.pop() is bytes and not forms, label
+        assert parsed == reference, label
+        assert (repr(parsed), parsed.rows, parsed.counts) == \
+            (repr(reference), reference.rows, reference.counts), label
+
+
+def test_written_letter_files_hand_the_store_increasing_packed_rows(monkeypatch):
+    # a written file's rows strictly increase: they take the store's
+    # whole-buffer test and no merge, as the generators' keys take the
+    # pairwise test and no merge
+    store, increasing = core._store, core._increasing
+
+    def packed_increasing_only(m, keys, counts, ranked):
+        assert isinstance(keys, bytes)
+        rows = keys.split(b"\xff")[:-1]
+        assert all(map(operator.lt, rows, rows[1:]))
+        return store(m, keys, counts, ranked)
+
+    def passes(packed, m):
+        assert increasing(packed, m)
+        return True
+
+    profiles = [_letter_profile(m) for m in (1, 2, 3, 8, 26, 40)]
+    profiles.append(generate(ImpartialCulture(n=20_000, m=8, seed=1)))
+    texts = list(map(write_election, profiles))
+    monkeypatch.setattr(core, "_store", packed_increasing_only)
+    monkeypatch.setattr(core, "_increasing", passes)
+    for profile, text in zip(profiles, texts):
+        assert parse_election(text) == profile
 
 
 def test_padded_counts_are_read_in_the_whole_text_passes(monkeypatch):

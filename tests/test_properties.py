@@ -15,11 +15,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movkit import core
 from movkit.core import (
     Approval,
     ApprovalBallot,
@@ -495,31 +497,47 @@ def column_cases(draw):
     entries = draw(st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=m, max_size=m,
     ).map(lambda xs: sorted(xs, reverse=True)).filter(lambda xs: xs[0] > xs[-1]))
-    return profile, ScoreVector(tuple(entries)), draw(st.integers(1, m - 1))
+    # the most ballots in a block of the column-wise count: 1..d gives
+    # uneven blocks and blocks of one ballot, d one block
+    block = draw(st.integers(1, d))
+    return profile, ScoreVector(tuple(entries)), draw(st.integers(1, m - 1)), block
 
 
 @PROPERTY_SETTINGS
 @given(column_cases())
-@example((_column_profile(9, 512, 1, 10**12), ScoreVector.borda(9), 3))
-@example((_column_profile(9, 511, 2, 3), ScoreVector.borda(9), 1))
-@example((_column_profile(8, 64, 3, 10**12), ScoreVector.borda(8), 7))
-@example((_column_profile(8, 63, 4, 256), ScoreVector.borda(8), 2))
+@example((_column_profile(9, 512, 1, 10**12), ScoreVector.borda(9), 3, 512))
+@example((_column_profile(9, 511, 2, 3), ScoreVector.borda(9), 1, 1))
+@example((_column_profile(8, 64, 3, 10**12), ScoreVector.borda(8), 7, 5))
+@example((_column_profile(8, 63, 4, 256), ScoreVector.borda(8), 2, 62))
 # above m = 9 every ballot takes the per-ballot adds, the pairwise one included
-@example((_shuffled_profile(30, 8, 5, 10**12), ScoreVector.borda(30), 4))
-@example((_shuffled_profile(300, 8, 6, 10**12), ScoreVector.borda(300), 17))
+@example((_shuffled_profile(30, 8, 5, 10**12), ScoreVector.borda(30), 4, 8))
+@example((_shuffled_profile(300, 8, 6, 10**12), ScoreVector.borda(300), 17, 8))
 def test_column_counts_match_reference(case):
-    profile, vector, k = case
+    profile, vector, k, block = case
     m, votes, n = profile.m, profile.votes, profile.n
-    bucklin = rule_tally(profile, Bucklin())
-    assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
-    net = _ref_pairwise(votes, m)
-    pairwise = rule_tally(profile, Maximin())
-    assert pairwise.n == n
-    assert [[v for y, v in enumerate(row) if y != x] for x, row in enumerate(pairwise.above)] == [
-        [(n + net[x][y]) // 2 for y in range(m) if y != x] for x in range(m)]
-    assert rule_tally(profile, Scoring(vector)).scores() == _ref_scores(votes, vector.alphas)
-    assert rule_tally(profile, KApproval(k)).scores() == \
-        _ref_scores(votes, [1] * k + [0] * (m - k))
+    with patch.object(core, "_BLOCK_BALLOTS", block):
+        bucklin = rule_tally(profile, Bucklin())
+        assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
+        net = _ref_pairwise(votes, m)
+        pairwise = rule_tally(profile, Maximin())
+        assert pairwise.n == n
+        above = pairwise.above
+        assert [[v for y, v in enumerate(row) if y != x] for x, row in enumerate(above)] == [
+            [(n + net[x][y]) // 2 for y in range(m) if y != x] for x in range(m)]
+        assert rule_tally(profile, Scoring(vector)).scores() == \
+            _ref_scores(votes, vector.alphas)
+        assert rule_tally(profile, KApproval(k)).scores() == \
+            _ref_scores(votes, [1] * k + [0] * (m - k))
+
+
+@pytest.mark.parametrize("m, d, sizes", [
+    (128, 2048, [2048]), (128, 2049, [1025, 1024]), (129, 2048, [1024, 1024]),
+    (8, 65_536, [65_536]), (8, 65_537, [32_769, 32_768]), (2, 4, [4])])
+def test_a_block_is_bounded_by_its_bitset_bits_and_its_ballots(m, d, sizes):
+    # a pairwise block's m * m bitsets hold at most 2^25 bits, 2,048 ballots
+    # at m = 128, and no block holds more than 65,536 ballots
+    blocks = core._column_blocks(bytes(d * m), [1] * d, m)
+    assert [total for _, _, total in blocks] == sizes
 
 
 def test_column_switches_are_the_tallies_own():
