@@ -379,12 +379,16 @@ class Rule:
 
 @dataclass(frozen=True)
 class Scoring(Rule):
+    """A positional scoring rule: position i earns ``vector.alphas[i]``."""
+
     vector: ScoreVector
     kind = "scoring"
 
 
 @dataclass(frozen=True)
 class KApproval(Rule):
+    """k-approval: each of a ballot's top k positions earns 1."""
+
     k: int
     kind = "kapproval"
 
@@ -395,21 +399,29 @@ class KApproval(Rule):
 
 @dataclass(frozen=True)
 class Approval(Rule):
+    """Approval voting: each approved candidate earns 1."""
+
     kind = "approval"
 
 
 @dataclass(frozen=True)
 class Bucklin(Rule):
+    """Bucklin: the least level at which a candidate holds a majority wins."""
+
     kind = "bucklin"
 
 
 @dataclass(frozen=True)
 class Maximin(Rule):
+    """Maximin: a candidate's score is its worst pairwise margin."""
+
     kind = "maximin"
 
 
 @dataclass(frozen=True)
 class Copeland(Rule):
+    """Copeland^alpha: 1 per pairwise win and ``alpha`` per pairwise tie."""
+
     alpha: Fraction = Fraction(1, 2)
     kind = "copeland"
 
@@ -454,13 +466,16 @@ _BLOCK_BITS = 1 << 25
 _BLOCK_BALLOTS = 1 << 16
 
 
-def _column_blocks(rows: bytes, counts: Sequence[int], m: int):
+def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int):
     """The column-wise count of a store's rankings over at most 256
     candidates (``rows`` is bytes), in equal blocks of at most
     `_BLOCK_BALLOTS` ballots and `_BLOCK_BITS` // (m * m): a bitmap index
     over (candidate, position), as in O'Neil and Quass, "Improved query
-    performance with variant indexes" (SIGMOD 1997). Each block yields
-    (column, weigh, total):
+    performance with variant indexes" (SIGMOD 1997). ``counts`` is one
+    ``bytes`` of a byte per count where every count is below 256, as
+    `_add_votes` hands them, else the counts as ints. A block that spans
+    the whole store is ``rows`` and ``counts`` themselves, not copies of
+    them. Each block yields (column, weigh, total):
 
     * ``column(i)[x]`` is the bitset of the block's ballots that rank x at
       position i. Position i's entries are the slice ``block[i::m]`` of the
@@ -471,8 +486,12 @@ def _column_blocks(rows: bytes, counts: Sequence[int], m: int):
     * ``weigh(s)`` is the number of votes of the ballots in bitset s: each
       bit plane of the counts is a bitset in the same way, and
       ``int.bit_count`` of s AND a plane is weighted by its power of two. A
-      ballot of count 0 is in no plane, so it weighs nothing.
-    * ``total`` is the block's number of votes.
+      ballot of count 0 is in no plane, so it weighs nothing. The planes of
+      byte counts are read off their one string: the top bit by deleting
+      the bytes below 1, 2, 4, ... until none is left. Wider counts are
+      written out as little-endian ints of the block's widest one.
+    * ``total`` is the block's number of votes, ``weigh`` of every ballot:
+      the planes' popcounts weighted by their powers of two.
     """
     # digits[b] maps a byte to the binary digit of its bit b; built per call
     # rather than at import
@@ -483,19 +502,22 @@ def _column_blocks(rows: bytes, counts: Sequence[int], m: int):
     for start in range(0, len(counts), size):
         block, weights = rows[start * m:(start + size) * m], counts[start:start + size]
         full = (1 << len(weights)) - 1
-        top = max(weights).bit_length()
-        width = (top + 7) // 8
-        if width <= 1:
-            count_bytes = bytes(weights)
+        if isinstance(weights, bytes):
+            width, top, rest = 1, 0, weights
+            while rest := rest.translate(None, bytes(range(1 << top))):  # counts >= 2**top
+                top += 1
         else:
-            count_bytes = b"".join(
+            top = max(weights).bit_length()
+            width = (top + 7) // 8
+            weights = b"".join(
                 map(int.to_bytes, weights, itertools.repeat(width), itertools.repeat("little")))
-        planes = []
+        planes, total = [], 0
         for shift in range(top):
             byte, bit = divmod(shift, 8)
-            plane = int(count_bytes[byte::width].translate(digits[bit]), 2)
+            plane = int(weights[byte::width].translate(digits[bit]), 2)
             if plane:
                 planes.append((shift, plane))
+                total += plane.bit_count() << shift
 
         def column(i, block=block, full=full):
             entries = block[i::m]
@@ -512,7 +534,7 @@ def _column_blocks(rows: bytes, counts: Sequence[int], m: int):
                 total += (s & plane).bit_count() << shift
             return total
 
-        yield column, weigh, sum(weights)
+        yield column, weigh, total
 
 
 def _best_mask(values) -> int:
@@ -810,15 +832,22 @@ def _add_votes(tally, profile: Profile, counts: Sequence[int]) -> None:
     nonzero count, the packed rows are counted column-wise by
     `_column_blocks` and the tally's add_block; otherwise each ranking of
     nonzero count is added with the tally's add, as its order
-    (`RankedProfile.entries`)."""
+    (`RankedProfile.entries`). Only where counts_columns admits every
+    ranking are the counts made one ``bytes``, when each fits in a byte,
+    and their zeros counted there; fewer rankings go straight to add."""
     m, rows = profile.m, profile.rows
     if not isinstance(profile, RankedProfile):
         tally.add_masks(rows, counts)
         return
-    if tally.counts_columns(len(counts) - counts.count(0), m):
-        for column, weigh, total in _column_blocks(rows, counts, m):
-            tally.add_block(column, weigh, total)
-        return
+    if tally.counts_columns(len(counts), m):
+        try:
+            counts = bytes(counts)
+        except ValueError:  # a count of 256 or more, which `_column_blocks` widens
+            pass
+        if tally.counts_columns(len(counts) - counts.count(0), m):
+            for column, weigh, total in _column_blocks(rows, counts, m):
+                tally.add_block(column, weigh, total)
+            return
     add = tally.add
     for order, count in zip(profile.entries(), counts):
         if count:

@@ -266,6 +266,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
+    """The violation count of an experiment's trials against its pass threshold."""
+
     trials: int
     usable: int
     violations: int
@@ -277,6 +279,8 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """An experiment's rows, one per trial, and their summary."""
+
     rows: tuple[ExperimentRow, ...]
     summary: ExperimentSummary
 
@@ -369,6 +373,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class DistinguishResult:
+    """The errors of the planted-or-tied distinguisher over its trials."""
+
     budget: int
     threshold: Fraction
     trials: int

@@ -492,7 +492,8 @@ def column_cases(draw):
     m = draw(st.integers(2, 9))
     d = draw(st.one_of(st.integers(1, 2 * max(COLUMN_SWITCHES)), st.sampled_from(COLUMN_SWITCHES))
              .filter(lambda d: d <= math.factorial(m)))
-    top = draw(st.sampled_from([1, 3, 255, 256, 10**12]))
+    # 2 and 128 are the edges of the top bit read off one byte per count
+    top = draw(st.sampled_from([1, 2, 3, 128, 255, 256, 10**12]))
     profile = _column_profile(m, d, draw(st.integers(0, 2**32)), top)
     entries = draw(st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=m, max_size=m,
@@ -528,6 +529,39 @@ def test_column_counts_match_reference(case):
             _ref_scores(votes, vector.alphas)
         assert rule_tally(profile, KApproval(k)).scores() == \
             _ref_scores(votes, [1] * k + [0] * (m - k))
+
+
+@pytest.mark.parametrize("widest", [255, 256, 10**12])
+@pytest.mark.parametrize("m, d, block", [(8, 1_000, 150), (9, 900, 97)])
+def test_sampled_counts_match_reference_across_blocks(m, d, block, widest):
+    """A sample's counts enter the tally as a profile's do: zero for a
+    ballot not drawn, a whole block of zeros at the front, and counts up to
+    ``widest``, whose planes take one byte below 256 and more above. Their
+    nonzero rankings pass every family's switch, so each tally is counted
+    column-wise in several blocks, and must read what the per-ballot
+    references do."""
+    profile = _column_profile(m, d, 5, 1)
+    rng = random.Random(widest)
+    counts = [0] * block + [rng.choice([0, 1, 2, 128, widest]) for _ in range(d - block)]
+    votes = [(ballot, k) for (ballot, _), k in zip(profile.votes, counts) if k]
+    n, vector = sum(counts), ScoreVector.borda(m)
+    assert PositionalTally.counts_columns(len(votes), m)
+    real, totals = core._column_blocks, []
+
+    def blocks(rows, weights, m):
+        for column, weigh, total in real(rows, weights, m):
+            totals.append(total)
+            yield column, weigh, total
+
+    with patch.object(core, "_BLOCK_BALLOTS", block), patch.object(core, "_column_blocks", blocks):
+        bucklin = _store_tally(Bucklin(), profile, counts)
+        assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
+        assert _store_tally(Maximin(), profile, counts).net() == _ref_pairwise(votes, m)
+        assert _store_tally(Scoring(vector), profile, counts).scores() == \
+            _ref_scores(votes, vector.alphas)
+    blocks_per_tally = -(-d // block)
+    assert len(totals) == 3 * blocks_per_tally > 3
+    assert totals[0] == 0 and sum(totals) == 3 * n
 
 
 @pytest.mark.parametrize("m, d, sizes", [
