@@ -37,13 +37,13 @@ floats.
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
-from typing import Mapping, Optional
+from itertools import compress
+from typing import Optional
 
 from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_k, _multinomial
 from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
@@ -68,6 +68,35 @@ def split_seed(base_seed: int, index: int) -> int:
 # vote population
 
 
+class _Drawn(Mapping):
+    """A read-only mapping over a drawn count vector: the position of each
+    ballot drawn at least once, in ascending order, to its count. It equals
+    the dict of those items, in either order of comparison, and its repr is
+    that dict's; ``dict(view)`` makes one. ``counts`` is the vector itself."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: list[int]):
+        self.counts = counts
+
+    def __getitem__(self, position):
+        try:
+            if position >= 0 and self.counts[position]:
+                return self.counts[position]
+        except (TypeError, IndexError):
+            pass
+        raise KeyError(position)
+
+    def __iter__(self):
+        return compress(range(len(self.counts)), self.counts)
+
+    def __len__(self):
+        return len(self.counts) - self.counts.count(0)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class VoteSource:
     """A profile's n votes, sampled uniformly with replacement.
@@ -83,20 +112,22 @@ class VoteSource:
         if not isinstance(self.profile, Profile):
             raise InputError(f"vote source needs a profile, got {type(self.profile).__name__}")
 
-    def draw_counts(self, count: int, seed: int) -> dict[int, int]:
+    def draw_counts(self, count: int, seed: int) -> Mapping[int, int]:
         """How often each ballot occurs among ``count`` i.i.d. uniform draws
         (with replacement) of the n votes; deterministic per seed.
 
         The counts are one `movkit.core._multinomial` draw over the
         multiplicities in profile order: conditional binomials, the last
-        ballot taking what is left. The result maps the position of each
-        ballot drawn at least once, its index in ``profile.counts``, to its
-        count, in ascending order; no ballot object is built. Cost: O(d)
-        binomials for d distinct ballots, never more than O(d + count).
+        ballot taking what is left. The result is a read-only mapping over
+        that drawn count vector: it maps the position of each ballot drawn
+        at least once, its index in ``profile.counts``, to its count, in
+        ascending order, and compares equal to the dict of those items. It
+        is not a ``dict`` instance; ``dict(result)`` makes one. No ballot
+        object is built. Cost: O(d) binomials for d distinct ballots, never
+        more than O(d + count).
         """
         _check_count(count, "draw count")
-        drawn = _multinomial(random.Random(seed), count, self.profile.counts)
-        return dict(filter(itemgetter(1), enumerate(drawn)))
+        return _Drawn(_multinomial(random.Random(seed), count, self.profile.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +319,21 @@ def estimate_mov(
 
     The rule is checked against the ballots by `movkit.core._store_tally`, with
     the same InputError as `movkit.oracle.mov_bounds`, before epsilon and
-    delta are read or any vote is drawn. The sample enters the tally through
-    `movkit.core._add_votes` as the profile weighed by the drawn count
-    vector, the path a profile with its own counts takes: column-wise for
-    many distinct rankings, one ballot at a time otherwise.
+    delta are read or any vote is drawn. The sample is one call of
+    ``source.draw_counts``, whose result is a read-only mapping over the
+    drawn count vector that compares equal to the dict of positions and
+    counts it replaces (``dict(result)`` makes one). That vector itself
+    enters the tally through `movkit.core._add_votes`, with no dict built or
+    read back: the profile weighed by the drawn counts, the path a profile
+    with its own counts takes, column-wise for many distinct rankings, one
+    ballot at a time otherwise.
     """
     profile = source.profile
     m, n = profile.m, profile.n
     tally = _mov_tally(rule, profile, ())
     k = rule.k if isinstance(rule, KApproval) else None
     ell, eps_eff = _resolve_ell(rule.kind, epsilon, delta, m, k, ell)
-    drawn = source.draw_counts(ell, seed)
-    counts = list(map(drawn.get, range(len(profile.counts)), repeat(0)))
-    _add_votes(tally, profile, counts)
+    _add_votes(tally, profile, source.draw_counts(ell, seed).counts)
     scale = Fraction(n, ell)
     u_num, u_den = _margin_statistic(rule, tally, n, scale).as_integer_ratio()
     c = guarantee_constant(rule, m)

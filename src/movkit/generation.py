@@ -155,9 +155,10 @@ def _impartial_orders(rng: random.Random, prefix, rest, count: int, keys: list,
     draws its suffix with ``rng.sample`` (the per-vote stream), and the
     orders are counted and sorted; otherwise c is split over the k next
     candidates by one equal-weight multinomial and each group recurses, in
-    ascending candidate order, so the walk appends in key order. Both are
-    exactly uniform, and the cost is O(min(n, m!) * m) draws for n orders of
-    m candidates.
+    ascending candidate order, so the walk appends in key order; at k = 2
+    the two groups are the two orders of ``rest``, appended with no call.
+    Both are exactly uniform, and the cost is O(min(n, m!) * m) draws for n
+    orders of m candidates.
     """
     k, key = len(rest), type(rest)
     if k < 2:
@@ -168,6 +169,14 @@ def _impartial_orders(rng: random.Random, prefix, rest, count: int, keys: list,
         drawn = sorted(orders)
         keys.extend(drawn)
         counts.extend(map(orders.__getitem__, drawn))
+    elif k == 2:
+        first, second = _multinomial(rng, count, [1, 1])
+        if first:
+            keys.append(prefix + rest)
+            counts.append(first)
+        if second:
+            keys.append(prefix + rest[::-1])
+            counts.append(second)
     else:
         for i, c in enumerate(_multinomial(rng, count, [1] * k)):
             if c:

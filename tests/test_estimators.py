@@ -128,6 +128,33 @@ def test_vote_source_draws_are_deterministic():
     assert a != src.draw_counts(10, 8)
 
 
+def _recorded(calls, function):
+    """``function``, appending each call's (args, result) to ``calls``."""
+    def call(*args):
+        calls.append((args, function(*args)))
+        return calls[-1][1]
+    return call
+
+
+@pytest.mark.parametrize("profile, rule", [
+    (ref_impartial_culture(2000, 4, 15), Copeland(HALF)),
+    (ApprovalProfile(3, [((0,), 4), ((1, 2), 3), ((), 1)]), Approval()),
+])
+def test_estimate_tallies_the_drawn_vector_itself(profile, rule, monkeypatch):
+    """`estimate_mov` draws once and hands `_add_votes` the very list the
+    draw returned: no dict is built from it or read back into a list."""
+    drawn, added, views = [], [], []
+    monkeypatch.setattr(estimators, "_multinomial", _recorded(drawn, estimators._multinomial))
+    monkeypatch.setattr(estimators, "_add_votes", _recorded(added, estimators._add_votes))
+    monkeypatch.setattr(VoteSource, "draw_counts", _recorded(views, VoteSource.draw_counts))
+    est = estimate_mov(VoteSource(profile), rule, EPS, DELTA, seed=3)
+    assert len(drawn) == len(added) == len(views) == 1
+    [(_, counts)], [((_, _, tallied), _)], [(_, view)] = drawn, added, views
+    assert tallied is counts and sum(counts) == est.ell
+    assert view == dict(filter(lambda item: item[1], enumerate(counts)))
+    assert not isinstance(view, dict)
+
+
 def test_vote_source_single_ballot():
     p = RankedProfile(2, [((0, 1), 1)])
     assert VoteSource(p).draw_counts(5, 0) == {0: 5}

@@ -15,6 +15,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from unittest.mock import patch
 
 import pytest
@@ -51,18 +52,20 @@ from movkit.generation import (
     ImpartialCulture,
     PlantedGap,
     TwoCandidate,
+    _impartial_orders,
     _planted_counts,
     generate,
     ranked_to_approval,
 )
 from movkit.io_formats import ParseError, _parse_lines, parse_election, write_election
 from movkit.oracle import (
+    _sample_payload,
     copeland_log_factor,
     mov_bounds,
     mov_brute_force,
 )
 
-from generation_reference import ref_impartial_culture, ref_ranked_to_approval
+from generation_reference import ref_impartial_culture, ref_impartial_keys, ref_ranked_to_approval
 
 F = Fraction
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -196,11 +199,21 @@ def vote_sources(draw):
     return VoteSource(type(profile)(m, zip(ballots, weights)))
 
 
+# 120 rankings of about 8,333 votes: maximin counts a sample of them
+# column-wise, and a sample of 10**6 votes has counts of 256 and more
+IC_M5 = VoteSource(generate(ImpartialCulture(n=10**6, m=5, seed=1)))
+
+
 @PROPERTY_SETTINGS
-@given(vote_sources(), st.integers(0, 2**64), st.integers(1, 10**6))
+@given(vote_sources(), st.integers(0, 2**64), st.one_of(st.integers(1, 8), st.integers(1, 10**6)))
 @example(VoteSource(RankedProfile(2, [((0, 1), 10**18), ((1, 0), 1)])), 0, 10**6)
 @example(VoteSource(ApprovalProfile(2, [((), 1), ((1,), 10**18), ((0, 1), 1)])), 0, 10**6)
+@example(IC_M5, 0, 50)
+@example(IC_M5, 0, 10**6)
 def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell):
+    """The draw is a read-only mapping over the drawn count vector, equal to
+    the dict of its positive counts, and the estimate tallies that vector as
+    the dense rebuild of the dict."""
     counts = source.draw_counts(ell, seed)
     assert sum(counts.values()) == ell
     positions = list(counts)
@@ -208,6 +221,27 @@ def test_draw_counts_is_a_seeded_multinomial_in_profile_order(source, seed, ell)
     assert all(0 <= i < len(source.profile.votes) for i in positions)
     assert all(1 <= c <= ell for c in counts.values())
     assert source.draw_counts(ell, seed) == counts
+    profile = source.profile
+    d = len(profile.counts)
+    drawn = _multinomial(random.Random(seed), ell, profile.counts)
+    reference = dict(filter(itemgetter(1), enumerate(drawn)))
+    assert counts == reference and reference == counts
+    assert not counts != reference and not reference != counts
+    assert positions == list(reference) and len(counts) == len(reference)
+    assert repr(counts) == repr(reference)
+    assert list(counts.items()) == list(reference.items()) and counts.items() == reference.items()
+    assert list(counts.values()) == list(reference.values())
+    for i in range(-1, d + 1):
+        assert counts.get(i, 0) == reference.get(i, 0)
+        assert (i in counts) == (i in reference)
+    with pytest.raises(TypeError):
+        counts[0] = 1
+    with pytest.raises(TypeError):
+        hash(counts)
+    rule = Maximin() if isinstance(profile, RankedProfile) else Approval()
+    est = estimate_mov(source, rule, F(1, 10), F(1, 20), seed, ell=ell)
+    tally = _store_tally(rule, profile, list(map(reference.get, range(d), itertools.repeat(0))))
+    assert est._payload == _sample_payload(rule, tally, profile.n, F(profile.n, ell))
 
 
 # The seeded count sampler as it was before `_multinomial` drew its
@@ -920,6 +954,24 @@ def test_generation_keeps_the_per_vote_streams_where_it_draws_per_vote(m, n, see
         approval = ranked_to_approval(ranked, k, seed)
         reference = ref_ranked_to_approval(ranked, k, seed)
         assert approval == reference and repr(approval) == repr(reference)
+
+
+# From n = m! on, the walk splits the votes by multinomials; at two
+# candidates left it appends both orders itself. There it must give the
+# keys and counts of the walk with one call per group: seed 0 at m = 3,
+# n = 6 hands that step a count of 1 (drawn per vote) and one of 2.
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 6), st.integers(0, 5000), st.integers(0, 2**64))
+@example(2, 2, 0)
+@example(3, 6, 0)
+@example(6, 5000, 1)
+def test_counted_walk_matches_one_call_per_group(m, n, seed):
+    n = max(n, math.factorial(m))
+    keys, counts, key = [], [], _row_type(m)
+    _impartial_orders(random.Random(seed), key(), key(range(m)), n, keys, counts)
+    assert (keys, counts) == ref_impartial_keys(n, m, seed)
 
 
 @st.composite
