@@ -48,7 +48,7 @@ from movkit.experiments import (
     rule_to_spec,
     run_distinguisher,
 )
-from movkit.generation import PlantedGap, generate, ranked_to_approval
+from movkit.generation import ImpartialCulture, PlantedGap, generate, ranked_to_approval
 from movkit.io_formats import ParseError, parse_election, write_election
 from movkit.oracle import (
     MovBounds,
@@ -346,6 +346,9 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: ranked_to_approval(RANKED, "half"),
      'k must be an integer or "uniform", got \'half\''),
     (lambda: ranked_to_approval(RANKED, 2.5), 'k must be an integer or "uniform", got 2.5'),
+    (lambda: ranked_to_approval(RANKED, True), 'k must be an integer or "uniform", got True'),
+    (lambda: ImpartialCulture(n=True, m=3), "n must be an integer, got True"),
+    (lambda: PlantedGap(winner=0, gap=True, n=4, m=2), "gap must be an integer, got True"),
     (lambda: ranked_to_approval(APPROVAL, 1), NEEDS_RANKED),
     (lambda: RankedProfile(2, [(Ranking((0, 1)), 1.5)]),
      "multiplicity must be a positive integer, got 1.5"),
@@ -414,7 +417,8 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
-        "approval-depth", "approval-depth-float", "approval-of-approval", "tally-count-float",
+        "approval-depth", "approval-depth-float", "approval-depth-bool", "ic-bool-n",
+        "planted-bool-gap", "approval-of-approval", "tally-count-float",
         "tally-count-negative", "tally-ballot-length", "tally-needs-ranked", "tally-needs-approval",
         "work-limit-none", "work-limit-bool", "distinguisher-trials-float",
         "distinguisher-trials-text", "experiment-trials-bool", "experiment-trials-float",

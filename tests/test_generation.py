@@ -154,9 +154,13 @@ def test_two_candidate_equals_the_checked_profile_of_its_counts():
     (lambda: ImpartialCulture(n=4.0, m=3), "n must be an integer, got 4.0"),
     (lambda: ImpartialCulture(n=4, m=3.0), "m must be an integer, got 3.0"),
     (lambda: PlantedGap(winner=0.0, gap=2, n=4, m=2), "winner must be an integer, got 0.0"),
+    (lambda: ImpartialCulture(n=True, m=3), "n must be an integer, got True"),
+    (lambda: PlantedGap(winner=0, gap=True, n=4, m=2), "gap must be an integer, got True"),
+    (lambda: ranked_to_approval(generate(ImpartialCulture(n=4, m=3)), True),
+     'k must be an integer or "uniform", got True'),
 ], ids=["ic-size", "planted-one-candidate", "unknown-model", "planted-float-n",
         "two-candidate-float-n", "planted-float-gap", "ic-float-n", "ic-float-m",
-        "planted-float-winner"])
+        "planted-float-winner", "ic-bool-n", "planted-bool-gap", "approval-bool-depth"])
 def test_generation_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()
