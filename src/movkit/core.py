@@ -47,7 +47,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -117,19 +117,12 @@ def _row_type(m: int) -> type:
 
 
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
-_BIT = [1 << c for c in range(256)]  # a list: its __getitem__ is called faster than a tuple's
 
 
 def _members(mask: int) -> tuple[int, ...]:
     """The ascending candidates of an approval mask, read off its binary
     digits lowest first."""
     return tuple(itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_DIGITS)))
-
-
-def _bit(m: int) -> Callable[[int], int]:
-    """c -> 1 << c for the candidates c < m of an approval mask: a lookup
-    up to m = 256, which builds no int, else the shift."""
-    return _BIT.__getitem__ if m <= 256 else functools.partial(operator.lshift, 1)
 
 
 def _store(m: int, keys: Collection | bytes, counts: Iterable[int], ranked: bool) -> tuple:
@@ -149,10 +142,9 @@ def _store(m: int, keys: Collection | bytes, counts: Iterable[int], ranked: bool
     the ranked rows are the keys joined: ``bytes`` up to m = 256, above that
     an ``array`` of a wider typecode, in which row i is the slice
     [i*m, (i+1)*m). An approval ballot's key is its ascending members, and
-    its row one int whose bit c is set when it approves candidate c, the
-    sum of the key's bits (`_bit`) in one C-level pass per key.
-    `ranked_to_approval` counts uniform depths per prefix mask and hands
-    only the distinct masks here, as member keys.
+    its row one int whose bit c is set when it approves candidate c.
+    `ranked_to_approval` counts a heavy ballot's uniform depths per prefix
+    mask and hands only the distinct masks here, as member keys.
 
     Rankings of m <= 255 candidates may instead come packed, as the letter
     parse hands them: ``keys`` one ``bytes`` of the rows in order, each
@@ -177,8 +169,7 @@ def _store(m: int, keys: Collection | bytes, counts: Iterable[int], ranked: bool
         counts = map(merged.__getitem__, keys)
     counts = tuple(counts)
     if not ranked:
-        bit = _bit(m)
-        return tuple(sum(map(bit, key)) for key in keys), counts
+        return tuple(sum(1 << c for c in key) for key in keys), counts
     if m <= 256:
         return b"".join(keys), counts
     return array.array("H" if m <= 1 << 16 else "L", itertools.chain.from_iterable(keys)), counts

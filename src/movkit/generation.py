@@ -23,11 +23,11 @@ order as it walks, so the store merges nothing; `ranked_to_approval` reads
 the rankings back with the profile's ``entries()``. PlantedGap and
 TwoCandidate fill ballot positions below the top in a fixed canonical order
 (ascending candidate index, skipping the top candidate), which keeps their
-profiles easy to analyze by hand. `ranked_to_approval` counts uniform depths
-per prefix bitmask of a ranking (a vote drawn on its own only where n >= 2^m),
-and only the distinct masks become the member keys of the approval
-profile's store. Each model refuses a size, gap or winner that is not an
-int, or is a bool, before it checks its range.
+profiles easy to analyze by hand. `ranked_to_approval` counts the uniform
+depths of a heavy ballot per prefix bitmask of its ranking, and only the
+distinct masks become the member keys of the approval profile's store. Each
+model refuses a size, gap or winner that is not an int, or is a bool, before
+it checks its range.
 """
 
 import math
@@ -42,7 +42,6 @@ from movkit.core import (
     ApprovalProfile,
     InputError,
     RankedProfile,
-    _bit,
     _members,
     _multinomial,
     _row_type,
@@ -227,36 +226,29 @@ def ranked_to_approval(
     Multinomial(w; m + 1 equal cells), so the cost is O(d * m) draws for d
     distinct ballots, not one per vote. A heavier ballot's votes are counted
     per prefix bitmask, its m + 1 masks built as one running sum beside its
-    draw; a vote drawn on its own is counted by its mask where n >= 2^m, so
-    that masks repeat, else by its sorted members, as a fixed depth's votes
-    are. Only the distinct masks become member keys for the store. A ``k``
-    that is a bool, and any other profile than a ranked one, is an
-    InputError.
+    draw, and only the distinct masks become member keys for the store; a
+    vote drawn on its own is counted by its sorted members, as a fixed
+    depth's votes are. A ``k`` that is a bool, and any other profile than a
+    ranked one, is an InputError.
     """
     if not isinstance(profile, RankedProfile):
         raise InputError("this operation needs a ranked profile")
     m = profile.m
-    orders, prefixes = profile.entries(), Counter()
+    orders = profile.entries()
+    prefixes = Counter()
     if k == "uniform":
         rng = random.Random(seed)
-        randint, bit = rng.randint, _bit(m)
-        # a mask costs a conversion to members per distinct mask, which pays
-        # for a vote drawn on its own only where n >= 2^m, so masks repeat
-        few, masks = profile.n >> m, {}
+        masks = {}
         for order, mult in zip(orders, profile.counts):
-            if mult > m:
+            if mult < m + 1:
+                for _ in range(mult):
+                    prefixes[tuple(sorted(order[:rng.randint(0, m)]))] += 1
+            else:
                 # the m + 1 prefix masks, depth 0 first, beside their draws
-                for mask, c in zip(accumulate(map(bit, order), initial=0),
+                for mask, c in zip(accumulate(map((1).__lshift__, order), initial=0),
                                    _multinomial(rng, mult, [1] * (m + 1))):
                     if c:
                         masks[mask] = masks.get(mask, 0) + c
-            elif few:
-                for _ in range(mult):
-                    mask = sum(map(bit, order[:randint(0, m)]))
-                    masks[mask] = masks.get(mask, 0) + 1
-            else:
-                for _ in range(mult):
-                    prefixes[tuple(sorted(order[:randint(0, m)]))] += 1
         prefixes.update(dict(zip(map(_members, masks), masks.values())))
     else:
         if isinstance(k, bool) or not isinstance(k, int):

@@ -1449,9 +1449,10 @@ def test_generators_and_conversion_give_the_reference(m, n, seed, k):
     _assert_is_reference(generate(two), RankedProfile, 2, counts)
 
 
-# Uniform depths are counted per prefix mask: at m = 70 a mask is wider than
-# a machine word, and a ranking of multiplicity m draws its depths per vote,
-# one of m + 1 or more as one multinomial over the m + 1 prefixes.
+# A heavy ballot's uniform depths are counted per prefix mask: at m = 70 a
+# mask is wider than a machine word. A ranking of multiplicity m draws its
+# depths per vote, one of m + 1 or more as one multinomial over the m + 1
+# prefixes.
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1462,16 +1463,3 @@ def test_uniform_depths_on_both_sides_of_the_multinomial_branch_at_m70(seed):
     _assert_is_reference(ranked_to_approval(ranked, "uniform", seed), ApprovalProfile, m,
                          _ref_approval_counts(merged, m, "uniform", seed))
 
-
-# A vote drawn on its own is counted by its mask from n = 2^m on, below that
-# by its sorted members: both sides of that line at m = 5 and m = 9.
-
-
-@pytest.mark.parametrize("m, n", [(5, 31), (5, 32), (9, 511), (9, 512)])
-@pytest.mark.parametrize("seed", range(3))
-def test_uniform_depths_drawn_per_vote_by_mask_and_by_members(m, n, seed):
-    merged = _ref_impartial_counts(n, m, seed)
-    assert all(mult <= m for mult in merged.values())
-    _assert_is_reference(ranked_to_approval(generate(ImpartialCulture(n=n, m=m, seed=seed)),
-                                            "uniform", seed), ApprovalProfile, m,
-                         _ref_approval_counts(merged, m, "uniform", seed))
