@@ -327,50 +327,10 @@ class ApprovalProfile(Profile):
         return key
 
 
-# ---------------------------------------------------------------------------
-# score vectors
-
-
-def _fractions(values) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"score entries must be rationals: {values!r}") from exc
-
-
 def _check_k(k, m: int) -> None:
     """The one range check on an approval depth k for m candidates."""
     if not isinstance(k, int) or not 1 <= k <= m - 1:
         raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-position scores for a positional scoring rule.
-
-    Entries must be non-increasing with a strictly larger first entry than
-    last; this rules out constant vectors and single-candidate vectors.
-    """
-
-    alphas: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        alphas = _fractions(self.alphas)
-        object.__setattr__(self, "alphas", alphas)
-        if len(alphas) < 2:
-            raise InputError("score vector needs at least two positions")
-        if any(a < b for a, b in zip(alphas, alphas[1:])):
-            raise InputError(f"score vector must be non-increasing: {alphas!r}")
-        if alphas[0] == alphas[-1]:
-            raise InputError("constant score vector does not define a rule")
-
-    @property
-    def m(self) -> int:
-        return len(self.alphas)
-
-    @classmethod
-    def borda(cls, m: int) -> "ScoreVector":
-        return cls(tuple(Fraction(m - 1 - i) for i in range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +345,32 @@ class Rule:
 
 @dataclass(frozen=True)
 class Scoring(Rule):
-    """A positional scoring rule: position i earns ``vector.alphas[i]``."""
+    """A positional scoring rule: position i earns ``alphas[i]``.
 
-    vector: ScoreVector
+    The score vector's entries are rationals, non-increasing, with a
+    strictly larger first entry than last; this rules out constant vectors
+    and single-candidate vectors.
+    """
+
+    alphas: tuple[Fraction, ...]
     kind = "scoring"
+
+    def __post_init__(self):
+        try:
+            alphas = tuple(Fraction(v) for v in self.alphas)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"score entries must be rationals: {self.alphas!r}") from exc
+        object.__setattr__(self, "alphas", alphas)
+        if len(alphas) < 2:
+            raise InputError("score vector needs at least two positions")
+        if any(a < b for a, b in zip(alphas, alphas[1:])):
+            raise InputError(f"score vector must be non-increasing: {alphas!r}")
+        if alphas[0] == alphas[-1]:
+            raise InputError("constant score vector does not define a rule")
+
+    @classmethod
+    def borda(cls, m: int) -> "Scoring":
+        return cls(tuple(Fraction(m - 1 - i) for i in range(m)))
 
 
 @dataclass(frozen=True)
@@ -808,9 +790,9 @@ def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int]):
     elif not ranked:
         raise InputError("this operation needs a ranked profile")
     elif isinstance(rule, Scoring):
-        if rule.vector.m != m:
-            raise InputError(f"score vector has {rule.vector.m} entries for {m} candidates")
-        alphas = rule.vector.alphas
+        alphas = rule.alphas
+        if len(alphas) != m:
+            raise InputError(f"score vector has {len(alphas)} entries for {m} candidates")
         unit = math.lcm(*(a.denominator for a in alphas))
         weights = tuple(a.numerator * (unit // a.denominator) for a in alphas)
         tally = PositionalTally(m, weights, unit)

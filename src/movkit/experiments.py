@@ -41,7 +41,6 @@ from movkit.core import (
     Profile,
     RankedProfile,
     Rule,
-    ScoreVector,
     Scoring,
 )
 from movkit.estimators import (
@@ -78,7 +77,7 @@ from movkit.oracle import (
 # the rules a bare head names, each built for an m-candidate election
 _BARE_RULES: dict[str, Callable[[int], Rule]] = {
     "plurality": lambda m: KApproval(1),
-    "borda": lambda m: Scoring(ScoreVector.borda(m)),
+    "borda": lambda m: Scoring.borda(m),
     "approval": lambda m: Approval(),
     "bucklin": lambda m: Bucklin(),
     "maximin": lambda m: Maximin(),
@@ -115,14 +114,14 @@ def resolve_rule(spec: str, m: int) -> Rule:
                       "comma-separated rationals")
         if len(alphas) != m:
             raise InputError(f"score vector has {len(alphas)} entries for {m} candidates")
-        return Scoring(ScoreVector(alphas))
+        return Scoring(alphas)
     raise InputError(f"unknown rule {spec!r}")
 
 
 def rule_to_spec(rule: Rule) -> str:
     """Canonical string form of a rule (inverse of resolve_rule)."""
     if isinstance(rule, Scoring):
-        return "scoring:" + ",".join(str(a) for a in rule.vector.alphas)
+        return "scoring:" + ",".join(str(a) for a in rule.alphas)
     if isinstance(rule, KApproval):
         return f"kapproval:{rule.k}"
     if isinstance(rule, (Approval, Bucklin, Maximin)):

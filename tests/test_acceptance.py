@@ -23,7 +23,6 @@ from movkit.core import (
     KApproval,
     Maximin,
     RankedProfile,
-    ScoreVector,
     Scoring,
     winner_set,
 )
@@ -92,7 +91,7 @@ def test_criterion_1_sample_size_table(capsys):
 # --- criteria 2 and 3: sandwich bounds and closed form vs brute force ------
 
 RANKED_RULES_M3 = [
-    Scoring(ScoreVector.borda(3)),
+    Scoring.borda(3),
     KApproval(1),
     KApproval(2),
     Bucklin(),
@@ -100,7 +99,7 @@ RANKED_RULES_M3 = [
     Copeland(HALF),
 ]
 RANKED_RULES_M2 = [
-    Scoring(ScoreVector.borda(2)),
+    Scoring.borda(2),
     KApproval(1),
     Bucklin(),
     Maximin(),
@@ -174,7 +173,7 @@ def test_criterion_3_kapproval_closed_form(capsys, sandwich_suite):
     for profiles, ks in cases:
         for prof in profiles:
             for k in ks:
-                top_k = Scoring(ScoreVector((1,) * k + (0,) * (prof.m - k)))
+                top_k = Scoring((1,) * k + (0,) * (prof.m - k))
                 if len(winner_set(prof, top_k).winners) > 1:
                     continue  # tie-free instances only
                 checked += 1
@@ -239,7 +238,7 @@ def test_criterion_4_coverage_scoring(capsys):
         prof = generate(PlantedGap(winner=0, gap=gap, n=N_BIG, m=3))
         mov = mov_kapproval_closed_form(prof, 1)
         src = VoteSource(prof)
-        est = estimate_mov(src, Scoring(ScoreVector((1, 0, 0))), EPS, DELTA, split_seed(4001, i))
+        est = estimate_mov(src, Scoring((1, 0, 0)), EPS, DELTA, split_seed(4001, i))
         return est.m_bar, mov, est.c
 
     violations, usable = run_family(one)
@@ -331,7 +330,7 @@ def test_criterion_5_concentration(capsys):
         ((2, 3, 0, 1), 400),
         ((3, 0, 1, 2), 300),
     ])
-    exact = winner_set(prof, Scoring(ScoreVector((1, 0, 0, 0)))).scores
+    exact = winner_set(prof, Scoring((1, 0, 0, 0))).scores
     src = VoteSource(prof)
     ell = sample_size("scoring", EPS, DELTA, 4)
     assert ell == 6091
@@ -339,7 +338,7 @@ def test_criterion_5_concentration(capsys):
     limit = (EPS / 2) * prof.n
     bad = 0
     for i in range(trials):
-        est = estimate_mov(src, Scoring(ScoreVector((1, 0, 0, 0))), EPS, DELTA, split_seed(5000, i))
+        est = estimate_mov(src, Scoring((1, 0, 0, 0)), EPS, DELTA, split_seed(5000, i))
         if any(abs(est.estimated_scores[x] - exact[x]) > limit for x in range(4)):
             bad += 1
     slack = 2 * math.sqrt(float(DELTA) * (1 - float(DELTA)) / trials)

@@ -18,7 +18,6 @@ from movkit.core import (
     Maximin,
     RankedProfile,
     Ranking,
-    ScoreVector,
     Scoring,
     rule_tally,
     winner_set,
@@ -141,26 +140,26 @@ def test_profile_names_validated():
 
 
 def test_score_vector_shapes():
-    borda = ScoreVector.borda(3)
+    borda = Scoring.borda(3)
     assert borda.alphas == (F(2), F(1), F(0))
     assert borda.alphas[0] == 2
     with pytest.raises(InputError):
-        ScoreVector((F(1), F(2)))
+        Scoring((F(1), F(2)))
     with pytest.raises(InputError):
-        ScoreVector((F(1),))
+        Scoring((F(1),))
     with pytest.raises(InputError):
-        ScoreVector((F(1), F(1)))
+        Scoring((F(1), F(1)))
 
 
 def test_positional_scores_examples():
     p = RankedProfile(3, [((0, 1, 2), 1), ((1, 0, 2), 1)])
-    s = winner_set(p, Scoring(ScoreVector.borda(3))).scores
+    s = winner_set(p, Scoring.borda(3)).scores
     assert (s[0], s[1], s[2]) == (3, 3, 0)
     p2 = RankedProfile(2, [((0, 1), 4)])
-    s2 = winner_set(p2, Scoring(ScoreVector((1, 0)))).scores
+    s2 = winner_set(p2, Scoring((1, 0))).scores
     assert (s2[0], s2[1]) == (4, 0)
     p3 = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
-    s3 = winner_set(p3, Scoring(ScoreVector((1, 0, 0)))).scores
+    s3 = winner_set(p3, Scoring((1, 0, 0))).scores
     assert (s3[0], s3[1], s3[2]) == (3, 2, 0)
 
 
@@ -297,7 +296,7 @@ def test_kapproval_matches_equivalent_scoring_vector():
         p = RankedProfile(m, list(votes.items()))
         k = rng.randint(1, m - 1)
         via_rule = winner_set(p, KApproval(k))
-        via_vector = winner_set(p, Scoring(ScoreVector((1,) * k + (0,) * (m - k))))
+        via_vector = winner_set(p, Scoring((1,) * k + (0,) * (m - k)))
         assert via_rule.winners == via_vector.winners
 
 
@@ -313,8 +312,8 @@ def test_affine_invariance_of_scoring_winners():
             b = rng.choice(perms)
             votes[b] = votes.get(b, 0) + 1
         p = RankedProfile(3, list(votes.items()))
-        base = winner_set(p, Scoring(ScoreVector.borda(3)))
-        scaled = winner_set(p, Scoring(ScoreVector((F(7), F(4), F(1)))))
+        base = winner_set(p, Scoring.borda(3))
+        scaled = winner_set(p, Scoring((F(7), F(4), F(1))))
         assert base.winners == scaled.winners
 
 
@@ -324,7 +323,7 @@ def test_relabeling_equivariance():
     relabeled = RankedProfile(
         3, [(tuple(perm[c] for c in b.order), mult) for b, mult in p.votes]
     )
-    for rule in [KApproval(1), Scoring(ScoreVector.borda(3)), Bucklin(), Maximin(), Copeland(HALF)]:
+    for rule in [KApproval(1), Scoring.borda(3), Bucklin(), Maximin(), Copeland(HALF)]:
         orig = winner_set(p, rule)
         new = winner_set(relabeled, rule)
         assert tuple(sorted(perm[w] for w in orig.winners)) == new.winners
@@ -370,7 +369,7 @@ EXACT_CASES = [
     (ImpartialCulture(n=400, m=5, seed=1), Maximin()),
     (ImpartialCulture(n=400, m=5, seed=2), Maximin()),
     (ImpartialCulture(n=400, m=5, seed=1), Copeland()),
-    (ImpartialCulture(n=1000, m=7, seed=1), Scoring(ScoreVector.borda(7))),
+    (ImpartialCulture(n=1000, m=7, seed=1), Scoring.borda(7)),
     (ImpartialCulture(n=1000, m=7, seed=2), KApproval(2)),
 ]
 
@@ -385,7 +384,7 @@ def test_exact_search_steps_a_column_built_tally(spec, rule, per_ballot):
     assert result.value is not None and result.evaluations > 0
 
 
-@pytest.mark.parametrize("rule", [Scoring(ScoreVector.borda(8)), KApproval(3), Bucklin(),
+@pytest.mark.parametrize("rule", [Scoring.borda(8), KApproval(3), Bucklin(),
                                   Maximin(), Copeland(F(1, 3))])
 def test_estimate_counts_a_large_sample_column_wise(rule, per_ballot):
     source = VoteSource(generate(ImpartialCulture(n=5000, m=8, seed=3)))
@@ -399,7 +398,7 @@ def test_estimate_counts_a_large_sample_column_wise(rule, per_ballot):
             == repr((looped.estimated_scores, looped.pair_margins)))
 
 
-@pytest.mark.parametrize("rule", [Scoring(ScoreVector.borda(300)), Maximin()])
+@pytest.mark.parametrize("rule", [Scoring.borda(300), Maximin()])
 def test_many_candidates_take_the_per_ballot_loop(rule, per_ballot):
     # 520 distinct rankings: a column-wise count for every family at m = 16;
     # candidate 299 does not fit in a byte, so m = 300 must take the loop

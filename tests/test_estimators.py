@@ -26,7 +26,6 @@ from movkit.core import (
     Maximin,
     RankedProfile,
     Ranking,
-    ScoreVector,
     Scoring,
     _multinomial,
     rule_tally,
@@ -110,7 +109,7 @@ def test_lower_bound_samples():
 
 def test_guarantee_constants():
     assert guarantee_constant(KApproval(1), 5) == 0
-    assert guarantee_constant(Scoring(ScoreVector.borda(5)), 5) == F(1, 3)
+    assert guarantee_constant(Scoring.borda(5), 5) == F(1, 3)
     assert guarantee_constant(Bucklin(), 5) == F(1, 3)
     assert guarantee_constant(Maximin(), 5) == F(1, 3)
     # ceil(log2 5) = 3 so the copeland constant is 7/9
@@ -258,7 +257,7 @@ def test_split_seed_is_stable():
 def test_scoring_estimate_unanimous():
     p = RankedProfile(2, [((0, 1), 4)])
     src = VoteSource(p)
-    est = estimate_mov(src, Scoring(ScoreVector((1, 0))), EPS, DELTA, 0)
+    est = estimate_mov(src, Scoring((1, 0)), EPS, DELTA, 0)
     assert est.m_bar == F(8, 3)
     assert est.estimated_scores == {0: F(4), 1: F(0)}
     assert est.c == F(1, 3)
@@ -268,8 +267,8 @@ def test_scoring_estimate_unanimous():
 def test_scoring_estimate_invariant_under_affine_vector_change():
     p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     src = VoteSource(p)
-    a = estimate_mov(src, Scoring(ScoreVector((F(2), F(1), F(0)))), EPS, DELTA, 5)
-    b = estimate_mov(src, Scoring(ScoreVector((F(7), F(4), F(1)))), EPS, DELTA, 5)
+    a = estimate_mov(src, Scoring((F(2), F(1), F(0))), EPS, DELTA, 5)
+    b = estimate_mov(src, Scoring((F(7), F(4), F(1))), EPS, DELTA, 5)
     assert a.m_bar == b.m_bar
 
 
@@ -365,7 +364,7 @@ def test_estimate_mov_dispatch():
     src = VoteSource(p)
     assert estimate_mov(src, KApproval(1), EPS, DELTA, 0).m_bar == 2
     assert estimate_mov(src, Bucklin(), EPS, DELTA, 0).m_bar == F(10, 3)
-    assert estimate_mov(src, Scoring(ScoreVector((1, 0))), EPS, DELTA, 0).m_bar == F(8, 3)
+    assert estimate_mov(src, Scoring((1, 0)), EPS, DELTA, 0).m_bar == F(8, 3)
 
 
 # --- statistical behaviour ------------------------------------------------
@@ -374,9 +373,9 @@ def test_score_estimates_are_unbiased():
     """Sample means converge to the exact scores on a fixed profile."""
     p = RankedProfile(3, [((0, 1, 2), 3), ((1, 2, 0), 2)])
     src = VoteSource(p)
-    exact = winner_set(p, Scoring(ScoreVector.borda(3))).scores
+    exact = winner_set(p, Scoring.borda(3)).scores
     ell = 60_000
-    est = estimate_mov(src, Scoring(ScoreVector.borda(3)), EPS, DELTA, 99, ell=ell)
+    est = estimate_mov(src, Scoring.borda(3), EPS, DELTA, 99, ell=ell)
     n = p.n
     for x in range(3):
         # a borda draw changes the score by at most alpha1 * n per sample
@@ -404,7 +403,7 @@ def test_seed_determinism_across_all_estimators():
     ap = ApprovalProfile(3, [((0,), 2), ((0, 1), 2), ((2,), 1)])
     asrc = VoteSource(ap)
     runs = [
-        lambda s: estimate_mov(src, Scoring(ScoreVector.borda(3)), EPS, DELTA, s),
+        lambda s: estimate_mov(src, Scoring.borda(3), EPS, DELTA, s),
         lambda s: estimate_kapproval(src, 1, EPS, DELTA, s),
         lambda s: estimate_mov(asrc, Approval(), EPS, DELTA, s),
         lambda s: estimate_mov(src, Bucklin(), EPS, DELTA, s),
@@ -435,7 +434,7 @@ def test_estimators_reject_bad_parameters():
     with pytest.raises(InputError):
         estimate_kapproval(src, 2, EPS, DELTA, 0)
     with pytest.raises(InputError):
-        estimate_mov(src, Scoring(ScoreVector((1, 0))), F(0), DELTA, 0)
+        estimate_mov(src, Scoring((1, 0)), F(0), DELTA, 0)
     with pytest.raises(InputError):
         estimate_mov(src, Copeland(F(2)), EPS, DELTA, 0)
     with pytest.raises(InputError):

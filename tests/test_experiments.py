@@ -50,9 +50,9 @@ def test_resolve_rule_variants():
     assert resolve_rule(" Copeland: ", 3) == Copeland(F(1, 2))
     assert resolve_rule("MAXIMIN", 3) == Maximin()
     borda = resolve_rule("borda", 3)
-    assert isinstance(borda, Scoring) and borda.vector.alphas == (F(2), F(1), F(0))
+    assert isinstance(borda, Scoring) and borda.alphas == (F(2), F(1), F(0))
     custom = resolve_rule("scoring:3,1,0", 3)
-    assert isinstance(custom, Scoring) and custom.vector.alphas == (F(3), F(1), F(0))
+    assert isinstance(custom, Scoring) and custom.alphas == (F(3), F(1), F(0))
 
 
 @pytest.mark.parametrize("spec, message", [

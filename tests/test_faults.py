@@ -27,7 +27,6 @@ from movkit.core import (
     RankedProfile,
     Ranking,
     Rule,
-    ScoreVector,
     Scoring,
     rule_tally,
     winner_set,
@@ -81,7 +80,7 @@ RULE_FAULTS = {
                                   NEEDS_APPROVAL),
     "ranked-rule-on-approval": (APPROVAL, Bucklin(), "bucklin", 1, NEEDS_RANKED, NEEDS_RANKED),
     "k-above-m-1": (RANKED, KApproval(3), "kapproval:3", 3, K_RANGE, K_RANGE),
-    "vector-length": (RANKED, Scoring(ScoreVector((F(1), F(0)))), "scoring:1,0", None,
+    "vector-length": (RANKED, Scoring((F(1), F(0))), "scoring:1,0", None,
                       VECTOR_LENGTH, VECTOR_LENGTH),
     "one-candidate-ranked": (RANKED_1, Bucklin(), "bucklin", 1, TWO_CANDIDATES, None),
     "one-candidate-kapproval": (RANKED_1, KApproval(1), "plurality", 1, TWO_CANDIDATES,
@@ -328,7 +327,7 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: resolve_rule("scoring:1,x", 2),
      "scoring needs comma-separated rationals, got 'scoring:1,x'"),
     (lambda: Copeland("x"), "copeland alpha must be rational: 'x'"),
-    (lambda: ScoreVector(("x", 0)), "score entries must be rationals: ('x', 0)"),
+    (lambda: Scoring(("x", 0)), "score entries must be rationals: ('x', 0)"),
     (lambda: ApprovalBallot({-1}),
      "approval ballot must contain candidate indices: frozenset({-1})"),
     (lambda: VoteSource(RANKED).draw_counts(0, 1), "draw count must be at least 1, got 0"),

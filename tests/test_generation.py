@@ -14,7 +14,6 @@ from movkit.core import (
     InputError,
     KApproval,
     RankedProfile,
-    ScoreVector,
     Scoring,
     winner_set,
 )
@@ -33,7 +32,7 @@ F = Fraction
 
 
 def plurality_counts(profile):
-    scores = winner_set(profile, Scoring(ScoreVector((1,) + (0,) * (profile.m - 1)))).scores
+    scores = winner_set(profile, Scoring((1,) + (0,) * (profile.m - 1))).scores
     return {x: int(scores[x]) for x in range(profile.m)}
 
 

@@ -34,7 +34,6 @@ from movkit.core import (
     KApproval,
     Maximin,
     RankedProfile,
-    ScoreVector,
     Scoring,
     winner_set,
 )
@@ -71,15 +70,15 @@ def elections(draw):
     vector = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
                            min_size=m, max_size=m)
                   .map(lambda xs: sorted(xs, reverse=True)).filter(lambda xs: xs[0] > xs[-1]))
-    return ranked, approval, ScoreVector(tuple(vector)), draw(st.integers(1, m - 1))
+    return ranked, approval, Scoring(tuple(vector)), draw(st.integers(1, m - 1))
 
 
 @HALF_S_SETTINGS
 @given(elections())
 def test_half_s_on_every_sandwich_rule(case):
-    ranked, approval, vector, k = case
+    ranked, approval, scoring, k = case
     m = ranked.m
-    checks = [(ranked, Scoring(ScoreVector.borda(m))), (ranked, Scoring(vector)),
+    checks = [(ranked, Scoring.borda(m)), (ranked, scoring),
               (ranked, KApproval(k)), (approval, Approval()), (ranked, Maximin())]
     for alpha in (F(0), F(1, 2), F(1)):
         if len(winner_set(ranked, Copeland(alpha)).winners) == 1:

@@ -17,7 +17,6 @@ from movkit.core import (
     Maximin,
     RankedProfile,
     Ranking,
-    ScoreVector,
     Scoring,
     rule_tally,
     winner_set,
@@ -41,7 +40,7 @@ F = Fraction
 HALF = F(1, 2)
 
 ALL_RULES_M3 = [
-    Scoring(ScoreVector.borda(3)),
+    Scoring.borda(3),
     KApproval(1),
     KApproval(2),
     Bucklin(),
@@ -122,7 +121,7 @@ def test_brute_force_work_limit_on_large_profile_stays_small():
     tracemalloc.start()
     try:
         with pytest.raises(WorkLimitError):
-            mov_brute_force(p, Scoring(ScoreVector.borda(7)), p.n, work_limit=1000)
+            mov_brute_force(p, Scoring.borda(7), p.n, work_limit=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -136,7 +135,7 @@ def test_brute_force_work_limit_charges_the_universe_before_building_it():
     tracemalloc.start()
     try:
         with pytest.raises(WorkLimitError):
-            mov_brute_force(p, Scoring(ScoreVector.borda(9)), p.n, work_limit=1000)
+            mov_brute_force(p, Scoring.borda(9), p.n, work_limit=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -165,7 +164,7 @@ WORK_LIMIT_PINS = [
     # one unpruned path 3,999 search nodes deep: the search must not recurse per node
     (RankedProfile(3, [((0, 1, 2), 4000)]), KApproval(1), (5, 2005, 6006), 6007, 2000, 1),
     # one planted election under each remaining family's settled test
-    (PLANTED, Scoring(ScoreVector.borda(4)), (40,), 41, 2, 4),
+    (PLANTED, Scoring.borda(4), (40,), 41, 2, 4),
     (PLANTED, Bucklin(), (31,), 32, 1, 6),
     (PLANTED, Maximin(), (37,), 38, 3, 1),
     (PLANTED, Copeland(HALF), (37,), 38, 3, 1),
@@ -399,7 +398,7 @@ def test_bounds_examples():
         assert tb.lower == 1 and tb.upper == 1
         assert tb.source == "tied winners"
     # plain scoring keeps the gap formula shape on ties: [0, 1] still brackets MoV=1
-    sc_tie = mov_bounds(tie, Scoring(ScoreVector.borda(2)))
+    sc_tie = mov_bounds(tie, Scoring.borda(2))
     assert sc_tie.lower == 0 and sc_tie.upper == 1
 
     cp_tie = mov_bounds(tie, Copeland(HALF))
@@ -412,7 +411,7 @@ def test_bounds_examples():
 def test_bounds_sources_are_labeled():
     p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
     assert mov_bounds(p, KApproval(1)).source == "top-k score gap"
-    assert mov_bounds(p, Scoring(ScoreVector.borda(2))).source == "positional score gap"
+    assert mov_bounds(p, Scoring.borda(2)).source == "positional score gap"
     assert mov_bounds(p, Maximin()).source == "pairwise score gap"
     assert mov_bounds(p, Copeland(HALF)).source == "relative margin"
     assert mov_bounds(p, Bucklin()).source == "majority level analysis"
@@ -437,7 +436,7 @@ def test_bounds_contain_exact_value_on_random_profiles():
 
 def test_scoring_bounds_shape():
     p = RankedProfile(2, [((0, 1), 2), ((1, 0), 1)])
-    b = mov_bounds(p, Scoring(ScoreVector.borda(2)))
+    b = mov_bounds(p, Scoring.borda(2))
     # gap 1 under borda m=2, alpha1 = 1: [g/2, g + 1]
     assert b.lower == HALF and b.upper == 2
 

@@ -37,7 +37,6 @@ from movkit.core import (
     PositionalTally,
     RankedProfile,
     Ranking,
-    ScoreVector,
     Scoring,
     WinnerResult,
     _multinomial,
@@ -85,7 +84,7 @@ def profiles_with_vectors(draw):
     entries = draw(st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=m, max_size=m,
     ).map(lambda xs: sorted(xs, reverse=True)).filter(lambda xs: xs[0] > xs[-1]))
-    return draw(profiles(m)), ScoreVector(tuple(entries))
+    return draw(profiles(m)), Scoring(tuple(entries))
 
 
 def _ref_scores(votes, alphas):
@@ -114,24 +113,24 @@ def _ref_top_two_gap(scores):
 
 FRACTIONAL = (
     RankedProfile(3, [((0, 1, 2), 2), ((2, 1, 0), 3), ((1, 0, 2), 1)]),
-    ScoreVector((F(3, 2), F(1, 3), F(0))),
+    Scoring((F(3, 2), F(1, 3), F(0))),
 )
 # rational entries and a negative last entry, so normalizing shifts every score
 NEGATIVE = (
     RankedProfile(4, [((0, 1, 2, 3), 3), ((3, 2, 1, 0), 2), ((1, 3, 0, 2), 4)]),
-    ScoreVector((F(5, 2), F(1, 3), F(-1, 6), F(-7, 4))),
+    Scoring((F(5, 2), F(1, 3), F(-1, 6), F(-7, 4))),
 )
-BORDA = (RankedProfile(3, [((0, 1, 2), 4), ((1, 2, 0), 3), ((2, 0, 1), 2)]), ScoreVector.borda(3))
+BORDA = (RankedProfile(3, [((0, 1, 2), 4), ((1, 2, 0), 3), ((2, 0, 1), 2)]), Scoring.borda(3))
 
 
 @PROPERTY_SETTINGS
 @given(profiles_with_vectors())
 @example(FRACTIONAL)
 def test_positional_scores_and_winners_match_fraction_reference(case):
-    profile, vector = case
-    expected = _ref_scores(profile.votes, vector.alphas)
-    assert winner_set(profile, Scoring(vector)).scores == expected
-    result = winner_set(profile, Scoring(vector))
+    profile, rule = case
+    expected = _ref_scores(profile.votes, rule.alphas)
+    assert winner_set(profile, rule).scores == expected
+    result = winner_set(profile, rule)
     assert result.scores == expected
     assert result.winners == _ref_winners(expected)
 
@@ -154,10 +153,10 @@ def test_kapproval_winners_match_fraction_reference(case):
 @example(NEGATIVE)
 @example(BORDA)
 def test_scoring_bounds_match_fraction_reference(case):
-    profile, vector = case
-    alphas = _ref_normalized(vector.alphas)
+    profile, rule = case
+    alphas = _ref_normalized(rule.alphas)
     gap = _ref_top_two_gap(_ref_scores(profile.votes, alphas))
-    bounds = mov_bounds(profile, Scoring(vector))
+    bounds = mov_bounds(profile, rule)
     assert bounds.lower == gap / (2 * alphas[0])
     assert bounds.upper == min(gap / alphas[0] + 1, profile.n)
 
@@ -177,12 +176,12 @@ def _drawn_votes(source, ell, seed):
 @example(NEGATIVE, 3, NEGATIVE[0].n)
 @example(BORDA, 5, BORDA[0].n)
 def test_scoring_estimate_matches_fraction_reference(case, seed, ell):
-    profile, vector = case
+    profile, rule = case
     source = VoteSource(profile)
-    alphas = _ref_normalized(vector.alphas)
+    alphas = _ref_normalized(rule.alphas)
     raw = _ref_scores(_drawn_votes(source, ell, seed), alphas)
     sbar = {c: F(profile.n, ell) * s for c, s in raw.items()}
-    est = estimate_mov(source, Scoring(vector), F(1, 10), F(1, 20), seed, ell=ell)
+    est = estimate_mov(source, rule, F(1, 10), F(1, 20), seed, ell=ell)
     assert _typed(est.estimated_scores) == _typed(sbar)
     assert est.m_bar == _ref_project(_ref_top_two_gap(sbar) / (F(3, 2) * alphas[0]), profile.n)
 
@@ -535,20 +534,20 @@ def column_cases(draw):
     # the most ballots in a block of the column-wise count: 1..d gives
     # uneven blocks and blocks of one ballot, d one block
     block = draw(st.integers(1, d))
-    return profile, ScoreVector(tuple(entries)), draw(st.integers(1, m - 1)), block
+    return profile, Scoring(tuple(entries)), draw(st.integers(1, m - 1)), block
 
 
 @PROPERTY_SETTINGS
 @given(column_cases())
-@example((_column_profile(9, 512, 1, 10**12), ScoreVector.borda(9), 3, 512))
-@example((_column_profile(9, 511, 2, 3), ScoreVector.borda(9), 1, 1))
-@example((_column_profile(8, 64, 3, 10**12), ScoreVector.borda(8), 7, 5))
-@example((_column_profile(8, 63, 4, 256), ScoreVector.borda(8), 2, 62))
+@example((_column_profile(9, 512, 1, 10**12), Scoring.borda(9), 3, 512))
+@example((_column_profile(9, 511, 2, 3), Scoring.borda(9), 1, 1))
+@example((_column_profile(8, 64, 3, 10**12), Scoring.borda(8), 7, 5))
+@example((_column_profile(8, 63, 4, 256), Scoring.borda(8), 2, 62))
 # above m = 9 every ballot takes the per-ballot adds, the pairwise one included
-@example((_shuffled_profile(30, 8, 5, 10**12), ScoreVector.borda(30), 4, 8))
-@example((_shuffled_profile(300, 8, 6, 10**12), ScoreVector.borda(300), 17, 8))
+@example((_shuffled_profile(30, 8, 5, 10**12), Scoring.borda(30), 4, 8))
+@example((_shuffled_profile(300, 8, 6, 10**12), Scoring.borda(300), 17, 8))
 def test_column_counts_match_reference(case):
-    profile, vector, k, block = case
+    profile, rule, k, block = case
     m, votes, n = profile.m, profile.votes, profile.n
     with patch.object(core, "_BLOCK_BALLOTS", block):
         bucklin = rule_tally(profile, Bucklin())
@@ -559,8 +558,8 @@ def test_column_counts_match_reference(case):
         above = pairwise.above
         assert [[v for y, v in enumerate(row) if y != x] for x, row in enumerate(above)] == [
             [(n + net[x][y]) // 2 for y in range(m) if y != x] for x in range(m)]
-        assert rule_tally(profile, Scoring(vector)).scores() == \
-            _ref_scores(votes, vector.alphas)
+        assert rule_tally(profile, rule).scores() == \
+            _ref_scores(votes, rule.alphas)
         assert rule_tally(profile, KApproval(k)).scores() == \
             _ref_scores(votes, [1] * k + [0] * (m - k))
 
@@ -578,7 +577,7 @@ def test_sampled_counts_match_reference_across_blocks(m, d, block, widest):
     rng = random.Random(widest)
     counts = [0] * block + [rng.choice([0, 1, 2, 128, widest]) for _ in range(d - block)]
     votes = [(ballot, k) for (ballot, _), k in zip(profile.votes, counts) if k]
-    n, vector = sum(counts), ScoreVector.borda(m)
+    n, rule = sum(counts), Scoring.borda(m)
     assert PositionalTally.counts_columns(len(votes), m)
     real, totals = core._column_blocks, []
 
@@ -591,8 +590,8 @@ def test_sampled_counts_match_reference_across_blocks(m, d, block, widest):
         bucklin = _store_tally(Bucklin(), profile, counts)
         assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
         assert _store_tally(Maximin(), profile, counts).net() == _ref_pairwise(votes, m)
-        assert _store_tally(Scoring(vector), profile, counts).scores() == \
-            _ref_scores(votes, vector.alphas)
+        assert _store_tally(rule, profile, counts).scores() == \
+            _ref_scores(votes, rule.alphas)
     blocks_per_tally = -(-d // block)
     assert len(totals) == 3 * blocks_per_tally > 3
     assert totals[0] == 0 and sum(totals) == 3 * n
@@ -846,9 +845,9 @@ def _ref_type_level_search(profile, rule, budget):
 
 
 def _ranked_rules(m):
-    skewed = ScoreVector((F(3),) + (F(1),) * (m - 2) + (F(0),))
+    skewed = Scoring((F(3),) + (F(1),) * (m - 2) + (F(0),))
     return [
-        Scoring(ScoreVector.borda(m)), Scoring(skewed), Bucklin(), Maximin(),
+        Scoring.borda(m), skewed, Bucklin(), Maximin(),
         *(KApproval(k) for k in range(1, m)),
         *(Copeland(alpha) for alpha in (F(0), F(1, 2), F(1))),
     ]

@@ -26,7 +26,6 @@ from movkit.core import (
     KApproval,
     Maximin,
     RankedProfile,
-    ScoreVector,
     Scoring,
     winner_set,
 )
@@ -43,8 +42,8 @@ SUBSETS = [s for size in range(4) for s in itertools.combinations(range(3), size
 RULES = {
     "plurality": KApproval(1),
     "kapproval:2": KApproval(2),
-    "borda": Scoring(ScoreVector.borda(3)),
-    "scoring:3,1,0": Scoring(ScoreVector((F(3), F(1), F(0)))),
+    "borda": Scoring.borda(3),
+    "scoring:3,1,0": Scoring((F(3), F(1), F(0))),
     "bucklin": Bucklin(),
     "maximin": Maximin(),
     "copeland:0": Copeland(F(0)),
@@ -107,7 +106,7 @@ def test_estimates_of_a_full_tie_keep_exact_sums(spec, size):
         assert sum(scores.values()) == rule.k * n
     elif isinstance(rule, Scoring):
         # normalized: shifted by the last entry, over the last positive shift
-        shifted = [a - rule.vector.alphas[-1] for a in rule.vector.alphas]
+        shifted = [a - rule.alphas[-1] for a in rule.alphas]
         assert sum(scores.values()) == n * sum(shifted) / [v for v in shifted if v][-1]
     elif isinstance(rule, Approval):
         approvals = sum(count * len(ballot.approved) for ballot, count in counts.items())
