@@ -327,6 +327,14 @@ class ApprovalProfile(Profile):
         return key
 
 
+def _check_int(value, what: str) -> None:
+    """The one type check of an integer argument (a seed, a count, a spec's
+    size): an int and not a bool. Anything else is an InputError that names
+    ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_k(k, m: int) -> None:
     """The one range check on an approval depth k for m candidates."""
     if not isinstance(k, int) or not 1 <= k <= m - 1:

@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Optional
 
-from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_k, _multinomial
+from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial
 from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
 
 _MASK64 = (1 << 64) - 1
@@ -56,8 +56,10 @@ def split_seed(base_seed: int, index: int) -> int:
 
     64-bit splitmix-style mixing: statistically independent streams for
     concurrent trials, deterministic, and cheap. Both arguments may be any
-    integers; the result is a 64-bit unsigned value.
+    integers, and a base seed of any other type is an InputError; the
+    result is a 64-bit unsigned value.
     """
+    _check_int(base_seed, "seed")
     z = (base_seed + index * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -114,7 +116,8 @@ class VoteSource:
 
     def draw_counts(self, count: int, seed: int) -> Mapping[int, int]:
         """How often each ballot occurs among ``count`` i.i.d. uniform draws
-        (with replacement) of the n votes; deterministic per seed.
+        (with replacement) of the n votes; deterministic per seed, which
+        must be an int and not a bool.
 
         The counts are one `movkit.core._multinomial` draw over the
         multiplicities in profile order: conditional binomials, the last
@@ -127,6 +130,7 @@ class VoteSource:
         more than O(d + count).
         """
         _check_count(count, "draw count")
+        _check_int(seed, "seed")
         return _Drawn(_multinomial(random.Random(seed), count, self.profile.counts))
 
 

@@ -42,6 +42,7 @@ from movkit.core import (
     ApprovalProfile,
     InputError,
     RankedProfile,
+    _check_int,
     _members,
     _multinomial,
     _row_type,
@@ -53,9 +54,7 @@ def _check_ints(spec, *fields: str) -> None:
     each must be an int and not a bool, as a profile's multiplicities must,
     so that no float count reaches the profile's store."""
     for field in fields:
-        value = getattr(spec, field)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"{field} must be an integer, got {value!r}")
+        _check_int(getattr(spec, field), field)
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class ImpartialCulture:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ints(self, "n", "m")
+        _check_ints(self, "n", "m", "seed")
         if self.n < 1 or self.m < 1:
             raise InputError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
 
@@ -228,8 +227,9 @@ def ranked_to_approval(
     per prefix bitmask, its m + 1 masks built as one running sum beside its
     draw, and only the distinct masks become member keys for the store; a
     vote drawn on its own is counted by its sorted members, as a fixed
-    depth's votes are. A ``k`` that is a bool, and any other profile than a
-    ranked one, is an InputError.
+    depth's votes are. A ``k`` that is a bool, a uniform depth's seed that
+    is not an int (or is a bool), and any other profile than a ranked one,
+    is an InputError.
     """
     if not isinstance(profile, RankedProfile):
         raise InputError("this operation needs a ranked profile")
@@ -237,6 +237,7 @@ def ranked_to_approval(
     orders = profile.entries()
     prefixes = Counter()
     if k == "uniform":
+        _check_int(seed, "seed")
         rng = random.Random(seed)
         masks = {}
         for order, mult in zip(orders, profile.counts):

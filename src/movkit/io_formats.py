@@ -21,8 +21,9 @@ without the constructor checking them again; the store merges repeated
 ballots. One reader, `_header`, reads the ``m`` and ``candidates`` lines for
 both parse paths below, reading lines one at a time only as far as the
 header, and raises a header fault itself, on its line. A well-formed body is
-parsed in a few whole-text passes over its UTF-8 (a body with comments,
-blank lines or other line breaks than '\\n' is normalised first). A
+parsed in a few whole-text passes over its UTF-8 as written, and once more
+normalised if neither pass reads it so (comments, blank lines or other
+line breaks than '\\n', which only the token pass looks for). A
 ranking of one-character, non-digit tokens (default letters, one-character
 names) is read straight from the bytes, with no split per line: one
 translate checks every line's shape, one reads the counts and one turns
@@ -124,15 +125,22 @@ def parse_election(text: str) -> Profile:
     """Parse election text into a ranked or approval profile.
 
     The header is read by `_header`, which raises its faults. The body after
-    it is parsed in whole-text passes (`_parse_bulk`), which hand the
+    it is parsed in whole-text passes (`_read_body`), which hand the
     ballots and counts, in file order, to the profile's store, a ranking of
     one-character tokens as one packed buffer of rows and any other ballot
     as its key: the store skips its sort and merge where the ballots are
-    strictly increasing, as a written file's are. On any body fault the
-    line loop (`_parse_lines`) parses the text again and raises the first
-    fault with its line number."""
+    strictly increasing, as a written file's are. A body that fits neither
+    pass as written, as one with a comment, a blank line or a line break
+    other than '\\n' does, is read once more normalised (`_normalised`). On
+    any body fault the line loop (`_parse_lines`) parses the text again and
+    raises the first fault with its line number."""
     m, names, _, offset = _header(text)
-    return _parse_bulk(text[offset:], m, names) or _parse_lines(text)
+    body, table = text[offset:], _TokenTable(names, m)
+    try:
+        profile = _read_body(body, table, m, names) or _read_body(_normalised(body), table, m, names)
+    except ValueError:  # so are a ParseError and a lone surrogate's UnicodeError
+        profile = None
+    return profile or _parse_lines(text)
 
 
 # the line breaks of str.splitlines other than '\n', the one copy of that set
@@ -182,37 +190,15 @@ def _header(text: str) -> tuple:
     return m, names, number, end
 
 
-# a comment, or a line break that is not '\n', sends a body to be normalised
-_IRREGULAR = ("#", *_BREAKS)
+# the UTF-8 of a comment mark and of each line break that is not '\n': a body
+# holding one is not cut into fields, and is read once normalised instead
+_IRREGULAR = tuple(c.encode() for c in ("#", *_BREAKS))
 _NOT_SEPARATOR = bytes(c for c in range(256) if c not in b":\n")
 # the bytes that a letter body's passes delete, or keep (see `_letter_body`)
 _DIGITS_AND_BLANKS = b"0123456789 \t"
 _NOT_COUNT = bytes(c for c in range(256) if c not in b"0123456789:\n")
 _NOT_COUNT_TEXT = bytes(c for c in range(256) if c not in b"0123456789 \t:")
 _DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
-def _parse_bulk(body: str, m: int, names) -> Optional[Profile]:
-    """The profile of a well-formed election body, the text after the
-    header of an m-candidate file with the declared ``names``, or None on
-    any fault. It reads the body's UTF-8 in a few whole-text passes instead
-    of one Python iteration per line (`_read_body`).
-
-    A body with a comment, a blank line or a line break other than '\\n' is
-    normalised first, once, to its stripped lines without blank or comment
-    lines joined by '\\n'. One ``in`` test per comment mark and per line
-    break decides that; a blank line is a line without ':', which fails the
-    checks of both of `_read_body`'s passes and so sends the body to be
-    normalised too."""
-    table = _TokenTable(names, m)
-    regular = not any(map(body.__contains__, _IRREGULAR))
-    try:
-        profile = _read_body(body if regular else _normalised(body), table, m, names)
-        if profile is None and regular:
-            profile = _read_body(_normalised(body), table, m, names)
-    except ValueError:  # so are a ParseError and a lone surrogate's UnicodeError
-        return None
-    return profile
 
 
 def _normalised(body: str) -> str:
@@ -225,19 +211,21 @@ def _normalised(body: str) -> str:
 
 
 def _read_body(body: str, table: _TokenTable, m: int, names) -> Optional[Profile]:
-    """The profile of a body broken by '\\n' alone, or None when its lines
-    fit neither pass below, as a blank line does; a fault in a body that
-    fits is a ValueError. A ranking of one-character tokens is read
-    straight from the body's bytes (`_letter_body`); any other body is cut
-    into counts and ballots (`_fields`), and `_bulk_keys` reads the
-    ballots' keys. The packed rows or the keys go to the store with the
-    counts in file order, and the store merges repeated ballots."""
+    """The profile of an election body, or None when its lines fit neither
+    pass below, as a blank line, a comment or a line break other than '\\n'
+    does; a fault in a body that fits is a ValueError. A ranking of
+    one-character tokens is read straight from the body's bytes
+    (`_letter_body`), whose shape check refuses a comment line and any line
+    break but '\\n'. Any other body without those is cut into counts and
+    ballots (`_fields`), and `_bulk_keys` reads the ballots' keys. The
+    packed rows or the keys go to the store with the counts in file order,
+    and the store merges repeated ballots."""
     data = body.encode()
     del body  # a normalised body is held nowhere else
     if not data.endswith(b"\n"):
         data += b"\n"
     letters = _letter_body(data, table, m)
-    fields = _fields(data) if letters is None else None
+    fields = None if letters or any(map(data.__contains__, _IRREGULAR)) else _fields(data)
     del data  # not to hold the body twice through the key pass and the store
     if letters is not None:
         return RankedProfile._from_canonical(m, *letters, names)

@@ -46,6 +46,7 @@ from movkit.core import (
     Ranking,
     Rule,
     Scoring,
+    _check_int,
     _members,
     _store_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
@@ -115,8 +116,7 @@ def _check_count(value, what: str, floor: str = "at least 1") -> None:
     """The one check of a count argument (a budget, a work limit, a draw
     count, a number of trials): an int, not a bool, of at least 1. Anything
     else is an InputError that names ``what``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+    _check_int(value, what)
     if value < 1:
         raise InputError(f"{what} must be {floor}, got {value}")
 

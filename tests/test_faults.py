@@ -46,6 +46,7 @@ from movkit.experiments import (
     resolve_rule,
     rule_to_spec,
     run_distinguisher,
+    run_experiment,
 )
 from movkit.generation import ImpartialCulture, PlantedGap, generate, ranked_to_approval
 from movkit.io_formats import ParseError, parse_election, write_election
@@ -347,6 +348,17 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: ranked_to_approval(RANKED, 2.5), 'k must be an integer or "uniform", got 2.5'),
     (lambda: ranked_to_approval(RANKED, True), 'k must be an integer or "uniform", got True'),
     (lambda: ImpartialCulture(n=True, m=3), "n must be an integer, got True"),
+    # a seed that is not an int would give a different draw on every call
+    (lambda: estimate_mov(VoteSource(RANKED), KApproval(1), EPS, DELTA, None, ell=50),
+     "seed must be an integer, got None"),
+    (lambda: VoteSource(RANKED).draw_counts(5, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: VoteSource(RANKED).draw_counts(5, True), "seed must be an integer, got True"),
+    (lambda: ImpartialCulture(n=50, m=4, seed=None), "seed must be an integer, got None"),
+    (lambda: ranked_to_approval(RANKED, "uniform", "7"), "seed must be an integer, got '7'"),
+    (lambda: run_experiment(ExperimentConfig("borda", EPS, DELTA, 1, None, BoundsOnlyPolicy(),
+                                             generator="ic:n=10,m=3")),
+     "seed must be an integer, got None"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 1, 2.0), "seed must be an integer, got 2.0"),
     (lambda: PlantedGap(winner=0, gap=True, n=4, m=2), "gap must be an integer, got True"),
     (lambda: ranked_to_approval(APPROVAL, 1), NEEDS_RANKED),
     (lambda: RankedProfile(2, [(Ranking((0, 1)), 1.5)]),
@@ -417,6 +429,8 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "kapproval-bool", "sample-size-kapproval-bool",
         "lower-bound-c", "distinguisher-c", "distinguisher-trials",
         "approval-depth", "approval-depth-float", "approval-depth-bool", "ic-bool-n",
+        "estimate-seed-none", "draw-seed-float", "draw-seed-bool", "ic-seed-none",
+        "approval-seed-text", "experiment-seed-none", "distinguisher-seed-float",
         "planted-bool-gap", "approval-of-approval", "tally-count-float",
         "tally-count-negative", "tally-ballot-length", "tally-needs-ranked", "tally-needs-approval",
         "work-limit-none", "work-limit-bool", "distinguisher-trials-float",

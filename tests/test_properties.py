@@ -1255,6 +1255,9 @@ def mutated_elections(draw):
 @example("m 30\n+1: {1}\n")
 @example("m 30\n1_0: {1}\n")
 @example("m 30\n٣: {1}\n")
+# a break inside a ballot that only the token pass's irregular-byte guard refuses
+@example("m 2\ncandidates xx,yy\n1: xx\r>yy\n")
+@example("m 30\n1: {0\r,1}\n")
 def test_whole_file_parse_matches_the_line_loop(text):
     assert _outcome(parse_election, text) == _outcome(_parse_lines, text)
 
