@@ -528,6 +528,33 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction = Fraction(1)):
       winner's smallest relative margin over a rival, K = ceil(log2 m).
       The relative margin is searched on the integer margins
       (`_relative_margin`).
+
+    Half C of the guarantee (ROADMAP item 19), (1 - c)*|Û - U| <= eps*n for
+    Û read on a sample and U on the profile, rests on the counts each
+    statistic reads. Each is n times the mean of a per-vote value of range
+    R, so Hoeffding's bound with a union bound over the u counts read puts
+    every scaled count within t = n*R*sqrt(ln(2u/delta)/(2*ell)) of its
+    census value with probability at least 1 - delta. Then:
+
+    * scoring: the m scores in normalized units, per vote in [0, 1]
+      (R = 1, u = m); the top-two gap moves by at most 2t, so
+      |Û - U| <= 2t;
+    * k-approval and approval: the m approval counts, per vote 0 or 1
+      (R = 1, u = m); |Û - U| <= t;
+    * maximin: the m(m-1)/2 pairwise margins, per vote -1 or +1 (R = 2);
+      each worst-case margin moves by at most t, so |Û - U| <= t;
+    * Copeland: the same m(m-1)/2 margins (R = 2); while the sample names
+      the profile's winner, each relative margin moves by at most t/2 + 1,
+      so (1 - c)*|Û - U| <= t + 2. A sample with another winner is outside
+      this argument;
+    * Bucklin: the m(m-1) top-l counts, per vote 0 or 1 (R = 1); a level
+      gap at fixed levels moves by at most 2t, but the levels read are
+      those where a count passes n/2, so a count within t of n/2 can move
+      Û further. No bound follows from t alone (ROADMAP item 15).
+
+    A top-two gap is read whichever candidates hold it, so for every rule
+    but Copeland and Bucklin the bound holds also where the sample's
+    winner differs from the profile's.
     """
     num, den = scale.numerator, scale.denominator
     if isinstance(rule, Bucklin):

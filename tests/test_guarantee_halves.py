@@ -1,23 +1,33 @@
-"""Half S of the estimation guarantee: each rule's c follows from its sandwich.
+"""The estimation guarantee as its two halves, checked on every rule.
 
-`estimate_mov` returns (1 - c)*U, U the upper end of the rule's sandwich
-[L, U] on the margin. For every MoV in [U/r, U] with r = (1 + c)/(1 - c),
-(1 - c)*U lies within c*MoV of MoV. The margin is an integer of at least
-ceil(L), so the exact half of the guarantee holds on a profile whenever
+`estimate_mov` returns (1 - c)*Û, Û the statistic `_margin_statistic` reads
+on the sample at scale n/ell, and U the same statistic on the whole
+profile: the upper end of the rule's sandwich [L, U] on the margin. The
+estimate's error is at most (1 - c)*|Û - U| + |(1 - c)*U - MoV| (ROADMAP
+item 19).
+
+Half S: for every MoV in [U/r, U] with r = (1 + c)/(1 - c), (1 - c)*U lies
+within c*MoV of MoV. The margin is an integer of at least ceil(L), so the
+exact half of the guarantee holds on a profile whenever
 
     U <= r * ceil(L),
 
-with U the upper end of `mov_bounds` less scoring's +1. This is ROADMAP
-item 19's Half S; Half C, the sample's concentration around U, is not
-tested here. The property runs at any n with no exact search. The
-hypothesis settings were fixed before the first run: m 2-5, up to 8 ballot
-types, counts 1-9.
+with U the upper end of `mov_bounds` less scoring's +1. The property runs
+at any n with no exact search. The hypothesis settings were fixed before
+the first run: m 2-5, up to 8 ballot types, counts 1-9. Bucklin's lower
+end is its change floor, not U/2, and a tied Copeland set has the bounds
+[1, n]; on item 15's reproducers Half S fails, as strict xfails that must
+fail on their assertion.
 
-Bucklin's lower end is its change floor, not U/2, and a tied Copeland set
-has the bounds [1, n]; on item 15's reproducers Half S fails, as strict
-xfails that must fail on their assertion.
+Half C: (1 - c)*|Û - U| <= epsilon*n with probability at least 1 - delta.
+Each family is one rule on one profile at n = 10^6 with 200 estimates at
+epsilon = 1/10, delta = 1/20 and estimate seeds 0-199, U read from the
+census tally. A family fails when more trials break Half C than
+`pass_threshold(delta, 200)` allows. Profiles, rules, seeds and trial
+counts were fixed in this file before its first run.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
@@ -35,10 +45,13 @@ from movkit.core import (
     Maximin,
     RankedProfile,
     Scoring,
+    rule_tally,
     winner_set,
 )
-from movkit.estimators import guarantee_constant
-from movkit.oracle import mov_bounds
+from movkit.estimators import VoteSource, estimate_mov, guarantee_constant
+from movkit.experiments import pass_threshold, resolve_rule
+from movkit.generation import ImpartialCulture, PlantedGap, generate, ranked_to_approval
+from movkit.oracle import _margin_statistic, mov_bounds
 from test_estimator_findings import BUCKLIN_TIED, BUCKLIN_UNIQUE, election
 
 HALF_S_SETTINGS = settings(max_examples=150, deadline=None)
@@ -105,3 +118,55 @@ def test_half_s_for_copeland_on_a_tied_cycle():
     r = 10**6
     profile = election({"a>b>c": r, "b>c>a": r, "c>a>b": r}, 3)
     assert half_s_holds(profile, Copeland(F(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Half C
+
+HALF_C_TRIALS, HALF_C_EPS, HALF_C_DELTA = 200, F(1, 10), F(1, 20)
+HALF_C_PROFILES = {
+    "ic-m3": ImpartialCulture(n=10**6, m=3, seed=2),
+    "ic-m4": ImpartialCulture(n=10**6, m=4, seed=3),
+    "ic-m5": ImpartialCulture(n=10**6, m=5, seed=4),
+    "ic-m6": ImpartialCulture(n=10**6, m=6, seed=5),
+    # IC ties Bucklin's winner set at m = 3 and 5 (U = 0); a planted winner
+    # with 533,334 first places at m = 3, and 440,000 at m = 5, is not tied
+    "planted-m3": PlantedGap(winner=0, gap=300_000, n=10**6, m=3),
+    "planted-m5": PlantedGap(winner=0, gap=300_000, n=10**6, m=5),
+}
+# approval reads each profile's uniform-depth conversion, with seed 1
+HALF_C_RULES = ["plurality", "kapproval:2", "borda", "maximin", "copeland", "bucklin", "approval"]
+
+
+@functools.cache
+def half_c_census(name, spec):
+    """(profile, rule, U) of a family: U read from the census tally."""
+    profile = generate(HALF_C_PROFILES[name])
+    if spec == "approval":
+        profile = ranked_to_approval(profile, "uniform", 1)
+    rule = resolve_rule(spec, profile.m)
+    return profile, rule, _margin_statistic(rule, rule_tally(profile, rule), profile.n)
+
+
+def half_c_errors(name, spec):
+    """(1 - c)*|Û - U|/(epsilon*n) for each of a family's trials, Û read from
+    the estimate's kept sample tally (the clamp of ``m_bar`` hides it)."""
+    profile, rule, census = half_c_census(name, spec)
+    source, c = VoteSource(profile), guarantee_constant(rule, profile.m)
+    unit = HALF_C_EPS * profile.n
+    return [(1 - c) * abs(_margin_statistic(*estimate_mov(
+        source, rule, HALF_C_EPS, HALF_C_DELTA, seed)._sample) - census) / unit
+        for seed in range(HALF_C_TRIALS)]
+
+
+@pytest.mark.parametrize("spec", HALF_C_RULES)
+@pytest.mark.parametrize("name", HALF_C_PROFILES)
+def test_half_c(name, spec):
+    breaks = sum(error > 1 for error in half_c_errors(name, spec))
+    assert breaks <= pass_threshold(HALF_C_DELTA, HALF_C_TRIALS)
+
+
+@pytest.mark.parametrize("spec", HALF_C_RULES)
+def test_every_rule_has_a_half_c_family_with_a_margin(spec):
+    # a family with U = 0 on a tied winner set may read Û = 0 on every trial
+    assert any(half_c_census(name, spec)[2] > 0 for name in HALF_C_PROFILES)
