@@ -77,7 +77,7 @@ from movkit.oracle import (
 # the rules a bare head names, each built for an m-candidate election
 _BARE_RULES: dict[str, Callable[[int], Rule]] = {
     "plurality": lambda m: KApproval(1),
-    "borda": lambda m: Scoring.borda(m),
+    "borda": Scoring.borda,
     "approval": lambda m: Approval(),
     "bucklin": lambda m: Bucklin(),
     "maximin": lambda m: Maximin(),
