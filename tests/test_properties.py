@@ -10,8 +10,10 @@ whole-file passes against its line loop on scrambled and faulty text, and
 every path into a profile's packed store against a reference built from
 sorted key tuples)."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -605,6 +607,62 @@ def test_a_block_is_bounded_by_its_bitset_bits_and_its_ballots(m, d, sizes):
     # at m = 128, and no block holds more than 65,536 ballots
     blocks = core._column_blocks(bytes(d * m), [1] * d, m)
     assert [total for _, _, total in blocks] == sizes
+
+
+@pytest.mark.parametrize("counts", [(0, 1, 255), (0, 1, 255, 256, 10**12)])
+@pytest.mark.parametrize("size", range(1, 18))
+def test_column_bitsets_split_each_block_into_its_ballots(size, counts):
+    """Three blocks of ``size`` ballots each, every residue of size mod 8,
+    read by properties that hold whatever bit a ballot takes in its block:
+    at each position the m candidates' bitsets are disjoint, and their
+    lanes, each one bit, are the block's ballots with their own counts; the
+    candidates' weights sum to the block's total; and a bit that is no
+    ballot's weighs 0. Counts below 256 are read as bytes, wider ones as
+    ints."""
+    m, rng = 5, random.Random(size)
+    ballots = [tuple(rng.sample(range(m), m)) for _ in range(3 * size)]
+    weights = [rng.choice(counts) for _ in ballots]
+    rows = b"".join(map(bytes, ballots))
+    with patch.object(core, "_BLOCK_BALLOTS", size):
+        blocks = list(core._column_blocks(rows, bytes(weights) if counts[-1] < 256 else weights, m))
+    assert len(blocks) == 3
+    for start, (column, weigh, total) in zip(range(0, 3 * size, size), blocks):
+        expected = Counter(zip(ballots[start:start + size], weights[start:start + size]))
+        assert total == sum(weights[start:start + size])
+        sets = [column(i) for i in range(m)]
+        for cands in sets:
+            assert len(cands) == m
+            assert all(a & b == 0 for a, b in itertools.combinations(cands, 2))
+            assert sum(map(weigh, cands)) == total
+        unions = {functools.reduce(operator.or_, cands) for cands in sets}
+        assert len(unions) == 1
+        lanes = unions.pop()
+        found = Counter()
+        for lane in (1 << bit for bit in range(lanes.bit_length()) if lanes >> bit & 1):
+            ballot = tuple(next(x for x, s in enumerate(cands) if s & lane) for cands in sets)
+            found[ballot, weigh(lane)] += 1
+        assert found == expected
+        assert weigh(~lanes & ((1 << 8 * size + 64) - 1)) == 0
+
+
+@pytest.mark.parametrize("top", [3, 10**12])
+def test_pad_bits_add_nothing_to_candidate_zero(top):
+    # 513 = 8 * 64 + 1 rankings, none with candidate 0 first: a block of
+    # 513 ballots has 7 pad bits, and a pad bit counted for candidate 0
+    # would show in its first-place, Borda and pairwise counts
+    m = 6
+    rng = random.Random(top)
+    indices = rng.sample(range(math.factorial(m - 1), math.factorial(m)), 513)
+    profile = RankedProfile(m, [(_ranking(i, m), rng.randint(1, top)) for i in indices])
+    votes, n = profile.votes, profile.n
+    assert len(votes) % 8 == 1 and all(ballot.order[0] != 0 for ballot, _ in votes)
+    assert PositionalTally.counts_columns(len(votes), m)
+    bucklin = rule_tally(profile, Bucklin())
+    assert (bucklin.top_counts(), bucklin.n) == (_ref_top_k_counts(votes, m), n)
+    assert bucklin.at_pos[0][0] == 0
+    rule = Scoring.borda(m)
+    assert rule_tally(profile, rule).scores() == _ref_scores(votes, rule.alphas)
+    assert rule_tally(profile, Maximin()).net() == _ref_pairwise(votes, m)
 
 
 def test_column_switches_are_the_tallies_own():
