@@ -8,7 +8,9 @@ function, `_store`, from keys that sort as the ballots' order tuples or
 ascending members do, or from the letter parse's rankings packed in one
 ``bytes``, which it sorts and merges unless they already strictly
 increase: keys are tested pair by pair, packed rankings in one pass over
-the whole buffer. `RankedProfile` and `ApprovalProfile` only
+the whole buffer. A profile of packed rankings builds that store only on
+the first read of its rows or counts: until then its size and its tallies
+read the rows as parsed. `RankedProfile` and `ApprovalProfile` only
 check a ballot, give its key and read their own rows back as ballot tuples
 (`entries`), so the store's layout is known only to this module. Equal
 multisets have equal stores, so they compare equal; the (ballot, count)
@@ -129,7 +131,9 @@ def _store(m: int, keys: Collection | bytes, counts: Iterable[int], ranked: bool
     """(rows, counts): the packed store of ballot keys and their counts, in
     key order. This is the one builder of every store: of each profile,
     whatever made its keys, and the one place that tests their order. Only
-    the profile (`entries`) and `_add_votes` read the rows back.
+    the profile (`entries`) and `_add_votes` read the rows back. A profile
+    of packed rankings calls it on the first read of its rows or counts,
+    not when it is built (see `Profile`).
 
     ``keys`` and ``counts`` are parallel, in any order, and a key may
     repeat. Where the keys are strictly increasing, as a written file's are
@@ -210,6 +214,16 @@ class Profile:
     already, hand theirs to `_from_canonical`. Either way `_store` merges
     repeated ballots. ``names`` optionally labels candidates for I/O.
 
+    The letter parse's packed rankings are kept as parsed, in file order
+    and possibly repeated, with their counts, and `_store` runs on the first
+    read of ``rows`` or ``counts``, which are then cached views as ``votes``
+    and ``n`` are. A tally is a sum over ballots, so ``n`` and a tally of
+    the profile's own counts read the rows as parsed (`_ballots`), and a
+    winner set or the bounds never build the store; everything that reads
+    the ballots in canonical order (``entries()``, ``votes``, equality, the
+    estimators' draws, the exact search) builds it first. Every other
+    profile is stored when it is built.
+
     Each kind's ``_check_ballot`` returns the key (see `_store`) of a ballot
     of that kind, checked against m. With the constructor's coercion through
     ``_ballot``, it is the one check that a ballot belongs to the profile:
@@ -254,17 +268,44 @@ class Profile:
         """The profile of checked ballot keys, or packed rankings (see
         `_store`), in any order and possibly repeated, and their positive
         counts, with validated ``names`` or None: what the constructor's
-        checks end in, without repeating them."""
+        checks end in, without repeating them. Packed rankings are stored
+        on the first read of the rows or counts, not here."""
         profile = object.__new__(cls)
         object.__setattr__(profile, "m", m)
         profile._fill(keys, counts, names)
         return profile
 
     def _fill(self, keys: Collection | bytes, counts: Iterable[int], names) -> None:
+        object.__setattr__(self, "names", names)
+        if isinstance(keys, bytes):  # packed rankings: stored on the first read of rows or counts
+            counts = counts if isinstance(counts, bytes) else tuple(counts)
+            object.__setattr__(self, "_pending", (keys, counts))
+            return
         rows, counts = _store(self.m, keys, counts, isinstance(self, RankedProfile))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "names", names)
+
+    def _ballots(self) -> tuple:
+        """(rows, counts, stride): a pending store's packed rows and counts
+        as parsed, in file order and possibly repeated, each row at a stride
+        of m + 1 (its separator last); else the store's, at a stride of m."""
+        if "_pending" in vars(self):
+            return *vars(self)["_pending"], self.m + 1
+        return self.rows, self.counts, self.m
+
+    # a pending store's rows and counts, read only where the instance holds
+    # none: a cached view, not a __getattr__, which would slow every other
+    # attribute read of every profile
+    @functools.cached_property
+    def rows(self) -> bytes:
+        vars(self)["rows"], vars(self)["counts"] = _store(self.m, *vars(self)["_pending"], True)
+        del vars(self)["_pending"]
+        return vars(self)["rows"]
+
+    @functools.cached_property
+    def counts(self) -> tuple[int, ...]:
+        self.rows  # builds the store, counts too
+        return vars(self)["counts"]
 
     @functools.cached_property
     def votes(self) -> tuple[tuple[Ranking | ApprovalBallot, int], ...]:
@@ -274,9 +315,10 @@ class Profile:
 
     @functools.cached_property
     def n(self) -> int:
-        """The number of votes, summed once per profile (the cache is not
-        part of the store, so equality, repr and hash ignore it)."""
-        return sum(self.counts)
+        """The number of votes, summed once per profile, over the counts as
+        parsed while the store is pending (the cache is not part of the
+        store, so equality, repr and hash ignore it)."""
+        return sum(self._ballots()[1])
 
     def expand(self) -> list:
         """All n ballots individually, in canonical order (stable indexing)."""
@@ -467,20 +509,22 @@ _BLOCK_BITS = 1 << 25
 _BLOCK_BALLOTS = 1 << 16
 
 
-def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int):
+def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int, stride: int = 0):
     """The column-wise count of a store's rankings over at most 256
     candidates (``rows`` is bytes), in equal blocks of at most
     `_BLOCK_BALLOTS` ballots and `_BLOCK_BITS` // (m * m): a bitmap index
     over (candidate, position), as in O'Neil and Quass, "Improved query
-    performance with variant indexes" (SIGMOD 1997). ``counts`` is one
-    ``bytes`` of a byte per count where every count is below 256, as
-    `_add_votes` hands them, else the counts as ints. A block that spans
-    the whole store is ``rows`` and ``counts`` themselves, not copies of
-    them. Each block yields (column, weigh, total):
+    performance with variant indexes" (SIGMOD 1997). Row i begins at byte
+    i * ``stride``: m (the default) in a store, m + 1 in rows as parsed,
+    whose separators no column reads. ``counts`` is one ``bytes`` of a
+    byte per count where every count is below 256, as `_add_votes` hands
+    them, else the counts as ints. A block that spans the whole store is
+    ``rows`` and ``counts`` themselves, not copies of them. Each block
+    yields (column, weigh, total):
 
     * ``column(i)[x]`` is the bitset of the block's ballots that rank x at
-      position i. Position i's entries are the slice ``block[i::m]`` of the
-      packed rows, read once by ``int.from_bytes``; each bit of the
+      position i. Position i's entries are the slice ``block[i::stride]`` of
+      the packed rows, read once by ``int.from_bytes``; each bit of the
       candidate index is a bitset taken from that int (``plane``), and
       ANDing those bitsets or their complements splits the block into the m
       candidates' bitsets. Only the positions a tally asks for are read.
@@ -504,10 +548,11 @@ def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int):
       the planes' popcounts weighted by their powers of two.
     """
     index_bits = range((m - 1).bit_length() - 1, -1, -1)  # highest bit first
+    stride = stride or m
     bound = min(_BLOCK_BALLOTS, _BLOCK_BITS // (m * m))
     size = -(-len(counts) // -(-len(counts) // bound))  # the least even split
     for start in range(0, len(counts), size):
-        block, weights = rows[start * m:(start + size) * m], counts[start:start + size]
+        block, weights = rows[start * stride:(start + size) * stride], counts[start:start + size]
         lanes = int.from_bytes(b"\x01" * len(weights), "little")
         chunk = 8 * -(-len(weights) // 8)  # bits of an eighth of the bytes, rounded up
         # the fold's steps of 4, 2 and 1: keep the low 4, 2 or 1 chunks (k),
@@ -538,7 +583,7 @@ def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int):
                 total += counted.bit_count() << shift
 
         def column(i, block=block, full=full, plane=plane):
-            entries = int.from_bytes(block[i::m], "little")
+            entries = int.from_bytes(block[i::stride], "little")
             cands = [full]
             for bit in index_bits:
                 ones = plane(entries, bit)
@@ -799,15 +844,16 @@ def rule_tally(profile: Profile, rule: Rule):
     """The integer tally of ``rule`` over a profile's ballots and counts.
     Raises InputError when the rule does not fit the profile's m and ballot
     kind (see `_store_tally`)."""
-    return _store_tally(rule, profile, profile.counts)
+    return _store_tally(rule, profile, None)
 
 
-def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int]):
+def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int] | None):
     """The integer tally of ``rule`` over a profile's ballots weighed by
-    ``counts`` (see `_add_votes`). Raises InputError when the rule does not
-    fit the profile's m and ballot kind: this is the one check of a rule
-    against an election, behind winner sets, bounds, the exact search and
-    the estimators, which check with no counts before they draw. The exact
+    ``counts``, or by their own counts where ``counts`` is None (see
+    `_add_votes`). Raises InputError when the rule does not fit the
+    profile's m and ballot kind: this is the one check of a rule against an
+    election, behind winner sets, bounds, the exact search and the
+    estimators, which check with no counts before they draw. The exact
     search then steps the tally with add.
 
     A score vector is scaled here, once, to integer weights over a common
@@ -841,21 +887,28 @@ def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int]):
     return tally
 
 
-def _add_votes(tally, profile: Profile, counts: Sequence[int]) -> None:
+def _add_votes(tally, profile: Profile, counts: Sequence[int] | None) -> None:
     """Add a profile's ballots, weighed by ``counts``, to a tally of
     `_store_tally`: the one place where ballots enter a tally, and the one
     reader of a store's rows outside the profile. A profile adds its own
-    counts; a sample adds the profile's ballots weighed by its drawn counts,
-    0 for a ballot not drawn. The path depends on the input alone: approval
-    masks are counted one candidate at a time by the tally's add_masks;
-    where the tally's counts_columns admits the number of rankings of
-    nonzero count, the packed rows are counted column-wise by
+    counts, ``counts`` None, over its rows as parsed while its store is
+    pending (`Profile._ballots`), so it never builds the store; a sample
+    adds the store's ballots weighed by its drawn counts, in canonical
+    order, 0 for a ballot not drawn. The path depends on the input alone:
+    approval masks are counted one candidate at a time by the tally's
+    add_masks; where the tally's counts_columns admits the number of
+    rankings of nonzero count, the packed rows are counted column-wise by
     `_column_blocks` and the tally's add_block; otherwise each ranking of
     nonzero count is added with the tally's add, as its order
-    (`RankedProfile.entries`). Only where counts_columns admits every
-    ranking are the counts made one ``bytes``, when each fits in a byte,
-    and their zeros counted there; fewer rankings go straight to add."""
-    m, rows = profile.m, profile.rows
+    (`RankedProfile.entries`) or, as parsed, its packed row cut at the
+    separators. Only where counts_columns admits every ranking are the
+    counts made one ``bytes``, when each fits in a byte, and their zeros
+    counted there; fewer rankings go straight to add."""
+    m = profile.m
+    if counts is None:
+        rows, counts, stride = profile._ballots()
+    else:
+        rows, stride = profile.rows, m
     if not isinstance(profile, RankedProfile):
         tally.add_masks(rows, counts)
         return
@@ -865,11 +918,11 @@ def _add_votes(tally, profile: Profile, counts: Sequence[int]) -> None:
         except ValueError:  # a count of 256 or more, which `_column_blocks` widens
             pass
         if tally.counts_columns(len(counts) - counts.count(0), m):
-            for column, weigh, total in _column_blocks(rows, counts, m):
+            for column, weigh, total in _column_blocks(rows, counts, m, stride):
                 tally.add_block(column, weigh, total)
             return
     add = tally.add
-    for order, count in zip(profile.entries(), counts):
+    for order, count in zip(profile.entries() if stride == m else rows.split(b"\xff"), counts):
         if count:
             add(order, count)
 

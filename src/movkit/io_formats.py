@@ -16,9 +16,11 @@ Counts, indices and ``m`` are written in ASCII digits. Lines with the same
 ballot merge, their counts summed.
 
 The parser is the one check of a file's ballots, and hands the ballots
-and counts, in file order, to the profile's store (`movkit.core._store`)
-without the constructor checking them again; the store merges repeated
-ballots. One reader, `_header`, reads the ``m`` and ``candidates`` lines for
+and counts, in file order, to the profile (`movkit.core.Profile`) without
+the constructor checking them again; its store (`movkit.core._store`)
+merges repeated ballots. A letter file's profile keeps its rows as parsed
+and builds the store only when something reads the ballots in canonical
+order: its winner sets and bounds tally the parsed rows. One reader, `_header`, reads the ``m`` and ``candidates`` lines for
 both parse paths below, reading lines one at a time only as far as the
 header, and raises a header fault itself, on its line. A well-formed body is
 parsed in a few whole-text passes over its UTF-8 as written, and once more
@@ -126,10 +128,12 @@ def parse_election(text: str) -> Profile:
 
     The header is read by `_header`, which raises its faults. The body after
     it is parsed in whole-text passes (`_read_body`), which hand the
-    ballots and counts, in file order, to the profile's store, a ranking of
+    ballots and counts, in file order, to the profile, a ranking of
     one-character tokens as one packed buffer of rows and any other ballot
     as its key: the store skips its sort and merge where the ballots are
-    strictly increasing, as a written file's are. A body that fits neither
+    strictly increasing, as a written file's are, and the packed buffer is
+    stored only on the first read of the profile's rows or counts, never
+    by a winner set or bounds. A body that fits neither
     pass as written, as one with a comment, a blank line or a line break
     other than '\\n' does, is read once more normalised (`_normalised`). On
     any body fault the line loop (`_parse_lines`) parses the text again and

@@ -643,7 +643,7 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     change is always needed, and replacing all n votes reaches any profile.
     So the upper end is capped at n.
     """
-    tally = _mov_tally(rule, profile, profile.counts)
+    tally = _mov_tally(rule, profile, None)
     upper = _margin_statistic(rule, tally, profile.n)
     lower = Fraction(upper, _sandwich_ratio(rule, profile.m))
     if isinstance(rule, Scoring):

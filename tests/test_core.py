@@ -347,7 +347,7 @@ def test_copeland_alpha_bounds():
 
 def _loop_votes(tally, profile, counts):
     m, rows, ranked = profile.m, profile.rows, isinstance(profile, RankedProfile)
-    for i, count in enumerate(counts):
+    for i, count in enumerate(profile.counts if counts is None else counts):  # None: its own
         if count:
             ballot = tuple(rows[i * m:(i + 1) * m]) if ranked else \
                 tuple(c for c in range(m) if rows[i] >> c & 1)

@@ -1,15 +1,32 @@
 """Election file grammar and experiment CSV output."""
 
+import copy
 import operator
+import pickle
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movkit import core, io_formats
-from movkit.core import ApprovalBallot, ApprovalProfile, RankedProfile
+from movkit.core import (
+    ApprovalBallot,
+    ApprovalProfile,
+    Bucklin,
+    Copeland,
+    KApproval,
+    Maximin,
+    RankedProfile,
+    Scoring,
+    rule_tally,
+    winner_set,
+)
+from movkit.estimators import VoteSource, estimate_mov
 from movkit.generation import ImpartialCulture, generate, ranked_to_approval
 from movkit.io_formats import (
     CSV_COLUMNS,
@@ -20,6 +37,7 @@ from movkit.io_formats import (
     write_election,
     write_experiment_csv,
 )
+from movkit.oracle import mov_bounds
 
 F = Fraction
 
@@ -389,6 +407,7 @@ def test_letter_rows_reach_the_store_packed_in_order_or_not(monkeypatch, m):
     for label, text in _letter_bodies(_letter_profile(m)):
         monkeypatch.setattr(core, "_store", recording)
         parsed = parse_election(text)
+        parsed.rows  # the store is built on the first read of the rows
         monkeypatch.setattr(core, "_store", store)
         reference = _parse_lines(text)
         assert forms.pop() is bytes and not forms, label
@@ -420,6 +439,92 @@ def test_written_letter_files_hand_the_store_increasing_packed_rows(monkeypatch)
     monkeypatch.setattr(core, "_increasing", passes)
     for profile, text in zip(profiles, texts):
         assert parse_election(text) == profile
+
+
+def _ranked_rules(m):
+    """One rule of each ranked family at m candidates."""
+    return [Scoring.borda(m), KApproval(max(1, m // 2)), Bucklin(), Maximin(), Copeland(F(1, 3))]
+
+
+def _letter_variant(profile, variant, rng):
+    """A written letter file of ``profile`` with its ballot lines in
+    canonical order, reversed, with one swap, each line repeated (at least
+    600 lines in all, so every family counts the parsed rows column-wise at
+    m = 2 and 3 too), or with CRLF breaks or a comment and a blank line,
+    which only the normalised pass reads."""
+    lines = write_election(profile).splitlines()
+    cut = len(lines) - len(profile.counts)
+    head, body = lines[:cut], lines[cut:]
+    if variant == "reversed":
+        body.reverse()
+    elif variant == "swap":
+        i, j = rng.randrange(len(body)), rng.randrange(len(body))
+        body[i], body[j] = body[j], body[i]
+    elif variant == "repeated":
+        body = [line for line in body for _ in range(-(-600 // len(body)))]
+    elif variant == "comment":
+        body[1:1] = ["# a comment: 1: a>b", ""]
+    return ("\r\n" if variant == "crlf" else "\n").join(head + body) + "\n"
+
+
+LETTER_VARIANTS = ["canonical", "reversed", "swap", "repeated", "crlf", "comment"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 8, 26, 40]), st.sampled_from(LETTER_VARIANTS),
+       st.sampled_from([40, 700]), st.integers(0, 2**32))
+@example(2, "repeated", 40, 1)
+@example(8, "reversed", 700, 2)
+@example(8, "comment", 700, 3)
+@example(40, "swap", 700, 4)
+def test_tallies_of_a_letter_file_never_build_its_store(m, variant, n, seed):
+    """Winner sets, bounds and raw tallies of a parsed letter file read its
+    rows as parsed, in file order and possibly repeated, and never build
+    the store: each equals the line loop's, with `core._store` refusing to
+    run. Its store is built on the first read of the rows or the counts,
+    and the profile is then the line loop's in every respect, whatever
+    copy or pickle round trip it went through while pending."""
+    names = LETTER_NAMES[:m] if m > 26 else None
+    profile = RankedProfile(m, generate(ImpartialCulture(n=n, m=m, seed=seed)).votes, names)
+    text = _letter_variant(profile, variant, random.Random(seed))
+    reference = _parse_lines(text)
+
+    def refused(*args):
+        raise AssertionError("a tally built the store")
+
+    with patch.object(core, "_store", refused):
+        parsed = parse_election(text)
+        assert parsed.n == reference.n
+        for rule in _ranked_rules(m):
+            assert vars(rule_tally(parsed, rule)) == vars(rule_tally(reference, rule))
+            assert winner_set(parsed, rule) == winner_set(reference, rule)
+            assert mov_bounds(parsed, rule) == mov_bounds(reference, rule)
+        # the text of an attribute that no class defines
+        with pytest.raises(AttributeError) as pending:
+            getattr(parsed, "nope")
+        assert str(pending.value) == "'RankedProfile' object has no attribute 'nope'"
+        assert not hasattr(parsed, "nope") and "rows" not in vars(parsed)
+        copied, pickled = copy.copy(parsed), pickle.loads(pickle.dumps(parsed))
+    for built in (parsed, copied, pickled):
+        assert (built.rows, built.counts, built.n, built.votes) == \
+            (reference.rows, reference.counts, reference.n, reference.votes)
+        assert built == reference and hash(built) == hash(reference)
+        assert repr(built) == repr(reference)
+
+
+@pytest.mark.parametrize("variant", ["canonical", "reversed"])
+@pytest.mark.parametrize("ell", [None, 37])
+def test_estimates_on_a_parsed_letter_file_are_those_of_its_profile(variant, ell):
+    # the seeded draw walks the store in canonical order, whatever order
+    # the file's lines came in
+    profile = generate(ImpartialCulture(n=3000, m=6, seed=4))
+    parsed = parse_election(_letter_variant(profile, variant, None))
+    for rule in _ranked_rules(6):
+        estimate = estimate_mov(VoteSource(parsed), rule, F(1, 5), F(1, 10), 11, ell)
+        expected = estimate_mov(VoteSource(profile), rule, F(1, 5), F(1, 10), 11, ell)
+        assert repr(estimate) == repr(expected)
+        assert (repr((estimate.estimated_scores, estimate.pair_margins))
+                == repr((expected.estimated_scores, expected.pair_margins)))
 
 
 def test_padded_counts_are_read_in_the_whole_text_passes(monkeypatch):

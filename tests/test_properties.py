@@ -583,8 +583,8 @@ def test_sampled_counts_match_reference_across_blocks(m, d, block, widest):
     assert PositionalTally.counts_columns(len(votes), m)
     real, totals = core._column_blocks, []
 
-    def blocks(rows, weights, m):
-        for column, weigh, total in real(rows, weights, m):
+    def blocks(rows, weights, m, stride):
+        for column, weigh, total in real(rows, weights, m, stride):
             totals.append(total)
             yield column, weigh, total
 
