@@ -33,6 +33,7 @@ from movkit.experiments import (
 from movkit.io_formats import (
     ParseError,
     _format_ballot,
+    _format_rational,
     candidate_labels,
     parse_election,
     write_election,
@@ -61,7 +62,34 @@ RATIONAL = RationalParamType()
 class _Command(click.Command):
     """A command that maps domain errors to the CLI's stable exit codes. An
     input fault is a usage error of the command itself, so its message comes
-    with that command's usage line."""
+    with that command's usage line.
+
+    Its parser is Click's, with one shortcut. Click's ``_process_opts``
+    tries every ``-x`` argument as a long option first, and each miss
+    builds a ``NoSuchOption``, which runs ``difflib`` for its "Did you
+    mean" hint, before ``_match_short_opt`` matches it: two misses per
+    ``winner -i F -r R``. An argument that is exactly a key of the
+    parser's ``_short_opt`` goes straight to ``_match_short_opt``; the long
+    lookup could only miss, since Click files a one-letter option as short
+    and no ``token_normalize_func`` is set. Every other argument (``-iF``,
+    ``-i=F``, ``--input=F``, unknown options) takes ``_process_opts`` as
+    it is, so every value, message and exit code stays Click's. A Click
+    without those internals, or a context with a token normaliser, gets
+    Click's parser untouched."""
+
+    def make_parser(self, ctx):
+        parser = super().make_parser(ctx)
+        try:
+            short, match_short, process = parser._short_opt, parser._match_short_opt, parser._process_opts
+        except AttributeError:
+            return parser
+
+        def process_opts(arg, state):
+            (match_short if arg in short else process)(arg, state)
+
+        if ctx.token_normalize_func is None:
+            parser._process_opts = process_opts
+        return parser
 
     def invoke(self, ctx):
         try:
@@ -78,7 +106,7 @@ def _fmt_number(value) -> str:
     frac = Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
-    return format(float(frac), ".6g")
+    return _format_rational(frac, ".6g")
 
 
 @click.group()
@@ -151,7 +179,7 @@ def mov(handle, rule_spec, mode, budget, work_limit, epsilon, delta, seed, sampl
         click.echo(f"integer range [{math.ceil(lower)}, {math.floor(upper)}]")
     else:
         est = estimate_mov(VoteSource(profile), rule, epsilon, delta, seed, ell=samples)
-        click.echo(f"estimate = {format(float(est.m_bar), '.10g')} (exact {est.m_bar})")
+        click.echo(f"estimate = {_format_rational(est.m_bar, '.10g')} (exact {est.m_bar})")
         click.echo(f"samples = {est.ell}, seed = {est.seed}")
         click.echo(
             "guarantee: P[ |estimate - MoV| <= "

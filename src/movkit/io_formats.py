@@ -52,6 +52,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, fields
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import filterfalse, islice, repeat
 from operator import itemgetter, methodcaller
@@ -511,7 +512,20 @@ def _cell(name: str, value):
         return str(value).lower()
     if not isinstance(value, Fraction):
         return value
-    return format(float(value), ".10g" if name in ("epsilon", "delta") else "#.10g")
+    return _format_rational(value, ".10g" if name in ("epsilon", "delta") else "#.10g")
+
+
+def _format_rational(value, spec: str) -> str:
+    """``format(float(value), spec)`` for a rational and a ``[#].<N>g`` spec.
+    Beyond the float range the same style is computed exactly: the quotient
+    rounded half-even to N significant digits, trailing zeros kept only
+    under ``#``."""
+    try:
+        return format(float(value), spec)
+    except OverflowError:
+        with localcontext(Context(prec=int(spec.strip("#.g")), rounding=ROUND_HALF_EVEN)):
+            exact = Decimal(value.numerator) / value.denominator
+            return format(exact if spec[0] == "#" else exact.normalize(), spec.lstrip("#"))
 
 
 def write_experiment_csv(rows: Iterable[ExperimentRow]) -> str:

@@ -1,18 +1,24 @@
 """Command-line interface behaviour and output stability."""
 
 import dataclasses
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from movkit import experiments
+from movkit import cli, experiments
 from movkit.cli import main
 from movkit.generation import ImpartialCulture, generate
 from movkit.io_formats import write_election
 from test_pinned_output import APPROVAL, RANKED
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -399,3 +405,138 @@ def test_exact_witness_does_not_expand_the_votes(runner, tmp_path):
         tracemalloc.stop()
     assert result.output == "MoV = 1\n  change vote 0: a>b -> b>a\n"
     assert peak < 5 * 2**20
+
+
+# counts beyond the float range: every rational is printed in its usual
+# style, computed exactly
+HUGE = "m 3\n1" + "0" * 400 + ": a>b>c\n1: b>c>a\n"
+
+
+def test_huge_bounds_print_without_a_float(runner, tmp_path):
+    path = write_file(tmp_path, "e.txt", HUGE)
+    result = invoke(runner, ["mov", "--mode", "bounds", "-i", path, "-r", "maximin"])
+    assert result.output == (
+        f"MoV in [5e+399, {'9' * 400}] (pairwise score gap)\n"
+        f"integer range [5{'0' * 399}, {'9' * 400}]\n"
+    )
+
+
+def test_huge_rational_scores_print_without_a_float(runner, tmp_path):
+    path = write_file(tmp_path, "e.txt", HUGE)
+    result = invoke(runner, ["winner", "-i", path, "-r", "scoring:1/3,1/7,0"])
+    assert result.output == "winners: a; s(a)=3.33333e+399 s(b)=1.42857e+399 s(c)=0.142857\n"
+
+
+def test_huge_estimate_prints_without_a_float(runner, tmp_path):
+    path = write_file(tmp_path, "e.txt", HUGE)
+    result = invoke(runner, ["mov", "--mode", "estimate", "-i", path, "-r", "borda"])
+    assert result.output.startswith(f"estimate = 3.333333333e+399 (exact 1{'0' * 399}1/3)\n")
+
+
+def test_huge_experiment_row_prints_without_a_float(runner, tmp_path):
+    path = write_file(tmp_path, "e.txt", HUGE)
+    result = invoke(runner, ["experiment", "-i", path, "-r", "borda", "--trials", "1",
+                             "--oracle", "bounds"])
+    row = result.stdout.splitlines()[1].split(",")
+    assert row[-5:] == ["2.500000000e+399", "5.000000000e+399", "3.333333333e+399",
+                        "0.000000000", "true"]
+    assert result.stderr.endswith(" PASS\n")
+
+
+# Click's parser with and without the short-option shortcut of
+# `cli._Command.make_parser` must read every argv alike: the two-letter
+# forms it takes straight to the short match, and every other shape it
+# leaves to Click. Paths are relative to the test's temporary directory, so that
+# `-i=F` names the missing file "=F".
+F = "e.txt"
+READ_SHAPES = [
+    ["-i", F, "-r", "borda"], [f"-i{F}", "-rborda"], [f"-i={F}", "-r", "borda"],
+    ["--input", F, "-r", "borda"], [f"--input={F}", "--rule=borda"],
+    ["-r", "borda", "-i", F], ["-i", F, "-r", "plurality", "-r", "borda"],
+    ["-i", F, "-r", "borda", "-x"], ["-I", F, "-r", "borda"], ["--inpt", F, "-r", "borda"],
+    ["-r", "borda", "-i"], ["-i", "-r", "borda"], ["-ir", "borda"], ["--", "-i", F],
+    ["--help"], ["-h"],
+]
+GENERATOR = "ic:n=6,m=3"
+PARSE_CASES = (
+    [["winner", *shape] for shape in READ_SHAPES]
+    + [["mov", "--mode", "bounds", *shape] for shape in READ_SHAPES]
+    + [["experiment", "--trials", "1", "--oracle", "bounds", *shape] for shape in [
+        ["-r", "borda", "-g", GENERATOR], ["-rborda", f"-g{GENERATOR}"],
+        [f"-g={GENERATOR}", "-r", "borda"], ["--rule", "borda", f"--generator={GENERATOR}"],
+        ["-o", "rows.csv", "-g", GENERATOR, "-r", "borda"], ["-i", F, "-r", "borda", "-o", "rows.csv"],
+        ["-r", "plurality", "-r", "borda", "-i", F], ["-x", "-r", "borda", "-i", F],
+        ["-G", GENERATOR, "-r", "borda"], ["--genrator", GENERATOR, "-r", "borda"],
+        ["-r", "borda", "-g"], ["-ig", "-r", "borda"], ["--help"], ["-h"],
+    ]]
+    + [["generate", "--model", "plantedgap", "--n", "10", "--m", "2", "--gap", "4", *shape]
+       for shape in [
+        ["-o", "out.txt"], ["-oout.txt"], ["-o=out.txt"], ["--output", "out.txt"],
+        ["--output=out.txt"], ["-o", "a.txt", "-o", "out.txt"], ["-o"], ["-O", "out.txt"],
+        ["-x"], ["--help"], ["-h"],
+    ]]
+    + [["samplesize", "--m", "3", "--epsilon", "0.1", "--delta", "0.05", *shape] for shape in [
+        ["-r", "scoring"], ["-rscoring"], ["-r=scoring"], ["--rule", "scoring"], ["--rule=scoring"],
+        ["-r", "maximin", "-r", "scoring"], ["-r"], ["-R", "scoring"], ["--rul", "scoring"],
+        ["-x", "-r", "scoring"], ["--help"], ["-h"],
+    ]]
+)
+
+
+@pytest.mark.parametrize("args", PARSE_CASES, ids=" ".join)
+def test_short_option_shortcut_reads_argv_as_click_does(args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_file(tmp_path, F, "m 3\n2: a>b>c\n1: c>b>a\n")
+
+    def run():
+        result = CliRunner().invoke(main, args, prog_name="movkit")
+        return result.exit_code, result.stdout, result.stderr
+
+    hooked = run()
+    monkeypatch.setattr(cli._Command, "make_parser", click.Command.make_parser)
+    assert run() == hooked
+
+
+def _parser(command):
+    command = main.commands[command]
+    return command.make_parser(click.Context(command))
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_the_installed_click_takes_the_short_option_shortcut(command):
+    assert "_process_opts" in vars(_parser(command))
+
+
+def test_short_flags_construct_no_no_such_option(runner, tmp_path, monkeypatch):
+    path = write_file(tmp_path, "e.txt", "m 3\n2: a>b>c\n1: c>b>a\n")
+    built = []
+    real = click.exceptions.NoSuchOption.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(click.exceptions.NoSuchOption, "__init__", counted)
+    invoke(runner, ["winner", "-i", path, "-r", "borda"])
+    invoke(runner, ["mov", "-i", path, "-r", "borda", "--mode", "bounds"])
+    invoke(runner, ["mov", "-i", path, "-r", "borda", "--mode", "estimate"])
+    invoke(runner, ["experiment", "-r", "borda", "-g", "ic:n=6,m=3", "--trials", "1",
+                    "--oracle", "bounds", "-o", str(tmp_path / "rows.csv")])
+    invoke(runner, ["generate", "--model", "ic", "--n", "5", "--m", "2",
+                    "-o", str(tmp_path / "out.txt")])
+    invoke(runner, ["samplesize", "-r", "scoring", "--m", "3", "--epsilon", "0.1", "--delta", "0.05"])
+    assert built == []
+    # an unknown option still builds one, with its hint
+    invoke(runner, ["winner", "-i", path, "-r", "borda", "--inpt", path], expect_exit=2)
+    assert len(built) == 1
+
+
+def test_a_short_flag_command_does_not_import_difflib(tmp_path):
+    path = write_file(tmp_path, "e.txt", "m 3\n2: a>b>c\n1: c>b>a\n")
+    script = ("import sys\nfrom movkit.cli import main\n"
+              f"main.main(['winner', '-i', {path!r}, '-r', 'borda'], standalone_mode=False)\n"
+              "print('difflib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "winners: a; s(a)=4 s(b)=3 s(c)=2\nFalse\n"

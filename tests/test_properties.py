@@ -8,13 +8,14 @@ construction (counted generation, the constructor's merge and errors, the
 parse/write round trip, the parser's own merge of scrambled text, its
 whole-file passes against its line loop on scrambled and faulty text, and
 every path into a profile's packed store against a reference built from
-sorted key tuples)."""
+sorted key tuples), and the printing of rationals against ``float``'s."""
 
 import functools
 import itertools
 import math
 import operator
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -58,7 +59,7 @@ from movkit.generation import (
     generate,
     ranked_to_approval,
 )
-from movkit.io_formats import ParseError, _parse_lines, parse_election, write_election
+from movkit.io_formats import ParseError, _format_rational, _parse_lines, parse_election, write_election
 from movkit.oracle import (
     _sample_payload,
     copeland_log_factor,
@@ -1523,3 +1524,43 @@ def test_uniform_depths_on_both_sides_of_the_multinomial_branch_at_m70(seed):
     _assert_is_reference(ranked_to_approval(ranked, "uniform", seed), ApprovalProfile, m,
                          _ref_approval_counts(merged, m, "uniform", seed))
 
+
+
+# A rational is printed as its float would be, in three styles; beyond the
+# float range the same style is computed exactly.
+SPECS = [".6g", ".10g", "#.10g"]
+FLOAT_MAX = int(sys.float_info.max)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(-FLOAT_MAX, FLOAT_MAX), st.integers(1, FLOAT_MAX), st.sampled_from(SPECS))
+@example(FLOAT_MAX, 1, ".6g")
+@example(1, FLOAT_MAX, "#.10g")
+@example(-1, 3, ".10g")
+def test_a_rational_in_the_float_range_prints_as_its_float(numerator, denominator, spec):
+    value = F(numerator, denominator)
+    assert _format_rational(value, spec) == format(float(value), spec)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.sampled_from(SPECS), st.booleans())
+def test_beyond_the_float_range_a_rational_prints_in_the_float_style(data, spec, negative):
+    # D * 10^20 for D of at most the spec's digits prints in scientific style
+    # with D's digits; D * 10^420 must print the same, its exponent 400 higher
+    digits = int(spec.strip("#.g"))
+    d = data.draw(st.integers(1, 10**digits - 1)) * (-1 if negative else 1)
+    mantissa, exponent = format(float(F(d * 10**20)), spec).split("e")
+    assert _format_rational(F(d * 10**420), spec) == f"{mantissa}e+{int(exponent) + 400}"
+
+
+@pytest.mark.parametrize("value, spec, text", [
+    (F(10**400, 2), ".6g", "5e+399"),
+    (F(10**400, 3), ".10g", "3.333333333e+399"),
+    (F(10**400, 2), "#.10g", "5.000000000e+399"),
+    # an exact tie rounds half to even, as float's printing does
+    (F(1234565 * 10**393), ".6g", "1.23456e+399"),
+    (F(1234575 * 10**393), ".6g", "1.23458e+399"),
+    (F(-(10**400 - 1)), ".6g", "-1e+400"),
+])
+def test_beyond_the_float_range_the_digits_are_exact(value, spec, text):
+    assert _format_rational(value, spec) == text
