@@ -21,8 +21,8 @@ determination, the exact search and the sampling estimators. Every ballot
 ranks every pair, so a pairwise tally, which also counts its ``n`` ballots,
 reads the margin of x over y as ``2 * above[x][y] - n``, one entry; its
 diagonal holds ``math.inf``, which no row minimum selects. A profile
-enters a tally through `_add_votes`, weighed by its own counts or by a
-sample's drawn counts: many distinct rankings are counted column-wise,
+enters a tally through `_add_votes`, with the rows and counts
+`Profile._ballots` pairs: many distinct rankings are counted column-wise,
 from one bitset per candidate and position read off slices of the packed
 rows in blocks bounded by the bits a block's bitsets hold, few rankings
 and many candidates one ballot at a time, and approval masks one
@@ -285,10 +285,18 @@ class Profile:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "counts", counts)
 
-    def _ballots(self) -> tuple:
-        """(rows, counts, stride): a pending store's packed rows and counts
-        as parsed, in file order and possibly repeated, each row at a stride
-        of m + 1 (its separator last); else the store's, at a stride of m."""
+    def _ballots(self, counts: Sequence[int] | None = None) -> tuple:
+        """(rows, counts, stride): the one place that pairs packed rows with
+        the counts that weigh them, for ``n`` and `_add_votes`. A sample's
+        ``counts``, drawn over the store's ballots in canonical order (0 for
+        a ballot not drawn), go with the store's rows at a stride of m. The
+        profile's own counts (``counts`` None) go with a pending store's
+        rows and counts as parsed, in file order and possibly repeated, each
+        row at a stride of m + 1 (its separator last), so a tally of them
+        never builds the store; else with the store's rows at a stride of
+        m."""
+        if counts is not None:
+            return self.rows, counts, self.m
         if "_pending" in vars(self):
             return *vars(self)["_pending"], self.m + 1
         return self.rows, self.counts, self.m
@@ -479,8 +487,8 @@ class Copeland(Rule):
 # One integer tally per rule family. `_store_tally` checks the rule, makes
 # the empty tally of the rule's own parameters and hands it a profile and a
 # count per ballot through `_add_votes`, the one place where ballots enter a
-# tally: a profile with its own counts (`rule_tally`) or a sample (the
-# profile with the drawn counts). Where the family's counts_columns admits
+# tally: a profile's own counts (`rule_tally`) or a sample's, paired with
+# their rows by `Profile._ballots`. Where the family's counts_columns admits
 # the number of distinct rankings and m, the range where it measured
 # faster, the rankings are counted column-wise, one block of rows at a
 # time (`_column_blocks`, read by the tally's add_block): each position's
@@ -509,18 +517,19 @@ _BLOCK_BITS = 1 << 25
 _BLOCK_BALLOTS = 1 << 16
 
 
-def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int, stride: int = 0):
+def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int, stride: int):
     """The column-wise count of a store's rankings over at most 256
     candidates (``rows`` is bytes), in equal blocks of at most
     `_BLOCK_BALLOTS` ballots and `_BLOCK_BITS` // (m * m): a bitmap index
     over (candidate, position), as in O'Neil and Quass, "Improved query
     performance with variant indexes" (SIGMOD 1997). Row i begins at byte
-    i * ``stride``: m (the default) in a store, m + 1 in rows as parsed,
-    whose separators no column reads. ``counts`` is one ``bytes`` of a
-    byte per count where every count is below 256, as `_add_votes` hands
-    them, else the counts as ints. A block that spans the whole store is
-    ``rows`` and ``counts`` themselves, not copies of them. Each block
-    yields (column, weigh, total):
+    i * ``stride``, which the caller gives (`Profile._ballots`): m in a
+    store, m + 1 in rows as parsed, whose separators no column reads.
+    ``counts`` is one ``bytes`` of a byte per count where every count is
+    below 256, as `_add_votes` hands them, else the counts as ints. A
+    block that spans the whole store is ``rows`` and ``counts``
+    themselves, not copies of them. Each block yields (column, weigh,
+    total):
 
     * ``column(i)[x]`` is the bitset of the block's ballots that rank x at
       position i. Position i's entries are the slice ``block[i::stride]`` of
@@ -548,7 +557,6 @@ def _column_blocks(rows: bytes, counts: bytes | Sequence[int], m: int, stride: i
       the planes' popcounts weighted by their powers of two.
     """
     index_bits = range((m - 1).bit_length() - 1, -1, -1)  # highest bit first
-    stride = stride or m
     bound = min(_BLOCK_BALLOTS, _BLOCK_BITS // (m * m))
     size = -(-len(counts) // -(-len(counts) // bound))  # the least even split
     for start in range(0, len(counts), size):
@@ -849,12 +857,11 @@ def rule_tally(profile: Profile, rule: Rule):
 
 def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int] | None):
     """The integer tally of ``rule`` over a profile's ballots weighed by
-    ``counts``, or by their own counts where ``counts`` is None (see
-    `_add_votes`). Raises InputError when the rule does not fit the
-    profile's m and ballot kind: this is the one check of a rule against an
-    election, behind winner sets, bounds, the exact search and the
-    estimators, which check with no counts before they draw. The exact
-    search then steps the tally with add.
+    ``counts`` (see `Profile._ballots`). Raises InputError when the rule
+    does not fit the profile's m and ballot kind: this is the one check of
+    a rule against an election, behind winner sets, bounds, the exact
+    search and the estimators, which check with no counts before they
+    draw. The exact search then steps the tally with add.
 
     A score vector is scaled here, once, to integer weights over a common
     denominator ``unit``: ``alphas[i] == Fraction(weights[i], unit)``."""
@@ -889,38 +896,29 @@ def _store_tally(rule: Rule, profile: Profile, counts: Sequence[int] | None):
 
 def _add_votes(tally, profile: Profile, counts: Sequence[int] | None) -> None:
     """Add a profile's ballots, weighed by ``counts``, to a tally of
-    `_store_tally`: the one place where ballots enter a tally, and the one
-    reader of a store's rows outside the profile. A profile adds its own
-    counts, ``counts`` None, over its rows as parsed while its store is
-    pending (`Profile._ballots`), so it never builds the store; a sample
-    adds the store's ballots weighed by its drawn counts, in canonical
-    order, 0 for a ballot not drawn. The path depends on the input alone:
-    approval masks are counted one candidate at a time by the tally's
-    add_masks; where the tally's counts_columns admits the number of
+    `_store_tally`: the one place where ballots enter a tally, with the rows,
+    counts and stride `Profile._ballots` pairs. The path depends on the
+    input alone: approval masks are counted one candidate at a time by the
+    tally's add_masks; where the tally's counts_columns admits the number of
     rankings of nonzero count, the packed rows are counted column-wise by
     `_column_blocks` and the tally's add_block; otherwise each ranking of
     nonzero count is added with the tally's add, as its order
     (`RankedProfile.entries`) or, as parsed, its packed row cut at the
-    separators. Only where counts_columns admits every ranking are the
-    counts made one ``bytes``, when each fits in a byte, and their zeros
-    counted there; fewer rankings go straight to add."""
-    m = profile.m
-    if counts is None:
-        rows, counts, stride = profile._ballots()
-    else:
-        rows, stride = profile.rows, m
+    separators. The counts are made one ``bytes`` when each fits in a
+    byte, which `_column_blocks` reads as they are."""
+    rows, counts, stride = profile._ballots(counts)
     if not isinstance(profile, RankedProfile):
         tally.add_masks(rows, counts)
         return
-    if tally.counts_columns(len(counts), m):
-        try:
-            counts = bytes(counts)
-        except ValueError:  # a count of 256 or more, which `_column_blocks` widens
-            pass
-        if tally.counts_columns(len(counts) - counts.count(0), m):
-            for column, weigh, total in _column_blocks(rows, counts, m, stride):
-                tally.add_block(column, weigh, total)
-            return
+    m = profile.m
+    try:
+        counts = bytes(counts)
+    except ValueError:  # a count of 256 or more, which `_column_blocks` widens
+        pass
+    if tally.counts_columns(len(counts) - counts.count(0), m):
+        for column, weigh, total in _column_blocks(rows, counts, m, stride):
+            tally.add_block(column, weigh, total)
+        return
     add = tally.add
     for order, count in zip(profile.entries() if stride == m else rows.split(b"\xff"), counts):
         if count:

@@ -230,10 +230,10 @@ def _read_body(body: str, table: _TokenTable, m: int, names) -> Optional[Profile
     if not data.endswith(b"\n"):
         data += b"\n"
     letters = _letter_body(data, table, m)
-    fields = None if letters or any(map(data.__contains__, _IRREGULAR)) else _fields(data)
-    del data  # not to hold the body twice through the key pass and the store
     if letters is not None:
         return RankedProfile._from_canonical(m, *letters, names)
+    fields = None if any(map(data.__contains__, _IRREGULAR)) else _fields(data)
+    del data  # not to hold the body twice through the key pass and the store
     if fields is None:
         return None
     counts, ballots = fields[::2], fields[1::2]

@@ -254,7 +254,7 @@ def mov_brute_force(
     InputError, raised before any search.
     """
     m, ranked = profile.m, isinstance(profile, RankedProfile)
-    tally = _mov_tally(rule, profile, profile.counts)
+    tally = _mov_tally(rule, profile, None)
     if budget is None:
         budget = profile.n
     _check_count(budget, "budget")

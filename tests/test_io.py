@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -37,7 +38,7 @@ from movkit.io_formats import (
     write_election,
     write_experiment_csv,
 )
-from movkit.oracle import mov_bounds
+from movkit.oracle import mov_bounds, mov_brute_force
 
 F = Fraction
 
@@ -495,6 +496,14 @@ def test_tallies_of_a_letter_file_never_build_its_store(m, variant, n, seed):
     with patch.object(core, "_store", refused):
         parsed = parse_election(text)
         assert parsed.n == reference.n
+        # its own counts go with the rows as parsed, each row and its
+        # separator at a stride of m + 1, merged only by the store
+        rows, counts, stride = parsed._ballots()
+        assert stride == m + 1 and len(rows) == stride * len(counts)
+        merged = Counter()
+        for row, count in zip(rows.split(b"\xff"), counts):
+            merged[tuple(row)] += count
+        assert merged == Counter(dict(zip(reference.entries(), reference.counts)))
         for rule in _ranked_rules(m):
             assert vars(rule_tally(parsed, rule)) == vars(rule_tally(reference, rule))
             assert winner_set(parsed, rule) == winner_set(reference, rule)
@@ -505,9 +514,13 @@ def test_tallies_of_a_letter_file_never_build_its_store(m, variant, n, seed):
         assert str(pending.value) == "'RankedProfile' object has no attribute 'nope'"
         assert not hasattr(parsed, "nope") and "rows" not in vars(parsed)
         copied, pickled = copy.copy(parsed), pickle.loads(pickle.dumps(parsed))
+    drawn = list(range(len(reference.counts)))
     for built in (parsed, copied, pickled):
         assert (built.rows, built.counts, built.n, built.votes) == \
             (reference.rows, reference.counts, reference.n, reference.votes)
+        # once stored, a sample's counts and its own go with the store's rows
+        assert built._ballots(drawn) == (reference.rows, drawn, m)
+        assert built._ballots() == (reference.rows, reference.counts, m)
         assert built == reference and hash(built) == hash(reference)
         assert repr(built) == repr(reference)
 
@@ -525,6 +538,18 @@ def test_estimates_on_a_parsed_letter_file_are_those_of_its_profile(variant, ell
         assert repr(estimate) == repr(expected)
         assert (repr((estimate.estimated_scores, estimate.pair_margins))
                 == repr((expected.estimated_scores, expected.pair_margins)))
+
+
+@pytest.mark.parametrize("variant", ["canonical", "reversed"])
+def test_the_exact_search_on_a_parsed_letter_file_is_that_of_its_profile(variant):
+    # the search tallies the file's own counts over its rows as parsed, and
+    # then walks the store in canonical order for its witness
+    profile = generate(ImpartialCulture(n=12, m=3, seed=5))
+    parsed = parse_election(_letter_variant(profile, variant, None))
+    for rule in _ranked_rules(3):
+        result, expected = mov_brute_force(parsed, rule), mov_brute_force(profile, rule)
+        assert (result.value, result.witness, result.evaluations) == \
+            (expected.value, expected.witness, expected.evaluations)
 
 
 def test_padded_counts_are_read_in_the_whole_text_passes(monkeypatch):

@@ -606,7 +606,7 @@ def test_sampled_counts_match_reference_across_blocks(m, d, block, widest):
 def test_a_block_is_bounded_by_its_bitset_bits_and_its_ballots(m, d, sizes):
     # a pairwise block's m * m bitsets hold at most 2^25 bits, 2,048 ballots
     # at m = 128, and no block holds more than 65,536 ballots
-    blocks = core._column_blocks(bytes(d * m), [1] * d, m)
+    blocks = core._column_blocks(bytes(d * m), [1] * d, m, m)
     assert [total for _, _, total in blocks] == sizes
 
 
@@ -625,7 +625,7 @@ def test_column_bitsets_split_each_block_into_its_ballots(size, counts):
     weights = [rng.choice(counts) for _ in ballots]
     rows = b"".join(map(bytes, ballots))
     with patch.object(core, "_BLOCK_BALLOTS", size):
-        blocks = list(core._column_blocks(rows, bytes(weights) if counts[-1] < 256 else weights, m))
+        blocks = list(core._column_blocks(rows, bytes(weights) if counts[-1] < 256 else weights, m, m))
     assert len(blocks) == 3
     for start, (column, weigh, total) in zip(range(0, 3 * size, size), blocks):
         expected = Counter(zip(ballots[start:start + size], weights[start:start + size]))
