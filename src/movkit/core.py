@@ -247,6 +247,7 @@ class Profile:
     names: tuple[str, ...] | None
 
     def __init__(self, m: int, votes, names=None):
+        _check_int(m, "m")
         object.__setattr__(self, "m", m)
         if m < 1:
             raise InputError("profile needs at least one candidate")
@@ -255,7 +256,7 @@ class Profile:
             if not isinstance(ballot, self._ballot):
                 ballot = self._ballot(ballot)
             keys.append(self._check_ballot(ballot))
-            if not isinstance(mult, int) or mult < 1:
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
             counts.append(int(mult))
         if not keys:

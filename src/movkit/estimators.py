@@ -275,8 +275,8 @@ class MovEstimate:
     def __post_init__(self):
         if self.m_bar < 0:
             raise InputError(f"margin estimate cannot be negative: {self.m_bar}")
-        if self.ell < 1:
-            raise InputError(f"sample count must be positive, got {self.ell}")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 1:
+            raise InputError(f"sample count must be positive, got {self.ell!r}")
 
     @cached_property
     def _payload(self) -> tuple:

@@ -411,6 +411,7 @@ def run_distinguisher(
     lower_bound_samples(c, epsilon, delta)
     epsilon, delta_f, c = Fraction(epsilon), Fraction(delta), Fraction(c)
     _check_count(trials, "trials", "positive")
+    _check_count(n, "n", "even and at least 2")
     if n < 2 or n % 2 != 0:
         raise InputError(f"n must be even and at least 2, got {n}")
     p_x = Fraction(1, 2) + (6 * epsilon + 2 * c / n) / (1 - c)

@@ -472,6 +472,7 @@ def _relative_margin(net, num: int, den: int, n: int, x: int, y: int, alpha: Fra
 def copeland_log_factor(m: int) -> int:
     """ceil(log2 m): the pairwise-elimination depth used by the Copeland
     upper bound."""
+    _check_int(m, "m")
     if m < 2:
         raise InputError("needs at least two candidates")
     return (m - 1).bit_length()
@@ -488,16 +489,16 @@ def _sandwich_ratio(rule: Rule, m: int) -> int:
     2(K+1) for Copeland, K = ceil(log2 m). `mov_bounds` reads its lower
     end as U/r and `movkit.estimators.guarantee_constant` its c as
     (r-1)/(r+1); Copeland's U is r times the winner's relative margin.
-    No rule has a sandwich below two candidates.
+    No rule has a sandwich below two candidates (`copeland_log_factor`
+    checks m).
     """
-    if m < 2:
-        raise InputError("needs at least two candidates")
+    depth = copeland_log_factor(m)
     if isinstance(rule, (KApproval, Approval)):
         return 1
     if isinstance(rule, (Scoring, Maximin, Bucklin)):
         return 2
     if isinstance(rule, Copeland):
-        return 2 * (copeland_log_factor(m) + 1)
+        return 2 * (depth + 1)
     raise InputError(f"unknown rule: {rule!r}")
 
 

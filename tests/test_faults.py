@@ -424,6 +424,22 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: run_distinguisher(None, DELTA, 1, 0), "epsilon must be a number, got None"),
     (lambda: run_distinguisher(EPS / 2, None, 1, 0), "delta must be a number, got None"),
     (lambda: run_distinguisher("0.05", DELTA, 1, 0), "epsilon must be a number, got '0.05'"),
+    # a size, a count or a sample count that is not an int (a bool included)
+    # is refused where it is given, not read later as a sequence length
+    (lambda: RankedProfile(2.0, [((0, 1), 1)]), "m must be an integer, got 2.0"),
+    (lambda: ApprovalProfile(2.0, [((0,), 1)]), "m must be an integer, got 2.0"),
+    (lambda: ApprovalProfile("3", [((0,), 1)]), "m must be an integer, got '3'"),
+    (lambda: RankedProfile(True, [((0,), 1)]), "m must be an integer, got True"),
+    (lambda: RankedProfile(2, [((0, 1), True)]),
+     "multiplicity must be a positive integer, got True"),
+    (lambda: MovEstimate(F(1), 2.5, 0, F(1), EPS, DELTA),
+     "sample count must be positive, got 2.5"),
+    (lambda: MovEstimate(F(1), True, 0, F(1), EPS, DELTA),
+     "sample count must be positive, got True"),
+    (lambda: copeland_log_factor(2.5), "m must be an integer, got 2.5"),
+    (lambda: guarantee_constant(Copeland(), 2.5), "m must be an integer, got 2.5"),
+    (lambda: guarantee_constant(Scoring.borda(3), 2.5), "m must be an integer, got 2.5"),
+    (lambda: run_distinguisher(EPS, DELTA, 1, 0, n="4"), "n must be an integer, got '4'"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
@@ -443,7 +459,11 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "estimate-no-samples", "epsilon-text", "delta-none", "epsilon-complex",
         "delta-decimal-below-float-range", "epsilon-decimal-nan", "epsilon-nan", "delta-inf",
         "lower-bound-c-none", "lower-bound-c-text", "lower-bound-c-nan", "distinguisher-c-none",
-        "distinguisher-epsilon-none", "distinguisher-delta-none", "distinguisher-epsilon-text"])
+        "distinguisher-epsilon-none", "distinguisher-delta-none", "distinguisher-epsilon-text",
+        "ranked-m-float", "approval-m-float", "approval-m-text", "ranked-m-bool",
+        "multiplicity-bool", "estimate-ell-float", "estimate-ell-bool",
+        "copeland-factor-float", "guarantee-copeland-float", "guarantee-scoring-float",
+        "distinguisher-n-text"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()

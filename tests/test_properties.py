@@ -1075,7 +1075,7 @@ def test_profile_constructor_matches_counter_merge(case):
     (RankedProfile, 2, (((1, 0), 0), ((0,), 1)), None,
      "multiplicity must be a positive integer, got 0"),
     (ApprovalProfile, 2, (({1}, True), ({0}, 2.0)), None,
-     "multiplicity must be a positive integer, got 2.0"),
+     "multiplicity must be a positive integer, got True"),
     (RankedProfile, 2, (), ["a", "a", "b"], "profile must contain at least one vote"),
     (ApprovalProfile, 3, (), None, "profile must contain at least one vote"),
     (RankedProfile, 2, (((1, 0), 1),), ["a", "a"], "duplicate candidate name 'a'"),
