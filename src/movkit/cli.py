@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 from click.core import ParameterSource
 
-from movkit.core import InputError, RankedProfile, winner_set
+from movkit.core import InputError, RankedProfile, _read, winner_set
 from movkit.estimators import _SAMPLE_FACTORS, VoteSource, estimate_mov, lower_bound_samples, sample_size
 from movkit.experiments import (
     _MODELS,
@@ -247,10 +247,8 @@ def generate(model, seed, approval_depth, output, **options):
 def _parse_policy(text: str):
     head, _, arg = text.strip().lower().partition(":")
     if head == "brute":
-        try:
-            return BruteForcePolicy(budget=int(arg) if arg else None)
-        except ValueError:
-            raise InputError(f"oracle budget must be an integer, got {arg!r}") from None
+        return BruteForcePolicy(budget=_read(lambda: int(arg) if arg else None,
+                                             "oracle budget must be an integer, got {!r}", arg))
     if head == "closed" and not arg:
         return ClosedFormPolicy()
     if head == "bounds" and not arg:

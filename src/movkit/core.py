@@ -56,6 +56,16 @@ class InputError(ValueError):
     """Invalid election data, rule parameters, or argument combination."""
 
 
+def _read(convert, text: str, *args):
+    """``convert()``, the one reader of a converted argument: a TypeError,
+    ValueError, ZeroDivisionError or OverflowError it raises is an
+    InputError of ``text.format(*args)``, built only then."""
+    try:
+        return convert()
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(text.format(*args)) from None
+
+
 # ---------------------------------------------------------------------------
 # ballots
 
@@ -415,10 +425,8 @@ class Scoring(Rule):
     kind = "scoring"
 
     def __post_init__(self):
-        try:
-            alphas = tuple(Fraction(v) for v in self.alphas)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"score entries must be rationals: {self.alphas!r}") from exc
+        alphas = _read(lambda: tuple(map(Fraction, self.alphas)),
+                       "score entries must be rationals: {!r}", self.alphas)
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) < 2:
             raise InputError("score vector needs at least two positions")
@@ -473,10 +481,7 @@ class Copeland(Rule):
     kind = "copeland"
 
     def __post_init__(self):
-        try:
-            alpha = Fraction(self.alpha)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"copeland alpha must be rational: {self.alpha!r}") from exc
+        alpha = _read(lambda: Fraction(self.alpha), "copeland alpha must be rational: {!r}", self.alpha)
         object.__setattr__(self, "alpha", alpha)
         if not 0 <= alpha <= 1:
             raise InputError(f"copeland alpha must lie in [0, 1], got {alpha}")
@@ -958,7 +963,10 @@ def _multinomial(rng: random.Random, count: int, weights: Sequence[int]) -> list
     ``left`` items and weight W still to share out, gets Binomial(left, w/W)
     of them, and the last cell gets what is left. The walk stops once nothing
     is left, so the stream depends only on the cells it reaches. Cost: one
-    binomial per cell reached, never more than O(len(weights) + count).
+    binomial per cell reached, never more than O(len(weights) + count). A
+    walk over two or more cells reads its counts as floats and takes their
+    ``lgamma``, which overflows above about 2**1014.5, so a count of 2**1014
+    or more is an InputError there; one cell takes the count as it is.
 
     Each binomial is drawn inline, with no call per cell, by a line-for-line
     port of CPython 3.12's ``random.binomialvariate`` for n >= 1 and
@@ -967,6 +975,8 @@ def _multinomial(rng: random.Random, count: int, weights: Sequence[int]) -> list
     state: Devroye's geometric method below n*p = 10, above it Hoermann's
     BTRS ("The generation of binomial random variates", 1993).
     """
+    if count >> 1014 and len(weights) > 1:
+        raise InputError("cannot split 2**1014 or more votes at random")
     random_, fabs, floor, lgamma, log, log2, sqrt = (
         rng.random, math.fabs, math.floor, math.lgamma, math.log, math.log2, math.sqrt)
     drawn = [0] * len(weights)

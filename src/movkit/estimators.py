@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Optional
 
-from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial
+from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial, _read
 from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
 
 _MASK64 = (1 << 64) - 1
@@ -206,7 +206,8 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
         _check_k(k, m)
     elif k is not None:
         raise InputError(f"k is only meaningful for k-approval, not {rule_kind}")
-    return math.ceil(_closed_form(rule_kind, eps**2, dlt, m, k))
+    return _read(lambda: math.ceil(_closed_form(rule_kind, eps**2, dlt, m, k)),
+                 "{} is too large for the sample-size closed form", "m" if k is None else "k")
 
 
 def lower_bound_samples(c, epsilon, delta) -> float:
@@ -216,10 +217,7 @@ def lower_bound_samples(c, epsilon, delta) -> float:
     delta >= 1/(8 e sqrt(pi)) makes the logarithm negative. No estimator with
     the (c, epsilon, delta) guarantee can examine fewer votes.
     """
-    try:
-        c = Fraction(c)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"c must be a number, got {c!r}") from None
+    c = _read(lambda: Fraction(c), "c must be a number, got {!r}", c)
     if not 0 <= c < 1:
         raise InputError(f"c must lie in [0, 1), got {c}")
     eps = _check_unit_interval("epsilon", epsilon)
@@ -298,7 +296,8 @@ def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     default = sample_size(rule_kind, epsilon, delta, m, k)  # checks epsilon and delta either way
     if ell is None:
         return default, Fraction(epsilon)
-    return ell, Fraction(math.sqrt(_closed_form(rule_kind, ell, float(delta), m, k)))
+    return ell, _read(lambda: Fraction(math.sqrt(_closed_form(rule_kind, ell, float(delta), m, k))),
+                      "sample count is too large for the sample-size closed form")
 
 
 def estimate_mov(

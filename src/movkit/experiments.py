@@ -42,6 +42,7 @@ from movkit.core import (
     RankedProfile,
     Rule,
     Scoring,
+    _read,
 )
 from movkit.estimators import (
     MovEstimate,
@@ -89,8 +90,8 @@ def resolve_rule(spec: str, m: int) -> Rule:
     """Rule object from a rule string, bound to an m-candidate election.
 
     A head with no argument is read from `_BARE_RULES`; the argument of
-    ``kapproval``, ``copeland`` and ``scoring`` is parsed by one reader,
-    whose fault names the head. A parsed value's own fault (k below 1,
+    ``kapproval``, ``copeland`` and ``scoring`` is read by `movkit.core._read`,
+    with one text that names the head. A parsed value's own fault (k below 1,
     alpha outside [0, 1], a vector of the wrong length) keeps its own
     message."""
     spec = spec.strip()
@@ -98,20 +99,14 @@ def resolve_rule(spec: str, m: int) -> Rule:
     head = head.lower()
     if not arg and head in _BARE_RULES:
         return _BARE_RULES[head](m)
-
-    def read(parse, what: str):
-        try:
-            return parse(arg)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{head} needs {what}, got {spec!r}") from None
-
+    fault = "{} needs {}, got {!r}"
     if head == "kapproval":
-        return KApproval(read(int, "an integer k"))
+        return KApproval(_read(lambda: int(arg), fault, head, "an integer k", spec))
     if head == "copeland":
-        return Copeland(read(Fraction, "a rational alpha"))
+        return Copeland(_read(lambda: Fraction(arg), fault, head, "a rational alpha", spec))
     if head == "scoring":
-        alphas = read(lambda text: tuple(Fraction(tok) for tok in text.split(",")),
-                      "comma-separated rationals")
+        alphas = _read(lambda: tuple(map(Fraction, arg.split(","))), fault, head,
+                       "comma-separated rationals", spec)
         if len(alphas) != m:
             raise InputError(f"score vector has {len(alphas)} entries for {m} candidates")
         return Scoring(alphas)
@@ -174,10 +169,8 @@ def parse_generator(spec: str) -> Callable[[int], Profile]:
     for name, kind, default in fields:
         if name not in params and default is None:
             raise InputError(f"{head} needs {name}=")
-        try:
-            values[name] = kind(params.pop(name)) if name in params else default
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{head} parameter {name} must be {_TYPE_NAMES[kind]}") from None
+        values[name] = _read(lambda: kind(params.pop(name)) if name in params else default,
+                             "{} parameter {} must be {}", head, name, _TYPE_NAMES[kind])
     if params:
         raise InputError(f"unknown {head} parameter {sorted(params)[0]!r}")
     return lambda seed: _generated(build(seed, **values), depth, seed)
@@ -199,10 +192,7 @@ def _approval_depth(text: str) -> Union[int, str]:
     "uniform" (see `movkit.generation.ranked_to_approval`)."""
     if text == "uniform":
         return text
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f'approval depth must be an integer or "uniform", got {text!r}') from None
+    return _read(lambda: int(text), 'approval depth must be an integer or "uniform", got {!r}', text)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from movkit.core import (
     _check_int,
     _members,
     _multinomial,
+    _read,
     _row_type,
 )
 
@@ -108,7 +109,7 @@ class TwoCandidate:
 
     def __post_init__(self):
         _check_ints(self, "n")
-        p = Fraction(self.p)
+        p = _read(lambda: Fraction(self.p), "p must be rational, got {!r}", self.p)
         object.__setattr__(self, "p", p)
         if not 0 <= p <= 1:
             raise InputError(f"p must lie in [0, 1], got {p}")

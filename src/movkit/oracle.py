@@ -48,6 +48,7 @@ from movkit.core import (
     Scoring,
     _check_int,
     _members,
+    _read,
     _store_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
@@ -97,7 +98,8 @@ class MovBounds:
     source: str
 
     def __post_init__(self):
-        lower, upper = Fraction(self.lower), Fraction(self.upper)
+        lower = _read(lambda: Fraction(self.lower), "lower bound must be rational, got {!r}", self.lower)
+        upper = _read(lambda: Fraction(self.upper), "upper bound must be rational, got {!r}", self.upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if lower < 0:

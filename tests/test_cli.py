@@ -443,6 +443,33 @@ def test_huge_experiment_row_prints_without_a_float(runner, tmp_path):
     assert result.stderr.endswith(" PASS\n")
 
 
+# an integer beyond the float range where a float would be read is one
+# error line and exit 2, not an OverflowError traceback (exit 1); the text
+# never formats the integer, which str() refuses above 4,300 digits
+N = "1" + "0" * 400
+SPLIT = "cannot split 2**1014 or more votes at random"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["experiment", "--trials", "1", "--oracle", "bounds", "-r", "approval", "-i", "FILE"], SPLIT),
+    (["generate", "--model", "ic", "--n", N, "--m", "3"], SPLIT),
+    (["experiment", "-r", "borda", "-g", f"ic:n={N},m=3", "--trials", "1", "--oracle", "bounds"],
+     SPLIT),
+    (["mov", "--mode", "estimate", "-r", "borda", "-i", "FILE", "--samples", N],
+     "sample count is too large for the sample-size closed form"),
+    (["samplesize", "-r", "scoring", "--m", N, "--epsilon", "0.1", "--delta", "0.05"],
+     "m is too large for the sample-size closed form"),
+    (["samplesize", "-r", "kapproval", "--k", N, "--epsilon", "0.1", "--delta", "0.05"],
+     "k is too large for the sample-size closed form"),
+], ids=["experiment-approval-file", "generate-ic", "experiment-ic", "estimate-samples",
+        "samplesize-m", "samplesize-k"])
+def test_an_integer_beyond_the_float_range_is_an_input_error(runner, tmp_path, args, message):
+    path = write_file(tmp_path, "e.txt", HUGE)
+    result = invoke(runner, [path if arg == "FILE" else arg for arg in args], expect_exit=2)
+    assert result.output.endswith(f"\nError: {message}\n"), result.output
+    assert "Traceback" not in result.output
+
+
 # Click's parser with and without the short-option shortcut of
 # `cli._Command.make_parser` must read every argv alike: the two-letter
 # forms it takes straight to the short match, and every other shape it

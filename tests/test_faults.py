@@ -48,7 +48,7 @@ from movkit.experiments import (
     run_distinguisher,
     run_experiment,
 )
-from movkit.generation import ImpartialCulture, PlantedGap, generate, ranked_to_approval
+from movkit.generation import ImpartialCulture, PlantedGap, TwoCandidate, generate, ranked_to_approval
 from movkit.io_formats import ParseError, parse_election, write_election
 from movkit.oracle import (
     MovBounds,
@@ -440,6 +440,20 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: guarantee_constant(Copeland(), 2.5), "m must be an integer, got 2.5"),
     (lambda: guarantee_constant(Scoring.borda(3), 2.5), "m must be an integer, got 2.5"),
     (lambda: run_distinguisher(EPS, DELTA, 1, 0, n="4"), "n must be an integer, got '4'"),
+    # every converted argument is read by `movkit.core._read`: an infinity
+    # (OverflowError), a zero denominator (ZeroDivisionError), NaN or text
+    # (ValueError) and None (TypeError) are each an InputError naming it
+    (lambda: Copeland(float("inf")), "copeland alpha must be rational: inf"),
+    (lambda: Copeland("1/0"), "copeland alpha must be rational: '1/0'"),
+    (lambda: Scoring((float("inf"), 0)), "score entries must be rationals: (inf, 0)"),
+    (lambda: Scoring(("1/0", 0)), "score entries must be rationals: ('1/0', 0)"),
+    (lambda: TwoCandidate(p="x", n=10), "p must be rational, got 'x'"),
+    (lambda: TwoCandidate(p=None, n=10), "p must be rational, got None"),
+    (lambda: TwoCandidate(p=float("inf"), n=10), "p must be rational, got inf"),
+    (lambda: lower_bound_samples("1/0", EPS, DELTA), "c must be a number, got '1/0'"),
+    (lambda: MovBounds("x", 1, "test"), "lower bound must be rational, got 'x'"),
+    (lambda: MovBounds(float("inf"), 1, "test"), "lower bound must be rational, got inf"),
+    (lambda: MovBounds(0, float("nan"), "test"), "upper bound must be rational, got nan"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
@@ -463,7 +477,10 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "ranked-m-float", "approval-m-float", "approval-m-text", "ranked-m-bool",
         "multiplicity-bool", "estimate-ell-float", "estimate-ell-bool",
         "copeland-factor-float", "guarantee-copeland-float", "guarantee-scoring-float",
-        "distinguisher-n-text"])
+        "distinguisher-n-text", "copeland-alpha-inf", "copeland-alpha-zero-denominator",
+        "score-entry-inf", "score-entry-zero-denominator", "two-candidate-p-text",
+        "two-candidate-p-none", "two-candidate-p-inf", "lower-bound-c-zero-denominator",
+        "bounds-lower-text", "bounds-lower-inf", "bounds-upper-nan"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()

@@ -1,4 +1,4 @@
-"""Coverage where sampling is the point: ell far below n (ROADMAP item 17).
+"""Coverage where sampling is the point: ell far below n.
 
 Every other coverage check judges an estimate that reads more samples than
 there are votes. Here each row is a pre-registered coverage experiment of
@@ -11,10 +11,10 @@ fifth of the electorate:
 * at epsilon = 1/50: the same three rules at m = 5.
 
 The seed, trial count and thresholds were fixed before the first run. A row
-that fails is a finding: it becomes a strict xfail that names item 17, and
-is never re-seeded, shrunk or loosened. Planted-gap profiles have at most m
-distinct ballots and the draw costs O(d + ell), so n = 10^6 costs what
-n = 2000 does.
+that fails is a finding: it becomes a strict xfail recorded as a `FOUND`
+line in CHANGES.md, and is never re-seeded, shrunk or loosened.
+Planted-gap profiles have at most m distinct ballots and the draw costs
+O(d + ell), so n = 10^6 costs what n = 2000 does.
 """
 
 from fractions import Fraction as F

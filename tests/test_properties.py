@@ -329,6 +329,22 @@ def test_multinomial_draws_the_stream_of_the_reference(weights, count, seed):
     assert a.random() == b.random()
 
 
+# the walk's lgamma overflows above about 2**1014.5: below 2**1014 each seed
+# draws the reference's stream (seeds 2 and 8 reach BTRS's lgamma test), from
+# 2**1014 a walk over two or more cells draws nothing, and one cell takes any
+# count as it is
+@pytest.mark.parametrize("seed", range(12))
+def test_multinomial_reads_counts_below_2_to_the_1014(seed):
+    a, b = random.Random(seed), random.Random(seed)
+    assert _multinomial(a, 2**1014 - 1, [1, 1]) == _ref_multinomial(b, 2**1014 - 1, [1, 1])
+    assert a.random() == b.random()
+    with pytest.raises(InputError, match=r"^cannot split 2\*\*1014 or more votes at random$"):
+        _multinomial(a, 2**1014, [1, 1, 1])
+    assert a.random() == b.random()
+    assert _multinomial(a, 2**1100 + seed, [7]) == [2**1100 + seed]
+    assert a.random() == b.random()
+
+
 # References for the approval, Bucklin and pairwise families: the score
 # functions and estimator bodies as they were before one integer tally per
 # family replaced them, over plain dicts and Fractions.

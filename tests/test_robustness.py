@@ -62,7 +62,7 @@ def tied(spec: str, count: int):
 SIZES = {"count-1": 1, "count-10^12": HUGE}
 CASES = [(spec, size) for spec in RULES for size in SIZES]
 
-# A finding, kept as a strict expected failure (see CHANGES.md and ROADMAP item 2).
+# A finding, kept as a strict expected failure (see CHANGES.md and ROADMAP item 1 stage A2).
 BUCKLIN_HUGE_MARGIN = pytest.mark.xfail(strict=True, reason=(
     "FOUND: Bucklin's margin on the 10^12 tie is 10^12 (its change floor), out of "
     "reach of the exact search, which starts at one change"))
