@@ -8,6 +8,8 @@ byte-for-byte.
 """
 
 import bisect
+import functools
+import inspect
 import itertools
 import math
 import sys
@@ -59,37 +61,43 @@ class RationalParamType(click.ParamType):
 RATIONAL = RationalParamType()
 
 
+def _help_name(command):
+    """The name of a command's help option, or None without one."""
+    option = command.get_help_option(click.Context(command))
+    return None if option is None else option.name
+
+
+# what `Parameter.get_default` returns for an option declared without a
+# default: None before Click 8.3, Click's UNSET sentinel since
+_NO_DEFAULT = inspect.signature(click.Parameter).parameters["default"].default
+
+
 class _Command(click.Command):
     """A command that maps domain errors to the CLI's stable exit codes. An
     input fault is a usage error of the command itself, so its message comes
-    with that command's usage line.
+    with that command's usage line."""
 
-    Its parser is Click's, with one shortcut. Click's ``_process_opts``
-    tries every ``-x`` argument as a long option first, and each miss
-    builds a ``NoSuchOption``, which runs ``difflib`` for its "Did you
-    mean" hint, before ``_match_short_opt`` matches it: two misses per
-    ``winner -i F -r R``. An argument that is exactly a key of the
-    parser's ``_short_opt`` goes straight to ``_match_short_opt``; the long
-    lookup could only miss, since Click files a one-letter option as short
-    and no ``token_normalize_func`` is set. Every other argument (``-iF``,
-    ``-i=F``, ``--input=F``, unknown options) takes ``_process_opts`` as
-    it is, so every value, message and exit code stays Click's. A Click
-    without those internals, or a context with a token normaliser, gets
-    Click's parser untouched."""
-
-    def make_parser(self, ctx):
-        parser = super().make_parser(ctx)
-        try:
-            short, match_short, process = parser._short_opt, parser._match_short_opt, parser._process_opts
-        except AttributeError:
-            return parser
-
-        def process_opts(arg, state):
-            (match_short if arg in short else process)(arg, state)
-
-        if ctx.token_normalize_func is None:
-            parser._process_opts = process_opts
-        return parser
+    @functools.cached_property
+    def plain(self):
+        """What `_Group` needs to bind a plain line of this command, read once
+        from Click's public parameter API: each option string mapped to its
+        option, the required options and the help option's name. None when
+        the command has context settings or no args is help, or a parameter
+        that is not an option of one value, or has an environment variable,
+        a callback, a prompt or a deprecation, is eager or hides its
+        value."""
+        options = {}
+        for param in self.params:
+            if not (isinstance(param, click.Option) and param.nargs == 1 and not param.multiple
+                    and not param.is_flag and not param.count and param.envvar is None
+                    and param.callback is None and param.prompt is None
+                    and not getattr(param, "deprecated", False) and not param.is_eager
+                    and param.expose_value):
+                return None
+            options.update(dict.fromkeys(param.opts, param))
+        if self.context_settings or self.no_args_is_help:
+            return None
+        return options, frozenset(param for param in self.params if param.required), _help_name(self)
 
     def invoke(self, ctx):
         try:
@@ -101,6 +109,82 @@ class _Command(click.Command):
             raise click.UsageError(str(exc), ctx)
 
 
+class _Group(click.Group):
+    """The command group. Its ``make_context`` binds a plain command line
+    straight into the subcommand's own context, whose parent is the group's
+    context named by ``info_name``, and ``invoke`` runs the group's callback
+    and then the subcommand: no group parse, option parser or per-option
+    ``handle_parse_result``.
+
+    A line is plain when ``main`` passes no context settings, its first
+    argument names a `_Command` whose ``plain`` is not None, and the rest is
+    pairs of an exact option string and its value, each option at most once
+    and every required option among them. Each value goes through its
+    option's type with the subcommand's context (so a ``File`` registers its
+    close there), each default through ``get_default`` and
+    ``type_cast_value``, in Click's processing order: the help option, the
+    given options in command-line order, then the others in declaration
+    order. Every other line (help, completion, ``--opt=value``, ``-iF``,
+    ``--``, unknown, repeated or missing options, an option with no value),
+    and a plain one whose binding raises a Click exception, goes whole to
+    Click's own ``make_context``, so every message, usage line and exit code
+    is Click's."""
+
+    @functools.cached_property
+    def help_name(self):
+        return _help_name(self)
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        ctx = None
+        if parent is None and not extra and not self.context_settings and len(args) % 2:
+            ctx = self._bind(info_name, args)
+        return ctx if ctx is not None else super().make_context(info_name, args, parent, **extra)
+
+    def _bind(self, info_name, args):
+        """The subcommand's context for a plain line, or None."""
+        command = self.commands.get(args[0])
+        plain = command.plain if isinstance(command, _Command) else None
+        if plain is None:
+            return None
+        options, required, help_name = plain
+        given = {}
+        for option, text in zip(args[1::2], args[2::2]):
+            param = options.get(option)
+            if param is None or param in given:
+                return None
+            given[param] = text
+        if not required <= given.keys():
+            return None
+        parent = self.context_class(self, info_name=info_name)
+        ctx = command.context_class(command, info_name=args[0], parent=parent)
+        for context, name in ((parent, self.help_name), (ctx, help_name)):
+            if name is not None:
+                context.set_parameter_source(name, ParameterSource.DEFAULT)
+        try:
+            with ctx.scope(cleanup=False):
+                for param, text in given.items():
+                    ctx.params[param.name] = param.type_cast_value(ctx, text)
+                    ctx.set_parameter_source(param.name, ParameterSource.COMMANDLINE)
+                for param in command.params:
+                    if param not in given:
+                        value = param.get_default(ctx)
+                        ctx.params[param.name] = (None if value is _NO_DEFAULT
+                                                  else param.type_cast_value(ctx, value))
+                        ctx.set_parameter_source(param.name, ParameterSource.DEFAULT)
+        except click.ClickException:
+            ctx.close()
+            return None
+        return ctx
+
+    def invoke(self, ctx):
+        if ctx.command is self:
+            return super().invoke(ctx)
+        parent = ctx.parent
+        parent.invoked_subcommand = ctx.info_name
+        click.Command.invoke(self, parent)
+        return ctx.command.invoke(ctx)
+
+
 def _fmt_number(value) -> str:
     """Integers bare, other rationals as short decimals."""
     frac = Fraction(value)
@@ -109,7 +193,7 @@ def _fmt_number(value) -> str:
     return _format_rational(frac, ".6g")
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Election winners, margins of victory, and sampling-based estimates."""
 

@@ -47,6 +47,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -64,6 +65,34 @@ def _read(convert, text: str, *args):
         return convert()
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InputError(text.format(*args)) from None
+
+
+def _shown(value, form=str) -> str:
+    """``form(value)`` for an error text, the one way a number is shown in
+    one. An int or Fraction with a part of more digits than ``str`` converts
+    (``sys.get_int_max_str_digits()``; it refuses them with a bare
+    ValueError) shows that part as its sign and digit count, ``-<5001
+    digits>``, in the same form; any other value is ``form(value)``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        return form(value)
+    parts = (value.numerator, value.denominator)
+    digits = [_digit_count(part) for part in parts]
+    if max(digits) <= limit:
+        return form(value)
+    num, den = (str(part) if count <= limit else f"{'-' * (part < 0)}<{count} digits>"
+                for part, count in zip(parts, digits))
+    if form is repr and isinstance(value, Fraction):
+        return f"Fraction({num}, {den})"
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _digit_count(number: int) -> int:
+    """The decimal digits of a nonzero ``number``, counted without converting
+    it: with b bits it has d or d - 1 of them, d = floor(b log10 2) + 1."""
+    size = abs(number)
+    digits = int(size.bit_length() * math.log10(2)) + 1
+    return digits - (size < 10 ** (digits - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +296,7 @@ class Profile:
                 ballot = self._ballot(ballot)
             keys.append(self._check_ballot(ballot))
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                raise InputError(f"multiplicity must be a positive integer, got {mult!r}")
+                raise InputError(f"multiplicity must be a positive integer, got {_shown(mult, repr)}")
             counts.append(int(mult))
         if not keys:
             raise InputError("profile must contain at least one vote")
@@ -393,13 +422,13 @@ def _check_int(value, what: str) -> None:
     size): an int and not a bool. Anything else is an InputError that names
     ``what``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {_shown(value, repr)}")
 
 
 def _check_k(k, m: int) -> None:
     """The one range check on an approval depth k for m candidates."""
     if not isinstance(k, int) or not 1 <= k <= m - 1:
-        raise InputError(f"k must be in [1, m-1], got k={k!r}, m={m}")
+        raise InputError(f"k must be in [1, m-1], got k={_shown(k, repr)}, m={_shown(m)}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +478,7 @@ class KApproval(Rule):
 
     def __post_init__(self):
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise InputError(f"k must be a positive integer, got {self.k!r}")
+            raise InputError(f"k must be a positive integer, got {_shown(self.k, repr)}")
 
 
 @dataclass(frozen=True)
@@ -484,7 +513,7 @@ class Copeland(Rule):
         alpha = _read(lambda: Fraction(self.alpha), "copeland alpha must be rational: {!r}", self.alpha)
         object.__setattr__(self, "alpha", alpha)
         if not 0 <= alpha <= 1:
-            raise InputError(f"copeland alpha must lie in [0, 1], got {alpha}")
+            raise InputError(f"copeland alpha must lie in [0, 1], got {_shown(alpha)}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Optional
 
-from movkit.core import InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial, _read
+from movkit.core import (InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial,
+                         _read, _shown)
 from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
 
 _MASK64 = (1 << 64) - 1
@@ -219,7 +220,7 @@ def lower_bound_samples(c, epsilon, delta) -> float:
     """
     c = _read(lambda: Fraction(c), "c must be a number, got {!r}", c)
     if not 0 <= c < 1:
-        raise InputError(f"c must lie in [0, 1), got {c}")
+        raise InputError(f"c must lie in [0, 1), got {_shown(c)}")
     eps = _check_unit_interval("epsilon", epsilon)
     dlt = _check_unit_interval("delta", delta)
     log_arg = 1.0 / (8.0 * math.e * math.sqrt(math.pi) * dlt)
@@ -292,7 +293,7 @@ class MovEstimate:
 def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     """Default ell from the closed form; invert it for explicit overrides."""
     if ell is not None and (isinstance(ell, bool) or not isinstance(ell, int) or ell < 1):
-        raise InputError(f"sample count must be positive, got {ell!r}")
+        raise InputError(f"sample count must be positive, got {_shown(ell, repr)}")
     default = sample_size(rule_kind, epsilon, delta, m, k)  # checks epsilon and delta either way
     if ell is None:
         return default, Fraction(epsilon)

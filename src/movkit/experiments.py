@@ -43,6 +43,7 @@ from movkit.core import (
     Rule,
     Scoring,
     _read,
+    _shown,
 )
 from movkit.estimators import (
     MovEstimate,
@@ -403,7 +404,7 @@ def run_distinguisher(
     _check_count(trials, "trials", "positive")
     _check_count(n, "n", "even and at least 2")
     if n < 2 or n % 2 != 0:
-        raise InputError(f"n must be even and at least 2, got {n}")
+        raise InputError(f"n must be even and at least 2, got {_shown(n)}")
     p_x = Fraction(1, 2) + (6 * epsilon + 2 * c / n) / (1 - c)
     if p_x > 1:
         raise InputError(

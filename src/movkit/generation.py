@@ -46,6 +46,7 @@ from movkit.core import (
     _members,
     _multinomial,
     _read,
+    _shown,
     _row_type,
 )
 
@@ -91,9 +92,9 @@ class PlantedGap:
         if self.m < 2:
             raise InputError("a planted gap needs at least two candidates")
         if not 0 <= self.winner < self.m:
-            raise InputError(f"winner {self.winner} out of range for m={self.m}")
+            raise InputError(f"winner {_shown(self.winner)} out of range for m={_shown(self.m)}")
         if not 1 <= self.gap <= self.n:
-            raise InputError(f"gap must lie in [1, n], got gap={self.gap}, n={self.n}")
+            raise InputError(f"gap must lie in [1, n], got gap={_shown(self.gap)}, n={_shown(self.n)}")
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,9 @@ class TwoCandidate:
         p = _read(lambda: Fraction(self.p), "p must be rational, got {!r}", self.p)
         object.__setattr__(self, "p", p)
         if not 0 <= p <= 1:
-            raise InputError(f"p must lie in [0, 1], got {p}")
+            raise InputError(f"p must lie in [0, 1], got {_shown(p)}")
         if self.n < 1:
-            raise InputError(f"need n >= 1, got {self.n}")
+            raise InputError(f"need n >= 1, got {_shown(self.n)}")
 
     @property
     def top_count(self) -> int:
@@ -256,7 +257,7 @@ def ranked_to_approval(
         if isinstance(k, bool) or not isinstance(k, int):
             raise InputError(f'k must be an integer or "uniform", got {k!r}')
         if not 0 <= k <= m:
-            raise InputError(f"k must lie in [0, m], got k={k}, m={m}")
+            raise InputError(f"k must lie in [0, m], got k={_shown(k)}, m={m}")
         for order, mult in zip(orders, profile.counts):
             prefixes[tuple(sorted(order[:k]))] += mult
     # every key is a sorted set of candidates of a checked ranking; sorted,

@@ -49,6 +49,7 @@ from movkit.core import (
     _check_int,
     _members,
     _read,
+    _shown,
     _store_tally,
     winner_set,  # not called here; perfbench's tracer wraps it under this name
 )
@@ -103,11 +104,11 @@ class MovBounds:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if lower < 0:
-            raise InputError(f"lower bound must be non-negative, got {lower}")
+            raise InputError(f"lower bound must be non-negative, got {_shown(lower)}")
         if upper <= 0:
-            raise InputError(f"upper bound must be positive, got {upper}")
+            raise InputError(f"upper bound must be positive, got {_shown(upper)}")
         if lower > upper:
-            raise InputError(f"bounds out of order: {lower} > {upper}")
+            raise InputError(f"bounds out of order: {_shown(lower)} > {_shown(upper)}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def _check_count(value, what: str, floor: str = "at least 1") -> None:
     else is an InputError that names ``what``."""
     _check_int(value, what)
     if value < 1:
-        raise InputError(f"{what} must be {floor}, got {value}")
+        raise InputError(f"{what} must be {floor}, got {_shown(value)}")
 
 
 def _mov_tally(rule: Rule, profile: Profile, counts):

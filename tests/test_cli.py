@@ -470,12 +470,14 @@ def test_an_integer_beyond_the_float_range_is_an_input_error(runner, tmp_path, a
     assert "Traceback" not in result.output
 
 
-# Click's parser with and without the short-option shortcut of
-# `cli._Command.make_parser` must read every argv alike: the two-letter
-# forms it takes straight to the short match, and every other shape it
-# leaves to Click. Paths are relative to the test's temporary directory, so that
-# `-i=F` names the missing file "=F".
+# `cli._Group` binds a plain line (a command, then pairs of an exact option
+# string and its value) straight into the command's context and hands every
+# other argv to Click: with its `make_context` and `invoke` or Click's, every
+# argv must give the same exit code, stdout and stderr. Paths are relative
+# to the test's temporary directory, so that `-i=F` names the missing file
+# "=F".
 F = "e.txt"
+TEXT = "m 3\n2: a>b>c\n1: c>b>a\n"
 READ_SHAPES = [
     ["-i", F, "-r", "borda"], [f"-i{F}", "-rborda"], [f"-i={F}", "-r", "borda"],
     ["--input", F, "-r", "borda"], [f"--input={F}", "--rule=borda"],
@@ -508,30 +510,114 @@ PARSE_CASES = (
         ["-x", "-r", "scoring"], ["--help"], ["-h"],
     ]]
 )
+# a plain line of each command, and lines the binder takes or must hand back
+PLAIN_LINES = [
+    ["winner", "-i", F, "-r", "borda"],
+    ["mov", "--mode", "exact", "-i", F, "-r", "copeland"],
+    ["mov", "--mode", "bounds", "--input", F, "--rule", "maximin"],
+    ["mov", "--mode", "estimate", "-i", F, "-r", "borda", "--seed", "3", "--samples", "50"],
+    ["samplesize", "-r", "kapproval", "--k", "2", "--epsilon", "0.1", "--delta", "0.05"],
+    ["lowerbound", "--c", "1/3", "--epsilon", "0.1", "--delta", "0.05"],
+    ["generate", "--model", "ic", "--n", "5", "--m", "3", "--seed", "2"],
+    ["generate", "--model", "twocandidate", "--n", "7", "--p", "4/7", "--approval", "uniform"],
+    ["experiment", "-r", "borda", "-g", GENERATOR, "--trials", "2", "--oracle", "bounds"],
+    ["experiment", "-r", "borda", "-i", F, "--trials", "1", "--oracle", "bounds", "-o", "rows.csv"],
+    ["distinguish", "--trials", "3", "--n", "20", "--seed", "1"],
+]
+BINDER_CASES = PLAIN_LINES + [
+    ["winner", "-i", "-", "-r", "plurality"],
+    ["mov", "--mode", "estimate", "-i", F, "-r", "borda", "--seed", "-5"],
+    ["winner", "-i", "missing.txt", "-r", "borda"],
+    ["mov", "--mode", "fast", "-i", F, "-r", "borda"],
+    ["mov", "--mode", "estimate", "-i", F, "-r", "borda", "--epsilon", "x"],
+    ["mov", "--mode", "estimate", "-i", F, "-r", "borda", "--epsilon", "2"],
+    ["mov", "--mode", "exact", "-i", F, "-r", "borda", "--work-limit", "1"],
+    ["mov", "--mode", "exact", "-i", F, "-r", "borda", "--budget", "many"],
+    ["generate", "--model", "ic", "--n", "5", "--m", "3", "--p", "1/2", "--gap", "2"],
+    ["generate", "--model", "ic", "--n", "5", "--m", "3", "--gap", "2", "--p", "1/2"],
+    ["generate", "--model", "plantedgap", "--n", "10", "--m", "2"],
+    ["samplesize", "--epsilon", "0.1", "--delta", "0.05"],
+    ["samplesize", "-r", "bucklin", "--epsilon", "0.1", "--delta", "0.05"],
+    ["lowerbound", "--epsilon", "0.1", "--delta", "0.05", "--c", "1"],
+    ["distinguish", "--trials", "0"],
+    ["winner", "-r", "borda"], ["winner", "-i", F, "-r"], ["winner", "-i", F, "--input", F, "-r", "borda"],
+    ["winner", "-i", F, "-r", "borda", "--help"], ["winner", "-i", F, "--", "-r", "borda"],
+    ["winner", "-i", "--", "-r", "borda"], ["mov", "--mode", "bounds", "-i", F, "-r", "--help"],
+    ["distinguish"], ["distinguish", "--help"], ["lowerbound"], ["nosuch", "-i", F], ["--help"], [],
+]
 
 
-@pytest.mark.parametrize("args", PARSE_CASES, ids=" ".join)
-def test_short_option_shortcut_reads_argv_as_click_does(args, tmp_path, monkeypatch):
+def run_in(tmp_path, monkeypatch, args, *, click_path=False):
+    """(exit code, stdout, stderr) of `movkit ARGS` in TMP_PATH, through the
+    binder or, with CLICK_PATH, through Click's own group."""
     monkeypatch.chdir(tmp_path)
-    write_file(tmp_path, F, "m 3\n2: a>b>c\n1: c>b>a\n")
-
-    def run():
-        result = CliRunner().invoke(main, args, prog_name="movkit")
-        return result.exit_code, result.stdout, result.stderr
-
-    hooked = run()
-    monkeypatch.setattr(cli._Command, "make_parser", click.Command.make_parser)
-    assert run() == hooked
+    write_file(tmp_path, F, TEXT)
+    with monkeypatch.context() as patch:
+        if click_path:
+            patch.setattr(cli._Group, "make_context", click.Group.make_context)
+            patch.setattr(cli._Group, "invoke", click.Group.invoke)
+        result = CliRunner().invoke(main, args, input=TEXT, prog_name="movkit")
+    return result.exit_code, result.stdout, result.stderr
 
 
-def _parser(command):
-    command = main.commands[command]
-    return command.make_parser(click.Context(command))
+@pytest.mark.parametrize("args", PARSE_CASES + BINDER_CASES, ids=" ".join)
+def test_the_binder_reads_argv_as_click_does(args, tmp_path, monkeypatch):
+    bound = run_in(tmp_path, monkeypatch, args)
+    assert run_in(tmp_path, monkeypatch, args, click_path=True) == bound
+
+
+@pytest.mark.parametrize("args", PLAIN_LINES, ids=" ".join)
+def test_a_plain_line_binds_the_context_click_builds(args, tmp_path, monkeypatch):
+    # the command's context as its callback sees it: each value and its
+    # source in order, the usage path and the parent's record of the call
+    seen = []
+
+    def record(self, ctx):
+        params = [(name, getattr(value, "name", value)) for name, value in ctx.params.items()]
+        sources = [(name, ctx.get_parameter_source(name)) for name in ["help", *ctx.params]]
+        parent = ctx.parent
+        seen.append((params, sources, ctx.command_path, ctx.info_name, parent.info_name,
+                     parent.invoked_subcommand, parent.params, parent.get_parameter_source("help")))
+
+    monkeypatch.setattr(cli._Command, "invoke", record)
+    run_in(tmp_path, monkeypatch, args)
+    run_in(tmp_path, monkeypatch, args, click_path=True)
+    assert len(seen) == 2 and seen[0] == seen[1]
+
+
+def test_no_plain_line_builds_a_parser(tmp_path, monkeypatch):
+    built = []
+    real = click.Command.make_parser
+
+    def counted(self, ctx):
+        built.append(self.name)
+        return real(self, ctx)
+
+    monkeypatch.setattr(click.Command, "make_parser", counted)
+    for args in PLAIN_LINES:
+        assert run_in(tmp_path, monkeypatch, args)[0] == 0, args
+    assert built == []
+    # the counter sees Click's own path
+    run_in(tmp_path, monkeypatch, ["winner", f"--input={F}", "-r", "borda"])
+    assert built == ["main", "winner"]
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))
-def test_the_installed_click_takes_the_short_option_shortcut(command):
-    assert "_process_opts" in vars(_parser(command))
+def test_every_command_meets_the_binder_preconditions(command):
+    assert isinstance(main.commands[command], cli._Command)
+    assert main.commands[command].plain is not None
+
+
+def test_a_command_beyond_the_preconditions_takes_clicks_path(tmp_path, monkeypatch):
+    @click.command(cls=cli._Command)
+    @click.option("--name", envvar="MOVKIT_TEST_NAME", default="x")
+    def greet(name):
+        click.echo(f"hello {name}")
+
+    monkeypatch.setitem(main.commands, "greet", greet)
+    monkeypatch.setenv("MOVKIT_TEST_NAME", "env")
+    assert greet.plain is None
+    assert run_in(tmp_path, monkeypatch, ["greet"]) == (0, "hello env\n", "")
 
 
 def test_short_flags_construct_no_no_such_option(runner, tmp_path, monkeypatch):
@@ -553,9 +639,6 @@ def test_short_flags_construct_no_no_such_option(runner, tmp_path, monkeypatch):
                     "-o", str(tmp_path / "out.txt")])
     invoke(runner, ["samplesize", "-r", "scoring", "--m", "3", "--epsilon", "0.1", "--delta", "0.05"])
     assert built == []
-    # an unknown option still builds one, with its hint
-    invoke(runner, ["winner", "-i", path, "-r", "borda", "--inpt", path], expect_exit=2)
-    assert len(built) == 1
 
 
 def test_a_short_flag_command_does_not_import_difflib(tmp_path):

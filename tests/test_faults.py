@@ -61,6 +61,7 @@ from movkit.oracle import (
 )
 
 EPS, DELTA = F(1, 10), F(1, 20)
+BIG = 10**5000
 RANKED = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
 APPROVAL = ApprovalProfile(3, [((0,), 2), ((1, 2), 1)])
 RANKED_1 = RankedProfile(1, [((0,), 3)])
@@ -454,6 +455,30 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
     (lambda: MovBounds("x", 1, "test"), "lower bound must be rational, got 'x'"),
     (lambda: MovBounds(float("inf"), 1, "test"), "lower bound must be rational, got inf"),
     (lambda: MovBounds(0, float("nan"), "test"), "upper bound must be rational, got nan"),
+    # an integer, or a fraction's part, of more digits than str() converts
+    # is shown by its sign and digit count, not refused by str()
+    (lambda: Copeland(BIG), "copeland alpha must lie in [0, 1], got <5001 digits>"),
+    (lambda: KApproval(-BIG), "k must be a positive integer, got -<5001 digits>"),
+    (lambda: sample_size("kapproval", EPS, DELTA, 3, k=BIG), "k must be in [1, m-1], got k=<5001 digits>, m=3"),
+    (lambda: lower_bound_samples(BIG, EPS, DELTA), "c must lie in [0, 1), got <5001 digits>"),
+    (lambda: mov_brute_force(RANKED, Maximin(), -BIG), "budget must be at least 1, got -<5001 digits>"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, n=-BIG),
+     "n must be even and at least 2, got -<5001 digits>"),
+    (lambda: estimate_mov(VoteSource(RANKED), Maximin(), EPS, DELTA, 0, ell=-BIG),
+     "sample count must be positive, got -<5001 digits>"),
+    (lambda: RankedProfile(2, [((0, 1), -BIG)]), "multiplicity must be a positive integer, got -<5001 digits>"),
+    (lambda: TwoCandidate(p=BIG, n=10), "p must lie in [0, 1], got <5001 digits>"),
+    (lambda: TwoCandidate(p=F(1, 2), n=-BIG), "need n >= 1, got -<5001 digits>"),
+    (lambda: MovBounds(-BIG, 1, "x"), "lower bound must be non-negative, got -<5001 digits>"),
+    (lambda: MovBounds(BIG, 1, "x"), "bounds out of order: <5001 digits> > 1"),
+    (lambda: RankedProfile(F(BIG), [((0,), 1)]), "m must be an integer, got Fraction(<5001 digits>, 1)"),
+    (lambda: PlantedGap(winner=BIG, gap=2, n=10, m=2), "winner <5001 digits> out of range for m=2"),
+    (lambda: PlantedGap(winner=0, gap=BIG, n=10, m=2), "gap must lie in [1, n], got gap=<5001 digits>, n=10"),
+    (lambda: ranked_to_approval(RANKED, BIG, 0), "k must lie in [0, m], got k=<5001 digits>, m=3"),
+    (lambda: run_distinguisher(EPS / 2, DELTA, 1, 0, n=BIG + 1),
+     "n must be even and at least 2, got <5001 digits>"),
+    (lambda: TwoCandidate(p=F(BIG + 1, BIG), n=10), "p must lie in [0, 1], got <5001 digits>/<5001 digits>"),
+    (lambda: KApproval(F(BIG + 1, 7)), "k must be a positive integer, got Fraction(<5001 digits>, 7)"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
@@ -480,7 +505,12 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "distinguisher-n-text", "copeland-alpha-inf", "copeland-alpha-zero-denominator",
         "score-entry-inf", "score-entry-zero-denominator", "two-candidate-p-text",
         "two-candidate-p-none", "two-candidate-p-inf", "lower-bound-c-zero-denominator",
-        "bounds-lower-text", "bounds-lower-inf", "bounds-upper-nan"])
+        "bounds-lower-text", "bounds-lower-inf", "bounds-upper-nan",
+        "copeland-alpha-huge", "kapproval-huge", "sample-size-k-huge", "lower-bound-c-huge",
+        "budget-huge", "distinguisher-n-huge", "estimate-ell-huge", "multiplicity-huge",
+        "two-candidate-p-huge", "two-candidate-n-huge", "bounds-lower-huge", "bounds-order-huge",
+        "ranked-m-huge-fraction", "planted-winner-huge", "planted-gap-huge", "approval-depth-huge",
+        "distinguisher-n-huge-odd", "two-candidate-p-huge-parts", "kapproval-huge-fraction"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()
