@@ -124,11 +124,13 @@ class _Group(click.Group):
     close there), each default through ``get_default`` and
     ``type_cast_value``, in Click's processing order: the help option, the
     given options in command-line order, then the others in declaration
-    order. Every other line (help, completion, ``--opt=value``, ``-iF``,
-    ``--``, unknown, repeated or missing options, an option with no value),
-    and a plain one whose binding raises a Click exception, goes whole to
-    Click's own ``make_context``, so every message, usage line and exit code
-    is Click's."""
+    order. A value its type refuses raises that type's ``BadParameter``,
+    which names the subcommand's context and the option, as Click's own
+    path does: a plain line is converted once, and its error is the one
+    Click prints. Every other line (help, completion, ``--opt=value``,
+    ``-iF``, ``--``, unknown, repeated or missing options, an option with no
+    value) goes whole to Click's own ``make_context``, so every message,
+    usage line and exit code is Click's."""
 
     @functools.cached_property
     def help_name(self):
@@ -160,20 +162,16 @@ class _Group(click.Group):
         for context, name in ((parent, self.help_name), (ctx, help_name)):
             if name is not None:
                 context.set_parameter_source(name, ParameterSource.DEFAULT)
-        try:
-            with ctx.scope(cleanup=False):
-                for param, text in given.items():
-                    ctx.params[param.name] = param.type_cast_value(ctx, text)
-                    ctx.set_parameter_source(param.name, ParameterSource.COMMANDLINE)
-                for param in command.params:
-                    if param not in given:
-                        value = param.get_default(ctx)
-                        ctx.params[param.name] = (None if value is _NO_DEFAULT
-                                                  else param.type_cast_value(ctx, value))
-                        ctx.set_parameter_source(param.name, ParameterSource.DEFAULT)
-        except click.ClickException:
-            ctx.close()
-            return None
+        with ctx.scope(cleanup=False):
+            for param, text in given.items():
+                ctx.params[param.name] = param.type_cast_value(ctx, text)
+                ctx.set_parameter_source(param.name, ParameterSource.COMMANDLINE)
+            for param in command.params:
+                if param not in given:
+                    value = param.get_default(ctx)
+                    ctx.params[param.name] = (None if value is _NO_DEFAULT
+                                              else param.type_cast_value(ctx, value))
+                    ctx.set_parameter_source(param.name, ParameterSource.DEFAULT)
         return ctx
 
     def invoke(self, ctx):

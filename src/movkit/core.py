@@ -295,8 +295,7 @@ class Profile:
             if not isinstance(ballot, self._ballot):
                 ballot = self._ballot(ballot)
             keys.append(self._check_ballot(ballot))
-            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                raise InputError(f"multiplicity must be a positive integer, got {_shown(mult, repr)}")
+            _check_int(mult, "multiplicity", 1, kind="a positive integer")
             counts.append(int(mult))
         if not keys:
             raise InputError("profile must contain at least one vote")
@@ -417,12 +416,16 @@ class ApprovalProfile(Profile):
         return key
 
 
-def _check_int(value, what: str) -> None:
-    """The one type check of an integer argument (a seed, a count, a spec's
-    size): an int and not a bool. Anything else is an InputError that names
-    ``what``."""
+def _check_int(value, what: str, least=None, floor=None, kind="an integer") -> None:
+    """The one check of an integer argument (a seed, a size, a count, a
+    multiplicity, a budget, a sample count): an int and not a bool, else an
+    InputError "{what} must be {kind}, got {value!r}"; with ``least``, also
+    at least ``least``, else "{what} must be {floor or kind}, got {value}".
+    Both texts show the value through `_shown`."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {_shown(value, repr)}")
+        raise InputError(f"{what} must be {kind}, got {_shown(value, repr)}")
+    if least is not None and value < least:
+        raise InputError(f"{what} must be {floor or kind}, got {_shown(value)}")
 
 
 def _check_k(k, m: int) -> None:
@@ -477,8 +480,7 @@ class KApproval(Rule):
     kind = "kapproval"
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise InputError(f"k must be a positive integer, got {_shown(self.k, repr)}")
+        _check_int(self.k, "k", 1, kind="a positive integer")
 
 
 @dataclass(frozen=True)

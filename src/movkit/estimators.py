@@ -47,7 +47,7 @@ from typing import Optional
 
 from movkit.core import (InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial,
                          _read, _shown)
-from movkit.oracle import _check_count, _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
+from movkit.oracle import _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,7 +130,7 @@ class VoteSource:
         object is built. Cost: O(d) binomials for d distinct ballots, never
         more than O(d + count).
         """
-        _check_count(count, "draw count")
+        _check_int(count, "draw count", 1, "at least 1")
         _check_int(seed, "seed")
         return _Drawn(_multinomial(random.Random(seed), count, self.profile.counts))
 
@@ -199,8 +199,7 @@ def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None)
     dlt = _check_unit_interval("delta", delta)
     if rule_kind == "kapproval" and k is not None:
         KApproval(k)  # the one check that k is a positive integer, before m is read
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"m must be an integer >= 2, got {m!r}")
+    _check_int(m, "m", 2, kind="an integer >= 2")
     if rule_kind == "kapproval":
         if k is None:
             raise InputError("k-approval sample size needs k")
@@ -274,8 +273,7 @@ class MovEstimate:
     def __post_init__(self):
         if self.m_bar < 0:
             raise InputError(f"margin estimate cannot be negative: {self.m_bar}")
-        if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 1:
-            raise InputError(f"sample count must be positive, got {self.ell!r}")
+        _check_int(self.ell, "sample count", 1, kind="positive")
 
     @cached_property
     def _payload(self) -> tuple:
@@ -292,8 +290,8 @@ class MovEstimate:
 
 def _resolve_ell(rule_kind, epsilon, delta, m, k, ell):
     """Default ell from the closed form; invert it for explicit overrides."""
-    if ell is not None and (isinstance(ell, bool) or not isinstance(ell, int) or ell < 1):
-        raise InputError(f"sample count must be positive, got {_shown(ell, repr)}")
+    if ell is not None:
+        _check_int(ell, "sample count", 1, kind="positive")
     default = sample_size(rule_kind, epsilon, delta, m, k)  # checks epsilon and delta either way
     if ell is None:
         return default, Fraction(epsilon)

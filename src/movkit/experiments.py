@@ -42,6 +42,7 @@ from movkit.core import (
     RankedProfile,
     Rule,
     Scoring,
+    _check_int,
     _read,
     _shown,
 )
@@ -66,7 +67,6 @@ from movkit.generation import (
 from movkit.io_formats import ExperimentRow
 from movkit.oracle import (
     TiedWinnersError,
-    _check_count,
     _gap_closed_form,
     mov_bounds,
     mov_brute_force,
@@ -239,7 +239,7 @@ class ExperimentConfig:
     profile: Optional[Profile] = None
 
     def __post_init__(self):
-        _check_count(self.trials, "trials", "positive")
+        _check_int(self.trials, "trials", 1, "positive")
         _check_unit_interval("epsilon", self.epsilon)
         _check_unit_interval("delta", self.delta)
         if (self.generator is None) == (self.profile is None):
@@ -401,8 +401,8 @@ def run_distinguisher(
     """
     lower_bound_samples(c, epsilon, delta)
     epsilon, delta_f, c = Fraction(epsilon), Fraction(delta), Fraction(c)
-    _check_count(trials, "trials", "positive")
-    _check_count(n, "n", "even and at least 2")
+    _check_int(trials, "trials", 1, "positive")
+    _check_int(n, "n")
     if n < 2 or n % 2 != 0:
         raise InputError(f"n must be even and at least 2, got {_shown(n)}")
     p_x = Fraction(1, 2) + (6 * epsilon + 2 * c / n) / (1 - c)

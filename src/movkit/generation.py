@@ -254,8 +254,7 @@ def ranked_to_approval(
                         masks[mask] = masks.get(mask, 0) + c
         prefixes.update(dict(zip(map(_members, masks), masks.values())))
     else:
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise InputError(f'k must be an integer or "uniform", got {k!r}')
+        _check_int(k, "k", kind='an integer or "uniform"')
         if not 0 <= k <= m:
             raise InputError(f"k must lie in [0, m], got k={_shown(k)}, m={m}")
         for order, mult in zip(orders, profile.counts):

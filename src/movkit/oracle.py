@@ -115,15 +115,6 @@ class MovBounds:
 # exact search
 
 
-def _check_count(value, what: str, floor: str = "at least 1") -> None:
-    """The one check of a count argument (a budget, a work limit, a draw
-    count, a number of trials): an int, not a bool, of at least 1. Anything
-    else is an InputError that names ``what``."""
-    _check_int(value, what)
-    if value < 1:
-        raise InputError(f"{what} must be {floor}, got {_shown(value)}")
-
-
 def _mov_tally(rule: Rule, profile: Profile, counts):
     """The tally of a profile's ballots weighed by ``counts`` (see
     `movkit.core._store_tally`, the one check of a rule against an
@@ -260,8 +251,8 @@ def mov_brute_force(
     tally = _mov_tally(rule, profile, None)
     if budget is None:
         budget = profile.n
-    _check_count(budget, "budget")
-    _check_count(work_limit, "work limit")
+    _check_int(budget, "budget", 1, "at least 1")
+    _check_int(work_limit, "work limit", 1, "at least 1")
     limit_message = f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
     # the work count starts at the universe's size, charged before it is built
     work = math.factorial(m) if ranked else 2 ** m

@@ -544,8 +544,9 @@ BINDER_CASES = PLAIN_LINES + [
     ["winner", "-i", F, "-r", "borda", "--help"], ["winner", "-i", F, "--", "-r", "borda"],
     ["winner", "-i", "--", "-r", "borda"], ["mov", "--mode", "bounds", "-i", F, "-r", "--help"],
     ["distinguish"], ["distinguish", "--help"], ["lowerbound"], ["nosuch", "-i", F], ["--help"], [],
+    ["generate", "-o", "out.txt", "--model", "ic", "--n", "x", "--m", "3"],
+    ["experiment", "-r", "borda", "-i", F, "--trials", "x", "--oracle", "bounds"],
 ]
-
 
 def run_in(tmp_path, monkeypatch, args, *, click_path=False):
     """(exit code, stdout, stderr) of `movkit ARGS` in TMP_PATH, through the
@@ -562,8 +563,14 @@ def run_in(tmp_path, monkeypatch, args, *, click_path=False):
 
 @pytest.mark.parametrize("args", PARSE_CASES + BINDER_CASES, ids=" ".join)
 def test_the_binder_reads_argv_as_click_does(args, tmp_path, monkeypatch):
-    bound = run_in(tmp_path, monkeypatch, args)
-    assert run_in(tmp_path, monkeypatch, args, click_path=True) == bound
+    # each path runs in a directory of its own, and must leave the same files
+    runs = []
+    for click_path in (False, True):
+        where = tmp_path / ("click" if click_path else "binder")
+        where.mkdir()
+        result = run_in(where, monkeypatch, args, click_path=click_path)
+        runs.append((result, {path.name: path.read_text() for path in where.iterdir()}))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("args", PLAIN_LINES, ids=" ".join)
@@ -600,6 +607,24 @@ def test_no_plain_line_builds_a_parser(tmp_path, monkeypatch):
     # the counter sees Click's own path
     run_in(tmp_path, monkeypatch, ["winner", f"--input={F}", "-r", "borda"])
     assert built == ["main", "winner"]
+
+
+@pytest.mark.parametrize("args", [
+    ["mov", "--mode", "fast", "-i", F, "-r", "borda"],
+    ["mov", "--mode", "estimate", "-i", F, "-r", "borda", "--epsilon", "x"],
+], ids=" ".join)
+def test_a_failing_plain_line_is_not_parsed_again(args, tmp_path, monkeypatch):
+    made = []
+    real = click.Command.make_context
+
+    def counted(self, *args, **kwargs):
+        made.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(click.Command, "make_context", counted)
+    code, _, err = run_in(tmp_path, monkeypatch, args)
+    assert (code, made) == (2, [])
+    assert err.startswith("Usage: movkit mov [OPTIONS]\n") and "Invalid value for '--" in err, err
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))
