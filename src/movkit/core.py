@@ -67,12 +67,22 @@ def _read(convert, text: str, *args):
         raise InputError(text.format(*args)) from None
 
 
+# the brackets of each container whose repr `_shown` writes entry by entry
+_BRACKETS = {tuple: ("(", ")"), list: ("[", "]"), set: ("{", "}"), frozenset: ("frozenset({", "})")}
+
+
 def _shown(value, form=str) -> str:
     """``form(value)`` for an error text, the one way a number is shown in
     one. An int or Fraction with a part of more digits than ``str`` converts
     (``sys.get_int_max_str_digits()``; it refuses them with a bare
     ValueError) shows that part as its sign and digit count, ``-<5001
-    digits>``, in the same form; any other value is ``form(value)``."""
+    digits>``, in the same form. A non-empty tuple, list, set or frozenset
+    is shown in its repr, which is also its str, with each entry shown so
+    in repr form; any other value is ``form(value)``."""
+    if type(value) in _BRACKETS and value:
+        opening, closing = _BRACKETS[type(value)]
+        comma = "," * (len(value) == 1 and type(value) is tuple)
+        return f"{opening}{', '.join(_shown(entry, repr) for entry in value)}{comma}{closing}"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         return form(value)
@@ -105,7 +115,7 @@ def _indices(entries) -> tuple[int, ...]:
     try:
         return tuple(map(operator.index, entries))
     except TypeError:
-        raise InputError(f"ballot entries must be integer candidate indices: {entries!r}") from None
+        raise InputError(f"ballot entries must be integer candidate indices: {_shown(entries, repr)}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +128,7 @@ class Ranking:
         order = _indices(self.order)
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
-            raise InputError(f"not a permutation of 0..{len(order) - 1}: {order!r}")
+            raise InputError(f"not a permutation of 0..{len(order) - 1}: {_shown(order, repr)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +141,7 @@ class ApprovalBallot:
         approved = frozenset(_indices(self.approved))
         object.__setattr__(self, "approved", approved)
         if any(c < 0 for c in approved):
-            raise InputError(f"approval ballot must contain candidate indices: {approved!r}")
+            raise InputError(f"approval ballot must contain candidate indices: {_shown(approved, repr)}")
 
 
 def _validate_names(names, m):
@@ -139,7 +149,7 @@ def _validate_names(names, m):
         return None
     names = tuple(names)
     if len(names) != m:
-        raise InputError(f"expected {m} candidate names, got {len(names)}")
+        raise InputError(f"expected {_shown(m)} candidate names, got {len(names)}")
     seen = set()
     for name in names:
         if not name or not all(ch.isalnum() or ch in "_.-" for ch in name):
@@ -395,7 +405,7 @@ class RankedProfile(Profile):
     def _check_ballot(self, ballot):
         order = ballot.order
         if len(order) != self.m:
-            raise InputError(f"ballot {order!r} does not rank all {self.m} candidates")
+            raise InputError(f"ballot {order!r} does not rank all {_shown(self.m)} candidates")
         return _row_type(self.m)(order)
 
 
@@ -412,7 +422,7 @@ class ApprovalProfile(Profile):
     def _check_ballot(self, ballot):
         key = tuple(sorted(ballot.approved))
         if key and key[-1] >= self.m:
-            raise InputError(f"ballot approves unknown candidate: {list(key)!r}")
+            raise InputError(f"ballot approves unknown candidate: {_shown(list(key), repr)}")
         return key
 
 
@@ -463,7 +473,7 @@ class Scoring(Rule):
         if len(alphas) < 2:
             raise InputError("score vector needs at least two positions")
         if any(a < b for a, b in zip(alphas, alphas[1:])):
-            raise InputError(f"score vector must be non-increasing: {alphas!r}")
+            raise InputError(f"score vector must be non-increasing: {_shown(alphas, repr)}")
         if alphas[0] == alphas[-1]:
             raise InputError("constant score vector does not define a rule")
 

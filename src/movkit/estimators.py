@@ -160,11 +160,11 @@ def _check_unit_interval(name, value):
     try:
         num, den = value.as_integer_ratio()
     except AttributeError:
-        raise InputError(f"{name} must be a number, got {value!r}") from None
+        raise InputError(f"{name} must be a number, got {_shown(value, repr)}") from None
     except (ValueError, OverflowError):
         num, den = 0, 1
     if not 0 < num < den:
-        raise InputError(f"{name} must lie strictly between 0 and 1, got {value}")
+        raise InputError(f"{name} must lie strictly between 0 and 1, got {_shown(value)}")
     floor = _FLOORS[name]
     if num * floor.denominator < floor.numerator * den:
         # a positive rational below the float range is shown exactly, not as 0
@@ -272,7 +272,7 @@ class MovEstimate:
 
     def __post_init__(self):
         if self.m_bar < 0:
-            raise InputError(f"margin estimate cannot be negative: {self.m_bar}")
+            raise InputError(f"margin estimate cannot be negative: {_shown(self.m_bar)}")
         _check_int(self.ell, "sample count", 1, kind="positive")
 
     @cached_property

@@ -70,7 +70,7 @@ class ImpartialCulture:
     def __post_init__(self):
         _check_ints(self, "n", "m", "seed")
         if self.n < 1 or self.m < 1:
-            raise InputError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+            raise InputError(f"need n >= 1 and m >= 1, got n={_shown(self.n)}, m={_shown(self.m)}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _planted_counts(spec: PlantedGap) -> list[int]:
     # at m = 2, rest is -1 exactly when n - g is odd, and 0 otherwise
     if rest < 0 or rest > (m - 2) * base:
         parity = " (parity)" if m == 2 else ""
-        raise InputError(f"gap {g} is unachievable with n={n} and m={m}{parity}")
+        raise InputError(f"gap {_shown(g)} is unachievable with n={_shown(n)} and m={_shown(m)}{parity}")
     others = [c for c in range(m) if c != spec.winner]
     counts = [0] * m
     counts[spec.winner] = base + g

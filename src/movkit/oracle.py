@@ -360,9 +360,9 @@ def apply_changes(
     for index, ballot in changes:
         index = operator.index(index)  # TypeError for a non-integer, as for a list index
         if not 0 <= index < ends[-1]:
-            raise InputError(f"vote index {index} out of range 0..{ends[-1] - 1}")
+            raise InputError(f"vote index {_shown(index)} out of range 0..{_shown(ends[-1] - 1)}")
         if index in seen:
-            raise InputError(f"vote index {index} changed twice")
+            raise InputError(f"vote index {_shown(index)} changed twice")
         seen.add(index)
         counts[bisect.bisect_right(ends, index)] -= 1
         inserted.append((ballot, 1))

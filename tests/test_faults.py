@@ -479,6 +479,34 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
      "n must be even and at least 2, got <5001 digits>"),
     (lambda: TwoCandidate(p=F(BIG + 1, BIG), n=10), "p must lie in [0, 1], got <5001 digits>/<5001 digits>"),
     (lambda: KApproval(F(BIG + 1, 7)), "k must be a positive integer, got Fraction(<5001 digits>, 7)"),
+    # a tuple, list or set in an error text shows each entry so, in its repr
+    (lambda: Scoring((1, BIG)),
+     "score vector must be non-increasing: (Fraction(1, 1), Fraction(<5001 digits>, 1))"),
+    (lambda: Ranking((0, BIG)), "not a permutation of 0..1: (0, <5001 digits>)"),
+    (lambda: ApprovalBallot((-BIG,)),
+     "approval ballot must contain candidate indices: frozenset({-<5001 digits>})"),
+    (lambda: ApprovalProfile(2, [((0, BIG), 1)]), "ballot approves unknown candidate: [0, <5001 digits>]"),
+    (lambda: Ranking((0, 0.5, BIG)),
+     "ballot entries must be integer candidate indices: (0, 0.5, <5001 digits>)"),
+    (lambda: sample_size("scoring", (BIG,), DELTA, 3), "epsilon must be a number, got (<5001 digits>,)"),
+    # and every scalar
+    (lambda: MovEstimate(F(-BIG), 1, 0, F(1), EPS, DELTA),
+     "margin estimate cannot be negative: -<5001 digits>"),
+    (lambda: MovEstimate(F(1), -BIG, 0, F(1), EPS, DELTA),
+     "sample count must be positive, got -<5001 digits>"),
+    (lambda: ImpartialCulture(n=-BIG, m=3), "need n >= 1 and m >= 1, got n=-<5001 digits>, m=3"),
+    (lambda: generate(PlantedGap(winner=0, gap=1, n=BIG, m=2)),
+     "gap 1 is unachievable with n=<5001 digits> and m=2 (parity)"),
+    (lambda: lower_bound_samples(0, BIG, DELTA),
+     "epsilon must lie strictly between 0 and 1, got <5001 digits>"),
+    (lambda: sample_size("scoring", EPS, DELTA, -BIG), "m must be an integer >= 2, got -<5001 digits>"),
+    (lambda: ranked_to_approval(RANKED, F(BIG), 0),
+     'k must be an integer or "uniform", got Fraction(<5001 digits>, 1)'),
+    (lambda: RankedProfile(BIG, [((0, 1), 1)]), "ballot (0, 1) does not rank all <5001 digits> candidates"),
+    (lambda: ApprovalProfile(BIG, [((0,), 1)], names=["a"]), "expected <5001 digits> candidate names, got 1"),
+    (lambda: apply_changes(RANKED, [(BIG, (0, 1, 2))]), "vote index <5001 digits> out of range 0..2"),
+    (lambda: apply_changes(RankedProfile(2, [((0, 1), BIG)]), [(BIG - 1, (1, 0)), (BIG - 1, (1, 0))]),
+     "vote index <5000 digits> changed twice"),
 ], ids=["scoring-entry", "copeland-alpha", "score-entry", "approval-index", "draw-count",
         "draw-count-float", "draw-count-bool", "budget-float", "budget-bool", "rule-kind",
         "kapproval-bool", "sample-size-kapproval-bool",
@@ -510,7 +538,12 @@ PARITY = "gap 3 is unachievable with n=10 and m=2 (parity)"
         "budget-huge", "distinguisher-n-huge", "estimate-ell-huge", "multiplicity-huge",
         "two-candidate-p-huge", "two-candidate-n-huge", "bounds-lower-huge", "bounds-order-huge",
         "ranked-m-huge-fraction", "planted-winner-huge", "planted-gap-huge", "approval-depth-huge",
-        "distinguisher-n-huge-odd", "two-candidate-p-huge-parts", "kapproval-huge-fraction"])
+        "distinguisher-n-huge-odd", "two-candidate-p-huge-parts", "kapproval-huge-fraction",
+        "score-vector-huge", "ranking-huge", "approval-ballot-huge", "approval-unknown-huge",
+        "ballot-entries-huge", "epsilon-tuple-huge", "estimate-negative-huge", "estimate-ell-negative-huge",
+        "ic-n-huge", "planted-parity-huge", "epsilon-huge", "sample-size-m-huge",
+        "approval-depth-huge-fraction", "ranked-length-m-huge", "names-m-huge", "vote-index-huge",
+        "vote-index-twice-huge"])
 def test_library_input_fault_texts(make, message):
     with pytest.raises(InputError) as info:
         make()
