@@ -253,11 +253,16 @@ def mov_brute_force(
         budget = profile.n
     _check_int(budget, "budget", 1, "at least 1")
     _check_int(work_limit, "work limit", 1, "at least 1")
-    limit_message = f"exceeded work limit of {work_limit} (replacement ballots plus search nodes)"
+
+    def limit_error():
+        # built only when raised: `_shown` takes about 3 us, a few percent of a small solve
+        return WorkLimitError(f"exceeded work limit of {_shown(work_limit)}"
+                              " (replacement ballots plus search nodes)")
+
     # the work count starts at the universe's size, charged before it is built
     work = math.factorial(m) if ranked else 2 ** m
     if work > work_limit:
-        raise WorkLimitError(limit_message)
+        raise limit_error()
     if ranked:
         universe = list(itertools.permutations(range(m)))
     else:
@@ -272,7 +277,7 @@ def mov_brute_force(
     for t in range(1, min(budget, profile.n) + 1):
         work += 1
         if work > work_limit:
-            raise WorkLimitError(limit_message)
+            raise limit_error()
         if settled and settled(t, t):
             continue
         # path[:t] are retracted type indices, path[t:] indices into options;
@@ -297,7 +302,7 @@ def mov_brute_force(
                 if len(path) > depth:
                     work += 1
                     if work > work_limit:
-                        raise WorkLimitError(limit_message)
+                        raise limit_error()
                     depth += 1
                     if not (settled and settled(t - depth if depth < t else 0,
                                                 2 * t - depth if depth > t else t)):
@@ -312,7 +317,7 @@ def mov_brute_force(
                     work += 1
                     evaluations += 1
                     if work > work_limit:
-                        raise WorkLimitError(limit_message)
+                        raise limit_error()
                     new = options[i]
                     add(new, +1)
                     changed = winner_mask() != base_mask

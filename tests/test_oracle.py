@@ -142,6 +142,16 @@ def test_brute_force_work_limit_charges_the_universe_before_building_it():
     assert peak < 8 * 2**20
 
 
+def test_a_work_limit_beyond_str_digits_is_shown_by_its_digit_count():
+    p = RankedProfile(3, [((0, 1, 2), 2), ((1, 2, 0), 1)])
+    assert mov_brute_force(p, Maximin(), work_limit=10**5000) == mov_brute_force(p, Maximin())
+    # 2000! is above 10**5735, so the universe alone exceeds the limit
+    wide = RankedProfile(2000, [(tuple(range(2000)), 1), (tuple(range(1999, -1, -1)), 1)])
+    with pytest.raises(WorkLimitError) as info:
+        mov_brute_force(wide, KApproval(1), work_limit=10**5000)
+    assert str(info.value) == "exceeded work limit of <5001 digits> (replacement ballots plus search nodes)"
+
+
 def test_brute_force_work_limit_counts_pruned_nodes():
     # levels 1..19 are pruned at their roots and level 20 scores one change,
     # so only the visited nodes can trip a limit this small
