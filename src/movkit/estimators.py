@@ -10,13 +10,12 @@ comes with a two-parameter additive guarantee: with probability at least
 
     |estimate - MoV| <= c * MoV + epsilon * n,
 
-where c is a rule-specific constant (0 for k-approval and approval, 1/3 for
-scoring, Bucklin and maximin, and (2K+1)/(2K+3) with K = ceil(log2 m) for
-Copeland), read from the ratio r of the rule's sandwich bounds as
-(r-1)/(r+1) (`guarantee_constant`). Sample sizes are closed forms in
-(epsilon, delta) and the number of candidates or the approval depth k; one
-private form gives both a default sample size and the epsilon of a given
-one.
+where c is a rule-specific constant read from the ratio r of the rule's
+sandwich bounds as (r-1)/(r+1) (`guarantee_constant`). Sample sizes are
+closed forms in (epsilon, delta) and the number of candidates or the
+approval depth k; one private form gives both a default sample size and
+the epsilon of a given one. Each rule family's r and sample-size constant
+are its row of `movkit.oracle._FAMILIES`.
 
 `estimate_mov` is the one estimator, for every rule; `estimate_kapproval`
 only calls it with ``KApproval(k)``. It tallies the sample in the rule's
@@ -47,7 +46,7 @@ from typing import Optional
 
 from movkit.core import (InputError, KApproval, Profile, Rule, _add_votes, _check_int, _check_k, _multinomial,
                          _read, _shown)
-from movkit.oracle import _margin_statistic, _mov_tally, _sample_payload, _sandwich_ratio
+from movkit.oracle import _FAMILIES, _margin_statistic, _mov_tally, _sample_payload, _sandwich
 
 _MASK64 = (1 << 64) - 1
 
@@ -138,12 +137,11 @@ class VoteSource:
 # ---------------------------------------------------------------------------
 # sample sizes and the lower bound
 
-# rule kind -> the constant C in the sample-size closed form (C/eps^2) * ln(...)
-_SAMPLE_FACTORS = {"scoring": 12.0, "kapproval": 12.0, "approval": 12.0,
-                   "bucklin": 12.0, "maximin": 24.0, "copeland": 96.0}
+# rule kind -> the constant C of its sample size, in `movkit.oracle._FAMILIES`' order
+_SAMPLE_FACTORS = {family.kind: factor for family, _, _, factor in _FAMILIES}
 
 # the least epsilon and delta whose closed forms stay finite floats for any m
-# or k up to 2**53: 96/eps^2 <= 2**1007 and 2m/delta <= 2**1014, so ln(2m/delta)
+# or k up to 2**53: C/eps^2 <= 96/eps^2 <= 2**1007 and 2m/delta <= 2**1014, so ln(2m/delta)
 # < 2**10 and every sample size or floor stays below 2**1024
 _FLOORS = {"epsilon": Fraction(1, 2**500), "delta": Fraction(1, 2**960)}
 
@@ -175,22 +173,16 @@ def _check_unit_interval(name, value):
 
 def _closed_form(rule_kind, over, delta, m, k) -> float:
     """(C / over) * ln(2k'/delta), C the rule kind's `_SAMPLE_FACTORS` entry
-    and k' = k for k-approval, m otherwise: the sample size at
-    over = eps^2, and eps^2 at over = ell."""
-    log_num = 2.0 * (k if rule_kind == "kapproval" else m)
-    return (_SAMPLE_FACTORS[rule_kind] / over) * math.log(log_num / delta)
+    and k' = k where k is given (k-approval alone takes it), m otherwise:
+    the sample size at over = eps^2, and eps^2 at over = ell."""
+    return (_SAMPLE_FACTORS[rule_kind] / over) * math.log(2.0 * (k or m) / delta)
 
 
 def sample_size(rule_kind: str, epsilon, delta, m: int, k: Optional[int] = None) -> int:
     """Number of sampled votes the rule's estimator needs.
 
-    Closed forms, rounded up:
-
-    * scoring, approval, Bucklin: (12/eps^2) * ln(2m/delta)
-    * k-approval:                 (12/eps^2) * ln(2k/delta)
-    * maximin:                    (24/eps^2) * ln(2m/delta)
-    * Copeland:                   (96/eps^2) * ln(2m/delta)
-
+    The closed form (C/eps^2) * ln(2m/delta), ln(2k/delta) for k-approval,
+    rounded up, C the kind's constant in `movkit.oracle._FAMILIES`.
     ``k`` must be given exactly for k-approval, nothing else.
     """
     if rule_kind not in _SAMPLE_FACTORS:
@@ -229,8 +221,8 @@ def lower_bound_samples(c, epsilon, delta) -> float:
 
 def guarantee_constant(rule: Rule, m: int) -> Fraction:
     """The multiplicative constant c in |estimate - MoV| <= c*MoV + eps*n:
-    (r-1)/(r+1), r = U/L the rule's sandwich ratio
-    (`movkit.oracle._sandwich_ratio`), so 0, 1/3 or (2K+1)/(2K+3).
+    (r-1)/(r+1), r = U/L the rule's sandwich ratio, its row of
+    `movkit.oracle._FAMILIES` (`movkit.oracle._sandwich`).
 
     Proof: the estimate (1 - c)*U is 2U/(r+1), and MoV lies in [U/r, U].
     At MoV = U the error is U - 2U/(r+1) = c*U, and at MoV = U/r it is
@@ -240,7 +232,7 @@ def guarantee_constant(rule: Rule, m: int) -> Fraction:
     lower end is the change floor, and its U can be 8x the margin (ROADMAP
     item 15).
     """
-    r = _sandwich_ratio(rule, m)
+    r = _sandwich(rule, m)[0]
     return Fraction(r - 1, r + 1)
 
 

@@ -19,9 +19,10 @@ Three layers live here:
   scores and pair margins (`_sample_payload`), and the Bucklin change
   floor;
 * sandwich bounds built from those quantities, valid at any profile size.
-  Each rule's sandwich has one ratio r of its upper to its lower end
-  (`_sandwich_ratio`): it sets the lower ends of `mov_bounds`, Copeland's
-  statistic and the estimators' constant c = (r-1)/(r+1).
+  One table, `_FAMILIES`, gives each rule family's ratio r of its upper to
+  its lower end, the source its bounds name and its sample-size constant:
+  r sets the lower ends of `mov_bounds`, Copeland's statistic and the
+  estimators' constant c = (r-1)/(r+1) (`_sandwich`).
 """
 
 import bisect
@@ -481,23 +482,29 @@ def copeland_log_factor(m: int) -> int:
 # the margin statistic and the sandwich bounds
 
 
-def _sandwich_ratio(rule: Rule, m: int) -> int:
-    """r = U/L, the ratio of the upper to the lower end of the rule's
-    sandwich on the margin for a unique winner over m candidates: 1 for
-    k-approval and approval, 2 for scoring, maximin and Bucklin, and
-    2(K+1) for Copeland, K = ceil(log2 m). `mov_bounds` reads its lower
-    end as U/r and `movkit.estimators.guarantee_constant` its c as
-    (r-1)/(r+1); Copeland's U is r times the winner's relative margin.
-    No rule has a sandwich below two candidates (`copeland_log_factor`
-    checks m).
+# One row per rule family, in the order `movkit samplesize -r` lists the
+# kinds: (class, r, source, C). r = U/L is the ratio of the upper to the
+# lower end of the family's sandwich on the margin for a unique winner (None
+# for Copeland, whose 2(K+1), K = ceil(log2 m), is read from m); the source
+# is the name `mov_bounds` gives its bounds; C is the constant of the
+# family's sample size (C/eps^2) * ln(2m/delta), ln(2k/delta) for
+# k-approval (`movkit.estimators.sample_size`).
+_FAMILIES = ((Scoring, 2, "positional score gap", 12.0), (KApproval, 1, "top-k score gap", 12.0),
+             (Approval, 1, "approval score gap", 12.0), (Bucklin, 2, "majority level analysis", 12.0),
+             (Maximin, 2, "pairwise score gap", 24.0), (Copeland, None, "relative margin", 96.0))
+
+
+def _sandwich(rule: Rule, m: int) -> tuple[int, str]:
+    """(r, source) of the rule's row in `_FAMILIES` over m candidates, r =
+    2(K+1) for Copeland. `mov_bounds` reads its lower end as U/r and
+    `movkit.estimators.guarantee_constant` its c as (r-1)/(r+1); Copeland's
+    U is r times the winner's relative margin. No rule has a sandwich below
+    two candidates (`copeland_log_factor` checks m, before the rule).
     """
     depth = copeland_log_factor(m)
-    if isinstance(rule, (KApproval, Approval)):
-        return 1
-    if isinstance(rule, (Scoring, Maximin, Bucklin)):
-        return 2
-    if isinstance(rule, Copeland):
-        return 2 * (depth + 1)
+    for family, ratio, source, _ in _FAMILIES:
+        if isinstance(rule, family):
+            return ratio or 2 * (depth + 1), source
     raise InputError(f"unknown rule: {rule!r}")
 
 
@@ -524,8 +531,8 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction = Fraction(1)):
       top-l counts and some x != w does not. No level separates them exactly
       on a full tie;
     * maximin: half the gap between the two best worst-case pairwise margins;
-    * Copeland: the sandwich ratio 2(K+1) (`_sandwich_ratio`) times the
-      winner's smallest relative margin over a rival, K = ceil(log2 m).
+    * Copeland: the sandwich ratio r (`_sandwich`) times the winner's
+      smallest relative margin over a rival.
       The relative margin is searched on the integer margins
       (`_relative_margin`).
 
@@ -576,7 +583,7 @@ def _margin_statistic(rule: Rule, tally, n: int, scale: Fraction = Fraction(1)):
             for x in range(tally.m)
             if x != w
         ))
-        return _sandwich_ratio(rule, tally.m) * gamma
+        return _sandwich(rule, tally.m)[0] * gamma
     values = tally._worst() if isinstance(rule, Maximin) else tally.raw
     spread = 2
     if isinstance(rule, Scoring):
@@ -625,19 +632,22 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
 
     Every bound holds under winner-set semantics, tied winner sets included,
     where the tie special cases below apply. U is the upper end that
-    `_margin_statistic` reads, and the lower end is U/r, r the rule's
-    `_sandwich_ratio`, except where a case below says otherwise:
+    `_margin_statistic` reads, the lower end is U/r and the source is the
+    one the rule's row of `_FAMILIES` gives, except where a case below says
+    otherwise:
 
-    * positional scoring (normalized vector), r = 2: [U/2, U + 1];
-    * k-approval and approval, r = 1: [1, 1] on a tie (one change always
-      creates or breaks one), else [U, ceil(U)];
+    * positional scoring (normalized vector): [U/r, U + 1];
+    * where r = 1 (k-approval and approval): [1, 1] on a tie (one change
+      always creates or breaks one), else [U, ceil(U)];
     * Bucklin: [change floor, U] (see `_change_floor` for the lower end).
       Changing U votes (moving x up, w down) hands x a strictly earlier
       majority, so the level gap bounds the margin from above; with no
       separating level (a full tie) the upper end is n;
-    * maximin, r = 2: [1, 1] on a tie, else [U/2, U];
-    * Copeland, r = 2(K+1): [1, n] on a tie, else [G, U] with G = U/r the
-      winner's smallest relative margin.
+    * maximin: [1, 1] on a tie, else [U/r, U];
+    * Copeland: [1, n] on a tie, else [G, U] with G = U/r the winner's
+      smallest relative margin.
+
+    The ties' source is "tied winners".
 
     Under winner-set semantics with m >= 2 the margin lies in [1, n]: one
     change is always needed, and replacing all n votes reaches any profile.
@@ -645,18 +655,14 @@ def mov_bounds(profile: Profile, rule: Rule) -> MovBounds:
     """
     tally = _mov_tally(rule, profile, None)
     upper = _margin_statistic(rule, tally, profile.n)
-    lower = Fraction(upper, _sandwich_ratio(rule, profile.m))
+    ratio, source = _sandwich(rule, profile.m)
+    lower = Fraction(upper, ratio)
     if isinstance(rule, Scoring):
-        upper, source = upper + 1, "positional score gap"
+        upper += 1
     elif isinstance(rule, Bucklin):
         lower, upper = _change_floor(tally), upper or profile.n
-        source = "majority level analysis"
     elif upper == 0:
-        lower, upper = 1, profile.n if isinstance(rule, Copeland) else 1
-        source = "tied winners"
-    elif isinstance(rule, (Maximin, Copeland)):
-        source = "pairwise score gap" if isinstance(rule, Maximin) else "relative margin"
-    else:
+        lower, upper, source = 1, profile.n if isinstance(rule, Copeland) else 1, "tied winners"
+    elif ratio == 1:
         upper = math.ceil(upper)
-        source = "top-k score gap" if isinstance(rule, KApproval) else "approval score gap"
     return MovBounds(lower=lower, upper=min(upper, profile.n), source=source)
