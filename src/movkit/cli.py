@@ -127,7 +127,8 @@ class _Group(click.Group):
     order. A value its type refuses raises that type's ``BadParameter``,
     which names the subcommand's context and the option, as Click's own
     path does: a plain line is converted once, and its error is the one
-    Click prints. Every other line (help, completion, ``--opt=value``,
+    Click prints. The subcommand's context is closed first, and with it a
+    file that an earlier value opened. Every other line (help, completion, ``--opt=value``,
     ``-iF``, ``--``, unknown, repeated or missing options, an option with no
     value) goes whole to Click's own ``make_context``, so every message,
     usage line and exit code is Click's."""
@@ -163,15 +164,19 @@ class _Group(click.Group):
             if name is not None:
                 context.set_parameter_source(name, ParameterSource.DEFAULT)
         with ctx.scope(cleanup=False):
-            for param, text in given.items():
-                ctx.params[param.name] = param.type_cast_value(ctx, text)
-                ctx.set_parameter_source(param.name, ParameterSource.COMMANDLINE)
-            for param in command.params:
-                if param not in given:
-                    value = param.get_default(ctx)
-                    ctx.params[param.name] = (None if value is _NO_DEFAULT
-                                              else param.type_cast_value(ctx, value))
-                    ctx.set_parameter_source(param.name, ParameterSource.DEFAULT)
+            try:
+                for param, text in given.items():
+                    ctx.params[param.name] = param.type_cast_value(ctx, text)
+                    ctx.set_parameter_source(param.name, ParameterSource.COMMANDLINE)
+                for param in command.params:
+                    if param not in given:
+                        value = param.get_default(ctx)
+                        ctx.params[param.name] = (None if value is _NO_DEFAULT
+                                                  else param.type_cast_value(ctx, value))
+                        ctx.set_parameter_source(param.name, ParameterSource.DEFAULT)
+            except BaseException:
+                ctx.close()  # a file an earlier value opened
+                raise
         return ctx
 
     def invoke(self, ctx):

@@ -645,6 +645,71 @@ def test_a_command_beyond_the_preconditions_takes_clicks_path(tmp_path, monkeypa
     assert run_in(tmp_path, monkeypatch, ["greet"]) == (0, "hello env\n", "")
 
 
+@pytest.mark.parametrize("settings", [{"context_settings": {"default_map": {"name": "mapped"}}},
+                                      {"no_args_is_help": True}], ids=["context-settings", "no-args-is-help"])
+def test_a_command_with_context_settings_or_no_args_is_help_takes_clicks_path(settings, tmp_path,
+                                                                                monkeypatch):
+    # a default map, or help for no arguments, is Click's to apply: a bound
+    # line would greet "x"
+    @click.command(cls=cli._Command, **settings)
+    @click.option("--name", default="x")
+    def greet(name):
+        click.echo(f"hello {name}")
+
+    built = []
+    real = click.Command.make_parser
+
+    def counted(self, ctx):
+        built.append(self.name)
+        return real(self, ctx)
+
+    monkeypatch.setitem(main.commands, "greet", greet)
+    monkeypatch.setattr(click.Command, "make_parser", counted)
+    assert greet.plain is None
+    code, out, err = run_in(tmp_path, monkeypatch, ["greet"])
+    assert built[0] == "main"  # the binder builds no parser, not even the group's
+    if "no_args_is_help" in settings:
+        # the help goes to stderr with exit 2 since Click 8.2, to stdout with exit 0 before
+        assert "hello" not in out and "Usage: movkit greet [OPTIONS]\n" in out + err
+    else:
+        assert (code, out, err) == (0, "hello mapped\n", "")
+
+
+@pytest.mark.parametrize("args", [
+    ["mov", "--mode", "estimate", "-i", F, "-r", "borda", "--epsilon", "x"],
+    ["mov", "--mode", "exact", "-i", F, "-r", "borda", "--budget", "many"],
+    ["experiment", "-r", "borda", "-i", F, "--trials", "x", "--oracle", "bounds"],
+], ids=" ".join)
+def test_a_failing_plain_line_closes_the_file_it_opened(args, tmp_path, monkeypatch):
+    # the value after -i F fails, once F is open: the binder closes F
+    # before it raises, and prints what Click's own path prints
+    opened = []
+    real = click.File.convert
+
+    def recorded(self, value, param, ctx):
+        opened.append(real(self, value, param, ctx))
+        return opened[-1]
+
+    expected = run_in(tmp_path, monkeypatch, args, click_path=True)
+    monkeypatch.setattr(click.File, "convert", recorded)
+    assert run_in(tmp_path, monkeypatch, args) == expected
+    assert expected[0] == 2 and "Invalid value for '--" in expected[2]
+    assert len(opened) == 1 and opened[0].closed
+
+
+KINDS = "'scoring', 'kapproval', 'approval', 'bucklin', 'maximin', 'copeland'"
+
+
+def test_samplesize_lists_the_rule_kinds_in_table_order(runner):
+    # `movkit.oracle._FAMILIES` gives the kinds and their order
+    result = runner.invoke(main, ["samplesize", "-r", "plurality", "--epsilon", "0.1", "--delta", "0.1"])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(
+        f"Error: Invalid value for '--rule' / '-r': 'plurality' is not one of {KINDS}.\n")
+    helped = invoke(runner, ["samplesize", "--help"])
+    assert "[scoring|kapproval|approval|bucklin|maximin|copeland]" in helped.stdout
+
+
 def test_short_flags_construct_no_no_such_option(runner, tmp_path, monkeypatch):
     path = write_file(tmp_path, "e.txt", "m 3\n2: a>b>c\n1: c>b>a\n")
     built = []

@@ -38,7 +38,7 @@ from movkit.io_formats import (
     write_election,
     write_experiment_csv,
 )
-from movkit.oracle import mov_bounds, mov_brute_force
+from movkit.oracle import apply_changes, mov_bounds, mov_brute_force
 
 F = Fraction
 
@@ -550,6 +550,20 @@ def test_the_exact_search_on_a_parsed_letter_file_is_that_of_its_profile(variant
         result, expected = mov_brute_force(parsed, rule), mov_brute_force(profile, rule)
         assert (result.value, result.witness, result.evaluations) == \
             (expected.value, expected.witness, expected.evaluations)
+
+
+@pytest.mark.parametrize("variant", ["canonical", "reversed"])
+def test_the_counts_of_a_parsed_letter_file_read_before_its_rows_are_its_profiles(variant):
+    # a draw and `apply_changes` read a pending profile's counts first, which
+    # builds its store through the counts' own view
+    profile = generate(ImpartialCulture(n=300, m=4, seed=6))
+    text = _letter_variant(profile, variant, None)
+    changes = [(0, (3, 2, 1, 0)), (299, (1, 0, 2, 3))]
+    for read in (lambda p: VoteSource(p).draw_counts(50, 3), lambda p: apply_changes(p, changes)):
+        parsed = parse_election(text)
+        assert "_pending" in vars(parsed)
+        assert read(parsed) == read(profile)
+        assert (parsed.rows, parsed.counts) == (profile.rows, profile.counts)
 
 
 def test_padded_counts_are_read_in_the_whole_text_passes(monkeypatch):
